@@ -15,6 +15,22 @@
 // may not have executed — resubmission is the caller's call, matching
 // at-most-once delivery), and the next submission that lands on that pool
 // slot dials afresh.
+//
+// A loop's access pattern crosses the wire once per connection. When the
+// server advertises pattern handles, the RESULT of a loop's first full
+// SUBMIT carries the handle the server interned it under; the connection
+// remembers loop pointer → (fingerprint, handle) and every later
+// submission of that *trace.Loop is a few-byte SUBMIT_REF. All of it is
+// transparent: a handle the server has since dropped is answered
+// "pattern gone" and the client resubmits the full loop itself, so the
+// caller never sees the fallback. The one contract it adds is the one the
+// engine's pointer-identity batch fusion already relies on: a submitted
+// loop is immutable while in use. A caller that mutates a loop it has
+// submitted (AddIter, SetFlat) is only protected as far as the fingerprint
+// sees — the client re-checks Fingerprint() on every submission and falls
+// back to a full SUBMIT when it moved, but the fingerprint samples the
+// trace, so an edit between its sample points would be answered with the
+// old pattern's sums. Build a new loop instead.
 package client
 
 import (
@@ -249,7 +265,28 @@ type pend struct {
 	// statsReq marks a statistics request, whose response is a STATS
 	// frame rather than RESULT/ERROR/BUSY.
 	statsReq bool
+
+	// loop and traceID are a one-shot SUBMIT's payload (loop is nil for
+	// every other operation), kept so the job can be sent again in full
+	// when its reference is answered "pattern gone". fp is the loop's
+	// fingerprint at submission — zero, never computed, on a connection
+	// without pattern handles. ref is the handle the frame went out
+	// under, 0 for a full SUBMIT; register decides it.
+	loop    *trace.Loop
+	traceID uint64
+	fp      uint64
+	ref     uint64
 }
+
+// maxHandles bounds one connection's loop → handle table. It pins caller
+// loops, so it must not grow without limit under never-repeating traffic;
+// on overflow the table is simply reset and the live patterns re-learn
+// their handles at one full SUBMIT each.
+const maxHandles = 1024
+
+// patternHandle is what a connection remembers about a loop the server
+// holds: the fingerprint the handle was issued under and the server's ID.
+type patternHandle struct{ fp, id uint64 }
 
 // poolConn is one pool slot: at most one live netSession at a time, redialed
 // on demand after failures.
@@ -273,6 +310,11 @@ type netSession struct {
 	dead    bool
 	nextID  uint64
 	nextSID uint64 // streaming-session ids, scoped to this connection
+	// handles maps a submitted loop to the pattern handle this
+	// connection's server issued for it (guarded by pendMu; nil when the
+	// server does not speak pattern handles). It lives and dies with the
+	// connection, so a handle is never replayed to a restarted server.
+	handles map[*trace.Loop]patternHandle
 }
 
 // ensure returns the slot's live session, dialing if necessary.
@@ -292,15 +334,6 @@ func (pc *poolConn) ensure() (*netSession, error) {
 	if err := wire.WritePreamble(nc); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: preamble: %w", err)
-	}
-	if t := pc.cl.cfg.Tenant; t != "" {
-		// Bind the connection to its tenant before any job rides it. The
-		// frame is connection-scoped (job ID 0), mirroring the server's
-		// own HELLO.
-		if _, err := nc.Write(wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Tenant: t})); err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("client: tenant hello: %w", err)
-		}
 	}
 	s := &netSession{
 		pc:      pc,
@@ -322,6 +355,23 @@ func (pc *poolConn) ensure() (*netSession, error) {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	nc.SetReadDeadline(time.Time{})
+	// The client's own HELLO (connection-scoped, job ID 0, mirroring the
+	// server's) binds the connection to its tenant and, when the server
+	// offered pattern handles, accepts them — both before any job rides
+	// it. With no tenant and no offer nothing is sent, and with a tenant
+	// alone the frame is the pre-handle one: a server that predates
+	// handles sees the dialogue it always has.
+	ch := wire.Hello{Version: wire.ProtoVersion, Tenant: pc.cl.cfg.Tenant}
+	if s.hello.Flags&wire.HelloFlagPatternHandles != 0 {
+		ch.Flags = wire.HelloFlagPatternHandles
+		s.handles = make(map[*trace.Loop]patternHandle)
+	}
+	if ch.Tenant != "" || ch.Flags != 0 {
+		if _, err := nc.Write(wire.AppendHello(nil, ch)); err != nil {
+			nc.Close()
+			return nil, fmt.Errorf("client: hello: %w", err)
+		}
+	}
 	pc.s = s
 	go s.readLoop(hr)
 	return s, nil
@@ -345,17 +395,49 @@ func (pc *poolConn) submit(l *trace.Loop, dst []float64, traceID uint64) (*Handl
 	if err != nil {
 		return nil, err
 	}
-	p := &pend{done: make(chan outcome, 1), dst: dst}
+	p := &pend{done: make(chan outcome, 1), dst: dst, loop: l, traceID: traceID}
+	if s.handles != nil {
+		// Fingerprinted now, compared in register: a loop the caller
+		// changed since its handle was learned must go out in full.
+		p.fp = l.Fingerprint()
+	}
 	id, err := s.register(p)
 	if err != nil {
 		return nil, err
 	}
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendSubmitTraced(buf.B, id, l, traceID)
-	if err := s.write(buf); err != nil {
+	if err := s.writeSubmit(id, p); err != nil {
 		return nil, err
 	}
 	return &Handle{done: p.done}, nil
+}
+
+// writeSubmit encodes and sends p's job under id: a SUBMIT_REF when
+// register found a current handle for the loop, the full SUBMIT otherwise.
+func (s *netSession) writeSubmit(id uint64, p *pend) error {
+	buf := wire.GetBuffer()
+	if p.ref != 0 {
+		buf.B = wire.AppendSubmitRef(buf.B, id, p.fp, p.ref, p.traceID)
+	} else {
+		buf.B = wire.AppendSubmitTraced(buf.B, id, p.loop, p.traceID)
+	}
+	return s.write(buf)
+}
+
+// resubmit sends p's job again after its SUBMIT_REF was answered "pattern
+// gone" (the handle is already forgotten, so this goes out in full unless
+// a sibling job re-learned it meanwhile). It runs on its own goroutine,
+// never the read loop: a write can block on a full socket, and the read
+// loop is what keeps the peer draining. The job keeps its pend, so the
+// caller's Handle resolves exactly once either way — by the read loop
+// when the answer arrives, by fail when the write breaks the connection,
+// or here when the connection died before the job could re-register.
+func (s *netSession) resubmit(p *pend) {
+	id, err := s.register(p)
+	if err != nil {
+		p.done <- outcome{err: err}
+		return
+	}
+	s.writeSubmit(id, p) // on error, fail has already resolved p
 }
 
 // stats issues a STATSREQ and waits for the snapshot.
@@ -379,17 +461,47 @@ func (pc *poolConn) stats() (engine.Stats, error) {
 }
 
 // register assigns the next job ID on the session. IDs start at 1; 0 is
-// connection-scoped on the wire.
+// connection-scoped on the wire. For a one-shot submission it also
+// decides, under the same lock, whether the job can go by reference: only
+// when the connection holds a handle for this very loop object and the
+// loop's fingerprint has not moved since that handle was learned.
 func (s *netSession) register(p *pend) (uint64, error) {
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
 	if s.dead {
 		return 0, ErrConnLost
 	}
+	p.ref = 0
+	if p.loop != nil {
+		if h, ok := s.handles[p.loop]; ok && h.fp == p.fp {
+			p.ref = h.id
+		}
+	}
 	s.nextID++
 	id := s.nextID
 	s.pending[id] = p
 	return id, nil
+}
+
+// learn remembers the handle a RESULT carried for p's loop. A full table
+// is reset wholesale (see maxHandles).
+func (s *netSession) learn(p *pend, id uint64) {
+	s.pendMu.Lock()
+	defer s.pendMu.Unlock()
+	if _, known := s.handles[p.loop]; !known && len(s.handles) >= maxHandles {
+		clear(s.handles)
+	}
+	s.handles[p.loop] = patternHandle{fp: p.fp, id: id}
+}
+
+// forget drops the handle p's reference went out under, unless a newer
+// one has replaced it since.
+func (s *netSession) forget(p *pend) {
+	s.pendMu.Lock()
+	defer s.pendMu.Unlock()
+	if h, ok := s.handles[p.loop]; ok && h.id == p.ref {
+		delete(s.handles, p.loop)
+	}
 }
 
 // write sends one encoded frame and flushes. Pipelined submitters each
@@ -433,8 +545,26 @@ func (s *netSession) readLoop(r *wire.Reader) {
 			s.fail(fmt.Errorf("%w: response for unknown job %d", ErrConnLost, f.JobID))
 			return
 		}
+		if p.ref != 0 && patternGone(f) {
+			// The server dropped the pattern behind this job's handle.
+			// Not the caller's business: forget the handle and send the
+			// loop in full; the job resolves when that is answered.
+			s.forget(p)
+			go s.resubmit(p)
+			continue
+		}
 		p.done <- s.resolve(f, p)
 	}
+}
+
+// patternGone reports whether f is the protocol's "pattern gone" answer
+// to a SUBMIT_REF.
+func patternGone(f wire.Frame) bool {
+	if f.Type != wire.FrameError {
+		return false
+	}
+	msg, err := f.DecodeError()
+	return err == nil && strings.HasPrefix(msg, wire.PatternGonePrefix)
 }
 
 // resolve turns one response frame into the job's outcome.
@@ -444,9 +574,12 @@ func (s *netSession) resolve(f wire.Frame, p *pend) outcome {
 	}
 	switch f.Type {
 	case wire.FrameResult:
-		res, err := f.DecodeResult(p.dst)
+		res, handle, err := f.DecodeResultHandle(p.dst)
 		if err != nil {
 			return outcome{err: fmt.Errorf("client: %w", err)}
+		}
+		if handle != 0 && p.loop != nil && s.handles != nil {
+			s.learn(p, handle)
 		}
 		return outcome{res: res}
 	case wire.FrameError:

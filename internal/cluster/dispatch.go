@@ -23,18 +23,22 @@ var _ server.Dispatcher = (*Pool)(nil)
 // server.ErrOverloaded when every avenue is exhausted (which the gateway
 // front end answers as BUSY(BusyUpstream)). The timeline, when non-nil,
 // accumulates the gateway legs (route, backend_wait, retry_backoff) and
-// its TraceID rides the SUBMIT frame to the owning backend. The tenant
+// its TraceID rides the SUBMIT frame to the owning backend. fp is the
+// loop's fingerprint as the front end interned it — the rendezvous key.
+// The pooled client sees the same interned pointer on every repeat of a
+// pattern, so after the first full SUBMIT each leg ships as a pattern
+// handle (see internal/client) with no gateway-specific path. The tenant
 // name is accepted but not forwarded: identity is HELLO-scoped and the
 // pool's backend connections authenticate as the gateway itself, so
 // per-tenant quotas bite at the gateway front door while backends see
 // the aggregate under the default tenant (a documented limitation —
 // forwarding would need per-job tenant attribution on the wire).
-func (p *Pool) Dispatch(l *trace.Loop, dst []float64, tl *obs.Timeline, tenant string) (server.Waiter, error) {
+func (p *Pool) Dispatch(l *trace.Loop, fp uint64, dst []float64, tl *obs.Timeline, tenant string) (server.Waiter, error) {
 	w := &waiter{
 		p:        p,
 		l:        l,
 		dst:      dst,
-		fp:       l.Fingerprint(),
+		fp:       fp,
 		busyLeft: p.cfg.BusyRetries,
 		tl:       tl,
 	}

@@ -421,3 +421,75 @@ func TestGatewayMembershipRehash(t *testing.T) {
 		t.Fatalf("removed backend still receiving jobs (%d -> %d)", before, got)
 	}
 }
+
+// TestGatewayHandlesNotReplayedAfterRedial kills the only backend under a
+// gateway whose leg has learned pattern handles on it, then brings a
+// fresh daemon up on the same address. Handles belong to the connection
+// they were learned on: the redialed leg must open with the full loop
+// (the new daemon numbers its handles from scratch and has already given
+// the old ID to another pattern), so the new daemon never sees a stale
+// reference — and afterwards the leg re-learns and goes back to sending
+// references. The caller sees only results throughout.
+func TestGatewayHandlesNotReplayedAfterRedial(t *testing.T) {
+	b := startBackend(t, engine.Config{}, server.Config{})
+	g := testkit.StartGateway(t,
+		cluster.Config{Conns: 1, HealthInterval: 10 * time.Millisecond},
+		server.Config{}, b.addr)
+	cl := testkit.DialPool(t, g.Addr, client.Config{Conns: 1})
+
+	l := workloads.HotKeySet(1, 0.2)[0]
+	want := l.RunSequential()
+	for i := 0; i < 4; i++ {
+		res, err := cl.Submit(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatches(t, l.Name, res.Values, want)
+	}
+	// Both hops ship the pattern once: client → gateway and gateway →
+	// backend each sent one full SUBMIT, then three references.
+	if st := g.Srv.Stats(); st.HandleHits != 3 {
+		t.Fatalf("gateway front door: handle hits %d, want 3", st.HandleHits)
+	}
+	if st := b.d.Srv.Stats(); st.HandleHits != 3 {
+		t.Fatalf("backend: handle hits %d, want 3", st.HandleHits)
+	}
+
+	b.kill()
+	fresh := testkit.StartDaemonAt(t, b.addr, engine.Config{}, server.Config{})
+	decoy := testkit.DialPool(t, fresh.Addr, client.Config{Conns: 1})
+	if _, err := decoy.Submit(workloads.HotKeySet(2, 0.2)[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The prober revives the backend within a few HealthIntervals; until
+	// then the gateway answers BUSY (no backend available).
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		res, err := cl.Submit(l)
+		if err == nil {
+			assertMatches(t, l.Name, res.Values, want)
+			break
+		}
+		if !errors.Is(err, client.ErrBusy) {
+			t.Fatalf("submission during the outage: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("backend never revived")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := fresh.Srv.Stats(); st.HandleHits != 0 || st.HandleGone != 0 {
+		t.Fatalf("redialed leg opened with a reference: %+v", st)
+	}
+	for i := 0; i < 3; i++ {
+		res, err := cl.Submit(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatches(t, l.Name, res.Values, want)
+	}
+	if st := fresh.Srv.Stats(); st.HandleHits != 3 || st.HandleGone != 0 {
+		t.Fatalf("redialed leg did not re-learn the handle: %+v", st)
+	}
+}

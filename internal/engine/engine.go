@@ -339,6 +339,17 @@ func (e *Engine) SubmitAsyncIntoTenant(l *trace.Loop, dst []float64, tenant int)
 	if l == nil {
 		return nil, errors.New("engine: nil loop")
 	}
+	return e.SubmitFingerprinted(l, l.Fingerprint(), dst, tenant)
+}
+
+// SubmitFingerprinted is SubmitAsyncIntoTenant for a caller that already
+// holds l.Fingerprint() — the network server computes it once to intern
+// the submission — so the loop is not hashed again here. fp must be
+// exactly l.Fingerprint(): it keys the decision cache and batch fusion.
+func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, tenant int) (*Handle, error) {
+	if l == nil {
+		return nil, errors.New("engine: nil loop")
+	}
 	if l.NumElems <= 0 {
 		return nil, fmt.Errorf("engine: loop %q has non-positive NumElems", l.Name)
 	}
@@ -346,7 +357,6 @@ func (e *Engine) SubmitAsyncIntoTenant(l *trace.Loop, dst []float64, tenant int)
 		tenant = 0
 	}
 	j := &job{loop: l, dst: dst, done: make(chan Result, 1)}
-	fp := l.Fingerprint()
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed {

@@ -117,6 +117,10 @@ func WriteServerStats(w io.Writer, sv ServerView) error {
 	m.Sample("redux_server_busy_total", float64(st.Busy))
 	m.Family("redux_server_intern_hits_total", "counter", "Submissions that mapped onto an already-interned canonical loop.")
 	m.Sample("redux_server_intern_hits_total", float64(st.InternHits))
+	m.Family("redux_server_pattern_handle_hits_total", "counter", "Submissions that arrived as a pattern handle the intern table still held (no decode; included in intern hits).")
+	m.Sample("redux_server_pattern_handle_hits_total", float64(st.HandleHits))
+	m.Family("redux_server_pattern_handle_gone_total", "counter", "Pattern handles that missed and were answered pattern-gone (the client resubmits in full).")
+	m.Sample("redux_server_pattern_handle_gone_total", float64(st.HandleGone))
 	m.Family("redux_server_interned_loops", "gauge", "Canonical loops currently interned.")
 	m.Sample("redux_server_interned_loops", float64(st.InternedLoops))
 	m.Family("redux_server_inflight_jobs", "gauge", "Jobs currently in flight across all connections (queue depth).")

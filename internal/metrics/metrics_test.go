@@ -167,7 +167,7 @@ func TestEngineStatsIdleFamilies(t *testing.T) {
 type fakeServer struct{}
 
 func (fakeServer) Stats() server.Stats {
-	return server.Stats{Busy: 3, InternHits: 42, InternedLoops: 5}
+	return server.Stats{Busy: 3, InternHits: 42, InternedLoops: 5, HandleHits: 40, HandleGone: 2}
 }
 func (fakeServer) StageStats() []obs.StageSummary {
 	return []obs.StageSummary{
@@ -185,6 +185,8 @@ func TestWriteServerStats(t *testing.T) {
 	for _, want := range []string{
 		"redux_server_busy_total 3",
 		"redux_server_intern_hits_total 42",
+		"redux_server_pattern_handle_hits_total 40",
+		"redux_server_pattern_handle_gone_total 2",
 		"redux_server_interned_loops 5",
 		"redux_server_inflight_jobs 2",
 		`redux_server_stage_latency_seconds_count{stage="decode"} 10`,

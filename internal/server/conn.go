@@ -47,6 +47,10 @@ type conn struct {
 	// the read loop touches it; waiter goroutines capture what they need
 	// before spawning.
 	tenant *tenantState
+	// handles records that the client's HELLO asked for pattern handles
+	// (wire.HelloFlagPatternHandles): RESULTs answering a full SUBMIT then
+	// carry the interned entry's ID. Read-loop-only, like tenant.
+	handles bool
 
 	draining atomic.Bool
 
@@ -126,7 +130,7 @@ func (c *conn) serve() {
 		Version:     wire.ProtoVersion,
 		Procs:       c.srv.disp.Procs(),
 		MaxInflight: c.srv.cfg.MaxInflightPerConn,
-		Flags:       c.srv.disp.HelloFlags(),
+		Flags:       c.srv.disp.HelloFlags() | wire.HelloFlagPatternHandles,
 	})
 	c.send(hello)
 
@@ -143,24 +147,26 @@ func (c *conn) serve() {
 			break
 		}
 		if f.Type == wire.FrameHello {
-			// A client HELLO binds the connection to a tenant. It rides
-			// job ID 0 (connection-scoped), so it must be recognized before
-			// the violation check below. Unknown tenant names degrade to
-			// the default tenant rather than failing the connection, so a
-			// fleet can be configured incrementally.
+			// A client HELLO binds the connection to a tenant and opts it
+			// into pattern handles. It rides job ID 0 (connection-scoped),
+			// so it must be recognized before the violation check below.
+			// Unknown tenant names degrade to the default tenant rather
+			// than failing the connection, so a fleet can be configured
+			// incrementally.
 			h, err := f.DecodeHello()
 			if err != nil {
 				c.sendError(0, err.Error())
 				break
 			}
 			c.tenant = c.srv.tenantFor(h.Tenant)
+			c.handles = h.Flags&wire.HelloFlagPatternHandles != 0
 			continue
 		}
 		if f.JobID == 0 {
 			c.sendError(0, "protocol violation: job id 0 is connection-scoped")
 			break
 		}
-		if f.Type == wire.FrameSubmit {
+		if f.Type == wire.FrameSubmit || f.Type == wire.FrameSubmitRef {
 			c.handleSubmit(f)
 			continue
 		}
@@ -230,6 +236,12 @@ func (c *conn) handleStatsReq(jobID uint64) {
 // over-budget client is rejected for the price of a BUSY frame, before
 // the server spends decode work or intern-table mutations (and evictions)
 // on a job it will not run.
+//
+// A SUBMIT_REF takes the same path with both expensive steps replaced:
+// "decode" reads three integers and "intern" is one table probe — no
+// pattern crosses the socket, none is walked. Its fingerprint comes from
+// the frame header, which the probe vouches for: lookup only matches an
+// entry this server itself filed under that key.
 func (c *conn) handleSubmit(f wire.Frame) {
 	t0 := time.Now()
 	release, ok := c.admit(f.JobID)
@@ -237,9 +249,14 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		return
 	}
 
+	isRef := f.Type == wire.FrameSubmitRef
+	var fp, handle, traceID uint64
 	var err error
-	var traceID uint64
-	c.scratchOff, c.scratchRefs, traceID, err = f.DecodeSubmitInto(&c.scratch, c.scratchOff, c.scratchRefs, c.srv.cfg.MaxElems)
+	if isRef {
+		fp, handle, traceID, err = f.DecodeSubmitRef()
+	} else {
+		c.scratchOff, c.scratchRefs, traceID, err = f.DecodeSubmitInto(&c.scratch, c.scratchOff, c.scratchRefs, c.srv.cfg.MaxElems)
+	}
 	if err != nil {
 		// The frame itself was well-delimited, so the stream stays in
 		// sync: reject the job, keep the connection.
@@ -248,7 +265,28 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		return
 	}
 	decodeDone := time.Now()
-	canon, hit := c.srv.intern.canonical(c.scratch.Fingerprint(), &c.scratch)
+
+	var canon *trace.Loop
+	hit := isRef
+	if isRef {
+		if canon = c.srv.intern.lookup(fp, handle); canon == nil {
+			// Evicted, displaced by a colliding pattern, or issued before a
+			// restart. The submitter still has the loop and falls back to a
+			// full SUBMIT; a stale handle never runs another pattern.
+			c.srv.handleGone.Add(1)
+			release()
+			c.sendError(f.JobID, fmt.Sprintf("%sno handle %d under fingerprint %016x", wire.PatternGonePrefix, handle, fp))
+			return
+		}
+		c.srv.handleHits.Add(1)
+		handle = 0 // the submitter holds it already; the RESULT need not repeat it
+	} else {
+		fp = c.scratch.Fingerprint()
+		canon, handle, hit = c.srv.intern.canonical(fp, &c.scratch)
+		if !c.handles {
+			handle = 0
+		}
+	}
 	if hit {
 		c.srv.interned.Add(1)
 	}
@@ -265,7 +303,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	tl.Add(obs.StageDecode, decodeDone.Sub(t0))
 	tl.Add(obs.StageIntern, time.Since(decodeDone))
 
-	w, err := c.srv.disp.Dispatch(canon, c.srv.getDst(canon.NumElems), tl, c.tenant.name)
+	w, err := c.srv.disp.Dispatch(canon, fp, c.srv.getDst(canon.NumElems), tl, c.tenant.name)
 	if err != nil {
 		tlPool.Put(tl)
 		release()
@@ -296,7 +334,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		}
 		buf := wire.GetBuffer()
 		encStart := time.Now()
-		buf.B = wire.AppendResult(buf.B, jobID, &res)
+		buf.B = wire.AppendResultHandle(buf.B, jobID, &res, handle)
 		tl.Add(obs.StageEncode, time.Since(encStart))
 		// Whatever the attributed stages did not cover — result hand-off,
 		// destination copies, waiter scheduling — is the merge/fan-out leg,

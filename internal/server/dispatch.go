@@ -17,8 +17,10 @@ import (
 // package's, written once.
 type Dispatcher interface {
 	// Dispatch starts one reduction job and returns a Waiter for its
-	// result. The loop is canonical (interned) and must not be mutated;
-	// dst, when non-nil, should receive the result values if it has the
+	// result. The loop is canonical (interned) and must not be mutated; fp
+	// is its Fingerprint, computed once when the pattern was interned (a
+	// SUBMIT_REF carries it in its header), so neither the engine nor the
+	// gateway's router hashes the loop a second time. dst, when non-nil, should receive the result values if it has the
 	// capacity. Dispatch must not block on job completion — the read loop
 	// calls it inline and pipelining depends on it returning promptly.
 	// tl, when non-nil, is the job's stage timeline: the dispatcher
@@ -29,7 +31,7 @@ type Dispatcher interface {
 	// tenant is the connection's HELLO-bound tenant name: the daemon
 	// schedules the job under that tenant's weighted queue; a dispatcher
 	// without per-tenant scheduling may ignore it.
-	Dispatch(l *trace.Loop, dst []float64, tl *obs.Timeline, tenant string) (Waiter, error)
+	Dispatch(l *trace.Loop, fp uint64, dst []float64, tl *obs.Timeline, tenant string) (Waiter, error)
 	// Stats snapshots the engine counters this dispatcher serves from (a
 	// gateway returns the aggregate over its backends).
 	Stats() (engine.Stats, error)
@@ -59,8 +61,8 @@ var ErrOverloaded = errors.New("server: overloaded")
 // into the local shared engine.
 type engineDispatcher struct{ eng *engine.Engine }
 
-func (d engineDispatcher) Dispatch(l *trace.Loop, dst []float64, tl *obs.Timeline, tenant string) (Waiter, error) {
-	h, err := d.eng.SubmitAsyncIntoTenant(l, dst, d.eng.TenantIndex(tenant))
+func (d engineDispatcher) Dispatch(l *trace.Loop, fp uint64, dst []float64, tl *obs.Timeline, tenant string) (Waiter, error) {
+	h, err := d.eng.SubmitFingerprinted(l, fp, dst, d.eng.TenantIndex(tenant))
 	if err != nil {
 		return nil, err
 	}

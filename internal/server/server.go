@@ -7,6 +7,7 @@
 // The dataflow per connection is two goroutines around the shared engine:
 //
 //	read loop:  frame → admission → decode → intern → engine.SubmitAsync
+//	            (SUBMIT_REF: admission → handle lookup ─────┘)
 //	                                                        │ (per-job waiter)
 //	write loop: pooled response buffers ← encode ← Handle.Wait
 //
@@ -19,7 +20,11 @@
 //     server interns decoded submissions by fingerprint + full pattern
 //     equality. Repeats of a hot pattern — the Zipf traffic a production
 //     service sees — collapse onto one canonical *trace.Loop and coalesce
-//     exactly as if a single process had submitted them.
+//     exactly as if a single process had submitted them. An interned
+//     pattern also has a handle (fingerprint + entry ID): the RESULT of
+//     a full SUBMIT carries it to clients that asked, and later
+//     submissions of that loop arrive as a few-byte SUBMIT_REF resolved
+//     with one table probe — the pattern is shipped and decoded once.
 //   - Admission control: in-flight jobs are bounded per connection and
 //     globally. Beyond either bound the server answers BUSY immediately
 //     instead of queueing without limit, keeping tail latency and memory
@@ -148,6 +153,11 @@ type Server struct {
 	// counts submissions that mapped onto an already-canonical loop.
 	busy     atomic.Uint64
 	interned atomic.Uint64
+	// handleHits counts SUBMIT_REF frames resolved through the intern
+	// table (each also counts as interned); handleGone counts the ones
+	// whose handle was no longer resident.
+	handleHits atomic.Uint64
+	handleGone atomic.Uint64
 
 	// stages aggregates every served job's stage timeline; ring keeps the
 	// timelines of jobs slower than cfg.TraceSlow for /tracez.
@@ -281,6 +291,14 @@ type Stats struct {
 	InternHits uint64
 	// InternedLoops is the current canonical-loop residency.
 	InternedLoops int
+	// HandleHits is how many submissions arrived as a pattern handle
+	// (SUBMIT_REF) the intern table still held — no decode, no pattern
+	// walk. They are included in InternHits.
+	HandleHits uint64
+	// HandleGone is how many handles missed (evicted, displaced by a
+	// fingerprint collision, or issued before a restart) and were answered
+	// "pattern gone"; the client resubmits each as a full SUBMIT.
+	HandleGone uint64
 	// Sessions is the current resident streaming-session count.
 	Sessions int
 	// SessionOpens counts sessions admitted over the server's lifetime.
@@ -296,6 +314,8 @@ func (s *Server) Stats() Stats {
 		Busy:             s.busy.Load(),
 		InternHits:       s.interned.Load(),
 		InternedLoops:    s.intern.len(),
+		HandleHits:       s.handleHits.Load(),
+		HandleGone:       s.handleGone.Load(),
 		Sessions:         s.sessions.len(),
 		SessionOpens:     s.sessions.opens.Load(),
 		SessionEvictions: s.sessions.evictions.Load(),

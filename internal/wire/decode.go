@@ -164,6 +164,32 @@ func (f Frame) DecodeSubmitInto(l *trace.Loop, offsets, refs []int32, maxElems i
 	return offsets, refs, traceID, nil
 }
 
+// DecodeSubmitRef decodes a SUBMIT_REF frame: the pattern fingerprint,
+// the (non-zero) handle, and the optional trailing trace ID.
+func (f Frame) DecodeSubmitRef() (fp, handle, traceID uint64, err error) {
+	if err := f.expect(FrameSubmitRef); err != nil {
+		return 0, 0, 0, err
+	}
+	c := cur{b: f.Body}
+	if len(c.b) < 8 {
+		return 0, 0, 0, fmt.Errorf("%w: truncated fingerprint", ErrCorrupt)
+	}
+	fp = binary.LittleEndian.Uint64(c.b)
+	c.b = c.b[8:]
+	if handle, err = c.uvarint(); err != nil || handle == 0 {
+		return 0, 0, 0, fmt.Errorf("%w: pattern handle", ErrCorrupt)
+	}
+	if c.remaining() > 0 {
+		if traceID, err = c.uvarint(); err != nil {
+			return 0, 0, 0, fmt.Errorf("%w: trace id", ErrCorrupt)
+		}
+	}
+	if c.remaining() != 0 {
+		return 0, 0, 0, fmt.Errorf("%w: %d trailing bytes after submit-ref body", ErrCorrupt, c.remaining())
+	}
+	return fp, handle, traceID, nil
+}
+
 // decodeLoopBody decodes the loop grammar shared by SUBMIT and
 // OPEN_SESSION bodies into l, leaving the cursor on whatever trailing
 // fields follow. It carries all of DecodeSubmitInto's defenses: counts
@@ -365,36 +391,43 @@ func (f Frame) DecodeCloseSession() (uint64, error) {
 // into dst when it has the capacity (mirroring engine.SubmitInto), else a
 // fresh array is allocated.
 func (f Frame) DecodeResult(dst []float64) (engine.Result, error) {
+	r, _, err := f.DecodeResultHandle(dst)
+	return r, err
+}
+
+// DecodeResultHandle is DecodeResult also returning the frame's optional
+// trailing pattern handle (0 when the server attached none).
+func (f Frame) DecodeResultHandle(dst []float64) (engine.Result, uint64, error) {
 	if err := f.expect(FrameResult); err != nil {
-		return engine.Result{}, err
+		return engine.Result{}, 0, err
 	}
 	c := cur{b: f.Body}
 	var r engine.Result
 	flags, err := c.u8()
 	if err != nil {
-		return engine.Result{}, err
+		return engine.Result{}, 0, err
 	}
 	r.CacheHit = flags&1 != 0
 	if r.BatchSize, err = c.intField("batch size", math.MaxInt32); err != nil {
-		return engine.Result{}, err
+		return engine.Result{}, 0, err
 	}
 	ns, err := c.uvarint()
 	if err != nil {
-		return engine.Result{}, fmt.Errorf("%w: elapsed", ErrCorrupt)
+		return engine.Result{}, 0, fmt.Errorf("%w: elapsed", ErrCorrupt)
 	}
 	r.Elapsed = elapsedFromWire(ns)
 	if r.Imbalance, err = c.f64(); err != nil {
-		return engine.Result{}, err
+		return engine.Result{}, 0, err
 	}
 	if r.Scheme, err = c.str(maxStringLen); err != nil {
-		return engine.Result{}, err
+		return engine.Result{}, 0, err
 	}
 	if r.Why, err = c.str(maxStringLen); err != nil {
-		return engine.Result{}, err
+		return engine.Result{}, 0, err
 	}
 	n, err := c.intField("value count", c.remaining()/8)
 	if err != nil {
-		return engine.Result{}, err
+		return engine.Result{}, 0, err
 	}
 	if cap(dst) >= n {
 		dst = dst[:n]
@@ -403,21 +436,28 @@ func (f Frame) DecodeResult(dst []float64) (engine.Result, error) {
 	}
 	for i := 0; i < n; i++ {
 		if dst[i], err = c.f64(); err != nil {
-			return engine.Result{}, err
+			return engine.Result{}, 0, err
 		}
 	}
 	// Optional trailing session generation (HELLO-flags evolution rule):
 	// session results carry it, one-shot results and older peers omit it.
 	if c.remaining() > 0 {
 		if r.SessionGen, err = c.uvarint(); err != nil {
-			return engine.Result{}, fmt.Errorf("%w: session generation", ErrCorrupt)
+			return engine.Result{}, 0, fmt.Errorf("%w: session generation", ErrCorrupt)
+		}
+	}
+	// Optional pattern handle after the generation, same rule.
+	var handle uint64
+	if c.remaining() > 0 {
+		if handle, err = c.uvarint(); err != nil {
+			return engine.Result{}, 0, fmt.Errorf("%w: pattern handle", ErrCorrupt)
 		}
 	}
 	if c.remaining() != 0 {
-		return engine.Result{}, fmt.Errorf("%w: %d trailing bytes after result body", ErrCorrupt, c.remaining())
+		return engine.Result{}, 0, fmt.Errorf("%w: %d trailing bytes after result body", ErrCorrupt, c.remaining())
 	}
 	r.Values = dst
-	return r, nil
+	return r, handle, nil
 }
 
 // DecodeError decodes an ERROR frame's message.

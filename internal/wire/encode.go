@@ -89,6 +89,20 @@ func AppendSubmitTraced(dst []byte, jobID uint64, l *trace.Loop, traceID uint64)
 	return endFrame(dst, p)
 }
 
+// AppendSubmitRef encodes a submission by reference: the pattern's
+// fingerprint as a fixed little-endian u64 (fingerprints are uniformly
+// distributed, so a varint would only be longer), the handle the server
+// issued for it, and the same optional trailing trace ID as SUBMIT.
+func AppendSubmitRef(dst []byte, jobID, fp, handle, traceID uint64) []byte {
+	dst, p := beginFrame(dst, FrameSubmitRef, jobID)
+	dst = binary.LittleEndian.AppendUint64(dst, fp)
+	dst = binary.AppendUvarint(dst, handle)
+	if traceID != 0 {
+		dst = binary.AppendUvarint(dst, traceID)
+	}
+	return endFrame(dst, p)
+}
+
 // appendLoopBody encodes one trace.Loop — the SUBMIT grammar, shared
 // verbatim by OPEN_SESSION so a session registration is a submission
 // plus a session id.
@@ -158,6 +172,16 @@ func AppendCloseSession(dst []byte, jobID, sessionID uint64) []byte {
 // truncated to the decoder's string cap so the encoder can never emit a
 // frame its own peer rejects.
 func AppendResult(dst []byte, jobID uint64, r *engine.Result) []byte {
+	return AppendResultHandle(dst, jobID, r, 0)
+}
+
+// AppendResultHandle is AppendResult carrying the pattern handle the
+// server interned the submitted loop under, as an optional trailing field
+// after the session generation (handles start at 1; zero omits it). A
+// server emits it only on connections whose client asked for handles
+// (HelloFlagPatternHandles) — a client that predates the tail would
+// reject the frame's trailing bytes.
+func AppendResultHandle(dst []byte, jobID uint64, r *engine.Result, handle uint64) []byte {
 	scheme, why := r.Scheme, r.Why
 	if len(scheme) > maxStringLen {
 		scheme = scheme[:maxStringLen]
@@ -188,8 +212,13 @@ func AppendResult(dst []byte, jobID uint64, r *engine.Result) []byte {
 	// HELLO-flags evolution rule: session results carry it (generations
 	// start at 1), one-shot results omit it, and peers that predate it
 	// decode the shorter frame and see zero.
-	if r.SessionGen != 0 {
+	// The handle extends the tail the same way; optional tails decode
+	// positionally, so emitting it forces the generation out (as zero).
+	if r.SessionGen != 0 || handle != 0 {
 		dst = binary.AppendUvarint(dst, r.SessionGen)
+	}
+	if handle != 0 {
+		dst = binary.AppendUvarint(dst, handle)
 	}
 	return endFrame(dst, p)
 }

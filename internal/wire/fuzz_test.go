@@ -36,6 +36,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendOpenSession(nil, 7, 1, l))
 	f.Add(AppendDelta(nil, 8, 1, []reduction.RefDelta{{Pos: 2, Ref: 9}, {Pos: 40, Ref: 0}}))
 	f.Add(AppendCloseSession(nil, 9, 1))
+	f.Add(AppendSubmitRef(nil, 10, l.Fingerprint(), 3, 0))
+	f.Add(AppendSubmitRef(nil, 11, l.Fingerprint(), 300, 0x9e3779b97f4a7c15))
+	f.Add(AppendResultHandle(nil, 12, &res, 300))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
@@ -103,7 +106,7 @@ func TestSeedCorpusDecodes(t *testing.T) {
 		}
 		covered[f.Type] = true
 	}
-	for ft := FrameHello; ft <= FrameCloseSession; ft++ {
+	for ft := FrameHello; ft <= FrameSubmitRef; ft++ {
 		if !covered[ft] {
 			t.Errorf("no seed covers frame type %v", ft)
 		}
@@ -122,10 +125,17 @@ func exerciseTypedDecoders(t *testing.T, fr Frame) {
 	}
 	var scratch trace.Loop
 	fr.DecodeSubmitInto(&scratch, nil, nil, 1<<16)
-	if r, err := fr.DecodeResult(nil); err == nil {
+	if r, _, err := fr.DecodeResultHandle(nil); err == nil {
 		if r.BatchSize < 0 || len(r.Values) > len(fr.Body) {
-			t.Fatalf("DecodeResult postcondition violated: %+v", r)
+			t.Fatalf("DecodeResultHandle postcondition violated: %+v", r)
 		}
+		// The handle-unaware entry point reads the same frames.
+		if _, err := fr.DecodeResult(nil); err != nil {
+			t.Fatalf("DecodeResult rejected a frame DecodeResultHandle accepted: %v", err)
+		}
+	}
+	if _, handle, _, err := fr.DecodeSubmitRef(); err == nil && handle == 0 {
+		t.Fatal("DecodeSubmitRef accepted a zero handle")
 	}
 	fr.DecodeHello()
 	fr.DecodeError()

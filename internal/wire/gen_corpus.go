@@ -11,7 +11,10 @@
 // (HELLO flags, SUBMIT trace ID, the RESULT session generation, the
 // STATS recal/simplify/histogram/session chain) and the session frames
 // (OPEN_SESSION, SUBMIT_DELTA, CLOSE_SESSION) each get their own seed so
-// the mutator starts from every frame length the protocol can produce.
+// the mutator starts from every frame length the protocol can produce;
+// so do the pattern-handle additions (the HELLO capability bit, the
+// SUBMIT_REF frame with and without a trace ID, and the RESULT handle
+// tail alone and behind a session generation).
 package main
 
 import (
@@ -73,28 +76,33 @@ func main() {
 	deltas := []reduction.RefDelta{{Pos: 0, Ref: 5}, {Pos: 3, Ref: 0}, {Pos: 9, Ref: 63}}
 
 	seeds := map[string][]byte{
-		"hello":          wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 8, MaxInflight: 64}),
-		"hello-flags":    wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 8, MaxInflight: 64, Flags: wire.HelloFlagGateway}),
-		"submit":         wire.AppendSubmit(nil, 1, l),
-		"submit-traced":  wire.AppendSubmitTraced(nil, 1, l, 0x9e3779b97f4a7c15),
-		"result":         wire.AppendResult(nil, 2, &res),
-		"error":          wire.AppendError(nil, 3, "loop rejected"),
-		"busy":           wire.AppendBusy(nil, 4, wire.BusyUpstream),
-		"statsreq":       wire.AppendStatsReq(nil, 5),
-		"stats":          wire.AppendStats(nil, 6, &stats),
-		"stats-recal":    wire.AppendStats(nil, 7, &recal),
-		"stats-simplify": wire.AppendStats(nil, 8, &simp),
-		"stats-hist":     wire.AppendStats(nil, 9, &hist),
-		"stats-session":  wire.AppendStats(nil, 10, &sess),
-		"open-session":   wire.AppendOpenSession(nil, 11, 1, l),
-		"delta":          wire.AppendDelta(nil, 12, 1, deltas),
-		"delta-empty":    wire.AppendDelta(nil, 13, 1, nil),
-		"close-session":  wire.AppendCloseSession(nil, 14, 1),
-		"result-gen":     wire.AppendResult(nil, 15, &sessRes),
-		"busy-session":   wire.AppendBusy(nil, 16, wire.BusySession),
-		"hello-tenant":   wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 8, MaxInflight: 64, Tenant: "acme"}),
-		"stats-tenant":   wire.AppendStats(nil, 17, &ten),
-		"busy-tenant":    wire.AppendBusy(nil, 18, wire.BusyTenant),
+		"hello":             wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 8, MaxInflight: 64}),
+		"hello-flags":       wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 8, MaxInflight: 64, Flags: wire.HelloFlagGateway}),
+		"submit":            wire.AppendSubmit(nil, 1, l),
+		"submit-traced":     wire.AppendSubmitTraced(nil, 1, l, 0x9e3779b97f4a7c15),
+		"result":            wire.AppendResult(nil, 2, &res),
+		"error":             wire.AppendError(nil, 3, "loop rejected"),
+		"busy":              wire.AppendBusy(nil, 4, wire.BusyUpstream),
+		"statsreq":          wire.AppendStatsReq(nil, 5),
+		"stats":             wire.AppendStats(nil, 6, &stats),
+		"stats-recal":       wire.AppendStats(nil, 7, &recal),
+		"stats-simplify":    wire.AppendStats(nil, 8, &simp),
+		"stats-hist":        wire.AppendStats(nil, 9, &hist),
+		"stats-session":     wire.AppendStats(nil, 10, &sess),
+		"open-session":      wire.AppendOpenSession(nil, 11, 1, l),
+		"delta":             wire.AppendDelta(nil, 12, 1, deltas),
+		"delta-empty":       wire.AppendDelta(nil, 13, 1, nil),
+		"close-session":     wire.AppendCloseSession(nil, 14, 1),
+		"result-gen":        wire.AppendResult(nil, 15, &sessRes),
+		"busy-session":      wire.AppendBusy(nil, 16, wire.BusySession),
+		"hello-tenant":      wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 8, MaxInflight: 64, Tenant: "acme"}),
+		"stats-tenant":      wire.AppendStats(nil, 17, &ten),
+		"busy-tenant":       wire.AppendBusy(nil, 18, wire.BusyTenant),
+		"hello-handles":     wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 8, MaxInflight: 64, Flags: wire.HelloFlagPatternHandles}),
+		"submit-ref":        wire.AppendSubmitRef(nil, 19, l.Fingerprint(), 3, 0),
+		"submit-ref-traced": wire.AppendSubmitRef(nil, 20, l.Fingerprint(), 300, 0x9e3779b97f4a7c15),
+		"result-handle":     wire.AppendResultHandle(nil, 21, &res, 300),
+		"result-gen-handle": wire.AppendResultHandle(nil, 22, &sessRes, 3),
 	}
 	for name, b := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)

@@ -82,6 +82,13 @@ const (
 	// state. The server answers with an empty RESULT so the client can
 	// await teardown.
 	FrameCloseSession FrameType = 10
+	// FrameSubmitRef is a SUBMIT that names its loop instead of carrying
+	// it: the pattern's fingerprint plus the handle the server attached to
+	// the RESULT of an earlier full SUBMIT of the same loop. Sent only to
+	// peers that advertised HelloFlagPatternHandles. It is answered exactly
+	// like the SUBMIT it stands for, or with a job-scoped ERROR opening
+	// with PatternGonePrefix when the server no longer holds the pattern.
+	FrameSubmitRef FrameType = 11
 )
 
 // String names the frame type for diagnostics.
@@ -107,6 +114,8 @@ func (t FrameType) String() string {
 		return "SUBMIT_DELTA"
 	case FrameCloseSession:
 		return "CLOSE_SESSION"
+	case FrameSubmitRef:
+		return "SUBMIT_REF"
 	default:
 		return fmt.Sprintf("FrameType(%d)", byte(t))
 	}
@@ -160,6 +169,14 @@ const (
 	// reduxd daemon: submissions are routed onward by pattern fingerprint
 	// and STATS answers are aggregates over the backend tier.
 	HelloFlagGateway uint64 = 1 << 0
+	// HelloFlagPatternHandles negotiates pattern handles, one bit read in
+	// both directions. In the server's HELLO it says the peer resolves
+	// SUBMIT_REF frames; a client that sees it may answer with its own
+	// HELLO carrying the same bit, which asks the server to attach the
+	// handle tail to the RESULT of every full SUBMIT on this connection.
+	// A side that never sees the bit never sends the new frame or tail,
+	// so a legacy peer's dialogue is unchanged.
+	HelloFlagPatternHandles uint64 = 1 << 1
 )
 
 // Hello is the decoded HELLO frame.
@@ -191,6 +208,15 @@ type Hello struct {
 // generic job failure. An evicted session always answers this — never a
 // stale sum.
 const SessionGonePrefix = "session gone: "
+
+// PatternGonePrefix opens every ERROR message answering a SUBMIT_REF
+// whose handle the server no longer holds — the pattern was evicted from
+// the intern table, displaced by a fingerprint collision, or learned from
+// a server that has since restarted. Like SessionGonePrefix it is part of
+// the protocol: the submitter still has the loop, so it matches the
+// prefix, forgets the handle and resubmits a full SUBMIT. A stale handle
+// always answers this — never another pattern's sums.
+const PatternGonePrefix = "pattern gone: "
 
 // Sentinel decode errors. Detail errors wrap one of these, so callers can
 // classify with errors.Is.
@@ -326,7 +352,7 @@ func ParseFrame(payload []byte) (Frame, error) {
 	if err != nil {
 		return Frame{}, fmt.Errorf("%w: missing frame type", ErrCorrupt)
 	}
-	if t < byte(FrameHello) || t > byte(FrameCloseSession) {
+	if t < byte(FrameHello) || t > byte(FrameSubmitRef) {
 		return Frame{}, fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, t)
 	}
 	id, err := c.uvarint()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -735,6 +736,11 @@ func TestTruncatedFramesError(t *testing.T) {
 		AppendStats(nil, 12, &engine.Stats{Schemes: map[string]uint64{}, BatchOccupancy: []uint64{0},
 			Tenants: []engine.TenantStats{{Name: "acme", Weight: 4, Jobs: 7,
 				QueueWait: obs.Snapshot{Count: 1, SumNs: 9, MaxNs: 9, Buckets: []uint64{1}}}}}),
+		AppendSubmitRef(nil, 13, 0x9e3779b97f4a7c15, 300, 0),
+		AppendSubmitRef(nil, 14, 0x9e3779b97f4a7c15, 5, 0xdeadbeef),
+		AppendResultHandle(nil, 15, &res, 300),
+		AppendResultHandle(nil, 16, &sres, 7),
+		AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 8, Flags: HelloFlagPatternHandles}),
 	}
 	for fi, full := range frames {
 		for n := 0; n < len(full); n++ {
@@ -1055,4 +1061,182 @@ func TestBufferPoolReuse(t *testing.T) {
 		t.Fatal("pooled buffer not reset")
 	}
 	c.Free()
+}
+
+// parentFrames are frames captured from the encoders of the commit before
+// pattern handles existed (hex of the full length-prefixed frame), over
+// goldenLoop / goldenResult below. They are what "byte-identical to
+// today" means in the handle compat matrix: a peer that never negotiates
+// handles must keep producing exactly these bytes.
+var parentFrames = map[string]string{
+	"submit":       "2e000000020706676f6c64656e4008000000000000000440000000000000000003040b030301040208080700747d7c773e33",
+	"submitTraced": "38000000020706676f6c64656e4008000000000000000440000000000000000003040b030301040208080700747d7c773e3395f8a9fa97b7de9b9e01",
+	"result":       "4100000003070103c0c407000000000000f43f04686173680b766572792073706172736504000000000000f83f00000000000002c00000000000000000000000c00b5ae641",
+	"resultGen":    "4500000003070103c0c407000000000000f43f0773657373696f6e0b766572792073706172736504000000000000f83f00000000000002c00000000000000000000000c00b5ae6411a",
+	"hello":        "050000000100010440",
+	"helloGw":      "06000000010001044001",
+	"helloTenant":  "0b0000000100010000000461636d65",
+	"error":        "07000000040704626f6f6d",
+}
+
+func goldenLoop() *trace.Loop {
+	l := trace.NewLoop("golden", 64)
+	l.WorkPerIter = 2.5
+	l.Invocations = 3
+	l.AddIter(1, 5, 9)
+	l.AddIter(5, 5, 63)
+	l.AddIter(0)
+	l.AddIter(62, 2, 33, 7)
+	return l
+}
+
+func goldenResult() engine.Result {
+	return engine.Result{
+		Values: []float64{1.5, -2.25, 0, 3e9}, Scheme: "hash",
+		Why: "very sparse", CacheHit: true, BatchSize: 3,
+		Elapsed: 123456, Imbalance: 1.25,
+	}
+}
+
+// TestPatternHandleCompat is the handle rows of the compat matrix. The
+// frames a legacy dialogue consists of — HELLO, SUBMIT (traced or not),
+// RESULT (one-shot and session), ERROR — must encode to the bytes the
+// pre-handle encoders produced (parentFrames), which is what keeps a
+// legacy client against a new server, and a new client against a server
+// that does not advertise HelloFlagPatternHandles, byte-identical to
+// before: in both pairings the new frame and the new tail are simply
+// never sent (pinned at the dialogue level by the server and client
+// package tests). Then the new encodings: the handle is a trailing
+// RESULT field behind the session generation, the capability is one more
+// HELLO flag bit, and both decode on the HELLO-flags rule.
+func TestPatternHandleCompat(t *testing.T) {
+	l, res := goldenLoop(), goldenResult()
+	sres := res
+	sres.Scheme, sres.SessionGen = "session", 26
+	now := map[string][]byte{
+		"submit":       AppendSubmit(nil, 7, l),
+		"submitTraced": AppendSubmitTraced(nil, 7, l, 0x9e3779b97f4a7c15),
+		"result":       AppendResultHandle(nil, 7, &res, 0),
+		"resultGen":    AppendResultHandle(nil, 7, &sres, 0),
+		"hello":        AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 64}),
+		"helloGw":      AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 64, Flags: HelloFlagGateway}),
+		"helloTenant":  AppendHello(nil, Hello{Version: 1, Tenant: "acme"}),
+		"error":        AppendError(nil, 7, "boom"),
+	}
+	for name, want := range parentFrames {
+		if got := hex.EncodeToString(now[name]); got != want {
+			t.Errorf("%s frame drifted from the pre-handle encoding:\n got %s\nwant %s", name, got, want)
+		}
+	}
+	if !bytes.Equal(AppendResult(nil, 7, &res), now["result"]) {
+		t.Error("AppendResult differs from AppendResultHandle with no handle")
+	}
+
+	// The capability bit is one more flag: same frame length as the
+	// gateway HELLO, and a decoder that knows only bit 0 still reads the
+	// field and sees its own bit unchanged.
+	both := AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 64, Flags: HelloFlagGateway | HelloFlagPatternHandles})
+	if len(both) != len(now["helloGw"]) {
+		t.Fatalf("handle bit changed the HELLO length: %d vs %d", len(both), len(now["helloGw"]))
+	}
+	f, _, err := DecodeFrame(both, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := f.DecodeHello()
+	if err != nil || h.Flags&HelloFlagGateway == 0 || h.Flags&HelloFlagPatternHandles == 0 {
+		t.Fatalf("hello flags %#x, err %v", h.Flags, err)
+	}
+
+	// RESULT handle tail: positional after the generation, so a one-shot
+	// result grows by a zero generation byte plus the handle, a session
+	// result by the handle alone.
+	decode := func(b []byte) (engine.Result, uint64, error) {
+		t.Helper()
+		f, n, err := DecodeFrame(b, 0)
+		if err != nil || n != len(b) {
+			t.Fatalf("frame: n=%d err=%v", n, err)
+		}
+		return f.DecodeResultHandle(nil)
+	}
+	tailed := AppendResultHandle(nil, 7, &res, 300) // two uvarint bytes
+	if len(tailed) != len(now["result"])+1+2 {
+		t.Fatalf("handle tail: %d bytes vs legacy %d", len(tailed), len(now["result"]))
+	}
+	r, handle, err := decode(tailed)
+	if err != nil || handle != 300 || r.SessionGen != 0 || r.Scheme != "hash" || len(r.Values) != 4 {
+		t.Fatalf("tailed result: handle %d gen %d err %v", handle, r.SessionGen, err)
+	}
+	genTailed := AppendResultHandle(nil, 7, &sres, 300)
+	if len(genTailed) != len(now["resultGen"])+2 {
+		t.Fatalf("handle after generation: %d bytes vs %d", len(genTailed), len(now["resultGen"]))
+	}
+	if r, handle, err = decode(genTailed); err != nil || handle != 300 || r.SessionGen != 26 {
+		t.Fatalf("gen+handle result: handle %d gen %d err %v", handle, r.SessionGen, err)
+	}
+	for name, legacy := range map[string][]byte{"result": now["result"], "resultGen": now["resultGen"]} {
+		if _, handle, err := decode(legacy); err != nil || handle != 0 {
+			t.Fatalf("legacy %s decoded handle %d, err %v (want 0)", name, handle, err)
+		}
+	}
+	// A handle-unaware caller still reads a tailed frame through the old
+	// entry point.
+	f, _, _ = DecodeFrame(tailed, 0)
+	if r, err := f.DecodeResult(nil); err != nil || r.BatchSize != 3 {
+		t.Fatalf("DecodeResult on a tailed frame: %+v, %v", r, err)
+	}
+	// Truncated inside the handle: corrupt, not silently zero.
+	cut := append([]byte(nil), tailed[:len(tailed)-1]...)
+	n := uint32(len(cut) - 4)
+	cut[0], cut[1], cut[2], cut[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+	if _, _, err := decode(cut); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated handle decoded without error: %v", err)
+	}
+}
+
+// TestSubmitRefRoundTrip covers the reference frame: it round-trips with
+// and without a trace ID, costs a few bytes where the SUBMIT it stands
+// for costs the whole subscript stream, and rejects a zero handle,
+// trailing bytes and every other frame type's decoder.
+func TestSubmitRefRoundTrip(t *testing.T) {
+	l := goldenLoop()
+	fp := l.Fingerprint()
+	for _, traceID := range []uint64{0, 0xdeadbeef} {
+		b := AppendSubmitRef(nil, 9, fp, 41, traceID)
+		f, n, err := DecodeFrame(b, 0)
+		if err != nil || n != len(b) || f.Type != FrameSubmitRef || f.JobID != 9 {
+			t.Fatalf("frame %+v n=%d err=%v", f, n, err)
+		}
+		gotFP, handle, gotTrace, err := f.DecodeSubmitRef()
+		if err != nil || gotFP != fp || handle != 41 || gotTrace != traceID {
+			t.Fatalf("decoded fp %x handle %d trace %x err %v", gotFP, handle, gotTrace, err)
+		}
+		if _, err := f.DecodeSubmit(0); !errors.Is(err, ErrType) {
+			t.Fatalf("DecodeSubmit on SUBMIT_REF: %v", err)
+		}
+	}
+	ref, full := AppendSubmitRef(nil, 9, fp, 41, 0), AppendSubmit(nil, 9, l)
+	if len(ref) > 24 || len(ref) >= len(full) {
+		t.Fatalf("reference frame is %d bytes (full SUBMIT %d)", len(ref), len(full))
+	}
+	if FrameSubmitRef.String() != "SUBMIT_REF" {
+		t.Fatalf("frame name %q", FrameSubmitRef.String())
+	}
+
+	zero := AppendSubmitRef(nil, 9, fp, 0, 0)
+	f, _, err := DecodeFrame(zero, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := f.DecodeSubmitRef(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("zero handle accepted: %v", err)
+	}
+	f.Body = append(append([]byte(nil), AppendSubmitRef(nil, 9, fp, 41, 7)[6:]...), 0x01)
+	if _, _, _, err := f.DecodeSubmitRef(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("trailing bytes accepted: %v", err)
+	}
+	f, _, _ = DecodeFrame(full, 0)
+	if _, _, _, err := f.DecodeSubmitRef(); !errors.Is(err, ErrType) {
+		t.Fatalf("DecodeSubmitRef on SUBMIT: %v", err)
+	}
 }

@@ -160,6 +160,39 @@ END {
     }
 }' "$cand" || failed="$failed affinity"
 
+# Network-hop gate (ROADMAP 1(c)): the Zipf stream through one loopback
+# hop (RemoteZipf) must cost at most REMOTE_MAX_RATIO (default 3) times
+# what it costs in-process (EngineZipf32Clients/coalesced). With pattern
+# handles a repeat submission ships and decodes a few bytes, so what is
+# left of the hop is sockets, goroutine hand-offs and the result array —
+# a ratio past the ceiling means the pattern is being re-shipped or
+# re-decoded again. Both figures come from the candidate file (same
+# machine, no normalization needed); the gate runs whenever it carries
+# both and names the missing one when it cannot.
+awk -v maxx="${REMOTE_MAX_RATIO:-3}" -v cand="$cand" '
+/"name": "RemoteZipf"/ && match($0, /"ns_per_op": *[0-9]+/) {
+    remote = substr($0, RSTART, RLENGTH); gsub(/[^0-9]/, "", remote)
+}
+/"name": "EngineZipf32Clients\/coalesced"/ && match($0, /"ns_per_op": *[0-9]+/) {
+    eng = substr($0, RSTART, RLENGTH); gsub(/[^0-9]/, "", eng)
+}
+END {
+    if (remote + 0 <= 0) {
+        printf "bench_compare: network-hop gate skipped: RemoteZipf ns_per_op missing from %s\n", cand
+        exit 0
+    }
+    if (eng + 0 <= 0) {
+        printf "bench_compare: network-hop gate skipped: EngineZipf32Clients/coalesced ns_per_op missing from %s\n", cand
+        exit 0
+    }
+    x = remote / eng
+    printf "bench_compare: network hop: RemoteZipf %d ns/op is %.2fx EngineZipf32Clients/coalesced %d ns/op (ceiling %.2fx)\n", remote, x, eng, maxx
+    if (x > maxx + 0) {
+        print "bench_compare: FAIL: one loopback hop costs more than the ceiling over in-process"
+        exit 1
+    }
+}' "$cand" || failed="$failed network-hop"
+
 # Drift-recovery gate: after the DriftRecovery phase shift, the measured
 # p95 must have returned to within RECOVERY_MAX_PCT (default 125) percent
 # of an independently measured steady state, within RECOVERY_MAX_JOBS

@@ -5,6 +5,8 @@
 # server, and checks the machine-readable report — every job must succeed,
 # results must verify against the sequential reference, and batch
 # coalescing must have engaged across the network hop (coalesced > 0).
+# The /metrics scrape must also show pattern-handle hits: repeats of a hot
+# loop travel as references, not re-shipped patterns.
 #
 # Set GATEWAY=N (N >= 1) to test the cluster tier instead: N reduxd
 # backends are booted behind a reduxgw gateway and the same stream is
@@ -190,6 +192,16 @@ wait "$serve_pid" || { echo "loadtest: reduxserve failed" >&2; exit 1; }
 # and check cross-tier trace stitching on the real wire path.
 curl -fsS "http://$front_dbg/metrics" > "$work/metrics.txt"
 scripts/metrics_lint.sh "$work/metrics.txt"
+
+if [ "$sessions" -eq 0 ] && [ "$tenants" -eq 0 ]; then
+    # The Zipf stream repeats its hot loops, so after each loop's first
+    # full SUBMIT the client must have gone over to pattern handles: the
+    # front tier (the daemon, or the gateway's own front door) has to
+    # show reference hits. Zero means every job re-shipped its pattern.
+    grep -Eq '^redux_server_pattern_handle_hits_total [1-9]' "$work/metrics.txt" \
+        || { echo "loadtest: FAIL: no pattern-handle hits in /metrics (every SUBMIT re-shipped its loop)" >&2; exit 1; }
+    echo "loadtest: $(grep -E '^redux_server_pattern_handle_(hits|gone)_total ' "$work/metrics.txt" | tr '\n' ' ')"
+fi
 
 if [ "$tenants" -gt 0 ]; then
     # The per-tenant series must carry real labeled samples, and the
