@@ -57,12 +57,14 @@ docs-check:
 	$(GO) run ./cmd/doccheck ./internal/wire ./internal/client ./internal/server ./internal/cluster ./internal/obs ./internal/metrics
 	./scripts/md_links.sh
 
-# fuzz runs the wire-protocol decoder fuzz target for 10s under the race
-# detector, starting from the checked-in seed corpus
-# (internal/wire/testdata/fuzz): corrupt or truncated frames must error,
-# never panic.
+# fuzz runs the two fuzz targets for 10s each under the race detector,
+# starting from their checked-in seed corpora (testdata/fuzz): corrupt or
+# truncated wire frames must error, never panic; and any loop, width and
+# delta stream must keep a session bit-identical to a from-scratch
+# rebuild, with rejected batches mutating nothing.
 fuzz:
 	$(GO) test -race -run '^FuzzDecodeFrame$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -race -run '^FuzzDeltaState$$' -fuzz '^FuzzDeltaState$$' -fuzztime 10s ./internal/reduction
 
 # cover measures -short statement coverage over ./internal/... and fails
 # if the total drops below the floor committed in scripts/coverage_gate.sh.

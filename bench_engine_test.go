@@ -719,22 +719,22 @@ func BenchmarkSimplifyOverlap(b *testing.B) {
 // and needing the new reduction after each one:
 //
 //   - delta: one OPEN_SESSION, then Session.Apply per step — the engine
-//     recomputes only the segments each batch touched and re-combines.
+//     re-accumulates only the elements each batch touched, in the
+//     segments it landed in, and re-folds those elements.
 //   - resubmit: the pre-session protocol — every step re-submits the
 //     whole mutated loop (pre-built mirrors, so trace construction is
 //     off the clock and the measured cost is pure engine work; decisions
 //     are warmed first, so the cache is as kind to this path as it can be).
 //
-// scripts/bench_compare.sh gates the ratio at SESSION_MIN_SPEEDUP
-// (default 2x): if incremental re-reduction ever degenerates to full
-// recompute cost, the session subsystem has lost its reason to exist.
+// The stream and the geometry are the served ones: the claims
+// benchmark's session_remote shape (16 scattered deltas a batch, scale
+// 0.5) and segIters 0, the only width the daemon ever passes.
+// scripts/bench_compare.sh gates the ratio at SESSION_MIN_SPEEDUP: if
+// incremental re-reduction ever degenerates to full recompute cost, the
+// session subsystem has lost its reason to exist.
 func BenchmarkSessionDelta(b *testing.B) {
 	const steps = 64
-	ds := workloads.NewDeltaStream(steps, 4, 0.25, 11)
-	// 32 segments balances touched-segment recompute against the
-	// combine sweep for this stream's shape (4 scattered deltas, 128
-	// refs per element).
-	segIters := (ds.Base.NumIters() + 31) / 32
+	ds := workloads.NewDeltaStream(steps, 16, 0.5, 11)
 	cfg := engine.Config{Workers: 1, Platform: core.DefaultPlatform(8)}
 
 	b.Run("delta", func(b *testing.B) {
@@ -743,7 +743,7 @@ func BenchmarkSessionDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer e.Close()
-		sess, res, err := e.OpenSession(ds.Base, segIters, nil)
+		sess, res, err := e.OpenSession(ds.Base, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

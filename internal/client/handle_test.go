@@ -186,6 +186,12 @@ func TestHandleTableBounded(t *testing.T) {
 			}
 		}
 		handles = handles[:0]
+		// A RESULT reaches the client before the server returns the job's
+		// admission slot; the next window must not race those releases
+		// into the per-connection limit.
+		for d.Srv.Inflight() != 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 	for k := range loops {
 		loops[k] = tinyLoop(k)

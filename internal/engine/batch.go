@@ -49,6 +49,10 @@ type batch struct {
 	// the batch has no jobs and runBatch routes it to runSession before
 	// any of the adaptive machinery runs.
 	sess *sessionWork
+
+	// hold marks a batch that carries no work: the worker that dequeues
+	// it parks until the channel closes (Engine.Hold).
+	hold chan struct{}
 }
 
 // tryJoin appends j to the batch if it is still open, has room, and its
@@ -167,6 +171,10 @@ func (c *coalescer) remove(fp uint64, b *batch) {
 // leader group runs the cached scheme directly and each overlap group
 // runs its own direct execution over the same decision.
 func (e *Engine) runBatch(w *workerCtx, b *batch) {
+	if b.hold != nil {
+		<-b.hold
+		return
+	}
 	t := e.tenants[0]
 	if b.tenant > 0 && b.tenant < len(e.tenants) {
 		t = e.tenants[b.tenant]

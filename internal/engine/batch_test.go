@@ -112,14 +112,11 @@ func TestRunBatchAliasesAndMatches(t *testing.T) {
 	}
 }
 
-// TestEngineCoalescesUnderBacklog submits a long-running plug job to the
-// single worker, then a burst of identical hot jobs: while the plug
-// executes, the hot jobs must fuse into a queued batch, and every fused
-// result must alias its own destination and match the reference.
+// TestEngineCoalescesUnderBacklog parks the single worker (Engine.Hold),
+// then submits a burst of identical hot jobs: while the worker is held,
+// the hot jobs must fuse into one queued batch, and every fused result
+// must alias its own destination and match the reference.
 func TestEngineCoalescesUnderBacklog(t *testing.T) {
-	plug := workloads.Generate("plug", workloads.PatternSpec{
-		Dim: 200000, SPPercent: 60, CHR: 1.0, MO: 2, Locality: 0.5, Work: 10, Seed: 7,
-	}, 1)
 	hot := workloads.Generate("hot", workloads.PatternSpec{
 		Dim: 2000, SPPercent: 50, CHR: 0.5, MO: 2, Locality: 0.5, Work: 4, Seed: 8,
 	}, 1)
@@ -127,10 +124,11 @@ func TestEngineCoalescesUnderBacklog(t *testing.T) {
 
 	e := mustNew(t, Config{Workers: 1, QueueDepth: 4})
 	defer e.Close()
-	plugH, err := e.SubmitAsync(plug)
+	release, err := e.Hold()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	const burst = 6
 	handles := make([]*Handle, burst)
 	dsts := make([][]float64, burst)
@@ -140,7 +138,7 @@ func TestEngineCoalescesUnderBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plugH.Wait()
+	release()
 	for i, h := range handles {
 		res := h.Wait()
 		if &res.Values[0] != &dsts[i][0] {
@@ -149,14 +147,9 @@ func TestEngineCoalescesUnderBacklog(t *testing.T) {
 		assertMatches(t, "hot", res.Values, want)
 	}
 	s := e.Stats()
-	if s.Jobs != burst+1 {
-		t.Errorf("jobs = %d, want %d", s.Jobs, burst+1)
-	}
-	if s.Coalesced != s.Jobs-s.Batches {
-		t.Errorf("coalesced %d != jobs %d - batches %d", s.Coalesced, s.Jobs, s.Batches)
-	}
-	if s.Coalesced == 0 {
-		t.Error("no jobs coalesced while the worker was plugged")
+	if s.Jobs != burst || s.Batches != 1 || s.Coalesced != burst-1 {
+		t.Errorf("jobs/batches/coalesced = %d/%d/%d, want %d/1/%d: the held burst must run as one batch",
+			s.Jobs, s.Batches, s.Coalesced, burst, burst-1)
 	}
 	var occJobs uint64
 	for k, v := range s.BatchOccupancy {

@@ -373,6 +373,24 @@ func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, te
 	return &Handle{done: j.done}, nil
 }
 
+// Hold parks one worker until the returned release is called: a
+// work-free batch joins the default tenant's FIFO, and the worker that
+// dequeues it waits. On a one-worker engine everything enqueued after
+// Hold returns therefore stays queued — and open to batch fusion — until
+// release, which makes queue residency deterministic for tests that
+// otherwise race a plug job's duration. release is idempotent and must
+// be called before Close.
+func (e *Engine) Hold() (release func(), err error) {
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
+	hold := make(chan struct{})
+	e.q.push(0, &batch{hold: hold})
+	return sync.OnceFunc(func() { close(hold) }), nil
+}
+
 // Close drains the queue, stops the workers and waits for them. Submit
 // calls racing with Close either complete or return ErrClosed.
 func (e *Engine) Close() {

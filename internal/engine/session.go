@@ -17,8 +17,9 @@ import (
 var ErrSessionClosed = errors.New("engine: session closed")
 
 // Session is a server-resident streaming reduction: a loop registered
-// once, then updated by delta batches whose rolling results recompute
-// only the touched segments (reduction.DeltaState). Session executions
+// once, then updated by delta batches whose rolling results
+// re-accumulate only the elements each batch touched
+// (reduction.DeltaState). Session executions
 // ride the same worker queue as one-shot jobs but are deliberately kept
 // out of the adaptive machinery: no decision cache, no coalescing, and
 // — like simplified runs — no drift-detector cost samples, since an
@@ -57,8 +58,9 @@ type sessionOutcome struct {
 // OpenSession registers l as a streaming session: a worker deep-copies
 // the loop, computes every segment's partial sum, and combines the
 // initial reduction into dst (reused when its capacity suffices, like
-// SubmitInto). segIters <= 0 picks the default segment width for the
-// engine's processor count. The returned Result carries SessionGen 1.
+// SubmitInto). segIters <= 0 picks the session default width, derived
+// from the loop (reduction.DeltaStateBytes states the rule). The
+// returned Result carries SessionGen 1.
 func (e *Engine) OpenSession(l *trace.Loop, segIters int, dst []float64) (*Session, Result, error) {
 	return e.OpenSessionTenant(l, segIters, dst, 0)
 }
@@ -164,11 +166,11 @@ func (e *Engine) enqueueSession(sw *sessionWork) error {
 }
 
 // runSession executes one session operation on a worker: the open path
-// builds the DeltaState (full compute), the delta path recomputes only
-// touched segments. Both combine into the caller's destination and bump
-// the generation. Session results never feed lookup, recordCost or the
-// coalescer — the drift-detector exclusion the simplified path also has,
-// here by construction.
+// builds the DeltaState (full compute), the delta path re-accumulates
+// only the touched elements, on this worker alone. Both read into the
+// caller's destination and bump the generation. Session results never
+// feed lookup, recordCost or the coalescer — the drift-detector
+// exclusion the simplified path also has, here by construction.
 func (e *Engine) runSession(w *workerCtx, sw *sessionWork, qw time.Duration) {
 	procs := e.cfg.Platform.Procs
 	start := time.Now()

@@ -1,6 +1,7 @@
 package reduction
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -14,9 +15,13 @@ import (
 // (math.Float64bits) identical to mutating a mirror loop the same way
 // and rebuilding every segment from scratch through the naive.go
 // kernels in the same segment association. The tests below pin that
-// across random loops, ops, segment widths, and the three delta shapes
-// the issue names: batches straddling segment boundaries, empty
-// batches, and full-touch batches degenerating to a full recompute.
+// across random loops, ops, segment widths, the batch shapes (straddling
+// segment boundaries, empty, full-touch) and the element shapes the
+// masked re-accumulation must get right (swapped targets, no-op
+// redirects, pile-ups on one element, orphaned elements, several deltas
+// in one iteration), and over a long stream against a fresh open.
+
+var deltaOps = []trace.Op{trace.OpAdd, trace.OpMul, trace.OpMax, trace.OpMin}
 
 // deltaLoop builds a loop with variable-length (including empty)
 // iterations so delta positions land on ragged segment boundaries.
@@ -109,10 +114,9 @@ func requireBitEqual(t *testing.T, want, got []float64, ctx string) {
 // random delta streams, every op, multiple widths and proc counts —
 // every read must be bit-identical to the naive from-scratch rebuild.
 func TestDeltaStateMatchesOracle(t *testing.T) {
-	ops := []trace.Op{trace.OpAdd, trace.OpMul, trace.OpMax, trace.OpMin}
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
-		op := ops[trial%len(ops)]
+		op := deltaOps[trial%len(deltaOps)]
 		elems := 1 + rng.Intn(200)
 		iters := rng.Intn(400)
 		procs := 1 + rng.Intn(4)
@@ -146,7 +150,7 @@ func TestDeltaStateMatchesOracle(t *testing.T) {
 
 // TestDeltaStateStraddlesSegments forces every batch to touch the last
 // reference of one segment and the first of the next, so recomputation
-// must invalidate both sides of each boundary it straddles.
+// must rescan both sides of each boundary it straddles.
 func TestDeltaStateStraddlesSegments(t *testing.T) {
 	const elems, iters, segIters, procs = 64, 120, 16, 2
 	l := trace.NewLoop("straddle", elems)
@@ -257,6 +261,110 @@ func TestDeltaStateFullTouch(t *testing.T) {
 	requireBitEqual(t, want, dst, "all-refs read")
 }
 
+// shapeLoop is a hand-built loop for the element-shape tests: 8
+// iterations of 4 references over 8 elements (the reference at flat
+// position p sits in iteration p/4), cut into two 4-iteration segments.
+// Element 5 is referenced only by iteration 2.
+func shapeLoop(op trace.Op) *trace.Loop {
+	l := trace.NewLoop("shapes", 8)
+	l.Op = op
+	for _, it := range [][]int32{
+		{0, 1, 2, 3}, {2, 3, 0, 0}, {5, 5, 1, 4}, {6, 0, 3, 3},
+		{7, 2, 1, 1}, {4, 4, 6, 0}, {3, 2, 1, 0}, {7, 7, 7, 2},
+	} {
+		l.AddIter(it...)
+	}
+	return l
+}
+
+// TestDeltaStateElementShapes pins the batches that stress the
+// per-element bookkeeping — which elements are reset, re-accumulated and
+// re-folded — under every operator, each from a fresh state and then
+// once more on top of it, so stale marks from a first batch would show
+// in the second read.
+func TestDeltaStateElementShapes(t *testing.T) {
+	shapes := []struct {
+		name  string
+		batch []RefDelta
+		// orphan, when >= 0, is an element the batch leaves without any
+		// reference: it must read the operator's neutral value.
+		orphan int
+	}{
+		{"swap targets in one segment", []RefDelta{{Pos: 0, Ref: 1}, {Pos: 1, Ref: 0}}, -1},
+		{"new ref equals old", []RefDelta{{Pos: 4, Ref: 2}, {Pos: 17, Ref: 2}}, -1},
+		{"pile onto one element", []RefDelta{{0, 7}, {1, 7}, {2, 7}, {3, 7}, {4, 7}, {5, 7}, {6, 7}, {7, 7}}, -1},
+		{"element loses its last reference", []RefDelta{{Pos: 8, Ref: 0}, {Pos: 9, Ref: 0}}, 5},
+		{"whole iteration redirected", []RefDelta{{12, 1}, {13, 1}, {14, 2}, {15, 5}}, -1},
+		{"one iteration across the segment seam", []RefDelta{{13, 4}, {14, 4}, {15, 4}, {16, 4}, {17, 4}, {18, 4}}, -1},
+	}
+	for _, sh := range shapes {
+		for _, op := range deltaOps {
+			l := shapeLoop(op)
+			mirror := l.Clone()
+			dst := make([]float64, l.NumElems)
+			st, err := NewDeltaState(l, 4, 2, nil, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, l.NumElems)
+			read := func(ds []RefDelta, ctx string) {
+				if _, err := st.Apply(ds, 2, nil, dst); err != nil {
+					t.Fatalf("%s/%v %s: %v", sh.name, op, ctx, err)
+				}
+				applyMirror(mirror, ds)
+				oracleRebuild(mirror, 4, want)
+				requireBitEqual(t, want, dst, fmt.Sprintf("%s/%v %s", sh.name, op, ctx))
+				if sh.orphan >= 0 && math.Float64bits(dst[sh.orphan]) != math.Float64bits(op.Neutral()) {
+					t.Fatalf("%s/%v %s: orphaned element %d reads %g, want neutral %g",
+						sh.name, op, ctx, sh.orphan, dst[sh.orphan], op.Neutral())
+				}
+			}
+			read(sh.batch, "read")
+			// Then a no-op redirect in each segment: nothing changes, so the
+			// read must not either.
+			_, refs := mirror.Flat()
+			read([]RefDelta{{Pos: 0, Ref: refs[0]}, {Pos: 31, Ref: refs[31]}}, "re-read")
+		}
+	}
+}
+
+// TestDeltaStateLongStreamMatchesFreshOpen guards the resident result
+// against drift: over a 2000-step stream of small batches every rolling
+// read must be bit-identical both to the oracle and to a session opened
+// fresh over the mirror at that step (what a DeltaStream's MirrorAt(step)
+// rebuilds) — under the session's own default width, the served one.
+func TestDeltaStateLongStreamMatchesFreshOpen(t *testing.T) {
+	const steps = 2000
+	for _, op := range deltaOps {
+		rng := rand.New(rand.NewSource(77 + int64(op)))
+		l := deltaLoop(96, 700, op, 78)
+		mirror := l.Clone()
+		dst := make([]float64, l.NumElems)
+		st, err := NewDeltaState(l, 0, 4, nil, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Segments() < 2 {
+			t.Fatalf("default geometry cut %d segments; the stream needs several", st.Segments())
+		}
+		want := make([]float64, l.NumElems)
+		fresh := make([]float64, l.NumElems)
+		for step := 1; step <= steps; step++ {
+			ds := randomDeltas(rng, l, 1+rng.Intn(6))
+			if _, err := st.Apply(ds, 4, nil, dst); err != nil {
+				t.Fatalf("%v step %d: %v", op, step, err)
+			}
+			applyMirror(mirror, ds)
+			oracleRebuild(mirror, st.SegIters(), want)
+			requireBitEqual(t, want, dst, fmt.Sprintf("%v step %d vs oracle", op, step))
+			if _, err := NewDeltaState(mirror, 0, 4, nil, fresh); err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, fresh, dst, fmt.Sprintf("%v step %d vs fresh open", op, step))
+		}
+	}
+}
+
 // TestDeltaStateRejectsInvalid pins the validation contract: a bad batch
 // is rejected before any mutation, so a subsequent valid read is
 // unchanged.
@@ -298,7 +406,7 @@ func TestDeltaStateRejectsInvalid(t *testing.T) {
 // TestDeltaStateZeroIters covers the no-segment edge: a loop with no
 // iterations reduces to the neutral array and accepts only empty deltas.
 func TestDeltaStateZeroIters(t *testing.T) {
-	for _, op := range []trace.Op{trace.OpAdd, trace.OpMul, trace.OpMax, trace.OpMin} {
+	for _, op := range deltaOps {
 		l := trace.NewLoop("empty", 5)
 		l.Op = op
 		dst := make([]float64, 5)
@@ -320,10 +428,12 @@ func TestDeltaStateZeroIters(t *testing.T) {
 	}
 }
 
-// TestDeltaStateBytes sanity-checks the admission accounting estimate
-// against the live state's own figure.
+// TestDeltaStateBytes holds the admission accounting estimate to the
+// live state's own figure, and both to what the state actually
+// allocates: one sum buffer per session segment, the resident result,
+// the element marks and the loop copy.
 func TestDeltaStateBytes(t *testing.T) {
-	l := deltaLoop(100, 300, trace.OpAdd, 41)
+	l := deltaLoop(100, 3000, trace.OpAdd, 41)
 	st, err := NewDeltaState(l, 0, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +441,51 @@ func TestDeltaStateBytes(t *testing.T) {
 	if got, want := st.Bytes(), DeltaStateBytes(l, 0, 4); got != want {
 		t.Fatalf("Bytes %d != DeltaStateBytes %d", got, want)
 	}
-	if st.Bytes() <= 0 {
-		t.Fatal("non-positive footprint")
+	held := cap(st.result)*8 + cap(st.mask) + cap(st.stale) + cap(st.marked)*4 +
+		l.TotalRefs()*4 + (l.NumIters()+1)*4
+	for _, p := range st.parts {
+		held += cap(p) * 8
+	}
+	if st.Bytes() != held {
+		t.Fatalf("Bytes %d, but the state holds %d", st.Bytes(), held)
+	}
+}
+
+// TestSessionSegIters pins the session width rule: as many segments as
+// fit the loop copy's own footprint, at most the combine width, at
+// least 32 iterations each, never fewer than the batch default cuts.
+func TestSessionSegIters(t *testing.T) {
+	mk := func(elems, iters, refsPerIter int) *trace.Loop {
+		l := trace.NewLoop("geom", elems)
+		refs := make([]int32, refsPerIter)
+		for i := 0; i < iters; i++ {
+			l.AddIter(refs...)
+		}
+		return l
+	}
+	cases := []struct {
+		name                      string
+		elems, iters, refsPerIter int
+		wantSegs                  int
+	}{
+		{"served session shape", 1024, 16384, 8, 64},        // 590 KB of loop / 8 KB a buffer, capped at 64
+		{"memory-bound", 4096, 16384, 8, 18},                // 590 KB / 32 KB
+		{"sparse: batch default holds", 120000, 4096, 2, 8}, // one buffer outweighs the loop
+		{"short loop: 32-iteration floor", 16, 200, 8, 7},
+		{"no iterations", 16, 0, 0, 0},
+	}
+	for _, c := range cases {
+		l := mk(c.elems, c.iters, c.refsPerIter)
+		w := sessionSegIters(l, 8)
+		segs := (c.iters + w - 1) / w
+		if segs != c.wantSegs {
+			t.Errorf("%s: width %d cuts %d segments, want %d", c.name, w, segs, c.wantSegs)
+		}
+		if def := DefaultSegIters(c.iters, 8); w > def {
+			t.Errorf("%s: width %d wider than the batch default %d", c.name, w, def)
+		}
+		if w < 32 || segs > maxSegTreeWidth {
+			t.Errorf("%s: width %d / %d segments breaks the floor or the combine width", c.name, w, segs)
+		}
 	}
 }

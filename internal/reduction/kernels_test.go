@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/trace"
@@ -95,6 +96,56 @@ func TestCombineAddBitIdenticalToCombineOp(t *testing.T) {
 			combineOp(dstNaive, src, trace.OpAdd)
 			if i := bitsEqual(dstFast, dstNaive); i != -1 {
 				t.Fatalf("combineAdd(n=%d, srcN=%d) diverges at %d", n, srcN, i)
+			}
+		}
+	}
+}
+
+// TestAccumMaskedAddBitIdenticalToNaive pins the session delta kernel
+// to its reference across the remainder-straddling loop shapes, every
+// iteration sub-range alignment and mask densities from empty to full:
+// both must leave unmarked slots untouched and give marked slots the
+// same contributions in the same order — and with every element marked
+// that is exactly accumFlatAdd.
+func TestAccumMaskedAddBitIdenticalToNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, l := range remainderLoops() {
+		offs, refs := l.Flat()
+		iters := l.NumIters()
+		for _, density := range []float64{0, 0.02, 0.5, 1} {
+			mask := make([]uint8, l.NumElems)
+			for e := range mask {
+				if rng.Float64() < density {
+					mask[e] = 1
+				}
+			}
+			for trial := 0; trial < 4; trial++ {
+				lo, hi := 0, iters
+				if trial > 0 && iters > 0 {
+					lo = rng.Intn(iters)
+					hi = lo + rng.Intn(iters-lo+1)
+				}
+				fast := make([]float64, l.NumElems)
+				for e := range fast {
+					fast[e] = float64(e) / 7
+				}
+				naive := append([]float64(nil), fast...)
+				accumMaskedAdd(fast, mask, offs, refs, lo, hi)
+				naiveAccumMasked(naive, mask, l, lo, hi)
+				if i := bitsEqual(fast, naive); i != -1 {
+					t.Fatalf("loop=%s density=%g iters [%d,%d): masked kernel diverges from naive at element %d",
+						l.Name, density, lo, hi, i)
+				}
+				if density == 1 {
+					flat := make([]float64, l.NumElems)
+					for e := range flat {
+						flat[e] = float64(e) / 7
+					}
+					accumFlatAdd(flat, offs, refs, lo, hi)
+					if i := bitsEqual(fast, flat); i != -1 {
+						t.Fatalf("loop=%s iters [%d,%d): full mask diverges from accumFlatAdd at element %d", l.Name, lo, hi, i)
+					}
+				}
 			}
 		}
 	}

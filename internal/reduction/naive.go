@@ -28,6 +28,19 @@ func naiveAccumFlat(w []float64, l *trace.Loop, lo, hi int) {
 	}
 }
 
+// naiveAccumMasked is accumMaskedAdd's reference: naiveAccumFlat
+// applying only the contributions to elements whose mask byte is set.
+func naiveAccumMasked(w []float64, mask []uint8, l *trace.Loop, lo, hi int) {
+	op := l.Op
+	for i := lo; i < hi; i++ {
+		for k, idx := range l.Iter(i) {
+			if mask[idx] != 0 {
+				w[idx] = op.Apply(w[idx], trace.Value(i, k, idx))
+			}
+		}
+	}
+}
+
 // naiveAccumLazy is accumLazyAdd's reference: lazy first-touch
 // initialization threading touched elements onto a private list.
 func naiveAccumLazy(v []float64, next []int32, head int32, l *trace.Loop, lo, hi int) int32 {

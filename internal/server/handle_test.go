@@ -317,19 +317,21 @@ func TestPatternHandleBurstFuses(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// A decoy keeps the single worker busy while the burst queues behind
-	// it, so fusion does not depend on scheduling luck.
-	decoy := workloads.HotKeySet(1, 2.0)[0]
 	l := workloads.MixedSet(0.3)[0]
 	want := l.RunSequential()
 
 	burst := func(name string) {
 		t.Helper()
 		before := eng.Stats()
-		dh, err := cl.SubmitAsync(decoy)
+		// The single worker stays parked until the server has admitted the
+		// whole burst, so the burst's batch is still queued — open to
+		// joiners — when its last member arrives: fusion does not depend on
+		// how fast the worker drains.
+		release, err := eng.Hold()
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer release()
 		const jobs = 16
 		handles := make([]*client.Handle, jobs)
 		for i := range handles {
@@ -337,9 +339,14 @@ func TestPatternHandleBurstFuses(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := dh.Wait(); err != nil {
-			t.Fatal(err)
+		// The read loop dispatches inline, so once the last job is admitted
+		// every earlier one has joined the queued batch.
+		for deadline := time.Now().Add(10 * time.Second); srv.Inflight() < jobs; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: server admitted %d of %d burst jobs", name, srv.Inflight(), jobs)
+			}
 		}
+		release()
 		for i, h := range handles {
 			res, err := h.Wait()
 			if err != nil {
@@ -348,11 +355,11 @@ func TestPatternHandleBurstFuses(t *testing.T) {
 			assertMatches(t, l.Name, res.Values, want)
 		}
 		after := eng.Stats()
-		if got := after.Jobs - before.Jobs; got != jobs+1 {
-			t.Fatalf("%s: engine ran %d jobs, want %d", name, got, jobs+1)
+		if got := after.Jobs - before.Jobs; got != jobs {
+			t.Fatalf("%s: engine ran %d jobs, want %d", name, got, jobs)
 		}
 		if after.Coalesced == before.Coalesced {
-			t.Fatalf("%s: burst did not fuse (%d batches for %d jobs)", name, after.Batches-before.Batches, jobs+1)
+			t.Fatalf("%s: burst did not fuse (%d batches for %d jobs)", name, after.Batches-before.Batches, jobs)
 		}
 	}
 
@@ -361,9 +368,8 @@ func TestPatternHandleBurstFuses(t *testing.T) {
 		t.Fatalf("a never-answered pattern went out by reference: %+v", st)
 	}
 	burst("learned")
-	// Only the decoy's second submission and the 16 repeats can be
-	// references; all of them must be.
-	if st := srv.Stats(); st.HandleHits != 17 || st.HandleGone != 0 {
-		t.Fatalf("learned burst: handle hits %d gone %d, want 17 and 0", st.HandleHits, st.HandleGone)
+	// Only the 16 repeats can be references; all of them must be.
+	if st := srv.Stats(); st.HandleHits != 16 || st.HandleGone != 0 {
+		t.Fatalf("learned burst: handle hits %d gone %d, want 16 and 0", st.HandleHits, st.HandleGone)
 	}
 }

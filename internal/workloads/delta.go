@@ -25,8 +25,8 @@ const deltaRefsPerIter = 8
 // rebuilds, a mesh smoother relocating a few nodes per sweep). Each
 // batch redirects a handful of flat reference positions to new
 // elements; everything else is untouched, which is exactly the sharing
-// across time that reduction.DeltaState converts into touched-segment
-// recomputes instead of full re-reductions.
+// across time that reduction.DeltaState converts into re-accumulating
+// the touched elements instead of re-reducing the loop.
 //
 // The stream is deterministic (seeded), so a benchmark, a load test and
 // a shadow verifier can all regenerate the identical base loop and

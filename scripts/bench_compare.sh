@@ -287,13 +287,15 @@ END {
 
 # Session gate: incremental re-reduction (SessionDelta/delta) must beat
 # re-submitting the whole mutated loop every step (SessionDelta/resubmit)
-# by at least SESSION_MIN_SPEEDUP (default 2.0) — the mechanical check
-# behind the streaming-session subsystem's claim that touched-segment
-# recompute wins over full re-reduction for small update batches. Both
-# figures come from the same file and machine, so no normalization is
-# needed; the gate runs whenever the candidate carries the pair and
-# names the lone half when it carries only one.
-awk -v minx="${SESSION_MIN_SPEEDUP:-2.0}" -v cand="$cand" '
+# by at least SESSION_MIN_SPEEDUP (default 5.0) — the mechanical check
+# behind the streaming-session subsystem's claim that re-accumulating
+# the touched elements wins over full re-reduction for small update
+# batches, measured at the geometry the daemon serves (segIters 0,
+# 16-delta batches; recorded ratio 10.8x). Both figures come from the
+# same file and machine, so no normalization is needed; the gate runs
+# whenever the candidate carries the pair and names the lone half when
+# it carries only one.
+awk -v minx="${SESSION_MIN_SPEEDUP:-5.0}" -v cand="$cand" '
 /"name": "SessionDelta\// && match($0, /"ns_per_op": *[0-9]+/) {
     v = substr($0, RSTART, RLENGTH); gsub(/[^0-9]/, "", v)
     split($0, q, "\"")
