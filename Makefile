@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race bench bench-smoke fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check codegen portability
+.PHONY: build test test-short race bench bench-smoke bench-check fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check codegen portability
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,14 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# bench-check vets and tests the claims instrument. bench/ is its own
+# module (repro/bench, replace repro => ../) that imports internal/...
+# packages, so the root build and test never compile it: an internal
+# signature change can break the benchmark unseen unless this runs.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # serve runs the reduxd network server in the foreground (ctrl-C drains
 # gracefully and prints lifetime stats).
@@ -85,4 +93,4 @@ portability:
 	GOOS=linux GOARCH=amd64 GOAMD64=v3 $(GO) build ./...
 	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/
 
-ci: fmt vet build codegen portability race bench-smoke fuzz cover loadtest loadtest-gateway docs-check
+ci: fmt vet build codegen portability race bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check

@@ -85,6 +85,27 @@ func BenchmarkEngineColdPerCall(b *testing.B) {
 	}
 }
 
+// BenchmarkCharacterizeSampled measures the inspector pass alone, at the
+// engine's stride and cache geometry: what a decision-cache miss pays
+// before any scheme runs. One op is one loop of the mixed set.
+func BenchmarkCharacterizeSampled(b *testing.B) {
+	cfg := vtime.DefaultConfig()
+	for _, scale := range []float64{0.25, 0.5} {
+		loops := workloads.MixedSet(scale)
+		b.Run(fmt.Sprintf("mixed-%g", scale), func(b *testing.B) {
+			var prof *pattern.Profile
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prof = pattern.CharacterizeSampled(loops[i%len(loops)], 8, cfg.L2Bytes, 8)
+			}
+			if prof.TotalRefs == 0 {
+				b.Fatal("empty profile")
+			}
+		})
+	}
+}
+
 // BenchmarkEngineConcurrentThroughput measures the bounded worker pool
 // under contention: 8 clients share 4 workers.
 func BenchmarkEngineConcurrentThroughput(b *testing.B) {

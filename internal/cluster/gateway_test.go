@@ -175,9 +175,7 @@ func TestGatewayBackendDeathReroutes(t *testing.T) {
 		server.Config{}, b1.addr, b2.addr)
 
 	// Locate the backend that owns this loop's pattern by submitting it
-	// once and seeing which engine ran it. The loop is scaled up so a
-	// batch takes milliseconds: the burst below must still be in flight
-	// when the sockets are cut.
+	// once and seeing which engine ran it.
 	l := workloads.HotKeySet(1, 2.0)[0]
 	want := l.RunSequential()
 	res, err := cl.Submit(l)
@@ -191,6 +189,15 @@ func TestGatewayBackendDeathReroutes(t *testing.T) {
 	}
 
 	// Pipeline a burst onto the owner, then cut every socket under it.
+	// The owner's single worker is parked first and the cut waits until
+	// its server has admitted part of the burst: jobs are then in flight
+	// on the doomed sockets however fast the burst would have executed
+	// (it fuses into a few batches that can otherwise finish first).
+	release, err := owner.eng.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	const burst = 64
 	handles := make([]*client.Handle, burst)
 	for i := range handles {
@@ -198,7 +205,13 @@ func TestGatewayBackendDeathReroutes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for deadline := time.Now().Add(10 * time.Second); owner.d.Srv.Inflight() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no burst job reached the owner")
+		}
+	}
 	owner.kill()
+	release()
 	for _, h := range handles {
 		res, err := h.Wait()
 		if err != nil {

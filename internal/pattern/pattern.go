@@ -24,6 +24,8 @@ package pattern
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -83,11 +85,50 @@ func CharacterizeSampled(l *trace.Loop, procs, cacheBytes, stride int) *Profile 
 		stride = 1
 	}
 	p := characterize(l, procs, cacheBytes, stride)
-	p.Sampled = stride > 1
 	p.SampleStride = stride
 	return p
 }
 
+// inPlaceIter is the longest iteration whose distinct references are
+// counted by comparing its own subscripts with each other. The paper's
+// loops reference 1-10 elements per iteration (Figure 3's MO column), so
+// this covers them; a longer iteration marks the count array instead,
+// which stays linear in its length.
+const inPlaceIter = 16
+
+// iterMark is the high bit of a per-element count, set while the element
+// has already been seen in the long iteration being walked. Sampled
+// references are indexed by int32 offsets, so a real count never reaches it.
+const iterMark = 1 << 31
+
+// chDense is how many CH bins the pass accumulates in a flat array before
+// they are materialised; an element sampled more often than that (a hot
+// spot) goes to the histogram directly.
+const chDense = 256
+
+// scratch is the inspector pass's working storage, pooled across calls.
+// Invariant between calls: every counts and dense entry is zero and
+// touched is empty. The pass restores it by walking touched — the elements
+// it actually incremented — so neither the set-up nor the clean-up of a
+// call costs O(NumElems); a scratch whose pass panicked (an out-of-range
+// subscript) is never returned to the pool.
+type scratch struct {
+	// counts[e] is the number of sampled references to element e.
+	counts []uint32
+	// touched lists each element with a non-zero count once, in order of
+	// first reference.
+	touched []int32
+	// dense[c] is the number of elements sampled exactly c times.
+	dense [chDense]int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// characterize is the inspector pass: O(sampled references) time, no map
+// operation per reference, and no allocation that grows with NumElems once
+// a pooled scratch of that size exists. What it costs beyond the trace read
+// is the scattered access to the count array (one cache miss per first
+// touch of a line on a cold pattern).
 func characterize(l *trace.Loop, procs, cacheBytes, stride int) *Profile {
 	if procs < 1 {
 		procs = 1
@@ -95,51 +136,85 @@ func characterize(l *trace.Loop, procs, cacheBytes, stride int) *Profile {
 	if cacheBytes < 1 {
 		cacheBytes = 1
 	}
-	perElem := make([]int32, l.NumElems)
+	sc := scratchPool.Get().(*scratch)
+	if cap(sc.counts) < l.NumElems {
+		sc.counts = make([]uint32, l.NumElems)
+	}
+	// Sliced to the array dimension so an out-of-range subscript faults
+	// here rather than landing in a larger pooled array's tail.
+	counts := sc.counts[:l.NumElems]
+	touched := sc.touched
+
+	offsets, refs := l.Flat()
+	numIters := l.NumIters()
 	sampledIters := 0
 	sampledRefs := 0
-	var distinctPerIterSum float64
-	seen := make(map[int32]struct{}, 16)
-	for i := 0; i < l.NumIters(); i += stride {
+	distinctPerIterSum := 0
+	for i := 0; i < numIters; i += stride {
 		sampledIters++
-		refs := l.Iter(i)
-		sampledRefs += len(refs)
-		if len(refs) <= 1 {
-			distinctPerIterSum += float64(len(refs))
-			for _, r := range refs {
-				perElem[r]++
+		it := refs[offsets[i]:offsets[i+1]]
+		sampledRefs += len(it)
+		if len(it) > inPlaceIter {
+			for _, r := range it {
+				c := counts[r]
+				if c&iterMark == 0 {
+					distinctPerIterSum++
+					if c == 0 {
+						touched = append(touched, r)
+					}
+					c |= iterMark
+				}
+				counts[r] = c + 1
+			}
+			for _, r := range it {
+				counts[r] &^= iterMark
 			}
 			continue
 		}
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, r := range refs {
-			perElem[r]++
-			seen[r] = struct{}{}
-		}
-		distinctPerIterSum += float64(len(seen))
-	}
-
-	distinct := 0
-	maxPerElem := 0
-	ch := stats.NewHistogram()
-	for _, c := range perElem {
-		if c > 0 {
-			distinct++
-			// Scale sampled per-element counts back to full-trace
-			// magnitude so the CH histogram bins are comparable across
-			// sampled and exact profiles.
-			ch.Add(int(c) * stride)
-			if int(c)*stride > maxPerElem {
-				maxPerElem = int(c) * stride
+		for k, r := range it {
+			c := counts[r]
+			counts[r] = c + 1
+			if c == 0 {
+				touched = append(touched, r)
+				distinctPerIterSum++
+				continue
+			}
+			// Only an element already counted can repeat an earlier
+			// subscript of this iteration.
+			if !slices.Contains(it[:k], r) {
+				distinctPerIterSum++
 			}
 		}
 	}
 
-	totalRefs := sampledRefs * stride
-	numIters := l.NumIters()
+	// Fold the per-element counts into CH and hand the scratch back zeroed.
+	// Sampled counts are scaled to full-trace magnitude so the CH bins are
+	// comparable across sampled and exact profiles.
+	distinct := len(touched)
+	maxCount := 0
+	ch := stats.NewHistogram()
+	for _, r := range touched {
+		c := int(counts[r])
+		counts[r] = 0
+		if c > maxCount {
+			maxCount = c
+		}
+		if c < chDense {
+			sc.dense[c]++
+		} else {
+			ch.AddN(c*stride, 1)
+		}
+	}
+	for c := 1; c <= maxCount && c < chDense; c++ {
+		if n := sc.dense[c]; n != 0 {
+			ch.AddN(c*stride, int(n))
+			sc.dense[c] = 0
+		}
+	}
+	sc.touched = touched[:0]
+	scratchPool.Put(sc)
 
+	totalRefs := sampledRefs * stride
 	p := &Profile{
 		LoopName:       l.Name,
 		Procs:          procs,
@@ -148,15 +223,16 @@ func characterize(l *trace.Loop, procs, cacheBytes, stride int) *Profile {
 		NumIters:       numIters,
 		TotalRefs:      totalRefs,
 		Distinct:       distinct,
-		MaxRefsPerElem: maxPerElem,
+		MaxRefsPerElem: maxCount * stride,
 		CH:             ch,
+		Sampled:        stride > 1,
 	}
 	p.CHR = float64(totalRefs) / float64(procs*l.NumElems)
 	if distinct > 0 {
 		p.CON = float64(numIters) / float64(distinct)
 	}
 	if sampledIters > 0 {
-		p.MO = distinctPerIterSum / float64(sampledIters)
+		p.MO = float64(distinctPerIterSum) / float64(sampledIters)
 	}
 	p.SP = 100 * float64(distinct) / float64(l.NumElems)
 	if p.Sampled {

@@ -6,7 +6,7 @@ set -eu
 cd "$(dirname "$0")/.."
 out=BENCH_engine.json
 
-raw=$(go test -bench 'Engine|Scheme|Remote|Gateway|Drift|Simplify|Session|Tenant' -benchmem -run '^$' -benchtime 1s . )
+raw=$(go test -bench 'Engine|Scheme|Remote|Gateway|Drift|Simplify|Session|Tenant|Characterize' -benchmem -run '^$' -benchtime 1s . )
 echo "$raw"
 
 # Per-kernel microbenchmarks (reduction package): every scheme's RunInto,
