@@ -101,24 +101,60 @@ func simplifyCosts(in SimplifyInput, t SimplifyThresholds) (direct, simplified f
 	return direct, simplified
 }
 
+// SimplifyRationale is RecommendSimplify's one-line explanation in the
+// style of Recommend, kept as the numbers behind it: the engine asks the
+// boundary on every analyzed batch but only an executed one delivers a
+// Result.Why, so the text is formatted by String, on demand.
+type SimplifyRationale struct {
+	verdict            simplifyVerdict
+	in                 SimplifyInput
+	t                  SimplifyThresholds
+	direct, simplified float64
+}
+
+type simplifyVerdict uint8
+
+const (
+	verdictDegenerate simplifyVerdict = iota
+	verdictBelowFloor
+	verdictWins
+	verdictWithinMargin
+)
+
+func (r SimplifyRationale) String() string {
+	switch r.verdict {
+	case verdictBelowFloor:
+		return fmt.Sprintf("occupancy %d below floor %d with cold cache; direct",
+			r.in.Occupancy, r.t.MinOccupancy)
+	case verdictWins:
+		return fmt.Sprintf("simplified cost %.0f beats direct %.0f by >%d%% (unique %d/%d, cached %d)",
+			r.simplified, r.direct, int(r.t.MinAdvantage*100), r.in.Unique, r.in.Members*r.in.Segments, r.in.CachedTasks)
+	case verdictWithinMargin:
+		return fmt.Sprintf("simplified cost %.0f within %d%% of direct %.0f; direct",
+			r.simplified, int(r.t.MinAdvantage*100), r.direct)
+	default: // verdictDegenerate
+		return "degenerate batch; direct"
+	}
+}
+
 // RecommendSimplify decides whether a batch executes through the
-// simplified plan. It returns the decision and a one-line rationale in
-// the style of Recommend.
-func RecommendSimplify(in SimplifyInput, t SimplifyThresholds) (bool, string) {
+// simplified plan. It returns the decision and its rationale.
+func RecommendSimplify(in SimplifyInput, t SimplifyThresholds) (bool, SimplifyRationale) {
+	r := SimplifyRationale{in: in, t: t}
 	if in.Members < 1 || in.Segments < 1 || in.RefsPerMember < 1 {
-		return false, "degenerate batch; direct"
+		return false, r
 	}
 	if in.Occupancy < t.MinOccupancy && in.CachedTasks == 0 {
-		return false, fmt.Sprintf("occupancy %d below floor %d with cold cache; direct",
-			in.Occupancy, t.MinOccupancy)
+		r.verdict = verdictBelowFloor
+		return false, r
 	}
-	direct, simplified := simplifyCosts(in, t)
-	if simplified < direct*(1-t.MinAdvantage) {
-		return true, fmt.Sprintf("simplified cost %.0f beats direct %.0f by >%d%% (unique %d/%d, cached %d)",
-			simplified, direct, int(t.MinAdvantage*100), in.Unique, in.Members*in.Segments, in.CachedTasks)
+	r.direct, r.simplified = simplifyCosts(in, t)
+	if r.simplified < r.direct*(1-t.MinAdvantage) {
+		r.verdict = verdictWins
+		return true, r
 	}
-	return false, fmt.Sprintf("simplified cost %.0f within %d%% of direct %.0f; direct",
-		simplified, int(t.MinAdvantage*100), direct)
+	r.verdict = verdictWithinMargin
+	return false, r
 }
 
 // SimplifySeedWorthwhile gates seeding a segment cache from a singleton

@@ -257,9 +257,17 @@ func TestCloseResolvesOutstandingHandles(t *testing.T) {
 			MaxBatch:   4,
 		})
 		const submitters = 6
+		// A handle travels with the index of the loop it answers, in one
+		// send: two channels would let concurrent submitters interleave
+		// their sends and pair a handle with another loop's reference.
+		type pending struct {
+			h   *Handle
+			idx int
+		}
 		var wg sync.WaitGroup
-		handleCh := make(chan *Handle, 1024)
-		idxCh := make(chan int, 1024)
+		// Roomy enough that submitters never block on the test itself
+		// before Close lands (QueueDepth 1 throttles them long before).
+		pendCh := make(chan pending, 1024)
 		for g := 0; g < submitters; g++ {
 			wg.Add(1)
 			go func(g int) {
@@ -273,28 +281,22 @@ func TestCloseResolvesOutstandingHandles(t *testing.T) {
 						}
 						return
 					}
-					handleCh <- h
-					idxCh <- idx
+					pendCh <- pending{h, idx}
 				}
 			}(g)
 		}
 		// Let submissions pile up, then slam the door while senders are
 		// mid-flight.
-		for len(handleCh) < submitters {
+		for len(pendCh) < submitters {
 			runtime.Gosched()
 		}
 		e.Close()
 		wg.Wait()
-		close(handleCh)
-		close(idxCh)
+		close(pendCh)
 
-		type pending struct {
-			h   *Handle
-			idx int
-		}
 		var all []pending
-		for h := range handleCh {
-			all = append(all, pending{h, <-idxCh})
+		for p := range pendCh {
+			all = append(all, p)
 		}
 		if len(all) == 0 {
 			t.Fatal("no handles issued before Close")

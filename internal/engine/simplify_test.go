@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/reduction"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // simpLoop builds a dense random loop sized so the simplification
@@ -313,4 +314,171 @@ func TestEngineSimplifyValuesMatchDirect(t *testing.T) {
 		}
 		e.Close()
 	}
+}
+
+// seedResident submits l until its segment cache is seeded and its
+// resident result armed: segSeedAfter-1 direct runs, the seeding run, and
+// one planned warm run whose every part is served (that fold arms the
+// total). The next unchanged submission is a resident serve.
+func seedResident(t *testing.T, e *Engine, l *trace.Loop, want []float64) {
+	t.Helper()
+	for n := 0; n < segSeedAfter+1; n++ {
+		res, err := e.Submit(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Why == residentWhy {
+			t.Fatalf("submission %d served resident before the total was armed", n)
+		}
+		assertMatches(t, l.Name, res.Values, want)
+	}
+}
+
+// TestEngineResidentServe pins the warm-singleton exit: once the cache is
+// armed, a repeat of the unchanged loop is answered from the resident
+// result — reported as a simplified batch that reused every segment and
+// computed none — and duplicate jobs fused into such a batch each get
+// their own copy in their own destination.
+func TestEngineResidentServe(t *testing.T) {
+	const dim, iters, rpi, segments = 512, 256, 16, 8
+	l := simpLoop("resident", dim, iters, rpi, 7)
+	want := l.RunSequential()
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, want)
+
+	base := e.Stats()
+	res, err := e.Submit(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scheme != "simplify" || res.Why != residentWhy {
+		t.Fatalf("repeat ran %s (%s), want the resident serve", res.Scheme, res.Why)
+	}
+	if !res.CacheHit || res.BatchSize != 1 {
+		t.Errorf("CacheHit/BatchSize = %v/%d, want true/1", res.CacheHit, res.BatchSize)
+	}
+	assertMatches(t, "resident", res.Values, want)
+	s := e.Stats()
+	if got := s.SegsReused - base.SegsReused; got != segments {
+		t.Errorf("resident serve reused %d segments, want %d", got, segments)
+	}
+	if got := s.SegsComputed - base.SegsComputed; got != 0 {
+		t.Errorf("resident serve computed %d segments, want 0", got)
+	}
+	if got := s.SimplifiedBatches - base.SimplifiedBatches; got != 1 {
+		t.Errorf("SimplifiedBatches moved by %d, want 1", got)
+	}
+	if s.SimplifyFallbacks != base.SimplifyFallbacks {
+		t.Errorf("resident serve counted a fallback")
+	}
+
+	// Three pointer-identical jobs in one batch: one serve, fanned out.
+	const members = 3
+	b := &batch{fp: l.Fingerprint(), allowOv: true}
+	jobs := make([]*job, members)
+	for i := range jobs {
+		jobs[i] = &job{loop: l, dst: make([]float64, dim), done: make(chan Result, 1)}
+		if i == 0 {
+			b.jobs = []*job{jobs[0]}
+		} else if !b.tryJoin(jobs[i], e.cfg.MaxBatch) {
+			t.Fatalf("duplicate %d failed to join", i)
+		}
+	}
+	e.runBatch(simpWorker(e), b)
+	for i, j := range jobs {
+		res := <-j.done
+		if res.Why != residentWhy || res.BatchSize != members {
+			t.Fatalf("duplicate %d: Why %q BatchSize %d", i, res.Why, res.BatchSize)
+		}
+		if &res.Values[0] != &j.dst[0] {
+			t.Errorf("duplicate %d: result does not alias its own dst", i)
+		}
+		assertMatches(t, "duplicate", res.Values, want)
+		// Scribbling over one answer must not reach another's.
+		for k := range res.Values {
+			res.Values[k] = -1
+		}
+	}
+	if s := e.Stats(); s.Jobs != base.Jobs+1+members || s.Coalesced != base.Coalesced+members-1 {
+		t.Errorf("jobs/coalesced = %d/%d after the fused serve", s.Jobs, s.Coalesced)
+	}
+}
+
+// TestEngineResidentDropsOnDecisionSwitch: a recalibration scheme switch
+// (a decGen bump) takes the resident result down with the slots — the
+// next submissions run direct and re-seed from scratch, never from a
+// total folded under the old decision.
+func TestEngineResidentDropsOnDecisionSwitch(t *testing.T) {
+	l := simpLoop("switch", 512, 256, 16, 8)
+	want := l.RunSequential()
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, want)
+
+	entry, _ := e.lookup(l, l.Fingerprint())
+	entry.mu.Lock()
+	entry.decGen++
+	entry.mu.Unlock()
+
+	base := e.Stats()
+	for n := 0; n < segSeedAfter; n++ {
+		res, err := e.Submit(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Why == residentWhy {
+			t.Fatalf("submission %d after the switch was served the old resident result", n)
+		}
+		assertMatches(t, "switch", res.Values, want)
+	}
+	s := e.Stats()
+	if got := s.SegsComputed - base.SegsComputed; got != 8 {
+		t.Errorf("re-seeding computed %d segments, want all 8", got)
+	}
+	if s.SegsReused != base.SegsReused {
+		t.Errorf("segments reused across a decision switch")
+	}
+}
+
+// TestEngineResidentFollowsContent drives one entry with distinct
+// same-fingerprint objects: a member sharing 7/8 of the armed loop's
+// stream recomputes its one window and is armed in turn, the first loop
+// coming back gets its own answer again, and an object with the same
+// fingerprint but unrelated content is never served either total.
+func TestEngineResidentFollowsContent(t *testing.T) {
+	ms := workloads.NewSharedSubrangeStream(2, 0, 0.125, 5).Members // 4096 iterations: windows align with the 8 segments
+	a, b := ms[0], ms[1]
+	wantA, wantB := a.RunSequential(), b.RunSequential()
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, a, wantA)
+
+	submit := func(l *trace.Loop, want []float64, resident bool, computed uint64) {
+		t.Helper()
+		base := e.Stats()
+		res, err := e.Submit(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatches(t, l.Name, res.Values, want)
+		if got := res.Why == residentWhy; got != resident {
+			t.Fatalf("%s: resident = %v (%s: %s), want %v", l.Name, got, res.Scheme, res.Why, resident)
+		}
+		if got := e.Stats().SegsComputed - base.SegsComputed; got != computed {
+			t.Fatalf("%s: computed %d segments, want %d", l.Name, got, computed)
+		}
+	}
+	submit(a, wantA, true, 0)
+	submit(b, wantB, false, 1) // one window moved: refresh its slot
+	submit(b, wantB, false, 0) // every part served: re-arm
+	submit(b, wantB, true, 0)
+	submit(a, wantA, false, 1)
+	submit(a, wantA, false, 0)
+	submit(a, wantA, true, 0)
+
+	segIters := reduction.DefaultSegIters(a.NumIters(), e.cfg.Platform.Procs)
+	stranger := mutateKeepingFingerprint(t, a, segIters, 11, func(int) bool { return false })
+	submit(stranger, stranger.RunSequential(), false, 0) // declined: runs direct
+	submit(a, wantA, true, 0)
 }

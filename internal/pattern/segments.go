@@ -155,7 +155,7 @@ func AnalyzeSegmentsProcs(members []*trace.Loop, segIters, procs int) (*SegmentA
 			lo, hi := segRefRange(leadOffs, s, segIters, iters)
 			for m, l := range members {
 				_, refs := l.Flat()
-				a.Hashes[m][s] = hashRefs(refs[lo:hi])
+				a.Hashes[m][s] = HashRefs(refs[lo:hi])
 				owner := m
 				for o := 0; o < m; o++ {
 					if a.Hashes[o][s] != a.Hashes[m][s] || a.OwnerOf[o][s] != o {
@@ -252,10 +252,12 @@ func segRefRange(offs []int32, s, segIters, iters int) (lo, hi int) {
 	return int(offs[itLo]), int(offs[itHi])
 }
 
-// hashRefs is the sampled FNV content hash of one segment's subscript
-// slice. Length and sample positions are mixed in, so a shifted copy of
-// the same values hashes differently.
-func hashRefs(refs []int32) uint64 {
+// HashRefs is the sampled FNV content hash of one segment's subscript
+// slice — the value SegmentAnalysis.Hashes holds, exported so a cached
+// segment sum can be probed without a full analysis. Length and sample
+// positions are mixed in, so a shifted copy of the same values hashes
+// differently.
+func HashRefs(refs []int32) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v

@@ -183,10 +183,20 @@ func (p *SegPlan) CachedTasks(cache *SegCache) int {
 // by the cache and never returned to a BufferPool: a pooled buffer
 // could be recycled into another worker's scratch while a later batch
 // still reads the cached sums.
+//
+// The cache also keeps the fold of its slots resident: total is the
+// pairwise-tree combine of every slot's buffer, valid (totalOK) exactly
+// while no slot has been refreshed since it was folded. A loop whose
+// every segment verifies against its slot is then answered with one
+// copy instead of a Segments-way gather-fold per element — the same
+// bits, because total was written by the same combine over the same
+// buffers and the per-element fold does not depend on block bounds.
 type SegCache struct {
 	numIters, numElems, segIters int
 	op                           trace.Op
 	slots                        []segSlot
+	total                        []float64
+	totalOK                      bool
 }
 
 // segSlot is one cached segment sum plus the subscript content it was
@@ -221,12 +231,35 @@ func (c *SegCache) Matches(l *trace.Loop, segIters int) bool {
 }
 
 // SegCacheBytes estimates the resident footprint of a segment cache for
-// a loop under the given width: the sum buffers plus the retained
-// subscript content. The engine refuses to attach caches beyond its
-// budget.
+// a loop under the given width: the sum buffers, the resident total and
+// the retained subscript content. The engine refuses to attach caches
+// beyond its budget.
 func SegCacheBytes(l *trace.Loop, segIters int) int {
 	segs := (l.NumIters() + segIters - 1) / segIters
-	return segs*l.NumElems*8 + l.TotalRefs()*4
+	return (segs+1)*l.NumElems*8 + l.TotalRefs()*4
+}
+
+// Serve answers l from the resident total: it succeeds only when the
+// total is valid and every slot passes the two checks Run's probe
+// applies — the sampled segment hash, then pattern.SameRefs against the
+// retained content — and then costs one copy into dst (NumElems
+// elements). False means nothing was written and the caller plans the
+// loop as usual. Like Run, Serve needs the caller's exclusive claim on
+// the cache.
+func (c *SegCache) Serve(l *trace.Loop, dst []float64) bool {
+	if !c.totalOK || !c.Matches(l, c.segIters) {
+		return false
+	}
+	offs, refs := l.Flat()
+	for s := range c.slots {
+		slot := &c.slots[s]
+		seg := refs[offs[s*c.segIters]:offs[min((s+1)*c.segIters, c.numIters)]]
+		if !slot.valid || slot.hash != pattern.HashRefs(seg) || !pattern.SameRefs(slot.refs, seg) {
+			return false
+		}
+	}
+	copy(dst, c.total)
+	return true
 }
 
 // Run executes the plan on procs goroutines: distinct partial sums are
@@ -250,8 +283,11 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 	var st SegRunStats
 
 	// Probe: serve tasks whose cached content verifies, then pick the
-	// member-0 task of every unserved segment to refresh its slot.
+	// member-0 task of every unserved segment to refresh its slot — which
+	// ends the resident total's validity. Tasks of one segment differ in
+	// content, so at most one of them matches the slot.
 	if cache != nil {
+		var served [maxSegTreeWidth]bool
 		for ti := range p.tasks {
 			t := &p.tasks[ti]
 			slot := &cache.slots[t.seg]
@@ -262,15 +298,13 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 			if pattern.SameRefs(slot.refs, refs[t.refLo:t.refHi]) {
 				t.buf = slot.buf
 				t.cached = true
+				served[t.seg] = true
 				st.Reused++
 			}
 		}
 		for ti := range p.tasks {
 			t := &p.tasks[ti]
-			if t.cached || t.owner != 0 {
-				continue
-			}
-			if slotServed(p.tasks, cache, t.seg) {
+			if t.owner != 0 || served[t.seg] {
 				continue
 			}
 			slot := &cache.slots[t.seg]
@@ -279,6 +313,7 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 			}
 			t.buf = slot.buf[:p.numElems]
 			t.intoSlot = true
+			cache.totalOK = false
 		}
 	}
 
@@ -293,22 +328,24 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 
 	// Accumulation: every uncached task folds its segment's iteration
 	// range in iteration order, exactly as the naive reference does.
-	parallelFor(procs, func(pr int) {
-		for ti := pr; ti < len(p.tasks); ti += procs {
-			t := &p.tasks[ti]
-			if t.cached {
-				continue
+	if st.Reused < len(p.tasks) {
+		parallelFor(procs, func(pr int) {
+			for ti := pr; ti < len(p.tasks); ti += procs {
+				t := &p.tasks[ti]
+				if t.cached {
+					continue
+				}
+				fill(t.buf, neutral)
+				owner := p.members[t.owner]
+				if fast {
+					offs, refs := owner.Flat()
+					accumFlatAdd(t.buf, offs, refs, t.iterLo, t.iterHi)
+				} else {
+					naiveAccumFlat(t.buf, owner, t.iterLo, t.iterHi)
+				}
 			}
-			fill(t.buf, neutral)
-			owner := p.members[t.owner]
-			if fast {
-				offs, refs := owner.Flat()
-				accumFlatAdd(t.buf, offs, refs, t.iterLo, t.iterHi)
-			} else {
-				naiveAccumFlat(t.buf, owner, t.iterLo, t.iterHi)
-			}
-		}
-	})
+		})
+	}
 	for ti := range p.tasks {
 		t := &p.tasks[ti]
 		if t.cached {
@@ -326,24 +363,59 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 
 	// Combine: per member, fold the segment parts through the pairwise
 	// tree in element blocks (each processor owns a block, so members
-	// share the parts while writing disjoint destinations).
+	// share the parts while writing disjoint destinations). A member
+	// whose every part was served from the cache is the cache's own
+	// content: while the resident total is valid it gets a copy of it
+	// (parts[m] stays nil); otherwise its fold re-arms the total. Arming
+	// only on a fully served member means a stream that refreshes a slot
+	// every batch never pays the extra write.
 	parts := make([][][]float64, len(p.members))
+	arm, folds := -1, 0
 	for m := range p.members {
+		if cache != nil && p.allCached(m) {
+			if cache.totalOK {
+				continue
+			}
+			if arm < 0 {
+				arm = m
+			}
+		}
 		parts[m] = make([][]float64, p.Analysis.Segments)
 		for s := 0; s < p.Analysis.Segments; s++ {
 			parts[m][s] = p.tasks[p.taskOf[m][s]].buf
 		}
+		folds++
 	}
-	parallelFor(procs, func(pr int) {
-		lo, hi := blockBounds(p.numElems, procs, pr)
+	if arm >= 0 && cache.total == nil {
+		cache.total = make([]float64, p.numElems)
+	}
+	combine := func(lo, hi int) {
 		for m := range parts {
-			if fast {
+			switch {
+			case parts[m] == nil:
+				copy(dsts[m][lo:hi], cache.total[lo:hi])
+			case fast:
 				combineTreeAdd(dsts[m], parts[m], lo, hi)
-			} else {
+			default:
 				combineTreeOp(dsts[m], parts[m], lo, hi, p.op)
 			}
+			if m == arm {
+				copy(cache.total[lo:hi], dsts[m][lo:hi])
+			}
 		}
-	})
+	}
+	if folds == 0 {
+		// Nothing but copies: not worth a goroutine fan-out.
+		combine(0, p.numElems)
+	} else {
+		parallelFor(procs, func(pr int) {
+			lo, hi := blockBounds(p.numElems, procs, pr)
+			combine(lo, hi)
+		})
+	}
+	if arm >= 0 {
+		cache.totalOK = true
+	}
 
 	for ti := range p.tasks {
 		t := &p.tasks[ti]
@@ -356,13 +428,13 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 	return st
 }
 
-// slotServed reports whether any task of the given segment was served
-// from the cache — its slot then keeps the content that matched.
-func slotServed(tasks []planTask, cache *SegCache, seg int) bool {
-	for i := range tasks {
-		if tasks[i].seg == seg && tasks[i].cached {
-			return true
+// allCached reports whether every part member m combines was served
+// from the cache this run.
+func (p *SegPlan) allCached(m int) bool {
+	for _, ti := range p.taskOf[m] {
+		if !p.tasks[ti].cached {
+			return false
 		}
 	}
-	return false
+	return true
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/pattern"
 	"repro/internal/trace"
 )
 
@@ -307,5 +308,249 @@ func TestDefaultSegIters(t *testing.T) {
 		if segs > maxSegTreeWidth {
 			t.Errorf("DefaultSegIters(%d,%d) exceeds combine width", c.iters, c.procs)
 		}
+	}
+}
+
+// runPlan builds a fresh plan over members and runs it against cache
+// (nil for a cold run), returning one destination per member.
+func runPlan(t *testing.T, members []*trace.Loop, segIters, procs int, ex *Exec, cache *SegCache) ([][]float64, SegRunStats) {
+	t.Helper()
+	p, err := BuildSegPlan(members, segIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsts := make([][]float64, len(members))
+	for m := range dsts {
+		dsts[m] = make([]float64, members[0].NumElems)
+	}
+	st := p.Run(procs, ex, cache, dsts)
+	return dsts, st
+}
+
+// assertBits fails unless got and want agree in every bit.
+func assertBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", what, len(got), len(want))
+	}
+	for e := range want {
+		if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+			t.Fatalf("%s: elem %d = %v, want %v", what, e, got[e], want[e])
+		}
+	}
+}
+
+// mutateOffSample returns a copy of l whose subscripts are re-randomized
+// everywhere except at the positions the sampled segment hash reads, so
+// every segment keeps its hash while its content differs — the collision
+// only the full SameRefs comparison can tell apart.
+func mutateOffSample(t *testing.T, l *trace.Loop, segIters int, seed int64) *trace.Loop {
+	t.Helper()
+	c := l.Clone()
+	offs, refs := c.Flat()
+	_, orig := l.Flat()
+	rng := rand.New(rand.NewSource(seed))
+	iters := c.NumIters()
+	for lo := 0; lo < iters; lo += segIters {
+		rLo, rHi := int(offs[lo]), int(offs[min(lo+segIters, iters)])
+		seg := refs[rLo:rHi]
+		stride := len(seg) / 64 // pattern's segHashSamples
+		if stride < 2 {
+			t.Fatalf("segment of %d references leaves no unsampled position", len(seg))
+		}
+		for i := range seg {
+			if i%stride != 0 {
+				seg[i] = int32(rng.Intn(c.NumElems))
+			}
+		}
+		if pattern.HashRefs(seg) != pattern.HashRefs(orig[rLo:rHi]) {
+			t.Fatal("off-sample mutation moved a segment hash")
+		}
+		if pattern.SameRefs(seg, orig[rLo:rHi]) {
+			t.Fatal("off-sample mutation left a segment unchanged")
+		}
+	}
+	return c
+}
+
+// TestSegCacheResidentMatchesColdAndOracle is the resident result's
+// correctness property: a batch run three times against one cache (seed
+// the slots, arm the total, serve the copy) answers every member, every
+// time, bit-for-bit like a plan run with no cache and like the
+// segment-association oracle — across overlap shapes, processor counts
+// and both kernel families. The sentinel planted in the total proves the
+// split the third run takes: the fully cached leader is a copy of the
+// total, joiners with private parts still fold.
+func TestSegCacheResidentMatchesColdAndOracle(t *testing.T) {
+	const dim, iters, rpi, segIters = 192, 128, 4, 16
+	pool := NewBufferPool()
+	for _, shape := range planShapes {
+		for _, procs := range []int{1, 2, 4, 8} {
+			for _, naive := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/p%d/naive=%v", shape.name, procs, naive), func(t *testing.T) {
+					lead := planLoop("lead", dim, iters, rpi, 1)
+					members := shape.build(lead, 4, segIters)
+					ex := &Exec{Pool: pool, naive: naive}
+					cold, _ := runPlan(t, members, segIters, procs, ex, nil)
+					cache := NewSegCache(lead, segIters)
+					for run := 0; run < 3; run++ {
+						if armed := run == 2; cache.totalOK != armed {
+							t.Fatalf("before run %d totalOK = %v, want %v", run, cache.totalOK, armed)
+						}
+						got, _ := runPlan(t, members, segIters, procs, ex, cache)
+						for m, l := range members {
+							what := fmt.Sprintf("run %d member %d", run, m)
+							assertBits(t, what+" vs cold", got[m], cold[m])
+							assertBits(t, what+" vs oracle", got[m], segOracle(l, segIters))
+						}
+					}
+
+					const sentinel = -12345.5
+					cache.total[7] = sentinel
+					got, _ := runPlan(t, members, segIters, procs, ex, cache)
+					if got[0][7] != sentinel {
+						t.Fatalf("fully cached leader was folded (elem 7 = %v), want the copy of total", got[0][7])
+					}
+					// Clones of the leader share its every task and are
+					// served with it; every other shape's joiners hold
+					// private parts and must fold.
+					for m := 1; m < len(members); m++ {
+						if copied := got[m][7] == sentinel; copied != (shape.name == "full-overlap") {
+							t.Fatalf("member %d copied from the resident total = %v", m, copied)
+						} else if !copied {
+							assertBits(t, fmt.Sprintf("joiner %d beside a copied leader", m), got[m], cold[m])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSegCacheResidentInvalidation walks the total through a slot
+// refresh: A armed, then B (A with one window moved) must get B's answer
+// and leave both the slot and the total moved — the next B must not be
+// served A's total — and A coming back must get A's answer, never B's.
+func TestSegCacheResidentInvalidation(t *testing.T) {
+	const dim, iters, rpi, segIters = 192, 128, 4, 16
+	a := planLoop("a", dim, iters, rpi, 1)
+	b := mutateSegments(a, segIters, 99, func(s int) bool { return s != 3 })
+	wantA, wantB := segOracle(a, segIters), segOracle(b, segIters)
+	ex := &Exec{Pool: NewBufferPool()}
+	cache := NewSegCache(a, segIters)
+	run := func(l *trace.Loop, want []float64, computed int, armedAfter bool) {
+		t.Helper()
+		got, st := runPlan(t, []*trace.Loop{l}, segIters, 4, ex, cache)
+		assertBits(t, l.Name, got[0], want)
+		if st.Computed != computed {
+			t.Fatalf("%s: computed %d segments, want %d", l.Name, st.Computed, computed)
+		}
+		if cache.totalOK != armedAfter {
+			t.Fatalf("%s: totalOK = %v after the run, want %v", l.Name, cache.totalOK, armedAfter)
+		}
+		dst := make([]float64, dim)
+		if served := cache.Serve(l, dst); served != armedAfter {
+			t.Fatalf("%s: Serve = %v, want %v", l.Name, served, armedAfter)
+		} else if served {
+			assertBits(t, l.Name+" served", dst, want)
+		}
+	}
+	run(a, wantA, 8, false) // seeds the slots
+	run(a, wantA, 0, true)  // every part served: arms the total
+	run(a, wantA, 0, true)  // the copy
+	if cache.Serve(b, make([]float64, dim)) {
+		t.Fatal("B served from A's total")
+	}
+	_, bRefs := b.Flat()
+	run(b, wantB, 1, false) // slot 3 refreshed: total dropped, not re-armed
+	if got := cache.slots[3].refs; &got[0] != &bRefs[3*segIters*rpi] {
+		t.Fatal("slot 3 does not hold B's window after B ran")
+	}
+	run(b, wantB, 0, true)
+	run(b, wantB, 0, true)
+	if cache.Serve(a, make([]float64, dim)) {
+		t.Fatal("A served from B's total")
+	}
+	run(a, wantA, 1, false)
+	run(a, wantA, 0, true)
+}
+
+// TestSegCacheResidentSameHashDifferentContent alternates two loops whose
+// every segment hashes alike but differs in content (the shape of
+// distinct same-fingerprint objects on one engine entry): neither may
+// ever read a sum or a total the other left behind, through Run or Serve.
+func TestSegCacheResidentSameHashDifferentContent(t *testing.T) {
+	const dim, iters, rpi, segIters = 192, 128, 16, 16
+	a := planLoop("a", dim, iters, rpi, 1)
+	b := mutateOffSample(t, a, segIters, 7)
+	want := map[*trace.Loop][]float64{a: segOracle(a, segIters), b: segOracle(b, segIters)}
+	ex := &Exec{Pool: NewBufferPool()}
+	cache := NewSegCache(a, segIters)
+	dst := make([]float64, dim)
+	for round := 0; round < 3; round++ {
+		for _, l := range []*trace.Loop{a, a, a, b, b, b} {
+			other := a
+			if l == a {
+				other = b
+			}
+			got, _ := runPlan(t, []*trace.Loop{l}, segIters, 2, ex, cache)
+			assertBits(t, l.Name, got[0], want[l])
+			if cache.Serve(other, dst) {
+				t.Fatalf("round %d: %s's cache served the other loop", round, l.Name)
+			}
+		}
+		if !cache.Serve(b, dst) {
+			t.Fatalf("round %d: armed cache declined its own loop", round)
+		}
+		assertBits(t, "served b", dst, want[b])
+	}
+}
+
+// TestSegCacheResidentChecksSlotHash pins the first of the two per-slot
+// checks: a slot whose recorded hash disagrees with the submitted
+// segment is not trusted, whatever its content — Serve declines and Run
+// recomputes exactly that segment.
+func TestSegCacheResidentChecksSlotHash(t *testing.T) {
+	const dim, iters, rpi, segIters = 192, 128, 4, 16
+	l := planLoop("l", dim, iters, rpi, 1)
+	ex := &Exec{Pool: NewBufferPool()}
+	cache := NewSegCache(l, segIters)
+	for run := 0; run < 2; run++ {
+		runPlan(t, []*trace.Loop{l}, segIters, 4, ex, cache)
+	}
+	dst := make([]float64, dim)
+	if !cache.Serve(l, dst) {
+		t.Fatal("armed cache declined its own loop")
+	}
+	cache.slots[2].hash ^= 1
+	if cache.Serve(l, dst) {
+		t.Fatal("Serve trusted a slot whose hash does not match the segment")
+	}
+	got, st := runPlan(t, []*trace.Loop{l}, segIters, 4, ex, cache)
+	if st.Computed != 1 || st.Reused != 7 {
+		t.Fatalf("computed/reused = %d/%d after a hash mismatch, want 1/7", st.Computed, st.Reused)
+	}
+	assertBits(t, "after hash mismatch", got[0], segOracle(l, segIters))
+}
+
+// TestSegCacheBytes holds the admission formula to what an armed cache
+// really keeps resident: every slot's sum buffer and retained subscript
+// content plus the resident total.
+func TestSegCacheBytes(t *testing.T) {
+	const dim, iters, rpi, segIters = 192, 128, 4, 16
+	l := planLoop("l", dim, iters, rpi, 1)
+	cache := NewSegCache(l, segIters)
+	for run := 0; run < 2; run++ {
+		runPlan(t, []*trace.Loop{l}, segIters, 4, nil, cache)
+	}
+	if !cache.totalOK {
+		t.Fatal("cache not armed after a fully served run")
+	}
+	held := cap(cache.total) * 8
+	for _, slot := range cache.slots {
+		held += cap(slot.buf)*8 + len(slot.refs)*4
+	}
+	if want := SegCacheBytes(l, segIters); held != want {
+		t.Fatalf("armed cache holds %d bytes, SegCacheBytes says %d", held, want)
 	}
 }

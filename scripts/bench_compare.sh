@@ -129,69 +129,74 @@ END {
     print "bench_compare: kernel coverage: all five schemes benchmarked"
 }' "$cand" || failed="$failed kernel-coverage"
 
-# Pattern-affinity gate: the gateway's measured fusion occupancy
-# (GatewayZipf jobs_per_batch) must hold at least AFFINITY_MIN_PCT
-# (default 80) percent of the single-daemon figure (RemoteZipf). This is
-# the mechanical check behind the claim that rendezvous routing
-# preserves batch coalescing at tier scale; it runs whenever the
-# candidate carries both metrics, and names the missing metric when it
-# cannot.
-awk -v minpct="${AFFINITY_MIN_PCT:-80}" -v cand="$cand" '
-/"name": "GatewayZipf"/ && match($0, /"jobs_per_batch": *[0-9.]+/) {
-    gw = substr($0, RSTART, RLENGTH); gsub(/[^0-9.]/, "", gw)
+# Pattern-affinity gate: the backends' decision-cache entries summed
+# over the tier, per distinct pattern in the stream (GatewayZipf
+# affinity_entries_ratio, the root-bench twin of bench/'s
+# cluster.affinity_entries_ratio), must not exceed AFFINITY_MAX_ENTRIES
+# (default 1.0): rendezvous routing sends each pattern to exactly one
+# backend, so a reading above 1 means some pattern was taught to two.
+# The fusion-occupancy ratio (GatewayZipf vs RemoteZipf jobs_per_batch)
+# is printed beside it but not gated — occupancy follows how fast a tier
+# drains its queue, not where the gateway routes. The gate runs whenever
+# the candidate carries the ratio and says so when it does not.
+awk -v maxr="${AFFINITY_MAX_ENTRIES:-1.0}" -v cand="$cand" '
+function field(line, key,    s) {
+    if (!match(line, "\"" key "\": *[0-9.]+")) return ""
+    s = substr(line, RSTART, RLENGTH)
+    sub("^\"" key "\": *", "", s)
+    return s
 }
-/"name": "RemoteZipf"/ && match($0, /"jobs_per_batch": *[0-9.]+/) {
-    remote = substr($0, RSTART, RLENGTH); gsub(/[^0-9.]/, "", remote)
-}
+/"name": "GatewayZipf"/ { gw = field($0, "jobs_per_batch"); ratio = field($0, "affinity_entries_ratio") }
+/"name": "RemoteZipf"/  { remote = field($0, "jobs_per_batch") }
 END {
-    if (gw + 0 <= 0) {
-        printf "bench_compare: affinity gate skipped: GatewayZipf jobs_per_batch missing from %s\n", cand
+    if (gw + 0 > 0 && remote + 0 > 0)
+        printf "bench_compare: gateway fusion occupancy %.2f vs single-node %.2f jobs/batch (%.0f%%, not gated)\n", gw, remote, 100 * gw / remote
+    if (ratio + 0 <= 0) {
+        printf "bench_compare: affinity gate skipped: GatewayZipf affinity_entries_ratio missing from %s\n", cand
         exit 0
     }
-    if (remote + 0 <= 0) {
-        printf "bench_compare: affinity gate skipped: RemoteZipf jobs_per_batch missing from %s\n", cand
-        exit 0
-    }
-    pct = 100 * gw / remote
-    printf "bench_compare: gateway fusion occupancy %.2f vs single-node %.2f jobs/batch (%.0f%%, floor %d%%)\n", gw, remote, pct, minpct
-    if (pct < minpct) {
-        print "bench_compare: FAIL: pattern-affinity routing lost too much batch fusion"
+    printf "bench_compare: pattern affinity: %.3f backend decision-cache entries per distinct pattern (ceiling %.3f)\n", ratio, maxr
+    if (ratio + 0 > maxr + 0) {
+        print "bench_compare: FAIL: some pattern was routed to more than one backend"
         exit 1
     }
 }' "$cand" || failed="$failed affinity"
 
-# Network-hop gate (ROADMAP 1(c)): the Zipf stream through one loopback
-# hop (RemoteZipf) must cost at most REMOTE_MAX_RATIO (default 3) times
-# what it costs in-process (EngineZipf32Clients/coalesced). With pattern
-# handles a repeat submission ships and decodes a few bytes, so what is
-# left of the hop is sockets, goroutine hand-offs and the result array —
-# a ratio past the ceiling means the pattern is being re-shipped or
-# re-decoded again. Both figures come from the candidate file (same
-# machine, no normalization needed); the gate runs whenever it carries
-# both and names the missing one when it cannot.
-awk -v maxx="${REMOTE_MAX_RATIO:-3}" -v cand="$cand" '
-/"name": "RemoteZipf"/ && match($0, /"ns_per_op": *[0-9]+/) {
-    remote = substr($0, RSTART, RLENGTH); gsub(/[^0-9]/, "", remote)
-}
-/"name": "EngineZipf32Clients\/coalesced"/ && match($0, /"ns_per_op": *[0-9]+/) {
-    eng = substr($0, RSTART, RLENGTH); gsub(/[^0-9]/, "", eng)
-}
+# Network-hop gate (ROADMAP 1(c)): what one loopback hop adds to a job —
+# RemoteZipf minus EngineZipf32Clients/coalesced, the root-bench twin of
+# bench/'s stack.hop_overhead_us — must not grow past the baseline
+# file's overhead by more than the tolerance. With pattern handles a
+# repeat submission ships and decodes a few bytes, so what is left of
+# the hop is sockets, goroutine hand-offs and the result array; an
+# overhead an order of magnitude up means the pattern is being
+# re-shipped or re-decoded again. The difference is gated, not the
+# ratio: a faster engine lowers the denominator and would fail a ratio
+# while the hop itself got cheaper. The gate reuses the extracted
+# (possibly normalized) pairs, so it respects BENCH_NORMALIZE on foreign
+# hardware; it runs whenever both files carry both rows and names the
+# missing one when they do not.
+awk -v tol="$tol" -v unit="$unit" '
+NR == FNR { base[$1] = $2; next }
+{ cand[$1] = $2 }
 END {
-    if (remote + 0 <= 0) {
-        printf "bench_compare: network-hop gate skipped: RemoteZipf ns_per_op missing from %s\n", cand
+    r = "RemoteZipf"; e = "EngineZipf32Clients/coalesced"
+    if (!(r in cand) || !(e in cand) || !(r in base) || !(e in base)) {
+        miss = (!(r in cand) || !(r in base)) ? r : e
+        printf "bench_compare: network-hop gate skipped: %s missing from baseline or candidate\n", miss
         exit 0
     }
-    if (eng + 0 <= 0) {
-        printf "bench_compare: network-hop gate skipped: EngineZipf32Clients/coalesced ns_per_op missing from %s\n", cand
+    bo = base[r] - base[e]; co = cand[r] - cand[e]
+    if (bo <= 0) {
+        printf "bench_compare: network-hop gate skipped: baseline hop overhead %.6g %s is not positive\n", bo, unit
         exit 0
     }
-    x = remote / eng
-    printf "bench_compare: network hop: RemoteZipf %d ns/op is %.2fx EngineZipf32Clients/coalesced %d ns/op (ceiling %.2fx)\n", remote, x, eng, maxx
-    if (x > maxx + 0) {
-        print "bench_compare: FAIL: one loopback hop costs more than the ceiling over in-process"
+    pct = (co / bo - 1) * 100
+    printf "bench_compare: network hop overhead (%s - %s): %.6g -> %.6g %s  (%+.1f%%, ceiling +%d%%)\n", r, e, bo, co, unit, pct, tol
+    if (pct > tol) {
+        print "bench_compare: FAIL: one loopback hop adds more over in-process than the baseline allows"
         exit 1
     }
-}' "$cand" || failed="$failed network-hop"
+}' "$tmpdir/base" "$tmpdir/cand" || failed="$failed network-hop"
 
 # Drift-recovery gate: after the DriftRecovery phase shift, the measured
 # p95 must have returned to within RECOVERY_MAX_PCT (default 125) percent

@@ -6,7 +6,7 @@ set -eu
 cd "$(dirname "$0")/.."
 out=BENCH_engine.json
 
-raw=$(go test -bench 'Engine|Scheme|Remote|Gateway|Drift|Simplify|Session|Tenant|Characterize' -benchmem -run '^$' -benchtime 1s . )
+raw=$(go test -bench 'Engine|Scheme|Remote|Gateway|Drift|Simplify|SegPlan|Session|Tenant|Characterize' -benchmem -run '^$' -benchtime 1s . )
 echo "$raw"
 
 # Per-kernel microbenchmarks (reduction package): every scheme's RunInto,
@@ -26,12 +26,13 @@ BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$/, "", name)
     names[n] = name; iters[n] = $2
-    ns[n] = ""; bytes[n] = ""; allocs[n] = ""; jpb[n] = ""; rpct[n] = ""; rjobs[n] = ""; ipct[n] = ""
+    ns[n] = ""; bytes[n] = ""; allocs[n] = ""; jpb[n] = ""; aff[n] = ""; rpct[n] = ""; rjobs[n] = ""; ipct[n] = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") ns[n] = $i
         else if ($(i+1) == "B/op") bytes[n] = $i
         else if ($(i+1) == "allocs/op") allocs[n] = $i
         else if ($(i+1) == "jobs/batch") jpb[n] = $i
+        else if ($(i+1) == "entries/pattern") aff[n] = $i
         else if ($(i+1) == "recovery%") rpct[n] = $i
         else if ($(i+1) == "recovery-jobs") rjobs[n] = $i
         else if ($(i+1) == "isolation%") ipct[n] = $i
@@ -44,6 +45,7 @@ END {
         printf "    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", \
             names[i], iters[i], ns[i], bytes[i], allocs[i]
         if (jpb[i] != "") printf ", \"jobs_per_batch\": %s", jpb[i]
+        if (aff[i] != "") printf ", \"affinity_entries_ratio\": %s", aff[i]
         if (rpct[i] != "") printf ", \"recovery_p95_pct\": %s", rpct[i]
         if (rjobs[i] != "") printf ", \"recovery_jobs\": %s", rjobs[i]
         if (ipct[i] != "") printf ", \"isolation_p95_pct\": %s", ipct[i]
