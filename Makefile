@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race bench bench-smoke bench-check fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check codegen portability
+.PHONY: build test test-short race bench bench-smoke bench-check fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check deps-check codegen portability
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# deps-check holds the service/lab boundary: no simulator package in the
+# closure of the daemons, the load driver, testkit or bench/; lab packages
+# imported only from the lab, the paper-track commands and the examples;
+# internal/core (the host descriptor) a leaf.
+deps-check:
+	./scripts/deps_check.sh
 
 # bench runs the engine throughput benchmarks, records the perf
 # trajectory in BENCH_engine.json (one snapshot per invocation), and gates
@@ -93,4 +100,4 @@ portability:
 	GOOS=linux GOARCH=amd64 GOAMD64=v3 $(GO) build ./...
 	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/
 
-ci: fmt vet build codegen portability race bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check
+ci: fmt vet deps-check build codegen portability race bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check

@@ -27,7 +27,6 @@ import (
 	"repro/internal/reduction"
 	"repro/internal/server"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 	"repro/internal/workloads"
 )
 
@@ -72,7 +71,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 // Scheme.Run with cold-allocated privatization buffers.
 func BenchmarkEngineColdPerCall(b *testing.B) {
 	loops := benchLoops()
-	cfg := vtime.DefaultConfig()
+	cfg := core.DefaultPlatform(8).Cfg
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -89,7 +88,7 @@ func BenchmarkEngineColdPerCall(b *testing.B) {
 // engine's stride and cache geometry: what a decision-cache miss pays
 // before any scheme runs. One op is one loop of the mixed set.
 func BenchmarkCharacterizeSampled(b *testing.B) {
-	cfg := vtime.DefaultConfig()
+	cfg := core.DefaultPlatform(8).Cfg
 	for _, scale := range []float64{0.25, 0.5} {
 		loops := workloads.MixedSet(scale)
 		b.Run(fmt.Sprintf("mixed-%g", scale), func(b *testing.B) {

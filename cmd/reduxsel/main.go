@@ -6,7 +6,7 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/adapt"
+	"repro/internal/lab/simred"
 	"repro/internal/vtime"
 	"repro/internal/workloads"
 )
@@ -25,7 +25,7 @@ func main() {
 		Dim: *dim, SPPercent: *sp, CHR: *chr, MO: *mo,
 		Locality: *locality, Skew: *skew, Work: 30, Invocations: 50, Seed: 1,
 	}, 1)
-	sel := adapt.Select(l, *procs, vtime.Config{})
+	sel := simred.Select(l, *procs, vtime.Config{})
 	fmt.Printf("profile: %v\n", sel.Profile)
 	fmt.Printf("recommended: %s — %s\n", sel.Recommendation.Scheme, sel.Recommendation.Why)
 	fmt.Println("measured ranking (virtual time):")

@@ -7,12 +7,12 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/lab/smartapp"
 	"repro/internal/workloads"
 )
 
 func main() {
-	rt := core.NewRuntime(core.DefaultPlatform(8))
+	rt := smartapp.NewRuntime(smartapp.DefaultPlatform(8))
 
 	// Early timesteps: freshly built pairlist, dense and local.
 	early := workloads.PatternSpec{

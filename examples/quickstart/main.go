@@ -7,7 +7,7 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/lab/smartapp"
 	"repro/internal/workloads"
 )
 
@@ -19,7 +19,7 @@ func main() {
 		Locality: 0.85, Skew: 0.5, Work: 30, Invocations: 50, Seed: 7,
 	}, 1)
 
-	rt := core.NewRuntime(core.DefaultPlatform(8))
+	rt := smartapp.NewRuntime(smartapp.DefaultPlatform(8))
 	out := rt.Execute(loop)
 
 	fmt.Printf("loop %q: %d iterations, %d reduction references\n",

@@ -1,28 +1,27 @@
-// Package adapt implements Section 4's adaptive reduction-algorithm
-// selection: a decision algorithm that maps a measured access-pattern
-// profile (package pattern) to the reduction scheme that best matches it,
-// and a measurement harness that ranks all library schemes by simulated
-// execution time so the recommendation can be validated the way the
-// paper's Figure 3 does ("Recommended scheme" column vs. the measured
-// ordering in the "Experimental Result" column).
+// Package adapt holds the decision boundaries of the adaptive pipeline.
+// Recommend is Section 4's decision algorithm: it maps a measured
+// access-pattern profile (package pattern) to the reduction scheme that
+// best matches it, with a one-line rationale, and SchemeFor turns that
+// into the runnable scheme. RecommendSimplify (simplify.go) is the same
+// idea one level up: whether a batch's segment-overlap structure lets
+// most of the work be skipped before any scheme runs. Both are pure
+// functions of their evidence. The harness that validates Recommend
+// against simulated execution time, the way the paper's Figure 3 does,
+// is the lab's package simred.
 package adapt
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/pattern"
 	"repro/internal/reduction"
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Thresholds are the decision algorithm's tunable cut-points. The paper
 // characterizes each scheme's sweet spot qualitatively; these constants
-// quantify them and are exercised by the ablation benchmarks (DESIGN.md
-// D4). The defaults reproduce all twenty "Recommended scheme" entries of
-// the paper's Figure 3.
+// quantify them and are exercised by the threshold ablation benchmark
+// (internal/experiments) and boundary_test.go. The defaults reproduce all
+// twenty "Recommended scheme" entries of the paper's Figure 3.
 type Thresholds struct {
 	// HashMaxSP is the sparsity (percent) below which hash tables are
 	// considered: "the very sparse nature of the references" (Spice is
@@ -102,110 +101,6 @@ func RecommendWith(p *pattern.Profile, t Thresholds) Recommendation {
 		return Recommendation{"ll", fmt.Sprintf("small array (DIM=%.2f) densely touched (SP=%.1f%%): lazy buffers win despite low CHR", p.DIM, p.SP)}
 	default:
 		return Recommendation{"sel", fmt.Sprintf("low contention (CHR=%.2f) over a large/sparse array (DIM=%.2f, SP=%.2f%%): privatize only conflicting elements", p.CHR, p.DIM, p.SP)}
-	}
-}
-
-// Measured is one scheme's simulated performance on a loop instance.
-type Measured struct {
-	// Scheme is the paper abbreviation.
-	Scheme string
-	// Breakdown is the Init/Loop/Merge virtual-time split.
-	Breakdown stats.Breakdown
-	// Speedup is sequential virtual time / parallel virtual time.
-	Speedup float64
-}
-
-// SimulateSequential charges the loop's sequential execution (direct
-// updates into the shared array, no privatization) on a one-processor
-// virtual machine and returns its virtual time.
-func SimulateSequential(l *trace.Loop, cfg vtime.Config) float64 {
-	m := vtime.NewMachine(1, cfg)
-	const (
-		sharedW = int64(1)<<20 + 7*64
-		sharedX = int64(1)<<32 + 37*64
-	)
-	m.Serial(func(cpu *vtime.CPU) {
-		pos := 0
-		for i := 0; i < l.NumIters(); i++ {
-			refs := l.Iter(i)
-			cpu.Compute(l.WorkPerIter)
-			for k := range refs {
-				cpu.Load(sharedX + int64(pos+k)*4)
-			}
-			pos += len(refs)
-			for _, idx := range refs {
-				addr := sharedW + int64(idx)*8
-				cpu.Load(addr)
-				cpu.Compute(1)
-				cpu.Store(addr)
-			}
-		}
-	})
-	return m.Now()
-}
-
-// Rank simulates every scheme in the library on a procs-processor virtual
-// machine and returns them sorted by ascending virtual time (best first),
-// with speedups relative to the sequential execution.
-func Rank(l *trace.Loop, procs int, cfg vtime.Config) []Measured {
-	seq := SimulateSequential(l, cfg)
-	out := make([]Measured, 0, len(reduction.All()))
-	for _, s := range reduction.All() {
-		m := vtime.NewMachine(procs, cfg)
-		m.EnableSharingTracking()
-		b := s.Simulate(l, m)
-		out = append(out, Measured{
-			Scheme:    s.Name(),
-			Breakdown: b,
-			Speedup:   stats.Speedup(seq, b.Total()),
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Breakdown.Total() < out[j].Breakdown.Total()
-	})
-	return out
-}
-
-// Order formats a ranking the way Figure 3's "Experimental Result" column
-// does: scheme names in decreasing speedup order separated by " > ".
-func Order(ms []Measured) string {
-	s := ""
-	for i, m := range ms {
-		if i > 0 {
-			s += " > "
-		}
-		s += m.Scheme
-	}
-	return s
-}
-
-// Selection is the full output of adaptive selection on a loop instance.
-type Selection struct {
-	Profile        *pattern.Profile
-	Recommendation Recommendation
-	Ranking        []Measured
-	// Hit reports whether the recommended scheme was also the fastest in
-	// the measured ranking.
-	Hit bool
-}
-
-// Select characterizes the loop, runs the decision algorithm, measures
-// all schemes and reports whether the recommendation hit the measured
-// optimum. This is the whole Section 4 pipeline in one call, and the unit
-// the SmartApps runtime (package core) invokes when a reduction loop's
-// pattern changes.
-func Select(l *trace.Loop, procs int, cfg vtime.Config) Selection {
-	if cfg.LineBytes == 0 {
-		cfg = vtime.DefaultConfig()
-	}
-	prof := pattern.Characterize(l, procs, cfg.L2Bytes)
-	rec := Recommend(prof)
-	rank := Rank(l, procs, cfg)
-	return Selection{
-		Profile:        prof,
-		Recommendation: rec,
-		Ranking:        rank,
-		Hit:            len(rank) > 0 && rank[0].Scheme == rec.Scheme,
 	}
 }
 

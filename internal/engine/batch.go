@@ -281,7 +281,7 @@ func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, jobs []*job, hit boo
 	w.ex.BlockTimes = nil
 	var genSeen uint64
 	entry.mu.Lock()
-	scheme, name, why, decSeen := entry.scheme, entry.name, entry.conf.Why, entry.decGen
+	scheme, name, why, decSeen := entry.scheme, entry.rec.Scheme, entry.rec.Why, entry.decGen
 	useFeedback := entry.feedback && !e.cfg.DisableFeedback && l.NumIters() > 0
 	if useFeedback {
 		if entry.fb == nil || entry.fbIters != l.NumIters() {

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/adapt"
-	"repro/internal/core"
 	"repro/internal/pattern"
 	"repro/internal/reduction"
 	"repro/internal/sched"
@@ -12,22 +11,20 @@ import (
 )
 
 // cacheEntry is one memoized adaptive decision. The decision fields
-// (profile, conf, scheme, name, feedback, hw) are written under once.Do
-// at first sight and thereafter only by the recalibration subsystem
-// under mu; runBatch snapshots them under mu, in the same critical
-// section that installs the feedback boundaries.
+// (profile, rec, scheme, feedback) are written under once.Do at first
+// sight and thereafter only by the recalibration subsystem under mu;
+// runBatch snapshots them under mu, in the same critical section that
+// installs the feedback boundaries.
 type cacheEntry struct {
 	once    sync.Once
 	profile *pattern.Profile
-	conf    core.Configuration
-	scheme  reduction.Scheme
-	name    string
+	// rec is the decision algorithm's answer for profile: the scheme's
+	// name and the rationale reported in Result.Why.
+	rec    adapt.Recommendation
+	scheme reduction.Scheme
 	// feedback reports whether the scheme honors Exec.IterBounds, i.e.
 	// whether the entry's scheduler can steer it.
 	feedback bool
-	// hw marks a hardware (PCLR) configuration: the directory combine is
-	// pattern-independent, so such entries are never recalibrated.
-	hw bool
 
 	// ref is the CLOCK referenced bit: set on every hit, cleared by the
 	// eviction hand as it sweeps. Guarded by the owning shard's mutex.
@@ -79,23 +76,13 @@ type cacheEntry struct {
 	segMiss int
 }
 
-// install points the entry at the configuration's executable scheme,
-// mirroring what lookup does at first sight. Callers hold mu (or are
-// inside the entry's once.Do).
-func (en *cacheEntry) install(conf core.Configuration) {
-	if conf.UseHardware {
-		// The directory hardware performs the combine; any correct
-		// executor produces the loop's semantics (cf. core.Runtime).
-		en.scheme = reduction.Rep{}
-		en.name = "pclr-" + conf.Hardware.Controller.String()
-		en.feedback = true
-		en.hw = true
-		return
-	}
-	en.scheme = adapt.SchemeFor(adapt.Recommendation{Scheme: conf.Scheme})
-	en.name = conf.Scheme
-	en.feedback = feedbackSchemes[conf.Scheme]
-	en.hw = false
+// install records the decision for prof and points the entry at the
+// recommended scheme. Callers hold mu (or are inside the entry's once.Do).
+func (en *cacheEntry) install(prof *pattern.Profile, rec adapt.Recommendation) {
+	en.profile = prof
+	en.rec = rec
+	en.scheme = adapt.SchemeFor(rec)
+	en.feedback = feedbackSchemes[rec.Scheme]
 }
 
 // decisionCache is the sharded decision cache: fingerprints map to shards
@@ -209,11 +196,7 @@ func (e *Engine) lookup(l *trace.Loop, fp uint64) (*cacheEntry, bool) {
 	entry.once.Do(func() {
 		miss = true
 		prof := e.characterize(l)
-		rec := adapt.Recommend(prof)
-		conf := core.Configurer{Platform: e.cfg.Platform}.Configure(l, rec)
-		entry.profile = prof
-		entry.conf = conf
-		entry.install(conf)
+		entry.install(prof, adapt.Recommend(prof))
 	})
 	return entry, ok && !miss
 }

@@ -1,6 +1,6 @@
 // Package engine implements a long-lived concurrent reduction service on
-// top of the SmartApps adaptive pipeline. Where package core models one
-// application adapting its own reduction loop, the engine is the
+// top of the SmartApps adaptive pipeline. Where the lab's smartapp runtime
+// models one application adapting its own reduction loop, the engine is the
 // production-service shape of the same idea: many clients submit reduction
 // jobs, a bounded worker pool executes them, and the adaptive machinery is
 // amortized across jobs the way the paper amortizes it across invocations:
@@ -45,13 +45,13 @@ type Config struct {
 	// Workers is the number of batches executed concurrently (the bounded
 	// pool). Defaults to 4.
 	Workers int
-	// Platform is the machine the engine serves on: its Procs is the
-	// goroutine fan-out per job, and its PCLR fields route supported loops
-	// to the hardware path exactly as core.Configurer does. A zero
-	// platform defaults to the software-only 8-processor machine.
+	// Platform is the host descriptor the engine serves on: its Procs is
+	// the goroutine fan-out per job, and its Cfg.L2Bytes normalizes the
+	// inspector's DIM metric and sizes the schemes' merge blocks. A zero
+	// platform defaults to core.DefaultPlatform(8).
 	Platform core.Platform
 	// SampleStride is the inspector sampling stride for pattern
-	// characterization (default 8, matching core.Runtime).
+	// characterization (default 8).
 	SampleStride int
 	// QueueDepth is the submission queue length in batches (default
 	// 2*Workers). Jobs fusing into a queued batch consume no queue slot.
@@ -118,8 +118,9 @@ type Result struct {
 	// Values is the reduction array. When SubmitInto was given a dst with
 	// sufficient capacity, Values aliases it — on the batched path too.
 	Values []float64
-	// Scheme is the executed implementation: a paper abbreviation, or
-	// "pclr-<controller>" on the hardware path.
+	// Scheme is the executed implementation: a paper abbreviation (rep,
+	// ll, sel, lw or hash), or "simplify" when the job was served from
+	// shared segment partial sums.
 	Scheme string
 	// Why is the selection rationale recorded in the decision cache.
 	Why string
@@ -188,8 +189,8 @@ type Engine struct {
 }
 
 // New starts an engine with cfg's worker pool running. It returns an
-// error when the configuration is invalid: a platform beyond the
-// 64-processor model limit, or negative Workers, QueueDepth,
+// error when the configuration is invalid: a platform beyond the 64
+// processors the reduction schemes support, or negative Workers, QueueDepth,
 // MaxCacheEntries, CacheShards, MaxBatch or SampleStride (zero always
 // means "use the default").
 func New(cfg Config) (*Engine, error) {
@@ -199,7 +200,10 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.Platform.Procs < 0:
 		return nil, fmt.Errorf("engine: negative Platform.Procs %d", cfg.Platform.Procs)
 	case cfg.Platform.Procs > 64:
-		return nil, fmt.Errorf("engine: platform with %d processors exceeds the 64-processor model limit", cfg.Platform.Procs)
+		// The limit is the schemes' own: lw's inspector tracks an
+		// iteration's owners in a [64]bool and LocalWrite.RunInto panics
+		// past it.
+		return nil, fmt.Errorf("engine: platform with %d processors exceeds the 64 the reduction schemes support (lw's owner set)", cfg.Platform.Procs)
 	case cfg.SampleStride < 0:
 		return nil, fmt.Errorf("engine: negative SampleStride %d", cfg.SampleStride)
 	case cfg.QueueDepth < 0:

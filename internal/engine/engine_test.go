@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/simarch"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -184,26 +183,6 @@ func TestEngineFeedbackSchedulingKeepsResultsCorrect(t *testing.T) {
 	if !sawImbalance {
 		t.Error("no submission reported a measured imbalance; feedback path never ran")
 	}
-}
-
-func TestEngineHardwarePlatform(t *testing.T) {
-	loops, refs := mixedLoops()
-	p := core.DefaultPlatform(4)
-	p.PCLR = true
-	p.PCLRController = simarch.Hardwired
-	e := mustNew(t, Config{Workers: 2, Platform: p})
-	defer e.Close()
-	res, err := e.Submit(loops[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheme != "pclr-Hw" && res.Scheme != "pclr-hw" {
-		t.Logf("hardware scheme name: %s", res.Scheme)
-		if len(res.Scheme) < 5 || res.Scheme[:5] != "pclr-" {
-			t.Errorf("scheme = %q, want pclr-*", res.Scheme)
-		}
-	}
-	assertMatches(t, "hardware", res.Values, refs[0])
 }
 
 func TestEngineSubmitAfterClose(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/core"
 	"repro/internal/pattern"
 	"repro/internal/trace"
 )
@@ -79,7 +78,7 @@ func (e *Engine) characterize(l *trace.Loop) *pattern.Profile {
 func (e *Engine) recordCost(entry *cacheEntry, l *trace.Loop, elapsed time.Duration, decSeen uint64) {
 	ns := float64(elapsed.Nanoseconds())
 	entry.mu.Lock()
-	if entry.hw || entry.decGen != decSeen {
+	if entry.decGen != decSeen {
 		entry.mu.Unlock()
 		return
 	}
@@ -139,7 +138,7 @@ func (e *Engine) recordCost(entry *cacheEntry, l *trace.Loop, elapsed time.Durat
 // re-inspection ran and whether it switched the scheme.
 func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, switched bool) {
 	entry.mu.Lock()
-	if !entry.stale || entry.hw || entry.reinspecting {
+	if !entry.stale || entry.reinspecting {
 		entry.mu.Unlock()
 		return false, false
 	}
@@ -160,7 +159,7 @@ func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, 
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	entry.reinspecting = false
-	if rec.Scheme == entry.name {
+	if rec.Scheme == entry.rec.Scheme {
 		// Revalidated: the decision still stands on the current pattern.
 		// Re-anchor on the fresh profile and the observed cost so the
 		// detector measures future drift from here, not from the old
@@ -189,10 +188,7 @@ func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, 
 		// contradicted before the hysteresis threshold is reached.
 		return true, false
 	}
-	conf := core.Configurer{Platform: e.cfg.Platform}.Configure(l, rec)
-	entry.profile = fresh
-	entry.conf = conf
-	entry.install(conf)
+	entry.install(fresh, rec)
 	entry.fb = nil
 	entry.fbIters = 0
 	entry.gen++

@@ -1,10 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index), plus ablations of the
-// design choices called out there. Each benchmark prints the reproduced
-// rows/series once, then times the regeneration at reduced scale (the
-// cache geometry scales with the data, preserving every regime; run
-// cmd/smartapps with -scale 1 for the paper's exact sizes).
-package main
+// evaluation (docs/ARCHITECTURE.md, "Service and lab", says how to run
+// the track), plus ablations of the model's design choices. Each
+// benchmark prints the reproduced rows/series once, then times the
+// regeneration at reduced scale (the cache geometry scales with the
+// data, preserving every regime; run cmd/smartapps with -scale 1 for the
+// paper's exact sizes).
+package experiments_test
 
 import (
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/experiments"
+	"repro/internal/lab/simred"
 	"repro/internal/pattern"
 	"repro/internal/simarch"
 	"repro/internal/vtime"
@@ -113,9 +115,9 @@ func BenchmarkRLRPD(b *testing.B) {
 	}
 }
 
-// --- ablations (DESIGN.md D1–D5) ---
+// --- ablations ---
 
-// BenchmarkAblationFlexOccupancy (D2) sweeps the programmable
+// BenchmarkAblationFlexOccupancy sweeps the programmable
 // controller's occupancy factor and reports the Flex/Hw speedup gap.
 func BenchmarkAblationFlexOccupancy(b *testing.B) {
 	app := workloads.PCLRApps()[1] // Equake
@@ -131,7 +133,7 @@ func BenchmarkAblationFlexOccupancy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDecisionThresholds (D4) perturbs the decision
+// BenchmarkAblationDecisionThresholds perturbs the decision
 // algorithm's thresholds by +/-4% and checks that no Figure 3
 // recommendation flips.
 func BenchmarkAblationDecisionThresholds(b *testing.B) {
@@ -155,7 +157,7 @@ func BenchmarkAblationDecisionThresholds(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStreamOverlap (D1-adjacent) measures how the sweep
+// BenchmarkAblationStreamOverlap measures how the sweep
 // memory-level-parallelism factor moves the rep scheme's cost.
 func BenchmarkAblationStreamOverlap(b *testing.B) {
 	l := workloads.Generate("ablation", workloads.PatternSpec{
@@ -166,7 +168,7 @@ func BenchmarkAblationStreamOverlap(b *testing.B) {
 		for _, ov := range []float64{1, 4, 8} {
 			cfg := vtime.DefaultConfig()
 			cfg.StreamOverlap = ov
-			ms := adapt.Rank(l, 8, cfg)
+			ms := simred.Rank(l, 8, cfg)
 			var repTotal float64
 			for _, m := range ms {
 				if m.Scheme == "rep" {
@@ -181,7 +183,7 @@ func BenchmarkAblationStreamOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFlushVsArraySize (D5) checks the paper's claim that
+// BenchmarkAblationFlushVsArraySize checks the paper's claim that
 // the PCLR flush is bounded by cache size, not array size.
 func BenchmarkAblationFlushVsArraySize(b *testing.B) {
 	for i := 0; i < b.N; i++ {

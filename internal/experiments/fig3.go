@@ -3,7 +3,7 @@
 // architecture, Table 2's application characteristics, Figure 6's
 // execution-time breakdown and Figure 7's scalability study, plus the
 // Section 3 R-LRPD demonstration. Each experiment returns structured rows
-// (consumed by cmd/smartapps and bench_test.go) and can run at reduced
+// (consumed by cmd/smartapps and this package's benchmarks) and can run at reduced
 // scale with the cache geometry scaled alongside so that every
 // dimensionless regime of the paper is preserved.
 package experiments
@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"repro/internal/adapt"
+	"repro/internal/lab/simred"
 	"repro/internal/pattern"
 	"repro/internal/stats"
 	"repro/internal/vtime"
@@ -31,7 +32,7 @@ type Fig3Result struct {
 	PaperRecommend string
 	// Ranking is the measured (virtual-time) scheme ordering, best first;
 	// PaperOrder is the paper's measured ordering.
-	Ranking    []adapt.Measured
+	Ranking    []simred.Measured
 	PaperOrder []string
 	// RecommendMatchesPaper: our decision == paper's decision column.
 	RecommendMatchesPaper bool
@@ -45,7 +46,7 @@ type Fig3Result struct {
 }
 
 // subsetWinner returns the best-ranked scheme among those in subset.
-func subsetWinner(ranking []adapt.Measured, subset []string) string {
+func subsetWinner(ranking []simred.Measured, subset []string) string {
 	in := make(map[string]bool, len(subset))
 	for _, s := range subset {
 		in[s] = true
@@ -125,7 +126,7 @@ func runFig3Row(r workloads.Fig3Row, sc Fig3Scale) Fig3Result {
 	cfg := configFor(f)
 	prof := pattern.Characterize(l, sc.Procs, cfg.L2Bytes)
 	rec := adapt.Recommend(prof)
-	ranking := adapt.Rank(l, sc.Procs, cfg)
+	ranking := simred.Rank(l, sc.Procs, cfg)
 
 	res := Fig3Result{
 		App: r.App, LoopName: r.LoopName, Dim: r.Spec.Dim,
@@ -199,7 +200,7 @@ func FormatFig3(results []Fig3Result) string {
 	return out
 }
 
-func orderWithSpeedups(ms []adapt.Measured) string {
+func orderWithSpeedups(ms []simred.Measured) string {
 	parts := make([]string, len(ms))
 	for i, m := range ms {
 		parts[i] = fmt.Sprintf("%s(%.1f)", m.Scheme, m.Speedup)

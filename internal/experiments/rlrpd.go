@@ -35,19 +35,12 @@ func trackLikeLoop(iters int, depFraction float64, seed int64) *spec.Loop {
 			{Elem: int32(i), Kind: spec.Write},
 		}
 		if i > 0 && rng.Float64() < depFraction {
-			back := 1 + rng.Intn(minInt2(i, 16))
+			back := 1 + rng.Intn(min(i, 16))
 			accs = append(accs, spec.Access{Elem: int32(i - back), Kind: spec.Read})
 		}
 		l.AddIter(accs...)
 	}
 	return l
-}
-
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // RunRLRPD sweeps dependence densities on a TRACK-like loop, verifying

@@ -319,19 +319,12 @@ func (m *Machine) phase(body func(c *cpu)) float64 {
 func blockBounds(n, procs, p int) (lo, hi int) {
 	base := n / procs
 	rem := n % procs
-	lo = p*base + minInt(p, rem)
+	lo = p*base + min(p, rem)
 	hi = lo + base
 	if p < rem {
 		hi++
 	}
 	return lo, hi
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // refOffsets gives each block's starting position in the flat ref stream.

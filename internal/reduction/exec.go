@@ -5,14 +5,14 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
-// defaultL2Bytes is the modeled per-processor L2 capacity (the paper's
-// Table 1 machine) used to size merge blocks when the caller installs no
+// defaultL2Bytes is the host descriptor's default per-processor L2
+// capacity, used to size merge blocks when the caller installs no
 // platform-specific Exec.MergeBlockElems.
-var defaultL2Bytes = vtime.DefaultConfig().L2Bytes
+var defaultL2Bytes = core.DefaultPlatform(1).Cfg.L2Bytes
 
 // BufferPool recycles the privatization buffers the schemes allocate per
 // execution (private replicated arrays, link/flag arrays, remap tables,

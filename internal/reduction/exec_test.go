@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -161,6 +162,26 @@ func TestSizeClass(t *testing.T) {
 	for n, want := range cases {
 		if got := sizeClass(n); got != want {
 			t.Errorf("sizeClass(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestDefaultMergeBlockReadsHostDescriptor pins the fallback merge block
+// (no Exec, or no MergeBlockElems) to the host descriptor's default L2:
+// 512 KB, defined once in core.DefaultPlatform. The lab's
+// TestHostDescriptorMatchesTable1 pins the same number against the
+// simulated machine.
+func TestDefaultMergeBlockReadsHostDescriptor(t *testing.T) {
+	for _, procs := range []int{1, 4, 8} {
+		if got := core.DefaultPlatform(procs).Cfg.L2Bytes; got != 512<<10 {
+			t.Fatalf("host descriptor default L2 = %d, want %d", got, 512<<10)
+		}
+		want := MergeBlockForCache(512<<10, procs)
+		if got := (*Exec)(nil).mergeBlock(procs); got != want {
+			t.Errorf("procs=%d: nil Exec merge block %d, want %d", procs, got, want)
+		}
+		if got := (&Exec{}).mergeBlock(procs); got != want {
+			t.Errorf("procs=%d: zero Exec merge block %d, want %d", procs, got, want)
 		}
 	}
 }

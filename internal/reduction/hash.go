@@ -1,10 +1,6 @@
 package reduction
 
-import (
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/vtime"
-)
+import "repro/internal/trace"
 
 // Hash implements the paper's sparse reduction with privatization in hash
 // tables. Each processor accumulates into a private open-addressing hash
@@ -137,89 +133,4 @@ func (Hash) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64
 	}
 	ex.fanOut(out)
 	return out
-}
-
-// Simulate charges hash's traffic: table allocation/zeroing as Init,
-// hashed probing per access during Loop (16-byte entries: key + value),
-// and an entry walk as Merge.
-func (Hash) Simulate(l *trace.Loop, m *vtime.Machine) stats.Breakdown {
-	procs := m.Procs()
-	refStart := refOffsets(l, procs)
-	var b stats.Breakdown
-
-	// Pre-size tables deterministically from each block's touched count.
-	caps := make([]int, procs)
-	for p := 0; p < procs; p++ {
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		seen := make(map[int32]struct{})
-		for i := lo; i < hi; i++ {
-			for _, idx := range l.Iter(i) {
-				seen[idx] = struct{}{}
-			}
-		}
-		caps[p] = len(seen)
-	}
-
-	tables := make([]*hashTable, procs)
-	// Init: allocate and zero the (small) tables — a sequential sweep.
-	b.Init = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		t := newHashTable(caps[p] + 1)
-		tables[p] = t
-		base := vtime.PrivateBase(p) + privTable
-		for s := 0; s < len(t.keys); s++ {
-			cpu.StreamStore(base + int64(s)*16) // zero the key slot of each entry
-		}
-	})
-
-	// Loop: each access hashes (cheap ALU work) and probes entries.
-	b.Loop = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		t := tables[p]
-		base := vtime.PrivateBase(p) + privTable
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		pos := refStart[p]
-		for i := lo; i < hi; i++ {
-			refs := l.Iter(i)
-			cpu.Compute(l.WorkPerIter)
-			loadIterRefs(cpu, pos, len(refs))
-			pos += len(refs)
-			for k, idx := range refs {
-				probes, _ := t.update(idx, trace.Value(i, k, idx), l.Op)
-				// Hashing, masking, key compare and branch chain: the
-				// paper stresses that "the setup of a hash table is
-				// large" — a software hashed update costs tens of
-				// instructions, not the 2–3 of an array update.
-				cpu.Compute(22)
-				slot, _ := t.slot(idx)
-				for pr := 0; pr < probes; pr++ {
-					// Probe sequence ends at the final slot; previous
-					// probes touched preceding entries.
-					s := (int64(slot) - int64(probes-1-pr)) & int64(t.mask)
-					cpu.Load(base + s*16)
-				}
-				cpu.Store(base + int64(slot)*16 + 8)
-				cpu.Compute(1)
-			}
-		}
-	})
-
-	// Merge: walk table entries sequentially; each occupied entry updates
-	// the shared array (scattered writes, coherence charged by the
-	// tracker).
-	b.Merge = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		t := tables[p]
-		base := vtime.PrivateBase(p) + privTable
-		for s, key := range t.keys {
-			cpu.StreamLoad(base + int64(s)*16)
-			if key >= 0 {
-				cpu.Load(base + int64(s)*16 + 8)
-				cpu.Load(sharedWBase + int64(key)*8)
-				cpu.Compute(1)
-				cpu.Store(sharedWBase + int64(key)*8)
-			}
-		}
-	})
-	return b
 }

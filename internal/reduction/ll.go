@@ -1,10 +1,6 @@
 package reduction
 
-import (
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/vtime"
-)
+import "repro/internal/trace"
 
 // LinkedList is the paper's "replicated buffer with links" (ll) scheme.
 // Like rep, every processor owns a full-size private buffer, but the
@@ -62,8 +58,8 @@ func (LinkedList) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []f
 	// require per-element locks; instead processors merge their own lists
 	// into the shared array one list at a time (lists are short when the
 	// pattern is sparse — that is ll's use case). To stay deterministic
-	// and race-free we merge sequentially here; Simulate charges the
-	// parallel cost model described in the paper.
+	// and race-free we merge sequentially here; the lab's simulator
+	// charges the parallel cost model described in the paper.
 	out, fresh := ensureOut(out, l.NumElems)
 	initNeutral(out, neutral, fresh)
 	// Dense references defeat the list walk's premise: with an eighth or
@@ -90,88 +86,4 @@ func (LinkedList) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []f
 	}
 	ex.fanOut(out)
 	return out
-}
-
-// Simulate charges ll's traffic: no Init phase, a flag check + possible
-// lazy initialization per access during Loop, and a Merge that walks each
-// processor's touched-element list with poor spatial locality.
-//
-// First-touch positions and touched lists are precomputed so the phase
-// bodies are idempotent (the virtual machine may replay a phase to
-// collect sharing information).
-func (LinkedList) Simulate(l *trace.Loop, m *vtime.Machine) stats.Breakdown {
-	procs := m.Procs()
-	var b stats.Breakdown
-	refStart := refOffsets(l, procs)
-
-	// Precompute, per processor: the touched-element list in first-touch
-	// order and a parallel-to-refs bitmap of which reference positions are
-	// first touches.
-	touched := make([][]int32, procs)
-	firstTouch := make([][]bool, procs)
-	for p := 0; p < procs; p++ {
-		seen := make(map[int32]struct{})
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		var ft []bool
-		for i := lo; i < hi; i++ {
-			for _, idx := range l.Iter(i) {
-				if _, ok := seen[idx]; !ok {
-					seen[idx] = struct{}{}
-					touched[p] = append(touched[p], idx)
-					ft = append(ft, true)
-				} else {
-					ft = append(ft, false)
-				}
-			}
-		}
-		firstTouch[p] = ft
-	}
-
-	b.Loop = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		arr := vtime.PrivateBase(p) + privArray
-		flags := vtime.PrivateBase(p) + privFlags
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		pos := refStart[p]
-		local := 0
-		for i := lo; i < hi; i++ {
-			refs := l.Iter(i)
-			cpu.Compute(l.WorkPerIter)
-			loadIterRefs(cpu, pos, len(refs))
-			pos += len(refs)
-			for _, idx := range refs {
-				// Flag check: one load of the link entry.
-				cpu.Load(flags + int64(idx)*4)
-				if firstTouch[p][local] {
-					// Lazy init: write value + link.
-					cpu.Store(arr + int64(idx)*8)
-					cpu.Store(flags + int64(idx)*4)
-					cpu.Compute(2)
-				}
-				local++
-				addr := arr + int64(idx)*8
-				cpu.Load(addr)
-				cpu.Compute(1)
-				cpu.Store(addr)
-			}
-		}
-	})
-
-	// Merge: processors apply their own lists to the shared array. The
-	// lists are in first-touch order (poor locality on the shared side);
-	// updates to the shared array from different processors may collide,
-	// which the sharing tracker charges as coherence misses.
-	b.Merge = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		arr := vtime.PrivateBase(p) + privArray
-		flags := vtime.PrivateBase(p) + privFlags
-		for _, e := range touched[p] {
-			cpu.Load(flags + int64(e)*4) // follow the link
-			cpu.Load(arr + int64(e)*8)   // private value
-			cpu.Load(sharedWBase + int64(e)*8)
-			cpu.Compute(1)
-			cpu.Store(sharedWBase + int64(e)*8)
-		}
-	})
-	return b
 }

@@ -1,10 +1,6 @@
 package reduction
 
-import (
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/vtime"
-)
+import "repro/internal/trace"
 
 // LocalWrite is the paper's local write (lw) scheme, an "owner computes"
 // method (Han & Tseng). The reduction array is block-partitioned across
@@ -39,7 +35,7 @@ func (LocalWrite) inspect(l *trace.Loop, procs int, ex *Exec) [][]int32 {
 		// replicated to every owner) so appends never reallocate; the
 		// storage is recycled, so the width is paid once. Without a pool
 		// the lists grow on demand, allocating only the actual
-		// replicated count (Simulate and ReplicationFactor callers).
+		// replicated count (IterLists and ReplicationFactor callers).
 		for p := range iterLists {
 			iterLists[p] = pool.Int32(l.NumIters())[:0]
 		}
@@ -95,71 +91,6 @@ func (lw LocalWrite) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) 
 	}
 	ex.fanOut(out)
 	return out
-}
-
-// Simulate charges lw's traffic: the inspector pass as Init (one sweep of
-// the subscript stream building per-owner iteration lists), the replicated
-// loop execution as Loop, and no Merge.
-func (lw LocalWrite) Simulate(l *trace.Loop, m *vtime.Machine) stats.Breakdown {
-	procs := m.Procs()
-	iterLists := lw.inspect(l, procs, nil)
-	refStart := refOffsets(l, procs)
-	var b stats.Breakdown
-
-	// Init: inspector. Every processor scans its block of the subscript
-	// stream, computes owners, and appends to the per-owner lists. Like
-	// sel's inspector, the lists depend only on the access pattern and
-	// are amortized over the loop's invocations.
-	b.Init = m.ParallelScaled(1/float64(l.InvocationCount()), func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		pos := refStart[p]
-		listBase := vtime.PrivateBase(p) + privTable
-		written := 0
-		for i := lo; i < hi; i++ {
-			n := len(l.Iter(i))
-			loadIterRefs(cpu, pos, n)
-			pos += n
-			cpu.Compute(float64(2 * n)) // owner computation per ref
-			// Appending iteration ids to owner lists: charge one
-			// sequential store per iteration (the common case at low
-			// mobility).
-			cpu.StreamStore(listBase + int64(written)*4)
-			written++
-		}
-	})
-
-	// Loop: each processor executes its (replicated) iteration list and
-	// updates only owned elements, which live in its contiguous shared
-	// block (good locality, no coherence traffic). Iteration lists are
-	// ascending, so the subscript re-reads stream.
-	cumRefs := make([]int, l.NumIters()+1)
-	for i := 0; i < l.NumIters(); i++ {
-		cumRefs[i+1] = cumRefs[i] + len(l.Iter(i))
-	}
-	b.Loop = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		elemLo, elemHi := blockBounds(l.NumElems, procs, p)
-		for _, i := range iterLists[p] {
-			refs := l.Iter(int(i))
-			cpu.Compute(l.WorkPerIter) // full iteration work is replicated
-			loadIterRefs(cpu, cumRefs[i], len(refs))
-			// Every reference is ownership-tested (compare + branch),
-			// owned or not — that is the price of iteration replication.
-			cpu.Compute(float64(2 * len(refs)))
-			for _, idx := range refs {
-				if int(idx) >= elemLo && int(idx) < elemHi {
-					addr := sharedWBase + int64(idx)*8
-					cpu.Load(addr)
-					cpu.Compute(1)
-					cpu.Store(addr)
-				}
-			}
-		}
-	})
-
-	b.Merge = 0 // owner computes: nothing to merge
-	return b
 }
 
 // ReplicationFactor reports the average number of processors that execute

@@ -1,10 +1,6 @@
 package reduction
 
-import (
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/vtime"
-)
+import "repro/internal/trace"
 
 // Rep is the classic replicated-array reduction ("private accumulation and
 // global update in replicated private arrays" in the paper). Every
@@ -75,75 +71,4 @@ func (Rep) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 
 		pool.PutFloat64(priv[p])
 	}
 	return out
-}
-
-// Simulate charges rep's traffic on the virtual machine: a full private
-// sweep at Init, private accumulation during Loop, and a P-way combine
-// sweep at Merge (reading every processor's copy, writing the shared
-// array).
-func (Rep) Simulate(l *trace.Loop, m *vtime.Machine) stats.Breakdown {
-	procs := m.Procs()
-	var b stats.Breakdown
-
-	// Init: every processor sweeps its entire private array (a
-	// sequential memset — misses overlap).
-	b.Init = m.Parallel(func(cpu *vtime.CPU) {
-		base := vtime.PrivateBase(cpu.ID()) + privArray
-		for e := 0; e < l.NumElems; e++ {
-			cpu.StreamStore(base + int64(e)*8)
-		}
-	})
-
-	// Loop: block-scheduled iterations accumulate privately.
-	refStart := refOffsets(l, procs)
-	b.Loop = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		base := vtime.PrivateBase(p) + privArray
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		pos := refStart[p]
-		for i := lo; i < hi; i++ {
-			refs := l.Iter(i)
-			cpu.Compute(l.WorkPerIter)
-			loadIterRefs(cpu, pos, len(refs))
-			pos += len(refs)
-			for _, idx := range refs {
-				addr := base + int64(idx)*8
-				cpu.Load(addr)
-				cpu.Compute(1) // the reduction operation itself
-				cpu.Store(addr)
-			}
-		}
-	})
-
-	// Merge: each processor combines its element range across all copies.
-	// The P per-copy streams are sequential, so their misses overlap.
-	b.Merge = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		lo, hi := blockBounds(l.NumElems, procs, p)
-		for e := lo; e < hi; e++ {
-			for q := 0; q < procs; q++ {
-				cpu.StreamLoad(vtime.PrivateBase(q) + privArray + int64(e)*8)
-				cpu.Compute(1)
-			}
-			cpu.StreamStore(sharedWBase + int64(e)*8)
-		}
-	})
-	return b
-}
-
-// refOffsets returns, for each processor's block start, the global
-// reference position where that block begins in the flattened ref stream.
-func refOffsets(l *trace.Loop, procs int) []int {
-	offs := make([]int, procs)
-	pos := 0
-	next := 0
-	for p := 0; p < procs; p++ {
-		lo, _ := blockBounds(l.NumIters(), procs, p)
-		for next < lo {
-			pos += len(l.Iter(next))
-			next++
-		}
-		offs[p] = pos
-	}
-	return offs
 }

@@ -11,23 +11,23 @@
 //     replication and no merge phase
 //   - hash: sparse reductions with privatization in hash tables
 //
-// Every scheme offers two executions over the same trace.Loop:
-//
-//  1. Run: a real parallel execution on goroutines whose result must match
-//     the sequential reference (tested to tolerance, since parallel
-//     schemes reassociate the reduction operator), and
-//  2. Simulate: a deterministic virtual-time replay on a vtime.Machine
-//     that charges the memory traffic and computation the scheme performs
-//     and returns the Init/Loop/Merge breakdown of Figure 6.
+// Every scheme is a real parallel execution of a trace.Loop on goroutines
+// (Run, or RunInto with a pooled execution context) whose result must
+// match the sequential reference — tested to tolerance, since parallel
+// schemes reassociate the reduction operator. Around the schemes the
+// package holds what the serving stack executes them through: the Exec
+// context and BufferPool, the optimized kernels and their naive twins,
+// SegPlan/SegCache (shared segment partial sums with a resident result)
+// and DeltaState (incremental sessions). inspect.go is the read-only
+// surface through which the paper-track simulators (the lab's simred)
+// replay the schemes' inspectors; nothing here depends on a machine model.
 package reduction
 
 import (
 	"fmt"
 	"sync"
 
-	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/vtime"
 )
 
 // Scheme is one parallel reduction algorithm.
@@ -43,9 +43,6 @@ type Scheme interface {
 	// timers, writing the reduction array into out when its capacity
 	// suffices. ex and out may both be nil, which degenerates to Run.
 	RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64
-	// Simulate replays the scheme's work on the virtual machine and
-	// returns the phase breakdown in cycles. The machine's clock advances.
-	Simulate(l *trace.Loop, m *vtime.Machine) stats.Breakdown
 }
 
 // All returns every scheme in the library, in the paper's order.
@@ -72,20 +69,6 @@ func Names() []string {
 	}
 	return names
 }
-
-// Abstract address-space layout used by Simulate. The shared reduction
-// array w, the shared subscript stream x, and each processor's private
-// structures occupy disjoint regions (see vtime.PrivateBase). Bases carry
-// distinct line-granularity offsets so different arrays do not all alias
-// cache set 0 the way raw power-of-two bases would.
-const (
-	sharedWBase     = int64(1)<<20 + 7*64  // shared reduction array
-	sharedXBase     = int64(1)<<32 + 37*64 // shared subscript/index stream (read-only)
-	sharedRemapBase = int64(3)<<30 + 53*64 // shared remap table (sel)
-	privArray       = int64(0)             // offset of private replicated array
-	privFlags       = int64(1)<<34 + 17*64 // offset of private init-flag / link array
-	privTable       = int64(2)<<34 + 29*64 // offset of private hash table / remap
-)
 
 // blockBounds returns the [lo, hi) iteration range of block p when n
 // iterations are block-scheduled over procs processors, matching the
@@ -121,13 +104,6 @@ func owner(idx int32, numElems, procs int) int {
 	return lo
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // parallelFor runs body(p) for p in [0, procs) on procs goroutines and
 // waits for all of them.
 func parallelFor(procs int, body func(p int)) {
@@ -140,23 +116,6 @@ func parallelFor(procs int, body func(p int)) {
 		}(p)
 	}
 	wg.Wait()
-}
-
-// loadIterRefs charges the reads of iteration i's subscripts from the
-// shared index stream. refPos is the running global reference position so
-// that consecutive iterations stream through the same cache lines; the
-// stream is sequential, so its misses overlap.
-func loadIterRefs(cpu *vtime.CPU, refPos int, n int) {
-	for k := 0; k < n; k++ {
-		cpu.StreamLoad(sharedXBase + int64(refPos+k)*4)
-	}
-}
-
-// amortize scales an inspector-phase cost by the loop's invocation count:
-// the inspector's result depends only on the access pattern, so a program
-// invoking the loop K times pays it once, i.e. 1/K per invocation.
-func amortize(cost float64, l *trace.Loop) float64 {
-	return cost / float64(l.InvocationCount())
 }
 
 // checkProcs panics on a non-positive processor count; all schemes share

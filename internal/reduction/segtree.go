@@ -21,7 +21,7 @@ package reduction
 
 // maxSegTreeWidth bounds how many segment parts one combine folds — and
 // therefore how many segments a plan may decompose the iteration space
-// into. 64 matches the processor-model limit and keeps the fold scratch
+// into. 64 matches the schemes' processor limit and keeps the fold scratch
 // on the stack.
 const maxSegTreeWidth = 64
 

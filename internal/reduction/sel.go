@@ -1,10 +1,6 @@
 package reduction
 
-import (
-	"repro/internal/stats"
-	"repro/internal/trace"
-	"repro/internal/vtime"
-)
+import "repro/internal/trace"
 
 // Selective implements the paper's selective privatization (sel) scheme.
 // An inspector pass classifies each reduction element: elements referenced
@@ -127,96 +123,4 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 	}
 	ex.fanOut(out)
 	return out
-}
-
-// Simulate charges sel's traffic: the inspector pass plus compact-array
-// initialization as Init, remap-indirected accesses during Loop, and the
-// conflicting-subset combine as Merge.
-func (s Selective) Simulate(l *trace.Loop, m *vtime.Machine) stats.Breakdown {
-	procs := m.Procs()
-	remap, numConflict := s.classify(l, procs, nil)
-	refStart := refOffsets(l, procs)
-	var b stats.Breakdown
-
-	// Init, part 1 — the inspector reads every subscript once and writes
-	// the toucher/remap tables. Its output depends only on the access
-	// pattern, so its cost is amortized over the loop's invocations.
-	b.Init = m.ParallelScaled(1/float64(l.InvocationCount()), func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		pos := refStart[p]
-		tbase := vtime.PrivateBase(p) + privTable
-		for i := lo; i < hi; i++ {
-			n := len(l.Iter(i))
-			loadIterRefs(cpu, pos, n)
-			pos += n
-			for _, idx := range l.Iter(i) {
-				cpu.Load(tbase + int64(idx)*4) // toucher entry
-				cpu.Compute(1)
-			}
-		}
-	})
-	// Init, part 2 — per-invocation zeroing of the compact arrays (a
-	// sequential sweep).
-	b.Init += m.Parallel(func(cpu *vtime.CPU) {
-		cbase := vtime.PrivateBase(cpu.ID()) + privArray
-		for c := 0; c < numConflict; c++ {
-			cpu.StreamStore(cbase + int64(c)*8)
-		}
-	})
-
-	// Loop: remap load per reference; conflicting refs go to the private
-	// compact array, exclusive refs to the shared array in place.
-	b.Loop = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		cbase := vtime.PrivateBase(p) + privArray
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		pos := refStart[p]
-		for i := lo; i < hi; i++ {
-			refs := l.Iter(i)
-			cpu.Compute(l.WorkPerIter)
-			loadIterRefs(cpu, pos, len(refs))
-			pos += len(refs)
-			for _, idx := range refs {
-				cpu.Load(sharedRemapBase + int64(idx)*4) // remap table (shared, read-only)
-				// The indirection makes the update a three-deep dependent
-				// load chain (subscript -> remap -> value): the extra
-				// level cannot be overlapped and serializes the update.
-				cpu.Stall(6)
-				var addr int64
-				if c := remap[idx]; c >= 0 {
-					addr = cbase + int64(c)*8
-				} else {
-					addr = sharedWBase + int64(idx)*8
-				}
-				cpu.Load(addr)
-				cpu.Compute(1)
-				cpu.Store(addr)
-			}
-		}
-	})
-
-	// Merge: combine the conflicting subset across processors. The
-	// compact arrays are swept sequentially (overlapping misses); the
-	// shared-array writes scatter (full latency).
-	b.Merge = m.Parallel(func(cpu *vtime.CPU) {
-		p := cpu.ID()
-		lo, hi := blockBounds(numConflict, procs, p)
-		conflictSeen := 0
-		for e := 0; e < l.NumElems && conflictSeen < hi; e++ {
-			c := remap[e]
-			if c < 0 {
-				continue
-			}
-			if int(c) >= lo && int(c) < hi {
-				for q := 0; q < procs; q++ {
-					cpu.StreamLoad(vtime.PrivateBase(q) + privArray + int64(c)*8)
-					cpu.Compute(1)
-				}
-				cpu.Store(sharedWBase + int64(e)*8)
-			}
-			conflictSeen++
-		}
-	})
-	return b
 }

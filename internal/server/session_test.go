@@ -253,6 +253,17 @@ func TestSessionEvictionRace(t *testing.T) {
 		server.Config{MaxSessions: 1})
 	cl := testkit.DialPool(t, d.Addr, client.Config{Conns: 1})
 
+	// The streamer opens before the churner starts: with one resident
+	// slot, an initial open racing the churner can be refused busy, which
+	// is admission working, not the eviction path under test.
+	rng := rand.New(rand.NewSource(9))
+	mirror := mkSessLoop(48, 160, 10)
+	sess, _, err := cl.OpenSession(mirror)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -272,13 +283,6 @@ func TestSessionEvictionRace(t *testing.T) {
 		}
 	}()
 
-	rng := rand.New(rand.NewSource(9))
-	mirror := mkSessLoop(48, 160, 10)
-	sess, _, err := cl.OpenSession(mirror)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
 	reopens := 0
 	for done := false; !done; {
 		select {

@@ -72,6 +72,19 @@ func NewLevel(bytes, assoc, lineBytes int) *Level {
 	return l
 }
 
+// Clone returns an independent copy of the level's contents and
+// replacement order (vtime snapshots a phase with it). A nil level clones
+// to nil.
+func (l *Level) Clone() *Level {
+	if l == nil {
+		return nil
+	}
+	c := *l
+	c.tags = append([]int64(nil), l.tags...)
+	c.states = append([]State(nil), l.states...)
+	return &c
+}
+
 // Lookup returns the line's state without changing replacement order.
 func (l *Level) Lookup(line int64) State {
 	base := l.setBase(line)

@@ -283,10 +283,3 @@ func blockBounds(n, procs, p int) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -15,6 +15,8 @@ package vtime
 
 import (
 	"fmt"
+
+	"repro/internal/simcache"
 )
 
 // Config holds the cost model parameters. Defaults mirror the paper's
@@ -82,89 +84,23 @@ func DefaultConfig() Config {
 	}
 }
 
-// cache is a set-associative LRU cache tracking line tags only.
-type cache struct {
-	sets     int
-	assoc    int
-	lineBits uint
-	tags     []int64 // sets*assoc entries; -1 = invalid; LRU order within set (index 0 = MRU)
+// cache is one set-associative true-LRU tag array: a simcache.Level in
+// which every resident line holds the same (Clean) state.
+type cache struct{ *simcache.Level }
+
+func newCache(bytes, assoc, lineBytes int) cache {
+	return cache{simcache.NewLevel(bytes, assoc, lineBytes)}
 }
 
-func newCache(bytes, assoc, lineBytes int) *cache {
-	if bytes <= 0 || assoc <= 0 || lineBytes <= 0 {
-		panic("vtime: cache geometry must be positive")
-	}
-	lines := bytes / lineBytes
-	sets := lines / assoc
-	if sets < 1 {
-		sets = 1
-	}
-	lineBits := uint(0)
-	for 1<<lineBits < lineBytes {
-		lineBits++
-	}
-	c := &cache{sets: sets, assoc: assoc, lineBits: lineBits, tags: make([]int64, sets*assoc)}
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-	return c
-}
-
-// access looks up the line containing addr, returns whether it hit, and
-// installs the line (LRU replacement) on a miss. evicted is the line
-// address pushed out, or -1.
-func (c *cache) access(line int64) (hit bool, evicted int64) {
-	set := int(line % int64(c.sets))
-	if set < 0 {
-		set += c.sets
-	}
-	base := set * c.assoc
-	ways := c.tags[base : base+c.assoc]
-	for i, t := range ways {
-		if t == line {
-			// Move to MRU position.
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = line
-			return true, -1
-		}
-	}
-	evicted = ways[c.assoc-1]
-	copy(ways[1:], ways[:c.assoc-1])
-	ways[0] = line
-	return false, evicted
-}
-
-// invalidate removes line from the cache if present; reports whether it
-// was held.
-func (c *cache) invalidate(line int64) bool {
-	set := int(line % int64(c.sets))
-	if set < 0 {
-		set += c.sets
-	}
-	base := set * c.assoc
-	ways := c.tags[base : base+c.assoc]
-	for i, t := range ways {
-		if t == line {
-			// Shift the remaining MRU entries up and vacate the LRU slot.
-			copy(ways[i:], ways[i+1:])
-			ways[c.assoc-1] = -1
-			return true
-		}
-	}
-	return false
+// access looks up line, returns whether it hit, and installs it (LRU
+// replacement) on a miss. evicted is the line pushed out, or -1.
+func (c cache) access(line int64) (hit bool, evicted int64) {
+	hit, ev := c.Access(line, simcache.Clean)
+	return hit, ev.Line
 }
 
 // flush invalidates every line and returns how many valid lines were held.
-func (c *cache) flush() int {
-	n := 0
-	for i, t := range c.tags {
-		if t >= 0 {
-			n++
-			c.tags[i] = -1
-		}
-	}
-	return n
-}
+func (c cache) flush() int { return len(c.FlushState(simcache.Clean)) }
 
 // CPU is one virtual processor: a private two-level cache plus a cycle
 // accumulator. Addresses are abstract byte addresses in a flat address
@@ -172,8 +108,8 @@ func (c *cache) flush() int {
 type CPU struct {
 	id     int
 	cfg    *Config
-	l1, l2 *cache
-	tlb    *cache // fully associative, line == page; nil when disabled
+	l1, l2 cache
+	tlb    cache // fully associative, line == page; zero when disabled
 	cycles float64
 
 	loads, stores, l1Misses, l2Misses, tlbMisses int64
@@ -225,7 +161,7 @@ func (c *CPU) memAccess(addr int64, write bool, overlap float64) {
 	line := addr >> c.cfg.lineBits()
 	tracking := c.m != nil && c.m.trackSharing
 
-	if c.tlb != nil {
+	if c.tlb.Level != nil {
 		if hit, _ := c.tlb.access(addr / int64(c.cfg.PageBytes)); !hit {
 			c.tlbMisses++
 			// Page-table walks are dependent loads; they do not overlap
@@ -380,8 +316,8 @@ func (m *Machine) noteWrite(cpu int, line int64) {
 		if other.id == cpu {
 			continue
 		}
-		other.l1.invalidate(line)
-		other.l2.invalidate(line)
+		other.l1.Invalidate(line)
+		other.l2.Invalidate(line)
 	}
 	m.owners[line] = int32(cpu)
 	m.phaseWriters[line] |= 1 << uint(cpu)
@@ -443,7 +379,7 @@ func (m *Machine) ParallelScaled(scale float64, body func(cpu *CPU)) float64 {
 type machineSnapshot struct {
 	cycles      []float64
 	counters    [][5]int64
-	l1, l2, tlb [][]int64
+	l1, l2, tlb []cache
 	owners      map[int64]int32
 }
 
@@ -452,13 +388,9 @@ func (m *Machine) snapshot() machineSnapshot {
 	for _, c := range m.cpus {
 		s.cycles = append(s.cycles, c.cycles)
 		s.counters = append(s.counters, [5]int64{c.loads, c.stores, c.l1Misses, c.l2Misses, c.tlbMisses})
-		s.l1 = append(s.l1, append([]int64(nil), c.l1.tags...))
-		s.l2 = append(s.l2, append([]int64(nil), c.l2.tags...))
-		if c.tlb != nil {
-			s.tlb = append(s.tlb, append([]int64(nil), c.tlb.tags...))
-		} else {
-			s.tlb = append(s.tlb, nil)
-		}
+		s.l1 = append(s.l1, cache{c.l1.Clone()})
+		s.l2 = append(s.l2, cache{c.l2.Clone()})
+		s.tlb = append(s.tlb, cache{c.tlb.Clone()})
 	}
 	for k, v := range m.owners {
 		s.owners[k] = v
@@ -471,11 +403,7 @@ func (m *Machine) restore(s machineSnapshot) {
 		c.cycles = s.cycles[i]
 		c.loads, c.stores, c.l1Misses, c.l2Misses, c.tlbMisses =
 			s.counters[i][0], s.counters[i][1], s.counters[i][2], s.counters[i][3], s.counters[i][4]
-		copy(c.l1.tags, s.l1[i])
-		copy(c.l2.tags, s.l2[i])
-		if c.tlb != nil {
-			copy(c.tlb.tags, s.tlb[i])
-		}
+		c.l1, c.l2, c.tlb = s.l1[i], s.l2[i], s.tlb[i]
 	}
 	m.owners = s.owners
 }

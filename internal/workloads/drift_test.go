@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/adapt"
+	"repro/internal/core"
 	"repro/internal/pattern"
-	"repro/internal/vtime"
 )
 
 // TestDriftStreamFingerprintStable pins the property the engine's
@@ -53,7 +53,7 @@ func TestDriftStreamDeterministic(t *testing.T) {
 // stale in phase 1.
 func TestDriftStreamPhasesCrossRecommendationBoundary(t *testing.T) {
 	ds := NewDriftStream(2, 2, 4, 1.4, 1, 3)
-	cache := vtime.DefaultConfig().L2Bytes
+	cache := core.DefaultPlatform(8).Cfg.L2Bytes
 	for k := 0; k < 2; k++ {
 		sparse := pattern.Characterize(ds.Phases[0][k], 8, cache)
 		dense := pattern.Characterize(ds.Phases[1][k], 8, cache)

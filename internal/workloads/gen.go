@@ -5,8 +5,8 @@
 // depend on is each loop's reduction reference pattern, which the paper
 // publishes in full (Figure 3's MO/DIM/SP/CON/CHR columns and Table 2's
 // per-loop characteristics). The generators here reproduce those published
-// characteristics deterministically (seeded), which is the substitution
-// recorded in DESIGN.md.
+// characteristics deterministically (seeded) — the substitution this
+// reproduction makes for the original inputs.
 package workloads
 
 import (
