@@ -66,11 +66,14 @@ loadtest-gateway:
 
 # docs-check validates the documentation suite: every relative markdown
 # link under README.md and docs/ resolves to a real file/anchorless
-# target, and every exported identifier in the network-facing packages
-# carries a doc comment (CI runs this as the docs job).
+# target, every exported identifier in the network-facing packages
+# carries a doc comment, and the metrics reference in docs/OPERATIONS.md
+# lists exactly the series a /metrics page declares (CI runs this as the
+# docs job).
 docs-check:
 	$(GO) run ./cmd/doccheck ./internal/wire ./internal/client ./internal/server ./internal/cluster ./internal/obs ./internal/metrics
 	./scripts/md_links.sh
+	$(GO) test -count=1 -run '^TestSeriesDocs$$' ./internal/metrics
 
 # fuzz runs the two fuzz targets for 10s each under the race detector,
 # starting from their checked-in seed corpora (testdata/fuzz): corrupt or

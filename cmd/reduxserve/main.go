@@ -154,31 +154,35 @@ type report struct {
 	LatP95Ns     int64             `json:"latency_p95_ns"`
 	LatP99Ns     int64             `json:"latency_p99_ns"`
 	LatMaxNs     int64             `json:"latency_max_ns"`
-	Batches      uint64            `json:"batches"`
-	Coalesced    uint64            `json:"coalesced"`
 	JobsPerBatch float64           `json:"jobs_per_batch"`
 	Occupancy    []uint64          `json:"batch_occupancy"`
-	CacheHits    uint64            `json:"cache_hits"`
-	CacheMisses  uint64            `json:"cache_misses"`
-	CacheEntries int               `json:"cache_entries"`
-	CacheEvicts  uint64            `json:"cache_evictions"`
-	Recals       uint64            `json:"recalibrations"`
-	Switches     uint64            `json:"scheme_switches"`
-	SimpBatches  uint64            `json:"simplified_batches"`
-	SimpFalls    uint64            `json:"simplify_fallbacks"`
-	SegsComputed uint64            `json:"segments_computed"`
-	SegsReused   uint64            `json:"segments_reused"`
 	Sessions     int               `json:"sessions,omitempty"`
-	SessOpens    uint64            `json:"session_opens,omitempty"`
-	SessJobs     uint64            `json:"session_jobs,omitempty"`
-	SessComputed uint64            `json:"session_segments_computed,omitempty"`
-	SessReused   uint64            `json:"session_segments_reused,omitempty"`
 	ShadowChecks int64             `json:"shadow_checks,omitempty"`
 	AllocPerJob  float64           `json:"client_alloc_bytes_per_job"`
 	Imbalance    float64           `json:"mean_imbalance"`
 	ImbalanceN   int64             `json:"imbalance_jobs"`
 	Schemes      map[string]uint64 `json:"schemes"`
 	Tenants      []tenantReport    `json:"tenants,omitempty"`
+	// Engine is what the engine's counters accumulated over the measured
+	// phase. Its scalars are marshalled flat into the report, each under
+	// the key its engine.StatsFields row declares.
+	Engine engine.Stats `json:"-"`
+}
+
+// MarshalJSON emits the report's own fields followed by every engine
+// counter of the stats schema.
+func (r report) MarshalJSON() ([]byte, error) {
+	type fields report // the same struct without this method
+	b, err := json.Marshal(fields(r))
+	if err != nil {
+		return nil, err
+	}
+	b = b[:len(b)-1] // reopen the object
+	for i := range engine.StatsFields {
+		f := &engine.StatsFields[i]
+		b = fmt.Appendf(b, ",%q:%d", f.Key, f.Get(&r.Engine))
+	}
+	return append(b, '}'), nil
 }
 
 // tenantReport is one tenant's slice of a -tenants run: what the driver
@@ -620,7 +624,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stats:", err)
 		os.Exit(1)
 	}
-	s := statsDelta(now, warm)
+	s := now.Sub(warm)
 	if snap := latHist.Snapshot(); snap.Count > 0 {
 		rep.LatP50Ns = int64(snap.Quantile(0.50))
 		rep.LatP95Ns = int64(snap.Quantile(0.95))
@@ -628,26 +632,11 @@ func main() {
 		rep.LatMaxNs = int64(snap.MaxNs)
 	}
 	rep.JobsPerSec = float64(*jobs) / (float64(rep.ElapsedNs) / 1e9)
-	rep.Batches = s.Batches
-	rep.Coalesced = s.Coalesced
+	rep.Engine = s
 	if s.Batches > 0 {
 		rep.JobsPerBatch = float64(s.Jobs) / float64(s.Batches)
 	}
 	rep.Occupancy = s.BatchOccupancy
-	rep.CacheHits = s.CacheHits
-	rep.CacheMisses = s.CacheMisses
-	rep.CacheEntries = s.CacheEntries
-	rep.CacheEvicts = s.CacheEvictions
-	rep.Recals = s.Recalibrations
-	rep.Switches = s.SchemeSwitches
-	rep.SimpBatches = s.SimplifiedBatches
-	rep.SimpFalls = s.SimplifyFallbacks
-	rep.SegsComputed = s.SegsComputed
-	rep.SegsReused = s.SegsReused
-	rep.SessOpens = s.SessionOpens
-	rep.SessJobs = s.SessionJobs
-	rep.SessComputed = s.SessionSegsComputed
-	rep.SessReused = s.SessionSegsReused
 	rep.ShadowChecks = shadowChecks.Load()
 	rep.AllocPerJob = float64(after.TotalAlloc-before.TotalAlloc) / float64(*jobs)
 	if n := imbalanceN.Load(); n > 0 {
@@ -707,7 +696,11 @@ const (
 // reason on any failure.
 func runSession(be backend, id, steps int, scale float64, verify bool, latHist *obs.Histogram, shadowChecks *atomic.Int64) bool {
 	ds := workloads.NewDeltaStream(steps, sessionDeltaBatch, scale, int64(1000+id))
-	sess, res, err := openSessionWithBusyRetry(be, ds.Base)
+	var sess sessionHandle
+	res, err := withBusyRetry(func() (res engine.Result, err error) {
+		sess, res, err = be.OpenSession(ds.Base)
+		return res, err
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "session %d: open: %v\n", id, err)
 		return false
@@ -721,7 +714,7 @@ func runSession(be backend, id, steps int, scale float64, verify bool, latHist *
 	dst := res.Values
 	for i, batch := range ds.Batches {
 		t0 := time.Now()
-		r, err := applyWithBusyRetry(sess, batch, dst)
+		r, err := withBusyRetry(func() (engine.Result, error) { return sess.Apply(batch, dst) })
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "session %d: delta %d: %v\n", id, i+1, err)
 			return false
@@ -742,33 +735,6 @@ func runSession(be backend, id, steps int, scale float64, verify bool, latHist *
 		return false
 	}
 	return true
-}
-
-// openSessionWithBusyRetry and applyWithBusyRetry are the session-mode
-// analogues of submitWithBusyRetry: BUSY (including the session budget)
-// is pacing, not failure.
-func openSessionWithBusyRetry(be backend, l *trace.Loop) (sessionHandle, engine.Result, error) {
-	sess, res, err := be.OpenSession(l)
-	for backoff := time.Millisecond; errors.Is(err, client.ErrBusy); {
-		time.Sleep(backoff)
-		if backoff < 64*time.Millisecond {
-			backoff *= 2
-		}
-		sess, res, err = be.OpenSession(l)
-	}
-	return sess, res, err
-}
-
-func applyWithBusyRetry(sess sessionHandle, deltas []reduction.RefDelta, dst []float64) (engine.Result, error) {
-	res, err := sess.Apply(deltas, dst)
-	for backoff := time.Millisecond; errors.Is(err, client.ErrBusy); {
-		time.Sleep(backoff)
-		if backoff < 64*time.Millisecond {
-			backoff *= 2
-		}
-		res, err = sess.Apply(deltas, dst)
-	}
-	return res, err
 }
 
 // startGatewayStack boots n reduxd-shaped backends (each its own engine
@@ -835,20 +801,25 @@ func startGatewayStack(n int, ecfg engine.Config) (string, func(), error) {
 	return gln.Addr().String(), stop, nil
 }
 
-// submitWithBusyRetry is SubmitInto with exponential backoff on BUSY:
-// the server's admission control is pacing, not failure, so the load
-// generator resubmits instead of dying. Only remote backends ever return
-// ErrBusy.
-func submitWithBusyRetry(be backend, l *trace.Loop, dst []float64) (engine.Result, error) {
-	res, err := be.SubmitInto(l, dst)
+// withBusyRetry runs call with exponential backoff on BUSY: the server's
+// admission control (the session budget included) is pacing, not
+// failure, so the load generator retries instead of dying. Only remote
+// backends ever return ErrBusy.
+func withBusyRetry[T any](call func() (T, error)) (T, error) {
+	v, err := call()
 	for backoff := time.Millisecond; errors.Is(err, client.ErrBusy); {
 		time.Sleep(backoff)
 		if backoff < 64*time.Millisecond {
 			backoff *= 2
 		}
-		res, err = be.SubmitInto(l, dst)
+		v, err = call()
 	}
-	return res, err
+	return v, err
+}
+
+// submitWithBusyRetry is SubmitInto under withBusyRetry.
+func submitWithBusyRetry(be backend, l *trace.Loop, dst []float64) (engine.Result, error) {
+	return withBusyRetry(func() (engine.Result, error) { return be.SubmitInto(l, dst) })
 }
 
 // printHuman renders the report in the traditional text form.
@@ -860,8 +831,9 @@ func printHuman(rep report) {
 		time.Duration(rep.LatP95Ns).Round(time.Microsecond),
 		time.Duration(rep.LatP99Ns).Round(time.Microsecond),
 		time.Duration(rep.LatMaxNs).Round(time.Microsecond))
+	e := rep.Engine
 	fmt.Printf("batches: %d executed for %d jobs (%.2f jobs/batch, %d coalesced)\n",
-		rep.Batches, rep.Jobs, rep.JobsPerBatch, rep.Coalesced)
+		e.Batches, rep.Jobs, rep.JobsPerBatch, e.Coalesced)
 	fmt.Print("batch occupancy:")
 	for size, count := range rep.Occupancy {
 		if count > 0 {
@@ -870,18 +842,18 @@ func printHuman(rep report) {
 	}
 	fmt.Println()
 	fmt.Printf("decision cache: %d entries (%d evictions), %d hits / %d misses (%.1f%% hit rate)\n",
-		rep.CacheEntries, rep.CacheEvicts, rep.CacheHits, rep.CacheMisses,
-		100*float64(rep.CacheHits)/float64(rep.CacheHits+rep.CacheMisses))
-	if rep.Recals > 0 || rep.Switches > 0 {
-		fmt.Printf("recalibration: %d re-inspections, %d scheme switches\n", rep.Recals, rep.Switches)
+		e.CacheEntries, e.CacheEvictions, e.CacheHits, e.CacheMisses,
+		100*float64(e.CacheHits)/float64(e.CacheHits+e.CacheMisses))
+	if e.Recalibrations > 0 || e.SchemeSwitches > 0 {
+		fmt.Printf("recalibration: %d re-inspections, %d scheme switches\n", e.Recalibrations, e.SchemeSwitches)
 	}
 	if rep.Sessions > 0 {
 		fmt.Printf("sessions: %d opened, %d delta batches, segments %d recomputed / %d reused, %d shadow checks\n",
-			rep.SessOpens, rep.SessJobs, rep.SessComputed, rep.SessReused, rep.ShadowChecks)
+			e.SessionOpens, e.SessionJobs, e.SessionSegsComputed, e.SessionSegsReused, rep.ShadowChecks)
 	}
-	if rep.SimpBatches > 0 || rep.SimpFalls > 0 {
+	if e.SimplifiedBatches > 0 || e.SimplifyFallbacks > 0 {
 		fmt.Printf("simplification: %d batches (%d declined), segments %d computed / %d reused\n",
-			rep.SimpBatches, rep.SimpFalls, rep.SegsComputed, rep.SegsReused)
+			e.SimplifiedBatches, e.SimplifyFallbacks, e.SegsComputed, e.SegsReused)
 	}
 	fmt.Printf("alloc: %.1f KB/job client-side\n", rep.AllocPerJob/1024)
 	if rep.ImbalanceN > 0 {
@@ -920,64 +892,6 @@ func tenantShares(specs []server.TenantSpec, total int) []int {
 		prev = end
 	}
 	return out
-}
-
-// statsDelta returns the counters accumulated since the warm snapshot.
-// CacheEntries stays absolute (it is a residency count, not a counter).
-func statsDelta(now, warm engine.Stats) engine.Stats {
-	d := engine.Stats{
-		Jobs:           now.Jobs - warm.Jobs,
-		CacheHits:      now.CacheHits - warm.CacheHits,
-		CacheMisses:    now.CacheMisses - warm.CacheMisses,
-		Batches:        now.Batches - warm.Batches,
-		Coalesced:      now.Coalesced - warm.Coalesced,
-		CacheEntries:   now.CacheEntries,
-		CacheEvictions: now.CacheEvictions - warm.CacheEvictions,
-		Recalibrations: now.Recalibrations - warm.Recalibrations,
-		SchemeSwitches: now.SchemeSwitches - warm.SchemeSwitches,
-
-		SimplifiedBatches: now.SimplifiedBatches - warm.SimplifiedBatches,
-		SimplifyFallbacks: now.SimplifyFallbacks - warm.SimplifyFallbacks,
-		SegsComputed:      now.SegsComputed - warm.SegsComputed,
-		SegsReused:        now.SegsReused - warm.SegsReused,
-
-		SessionOpens:        now.SessionOpens - warm.SessionOpens,
-		SessionJobs:         now.SessionJobs - warm.SessionJobs,
-		SessionSegsComputed: now.SessionSegsComputed - warm.SessionSegsComputed,
-		SessionSegsReused:   now.SessionSegsReused - warm.SessionSegsReused,
-		Schemes:             make(map[string]uint64),
-		BatchOccupancy:      make([]uint64, len(now.BatchOccupancy)),
-	}
-	for k, v := range now.Schemes {
-		if v -= warm.Schemes[k]; v > 0 {
-			d.Schemes[k] = v
-		}
-	}
-	// Per-tenant rows: counters delta against the warm row of the same
-	// name; Weight is a gauge and QueueWait an absolute snapshot, both
-	// carried as-is.
-	if len(now.Tenants) > 0 {
-		warmRows := make(map[string]engine.TenantStats, len(warm.Tenants))
-		for _, row := range warm.Tenants {
-			warmRows[row.Name] = row
-		}
-		for _, row := range now.Tenants {
-			w := warmRows[row.Name]
-			row.Jobs -= w.Jobs
-			row.Batches -= w.Batches
-			row.Busy -= w.Busy
-			row.Recalibrations -= w.Recalibrations
-			row.SchemeSwitches -= w.SchemeSwitches
-			d.Tenants = append(d.Tenants, row)
-		}
-	}
-	for k, v := range now.BatchOccupancy {
-		if k < len(warm.BatchOccupancy) {
-			v -= warm.BatchOccupancy[k]
-		}
-		d.BatchOccupancy[k] = v
-	}
-	return d
 }
 
 func matches(got, want []float64) bool {

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -394,6 +395,22 @@ type PoolStats struct {
 	// Exhausted counts jobs that ran out of backends entirely and were
 	// surfaced to the client as BUSY(BusyUpstream).
 	Exhausted uint64
+}
+
+// PoolStatsFields is the schema of PoolStats' scalars, one row each, in
+// /metrics page order (see engine.StatsFields; these rows never travel,
+// so they carry no wire position).
+var PoolStatsFields = []obs.Field[PoolStats]{
+	{Series: "redux_cluster_rerouted_total", Help: "Jobs re-placed after their backend's connection died.",
+		U64: func(s *PoolStats) *uint64 { return &s.Rerouted }},
+	{Series: "redux_cluster_timedout_total", Help: "Jobs re-placed after a backend sat silent past the leg timeout.",
+		U64: func(s *PoolStats) *uint64 { return &s.TimedOut }},
+	{Series: "redux_cluster_busy_retries_total", Help: "Same-backend resubmissions after BUSY answers.",
+		U64: func(s *PoolStats) *uint64 { return &s.BusyRetries }},
+	{Series: "redux_cluster_busy_spills_total", Help: "Jobs that left their affinity backend after the BUSY retry budget.",
+		U64: func(s *PoolStats) *uint64 { return &s.BusySpills }},
+	{Series: "redux_cluster_exhausted_total", Help: "Jobs that ran out of backends (answered BUSY upstream).",
+		U64: func(s *PoolStats) *uint64 { return &s.Exhausted }},
 }
 
 // PoolStats snapshots the routing counters.

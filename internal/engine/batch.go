@@ -186,8 +186,8 @@ func (e *Engine) runBatch(w *workerCtx, b *batch) {
 			w.stats.stages.Observe(obs.StageQueueWait, qw)
 			t.queueWait.Observe(qw)
 		}
-		t.jobs.Add(1)
-		t.batches.Add(1)
+		t.n[tenantJobs].Add(1)
+		t.n[tenantBatches].Add(1)
 		e.runSession(w, b.sess, qw)
 		return
 	}
@@ -207,8 +207,8 @@ func (e *Engine) runBatch(w *workerCtx, b *batch) {
 		w.stats.stages.Observe(obs.StageQueueWait, qw)
 		t.queueWait.Observe(qw)
 	}
-	t.jobs.Add(uint64(len(jobs) + len(ov)))
-	t.batches.Add(1)
+	t.n[tenantJobs].Add(uint64(len(jobs) + len(ov)))
+	t.n[tenantBatches].Add(1)
 	lookupStart := time.Now()
 	entry, hit := e.lookup(l, b.fp)
 	var insp time.Duration
@@ -223,9 +223,9 @@ func (e *Engine) runBatch(w *workerCtx, b *batch) {
 	if e.recalEnabled() {
 		if reinspected, switched := e.maybeReinspect(entry, l); reinspected {
 			w.stats.recordRecal(switched)
-			t.recals.Add(1)
+			t.n[tenantRecalibrations].Add(1)
 			if switched {
-				t.switches.Add(1)
+				t.n[tenantSchemeSwitches].Add(1)
 			}
 		}
 	}

@@ -227,13 +227,14 @@ func (e *Engine) finishSimplified(w *workerCtx, entry *cacheEntry, hit bool, job
 	for gi, g := range ovGroups {
 		fan(g, dsts[gi+1])
 	}
+	// Account the batch before waking anyone: a client that reads Stats
+	// right after its result must find its own job counted.
+	w.stats.record("simplify", res.BatchSize, hit)
+	w.stats.recordSimplify(true, st.Computed, st.Reused)
 	send(jobs)
 	for _, g := range ovGroups {
 		send(g)
 	}
-
-	w.stats.record("simplify", res.BatchSize, hit)
-	w.stats.recordSimplify(true, st.Computed, st.Reused)
 }
 
 // releaseSeg returns the entry's segment-cache claim. A successful

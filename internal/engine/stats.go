@@ -80,44 +80,113 @@ type TenantStats struct {
 	QueueWait obs.Snapshot
 }
 
-// merge folds o into t (same tenant name on another backend).
-func (t *TenantStats) merge(o TenantStats) {
-	if t.Weight == 0 {
-		t.Weight = o.Weight
+// The positional groups of the STATS frame, as Field.Group of a schema
+// row: the base run every frame carries, then the optional trailing
+// tails in the order they joined the protocol (the stage histograms sit
+// between the simplify and session tails), and last the scalars of one
+// row of the tenant tail (TenantFields). The runs are complete as
+// recorded — a peer reads them positionally, so none can grow; a row
+// added later leaves Group zero and stays off the wire.
+const (
+	WireBase uint8 = iota + 1
+	WireRecal
+	WireSimplify
+	WireSession
+	WireTenant
+)
+
+// StatsFields is the schema of Stats' scalars, one row each, in /metrics
+// page order. Adding a counter is a struct field, a row here and its
+// increment site; the snapshot, Merge, Sub, the STATS codec, /metrics
+// and reduxserve's report all loop over this table.
+var StatsFields = []obs.Field[Stats]{
+	{Series: "redux_engine_jobs_total", Help: "Reduction jobs executed.",
+		Key: "engine_jobs", Group: WireBase, Slot: 0, U64: func(s *Stats) *uint64 { return &s.Jobs }},
+	{Series: "redux_engine_cache_hits_total", Help: "Scheme decisions served from the pattern cache.",
+		Key: "cache_hits", Group: WireBase, Slot: 1, U64: func(s *Stats) *uint64 { return &s.CacheHits }},
+	{Series: "redux_engine_cache_misses_total", Help: "Scheme decisions that required a fresh inspection.",
+		Key: "cache_misses", Group: WireBase, Slot: 2, U64: func(s *Stats) *uint64 { return &s.CacheMisses }},
+	{Series: "redux_engine_batches_total", Help: "Batch executions (fused jobs share one).",
+		Key: "batches", Group: WireBase, Slot: 3, U64: func(s *Stats) *uint64 { return &s.Batches }},
+	{Series: "redux_engine_coalesced_jobs_total", Help: "Jobs that rode another job's execution.",
+		Key: "coalesced", Group: WireBase, Slot: 4, U64: func(s *Stats) *uint64 { return &s.Coalesced }},
+	{Series: "redux_engine_cache_evictions_total", Help: "Pattern cache CLOCK evictions.",
+		Key: "cache_evictions", Group: WireBase, Slot: 6, U64: func(s *Stats) *uint64 { return &s.CacheEvictions }},
+	{Series: "redux_engine_recalibrations_total", Help: "Stale-entry re-inspections through the decision algorithm.",
+		Key: "recalibrations", Group: WireRecal, Slot: 0, U64: func(s *Stats) *uint64 { return &s.Recalibrations }},
+	{Series: "redux_engine_scheme_switches_total", Help: "Recalibrations that replaced a cached scheme.",
+		Key: "scheme_switches", Group: WireRecal, Slot: 1, U64: func(s *Stats) *uint64 { return &s.SchemeSwitches }},
+	{Series: "redux_engine_simplified_batches_total", Help: "Batches executed through the simplified segment plan.",
+		Key: "simplified_batches", Group: WireSimplify, Slot: 0, U64: func(s *Stats) *uint64 { return &s.SimplifiedBatches }},
+	{Series: "redux_engine_simplify_fallbacks_total", Help: "Segment analyses that fell back to the direct path.",
+		Key: "simplify_fallbacks", Group: WireSimplify, Slot: 1, U64: func(s *Stats) *uint64 { return &s.SimplifyFallbacks }},
+	{Series: "redux_engine_segments_computed_total", Help: "Segment partial sums accumulated fresh.",
+		Key: "segments_computed", Group: WireSimplify, Slot: 2, U64: func(s *Stats) *uint64 { return &s.SegsComputed }},
+	{Series: "redux_engine_segments_reused_total", Help: "Segment partial sums served from an entry's segment cache.",
+		Key: "segments_reused", Group: WireSimplify, Slot: 3, U64: func(s *Stats) *uint64 { return &s.SegsReused }},
+	{Series: "redux_engine_session_opens_total", Help: "Streaming sessions registered.",
+		Key: "session_opens", Group: WireSession, Slot: 0, U64: func(s *Stats) *uint64 { return &s.SessionOpens }},
+	{Series: "redux_engine_session_jobs_total", Help: "Delta batches applied through streaming sessions.",
+		Key: "session_jobs", Group: WireSession, Slot: 1, U64: func(s *Stats) *uint64 { return &s.SessionJobs }},
+	{Series: "redux_engine_session_segments_computed_total", Help: "Session segments recomputed because a delta touched them.",
+		Key: "session_segments_computed", Group: WireSession, Slot: 2, U64: func(s *Stats) *uint64 { return &s.SessionSegsComputed }},
+	{Series: "redux_engine_session_segments_reused_total", Help: "Session segments reused intact across a delta apply.",
+		Key: "session_segments_reused", Group: WireSession, Slot: 3, U64: func(s *Stats) *uint64 { return &s.SessionSegsReused }},
+	{Kind: obs.Gauge, Series: "redux_engine_cache_entries", Help: "Distinct pattern signatures currently cached.",
+		Key: "cache_entries", Group: WireBase, Slot: 5, Int: func(s *Stats) *int { return &s.CacheEntries }},
+}
+
+// Row constants of TenantFields; they index a tenantRT's counters.
+const (
+	tenantJobs = iota
+	tenantBatches
+	tenantBusy
+	tenantRecalibrations
+	tenantSchemeSwitches
+	tenantWeight
+	numTenantFields
+)
+
+// TenantFields is the schema of TenantStats' scalars, in /metrics page
+// order; each row renders one sample per tenant, labelled tenant=Name.
+var TenantFields = []obs.Field[TenantStats]{
+	tenantJobs: {Series: "redux_engine_tenant_jobs_total", Help: "Reduction jobs executed per tenant.",
+		Group: WireTenant, Slot: 1, U64: func(t *TenantStats) *uint64 { return &t.Jobs }},
+	tenantBatches: {Series: "redux_engine_tenant_batches_total", Help: "Batch executions per tenant.",
+		Group: WireTenant, Slot: 2, U64: func(t *TenantStats) *uint64 { return &t.Batches }},
+	tenantBusy: {Series: "redux_engine_tenant_busy_total", Help: "Jobs rejected by the tenant's admission quotas (BUSY tenant answers).",
+		Group: WireTenant, Slot: 3, U64: func(t *TenantStats) *uint64 { return &t.Busy }},
+	tenantRecalibrations: {Series: "redux_engine_tenant_recalibrations_total", Help: "Stale-entry re-inspections triggered by the tenant's batches.",
+		Group: WireTenant, Slot: 4, U64: func(t *TenantStats) *uint64 { return &t.Recalibrations }},
+	tenantSchemeSwitches: {Series: "redux_engine_tenant_scheme_switches_total", Help: "Recalibrations by the tenant's batches that replaced a cached scheme.",
+		Group: WireTenant, Slot: 5, U64: func(t *TenantStats) *uint64 { return &t.SchemeSwitches }},
+	tenantWeight: {Kind: obs.Setting, Series: "redux_engine_tenant_weight", Help: "Configured DRR scheduling weight per tenant.",
+		Group: WireTenant, Slot: 0, Int: func(t *TenantStats) *int { return &t.Weight }},
+}
+
+// tenant returns s's row for the named tenant, appending a zero row the
+// first time a name is seen.
+func (s *Stats) tenant(name string) *TenantStats {
+	for i := range s.Tenants {
+		if s.Tenants[i].Name == name {
+			return &s.Tenants[i]
+		}
 	}
-	t.Jobs += o.Jobs
-	t.Batches += o.Batches
-	t.Busy += o.Busy
-	t.Recalibrations += o.Recalibrations
-	t.SchemeSwitches += o.SchemeSwitches
-	t.QueueWait.Merge(o.QueueWait)
+	s.Tenants = append(s.Tenants, TenantStats{Name: name})
+	return &s.Tenants[len(s.Tenants)-1]
 }
 
 // Merge adds o's counters into s — how a gateway aggregates the STATS
-// snapshots of many backends into one cluster-wide answer. Counters and
-// scheme counts sum; the occupancy histogram sums element-wise (growing
-// to the longer histogram); CacheEntries sums too, so with pattern
-// affinity intact the total equals the distinct-pattern count across the
-// tier, and exceeds it exactly when a pattern was characterized on more
-// than one backend (affinity broke).
+// snapshots of many backends into one cluster-wide answer. Scalars
+// combine by their StatsFields kind: counters sum, and so does
+// CacheEntries, so with pattern affinity intact the total equals the
+// distinct-pattern count across the tier, and exceeds it exactly when a
+// pattern was characterized on more than one backend (affinity broke).
+// Scheme counts sum; the occupancy histogram sums element-wise (growing
+// to the longer histogram); stages and tenant rows merge by name. s
+// never keeps a reference into o's storage.
 func (s *Stats) Merge(o Stats) {
-	s.Jobs += o.Jobs
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.Batches += o.Batches
-	s.Coalesced += o.Coalesced
-	s.CacheEntries += o.CacheEntries
-	s.CacheEvictions += o.CacheEvictions
-	s.Recalibrations += o.Recalibrations
-	s.SchemeSwitches += o.SchemeSwitches
-	s.SimplifiedBatches += o.SimplifiedBatches
-	s.SimplifyFallbacks += o.SimplifyFallbacks
-	s.SegsComputed += o.SegsComputed
-	s.SegsReused += o.SegsReused
-	s.SessionOpens += o.SessionOpens
-	s.SessionJobs += o.SessionJobs
-	s.SessionSegsComputed += o.SessionSegsComputed
-	s.SessionSegsReused += o.SessionSegsReused
+	obs.MergeFields(StatsFields, s, &o)
 	if len(o.BatchOccupancy) > len(s.BatchOccupancy) {
 		grown := make([]uint64, len(o.BatchOccupancy))
 		copy(grown, s.BatchOccupancy)
@@ -133,19 +202,43 @@ func (s *Stats) Merge(o Stats) {
 		s.Schemes[k] += v
 	}
 	s.Stages = obs.MergeStageSummaries(s.Stages, o.Stages)
-	for _, ot := range o.Tenants {
-		merged := false
-		for i := range s.Tenants {
-			if s.Tenants[i].Name == ot.Name {
-				s.Tenants[i].merge(ot)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			s.Tenants = append(s.Tenants, ot)
+	for i := range o.Tenants {
+		ot := &o.Tenants[i]
+		t := s.tenant(ot.Name)
+		obs.MergeFields(TenantFields, t, ot)
+		t.QueueWait.Merge(ot.QueueWait)
+	}
+}
+
+// Sub returns what s accumulated since the earlier snapshot old of the
+// same engine (or tier): counters, scheme counts, occupancy buckets and
+// each tenant row's counters are differences; gauges, settings and the
+// latency histograms (Stages, a tenant's QueueWait) are s's own, being
+// levels rather than totals. Schemes that did not move are dropped.
+func (s Stats) Sub(old Stats) Stats {
+	d := s
+	obs.SubFields(StatsFields, &d, &old)
+	d.Schemes = make(map[string]uint64)
+	for k, v := range s.Schemes {
+		if v -= old.Schemes[k]; v > 0 {
+			d.Schemes[k] = v
 		}
 	}
+	d.BatchOccupancy = append([]uint64(nil), s.BatchOccupancy...)
+	for k := range d.BatchOccupancy {
+		if k < len(old.BatchOccupancy) {
+			d.BatchOccupancy[k] -= old.BatchOccupancy[k]
+		}
+	}
+	d.Tenants = append([]TenantStats(nil), s.Tenants...)
+	for i := range d.Tenants {
+		for j := range old.Tenants {
+			if old.Tenants[j].Name == d.Tenants[i].Name {
+				obs.SubFields(TenantFields, &d.Tenants[i], &old.Tenants[j])
+			}
+		}
+	}
+	return d
 }
 
 // statShard is one worker's private counters. Every worker owns exactly
@@ -154,24 +247,13 @@ func (s *Stats) Merge(o Stats) {
 // single-queue engine serialized every job through. Stats() takes each
 // shard's mutex briefly to read a consistent snapshot.
 type statShard struct {
-	mu        sync.Mutex
-	jobs      uint64
-	hits      uint64
-	misses    uint64
-	batches   uint64
-	coalesced uint64
-	recals    uint64
-	switches  uint64
-	simp      uint64
-	simpFalls uint64
-	segsComp  uint64
-	segsReuse uint64
-	sessOpens uint64
-	sessJobs  uint64
-	sessComp  uint64
-	sessReuse uint64
-	schemes   map[string]uint64
-	occ       []uint64
+	mu sync.Mutex
+	// c holds the shard's scalar counters in the snapshot's own fields
+	// (the two the cache owns stay zero here; the non-scalar fields are
+	// unused — schemes and occ below are the shard's).
+	c       Stats
+	schemes map[string]uint64
+	occ     []uint64
 	// stages holds the shard's stage-latency histograms. It lives outside
 	// the mutex: the owning worker records through lock-free atomics and
 	// Stats() reads racy-but-consistent-enough snapshots, so instrumenting
@@ -193,15 +275,15 @@ func newStatShards(workers, maxBatch int) []statShard {
 // decision, so they count as hits.
 func (s *statShard) record(scheme string, n int, hit bool) {
 	s.mu.Lock()
-	s.jobs += uint64(n)
-	s.batches++
-	s.coalesced += uint64(n - 1)
+	s.c.Jobs += uint64(n)
+	s.c.Batches++
+	s.c.Coalesced += uint64(n - 1)
 	if hit {
-		s.hits++
+		s.c.CacheHits++
 	} else {
-		s.misses++
+		s.c.CacheMisses++
 	}
-	s.hits += uint64(n - 1)
+	s.c.CacheHits += uint64(n - 1)
 	s.schemes[scheme] += uint64(n)
 	bucket := n
 	if bucket >= len(s.occ) {
@@ -217,11 +299,11 @@ func (s *statShard) record(scheme string, n int, hit bool) {
 func (s *statShard) recordSimplify(executed bool, computed, reused int) {
 	s.mu.Lock()
 	if executed {
-		s.simp++
-		s.segsComp += uint64(computed)
-		s.segsReuse += uint64(reused)
+		s.c.SimplifiedBatches++
+		s.c.SegsComputed += uint64(computed)
+		s.c.SegsReused += uint64(reused)
 	} else {
-		s.simpFalls++
+		s.c.SimplifyFallbacks++
 	}
 	s.mu.Unlock()
 }
@@ -234,12 +316,12 @@ func (s *statShard) recordSimplify(executed bool, computed, reused int) {
 func (s *statShard) recordSession(open bool, computed, reused int) {
 	s.mu.Lock()
 	if open {
-		s.sessOpens++
+		s.c.SessionOpens++
 	} else {
-		s.sessJobs++
+		s.c.SessionJobs++
 	}
-	s.sessComp += uint64(computed)
-	s.sessReuse += uint64(reused)
+	s.c.SessionSegsComputed += uint64(computed)
+	s.c.SessionSegsReused += uint64(reused)
 	s.mu.Unlock()
 }
 
@@ -247,9 +329,9 @@ func (s *statShard) recordSession(open bool, computed, reused int) {
 // switched the entry's scheme.
 func (s *statShard) recordRecal(switched bool) {
 	s.mu.Lock()
-	s.recals++
+	s.c.Recalibrations++
 	if switched {
-		s.switches++
+		s.c.SchemeSwitches++
 	}
 	s.mu.Unlock()
 }
@@ -260,21 +342,7 @@ func (e *Engine) Stats() Stats {
 	for i := range e.statShards {
 		sh := &e.statShards[i]
 		sh.mu.Lock()
-		s.Jobs += sh.jobs
-		s.CacheHits += sh.hits
-		s.CacheMisses += sh.misses
-		s.Batches += sh.batches
-		s.Coalesced += sh.coalesced
-		s.Recalibrations += sh.recals
-		s.SchemeSwitches += sh.switches
-		s.SimplifiedBatches += sh.simp
-		s.SimplifyFallbacks += sh.simpFalls
-		s.SegsComputed += sh.segsComp
-		s.SegsReused += sh.segsReuse
-		s.SessionOpens += sh.sessOpens
-		s.SessionJobs += sh.sessJobs
-		s.SessionSegsComputed += sh.sessComp
-		s.SessionSegsReused += sh.sessReuse
+		obs.MergeFields(StatsFields, &s, &sh.c)
 		for k, v := range sh.schemes {
 			s.Schemes[k] += v
 		}

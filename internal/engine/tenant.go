@@ -31,23 +31,21 @@ type tenantRT struct {
 	name   string
 	weight int
 
-	jobs      atomic.Uint64
-	batches   atomic.Uint64
-	recals    atomic.Uint64
-	switches  atomic.Uint64
+	// n holds the tenant's counters, indexed by TenantFields row constant
+	// (Busy is the serving tier's to count, so it stays zero here; the
+	// Weight slot is unused).
+	n         [numTenantFields]atomic.Uint64
 	queueWait obs.Histogram
 }
 
 func (t *tenantRT) snapshot() TenantStats {
-	return TenantStats{
-		Name:           t.name,
-		Weight:         t.weight,
-		Jobs:           t.jobs.Load(),
-		Batches:        t.batches.Load(),
-		Recalibrations: t.recals.Load(),
-		SchemeSwitches: t.switches.Load(),
-		QueueWait:      t.queueWait.Snapshot(),
+	ts := TenantStats{Name: t.name, Weight: t.weight, QueueWait: t.queueWait.Snapshot()}
+	for i := range TenantFields {
+		if f := &TenantFields[i]; f.Kind == obs.Counter {
+			f.Set(&ts, t.n[i].Load())
+		}
 	}
+	return ts
 }
 
 // buildTenants turns the configured tenant list into the runtime table.

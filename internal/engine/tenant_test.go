@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -141,6 +143,94 @@ func TestTenantStatsMerge(t *testing.T) {
 	}
 	if br := byName["bronze"]; br.Jobs != 3 || br.Weight != 2 {
 		t.Errorf("bronze appended as %+v", br)
+	}
+
+	// A row seen for the first time must be copied, not adopted: the
+	// gateway merges many backends' snapshots into one aggregate, and a
+	// row that kept pointing into the first backend's bucket slice would
+	// have the second backend's counts added into the first's snapshot.
+	first := Stats{Tenants: []TenantStats{{Name: "gold", Jobs: 1,
+		QueueWait: obs.Snapshot{Count: 3, SumNs: 30, MaxNs: 20, Buckets: []uint64{1, 2}}}}}
+	second := Stats{Tenants: []TenantStats{{Name: "gold", Jobs: 2,
+		QueueWait: obs.Snapshot{Count: 7, SumNs: 70, MaxNs: 40, Buckets: []uint64{3, 4}}}}}
+	var agg Stats
+	agg.Merge(first)
+	agg.Merge(second)
+	if got := first.Tenants[0].QueueWait.Buckets; got[0] != 1 || got[1] != 2 {
+		t.Errorf("merging a second snapshot rewrote the first one's buckets to %v", got)
+	}
+	if q := agg.Tenants[0].QueueWait; agg.Tenants[0].Jobs != 3 || q.Count != 10 || q.Buckets[0] != 4 || q.Buckets[1] != 6 {
+		t.Errorf("aggregate row %+v, want jobs 3, count 10, buckets [4 6]", agg.Tenants[0])
+	}
+}
+
+// fillStats sets every schema scalar of a snapshot — and of each of its
+// tenant rows — to base, base+1, ... so no two fields agree.
+func fillStats(s *Stats, base uint64) {
+	for i := range StatsFields {
+		StatsFields[i].Set(s, base+uint64(i))
+	}
+	for r := range s.Tenants {
+		for i := range TenantFields {
+			TenantFields[i].Set(&s.Tenants[r], base+100*uint64(r+1)+uint64(i))
+		}
+	}
+}
+
+// TestStatsMergeSubAlgebra pins the two table-driven folds against each
+// other: for any snapshots a and b, Merge(a, b).Sub(b) gives a back on
+// every counter (scalars, schemes, occupancy, tenant rows), while gauges
+// and settings are carried from the merged side rather than subtracted.
+func TestStatsMergeSubAlgebra(t *testing.T) {
+	a := Stats{
+		Schemes:        map[string]uint64{"rep": 5, "ll": 2},
+		BatchOccupancy: []uint64{0, 4, 1},
+		Tenants:        []TenantStats{{Name: "default"}, {Name: "gold"}},
+	}
+	b := Stats{
+		Schemes:        map[string]uint64{"rep": 9},
+		BatchOccupancy: []uint64{0, 7},
+		Tenants:        []TenantStats{{Name: "gold"}},
+	}
+	fillStats(&a, 1000)
+	fillStats(&b, 5000)
+
+	sum := Stats{}
+	sum.Merge(a)
+	sum.Merge(b)
+	back := sum.Sub(b)
+
+	for i := range StatsFields {
+		f := &StatsFields[i]
+		want := f.Get(&a)
+		if f.Kind != obs.Counter {
+			want = f.Get(&sum)
+		}
+		if got := f.Get(&back); got != want {
+			t.Errorf("%s: Merge(a,b).Sub(b) = %d, want %d", f.Series, got, want)
+		}
+	}
+	if back.CacheEntries != a.CacheEntries+b.CacheEntries {
+		t.Errorf("CacheEntries gauge = %d, want the merged level %d", back.CacheEntries, a.CacheEntries+b.CacheEntries)
+	}
+	if !reflect.DeepEqual(back.Schemes, a.Schemes) {
+		t.Errorf("schemes = %v, want %v", back.Schemes, a.Schemes)
+	}
+	if !reflect.DeepEqual(back.BatchOccupancy, a.BatchOccupancy) {
+		t.Errorf("occupancy = %v, want %v", back.BatchOccupancy, a.BatchOccupancy)
+	}
+	for r := range a.Tenants {
+		for i := range TenantFields {
+			f := &TenantFields[i]
+			// Weight is a setting: both sides agree on a deployment, so
+			// the merged row keeps the first one it saw — a's.
+			if got, want := f.Get(&back.Tenants[r]), f.Get(&a.Tenants[r]); got != want {
+				t.Errorf("tenant %s %s: got %d, want %d", a.Tenants[r].Name, f.Series, got, want)
+			}
+		}
+	}
+	if sum.Tenants[1].Jobs != a.Tenants[1].Jobs+b.Tenants[0].Jobs {
+		t.Errorf("Sub mutated its receiver: %+v", sum.Tenants[1])
 	}
 }
 

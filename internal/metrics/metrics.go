@@ -1,8 +1,11 @@
-// Package metrics maps the runtime's statistics structs onto Prometheus
-// series for the /metrics endpoint. It is the one place where struct
-// fields become series names: WriteEngineStats must cover every
-// engine.Stats field (a reflection test enforces it), so a counter added
-// to the engine cannot silently vanish from the scrape.
+// Package metrics renders the runtime's statistics structs as Prometheus
+// series for the /metrics endpoint. The scalar series are not listed
+// here: each stats struct declares its own schema beside its fields
+// (engine.StatsFields, engine.TenantFields, server.StatsFields,
+// cluster.PoolStatsFields) and this package loops over those tables, so
+// a counter added to a struct's table cannot be missing from the scrape.
+// Only the structured families — scheme mix, occupancy, the stage and
+// queue-wait histograms, per-backend health — are written out by hand.
 //
 // Naming follows the Prometheus conventions: counters end in _total,
 // gauges are bare nouns, histograms are _seconds families with stage
@@ -12,6 +15,7 @@ package metrics
 
 import (
 	"io"
+	"slices"
 	"strconv"
 
 	"repro/internal/cluster"
@@ -25,30 +29,7 @@ import (
 // series names describe one backend or the whole tier.
 func WriteEngineStats(w io.Writer, s engine.Stats) error {
 	m := obs.NewMetricWriter(w)
-
-	counter := func(name, help string, v uint64) {
-		m.Family(name, "counter", help)
-		m.Sample(name, float64(v))
-	}
-	counter("redux_engine_jobs_total", "Reduction jobs executed.", s.Jobs)
-	counter("redux_engine_cache_hits_total", "Scheme decisions served from the pattern cache.", s.CacheHits)
-	counter("redux_engine_cache_misses_total", "Scheme decisions that required a fresh inspection.", s.CacheMisses)
-	counter("redux_engine_batches_total", "Batch executions (fused jobs share one).", s.Batches)
-	counter("redux_engine_coalesced_jobs_total", "Jobs that rode another job's execution.", s.Coalesced)
-	counter("redux_engine_cache_evictions_total", "Pattern cache CLOCK evictions.", s.CacheEvictions)
-	counter("redux_engine_recalibrations_total", "Stale-entry re-inspections through the decision algorithm.", s.Recalibrations)
-	counter("redux_engine_scheme_switches_total", "Recalibrations that replaced a cached scheme.", s.SchemeSwitches)
-	counter("redux_engine_simplified_batches_total", "Batches executed through the simplified segment plan.", s.SimplifiedBatches)
-	counter("redux_engine_simplify_fallbacks_total", "Segment analyses that fell back to the direct path.", s.SimplifyFallbacks)
-	counter("redux_engine_segments_computed_total", "Segment partial sums accumulated fresh.", s.SegsComputed)
-	counter("redux_engine_segments_reused_total", "Segment partial sums served from an entry's segment cache.", s.SegsReused)
-	counter("redux_engine_session_opens_total", "Streaming sessions registered.", s.SessionOpens)
-	counter("redux_engine_session_jobs_total", "Delta batches applied through streaming sessions.", s.SessionJobs)
-	counter("redux_engine_session_segments_computed_total", "Session segments recomputed because a delta touched them.", s.SessionSegsComputed)
-	counter("redux_engine_session_segments_reused_total", "Session segments reused intact across a delta apply.", s.SessionSegsReused)
-
-	m.Family("redux_engine_cache_entries", "gauge", "Distinct pattern signatures currently cached.")
-	m.Sample("redux_engine_cache_entries", float64(s.CacheEntries))
+	obs.WriteFields(m, engine.StatsFields, &s)
 
 	m.MapCounter("redux_engine_scheme_jobs_total",
 		"Jobs executed per reduction scheme.", "scheme", s.Schemes)
@@ -68,25 +49,12 @@ func WriteEngineStats(w io.Writer, s engine.Stats) error {
 	// Per-tenant slices, labeled by tenant name. Families are declared
 	// even when no tenants are configured (s.Tenants empty) so dashboards
 	// keyed on them never see the series vanish.
-	tc := func(name, help string, get func(t engine.TenantStats) uint64) {
-		m.Family(name, "counter", help)
-		for _, t := range s.Tenants {
-			m.Sample(name, float64(get(t)), "tenant", t.Name)
+	for i := range engine.TenantFields {
+		f := &engine.TenantFields[i]
+		m.Family(f.Series, f.Kind.PromType(), f.Help)
+		for j := range s.Tenants {
+			m.Sample(f.Series, float64(f.Get(&s.Tenants[j])), "tenant", s.Tenants[j].Name)
 		}
-	}
-	tc("redux_engine_tenant_jobs_total", "Reduction jobs executed per tenant.",
-		func(t engine.TenantStats) uint64 { return t.Jobs })
-	tc("redux_engine_tenant_batches_total", "Batch executions per tenant.",
-		func(t engine.TenantStats) uint64 { return t.Batches })
-	tc("redux_engine_tenant_busy_total", "Jobs rejected by the tenant's admission quotas (BUSY tenant answers).",
-		func(t engine.TenantStats) uint64 { return t.Busy })
-	tc("redux_engine_tenant_recalibrations_total", "Stale-entry re-inspections triggered by the tenant's batches.",
-		func(t engine.TenantStats) uint64 { return t.Recalibrations })
-	tc("redux_engine_tenant_scheme_switches_total", "Recalibrations by the tenant's batches that replaced a cached scheme.",
-		func(t engine.TenantStats) uint64 { return t.SchemeSwitches })
-	m.Family("redux_engine_tenant_weight", "gauge", "Configured DRR scheduling weight per tenant.")
-	for _, t := range s.Tenants {
-		m.Sample("redux_engine_tenant_weight", float64(t.Weight), "tenant", t.Name)
 	}
 	m.Family("redux_engine_tenant_queue_wait_seconds", "histogram", "Batch queue wait per tenant.")
 	for _, t := range s.Tenants {
@@ -112,25 +80,15 @@ type ServerView interface {
 func WriteServerStats(w io.Writer, sv ServerView) error {
 	m := obs.NewMetricWriter(w)
 	st := sv.Stats()
-
-	m.Family("redux_server_busy_total", "counter", "Submissions rejected by admission control (BUSY answers).")
-	m.Sample("redux_server_busy_total", float64(st.Busy))
-	m.Family("redux_server_intern_hits_total", "counter", "Submissions that mapped onto an already-interned canonical loop.")
-	m.Sample("redux_server_intern_hits_total", float64(st.InternHits))
-	m.Family("redux_server_pattern_handle_hits_total", "counter", "Submissions that arrived as a pattern handle the intern table still held (no decode; included in intern hits).")
-	m.Sample("redux_server_pattern_handle_hits_total", float64(st.HandleHits))
-	m.Family("redux_server_pattern_handle_gone_total", "counter", "Pattern handles that missed and were answered pattern-gone (the client resubmits in full).")
-	m.Sample("redux_server_pattern_handle_gone_total", float64(st.HandleGone))
-	m.Family("redux_server_interned_loops", "gauge", "Canonical loops currently interned.")
-	m.Sample("redux_server_interned_loops", float64(st.InternedLoops))
+	// The queue-depth gauge is read live rather than snapshotted into
+	// server.Stats; on the page it sits just ahead of the session rows.
+	sessions := slices.IndexFunc(server.StatsFields, func(f obs.Field[server.Stats]) bool {
+		return f.Series == "redux_server_sessions"
+	})
+	obs.WriteFields(m, server.StatsFields[:sessions], &st)
 	m.Family("redux_server_inflight_jobs", "gauge", "Jobs currently in flight across all connections (queue depth).")
 	m.Sample("redux_server_inflight_jobs", float64(sv.Inflight()))
-	m.Family("redux_server_sessions", "gauge", "Streaming sessions currently resident.")
-	m.Sample("redux_server_sessions", float64(st.Sessions))
-	m.Family("redux_server_session_opens_total", "counter", "Streaming sessions admitted (OPEN_SESSION accepted).")
-	m.Sample("redux_server_session_opens_total", float64(st.SessionOpens))
-	m.Family("redux_server_session_evictions_total", "counter", "Sessions evicted by TTL expiry or the CLOCK sweep.")
-	m.Sample("redux_server_session_evictions_total", float64(st.SessionEvictions))
+	obs.WriteFields(m, server.StatsFields[sessions:], &st)
 
 	m.StageSet("redux_server_stage_latency_seconds",
 		"Per-stage job latency as the server saw it, end to end.", sv.StageStats())
@@ -142,15 +100,7 @@ func WriteServerStats(w io.Writer, sv ServerView) error {
 func WritePoolStats(w io.Writer, ps cluster.PoolStats) error {
 	m := obs.NewMetricWriter(w)
 
-	counter := func(name, help string, v uint64) {
-		m.Family(name, "counter", help)
-		m.Sample(name, float64(v))
-	}
-	counter("redux_cluster_rerouted_total", "Jobs re-placed after their backend's connection died.", ps.Rerouted)
-	counter("redux_cluster_timedout_total", "Jobs re-placed after a backend sat silent past the leg timeout.", ps.TimedOut)
-	counter("redux_cluster_busy_retries_total", "Same-backend resubmissions after BUSY answers.", ps.BusyRetries)
-	counter("redux_cluster_busy_spills_total", "Jobs that left their affinity backend after the BUSY retry budget.", ps.BusySpills)
-	counter("redux_cluster_exhausted_total", "Jobs that ran out of backends (answered BUSY upstream).", ps.Exhausted)
+	obs.WriteFields(m, cluster.PoolStatsFields, &ps)
 
 	m.Family("redux_cluster_backend_up", "gauge", "Backend health by address (1 healthy, 0 down).")
 	for _, b := range ps.Backends {

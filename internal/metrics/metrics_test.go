@@ -2,7 +2,10 @@ package metrics
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -12,46 +15,85 @@ import (
 	"repro/internal/server"
 )
 
-// statsSeries maps every engine.Stats field to the series (or series
-// family) that carries it. The reflection test below fails when a field
-// is added to engine.Stats without a row here, and the row is then
-// checked against the actual /metrics output — the two together make
-// "every engine counter is scrapeable" a compile-adjacent guarantee.
-var statsSeries = map[string]string{
-	"Jobs":                "redux_engine_jobs_total",
-	"CacheHits":           "redux_engine_cache_hits_total",
-	"CacheMisses":         "redux_engine_cache_misses_total",
-	"Batches":             "redux_engine_batches_total",
-	"Coalesced":           "redux_engine_coalesced_jobs_total",
-	"CacheEntries":        "redux_engine_cache_entries",
-	"CacheEvictions":      "redux_engine_cache_evictions_total",
-	"Recalibrations":      "redux_engine_recalibrations_total",
-	"SchemeSwitches":      "redux_engine_scheme_switches_total",
-	"SimplifiedBatches":   "redux_engine_simplified_batches_total",
-	"SimplifyFallbacks":   "redux_engine_simplify_fallbacks_total",
-	"SegsComputed":        "redux_engine_segments_computed_total",
-	"SegsReused":          "redux_engine_segments_reused_total",
-	"SessionOpens":        "redux_engine_session_opens_total",
-	"SessionJobs":         "redux_engine_session_jobs_total",
-	"SessionSegsComputed": "redux_engine_session_segments_computed_total",
-	"SessionSegsReused":   "redux_engine_session_segments_reused_total",
-	"Schemes":             "redux_engine_scheme_jobs_total",
-	"BatchOccupancy":      "redux_engine_batch_occupancy_total",
-	"Stages":              "redux_engine_stage_latency_seconds",
-	"Tenants":             "redux_engine_tenant_jobs_total",
+// families lists the metric families a rendered page declares, in order.
+func families(page string) []string {
+	var out []string
+	for _, m := range typeLine.FindAllStringSubmatch(page, -1) {
+		out = append(out, m[1])
+	}
+	return out
 }
 
-// tenantSeries lists the rest of the per-tenant families (the coverage
-// map above can carry only one series per struct field); each must be
-// declared even when idle and sampled per tenant when rows exist.
-var tenantSeries = []string{
-	"redux_engine_tenant_jobs_total",
-	"redux_engine_tenant_batches_total",
-	"redux_engine_tenant_busy_total",
-	"redux_engine_tenant_recalibrations_total",
-	"redux_engine_tenant_scheme_switches_total",
-	"redux_engine_tenant_weight",
-	"redux_engine_tenant_queue_wait_seconds",
+// samplePage renders the full /metrics page of a gateway — engine,
+// server and pool sections — over snapshots with every field non-zero.
+func samplePage(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteEngineStats(&buf, sampleStats()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteServerStats(&buf, fakeServer{}); err != nil {
+		t.Fatal(err)
+	}
+	ps := cluster.PoolStats{Backends: []cluster.BackendStatus{{Addr: "a:1", Healthy: true, Jobs: 9}}}
+	if err := WritePoolStats(&buf, ps); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// checkSchema holds one stats struct against its schema: every exported
+// uint64/int field of T is read by exactly one row (each field is set to
+// a distinct value and each row must read a different one of them), Set
+// writes where Get reads, and exactly one accessor is declared. It also
+// checks the naming rule that lets a dashboard trust a name: a series
+// ends in _total iff its row is a counter.
+func checkSchema[T any](t *testing.T, rows []obs.Field[T]) {
+	t.Helper()
+	var v T
+	rv := reflect.ValueOf(&v).Elem()
+	unread := map[uint64]string{}
+	for i := 0; i < rv.NumField(); i++ {
+		p := uint64(101 + 2*len(unread)) // distinct, and never a value a row could read by accident
+		switch fv := rv.Field(i); fv.Kind() {
+		case reflect.Uint64:
+			fv.SetUint(p)
+		case reflect.Int:
+			fv.SetInt(int64(p))
+		default:
+			continue
+		}
+		unread[p] = rv.Type().String() + "." + rv.Type().Field(i).Name
+	}
+	for i := range rows {
+		f := &rows[i]
+		if (f.U64 == nil) == (f.Int == nil) {
+			t.Errorf("%s: want exactly one of U64 and Int", f.Series)
+			continue
+		}
+		got := f.Get(&v)
+		name, ok := unread[got]
+		if !ok {
+			t.Errorf("%s reads %d: not a scalar of the struct, or one another row already claimed", f.Series, got)
+			continue
+		}
+		delete(unread, got)
+		var w T
+		f.Set(&w, got)
+		wv := reflect.ValueOf(w).FieldByName(name[strings.LastIndex(name, ".")+1:])
+		if (wv.CanUint() && wv.Uint() != got) || (wv.CanInt() && wv.Int() != int64(got)) {
+			t.Errorf("%s: Set writes a different field than Get reads (%s)", f.Series, name)
+		}
+		if strings.HasSuffix(f.Series, "_total") != (f.Kind == obs.Counter) {
+			t.Errorf("%s (%s): a series ends in _total iff its row is a counter", f.Series, name)
+		}
+		if f.Help == "" {
+			t.Errorf("%s: no HELP text", f.Series)
+		}
+	}
+	for _, name := range unread {
+		t.Errorf("%s has no schema row — add one beside the field", name)
+	}
 }
 
 func sampleStats() engine.Stats {
@@ -86,9 +128,9 @@ func TestEngineTenantSeries(t *testing.T) {
 	if err := WriteEngineStats(&idle, engine.Stats{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range tenantSeries {
-		if !strings.Contains(idle.String(), "# TYPE "+series+" ") {
-			t.Errorf("tenant family %s disappears when no tenants are configured", series)
+	for _, f := range engine.TenantFields {
+		if !strings.Contains(idle.String(), "# TYPE "+f.Series+" ") {
+			t.Errorf("tenant family %s disappears when no tenants are configured", f.Series)
 		}
 	}
 
@@ -114,55 +156,104 @@ func TestEngineTenantSeries(t *testing.T) {
 	}
 }
 
-// TestEngineStatsCoverage walks engine.Stats by reflection: every field
-// must have a series mapping, and every mapped series must appear in the
-// rendered output with a HELP and TYPE header.
+// TestEngineStatsCoverage is the completeness check of the stats schema:
+// every exported scalar of the four stats structs has exactly one row
+// and follows the _total rule, every row's series reaches the page, and
+// every family on the page — schema rows and the hand-written structured
+// families alike — is declared once, with HELP, TYPE and a sample.
 func TestEngineStatsCoverage(t *testing.T) {
-	typ := reflect.TypeOf(engine.Stats{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		if _, ok := statsSeries[name]; !ok {
-			t.Errorf("engine.Stats.%s has no series mapping — add it to WriteEngineStats and statsSeries", name)
-		}
-	}
-	for field := range statsSeries {
-		if _, ok := typ.FieldByName(field); !ok {
-			t.Errorf("statsSeries maps %q which engine.Stats no longer has", field)
-		}
-	}
+	checkSchema(t, engine.StatsFields)
+	checkSchema(t, engine.TenantFields)
+	checkSchema(t, server.StatsFields)
+	checkSchema(t, cluster.PoolStatsFields)
 
-	var buf bytes.Buffer
-	if err := WriteEngineStats(&buf, sampleStats()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for field, series := range statsSeries {
-		if !strings.Contains(out, "# HELP "+series+" ") {
-			t.Errorf("engine.Stats.%s: series %s missing HELP header", field, series)
+	out := samplePage(t)
+	declared := map[string]bool{}
+	for _, series := range families(out) {
+		if declared[series] {
+			t.Errorf("series %s is declared twice", series)
 		}
-		if !strings.Contains(out, "# TYPE "+series+" ") {
-			t.Errorf("engine.Stats.%s: series %s missing TYPE header", field, series)
+		declared[series] = true
+		if !strings.Contains(out, "# HELP "+series+" ") {
+			t.Errorf("series %s missing HELP header", series)
 		}
 		if !strings.Contains(out, "\n"+series) {
-			t.Errorf("engine.Stats.%s: series %s has no samples", field, series)
+			t.Errorf("series %s has no samples", series)
 		}
+	}
+	var rows []string
+	for _, f := range engine.StatsFields {
+		rows = append(rows, f.Series)
+	}
+	for _, f := range engine.TenantFields {
+		rows = append(rows, f.Series)
+	}
+	for _, f := range server.StatsFields {
+		rows = append(rows, f.Series)
+	}
+	for _, f := range cluster.PoolStatsFields {
+		rows = append(rows, f.Series)
+	}
+	for _, series := range rows {
+		if !declared[series] {
+			t.Errorf("schema row %s never reaches the page", series)
+		}
+		delete(declared, series) // a second row under the same name fails above
 	}
 }
 
-// TestEngineStatsIdleFamilies renders a zero snapshot: every family must
-// still be declared (HELP/TYPE) so idle processes don't drop series.
+// TestEngineStatsIdleFamilies renders zero snapshots: every family of
+// the sample page must still be declared (HELP/TYPE), in the same order,
+// so idle processes don't drop series.
 func TestEngineStatsIdleFamilies(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteEngineStats(&buf, engine.Stats{}); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for field, series := range statsSeries {
-		if !strings.Contains(out, "# TYPE "+series+" ") {
-			t.Errorf("engine.Stats.%s: family %s disappears when idle", field, series)
+	if err := WriteServerStats(&buf, goldenServer{zero: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePoolStats(&buf, cluster.PoolStats{}); err != nil {
+		t.Fatal(err)
+	}
+	if idle, busy := families(buf.String()), families(samplePage(t)); !reflect.DeepEqual(idle, busy) {
+		t.Errorf("idle page declares\n %v\nbusy page declares\n %v", idle, busy)
+	}
+}
+
+// TestSeriesDocs holds the metrics reference in docs/OPERATIONS.md to
+// the page: every family the daemons export has a row in one of the
+// reference tables, and every redux_* series a row documents exists.
+func TestSeriesDocs(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if m := docRow.FindStringSubmatch(line); m != nil {
+			documented[m[1]] = true
+		}
+	}
+	exported := map[string]bool{}
+	for _, series := range families(samplePage(t)) {
+		exported[series] = true
+		if !documented[series] {
+			t.Errorf("%s is exported but has no row in the docs/OPERATIONS.md metrics reference", series)
+		}
+	}
+	for series := range documented {
+		if !exported[series] {
+			t.Errorf("docs/OPERATIONS.md documents %s, which no daemon exports", series)
 		}
 	}
 }
+
+var (
+	// docRow matches a metrics-reference table row: "| `redux_x{label}` | ...".
+	docRow   = regexp.MustCompile("^\\| `(redux_[a-z_]+)")
+	typeLine = regexp.MustCompile(`(?m)^# TYPE (\S+) `)
+)
 
 type fakeServer struct{}
 

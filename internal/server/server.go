@@ -308,6 +308,28 @@ type Stats struct {
 	SessionEvictions uint64
 }
 
+// StatsFields is the schema of Stats' scalars, one row each, in /metrics
+// page order (see engine.StatsFields; these rows never travel, so they
+// carry no wire position).
+var StatsFields = []obs.Field[Stats]{
+	{Series: "redux_server_busy_total", Help: "Submissions rejected by admission control (BUSY answers).",
+		U64: func(s *Stats) *uint64 { return &s.Busy }},
+	{Series: "redux_server_intern_hits_total", Help: "Submissions that mapped onto an already-interned canonical loop.",
+		U64: func(s *Stats) *uint64 { return &s.InternHits }},
+	{Series: "redux_server_pattern_handle_hits_total", Help: "Submissions that arrived as a pattern handle the intern table still held (no decode; included in intern hits).",
+		U64: func(s *Stats) *uint64 { return &s.HandleHits }},
+	{Series: "redux_server_pattern_handle_gone_total", Help: "Pattern handles that missed and were answered pattern-gone (the client resubmits in full).",
+		U64: func(s *Stats) *uint64 { return &s.HandleGone }},
+	{Kind: obs.Gauge, Series: "redux_server_interned_loops", Help: "Canonical loops currently interned.",
+		Int: func(s *Stats) *int { return &s.InternedLoops }},
+	{Kind: obs.Gauge, Series: "redux_server_sessions", Help: "Streaming sessions currently resident.",
+		Int: func(s *Stats) *int { return &s.Sessions }},
+	{Series: "redux_server_session_opens_total", Help: "Streaming sessions admitted (OPEN_SESSION accepted).",
+		U64: func(s *Stats) *uint64 { return &s.SessionOpens }},
+	{Series: "redux_server_session_evictions_total", Help: "Sessions evicted by TTL expiry or the CLOCK sweep.",
+		U64: func(s *Stats) *uint64 { return &s.SessionEvictions }},
+}
+
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
 	return Stats{

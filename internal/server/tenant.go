@@ -205,20 +205,11 @@ func (s *Server) MergeTenantBusy(st *engine.Stats) {
 	if len(s.tenantList) <= 1 {
 		return
 	}
-	for _, ts := range s.tenantList {
-		busy := ts.busy.Load()
-		found := false
-		for i := range st.Tenants {
-			if st.Tenants[i].Name == ts.name {
-				st.Tenants[i].Busy += busy
-				found = true
-				break
-			}
-		}
-		if !found {
-			st.Tenants = append(st.Tenants, engine.TenantStats{Name: ts.name, Weight: ts.weight, Busy: busy})
-		}
+	rows := make([]engine.TenantStats, len(s.tenantList))
+	for i, ts := range s.tenantList {
+		rows[i] = engine.TenantStats{Name: ts.name, Weight: ts.weight, Busy: ts.busy.Load()}
 	}
+	st.Merge(engine.Stats{Tenants: rows})
 }
 
 // TenantBusy reports one tenant's admission rejections (0 for unknown

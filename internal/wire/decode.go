@@ -485,6 +485,44 @@ func (f Frame) DecodeBusy() (BusyCode, error) {
 	return BusyCode(code), nil
 }
 
+// readFields decodes one positional run of scalars into v. Int-typed
+// rows are bounded like every other count on the wire.
+func readFields[T any](c *cur, rows []*obs.Field[T], v *T) error {
+	for _, f := range rows {
+		x, err := c.uvarint()
+		if err != nil {
+			return fmt.Errorf("%w: %s", ErrCorrupt, f.Series)
+		}
+		if f.Int != nil && x > math.MaxInt32 {
+			return fmt.Errorf("%w: %s %d exceeds limit %d", ErrCorrupt, f.Series, x, math.MaxInt32)
+		}
+		f.Set(v, x)
+	}
+	return nil
+}
+
+// snapshot decodes a histogram snapshot: count, sum, max, bucket list.
+func (c *cur) snapshot() (s obs.Snapshot, err error) {
+	for _, p := range []*uint64{&s.Count, &s.SumNs, &s.MaxNs} {
+		if *p, err = c.uvarint(); err != nil {
+			return s, fmt.Errorf("%w: histogram summary", ErrCorrupt)
+		}
+	}
+	nbuckets, err := c.intField("histogram bucket count", c.remaining())
+	if err != nil {
+		return s, err
+	}
+	if nbuckets > 0 {
+		s.Buckets = make([]uint64, nbuckets)
+		for b := range s.Buckets {
+			if s.Buckets[b], err = c.uvarint(); err != nil {
+				return s, fmt.Errorf("%w: histogram bucket", ErrCorrupt)
+			}
+		}
+	}
+	return s, nil
+}
+
 // DecodeStats decodes a STATS frame into an engine statistics snapshot.
 func (f Frame) DecodeStats() (engine.Stats, error) {
 	if err := f.expect(FrameStats); err != nil {
@@ -492,18 +530,8 @@ func (f Frame) DecodeStats() (engine.Stats, error) {
 	}
 	c := cur{b: f.Body}
 	var s engine.Stats
-	var err error
-	fields := []*uint64{&s.Jobs, &s.CacheHits, &s.CacheMisses, &s.Batches, &s.Coalesced}
-	for _, p := range fields {
-		if *p, err = c.uvarint(); err != nil {
-			return engine.Stats{}, fmt.Errorf("%w: stats counter", ErrCorrupt)
-		}
-	}
-	if s.CacheEntries, err = c.intField("cache entries", math.MaxInt32); err != nil {
+	if err := readFields(&c, statsWire[engine.WireBase], &s); err != nil {
 		return engine.Stats{}, err
-	}
-	if s.CacheEvictions, err = c.uvarint(); err != nil {
-		return engine.Stats{}, fmt.Errorf("%w: evictions", ErrCorrupt)
 	}
 	occ, err := c.intField("occupancy buckets", c.remaining())
 	if err != nil {
@@ -529,118 +557,57 @@ func (f Frame) DecodeStats() (engine.Stats, error) {
 			return engine.Stats{}, fmt.Errorf("%w: scheme count", ErrCorrupt)
 		}
 	}
-	// Optional trailing recalibration pair: a peer that predates it sends
-	// the shorter frame, which decodes with both counters zero. When the
-	// tail is present it must be the complete pair.
-	if c.remaining() > 0 {
-		if s.Recalibrations, err = c.uvarint(); err != nil {
-			return engine.Stats{}, fmt.Errorf("%w: recalibrations", ErrCorrupt)
-		}
-		if s.SchemeSwitches, err = c.uvarint(); err != nil {
-			return engine.Stats{}, fmt.Errorf("%w: scheme switches", ErrCorrupt)
-		}
-	}
-	// Optional simplification quad after the pair, same evolution rule:
-	// absent from older peers, complete when present.
-	if c.remaining() > 0 {
-		simp := []*uint64{&s.SimplifiedBatches, &s.SimplifyFallbacks, &s.SegsComputed, &s.SegsReused}
-		for _, p := range simp {
-			if *p, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: simplification counter", ErrCorrupt)
+	// The optional tails, in positional order. A peer that predates one
+	// sends the shorter frame, which decodes with that tail's fields
+	// zero; a tail that is present must be complete.
+	for _, g := range []uint8{engine.WireRecal, engine.WireSimplify} {
+		if c.remaining() > 0 {
+			if err := readFields(&c, statsWire[g], &s); err != nil {
+				return engine.Stats{}, err
 			}
 		}
 	}
-	// Optional stage-latency histogram tail, third in the positional
-	// chain: stage count, then per stage a name and histogram snapshot.
+	// Stage-latency histograms: stage count, then per stage a name and
+	// histogram snapshot.
 	if c.remaining() > 0 {
 		nstages, err := c.intField("stage count", c.remaining())
 		if err != nil {
 			return engine.Stats{}, err
 		}
-		s.Stages = make([]obs.StageSummary, 0, nstages)
-		for i := 0; i < nstages; i++ {
-			var st obs.StageSummary
-			if st.Name, err = c.str(maxStringLen); err != nil {
+		s.Stages = make([]obs.StageSummary, nstages)
+		for i := range s.Stages {
+			if s.Stages[i].Name, err = c.str(maxStringLen); err != nil {
 				return engine.Stats{}, err
 			}
-			if st.Snap.Count, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: stage observation count", ErrCorrupt)
-			}
-			if st.Snap.SumNs, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: stage sum", ErrCorrupt)
-			}
-			if st.Snap.MaxNs, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: stage max", ErrCorrupt)
-			}
-			nbuckets, err := c.intField("stage bucket count", c.remaining())
-			if err != nil {
+			if s.Stages[i].Snap, err = c.snapshot(); err != nil {
 				return engine.Stats{}, err
 			}
-			if nbuckets > 0 {
-				st.Snap.Buckets = make([]uint64, nbuckets)
-				for b := range st.Snap.Buckets {
-					if st.Snap.Buckets[b], err = c.uvarint(); err != nil {
-						return engine.Stats{}, fmt.Errorf("%w: stage bucket", ErrCorrupt)
-					}
-				}
-			}
-			s.Stages = append(s.Stages, st)
 		}
 	}
-	// Optional streaming-session quad, fourth in the positional chain.
 	if c.remaining() > 0 {
-		sess := []*uint64{&s.SessionOpens, &s.SessionJobs, &s.SessionSegsComputed, &s.SessionSegsReused}
-		for _, p := range sess {
-			if *p, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: session counter", ErrCorrupt)
-			}
+		if err := readFields(&c, statsWire[engine.WireSession], &s); err != nil {
+			return engine.Stats{}, err
 		}
 	}
-	// Optional per-tenant tail, fifth in the positional chain: a tenant
-	// count, then per tenant a name, weight, five counters and a
-	// queue-wait histogram snapshot.
+	// Per-tenant rows: a tenant count, then per tenant a name, the
+	// tenant schema's positional run and a queue-wait histogram snapshot.
 	if c.remaining() > 0 {
 		ntenants, err := c.intField("tenant count", c.remaining())
 		if err != nil {
 			return engine.Stats{}, err
 		}
-		s.Tenants = make([]engine.TenantStats, 0, ntenants)
-		for i := 0; i < ntenants; i++ {
-			var t engine.TenantStats
+		s.Tenants = make([]engine.TenantStats, ntenants)
+		for i := range s.Tenants {
+			t := &s.Tenants[i]
 			if t.Name, err = c.str(maxStringLen); err != nil {
 				return engine.Stats{}, err
 			}
-			if t.Weight, err = c.intField("tenant weight", math.MaxInt32); err != nil {
+			if err := readFields(&c, tenantWire, t); err != nil {
 				return engine.Stats{}, err
 			}
-			counters := []*uint64{&t.Jobs, &t.Batches, &t.Busy, &t.Recalibrations, &t.SchemeSwitches}
-			for _, p := range counters {
-				if *p, err = c.uvarint(); err != nil {
-					return engine.Stats{}, fmt.Errorf("%w: tenant counter", ErrCorrupt)
-				}
-			}
-			if t.QueueWait.Count, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: tenant queue-wait count", ErrCorrupt)
-			}
-			if t.QueueWait.SumNs, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: tenant queue-wait sum", ErrCorrupt)
-			}
-			if t.QueueWait.MaxNs, err = c.uvarint(); err != nil {
-				return engine.Stats{}, fmt.Errorf("%w: tenant queue-wait max", ErrCorrupt)
-			}
-			nbuckets, err := c.intField("tenant bucket count", c.remaining())
-			if err != nil {
+			if t.QueueWait, err = c.snapshot(); err != nil {
 				return engine.Stats{}, err
 			}
-			if nbuckets > 0 {
-				t.QueueWait.Buckets = make([]uint64, nbuckets)
-				for b := range t.QueueWait.Buckets {
-					if t.QueueWait.Buckets[b], err = c.uvarint(); err != nil {
-						return engine.Stats{}, fmt.Errorf("%w: tenant bucket", ErrCorrupt)
-					}
-				}
-			}
-			s.Tenants = append(s.Tenants, t)
 		}
 	}
 	if c.remaining() != 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/reduction"
 	"repro/internal/trace"
 )
@@ -247,16 +248,61 @@ func AppendStatsReq(dst []byte, jobID uint64) []byte {
 	return endFrame(dst, p)
 }
 
-// AppendStats encodes an engine statistics snapshot.
+// statsWire and tenantWire are the stats schema sorted into the STATS
+// frame's positional runs: statsWire[g] is wire group g of engine.Stats
+// (engine.WireBase and the optional tails), tenantWire one tenant row.
+var (
+	statsWire  = obs.WireGroups(engine.StatsFields)
+	tenantWire = obs.WireGroups(engine.TenantFields)[engine.WireTenant]
+)
+
+// appendFields encodes one positional run of v's scalars.
+func appendFields[T any](dst []byte, rows []*obs.Field[T], v *T) []byte {
+	for _, f := range rows {
+		dst = binary.AppendUvarint(dst, f.Get(v))
+	}
+	return dst
+}
+
+// nonZero reports whether any scalar of a positional run is non-zero in
+// v — the "this optional tail has something to say" test.
+func nonZero[T any](rows []*obs.Field[T], v *T) bool {
+	for _, f := range rows {
+		if f.Get(v) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// appendName encodes a stage or tenant name, truncated to the string
+// limit.
+func appendName(dst []byte, name string) []byte {
+	if len(name) > maxStringLen {
+		name = name[:maxStringLen]
+	}
+	return appendString(dst, name)
+}
+
+// appendSnapshot encodes a histogram snapshot: count, sum, max, then
+// the trimmed bucket list.
+func appendSnapshot(dst []byte, s *obs.Snapshot) []byte {
+	dst = binary.AppendUvarint(dst, s.Count)
+	dst = binary.AppendUvarint(dst, s.SumNs)
+	dst = binary.AppendUvarint(dst, s.MaxNs)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Buckets)))
+	for _, b := range s.Buckets {
+		dst = binary.AppendUvarint(dst, b)
+	}
+	return dst
+}
+
+// AppendStats encodes an engine statistics snapshot: the base run of
+// the stats schema, the occupancy histogram, the scheme mix, then the
+// optional trailing tails.
 func AppendStats(dst []byte, jobID uint64, s *engine.Stats) []byte {
 	dst, p := beginFrame(dst, FrameStats, jobID)
-	dst = binary.AppendUvarint(dst, s.Jobs)
-	dst = binary.AppendUvarint(dst, s.CacheHits)
-	dst = binary.AppendUvarint(dst, s.CacheMisses)
-	dst = binary.AppendUvarint(dst, s.Batches)
-	dst = binary.AppendUvarint(dst, s.Coalesced)
-	dst = binary.AppendUvarint(dst, uint64(s.CacheEntries))
-	dst = binary.AppendUvarint(dst, s.CacheEvictions)
+	dst = appendFields(dst, statsWire[engine.WireBase], s)
 	dst = binary.AppendUvarint(dst, uint64(len(s.BatchOccupancy)))
 	for _, v := range s.BatchOccupancy {
 		dst = binary.AppendUvarint(dst, v)
@@ -266,88 +312,41 @@ func AppendStats(dst []byte, jobID uint64, s *engine.Stats) []byte {
 		dst = appendString(dst, name)
 		dst = binary.AppendUvarint(dst, count)
 	}
-	// Recalibration counters are an optional trailing pair, following the
-	// same evolution rule as the HELLO flags field: emitted only when
-	// non-zero, decoded as zero by peers that predate them. The
-	// simplification quad extends the tail the same way; since optional
-	// tails decode positionally, emitting the quad forces the pair out
-	// too (zeros are fine — only the frame length carries meaning).
+	// The tails follow the same evolution rule as the HELLO flags field:
+	// each is emitted only when it has something to say and decodes as
+	// zero at peers that predate it. They decode positionally, so a tail
+	// forces every earlier one out too (zeros are fine — only the frame
+	// length carries meaning): recalibration pair, simplification quad,
+	// stage histograms, session quad, tenant rows. Only multi-tenant
+	// engines populate Tenants and only an engine that has served has
+	// stages, so an idle single-tenant engine emits the shortest frame.
 	tenantTail := len(s.Tenants) != 0
-	sessTail := s.SessionOpens != 0 || s.SessionJobs != 0 ||
-		s.SessionSegsComputed != 0 || s.SessionSegsReused != 0
-	simpTail := s.SimplifiedBatches != 0 || s.SimplifyFallbacks != 0 ||
-		s.SegsComputed != 0 || s.SegsReused != 0
-	histTail := len(s.Stages) != 0
-	if tenantTail || sessTail || histTail || simpTail || s.Recalibrations != 0 || s.SchemeSwitches != 0 {
-		dst = binary.AppendUvarint(dst, s.Recalibrations)
-		dst = binary.AppendUvarint(dst, s.SchemeSwitches)
+	sessTail := tenantTail || nonZero(statsWire[engine.WireSession], s)
+	histTail := sessTail || len(s.Stages) != 0
+	simpTail := histTail || nonZero(statsWire[engine.WireSimplify], s)
+	if simpTail || nonZero(statsWire[engine.WireRecal], s) {
+		dst = appendFields(dst, statsWire[engine.WireRecal], s)
 	}
-	if tenantTail || sessTail || histTail || simpTail {
-		dst = binary.AppendUvarint(dst, s.SimplifiedBatches)
-		dst = binary.AppendUvarint(dst, s.SimplifyFallbacks)
-		dst = binary.AppendUvarint(dst, s.SegsComputed)
-		dst = binary.AppendUvarint(dst, s.SegsReused)
+	if simpTail {
+		dst = appendFields(dst, statsWire[engine.WireSimplify], s)
 	}
-	// Stage-latency histogram tail, third in the positional chain: a
-	// stage count, then per stage its name and histogram snapshot (count,
-	// sum, max, then the trimmed bucket list). An engine that has served
-	// nothing has no stage summaries and emits no tail — unless the
-	// session quad behind it forces the chain out, in which case a zero
-	// stage count stands in (the decoder reads nstages=0 and moves on).
-	if tenantTail || sessTail || histTail {
+	if histTail {
 		dst = binary.AppendUvarint(dst, uint64(len(s.Stages)))
-		for _, st := range s.Stages {
-			name := st.Name
-			if len(name) > maxStringLen {
-				name = name[:maxStringLen]
-			}
-			dst = appendString(dst, name)
-			dst = binary.AppendUvarint(dst, st.Snap.Count)
-			dst = binary.AppendUvarint(dst, st.Snap.SumNs)
-			dst = binary.AppendUvarint(dst, st.Snap.MaxNs)
-			dst = binary.AppendUvarint(dst, uint64(len(st.Snap.Buckets)))
-			for _, b := range st.Snap.Buckets {
-				dst = binary.AppendUvarint(dst, b)
-			}
+		for i := range s.Stages {
+			dst = appendName(dst, s.Stages[i].Name)
+			dst = appendSnapshot(dst, &s.Stages[i].Snap)
 		}
 	}
-	// Streaming-session quad, fourth in the chain.
-	if tenantTail || sessTail {
-		dst = binary.AppendUvarint(dst, s.SessionOpens)
-		dst = binary.AppendUvarint(dst, s.SessionJobs)
-		dst = binary.AppendUvarint(dst, s.SessionSegsComputed)
-		dst = binary.AppendUvarint(dst, s.SessionSegsReused)
+	if sessTail {
+		dst = appendFields(dst, statsWire[engine.WireSession], s)
 	}
-	// Per-tenant tail, fifth in the chain: a tenant count, then per tenant
-	// its name, weight, counters and queue-wait histogram snapshot. Only
-	// multi-tenant engines populate Tenants, so single-tenant deployments
-	// never emit it (nor force the earlier tails out) and stay
-	// byte-identical to the legacy layout.
 	if tenantTail {
 		dst = binary.AppendUvarint(dst, uint64(len(s.Tenants)))
-		for _, t := range s.Tenants {
-			name := t.Name
-			if len(name) > maxStringLen {
-				name = name[:maxStringLen]
-			}
-			dst = appendString(dst, name)
-			w := t.Weight
-			if w < 0 {
-				w = 0
-			}
-			dst = binary.AppendUvarint(dst, uint64(w))
-			dst = binary.AppendUvarint(dst, t.Jobs)
-			dst = binary.AppendUvarint(dst, t.Batches)
-			dst = binary.AppendUvarint(dst, t.Busy)
-			dst = binary.AppendUvarint(dst, t.Recalibrations)
-			dst = binary.AppendUvarint(dst, t.SchemeSwitches)
-			dst = binary.AppendUvarint(dst, t.QueueWait.Count)
-			dst = binary.AppendUvarint(dst, t.QueueWait.SumNs)
-			dst = binary.AppendUvarint(dst, t.QueueWait.MaxNs)
-			dst = binary.AppendUvarint(dst, uint64(len(t.QueueWait.Buckets)))
-			for _, b := range t.QueueWait.Buckets {
-				dst = binary.AppendUvarint(dst, b)
-			}
+		for i := range s.Tenants {
+			t := &s.Tenants[i]
+			dst = appendName(dst, t.Name)
+			dst = appendFields(dst, tenantWire, t)
+			dst = appendSnapshot(dst, &t.QueueWait)
 		}
 	}
 	return endFrame(dst, p)
