@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/adapt"
+	"repro/internal/clock"
 	"repro/internal/pattern"
 	"repro/internal/reduction"
 	"repro/internal/sched"
@@ -25,10 +26,6 @@ type cacheEntry struct {
 	// feedback reports whether the scheme honors Exec.IterBounds, i.e.
 	// whether the entry's scheduler can steer it.
 	feedback bool
-
-	// ref is the CLOCK referenced bit: set on every hit, cleared by the
-	// eviction hand as it sweeps. Guarded by the owning shard's mutex.
-	ref bool
 
 	mu      sync.Mutex
 	fb      *sched.FeedbackScheduler
@@ -85,103 +82,27 @@ func (en *cacheEntry) install(prof *pattern.Profile, rec adapt.Recommendation) {
 	en.feedback = feedbackSchemes[rec.Scheme]
 }
 
-// decisionCache is the sharded decision cache: fingerprints map to shards
-// by their low bits, each shard owns its own mutex, entry map and CLOCK
-// eviction ring, so concurrent lookups of distinct patterns never contend
-// on a global lock.
+// decisionCache is the decision cache: CLOCK-evicted entries keyed by
+// fingerprint, sharded by the fingerprint's low bits so concurrent lookups
+// of distinct patterns never contend on a global lock. An evicted pattern
+// is simply re-inspected at its next sight.
 type decisionCache struct {
-	shards []cacheShard
-	mask   uint64
-}
-
-// cacheShard is one lock domain of the decision cache. Eviction is CLOCK
-// (second chance): resident fingerprints sit on a ring; a hit sets the
-// entry's referenced bit; when the shard is full the hand sweeps the ring,
-// clearing referenced bits until it finds an unreferenced victim. Hot
-// entries survive indefinitely; an entry is evicted only after a full
-// hand revolution without a hit — an LRU approximation with O(1) hits.
-type cacheShard struct {
-	mu        sync.Mutex
-	entries   map[uint64]*cacheEntry
-	ring      []uint64 // resident fingerprints in insertion order
-	hand      int
-	cap       int
-	evictions uint64
-}
-
-// newDecisionCache builds shardCount shards (a power of two) splitting
-// maxEntries between them.
-func newDecisionCache(shardCount, maxEntries int) *decisionCache {
-	perShard := (maxEntries + shardCount - 1) / shardCount
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &decisionCache{
-		shards: make([]cacheShard, shardCount),
-		mask:   uint64(shardCount - 1),
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[uint64]*cacheEntry)
-		c.shards[i].ring = make([]uint64, 0, perShard)
-		c.shards[i].cap = perShard
-	}
-	return c
+	*clock.Sharded[*cacheEntry]
 }
 
 // get returns the entry for fp, creating (and, at capacity, evicting) as
-// needed. The boolean reports whether the entry already existed.
-func (c *decisionCache) get(fp uint64) (*cacheEntry, bool) {
-	return c.shards[fp&c.mask].get(fp)
-}
-
-func (s *cacheShard) get(fp uint64) (*cacheEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[fp]; ok {
-		e.ref = true
-		return e, true
+// needed. The boolean reports whether the entry already existed. A new
+// entry enters unreferenced: it must be seen again to outlive a sweep.
+func (c decisionCache) get(fp uint64) (*cacheEntry, bool) {
+	s := c.Shard(fp)
+	s.Lock()
+	defer s.Unlock()
+	e, ok := s.Get(fp)
+	if !ok {
+		e = &cacheEntry{}
+		s.Put(fp, e)
 	}
-	e := &cacheEntry{}
-	if len(s.ring) < s.cap {
-		s.ring = append(s.ring, fp)
-	} else {
-		// CLOCK sweep: give referenced entries a second chance, evict the
-		// first unreferenced one. Terminates within two revolutions.
-		for {
-			victim := s.entries[s.ring[s.hand]]
-			if victim.ref {
-				victim.ref = false
-				s.hand = (s.hand + 1) % len(s.ring)
-				continue
-			}
-			delete(s.entries, s.ring[s.hand])
-			s.evictions++
-			s.ring[s.hand] = fp
-			s.hand = (s.hand + 1) % len(s.ring)
-			break
-		}
-	}
-	s.entries[fp] = e
-	return e, false
-}
-
-// len returns the shard's resident entry count.
-func (s *cacheShard) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// counters returns the shard's entry count and eviction total.
-func (c *decisionCache) counters() (entries int, evictions uint64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		entries += len(s.entries)
-		evictions += s.evictions
-		s.mu.Unlock()
-	}
-	return entries, evictions
+	return e, ok
 }
 
 // feedbackSchemes are the partition-agnostic schemes that honor

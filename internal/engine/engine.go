@@ -7,8 +7,8 @@
 //
 //   - pattern characterization (package pattern) runs once per distinct
 //     access-pattern signature; a sharded decision cache keyed by
-//     trace.Fingerprint — per-shard mutexes, CLOCK eviction — lets
-//     repeated workloads skip re-inspection without a global lock,
+//     trace.Fingerprint (a clock.Sharded) lets repeated workloads skip
+//     re-inspection without a global lock,
 //   - same-pattern jobs submitted while a batch waits in the queue are
 //     coalesced: one execution pays inspection, scheme lookup, feedback
 //     scheduling, privatization and accumulation for every fused member
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/reduction"
 	"repro/internal/trace"
@@ -179,7 +180,7 @@ type Engine struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	cache *decisionCache
+	cache decisionCache
 	co    *coalescer // nil when coalescing is disabled
 
 	tenants   []*tenantRT
@@ -267,7 +268,7 @@ func New(cfg Config) (*Engine, error) {
 		q:          newDRRQueue(weights, cfg.QueueDepth),
 		tenants:    tenants,
 		tenantIdx:  tenantIdx,
-		cache:      newDecisionCache(cfg.CacheShards, cfg.MaxCacheEntries),
+		cache:      decisionCache{clock.NewSharded[*cacheEntry](cfg.CacheShards, cfg.MaxCacheEntries)},
 		statShards: newStatShards(cfg.Workers, cfg.MaxBatch),
 	}
 	if !cfg.DisableCoalesce && cfg.MaxBatch > 1 {

@@ -355,7 +355,7 @@ func (e *Engine) Stats() Stats {
 		sh.mu.Unlock()
 		s.Stages = obs.MergeStageSummaries(s.Stages, sh.stages.Snapshot())
 	}
-	s.CacheEntries, s.CacheEvictions = e.cache.counters()
+	s.CacheEntries, s.CacheEvictions = e.cache.Len(), e.cache.Evictions()
 	// Tenant rows only exist in multi-tenant engines, so a single-tenant
 	// deployment's STATS frame stays byte-identical to the legacy layout.
 	if len(e.tenants) > 1 {

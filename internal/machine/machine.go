@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/pclr"
+	"repro/internal/reduction"
 	"repro/internal/simarch"
 	"repro/internal/simcache"
 	"repro/internal/stats"
@@ -279,7 +280,7 @@ func (m *Machine) resetRun(l *trace.Loop, ctrl simarch.Controller) {
 	// reduction loop, we install that placement explicitly.
 	procs := m.cfg.Nodes
 	for p := 0; p < procs; p++ {
-		lo, hi := blockBounds(l.NumElems, procs, p)
+		lo, hi := reduction.BlockBounds(l.NumElems, procs, p)
 		for addr := wBase + int64(lo)*8; addr < wBase+int64(hi)*8; addr += PageBytes {
 			page := addr / PageBytes
 			if _, ok := m.pageOwner[page]; !ok {
@@ -315,24 +316,12 @@ func (m *Machine) phase(body func(c *cpu)) float64 {
 	return wall
 }
 
-// blockBounds splits n items over p processors in balanced blocks.
-func blockBounds(n, procs, p int) (lo, hi int) {
-	base := n / procs
-	rem := n % procs
-	lo = p*base + min(p, rem)
-	hi = lo + base
-	if p < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // refOffsets gives each block's starting position in the flat ref stream.
 func refOffsets(l *trace.Loop, procs int) []int {
 	offs := make([]int, procs)
 	pos, next := 0, 0
 	for p := 0; p < procs; p++ {
-		lo, _ := blockBounds(l.NumIters(), procs, p)
+		lo, _ := reduction.BlockBounds(l.NumIters(), procs, p)
 		for next < lo {
 			pos += len(l.Iter(next))
 			next++
@@ -387,7 +376,7 @@ func (m *Machine) RunSw(l *trace.Loop) Result {
 	// Loop: block-scheduled private accumulation.
 	b.Loop = m.phase(func(c *cpu) {
 		base := privBase(c.id)
-		lo, hi := blockBounds(l.NumIters(), procs, c.id)
+		lo, hi := reduction.BlockBounds(l.NumIters(), procs, c.id)
 		pos := refStart[c.id]
 		for i := lo; i < hi; i++ {
 			refs := l.Iter(i)
@@ -407,7 +396,7 @@ func (m *Machine) RunSw(l *trace.Loop) Result {
 	// Merge: each processor combines its element range across all
 	// private copies (P-1 of them remote) and writes the shared array.
 	b.Merge = m.phase(func(c *cpu) {
-		lo, hi := blockBounds(l.NumElems, procs, c.id)
+		lo, hi := reduction.BlockBounds(l.NumElems, procs, c.id)
 		for e := lo; e < hi; e++ {
 			for q := 0; q < procs; q++ {
 				// The accumulator chain serializes these mostly-remote
@@ -443,7 +432,7 @@ func (m *Machine) RunPCLR(l *trace.Loop, ctrl simarch.Controller) (Result, error
 	// state; misses are neutral-filled locally; displacements are
 	// combined at the home in the background.
 	b.Loop = m.phase(func(c *cpu) {
-		lo, hi := blockBounds(l.NumIters(), procs, c.id)
+		lo, hi := reduction.BlockBounds(l.NumIters(), procs, c.id)
 		pos := refStart[c.id]
 		for i := lo; i < hi; i++ {
 			refs := l.Iter(i)

@@ -24,7 +24,7 @@ func (g goldenServer) Stats() server.Stats {
 		return server.Stats{}
 	}
 	return server.Stats{
-		Busy: 3, InternHits: 42, InternedLoops: 5, HandleHits: 40, HandleGone: 2,
+		Busy: 3, InternHits: 42, InternedLoops: 5, InternEvictions: 9, HandleHits: 40, HandleGone: 2,
 		Sessions: 6, SessionOpens: 11, SessionEvictions: 7,
 	}
 }

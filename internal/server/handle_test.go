@@ -144,6 +144,9 @@ func TestPatternHandleEvictionFallback(t *testing.T) {
 	if st.HandleGone == 0 {
 		t.Fatal("no reference was answered pattern-gone: the shard never thrashed")
 	}
+	if st.InternEvictions == 0 {
+		t.Fatal("handles went missing but no intern eviction was counted: the storm has no visible cause")
+	}
 	if st.Busy != 0 {
 		t.Fatalf("%d submissions rejected: a fallback resubmission overran the connection budget", st.Busy)
 	}

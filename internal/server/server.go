@@ -291,6 +291,9 @@ type Stats struct {
 	InternHits uint64
 	// InternedLoops is the current canonical-loop residency.
 	InternedLoops int
+	// InternEvictions counts canonical loops (and with them their pattern
+	// handles) the intern table's CLOCK sweep dropped to make room.
+	InternEvictions uint64
 	// HandleHits is how many submissions arrived as a pattern handle
 	// (SUBMIT_REF) the intern table still held — no decode, no pattern
 	// walk. They are included in InternHits.
@@ -322,6 +325,8 @@ var StatsFields = []obs.Field[Stats]{
 		U64: func(s *Stats) *uint64 { return &s.HandleGone }},
 	{Kind: obs.Gauge, Series: "redux_server_interned_loops", Help: "Canonical loops currently interned.",
 		Int: func(s *Stats) *int { return &s.InternedLoops }},
+	{Series: "redux_server_intern_evictions_total", Help: "Canonical loops, and with them their pattern handles, evicted by the intern table's CLOCK sweep.",
+		U64: func(s *Stats) *uint64 { return &s.InternEvictions }},
 	{Kind: obs.Gauge, Series: "redux_server_sessions", Help: "Streaming sessions currently resident.",
 		Int: func(s *Stats) *int { return &s.Sessions }},
 	{Series: "redux_server_session_opens_total", Help: "Streaming sessions admitted (OPEN_SESSION accepted).",
@@ -335,7 +340,8 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Busy:             s.busy.Load(),
 		InternHits:       s.interned.Load(),
-		InternedLoops:    s.intern.len(),
+		InternedLoops:    s.intern.Len(),
+		InternEvictions:  s.intern.Evictions(),
 		HandleHits:       s.handleHits.Load(),
 		HandleGone:       s.handleGone.Load(),
 		Sessions:         s.sessions.len(),

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/engine"
 	"repro/internal/trace"
 )
@@ -38,7 +39,7 @@ var errSessionBudget = errors.New("server: session budget exhausted")
 type sessKey struct{ conn, sid uint64 }
 
 // serverSession is one resident streaming session plus the bookkeeping
-// the store's TTL and CLOCK eviction run on.
+// the store's TTL runs on.
 type serverSession struct {
 	key   sessKey
 	es    *engine.Session
@@ -46,25 +47,23 @@ type serverSession struct {
 	bytes int64
 
 	lastUsed atomic.Int64 // unix nanos of the last touch (TTL)
-	ref      atomic.Bool  // CLOCK second-chance bit, set on every touch
 }
 
-// sessionStore is the server's session table: the intern table's CLOCK
-// eviction story extended with a TTL and a resident-byte budget, both
-// enforced at OPEN_SESSION admission. One mutex guards the table —
-// session operations are orders of magnitude heavier than the lookups
-// the sharded intern table serves, so sharding buys nothing here.
+// sessionStore is the server's session table: a clock.Cache extended with
+// a TTL and a resident-byte budget, both enforced at OPEN_SESSION
+// admission. One mutex guards the table — session operations are orders
+// of magnitude heavier than the lookups the sharded intern table serves,
+// so sharding buys nothing here.
 type sessionStore struct {
 	maxSessions int
 	ttl         time.Duration
 	maxBytes    int64
 
-	mu       sync.Mutex
-	m        map[sessKey]*serverSession
-	ring     []*serverSession // CLOCK ring with nil holes, compacted lazily
-	hand     int
-	reserved int   // admissions between reserve and commit
-	bytes    int64 // resident + reserved bytes
+	mu            sync.Mutex
+	c             *clock.Cache[sessKey, *serverSession]
+	bytes         int64 // resident sessions' footprints
+	reserved      int   // admissions between reserve and commit
+	reservedBytes int64 // their estimates
 
 	opens     atomic.Uint64
 	evictions atomic.Uint64
@@ -75,7 +74,7 @@ func newSessionStore(maxSessions int, ttl time.Duration, maxBytes int64) *sessio
 		maxSessions: maxSessions,
 		ttl:         ttl,
 		maxBytes:    maxBytes,
-		m:           make(map[sessKey]*serverSession),
+		c:           clock.New[sessKey, *serverSession](maxSessions),
 	}
 }
 
@@ -83,43 +82,56 @@ func newSessionStore(maxSessions int, ttl time.Duration, maxBytes int64) *sessio
 // expired then idle sessions until both the count and byte budgets have
 // room. The reservation holds the budget until commit or abort, so two
 // racing opens cannot both squeeze through the same headroom. The
-// estimate is checked before any state is built — a loop whose resident
-// footprint could never fit is rejected for the price of a BUSY frame.
+// estimate is checked before any state is built or torn down — a loop
+// whose resident footprint could never fit, or cannot fit beside the
+// reservations in flight (which eviction cannot reclaim), is rejected for
+// the price of a BUSY frame and evicts nobody.
 func (st *sessionStore) reserve(est int64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.reserved >= st.maxSessions || st.reservedBytes+est > st.maxBytes {
+		return errSessionBudget
+	}
 	st.expireLocked(time.Now().UnixNano())
-	for len(st.m)+st.reserved >= st.maxSessions || st.bytes+est > st.maxBytes {
-		if !st.evictLocked() {
+	// Past the check above an empty table has room, so the sweep always
+	// gets there before it runs out of victims.
+	for st.c.Len()+st.reserved >= st.maxSessions || st.bytes+st.reservedBytes+est > st.maxBytes {
+		_, ss, ok := st.c.Evict()
+		if !ok {
 			return errSessionBudget
 		}
+		st.bytes -= ss.bytes
+		st.evictedLocked(ss)
 	}
 	st.reserved++
-	st.bytes += est
+	st.reservedBytes += est
 	return nil
 }
 
-// commit installs the opened session under its reservation, adjusting
-// the byte account from the estimate to the session's actual footprint.
+// release returns a reservation's budget (mu held).
+func (st *sessionStore) release(est int64) {
+	st.reserved--
+	st.reservedBytes -= est
+}
+
+// commit installs the opened session in place of its reservation: the
+// byte account trades the estimate for the session's actual footprint.
 // Uniqueness is enforced here, where installation is atomic: two
 // pipelined opens with the same sid both pass the read loop's lookup,
-// and the second to commit must fail rather than overwrite the first
-// (orphaning it in the ring until eviction tears down the live entry).
+// and the second to commit must fail rather than overwrite the first.
 // On failure the reservation is released and the caller owns teardown.
 func (st *sessionStore) commit(ss *serverSession, est int64) bool {
 	ss.lastUsed.Store(time.Now().UnixNano())
-	ss.ref.Store(true)
 	st.mu.Lock()
-	st.reserved--
-	if _, dup := st.m[ss.key]; dup {
-		st.bytes -= est
-		st.mu.Unlock()
+	defer st.mu.Unlock()
+	st.release(est)
+	if _, dup := st.c.Peek(ss.key); dup {
 		return false
 	}
-	st.bytes += ss.bytes - est
-	st.m[ss.key] = ss
-	st.ring = append(st.ring, ss)
-	st.mu.Unlock()
+	st.bytes += ss.bytes
+	// A session just opened starts with its second chance: Put, then mark.
+	st.c.Put(ss.key, ss)
+	st.c.Get(ss.key)
 	st.opens.Add(1)
 	return true
 }
@@ -127,33 +139,28 @@ func (st *sessionStore) commit(ss *serverSession, est int64) bool {
 // abort releases a reservation whose open failed.
 func (st *sessionStore) abort(est int64) {
 	st.mu.Lock()
-	st.reserved--
-	st.bytes -= est
+	st.release(est)
 	st.mu.Unlock()
 }
 
 // get returns the live session for key, touching its TTL clock and
-// CLOCK bit — or nil when the key is unknown, expired or evicted. An
+// CLOCK mark — or nil when the key is unknown, expired or evicted. An
 // expired session is torn down here, so a delta racing the TTL boundary
 // gets the typed session-gone answer, never a stale sum.
 func (st *sessionStore) get(key sessKey) *serverSession {
 	now := time.Now().UnixNano()
 	st.mu.Lock()
-	ss := st.m[key]
-	if ss == nil {
-		st.mu.Unlock()
+	defer st.mu.Unlock()
+	ss, ok := st.c.Get(key)
+	if !ok {
 		return nil
 	}
 	if now-ss.lastUsed.Load() > int64(st.ttl) {
 		st.removeLocked(ss)
-		st.evictions.Add(1)
-		st.mu.Unlock()
-		ss.es.Close()
+		st.evictedLocked(ss)
 		return nil
 	}
 	ss.lastUsed.Store(now)
-	ss.ref.Store(true)
-	st.mu.Unlock()
 	return ss
 }
 
@@ -161,25 +168,25 @@ func (st *sessionStore) get(key sessKey) *serverSession {
 // was resident.
 func (st *sessionStore) close(key sessKey) (*serverSession, bool) {
 	st.mu.Lock()
-	ss := st.m[key]
-	if ss == nil {
-		st.mu.Unlock()
-		return nil, false
+	ss, ok := st.c.Peek(key)
+	if ok {
+		st.removeLocked(ss)
 	}
-	st.removeLocked(ss)
 	st.mu.Unlock()
-	ss.es.Close()
-	return ss, true
+	if ok {
+		ss.es.Close()
+	}
+	return ss, ok
 }
 
 // dropConn tears down every session the finished connection owned.
 func (st *sessionStore) dropConn(connID uint64) {
 	var dead []*serverSession
 	st.mu.Lock()
-	for key, ss := range st.m {
+	for key, ss := range st.c.All() {
 		if key.conn == connID {
-			dead = append(dead, ss)
 			st.removeLocked(ss)
+			dead = append(dead, ss)
 		}
 	}
 	st.mu.Unlock()
@@ -192,85 +199,36 @@ func (st *sessionStore) dropConn(connID uint64) {
 func (st *sessionStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.m)
+	return st.c.Len()
 }
 
 // expireLocked sweeps TTL-expired sessions out (mu held). Expiry counts
 // as eviction for the stats — either way the client's next delta draws
 // the typed session-gone error.
 func (st *sessionStore) expireLocked(now int64) {
-	// Collect first, remove after: removeLocked may compact the ring in
-	// place, which would leave an in-flight range over it reading a stale
-	// tail — expired sessions removed twice, shifted live ones skipped.
-	var dead []*serverSession
-	for _, ss := range st.ring {
-		if ss != nil && now-ss.lastUsed.Load() > int64(st.ttl) {
-			dead = append(dead, ss)
+	for _, ss := range st.c.All() {
+		if now-ss.lastUsed.Load() > int64(st.ttl) {
+			st.removeLocked(ss)
+			st.evictedLocked(ss)
 		}
-	}
-	for _, ss := range dead {
-		st.removeLocked(ss)
-		st.evictions.Add(1)
-		// Closing under mu is fine: Close only takes the session's own
-		// mutex, which no store path holds.
-		ss.es.Close()
 	}
 }
 
-// evictLocked runs one CLOCK pass (mu held): the hand walks the ring
-// clearing second-chance bits until it finds a session not touched since
-// its last pass, and tears it down. Returns false when nothing is
-// resident to evict.
-func (st *sessionStore) evictLocked() bool {
-	if len(st.m) == 0 {
-		return false
-	}
-	for sweep := 0; sweep < 2*len(st.ring); sweep++ {
-		if st.hand >= len(st.ring) {
-			st.hand = 0
-		}
-		ss := st.ring[st.hand]
-		st.hand++
-		if ss == nil {
-			continue
-		}
-		if ss.ref.CompareAndSwap(true, false) {
-			continue
-		}
-		st.removeLocked(ss)
-		st.evictions.Add(1)
-		ss.es.Close()
-		return true
-	}
-	return false
-}
-
-// removeLocked unlinks ss from the table, ring and byte account (mu
-// held). The caller closes the engine session. Removing a session that
-// is no longer resident (or whose key a newer session now owns) is a
+// removeLocked unlinks ss from the table and the byte account (mu held).
+// Removing a session that is not the resident one under its key is a
 // no-op, so the byte account is debited exactly once per session.
 func (st *sessionStore) removeLocked(ss *serverSession) {
-	if st.m[ss.key] != ss {
+	if cur, _ := st.c.Peek(ss.key); cur != ss {
 		return
 	}
-	delete(st.m, ss.key)
+	st.c.Remove(ss.key)
 	st.bytes -= ss.bytes
-	for i, r := range st.ring {
-		if r == ss {
-			st.ring[i] = nil
-			break
-		}
-	}
-	// Compact once holes dominate, so the CLOCK hand's walk stays
-	// proportional to residency.
-	if len(st.ring) > 16 && len(st.ring) > 2*len(st.m) {
-		live := st.ring[:0]
-		for _, r := range st.ring {
-			if r != nil {
-				live = append(live, r)
-			}
-		}
-		st.ring = live
-		st.hand = 0
-	}
+}
+
+// evictedLocked counts and tears down a session the store itself dropped —
+// TTL expiry or the CLOCK sweep (mu held). Closing under mu is fine: Close
+// only takes the session's own mutex, which no store path holds.
+func (st *sessionStore) evictedLocked(ss *serverSession) {
+	st.evictions.Add(1)
+	ss.es.Close()
 }

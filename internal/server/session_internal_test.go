@@ -33,11 +33,11 @@ func TestExpireMassSweepKeepsByteAccount(t *testing.T) {
 	}
 	past := time.Now().Add(-time.Second).UnixNano()
 	st.mu.Lock()
-	for _, ss := range st.m {
+	for _, ss := range st.c.All() {
 		ss.lastUsed.Store(past)
 	}
 	st.expireLocked(time.Now().UnixNano())
-	residency, bytes := len(st.m), st.bytes
+	residency, bytes := st.c.Len(), st.bytes
 	st.mu.Unlock()
 	if residency != 0 {
 		t.Fatalf("residency %d after mass expiry, want 0", residency)
@@ -73,7 +73,8 @@ func TestCommitDuplicateKeyFails(t *testing.T) {
 		t.Fatal("duplicate commit succeeded")
 	}
 	st.mu.Lock()
-	winner, bytes, reserved := st.m[key], st.bytes, st.reserved
+	winner, _ := st.c.Peek(key)
+	bytes, reserved := st.bytes, st.reserved
 	st.mu.Unlock()
 	if winner != first {
 		t.Fatal("duplicate commit displaced the first session")
@@ -91,7 +92,8 @@ func TestCommitDuplicateKeyFails(t *testing.T) {
 	// stale pointer would) must leave the winner resident.
 	st.mu.Lock()
 	st.removeLocked(dup)
-	stillThere := st.m[key] == first
+	winner, _ = st.c.Peek(key)
+	stillThere := winner == first
 	bytes = st.bytes
 	st.mu.Unlock()
 	if !stillThere {
@@ -99,5 +101,35 @@ func TestCommitDuplicateKeyFails(t *testing.T) {
 	}
 	if bytes != 100 {
 		t.Fatalf("byte account %d after loser removal, want 100", bytes)
+	}
+}
+
+// TestReserveBesideReservationsEvictsNobody pins the admission pre-check
+// against in-flight reservations: their bytes are not evictable, so an
+// open that cannot fit beside them is refused without touching the
+// resident sessions, and fits once the reservation is gone.
+func TestReserveBesideReservationsEvictsNobody(t *testing.T) {
+	st := newSessionStore(4, time.Minute, 300)
+	if err := st.reserve(100); err != nil {
+		t.Fatal(err)
+	}
+	if !st.commit(mkStoreSession(sessKey{conn: 1, sid: 1}, 100), 100) {
+		t.Fatal("commit failed")
+	}
+	if err := st.reserve(150); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.reserve(200); err != errSessionBudget {
+		t.Fatalf("reserve beside a 150-byte reservation: %v, want errSessionBudget", err)
+	}
+	if st.len() != 1 || st.evictions.Load() != 0 {
+		t.Fatalf("residency %d evictions %d after the refusal, want 1 and 0", st.len(), st.evictions.Load())
+	}
+	st.abort(150)
+	if err := st.reserve(200); err != nil {
+		t.Fatalf("reserve after the abort: %v", err)
+	}
+	if st.len() != 1 || st.evictions.Load() != 0 {
+		t.Fatalf("residency %d evictions %d, want 1 and 0: 100 resident + 200 fits 300", st.len(), st.evictions.Load())
 	}
 }

@@ -221,6 +221,38 @@ func TestSessionByteBudgetBusy(t *testing.T) {
 	}
 }
 
+// TestOversizedOpenEvictsNobody pins admission order: an OPEN_SESSION
+// whose estimated footprint alone exceeds MaxSessionBytes must be refused
+// before the eviction sweep runs. It used to evict every resident session
+// of every connection looking for room that could not exist, and only
+// then answer BUSY.
+func TestOversizedOpenEvictsNobody(t *testing.T) {
+	d := testkit.StartDaemon(t, engine.Config{Workers: 1},
+		server.Config{MaxSessionBytes: 64 << 10})
+	cl := testkit.DialPool(t, d.Addr, client.Config{Conns: 1})
+
+	rng := rand.New(rand.NewSource(11))
+	la, lb := mkSessLoop(16, 32, 12), mkSessLoop(16, 32, 13)
+	sa, _ := testkit.StartSession(t, cl, la)
+	sb, _ := testkit.StartSession(t, cl, lb)
+
+	// At least two 16 Ki-element float64 vectors: four times the budget.
+	if _, _, err := cl.OpenSession(mkSessLoop(16<<10, 32, 14)); !errors.Is(err, client.ErrBusy) {
+		t.Fatalf("oversized open: %v, want ErrBusy", err)
+	}
+	for name, s := range map[string]struct {
+		sess *client.Session
+		l    *trace.Loop
+	}{"A": {sa, la}, "B": {sb, lb}} {
+		if _, err := s.sess.SubmitDelta(mkDeltas(rng, s.l, 2)); err != nil {
+			t.Fatalf("session %s after the refused open: %v", name, err)
+		}
+	}
+	if ss := d.Srv.Stats(); ss.Sessions != 2 || ss.SessionEvictions != 0 {
+		t.Fatalf("residency %d evictions %d, want 2 and 0", ss.Sessions, ss.SessionEvictions)
+	}
+}
+
 // TestSessionUnsupportedOnGateway pins the capability seam: the
 // gateway's routed dispatcher cannot pin resident state to one backend,
 // so OPEN_SESSION draws a job-scoped refusal (not session-gone, not a

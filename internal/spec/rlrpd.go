@@ -1,6 +1,10 @@
 package spec
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/reduction"
+)
 
 // RLRPDStats describes how a Recursive LRPD execution unfolded.
 type RLRPDStats struct {
@@ -52,7 +56,7 @@ func (l *Loop) RLRPD(init []float64, procs int) ([]float64, RLRPDStats) {
 			wg.Add(1)
 			go func(b int) {
 				defer wg.Done()
-				lo, hi := blockBounds(remaining, blocks, b)
+				lo, hi := reduction.BlockBounds(remaining, blocks, b)
 				lo += start
 				hi += start
 				// Copy-in: the block executes against a private copy of

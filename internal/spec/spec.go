@@ -11,6 +11,8 @@ package spec
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/reduction"
 )
 
 // AccessKind distinguishes reads from writes in an iteration's descriptor.
@@ -170,7 +172,7 @@ func (l *Loop) LRPD(init []float64, procs int) LRPDResult {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			lo, hi := blockBounds(n, procs, p)
+			lo, hi := reduction.BlockBounds(n, procs, p)
 			local := newMarks(l.NumElems)
 			var recs []writeRec
 			for i := lo; i < hi; i++ {
@@ -271,15 +273,4 @@ func mergeMarks(dst, src *marks) {
 			dst.maxRead[e] = src.maxRead[e]
 		}
 	}
-}
-
-func blockBounds(n, procs, p int) (lo, hi int) {
-	base := n / procs
-	rem := n % procs
-	lo = p*base + min(p, rem)
-	hi = lo + base
-	if p < rem {
-		hi++
-	}
-	return lo, hi
 }

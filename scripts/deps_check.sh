@@ -8,8 +8,8 @@
 #      kit and the bench/ module contains no lab package.
 #   2. Every importer of a lab package (test files included) is itself a
 #      lab package, one of the three paper-track commands, or an example.
-#   3. internal/core, the host descriptor, imports nothing from this
-#      module.
+#   3. internal/core, the host descriptor, and internal/clock, the one
+#      eviction mechanism, import nothing from this module.
 #
 # A lab package is anything under internal/lab/ plus the simulator
 # packages that predate that directory and keep their import paths (see
@@ -48,13 +48,15 @@ if [ -n "$offenders" ]; then
 fi
 
 # Rule 3.
-coredeps=$(go list -f '{{range .Imports}}{{.}}
-{{end}}' ./internal/core | grep "^$mod/" || true)
-if [ -n "$coredeps" ]; then
-    echo "deps_check: internal/core must import nothing from this module, found:" >&2
-    echo "$coredeps" | sed 's/^/  /' >&2
-    bad=1
-fi
+for leaf in internal/core internal/clock; do
+    leafdeps=$(go list -f '{{range .Imports}}{{.}}
+{{end}}' ./$leaf | grep "^$mod/" || true)
+    if [ -n "$leafdeps" ]; then
+        echo "deps_check: $leaf must import nothing from this module, found:" >&2
+        echo "$leafdeps" | sed 's/^/  /' >&2
+        bad=1
+    fi
+done
 
 [ "$bad" -eq 0 ] || exit 1
-echo "deps_check: service closure lab-free, lab importers confined, core a leaf"
+echo "deps_check: service closure lab-free, lab importers confined, core and clock leaves"
