@@ -21,10 +21,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# deps-check holds the service/lab boundary: no simulator package in the
-# closure of the daemons, the load driver, testkit or bench/; lab packages
-# imported only from the lab, the paper-track commands and the examples;
-# internal/core (the host descriptor) and internal/clock (eviction) leaves.
+# deps-check holds the service/lab boundary: no simulator package — and
+# not internal/sched, the feedback scheduler — in the closure of the
+# daemons, the load driver, testkit or bench/; lab packages imported only
+# from the lab, the paper-track commands and the examples; internal/core
+# (the host descriptor) and internal/clock (eviction) leaves.
 deps-check:
 	./scripts/deps_check.sh
 
@@ -75,16 +76,19 @@ docs-check:
 	./scripts/md_links.sh
 	$(GO) test -count=1 -run '^TestSeriesDocs$$' ./internal/metrics
 
-# fuzz runs the three fuzz targets for 10s each under the race detector,
+# fuzz runs the four fuzz targets for 10s each under the race detector,
 # starting from their checked-in seed corpora (testdata/fuzz): corrupt or
 # truncated wire frames must error, never panic; any loop, width and
 # delta stream must keep a session bit-identical to a from-scratch
-# rebuild, with rejected batches mutating nothing; and any sequence of
-# cache operations must keep clock.Cache in step with its reference model.
+# rebuild, with rejected batches mutating nothing; any sequence of cache
+# operations must keep clock.Cache in step with its reference model; and
+# any -tenants string the parser accepts must be a usable admission
+# contract (finite limits) that survives a round trip through the syntax.
 fuzz:
 	$(GO) test -race -run '^FuzzDecodeFrame$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -race -run '^FuzzDeltaState$$' -fuzz '^FuzzDeltaState$$' -fuzztime 10s ./internal/reduction
 	$(GO) test -race -run '^FuzzClockCache$$' -fuzz '^FuzzClockCache$$' -fuzztime 10s ./internal/clock
+	$(GO) test -race -run '^FuzzParseTenantSpecs$$' -fuzz '^FuzzParseTenantSpecs$$' -fuzztime 10s ./internal/server
 
 # cover measures -short statement coverage over ./internal/... and fails
 # if the total drops below the floor committed in scripts/coverage_gate.sh.

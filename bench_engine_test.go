@@ -140,25 +140,25 @@ func BenchmarkEngineConcurrentThroughput(b *testing.B) {
 // Zipf-skewed hot-key stream with 32 concurrent clients — the production
 // traffic shape where a few patterns dominate. "coalesced" is the batched
 // path (same-pattern jobs queued together fuse into one execution);
-// "perjob" disables fusion, which is PR 1's per-job execution path over
+// "perjob" is MaxBatch 1 — no fusion, PR 1's per-job execution path over
 // the same sharded engine. The ratio of the two is what batch coalescing
 // buys; both are recorded in BENCH_engine.json by make bench.
 func BenchmarkEngineZipf32Clients(b *testing.B) {
 	for _, mode := range []struct {
-		name            string
-		disableCoalesce bool
+		name     string
+		maxBatch int
 	}{
-		{"coalesced", false},
-		{"perjob", true},
+		{"coalesced", 0},
+		{"perjob", 1},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			loops := workloads.HotKeySet(16, 0.5)
 			stream := workloads.ZipfStream(loops, 4096, 1.4, 1)
 			e, err := engine.New(engine.Config{
-				Workers:         4,
-				Platform:        core.DefaultPlatform(8),
-				QueueDepth:      16,
-				DisableCoalesce: mode.disableCoalesce,
+				Workers:    4,
+				Platform:   core.DefaultPlatform(8),
+				QueueDepth: 16,
+				MaxBatch:   mode.maxBatch,
 			})
 			if err != nil {
 				b.Fatal(err)

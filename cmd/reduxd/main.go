@@ -1,8 +1,8 @@
 // Command reduxd is the reduction daemon: one long-lived adaptive engine
 // behind a TCP front end speaking the wire protocol (docs/PROTOCOL.md).
 // Many clients connect, pipeline reduction jobs, and share the engine's
-// decision cache, feedback schedules, buffer pools and batch fusion — the
-// paper's runtime turned into a network service.
+// decision cache, buffer pools and batch fusion — the paper's runtime
+// turned into a network service.
 //
 //	reduxd -addr 127.0.0.1:9070 -workers 4 -procs 8
 //
@@ -36,9 +36,7 @@ func main() {
 	workers := flag.Int("workers", 4, "concurrent batches in the engine's pool")
 	procs := flag.Int("procs", 8, "goroutines per reduction execution")
 	queue := flag.Int("queue", 0, "submission queue depth in batches (0 = 2*workers)")
-	maxBatch := flag.Int("max-batch", 0, "max jobs fused per execution (0 = default 32)")
-	nocoalesce := flag.Bool("nocoalesce", false, "disable batch coalescing")
-	cold := flag.Bool("cold", false, "disable buffer pooling and feedback scheduling")
+	maxBatch := flag.Int("max-batch", 0, "max jobs fused per execution (0 = default 32; 1 disables batch coalescing)")
 	driftRatio := flag.Float64("drift-ratio", 0, "cost-drift ratio marking a cached decision stale (0 = default 1.5)")
 	recalEvery := flag.Int("recal-every", 0, "executions between sampled re-profiles of a cached decision (0 = default 256)")
 	recalConfirm := flag.Int("recal-confirm", 0, "consecutive confirming re-inspections before a scheme switch (0 = default 2)")
@@ -65,18 +63,15 @@ func main() {
 	}
 
 	eng, err := engine.New(engine.Config{
-		Workers:         *workers,
-		Platform:        core.DefaultPlatform(*procs),
-		QueueDepth:      *queue,
-		MaxBatch:        *maxBatch,
-		DisableCoalesce: *nocoalesce,
-		DisablePool:     *cold,
-		DisableFeedback: *cold,
-		DriftRatio:      *driftRatio,
-		RecalEvery:      *recalEvery,
-		RecalConfirm:    *recalConfirm,
-		DisableRecal:    *norecal,
-		Tenants:         server.EngineTenants(tenants),
+		Workers:      *workers,
+		Platform:     core.DefaultPlatform(*procs),
+		QueueDepth:   *queue,
+		MaxBatch:     *maxBatch,
+		DriftRatio:   *driftRatio,
+		RecalEvery:   *recalEvery,
+		RecalConfirm: *recalConfirm,
+		DisableRecal: *norecal,
+		Tenants:      server.EngineTenants(tenants),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reduxd:", err)

@@ -1,7 +1,7 @@
 // Command reduxserve hammers the concurrent adaptive reduction engine with
 // a stream of reduction jobs — the production-service shape of the paper's
-// runtime: many clients, one long-lived engine, decisions, schedules and
-// buffers amortized across jobs, and same-pattern jobs fused into batches.
+// runtime: many clients, one long-lived engine, decisions and buffers
+// amortized across jobs, and same-pattern jobs fused into batches.
 //
 // Two workload shapes are built in: the mixed regime stream (default,
 // round-robin over six patterns) and a Zipf-skewed hot-key stream (-zipf)
@@ -9,8 +9,8 @@
 // see repeats of a few hot requests — the regime where batch coalescing
 // pays. It reports throughput, per-job latency percentiles, the batch
 // occupancy histogram, the decision cache's hit/eviction counters, the
-// scheme mix, measured load imbalance, and the allocation footprint per
-// job; run with -cold or -nocoalesce to feel what each layer buys.
+// scheme mix, and the allocation footprint per job; run with -nocoalesce
+// to feel what batch fusion buys.
 //
 // By default the engine runs in-process. With -remote addr the same
 // streams drive a reduxd server over the network instead (cmd/reduxd),
@@ -159,8 +159,6 @@ type report struct {
 	Sessions     int               `json:"sessions,omitempty"`
 	ShadowChecks int64             `json:"shadow_checks,omitempty"`
 	AllocPerJob  float64           `json:"client_alloc_bytes_per_job"`
-	Imbalance    float64           `json:"mean_imbalance"`
-	ImbalanceN   int64             `json:"imbalance_jobs"`
 	Schemes      map[string]uint64 `json:"schemes"`
 	Tenants      []tenantReport    `json:"tenants,omitempty"`
 	// Engine is what the engine's counters accumulated over the measured
@@ -210,8 +208,7 @@ func main() {
 	recalEvery := flag.Int("recal-every", 0, "engine executions between sampled re-profiles (local mode, 0 = default 256)")
 	recalConfirm := flag.Int("recal-confirm", 0, "consecutive confirming re-inspections before a scheme switch (local mode, 0 = default 2)")
 	norecal := flag.Bool("norecal", false, "disable online recalibration (local mode)")
-	cold := flag.Bool("cold", false, "disable buffer pooling and feedback scheduling (per-job cold path)")
-	nocoalesce := flag.Bool("nocoalesce", false, "disable batch coalescing (per-job execution path)")
+	nocoalesce := flag.Bool("nocoalesce", false, "disable batch coalescing (engine MaxBatch 1: per-job execution path)")
 	queue := flag.Int("queue", 0, "submission queue depth in batches (0 = 2*workers)")
 	verify := flag.Bool("verify", true, "check a sample of results against the sequential reference")
 	sessions := flag.Int("sessions", 0, "drive this many concurrent streaming sessions (OPEN_SESSION + SUBMIT_DELTA) instead of the one-shot job stream; -jobs counts delta batches across all sessions")
@@ -282,7 +279,7 @@ func main() {
 		// explicitly-set one signals a misunderstanding — reject it
 		// rather than silently benchmark a differently-shaped server.
 		engineFlags := map[string]bool{
-			"workers": true, "procs": true, "queue": true, "cold": true, "nocoalesce": true,
+			"workers": true, "procs": true, "queue": true, "nocoalesce": true,
 			"drift-ratio": true, "recal-every": true, "recal-confirm": true, "norecal": true,
 		}
 		flag.Visit(func(f *flag.Flag) {
@@ -353,16 +350,16 @@ func main() {
 	}
 
 	ecfg := engine.Config{
-		Workers:         *workers,
-		Platform:        core.DefaultPlatform(*procs),
-		QueueDepth:      *queue,
-		DisablePool:     *cold,
-		DisableFeedback: *cold,
-		DisableCoalesce: *nocoalesce,
-		DriftRatio:      *driftRatio,
-		RecalEvery:      *recalEvery,
-		RecalConfirm:    *recalConfirm,
-		DisableRecal:    *norecal,
+		Workers:      *workers,
+		Platform:     core.DefaultPlatform(*procs),
+		QueueDepth:   *queue,
+		DriftRatio:   *driftRatio,
+		RecalEvery:   *recalEvery,
+		RecalConfirm: *recalConfirm,
+		DisableRecal: *norecal,
+	}
+	if *nocoalesce {
+		ecfg.MaxBatch = 1
 	}
 	var be backend
 	var tenantBEs []backend
@@ -460,8 +457,8 @@ func main() {
 		}
 		fmt.Fprintf(w, format, args...)
 	}
-	progressf("%s: %d jobs from %d clients, %s stream (cold=%v, coalesce=%v)\n",
-		where, *jobs, *clients, rep.Mode, *cold, !*nocoalesce)
+	progressf("%s: %d jobs from %d clients, %s stream (coalesce=%v)\n",
+		where, *jobs, *clients, rep.Mode, !*nocoalesce)
 
 	// Warm the cache and pools with one pass over the pattern population
 	// so the measured phase is the steady state a long-lived service runs
@@ -505,8 +502,6 @@ func main() {
 	var submitted atomic.Int64
 	var failures atomic.Int64
 	var shadowChecks atomic.Int64
-	var imbalanceSum atomic.Int64 // milli-units, summed over measured jobs
-	var imbalanceN atomic.Int64
 	// One shared log-bucketed histogram replaces the per-client latency
 	// slices: recording is a few atomic adds, and memory stays fixed no
 	// matter how many jobs the run drives (the old sorted-slice percentile
@@ -561,10 +556,6 @@ func main() {
 						}
 						latHist.Observe(time.Since(t0))
 						dst = res.Values
-						if res.Imbalance > 0 {
-							imbalanceSum.Add(int64(res.Imbalance * 1000))
-							imbalanceN.Add(1)
-						}
 						if *verify && n < 4*nG && !matches(res.Values, refs[l]) {
 							fmt.Fprintf(os.Stderr, "verify: tenant %s: %s diverged from sequential reference\n", tspecs[t].Name, l.Name)
 							failures.Add(1)
@@ -597,10 +588,6 @@ func main() {
 					}
 					latHist.Observe(time.Since(t0))
 					dst = res.Values
-					if res.Imbalance > 0 {
-						imbalanceSum.Add(int64(res.Imbalance * 1000))
-						imbalanceN.Add(1)
-					}
 					if *verify && n < 4**clients && !matches(res.Values, refs[l]) {
 						fmt.Fprintf(os.Stderr, "verify: %s diverged from sequential reference\n", l.Name)
 						failures.Add(1)
@@ -639,10 +626,6 @@ func main() {
 	rep.Occupancy = s.BatchOccupancy
 	rep.ShadowChecks = shadowChecks.Load()
 	rep.AllocPerJob = float64(after.TotalAlloc-before.TotalAlloc) / float64(*jobs)
-	if n := imbalanceN.Load(); n > 0 {
-		rep.Imbalance = float64(imbalanceSum.Load()) / 1000 / float64(n)
-		rep.ImbalanceN = n
-	}
 	rep.Schemes = s.Schemes
 	if tenantMode {
 		rows := map[string]engine.TenantStats{}
@@ -856,10 +839,6 @@ func printHuman(rep report) {
 			e.SimplifiedBatches, e.SimplifyFallbacks, e.SegsComputed, e.SegsReused)
 	}
 	fmt.Printf("alloc: %.1f KB/job client-side\n", rep.AllocPerJob/1024)
-	if rep.ImbalanceN > 0 {
-		fmt.Printf("mean measured imbalance: %.2fx over %d feedback-scheduled jobs\n",
-			rep.Imbalance, rep.ImbalanceN)
-	}
 	for _, t := range rep.Tenants {
 		fmt.Printf("tenant %s (weight %d): offered %d jobs, server attributed %d, %d busy rejections\n",
 			t.Name, t.Weight, t.Offered, t.Jobs, t.Busy)

@@ -18,7 +18,7 @@
 //
 //   - Rendezvous hashing re-homes only the dead backend's patterns on
 //     membership change; every other pattern keeps its engine (and its
-//     warmed decision cache and feedback schedules).
+//     warmed decision cache).
 //   - Reduction jobs are pure functions of the submitted loop, so a job
 //     cut off by a connection loss (client.ErrConnLost — executed or
 //     not, unknown) is simply resubmitted to the next-ranked backend.

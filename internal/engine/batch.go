@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -17,10 +16,10 @@ type job struct {
 }
 
 // batch is the engine's unit of execution: one or more jobs over the same
-// loop, fused so that pattern lookup, feedback-schedule installation,
-// privatization and accumulation are paid once for all members. jobs[0] is
-// the leader whose execution produces the result; the other members
-// receive it through the reduction.Exec batch fan-out.
+// loop, fused so that pattern lookup, privatization and accumulation are
+// paid once for all members. jobs[0] is the leader whose execution
+// produces the result; the other members receive it through the
+// reduction.Exec batch fan-out.
 //
 // ov holds overlap joiners: same-fingerprint jobs over distinct loop
 // objects with the leader's iteration geometry. They cannot share the
@@ -164,8 +163,8 @@ func (c *coalescer) remove(fp uint64, b *batch) {
 }
 
 // runBatch executes one sealed batch through the cached adaptive path:
-// decision lookup, feedback-schedule installation, one scheme execution
-// with the members' destinations fanned out, one measurement fed back.
+// decision lookup, one scheme execution with the members' destinations
+// fanned out, one cost sample fed to the drift detector.
 // A batch carrying overlap members (or a seed-worthy singleton) first
 // offers itself to the simplification layer; when that declines, the
 // leader group runs the cached scheme directly and each overlap group
@@ -269,34 +268,11 @@ func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, jobs []*job, hit boo
 	l := jobs[0].loop
 	procs := e.cfg.Platform.Procs
 
-	// Snapshot the decision and install its feedback boundaries in one
-	// critical section: a recalibration switch between the two would
-	// otherwise recreate the scheduler the switch just dropped under the
-	// old scheme, and the generation read after that recreation would
-	// let the old scheme's block times pass the guard below and seed the
-	// new scheme's schedule. The scheduler is created before the first
-	// run so the batch executes the exact partition its measurement will
-	// be attributed to.
-	w.ex.IterBounds = nil
-	w.ex.BlockTimes = nil
-	var genSeen uint64
+	// The decision is snapshotted whole under the entry lock: a
+	// recalibration switch may replace it while this batch executes.
 	entry.mu.Lock()
 	scheme, name, why, decSeen := entry.scheme, entry.rec.Scheme, entry.rec.Why, entry.decGen
-	useFeedback := entry.feedback && !e.cfg.DisableFeedback && l.NumIters() > 0
-	if useFeedback {
-		if entry.fb == nil || entry.fbIters != l.NumIters() {
-			entry.fb = sched.NewFeedbackScheduler(procs, l.NumIters())
-			entry.fbIters = l.NumIters()
-			entry.gen++
-		}
-		w.bounds = entry.fb.BoundsInto(w.bounds)
-		genSeen = entry.gen
-	}
 	entry.mu.Unlock()
-	if useFeedback {
-		w.ex.IterBounds = w.bounds
-		w.ex.BlockTimes = w.times
-	}
 
 	// Size every member's destination; the scheme writes them all in one
 	// execution. A caller-provided dst with sufficient capacity is reused,
@@ -322,20 +298,6 @@ func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, jobs []*job, hit boo
 		QueueWait: qw,
 		Inspect:   insp,
 		BatchSize: len(jobs),
-	}
-
-	// Feed the measured per-block times back into the entry's scheduler.
-	// A measurement only applies to the boundaries it was taken under, so
-	// it is dropped when a concurrent batch already moved them (the
-	// generation changed).
-	if useFeedback {
-		res.Imbalance = sched.Imbalance(w.times)
-		entry.mu.Lock()
-		if entry.gen == genSeen && entry.fbIters == l.NumIters() {
-			entry.fb.Record(w.times)
-			entry.gen++
-		}
-		entry.mu.Unlock()
 	}
 
 	w.stats.record(name, len(jobs), hit)

@@ -41,7 +41,7 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 // caller's array when its capacity suffices.
 func TestSubmitIntoAliasesDst(t *testing.T) {
 	loops, refs := mixedLoops()
-	e := mustNew(t, Config{Workers: 1, DisableCoalesce: true})
+	e := mustNew(t, Config{Workers: 1, MaxBatch: 1})
 	defer e.Close()
 	for i, l := range loops {
 		dst := make([]float64, l.NumElems)
@@ -66,7 +66,6 @@ func TestRunBatchAliasesAndMatches(t *testing.T) {
 	defer e.Close()
 	w := &workerCtx{
 		ex:    &reduction.Exec{Pool: e.pool},
-		times: make([]float64, e.cfg.Platform.Procs),
 		stats: &e.statShards[0],
 	}
 
@@ -227,7 +226,7 @@ func assertClose(errs chan<- string, name string, got, want []float64) {
 func TestCacheEvictionCLOCK(t *testing.T) {
 	loops, _ := mixedLoops()
 	A, B, C := loops[0], loops[1], loops[2]
-	e := mustNew(t, Config{Workers: 1, CacheShards: 1, MaxCacheEntries: 2, DisableCoalesce: true})
+	e := mustNew(t, Config{Workers: 1, CacheShards: 1, MaxCacheEntries: 2, MaxBatch: 1})
 	defer e.Close()
 	for _, l := range []*trace.Loop{A, B, A, C, A, B} {
 		if _, err := e.Submit(l); err != nil {

@@ -7,15 +7,13 @@ import (
 	"repro/internal/clock"
 	"repro/internal/pattern"
 	"repro/internal/reduction"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
 // cacheEntry is one memoized adaptive decision. The decision fields
-// (profile, rec, scheme, feedback) are written under once.Do at first
-// sight and thereafter only by the recalibration subsystem under mu;
-// runBatch snapshots them under mu, in the same critical section that
-// installs the feedback boundaries.
+// (profile, rec, scheme) are written under once.Do at first sight and
+// thereafter only by the recalibration subsystem under mu; runDirect
+// snapshots them under mu.
 type cacheEntry struct {
 	once    sync.Once
 	profile *pattern.Profile
@@ -23,17 +21,8 @@ type cacheEntry struct {
 	// name and the rationale reported in Result.Why.
 	rec    adapt.Recommendation
 	scheme reduction.Scheme
-	// feedback reports whether the scheme honors Exec.IterBounds, i.e.
-	// whether the entry's scheduler can steer it.
-	feedback bool
 
-	mu      sync.Mutex
-	fb      *sched.FeedbackScheduler
-	fbIters int
-	// gen bumps whenever the schedule changes (a Record or a scheduler
-	// swap); a measurement only applies to the boundaries it was taken
-	// under, so jobs record only when gen is still the one they read.
-	gen uint64
+	mu sync.Mutex
 
 	// Drift-detector state (recal.go), guarded by mu. ewmaNs is the
 	// running cost estimate, anchorNs the cost the entry stabilized at
@@ -52,8 +41,7 @@ type cacheEntry struct {
 	reinspecting bool
 	confirm      int
 	pending      string
-	// decGen bumps only on scheme switches (unlike gen, which also
-	// moves with every feedback Record): a batch snapshots it with the
+	// decGen bumps on scheme switches: a batch snapshots it with the
 	// decision, and recordCost drops measurements whose decision was
 	// replaced while they executed — a straggler's old-scheme cost must
 	// not seed the new scheme's freshly reset anchor.
@@ -79,7 +67,6 @@ func (en *cacheEntry) install(prof *pattern.Profile, rec adapt.Recommendation) {
 	en.profile = prof
 	en.rec = rec
 	en.scheme = adapt.SchemeFor(rec)
-	en.feedback = feedbackSchemes[rec.Scheme]
 }
 
 // decisionCache is the decision cache: CLOCK-evicted entries keyed by
@@ -104,10 +91,6 @@ func (c decisionCache) get(fp uint64) (*cacheEntry, bool) {
 	}
 	return e, ok
 }
-
-// feedbackSchemes are the partition-agnostic schemes that honor
-// Exec.IterBounds; sel and lw fix their partitions in their inspectors.
-var feedbackSchemes = map[string]bool{"rep": true, "ll": true, "hash": true}
 
 // lookup returns the decision-cache entry for the loop's fingerprint,
 // characterizing and deciding on first sight. The boolean reports a hit.

@@ -1,0 +1,111 @@
+package engine
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/trace"
+	"repro/internal/workloads"
+)
+
+// bitDiffs counts the elements of got whose bits differ from want's.
+func bitDiffs(got, want []float64) int {
+	if len(got) != len(want) {
+		return len(want)
+	}
+	d := 0
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			d++
+		}
+	}
+	return d
+}
+
+// repeatAnswers submits l 64 times to e: 32 one after another, then 32
+// at once behind parked workers so they fuse into batches.
+func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) []Result {
+	t.Helper()
+	var out []Result
+	for i := 0; i < 32; i++ {
+		res, err := e.Submit(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, res)
+	}
+	releases := make([]func(), e.cfg.Workers)
+	for i := range releases {
+		release, err := e.Hold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases[i] = release
+	}
+	handles := make([]*Handle, 32)
+	for i := range handles {
+		h, err := e.SubmitAsync(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+	}
+	for _, release := range releases {
+		release()
+	}
+	fused := false
+	for _, h := range handles {
+		res := h.Wait()
+		fused = fused || res.BatchSize > 1
+		out = append(out, res)
+	}
+	if !fused {
+		t.Errorf("%s: no concurrent submission fused into a batch", l.Name)
+	}
+	return out
+}
+
+// TestRepeatAnswersAreBitIdentical is the numerical contract's first
+// enforced clause: the bits of a direct execution depend on the loop, the
+// scheme and procs only — not on when it ran, what ran before it, or how
+// many jobs shared its batch. With simplification off every one of 64
+// submissions of a loop returns the first answer's bits; with it on, the
+// answers served from segment sums agree among themselves (they follow
+// SegPlan's association, which is not the direct schemes').
+func TestRepeatAnswersAreBitIdentical(t *testing.T) {
+	loops := workloads.MixedSet(0.25)
+	for _, procs := range []int{2, 4, 8} {
+		for _, simplify := range []bool{false, true} {
+			e := mustNew(t, Config{Workers: 2, Platform: core.DefaultPlatform(procs), DisableSimplify: !simplify})
+			resident := 0
+			for _, l := range loops {
+				// first holds the first answer each executing scheme gave;
+				// "simplify" is the segment-sum path.
+				first := map[string][]float64{}
+				for i, res := range repeatAnswers(t, e, l) {
+					want, seen := first[res.Scheme]
+					if !seen {
+						first[res.Scheme] = res.Values
+						continue
+					}
+					if d := bitDiffs(res.Values, want); d > 0 {
+						t.Errorf("procs=%d simplify=%v %s: submission %d (%s) differs from the first %s answer in %d of %d elements",
+							procs, simplify, l.Name, i, res.Scheme, res.Scheme, d, len(want))
+						break
+					}
+					if res.Why == residentWhy {
+						resident++
+					}
+				}
+				if !simplify && len(first) != 1 {
+					t.Errorf("procs=%d %s: %d schemes answered one unchanging loop", procs, l.Name, len(first))
+				}
+			}
+			if simplify && resident == 0 {
+				t.Errorf("procs=%d: no answer came from a resident result; the simplified half checked nothing", procs)
+			}
+			e.Close()
+		}
+	}
+}

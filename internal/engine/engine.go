@@ -10,16 +10,16 @@
 //     trace.Fingerprint (a clock.Sharded) lets repeated workloads skip
 //     re-inspection without a global lock,
 //   - same-pattern jobs submitted while a batch waits in the queue are
-//     coalesced: one execution pays inspection, scheme lookup, feedback
-//     scheduling, privatization and accumulation for every fused member
+//     coalesced: one execution pays inspection, scheme lookup,
+//     privatization and accumulation for every fused member
 //     (reduction.Exec.BatchOut), whose marginal cost is one result write,
 //   - SubmitAsync returns a Handle so clients can pipeline submissions;
 //     Submit is SubmitAsync + Wait,
 //   - privatization buffers are recycled through a shared
 //     reduction.BufferPool, so steady-state jobs allocate ~nothing,
-//   - per-pattern sched.FeedbackSchedulers re-cut iteration blocks from
-//     measured per-processor times, feeding the partition-agnostic schemes
-//     (rep, ll, hash) a load-balanced schedule on their next execution,
+//   - a direct execution cuts its blocks with the schemes' static
+//     partition and nothing measured at run time, so the bits it returns
+//     depend on the loop, the scheme and Platform.Procs only,
 //   - cached decisions are revalidated online (recal.go): a per-entry
 //     drift detector (cost EWMA + periodic sampled re-profile) marks
 //     entries whose workload shifted phase, and a hysteresis-gated
@@ -73,7 +73,8 @@ type Config struct {
 	// shards, rounded up to a power of two (default 16).
 	CacheShards int
 	// MaxBatch caps how many same-pattern jobs fuse into one execution
-	// (default 32).
+	// (default 32). 1 turns batch fusion off: every job executes
+	// individually (the per-job path, kept measurable).
 	MaxBatch int
 	// DriftRatio is the recalibration cost-drift trigger: when a cache
 	// entry's EWMA execution cost diverges from its decision-time anchor
@@ -99,14 +100,6 @@ type Config struct {
 	// engine decides once per fingerprint and trusts the entry until
 	// CLOCK eviction, the pre-recalibration behavior.
 	DisableRecal bool
-	// DisableCoalesce turns off batch fusion, so every job executes
-	// individually (the per-job path, kept measurable).
-	DisableCoalesce bool
-	// DisablePool turns off buffer recycling, so every job allocates its
-	// privatization buffers cold. It exists to measure what the pool buys.
-	DisablePool bool
-	// DisableFeedback turns off feedback-guided block scheduling.
-	DisableFeedback bool
 	// DisableSimplify turns off the algebraic simplification layer:
 	// batches never run as shared segment partial sums and no segment
 	// caches are seeded, so every job executes its full reference stream
@@ -140,8 +133,9 @@ type Result struct {
 	// Inspect is the pattern-characterization time this batch paid; zero
 	// on a decision-cache hit.
 	Inspect time.Duration
-	// Imbalance is max/mean of the per-processor accumulation times
-	// (1.0 = perfectly balanced, 0 when not measured).
+	// Imbalance is carried for the wire: the RESULT frame has the field,
+	// and a gateway forwards what an older daemon measured (max/mean of
+	// its per-processor accumulation times). This engine never sets it.
 	Imbalance float64
 	// SessionGen is the streaming session's generation after the
 	// operation that produced this result (1 at open, +1 per delta
@@ -181,7 +175,7 @@ type Engine struct {
 	closed  bool
 
 	cache decisionCache
-	co    *coalescer // nil when coalescing is disabled
+	co    *coalescer // nil when MaxBatch is 1
 
 	tenants   []*tenantRT
 	tenantIdx map[string]int
@@ -268,14 +262,12 @@ func New(cfg Config) (*Engine, error) {
 		q:          newDRRQueue(weights, cfg.QueueDepth),
 		tenants:    tenants,
 		tenantIdx:  tenantIdx,
+		pool:       reduction.NewBufferPool(),
 		cache:      decisionCache{clock.NewSharded[*cacheEntry](cfg.CacheShards, cfg.MaxCacheEntries)},
 		statShards: newStatShards(cfg.Workers, cfg.MaxBatch),
 	}
-	if !cfg.DisableCoalesce && cfg.MaxBatch > 1 {
+	if cfg.MaxBatch > 1 {
 		e.co = newCoalescer(cfg.CacheShards, cfg.MaxBatch, !cfg.DisableSimplify)
-	}
-	if !cfg.DisablePool {
-		e.pool = reduction.NewBufferPool()
 	}
 	e.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -411,14 +403,12 @@ func (e *Engine) Close() {
 }
 
 // workerCtx is one worker's reusable per-batch scratch: the pooled
-// execution context, the block-time measurement array, the feedback bounds
-// snapshot, the fused-destination slice and the worker's stat shard.
+// execution context, the fused-destination slice and the worker's stat
+// shard.
 type workerCtx struct {
-	ex     *reduction.Exec
-	times  []float64
-	bounds []int
-	outs   [][]float64
-	stats  *statShard
+	ex    *reduction.Exec
+	outs  [][]float64
+	stats *statShard
 }
 
 // worker owns one reusable execution context and one stat shard, and
@@ -430,7 +420,6 @@ func (e *Engine) worker(id int) {
 			Pool:            e.pool,
 			MergeBlockElems: reduction.MergeBlockForCache(e.cfg.Platform.Cfg.L2Bytes, e.cfg.Platform.Procs),
 		},
-		times: make([]float64, e.cfg.Platform.Procs),
 		stats: &e.statShards[id],
 	}
 	for b := e.q.pop(); b != nil; b = e.q.pop() {

@@ -159,32 +159,6 @@ func TestEngineDecisionCacheHitsOnRepeatedPattern(t *testing.T) {
 	}
 }
 
-func TestEngineFeedbackSchedulingKeepsResultsCorrect(t *testing.T) {
-	// A skewed loop exercises the feedback re-cut path: repeated
-	// submissions move the iteration boundaries, and results must stay
-	// exact throughout.
-	l := workloads.Generate("skewed", workloads.PatternSpec{
-		Dim: 3000, SPPercent: 50, CHR: 0.9, MO: 2, Locality: 0.2, Skew: 2, Work: 5, Seed: 21,
-	}, 1)
-	want := l.RunSequential()
-	e := mustNew(t, Config{Workers: 1})
-	defer e.Close()
-	sawImbalance := false
-	for n := 0; n < 8; n++ {
-		res, err := e.Submit(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMatches(t, "skewed", res.Values, want)
-		if res.Imbalance > 0 {
-			sawImbalance = true
-		}
-	}
-	if !sawImbalance {
-		t.Error("no submission reported a measured imbalance; feedback path never ran")
-	}
-}
-
 func TestEngineSubmitAfterClose(t *testing.T) {
 	e := mustNew(t, Config{Workers: 1})
 	e.Close()
@@ -204,19 +178,6 @@ func TestEngineRejectsInvalidLoops(t *testing.T) {
 	bad := &trace.Loop{Name: "bad"}
 	if _, err := e.Submit(bad); err == nil {
 		t.Error("zero-element loop accepted")
-	}
-}
-
-func TestEngineDisabledPoolStillCorrect(t *testing.T) {
-	loops, refs := mixedLoops()
-	e := mustNew(t, Config{Workers: 2, DisablePool: true, DisableFeedback: true})
-	defer e.Close()
-	for i, l := range loops {
-		res, err := e.Submit(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMatches(t, l.Name, res.Values, refs[i])
 	}
 }
 

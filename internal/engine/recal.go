@@ -37,17 +37,16 @@ import (
 //     alternate batches. Re-inspections are serialized per entry so the
 //     confirmations come from distinct epochs of the workload.
 //
-// A switch replaces the entry's scheme, profile and rationale, drops the
-// feedback scheduler (the new scheme re-learns its block cuts), bumps
-// the schedule generation so in-flight measurements are discarded, and
+// A switch replaces the entry's scheme, profile and rationale, bumps the
+// decision generation so in-flight cost measurements are discarded, and
 // re-seeds the cost anchor from the next executions.
 
 // RecalSeedExecs is how many executions of an entry the cost anchor
-// waits before it is recorded: the first runs pay cold buffers and
-// unconverged feedback schedules, and anchoring on them would report
-// drift the moment the entry warms up. Exported so harnesses that warm
-// an engine before measuring drift (BenchmarkDriftRecovery) can submit
-// enough executions per pattern for the anchor to exist.
+// waits before it is recorded: the first runs pay cold buffers, and
+// anchoring on them would report drift the moment the entry warms up.
+// Exported so harnesses that warm an engine before measuring drift
+// (BenchmarkDriftRecovery) can submit enough executions per pattern for
+// the anchor to exist.
 const RecalSeedExecs = 3
 
 const (
@@ -152,8 +151,8 @@ func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, 
 	entry.mu.Unlock()
 	// Characterize outside the lock, like recordCost's periodic
 	// re-profile: the stale entry's other batches (snapshotting the
-	// decision, installing bounds, recording costs) must not serialize
-	// behind an O(refs/stride) inspector pass.
+	// decision, recording costs) must not serialize behind an
+	// O(refs/stride) inspector pass.
 	fresh := e.characterize(l)
 	rec := adapt.Recommend(fresh)
 	entry.mu.Lock()
@@ -189,9 +188,6 @@ func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, 
 		return true, false
 	}
 	entry.install(fresh, rec)
-	entry.fb = nil
-	entry.fbIters = 0
-	entry.gen++
 	entry.decGen++
 	entry.stale = false
 	entry.confirm = 0

@@ -70,7 +70,6 @@ func mutateKeepingFingerprint(t *testing.T, l *trace.Loop, segIters int, seed in
 func simpWorker(e *Engine) *workerCtx {
 	return &workerCtx{
 		ex:    &reduction.Exec{Pool: e.pool},
-		times: make([]float64, e.cfg.Platform.Procs),
 		stats: &e.statShards[0],
 	}
 }

@@ -3,7 +3,6 @@ package reduction
 import (
 	"math/bits"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -98,21 +97,14 @@ func (bp *BufferPool) PutInt32(s []int32) {
 // may be shared between many Execs.
 //
 // The zero Exec and the nil *Exec are both valid and behave like the
-// classic Run path (fresh allocations, static block schedule, no timing).
+// classic Run path (fresh allocations). Nothing in an Exec moves a
+// partition: rep, ll, hash and sel cut the iteration space, and lw the
+// element space, with the static blockBounds, so the order a scheme adds
+// in — and therefore the bits it returns — depends on the loop, the scheme
+// and procs only.
 type Exec struct {
 	// Pool supplies recycled privatization buffers; nil allocates fresh.
 	Pool *BufferPool
-	// IterBounds optionally overrides the static block partition of the
-	// iteration space with procs+1 ascending offsets (IterBounds[0] == 0,
-	// IterBounds[procs] == NumIters), e.g. boundaries produced by
-	// sched.FeedbackScheduler. The partition-agnostic schemes (rep, ll,
-	// hash) honor it; sel and lw derive their own partitions from inspector
-	// results and ignore it.
-	IterBounds []int
-	// BlockTimes, when it has at least procs entries, receives the
-	// wall-clock nanoseconds each processor spent in the accumulation
-	// phase — the measurement sched.FeedbackScheduler feeds on.
-	BlockTimes []float64
 	// BatchOut is the engine's batch-fusion path: additional destination
 	// arrays (each of length NumElems) that receive the reduction result
 	// alongside the primary out. A batch of jobs over the same loop pays
@@ -170,16 +162,6 @@ func (ex *Exec) mergeBlock(procs int) int {
 // kernels.go; everything else runs the retained references in naive.go.
 func (ex *Exec) fastAdd(l *trace.Loop) bool {
 	return l.Op == trace.OpAdd && (ex == nil || !ex.naive)
-}
-
-// iterBlock returns processor p's iteration range: the custom feedback
-// boundaries when installed and consistent with this loop, else the static
-// block partition.
-func (ex *Exec) iterBlock(n, procs, p int) (lo, hi int) {
-	if ex != nil && len(ex.IterBounds) == procs+1 && ex.IterBounds[procs] == n && ex.IterBounds[0] == 0 {
-		return ex.IterBounds[p], ex.IterBounds[p+1]
-	}
-	return blockBounds(n, procs, p)
 }
 
 // pool returns the context's buffer pool (nil-safe).
@@ -253,20 +235,6 @@ func (ex *Exec) fanOut(out []float64) {
 	}
 	for _, dst := range ex.BatchOut {
 		copy(dst, out)
-	}
-}
-
-// timedBody wraps body so that processor p's wall-clock time lands in
-// BlockTimes[p] when the caller asked for measurements.
-func (ex *Exec) timedBody(procs int, body func(p int)) func(p int) {
-	if ex == nil || len(ex.BlockTimes) < procs {
-		return body
-	}
-	times := ex.BlockTimes
-	return func(p int) {
-		start := time.Now()
-		body(p)
-		times[p] = float64(time.Since(start).Nanoseconds())
 	}
 }
 

@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -65,46 +66,35 @@ func TestRunIntoReusesDst(t *testing.T) {
 	}
 }
 
-// TestRunIntoHonorsIterBounds gives the partition-agnostic schemes a
-// deliberately skewed custom iteration partition; results must not change.
-func TestRunIntoHonorsIterBounds(t *testing.T) {
-	l := randomLoop(400, 1000, 2, 9)
-	want := l.RunSequential()
-	bounds := []int{0, 10, 500, 980, 1000} // 4 procs, very uneven
-	for _, s := range All() {
-		ex := &Exec{Pool: NewBufferPool(), IterBounds: bounds}
-		got := s.RunInto(l, 4, ex, nil)
-		assertSameResult(t, s.Name()+"+bounds", got, want)
-	}
-}
-
-// TestHashSurvivesSkewedIterBounds regresses the table-overflow hazard: a
-// feedback schedule may hand one processor nearly every iteration, so its
-// table must be sized for the block it actually executes — a table sized
-// from the per-processor average would fill up and probe forever.
+// TestHashSurvivesSkewedIterBounds regresses the table-overflow hazard:
+// the static partition cuts iterations, not references, so skewed
+// iteration lengths can put nearly every reference into one processor's
+// block. Its table must be sized for the block it actually executes — a
+// table sized from the per-processor average would fill up and probe
+// forever.
 func TestHashSurvivesSkewedIterBounds(t *testing.T) {
-	l := randomLoop(5000, 4000, 2, 31) // ~4800 distinct keys
-	want := l.RunSequential()
-	// All 4000 iterations land on the last of 4 processors.
-	ex := &Exec{IterBounds: []int{0, 0, 0, 0, 4000}}
-	got := Hash{}.RunInto(l, 4, ex, nil)
-	assertSameResult(t, "hash+skew", got, want)
-}
-
-// TestRunIntoRecordsBlockTimes checks the accumulation-phase timer fires
-// for every processor.
-func TestRunIntoRecordsBlockTimes(t *testing.T) {
-	l := randomLoop(400, 4000, 3, 17)
-	for _, s := range All() {
-		times := []float64{-1, -1, -1, -1}
-		ex := &Exec{BlockTimes: times}
-		s.RunInto(l, 4, ex, nil)
-		for p, v := range times {
-			if v < 0 {
-				t.Errorf("%s: proc %d time not recorded", s.Name(), p)
-			}
-		}
+	// 3000 empty iterations, then 1000 of 64 references each: the last of
+	// 4 blocks holds all 64000 references and ~55000 distinct keys, where
+	// the per-processor average (16000 references) would size a
+	// 32768-slot table.
+	const elems, refsPerIter = 200000, 64
+	rng := rand.New(rand.NewSource(31))
+	l := trace.NewLoop("skewed", elems)
+	for i := 0; i < 3000; i++ {
+		l.AddIter()
 	}
+	refs := make([]int32, refsPerIter)
+	for i := 0; i < 1000; i++ {
+		for k := range refs {
+			refs[k] = int32(rng.Intn(elems))
+		}
+		l.AddIter(refs...)
+	}
+	if lo, hi := blockBounds(l.NumIters(), 4, 3); l.RefsInRange(lo, hi) != l.TotalRefs() {
+		t.Fatalf("last block holds %d of %d references; the skew is gone", l.RefsInRange(lo, hi), l.TotalRefs())
+	}
+	got := Hash{}.RunInto(l, 4, nil, nil)
+	assertSameResult(t, "hash+skew", got, l.RunSequential())
 }
 
 // TestRunIntoBatchOut runs every scheme with two fused batch destinations

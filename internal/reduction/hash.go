@@ -104,21 +104,21 @@ func (Hash) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64
 	fast := ex.fastAdd(l)
 	offsets, refs := l.Flat()
 
-	parallelFor(procs, ex.timedBody(procs, func(p int) {
+	parallelFor(procs, func(p int) {
 		t := &tables[p]
-		lo, hi := ex.iterBlock(l.NumIters(), procs, p)
+		lo, hi := blockBounds(l.NumIters(), procs, p)
 		// Size for this block's actual reference count: the block's
 		// distinct keys cannot exceed it, so the open-addressing table
-		// always keeps a free slot and probing terminates — even when a
-		// feedback schedule hands this processor a far larger share of
-		// the references than the static partition would.
+		// always keeps a free slot and probing terminates — even when
+		// skewed iteration lengths put far more than the per-processor
+		// average of the references into this block.
 		t.init(l.RefsInRange(lo, hi)+1, pool)
 		if fast {
 			t.accumHashAdd(offsets, refs, lo, hi)
 		} else {
 			t.naiveAccumHash(l, lo, hi)
 		}
-	}))
+	})
 
 	out, fresh := ensureOut(out, l.NumElems)
 	initNeutral(out, neutral, fresh)

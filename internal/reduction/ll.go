@@ -39,19 +39,19 @@ func (LinkedList) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []f
 	heads := pool.Int32(procs)
 	defer pool.PutInt32(heads)
 
-	parallelFor(procs, ex.timedBody(procs, func(p int) {
+	parallelFor(procs, func(p int) {
 		v := pool.Float64(l.NumElems)
 		next := pool.Int32(l.NumElems)
 		fillInt32(next, -2) // -2 = untouched
 		head := int32(-1)
-		lo, hi := ex.iterBlock(l.NumIters(), procs, p)
+		lo, hi := blockBounds(l.NumIters(), procs, p)
 		if fast {
 			head = accumLazyAdd(v, next, head, offsets, refs, lo, hi)
 		} else {
 			head = naiveAccumLazy(v, next, head, l, lo, hi)
 		}
 		vals[p], nexts[p], heads[p] = v, next, head
-	}))
+	})
 
 	// Merge: walk each processor's touched list. Serialized per processor
 	// list but applied concurrently over disjoint output partitions would

@@ -63,8 +63,7 @@ func (lw LocalWrite) Run(l *trace.Loop, procs int) []float64 {
 
 // RunInto executes the loop under owner-computes with iteration
 // replication; the inspector's per-owner iteration lists come from the
-// context's pool. The element partition fixes which processor executes
-// what, so lw ignores the context's feedback iteration bounds.
+// context's pool. The element partition fixes who executes what.
 func (lw LocalWrite) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	checkProcs(procs)
 	if procs > 64 {
@@ -78,14 +77,14 @@ func (lw LocalWrite) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) 
 	initNeutral(out, neutral, fresh)
 	fast := ex.fastAdd(l)
 	offsets, refs := l.Flat()
-	parallelFor(procs, ex.timedBody(procs, func(p int) {
+	parallelFor(procs, func(p int) {
 		elemLo, elemHi := blockBounds(l.NumElems, procs, p)
 		if fast {
 			accumOwnedAdd(out, int32(elemLo), int32(elemHi), iterLists[p], offsets, refs)
 		} else {
 			naiveAccumOwned(out, elemLo, elemHi, iterLists[p], l)
 		}
-	}))
+	})
 	for p := range iterLists {
 		pool.PutInt32(iterLists[p])
 	}

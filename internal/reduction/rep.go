@@ -37,17 +37,17 @@ func (Rep) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 
 	offsets, refs := l.Flat()
 
 	// Init + Loop: each processor fills its private copy.
-	parallelFor(procs, ex.timedBody(procs, func(p int) {
+	parallelFor(procs, func(p int) {
 		w := pool.Float64(l.NumElems)
 		initNeutral(w, neutral, pool == nil)
-		lo, hi := ex.iterBlock(l.NumIters(), procs, p)
+		lo, hi := blockBounds(l.NumIters(), procs, p)
 		if fast {
 			accumFlatAdd(w, offsets, refs, lo, hi)
 		} else {
 			naiveAccumFlat(w, l, lo, hi)
 		}
 		priv[p] = w
-	}))
+	})
 
 	// Merge: processors cooperatively tree-combine their element ranges
 	// across the P copies in L2-sized blocks (writing every element, so

@@ -39,9 +39,9 @@ type Scheme interface {
 	// privatization buffer is allocated cold.
 	Run(l *trace.Loop, procs int) []float64
 	// RunInto executes the loop in parallel on procs goroutines using the
-	// execution context's pooled buffers, feedback schedule and phase
-	// timers, writing the reduction array into out when its capacity
-	// suffices. ex and out may both be nil, which degenerates to Run.
+	// execution context's pooled buffers, writing the reduction array
+	// into out when its capacity suffices. ex and out may both be nil,
+	// which degenerates to Run.
 	RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64
 }
 

@@ -61,7 +61,7 @@ func (s Selective) Run(l *trace.Loop, procs int) []float64 {
 // RunInto executes the loop with selective privatization; the inspector's
 // remap table and the compact conflicting-set arrays come from the
 // context's pool. The inspector classifies against the static block
-// partition, so sel ignores the context's feedback iteration bounds.
+// partition the accumulation then executes.
 func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	checkProcs(procs)
 	neutral := l.Op.Neutral()
@@ -75,7 +75,7 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 	initNeutral(out, neutral, fresh)
 	priv := ex.float64Slots(procs)
 
-	parallelFor(procs, ex.timedBody(procs, func(p int) {
+	parallelFor(procs, func(p int) {
 		compact := pool.Float64(numConflict)
 		initNeutral(compact, neutral, pool == nil)
 		lo, hi := blockBounds(l.NumIters(), procs, p)
@@ -85,7 +85,7 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 			naiveAccumSel(out, compact, remap, l, lo, hi)
 		}
 		priv[p] = compact
-	}))
+	})
 
 	// Merge only the conflicting elements: tree-combine the compact
 	// arrays in blocks (exact under every operator's neutral, as in rep),

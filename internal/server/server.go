@@ -1,8 +1,8 @@
 // Package server implements reduxd: a TCP front end that multiplexes many
 // client connections onto one shared engine.Engine. It is the network
 // shape of the paper's runtime — the adaptive machinery (pattern
-// characterization, decision cache, feedback schedules, buffer pools) is
-// amortized across every connected client, not just one process.
+// characterization, decision cache, buffer pools) is amortized across
+// every connected client, not just one process.
 //
 // The dataflow per connection is two goroutines around the shared engine:
 //

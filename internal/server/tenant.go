@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,12 +64,12 @@ func ParseTenantSpecs(s string) ([]TenantSpec, error) {
 			}
 		}
 		if len(parts) > 2 && parts[2] != "" {
-			if sp.Rate, err = strconv.ParseFloat(parts[2], 64); err != nil || sp.Rate < 0 {
+			if sp.Rate, err = parseLimit(parts[2]); err != nil {
 				return nil, fmt.Errorf("server: tenant %s: bad rate %q", sp.Name, parts[2])
 			}
 		}
 		if len(parts) > 3 && parts[3] != "" {
-			if sp.Burst, err = strconv.ParseFloat(parts[3], 64); err != nil || sp.Burst < 0 {
+			if sp.Burst, err = parseLimit(parts[3]); err != nil {
 				return nil, fmt.Errorf("server: tenant %s: bad burst %q", sp.Name, parts[3])
 			}
 		}
@@ -80,6 +81,18 @@ func ParseTenantSpecs(s string) ([]TenantSpec, error) {
 		specs = append(specs, sp)
 	}
 	return specs, nil
+}
+
+// parseLimit parses a rate or burst: a finite, non-negative number.
+// strconv.ParseFloat accepts "NaN" and "Inf", and NaN passes a `< 0`
+// check — in a token bucket it then makes both the cap and the empty
+// comparison false, so every take is granted.
+func parseLimit(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
+		err = strconv.ErrRange
+	}
+	return v, err
 }
 
 // EngineTenants projects the scheduling half of the specs — the part the

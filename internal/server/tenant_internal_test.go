@@ -1,6 +1,10 @@
 package server
 
 import (
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,12 +106,50 @@ func TestParseTenantSpecs(t *testing.T) {
 		"a:zero",      // non-numeric weight
 		"a:0",         // weight below 1
 		"a:1:-5",      // negative rate
+		"a:1:NaN",     // NaN rate: every bucket comparison is false, so no limit at all
+		"a:1:NaN:4",   // the same with a finite burst
+		"a:1:inf",     // infinite rate
+		"a:1:5:NaN",   // NaN burst
+		"a:1:5:+Inf",  // infinite burst
 		"a:1:1:1:1:1", // too many fields
 	} {
 		if _, err := ParseTenantSpecs(bad); err == nil {
 			t.Errorf("ParseTenantSpecs(%q) accepted invalid input", bad)
 		}
 	}
+}
+
+// FuzzParseTenantSpecs holds the -tenants parser to its contract on any
+// input: whatever it accepts is a usable admission contract (a name, a
+// weight the DRR scheduler can use, limits a token bucket can compare
+// against), and the accepted value survives a round trip through the
+// flag syntax.
+func FuzzParseTenantSpecs(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		specs, err := ParseTenantSpecs(s)
+		if err != nil {
+			return
+		}
+		finite := func(v float64) bool { return v >= 0 && !math.IsInf(v, 0) }
+		entries := make([]string, len(specs))
+		for i, sp := range specs {
+			if sp.Name == "" || sp.Weight < 1 || !finite(sp.Rate) || !finite(sp.Burst) || sp.MaxInflight < 0 {
+				t.Fatalf("ParseTenantSpecs(%q) accepted %+v", s, sp)
+			}
+			entries[i] = strings.Join([]string{
+				sp.Name,
+				strconv.Itoa(sp.Weight),
+				strconv.FormatFloat(sp.Rate, 'g', -1, 64),
+				strconv.FormatFloat(sp.Burst, 'g', -1, 64),
+				strconv.Itoa(sp.MaxInflight),
+			}, ":")
+		}
+		rendered := strings.Join(entries, ",")
+		again, err := ParseTenantSpecs(rendered)
+		if err != nil || !slices.Equal(again, specs) {
+			t.Fatalf("ParseTenantSpecs(%q) = %+v, but its rendering %q re-parses to %+v, %v", s, specs, rendered, again, err)
+		}
+	})
 }
 
 func TestBuildTenantTableDefault(t *testing.T) {

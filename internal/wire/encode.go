@@ -2,7 +2,9 @@ package wire
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -307,10 +309,12 @@ func AppendStats(dst []byte, jobID uint64, s *engine.Stats) []byte {
 	for _, v := range s.BatchOccupancy {
 		dst = binary.AppendUvarint(dst, v)
 	}
+	// The scheme mix travels in name order, so one snapshot has one
+	// encoding; decoders accept any order.
 	dst = binary.AppendUvarint(dst, uint64(len(s.Schemes)))
-	for name, count := range s.Schemes {
+	for _, name := range slices.Sorted(maps.Keys(s.Schemes)) {
 		dst = appendString(dst, name)
-		dst = binary.AppendUvarint(dst, count)
+		dst = binary.AppendUvarint(dst, s.Schemes[name])
 	}
 	// The tails follow the same evolution rule as the HELLO flags field:
 	// each is emitted only when it has something to say and decodes as

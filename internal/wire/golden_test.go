@@ -18,8 +18,10 @@ var update = flag.Bool("update", false, "rewrite the testdata/stats golden files
 
 // goldenStatsCases returns one snapshot per positional STATS tail, each
 // extending the previous one — the same chain gen_corpus.go seeds the
-// fuzzer with, but with a single scheme so the encoding is deterministic
-// (the scheme map is written in Go map order).
+// fuzzer with. The six tail cases carry a single scheme: they were
+// recorded while the scheme map was still written in Go map order.
+// "mixed" is the full snapshot with a three-scheme mix, recorded once the
+// encoder sorted it.
 func goldenStatsCases() []struct {
 	name string
 	s    engine.Stats
@@ -50,12 +52,15 @@ func goldenStatsCases() []struct {
 		{Name: "acme", Weight: 4, Jobs: 70, Batches: 28, Busy: 5, Recalibrations: 6, SchemeSwitches: 3,
 			QueueWait: obs.Snapshot{Count: 60, SumNs: 54000, MaxNs: 2700, Buckets: []uint64{1, 0, 9, 50}}},
 	}
+	mixed := ten
+	mixed.Schemes = map[string]uint64{"rep": 60, "ll": 30, "hash": 10}
 	return []struct {
 		name string
 		s    engine.Stats
 	}{
 		{"none", none}, {"recal", recal}, {"simplify", simp},
 		{"hist", hist}, {"session", sess}, {"tenants", ten},
+		{"mixed", mixed},
 	}
 }
 
@@ -63,10 +68,17 @@ func goldenStatsCases() []struct {
 // combinations to bytes recorded from the hand-written encoder this
 // table-driven one replaced, and checks each golden decodes back to the
 // snapshot that produced it: the schema must reproduce the positional
-// layout exactly, not merely round-trip with itself.
+// layout exactly, not merely round-trip with itself. Every snapshot is
+// encoded 32 times: one snapshot has one encoding, however many schemes
+// its map holds.
 func TestStatsGoldenBytes(t *testing.T) {
 	for i, tc := range goldenStatsCases() {
 		got := AppendStats(nil, uint64(6+i), &tc.s)
+		for n := 1; n < 32; n++ {
+			if again := AppendStats(nil, uint64(6+i), &tc.s); !bytes.Equal(again, got) {
+				t.Fatalf("%s: encode %d of one snapshot differs from the first\n got %x\nwant %x", tc.name, n+1, again, got)
+			}
+		}
 		path := filepath.Join("testdata", "stats", tc.name+".hex")
 		if *update {
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -13,13 +13,16 @@
 #
 # A lab package is anything under internal/lab/ plus the simulator
 # packages that predate that directory and keep their import paths (see
-# ROADMAP item 4). `make deps-check`; part of `make ci` and the lint job.
+# ROADMAP item 8), and internal/sched: the paper's feedback-guided block
+# scheduler left the service when its with/without row showed it never
+# ahead (docs/ARCHITECTURE.md, "What each mechanism buys") and stays as
+# paper-track code. `make deps-check`; part of `make ci` and the lint job.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 mod=repro
-lab="^$mod/internal/(lab/.*|vtime|simcache|simarch|pclr|machine|spec|inspector|experiments)\$"
+lab="^$mod/internal/(lab/.*|vtime|simcache|simarch|pclr|machine|spec|inspector|experiments|sched)\$"
 allowed="^$mod/(internal/lab/.*|cmd/smartapps|cmd/pclrsim|cmd/reduxsel|examples/.*)\$"
 
 bad=0
