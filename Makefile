@@ -76,9 +76,11 @@ docs-check:
 	./scripts/md_links.sh
 	$(GO) test -count=1 -run '^TestSeriesDocs$$' ./internal/metrics
 
-# fuzz runs the four fuzz targets for 10s each under the race detector,
+# fuzz runs the five fuzz targets for 10s each under the race detector,
 # starting from their checked-in seed corpora (testdata/fuzz): corrupt or
-# truncated wire frames must error, never panic; any loop, width and
+# truncated wire frames must error, never panic; whatever frame the
+# decoders accept must re-encode to a canonical frame that decodes to the
+# same value and re-encodes to itself; any loop, width and
 # delta stream must keep a session bit-identical to a from-scratch
 # rebuild, with rejected batches mutating nothing; any sequence of cache
 # operations must keep clock.Cache in step with its reference model; and
@@ -86,6 +88,7 @@ docs-check:
 # contract (finite limits) that survives a round trip through the syntax.
 fuzz:
 	$(GO) test -race -run '^FuzzDecodeFrame$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -race -run '^FuzzFrameFixpoint$$' -fuzz '^FuzzFrameFixpoint$$' -fuzztime 10s ./internal/wire
 	$(GO) test -race -run '^FuzzDeltaState$$' -fuzz '^FuzzDeltaState$$' -fuzztime 10s ./internal/reduction
 	$(GO) test -race -run '^FuzzClockCache$$' -fuzz '^FuzzClockCache$$' -fuzztime 10s ./internal/clock
 	$(GO) test -race -run '^FuzzParseTenantSpecs$$' -fuzz '^FuzzParseTenantSpecs$$' -fuzztime 10s ./internal/server
@@ -95,9 +98,10 @@ fuzz:
 cover:
 	./scripts/coverage_gate.sh
 
-# codegen compiles the reduction package with the compiler's bounds-check
-# diagnostic and fails when an unmarked check appears in the optimized
-# kernels (kernels.go) — the CI codegen job, runnable locally.
+# codegen compiles the reduction and wire packages with the compiler's
+# bounds-check diagnostic and fails when an unmarked check appears in the
+# optimized kernels (kernels.go, segtree.go) or the RESULT float codec
+# (wire/floats.go) — the CI codegen job, runnable locally.
 codegen:
 	./scripts/bce_check.sh
 

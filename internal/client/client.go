@@ -34,7 +34,6 @@
 package client
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -302,8 +301,7 @@ type netSession struct {
 	nc    net.Conn
 	hello wire.Hello
 
-	writeMu sync.Mutex
-	bw      *bufio.Writer
+	writeMu sync.Mutex // one frame at a time on nc
 
 	pendMu  sync.Mutex
 	pending map[uint64]*pend
@@ -338,12 +336,11 @@ func (pc *poolConn) ensure() (*netSession, error) {
 	s := &netSession{
 		pc:      pc,
 		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
 		pending: make(map[uint64]*pend),
 	}
 	// The server speaks first: its HELLO validates version agreement
 	// before any job is risked on the connection.
-	hr := wire.NewReader(bufio.NewReaderSize(nc, 64<<10), pc.cl.cfg.MaxFrameBytes)
+	hr := wire.NewReader(nc, pc.cl.cfg.MaxFrameBytes)
 	nc.SetReadDeadline(time.Now().Add(pc.cl.cfg.DialTimeout))
 	f, err := hr.Next()
 	if err != nil {
@@ -504,14 +501,12 @@ func (s *netSession) forget(p *pend) {
 	}
 }
 
-// write sends one encoded frame and flushes. Pipelined submitters each
-// flush their own frame; the bufio layer coalesces writers that race.
+// write sends one encoded frame: the complete pooled buffer in a single
+// socket write, serialized with the other submitters so frames never
+// interleave.
 func (s *netSession) write(buf *wire.Buffer) error {
 	s.writeMu.Lock()
-	_, err := s.bw.Write(buf.B)
-	if err == nil {
-		err = s.bw.Flush()
-	}
+	_, err := s.nc.Write(buf.B)
 	s.writeMu.Unlock()
 	buf.Free()
 	if err != nil {

@@ -276,3 +276,67 @@ func TestHandlesDieWithConnection(t *testing.T) {
 		t.Fatalf("re-learned handle not used: %+v", st)
 	}
 }
+
+// TestConcurrentSubmittersKeepFramesWhole has 16 goroutines share one
+// connection: each SUBMIT is one socket write under the session's write
+// lock, so the server must be able to parse the byte stream into exactly
+// the frames that were sent — 800 whole SUBMITs, none interleaved — and
+// every caller must get its own loop's sums back.
+func TestConcurrentSubmittersKeepFramesWhole(t *testing.T) {
+	const callers, each = 16, 50
+	st := startLegacyStub(t)
+	cl, err := client.Dial(st.addr, client.Config{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Frames from a few dozen bytes to tens of KB, so a torn write
+			// would land inside a neighbour's payload.
+			l := trace.NewLoop(fmt.Sprintf("caller-%d", c), 4096)
+			for i := 0; i < 1+c*c*40; i++ {
+				l.AddIter(int32((i*131+c)%4096), int32((i*17+c*5)%4096))
+			}
+			var hs []*client.Handle
+			for k := 0; k < each; k++ {
+				h, err := cl.SubmitAsync(l)
+				if err != nil {
+					t.Errorf("caller %d submit %d: %v", c, k, err)
+					return
+				}
+				hs = append(hs, h)
+			}
+			for k, h := range hs {
+				res, err := h.Wait()
+				if err != nil {
+					t.Errorf("caller %d job %d: %v", c, k, err)
+					return
+				}
+				assertSums(t, l, res.Values)
+			}
+		}()
+	}
+	wg.Wait()
+	r := wire.NewReader(bytes.NewReader(st.received()), 0)
+	frames := 0
+	for {
+		f, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("the recorded client stream stops parsing after %d frames: %v", frames, err)
+		}
+		if _, err := f.DecodeSubmit(0); err != nil {
+			t.Fatalf("frame %d: %v", frames, err)
+		}
+		frames++
+	}
+	if frames != callers*each {
+		t.Fatalf("server parsed %d SUBMIT frames, want %d", frames, callers*each)
+	}
+}

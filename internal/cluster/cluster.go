@@ -36,7 +36,6 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -353,7 +352,7 @@ func probeDial(addr string, timeout time.Duration, maxFrame int) (wire.Hello, bo
 	if err := wire.WritePreamble(nc); err != nil {
 		return wire.Hello{}, false
 	}
-	f, err := wire.NewReader(bufio.NewReader(nc), maxFrame).Next()
+	f, err := wire.NewReader(nc, maxFrame).Next()
 	if err != nil {
 		return wire.Hello{}, false
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"sync"
@@ -21,6 +20,10 @@ import (
 // before sending its magic, so dead or misdirected connections cannot
 // hold sockets open forever.
 const preambleTimeout = 10 * time.Second
+
+// writeQueue is how many encoded responses may wait for the write loop
+// before conn.send blocks — and so the most one vectored write carries.
+const writeQueue = 64
 
 // tlPool recycles per-job stage timelines. A timeline's lifetime is
 // strictly handleSubmit → waiter goroutine → observe, so the goroutine
@@ -69,7 +72,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		nc:        nc,
 		id:        s.connIDs.Add(1),
 		tenant:    s.tenantList[0],
-		writeCh:   make(chan *wire.Buffer, 64),
+		writeCh:   make(chan *wire.Buffer, writeQueue),
 		writeDone: make(chan struct{}),
 	}
 }
@@ -113,8 +116,7 @@ func (c *conn) serve() {
 		// the full preamble timeout.
 		c.nc.SetReadDeadline(time.Unix(1, 0))
 	}
-	br := bufio.NewReaderSize(c.nc, 64<<10)
-	if _, err := wire.ReadPreamble(br); err != nil {
+	if _, err := wire.ReadPreamble(c.nc); err != nil {
 		return
 	}
 	c.nc.SetReadDeadline(time.Time{})
@@ -134,7 +136,7 @@ func (c *conn) serve() {
 	})
 	c.send(hello)
 
-	r := wire.NewReader(br, c.srv.cfg.MaxFrameBytes)
+	r := wire.NewReader(c.nc, c.srv.cfg.MaxFrameBytes)
 	for {
 		f, err := r.Next()
 		if err != nil {
@@ -343,10 +345,14 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		tl.Add(obs.StageMerge, total-time.Duration(tl.TotalNs()))
 		c.srv.observe(tl, total)
 		tlPool.Put(tl)
-		c.send(buf)
 		// The result array is fully encoded into buf; recycle it for a
-		// later submission's destination.
+		// later submission's destination. That goes before the send:
+		// putDst allocates, and a goroutine that parks in GC assist with
+		// its response already on the wire still holds its admission slot
+		// — a client refilling the window it was just handed would draw
+		// BUSY. After the send only the release may remain.
 		c.srv.putDst(res.Values)
+		c.send(buf)
 	}()
 }
 
@@ -417,8 +423,8 @@ func (c *conn) sendSessionResult(jobID uint64, res *engine.Result, tl *obs.Timel
 	tl.Add(obs.StageMerge, total-time.Duration(tl.TotalNs()))
 	c.srv.observe(tl, total)
 	tlPool.Put(tl)
+	c.srv.putDst(res.Values) // before the send, as in handleSubmit's waiter
 	c.send(buf)
-	c.srv.putDst(res.Values)
 }
 
 // handleOpenSession admits, decodes and registers one streaming session.
@@ -594,25 +600,49 @@ func (c *conn) handleCloseSession(f wire.Frame) {
 	}()
 }
 
-// writeLoop serializes responses: pooled buffers in, one buffered socket
-// out, flushing when the queue momentarily empties. After a write error
-// it keeps draining (and freeing) buffers so no sender ever blocks on a
-// dead connection.
+// writeLoop serializes responses: it takes one pooled buffer, drains
+// whatever else is queued behind it, and hands the batch to the socket as
+// one vectored write (writev on a TCP connection, sequential writes on
+// anything else) straight from the buffers the encoders filled. After a
+// write error it keeps draining (and freeing) buffers so no sender ever
+// blocks on a dead connection.
 func (c *conn) writeLoop() {
 	defer close(c.writeDone)
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	var werr error
+	// One batch's buffers, their byte slices, and the view over those that
+	// WriteTo consumes as it writes: allocated here, once per connection.
+	var (
+		batch [writeQueue]*wire.Buffer
+		iov   [writeQueue][]byte
+		vec   net.Buffers
+		werr  error
+	)
 	for buf := range c.writeCh {
+		batch[0] = buf
+		n := 1
+	drain:
+		for n < len(batch) {
+			select {
+			case more, ok := <-c.writeCh:
+				if !ok {
+					break drain
+				}
+				batch[n] = more
+				n++
+			default:
+				break drain
+			}
+		}
 		if werr == nil {
-			_, werr = bw.Write(buf.B)
+			for i, buf := range batch[:n] {
+				iov[i] = buf.B
+			}
+			vec = iov[:n]
+			_, werr = vec.WriteTo(c.nc)
 		}
-		buf.Free()
-		if werr == nil && len(c.writeCh) == 0 {
-			werr = bw.Flush()
+		for i, buf := range batch[:n] {
+			buf.Free()
+			batch[i] = nil // the pool owns it now; do not pin it from here
 		}
-	}
-	if werr == nil {
-		bw.Flush()
 	}
 }
 

@@ -11,6 +11,15 @@
 //	                                                        │ (per-job waiter)
 //	write loop: pooled response buffers ← encode ← Handle.Wait
 //
+// Neither loop sits behind a buffered-I/O layer. The read loop's
+// wire.Reader reads the socket into one buffer and parses frames where
+// they landed; the write loop takes every response queued at that moment
+// and hands the batch to the socket as one vectored write, straight from
+// the pooled buffers the encoders filled. A RESULT vector is therefore
+// touched twice in user space on its way out (the engine's copy into the
+// job's array, the encode) and once on its way in at the client (the
+// decode) — docs/ARCHITECTURE.md "The byte path of a RESULT".
+//
 // Three properties carry the engine's performance across the network hop:
 //
 //   - Pipelining: responses are keyed by client-assigned job IDs and sent

@@ -126,7 +126,6 @@ func TestAdmissionControlBusy(t *testing.T) {
 		engine.Config{Workers: 1},
 		server.Config{MaxInflightPerConn: 2})
 	defer teardown()
-	_ = eng
 
 	cl, err := client.Dial(addr, client.Config{Conns: 1})
 	if err != nil {
@@ -136,6 +135,14 @@ func TestAdmissionControlBusy(t *testing.T) {
 
 	l := workloads.MixedSet(0.5)[0]
 	want := l.RunSequential()
+	// The single worker stays parked while the flood goes out, so the two
+	// admitted jobs still hold the budget when the rest arrive: overflow
+	// does not depend on the worker being slower than the wire.
+	release, err := eng.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	const flood = 64
 	handles := make([]*client.Handle, flood)
 	for i := range handles {
@@ -145,6 +152,12 @@ func TestAdmissionControlBusy(t *testing.T) {
 		}
 		handles[i] = h
 	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Busy < flood-2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server rejected %d of the %d jobs over budget", srv.Stats().Busy, flood-2)
+		}
+	}
+	release()
 	busy, ok := 0, 0
 	for _, h := range handles {
 		res, err := h.Wait()
@@ -192,6 +205,15 @@ func TestCoalescingSurvivesNetworkHop(t *testing.T) {
 	}
 	warm := eng.Stats()
 
+	// The single worker stays parked until the server has admitted the
+	// whole burst (as in TestPatternHandleBurstFuses): whether the jobs
+	// meet in the queue must not depend on the worker draining it slower
+	// than the transport fills it.
+	release, err := eng.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	const jobs = 32
 	handles := make([]*client.Handle, jobs)
 	for i := range handles {
@@ -201,6 +223,12 @@ func TestCoalescingSurvivesNetworkHop(t *testing.T) {
 		}
 		handles[i] = h
 	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Inflight() < jobs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server admitted %d of %d burst jobs", srv.Inflight(), jobs)
+		}
+	}
+	release()
 	coalescedSeen := false
 	for i, h := range handles {
 		res, err := h.Wait()

@@ -17,7 +17,7 @@ import (
 // the rejections land on the tenant's own counter.
 func TestTenantQuotaBusy(t *testing.T) {
 	tenants := []server.TenantSpec{{Name: "capped", Weight: 1, MaxInflight: 1}}
-	_, srv, addr, teardown := startServer(t,
+	eng, srv, addr, teardown := startServer(t,
 		engine.Config{Workers: 1, Tenants: server.EngineTenants(tenants)},
 		server.Config{Tenants: tenants})
 	defer teardown()
@@ -35,6 +35,14 @@ func TestTenantQuotaBusy(t *testing.T) {
 
 	l := workloads.MixedSet(0.5)[0]
 	want := l.RunSequential()
+	// The single worker stays parked while the flood goes out, so the
+	// first job still holds the tenant's one slot when the others arrive:
+	// rejections do not depend on the worker being slower than the wire.
+	release, err := eng.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	const flood = 32
 	handles := make([]*client.Handle, flood)
 	for i := range handles {
@@ -44,6 +52,12 @@ func TestTenantQuotaBusy(t *testing.T) {
 		}
 		handles[i] = h
 	}
+	for deadline := time.Now().Add(10 * time.Second); srv.TenantBusy("capped") < flood-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server rejected %d of the %d jobs behind the quota", srv.TenantBusy("capped"), flood-1)
+		}
+	}
+	release()
 	busy, ok := 0, 0
 	for _, h := range handles {
 		res, err := h.Wait()

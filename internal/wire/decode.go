@@ -429,16 +429,18 @@ func (f Frame) DecodeResultHandle(dst []float64) (engine.Result, uint64, error) 
 	if err != nil {
 		return engine.Result{}, 0, err
 	}
+	// The bound above counted the bytes of the count itself; this is the
+	// one length check for the whole vector.
+	if c.remaining() < 8*n {
+		return engine.Result{}, 0, fmt.Errorf("%w: truncated values (%d of %d bytes)", ErrCorrupt, c.remaining(), 8*n)
+	}
 	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make([]float64, n)
 	}
-	for i := 0; i < n; i++ {
-		if dst[i], err = c.f64(); err != nil {
-			return engine.Result{}, 0, err
-		}
-	}
+	getF64s(dst, c.b[:8*n])
+	c.b = c.b[8*n:]
 	// Optional trailing session generation (HELLO-flags evolution rule):
 	// session results carry it, one-shot results and older peers omit it.
 	if c.remaining() > 0 {

@@ -208,9 +208,10 @@ func AppendResultHandle(dst []byte, jobID uint64, r *engine.Result, handle uint6
 	dst = appendString(dst, scheme)
 	dst = appendString(dst, why)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Values)))
-	for _, v := range r.Values {
-		dst = appendF64(dst, v)
-	}
+	// One grow for the vector and both tails, then the bulk store.
+	vec := len(dst)
+	dst = slices.Grow(dst, 8*len(r.Values)+2*binary.MaxVarintLen64)[:vec+8*len(r.Values)]
+	putF64s(dst[vec:], r.Values)
 	// The session generation is an optional trailing field under the
 	// HELLO-flags evolution rule: session results carry it (generations
 	// start at 1), one-shot results omit it, and peers that predate it

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,12 +73,33 @@ func FuzzDecodeFrame(f *testing.F) {
 // about the accepted grammar — and the seeds must jointly cover every
 // frame type, including the optional trailing extensions.
 func TestSeedCorpusDecodes(t *testing.T) {
+	covered := make(map[FrameType]bool)
+	for name, s := range seedCorpus(t) {
+		f, n, err := DecodeFrame(s, 0)
+		if err != nil {
+			t.Fatalf("%s: seed does not decode: %v", name, err)
+		}
+		if n != len(s) {
+			t.Fatalf("%s: seed decoded %d of %d bytes", name, n, len(s))
+		}
+		covered[f.Type] = true
+	}
+	for ft := FrameHello; ft <= FrameSubmitRef; ft++ {
+		if !covered[ft] {
+			t.Errorf("no seed covers frame type %v", ft)
+		}
+	}
+}
+
+// seedCorpus reads the generated seeds of the checked-in FuzzDecodeFrame
+// corpus, by file name.
+func seedCorpus(t testing.TB) map[string][]byte {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("seed corpus missing: %v", err)
 	}
-	covered := make(map[FrameType]bool)
+	seeds := make(map[string][]byte)
 	for _, e := range entries {
 		if !strings.HasPrefix(e.Name(), "seed-") {
 			// The same directory is where `go test -fuzz` keeps
@@ -97,20 +120,129 @@ func TestSeedCorpusDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: corpus literal: %v", e.Name(), err)
 		}
-		f, n, err := DecodeFrame([]byte(s), 0)
+		seeds[e.Name()] = []byte(s)
+	}
+	return seeds
+}
+
+// FuzzFrameFixpoint holds the codec to one encoding per value. The
+// decoders accept frames the encoders never emit — over-long varints,
+// zero-valued optional tails, a scheme listed twice — so an accepted
+// input x need not be canonical; but y = encode(decode(x)) must decode to
+// the value x did, and encoding that again must reproduce y byte for
+// byte, for every frame type. Seeds: the FuzzDecodeFrame corpus and the
+// RESULT goldens.
+func FuzzFrameFixpoint(f *testing.F) {
+	for _, s := range seedCorpus(f) {
+		f.Add(s)
+	}
+	for _, tc := range goldenResultCases() {
+		f.Add(AppendResultHandle(nil, 1, &tc.r, tc.handle))
+	}
+	f.Fuzz(func(t *testing.T, x []byte) {
+		fx, _, err := DecodeFrame(x, 1<<20)
 		if err != nil {
-			t.Fatalf("%s: seed does not decode: %v", e.Name(), err)
+			return
 		}
-		if n != len(s) {
-			t.Fatalf("%s: seed decoded %d of %d bytes", e.Name(), n, len(s))
+		vx, y, ok := reencode(fx)
+		if !ok {
+			return
 		}
-		covered[f.Type] = true
+		fy, n, err := DecodeFrame(y, 0)
+		if err != nil || n != len(y) {
+			t.Fatalf("%v: re-encoding does not frame (%d of %d bytes): %v\n x %x\n y %x", fx.Type, n, len(y), err, x, y)
+		}
+		vy, z, ok := reencode(fy)
+		if !ok {
+			t.Fatalf("%v: the decoder rejects the encoder's own frame\n x %x\n y %x", fx.Type, x, y)
+		}
+		if !reflect.DeepEqual(vx, vy) {
+			t.Fatalf("%v: value moved through encode/decode\n got %+v\nwant %+v\n x %x\n y %x", fx.Type, vy, vx, x, y)
+		}
+		if !bytes.Equal(y, z) {
+			t.Fatalf("%v: encoding is not a fixpoint\n y %x\n z %x", fx.Type, y, z)
+		}
+	})
+}
+
+// reencode decodes f with its type's decoder and encodes the value again.
+// val is the decoded value in a form reflect.DeepEqual can compare across
+// round trips: floats as their bits (NaN payloads count, NaN != NaN must
+// not), empty slices as nil, a loop's invocation count as the clamped
+// value the engine reads. ok is false when the decoder rejects the body.
+func reencode(f Frame) (val any, enc []byte, ok bool) {
+	bits := func(v []float64) []uint64 {
+		var b []uint64
+		for _, x := range v {
+			b = append(b, math.Float64bits(x))
+		}
+		return b
 	}
-	for ft := FrameHello; ft <= FrameSubmitRef; ft++ {
-		if !covered[ft] {
-			t.Errorf("no seed covers frame type %v", ft)
-		}
+	loopVal := func(l *trace.Loop) any {
+		off, refs := l.Flat()
+		return []any{l.Name, l.NumElems, l.ElemBytes, l.Op, bits([]float64{l.WorkPerIter, l.DataRefsPerIter}),
+			l.InvocationCount(), append([]int32(nil), off...), append([]int32(nil), refs...)}
 	}
+	const maxElems = 1 << 16
+	switch f.Type {
+	case FrameHello:
+		h, err := f.DecodeHello()
+		return h, AppendHello(nil, h), err == nil // connection-scoped: always job 0
+	case FrameSubmit:
+		var l trace.Loop
+		_, _, traceID, err := f.DecodeSubmitInto(&l, nil, nil, maxElems)
+		if err != nil {
+			return nil, nil, false
+		}
+		return []any{f.JobID, loopVal(&l), traceID}, AppendSubmitTraced(nil, f.JobID, &l, traceID), true
+	case FrameSubmitRef:
+		fp, handle, traceID, err := f.DecodeSubmitRef()
+		return []any{f.JobID, fp, handle, traceID}, AppendSubmitRef(nil, f.JobID, fp, handle, traceID), err == nil
+	case FrameResult:
+		r, handle, err := f.DecodeResultHandle(nil)
+		if err != nil {
+			return nil, nil, false
+		}
+		enc = AppendResultHandle(nil, f.JobID, &r, handle)
+		vals, imb := bits(r.Values), math.Float64bits(r.Imbalance)
+		r.Values, r.Imbalance = nil, 0
+		return []any{f.JobID, r, vals, imb, handle}, enc, true
+	case FrameError:
+		msg, err := f.DecodeError()
+		return []any{f.JobID, msg}, AppendError(nil, f.JobID, msg), err == nil
+	case FrameBusy:
+		code, err := f.DecodeBusy()
+		return []any{f.JobID, code}, AppendBusy(nil, f.JobID, code), err == nil
+	case FrameStatsReq:
+		return f.JobID, AppendStatsReq(nil, f.JobID), true // no body grammar
+	case FrameStats:
+		s, err := f.DecodeStats()
+		if err != nil {
+			return nil, nil, false
+		}
+		enc = AppendStats(nil, f.JobID, &s)
+		if len(s.Stages) == 0 {
+			s.Stages = nil
+		}
+		if len(s.Tenants) == 0 {
+			s.Tenants = nil
+		}
+		return []any{f.JobID, s}, enc, true
+	case FrameOpenSession:
+		var l trace.Loop
+		sid, _, _, err := f.DecodeOpenSessionInto(&l, nil, nil, maxElems)
+		if err != nil {
+			return nil, nil, false
+		}
+		return []any{f.JobID, sid, loopVal(&l)}, AppendOpenSession(nil, f.JobID, sid, &l), true
+	case FrameDelta:
+		sid, ds, err := f.DecodeDelta(nil)
+		return []any{f.JobID, sid, append([]reduction.RefDelta(nil), ds...)}, AppendDelta(nil, f.JobID, sid, ds), err == nil
+	case FrameCloseSession:
+		sid, err := f.DecodeCloseSession()
+		return []any{f.JobID, sid}, AppendCloseSession(nil, f.JobID, sid), err == nil
+	}
+	return nil, nil, false
 }
 
 // exerciseTypedDecoders runs every body decoder against the frame; only

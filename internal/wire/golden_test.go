@@ -4,17 +4,43 @@ import (
 	"bytes"
 	"encoding/hex"
 	"flag"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
-var update = flag.Bool("update", false, "rewrite the testdata/stats golden files from the current encoder")
+var update = flag.Bool("update", false, "rewrite the testdata/{stats,result} golden files from the current encoder")
+
+// goldenHex returns the frame pinned in the hex file at path. Under
+// -update it first rewrites the file from got, the current encoding.
+func goldenHex(t *testing.T, path string, got []byte) []byte {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return want
+}
 
 // goldenStatsCases returns one snapshot per positional STATS tail, each
 // extending the previous one — the same chain gen_corpus.go seeds the
@@ -79,24 +105,7 @@ func TestStatsGoldenBytes(t *testing.T) {
 				t.Fatalf("%s: encode %d of one snapshot differs from the first\n got %x\nwant %x", tc.name, n+1, again, got)
 			}
 		}
-		path := filepath.Join("testdata", "stats", tc.name+".hex")
-		if *update {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(hex.EncodeToString(got)+"\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
+		want := goldenHex(t, filepath.Join("testdata", "stats", tc.name+".hex"), got)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: STATS frame moved\n got %x\nwant %x", tc.name, got, want)
 		}
@@ -171,5 +180,105 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip moved a field:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// goldenResultCases returns the RESULT frames pinned under
+// testdata/result: the vector sizes the codec's bulk loops must handle
+// (none, one, the 3 100-element hot answer), both optional tails, and the
+// float64 values a bit-copy keeps and an arithmetic round trip would not.
+func goldenResultCases() []struct {
+	name   string
+	r      engine.Result
+	handle uint64
+} {
+	rng := rand.New(rand.NewSource(23))
+	plain := make([]float64, 3100)
+	for i := range plain {
+		plain[i] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(80)-40)
+	}
+	special := []float64{
+		math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN with payload
+		math.Float64frombits(0xfff0_0000_0000_0001), // signalling NaN, sign set
+		math.Inf(1), math.Inf(-1),
+		math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	meta := engine.Result{Scheme: "rep", Why: "simplify: resident result", BatchSize: 3, CacheHit: true,
+		Elapsed: 4200 * time.Nanosecond, Imbalance: 1.25}
+	with := func(v []float64, gen uint64) engine.Result {
+		r := meta
+		r.Values, r.SessionGen = v, gen
+		return r
+	}
+	return []struct {
+		name   string
+		r      engine.Result
+		handle uint64
+	}{
+		{"empty", with(nil, 0), 0},
+		{"one", with([]float64{-2.5}, 0), 0},
+		{"plain", with(plain, 0), 0},
+		{"session", with(plain[:1024], 7), 0},
+		{"handle", with(plain[:257], 0), 300},
+		{"special", with(special, 0), 0},
+	}
+}
+
+// TestResultGoldenBytes pins the RESULT frame, recorded from the
+// per-element codec the bulk one replaced. Each case is encoded eight
+// times into one reused buffer that is dirty and non-empty on entry (the
+// encoders append), then the golden is decoded into a destination with
+// spare capacity, with exact capacity and with none, comparing
+// Float64bits: NaN payloads, -0 and subnormals must survive both ways.
+func TestResultGoldenBytes(t *testing.T) {
+	scratch := make([]byte, 0, 64)
+	for i, tc := range goldenResultCases() {
+		jobID := uint64(40 + i)
+		want := goldenHex(t, filepath.Join("testdata", "result", tc.name+".hex"),
+			AppendResultHandle(nil, jobID, &tc.r, tc.handle))
+		for n := 0; n < 8; n++ {
+			off := 1 + 7*n
+			scratch = scratch[:cap(scratch)]
+			for j := range scratch {
+				scratch[j] = 0xa5
+			}
+			scratch = AppendResultHandle(scratch[:off], jobID, &tc.r, tc.handle)
+			if !bytes.Equal(scratch[off:], want) {
+				t.Fatalf("%s: RESULT frame moved (encode %d at offset %d)\n got %x\nwant %x", tc.name, n+1, off, scratch[off:], want)
+			}
+			for j := 0; j < off; j++ {
+				if scratch[j] != 0xa5 {
+					t.Fatalf("%s: encoder wrote before its append point (byte %d)", tc.name, j)
+				}
+			}
+		}
+		f, n, err := DecodeFrame(want, 0)
+		if err != nil || n != len(want) {
+			t.Fatalf("%s: golden does not frame: n=%d err=%v", tc.name, n, err)
+		}
+		nv := len(tc.r.Values)
+		for _, dst := range [][]float64{make([]float64, 3, nv+5), make([]float64, nv), nil} {
+			back, handle, err := f.DecodeResultHandle(dst)
+			if err != nil {
+				t.Fatalf("%s: golden does not decode: %v", tc.name, err)
+			}
+			if handle != tc.handle || len(back.Values) != nv {
+				t.Fatalf("%s: handle %d, %d values; want %d, %d", tc.name, handle, len(back.Values), tc.handle, nv)
+			}
+			if cap(dst) >= nv && nv > 0 && &back.Values[0] != &dst[:1][0] {
+				t.Errorf("%s: a sized destination was not used", tc.name)
+			}
+			for j, v := range back.Values {
+				if math.Float64bits(v) != math.Float64bits(tc.r.Values[j]) {
+					t.Fatalf("%s: value %d decodes to %x, want %x", tc.name, j, math.Float64bits(v), math.Float64bits(tc.r.Values[j]))
+				}
+			}
+			back.Values = tc.r.Values
+			if !reflect.DeepEqual(back, tc.r) {
+				t.Errorf("%s: golden decodes to %+v\nwant %+v", tc.name, back, tc.r)
+			}
+		}
 	}
 }

@@ -15,15 +15,18 @@
 // with jobID 0 are connection-scoped (HELLO, fatal ERROR).
 //
 // The hot path is allocation-conscious end to end: encoders append into
-// pooled buffers (GetBuffer/Free), the Reader reuses one payload buffer
-// across frames, loop decoding can reuse caller scratch
-// (Frame.DecodeSubmitInto) and result decoding writes into a
-// caller-provided destination array. Decoding is defensive: every read is
-// bounds-checked, sizes are capped before allocation, and corrupt or
-// truncated input returns an error — never a panic (see FuzzDecodeFrame).
+// pooled buffers (GetBuffer/Free), the Reader parses frames in place from
+// the one buffer it reads the connection into, loop decoding can reuse
+// caller scratch (Frame.DecodeSubmitInto) and result decoding fills a
+// caller-provided destination array in one bulk pass (floats.go) — a
+// RESULT vector is touched once per side of a hop. Decoding is
+// defensive: every read is bounds-checked, sizes are capped before
+// allocation, and corrupt or truncated input returns an error — never a
+// panic (see FuzzDecodeFrame).
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -296,12 +299,20 @@ func ReadPreamble(r io.Reader) (int, error) {
 	return v, nil
 }
 
-// Reader decodes a frame stream from r, reusing one payload buffer across
-// frames. It performs unbuffered reads; wrap r in a bufio.Reader for
-// socket use.
+// readBufSize is a Reader's initial buffer: room for two of the hot
+// path's 24.8 KB RESULT frames, so one socket read usually lands whole
+// frames and a straddling tail is the exception.
+const readBufSize = 64 << 10
+
+// Reader decodes a frame stream from r — pass it the connection itself.
+// It owns the one buffer between the socket and the decoders: reads land
+// in it and frames are parsed where they landed, so a payload is not
+// copied on its way to a Decode* call.
 type Reader struct {
 	r        io.Reader
-	buf      []byte
+	buf      []byte // buf[rd:wr] is read but not yet returned
+	rd, wr   int
+	err      error // r's last error, reported once the buffered bytes run out
 	maxFrame int
 }
 
@@ -319,29 +330,58 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 // a frame boundary is returned as io.EOF; a connection cut mid-frame is
 // io.ErrUnexpectedEOF.
 func (fr *Reader) Next() (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if err := fr.fill(4); err != nil {
 		return Frame{}, err
 	}
 	// Compare in uint64 before narrowing: on 32-bit platforms a length
 	// >= 2^31 would otherwise convert to a negative int, dodge the cap
-	// check, and panic in the reslice below.
-	n64 := uint64(hdr[0]) | uint64(hdr[1])<<8 | uint64(hdr[2])<<16 | uint64(hdr[3])<<24
+	// check, and panic in the reslice below. The cap is checked before
+	// fill may grow the buffer for the payload.
+	n64 := uint64(binary.LittleEndian.Uint32(fr.buf[fr.rd:]))
 	if n64 > uint64(fr.maxFrame) {
 		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n64, fr.maxFrame)
 	}
 	n := int(n64)
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
-	}
-	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
+	fr.rd += 4
+	if err := fr.fill(n); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, err
 	}
-	return ParseFrame(fr.buf)
+	payload := fr.buf[fr.rd : fr.rd+n]
+	fr.rd += n
+	return ParseFrame(payload)
+}
+
+// fill reads until need bytes are buffered at rd. When they cannot fit
+// behind rd the partial tail moves to the front of the buffer, or of a
+// larger one when need exceeds it. A stream that ends with some of the
+// bytes buffered is io.ErrUnexpectedEOF; with none, r's own error.
+func (fr *Reader) fill(need int) error {
+	for fr.wr-fr.rd < need {
+		if fr.err != nil {
+			if fr.err == io.EOF && fr.wr > fr.rd {
+				return io.ErrUnexpectedEOF
+			}
+			return fr.err
+		}
+		if fr.rd == fr.wr {
+			fr.rd, fr.wr = 0, 0
+		}
+		if fr.rd+need > len(fr.buf) {
+			to := fr.buf
+			if need > len(to) {
+				to = make([]byte, max(need, 2*len(to), readBufSize))
+			}
+			fr.wr = copy(to, fr.buf[fr.rd:fr.wr])
+			fr.rd, fr.buf = 0, to
+		}
+		var m int
+		m, fr.err = fr.r.Read(fr.buf[fr.wr:])
+		fr.wr += m
+	}
+	return nil
 }
 
 // ParseFrame parses one frame payload (everything after the length
@@ -374,7 +414,7 @@ func DecodeFrame(b []byte, maxFrame int) (Frame, int, error) {
 	}
 	// uint64 comparison before narrowing, as in Reader.Next: a 2^31+
 	// length must hit the cap, not wrap negative on 32-bit platforms.
-	n64 := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
+	n64 := uint64(binary.LittleEndian.Uint32(b))
 	if n64 > uint64(maxFrame) {
 		return Frame{}, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n64, maxFrame)
 	}

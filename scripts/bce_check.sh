@@ -1,6 +1,7 @@
 #!/bin/sh
-# Codegen gate for the optimized reduction kernels: compiles the package
-# with the compiler's bounds-check diagnostic (-d=ssa/check_bce) and fails
+# Codegen gate for the optimized reduction kernels and the wire's bulk
+# float codec: compiles the packages with the compiler's bounds-check
+# diagnostic (-d=ssa/check_bce) and fails
 # when a bounds check appears in a gated file on a line that is not
 # explicitly intentional. The kernels are written so the prove pass
 # discharges every check except the data-dependent gathers (w[idx]
@@ -8,9 +9,11 @@
 # validation, outside the compiler's view); an unmarked check reappearing
 # means a refactor broke a BCE idiom and the hot loop silently slowed down.
 #
-# Gated files: the accumulation kernels (kernels.go) and the segment
+# Gated files: the accumulation kernels (kernels.go), the segment
 # combine tree (segtree.go) the simplified execution plan folds partial
-# sums through.
+# sums through, and the RESULT vector's encode/decode loops
+# (internal/wire/floats.go), whose only checks are the two marked
+# whole-vector re-slices.
 #
 # A check is intentional when either
 #   - its source line carries a //bce: marker (//bce:gather for
@@ -24,15 +27,15 @@
 # Go >= 1.21 replays compiler diagnostics from the build cache, so repeat
 # runs stay fast; the script fails loudly if the expected diagnostics are
 # missing entirely for any gated file (a cache or toolchain anomaly would
-# otherwise read as a false pass, since the gathers guarantee at least
-# one check per file).
+# otherwise read as a false pass, since the gathers and the codec's
+# whole-vector re-slices guarantee at least one check per file).
 set -eu
 
 cd "$(dirname "$0")/.."
-gates="internal/reduction/kernels.go internal/reduction/segtree.go"
+gates="internal/reduction/kernels.go internal/reduction/segtree.go internal/wire/floats.go"
 allow=scripts/bce_allow.txt
 
-if ! diag=$(go build -gcflags='-d=ssa/check_bce' ./internal/reduction/ 2>&1); then
+if ! diag=$(go build -gcflags='-d=ssa/check_bce' ./internal/reduction/ ./internal/wire/ 2>&1); then
     echo "$diag"
     echo "bce_check: go build failed" >&2
     exit 2
@@ -75,7 +78,7 @@ END {
         f = gate[g]
         if (total[f] == 0) {
             print "bce_check: no bounds-check diagnostics for " f " at all;"
-            print "bce_check: the gather checks make that impossible — stale build"
+            print "bce_check: the marked checks make that impossible — stale build"
             print "bce_check: cache or toolchain change. Try: go clean -cache"
             exit 2
         }
