@@ -867,3 +867,39 @@ func BenchmarkSessionDelta(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDeltaApply isolates reduction.DeltaState.Apply under the claims
+// benchmark's session_remote drive: four sessions over the bench's own
+// streams take one batch each in turn, so an apply finds its state as
+// cold as the other three sessions' traffic leaves it. A session whose
+// stream runs out is re-opened off the clock, as the bench re-opens it.
+func BenchmarkDeltaApply(b *testing.B) {
+	const sessions, steps, procs = 4, 16384, 8
+	ex := &reduction.Exec{Pool: reduction.NewBufferPool()}
+	streams := make([]*workloads.DeltaStream, sessions)
+	states := make([]*reduction.DeltaState, sessions)
+	open := func(i int) {
+		var err error
+		if states[i], err = reduction.NewDeltaState(streams[i].Base, 0, procs, ex, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range streams {
+		streams[i] = workloads.NewDeltaStream(steps, 16, 0.5, int64(1+i))
+		open(i)
+	}
+	dst := make([]float64, streams[0].Base.NumElems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i, step := n%sessions, n/sessions%steps
+		if step == 0 && n >= sessions {
+			b.StopTimer()
+			open(i)
+			b.StartTimer()
+		}
+		if _, err := states[i].Apply(streams[i].Batches[step], procs, ex, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

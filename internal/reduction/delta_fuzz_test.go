@@ -46,7 +46,9 @@ func validDeltas(ds []RefDelta, totalRefs, numElems int) bool {
 //   - a rejected batch mutates nothing: the loop is unchanged and the
 //     next read returns the previous bits;
 //   - every accepted read is bit-identical to the from-scratch oracle
-//     and to a fresh session opened over the mutated mirror.
+//     and to a fresh session opened over the mutated mirror;
+//   - after every batch, accepted or rejected, the reference index is a
+//     fresh counting sort of the session loop.
 func FuzzDeltaState(f *testing.F) {
 	// The structured seeds live in testdata/fuzz/FuzzDeltaState: one
 	// stream per operator and width, the element shapes, rejected batches
@@ -99,6 +101,7 @@ func FuzzDeltaState(f *testing.F) {
 				sort.Slice(ds, func(i, j int) bool { return ds[i].Pos < ds[j].Pos })
 			}
 			_, err := st.Apply(ds, procs, nil, dst)
+			requireIndexCurrent(t, st, "after a batch")
 			if valid := validDeltas(ds, total, elems); (err == nil) != valid {
 				t.Fatalf("batch %v: valid=%v but Apply returned %v", ds, valid, err)
 			}

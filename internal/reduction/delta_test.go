@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,9 +18,12 @@ import (
 // kernels in the same segment association. The tests below pin that
 // across random loops, ops, segment widths, the batch shapes (straddling
 // segment boundaries, empty, full-touch) and the element shapes the
-// masked re-accumulation must get right (swapped targets, no-op
-// redirects, pile-ups on one element, orphaned elements, several deltas
-// in one iteration), and over a long stream against a fresh open.
+// indexed re-accumulation must get right (swapped targets, no-op
+// redirects, pile-ups on one element up to and past its list's headroom,
+// orphaned elements, several deltas in one iteration), and over a long
+// stream against a fresh open. Beside the bits, the reference index
+// itself is held to a fresh counting sort of the loop after every batch,
+// accepted or rejected.
 
 var deltaOps = []trace.Op{trace.OpAdd, trace.OpMul, trace.OpMax, trace.OpMin}
 
@@ -97,6 +101,41 @@ func oracleRebuild(l *trace.Loop, segIters int, dst []float64) {
 	combineTreeOp(dst, parts, 0, l.NumElems, l.Op)
 }
 
+// freshIndex is the reference index built from scratch: one pass over
+// the loop's current references, each position appended to its
+// element's list, so every list is strictly ascending by construction.
+func freshIndex(l *trace.Loop) [][]int32 {
+	_, refs := l.Flat()
+	idx := make([][]int32, l.NumElems)
+	for pos, r := range refs {
+		idx[r] = append(idx[r], int32(pos))
+	}
+	return idx
+}
+
+// requireIndexCurrent holds the state's reference index to the loop it
+// indexes: every list strictly ascending, equal to a fresh counting
+// sort's, lengths summing to TotalRefs.
+func requireIndexCurrent(t *testing.T, st *DeltaState, ctx string) {
+	t.Helper()
+	want := freshIndex(st.loop)
+	total := 0
+	for e, list := range st.byElem {
+		for i := 1; i < len(list); i++ {
+			if list[i-1] >= list[i] {
+				t.Fatalf("%s: element %d's positions not strictly ascending: %v", ctx, e, list)
+			}
+		}
+		if !slices.Equal(list, want[e]) {
+			t.Fatalf("%s: element %d indexed at %v, referenced at %v", ctx, e, list, want[e])
+		}
+		total += len(list)
+	}
+	if total != st.loop.TotalRefs() {
+		t.Fatalf("%s: index holds %d positions, loop has %d references", ctx, total, st.loop.TotalRefs())
+	}
+}
+
 func requireBitEqual(t *testing.T, want, got []float64, ctx string) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -150,7 +189,7 @@ func TestDeltaStateMatchesOracle(t *testing.T) {
 
 // TestDeltaStateStraddlesSegments forces every batch to touch the last
 // reference of one segment and the first of the next, so recomputation
-// must rescan both sides of each boundary it straddles.
+// must rebuild on both sides of each boundary it straddles.
 func TestDeltaStateStraddlesSegments(t *testing.T) {
 	const elems, iters, segIters, procs = 64, 120, 16, 2
 	l := trace.NewLoop("straddle", elems)
@@ -283,6 +322,13 @@ func shapeLoop(op trace.Op) *trace.Loop {
 // once more on top of it, so stale marks from a first batch would show
 // in the second read.
 func TestDeltaStateElementShapes(t *testing.T) {
+	// Every reference onto element 7: 28 arrivals against a list opened
+	// with 4 positions and indexHeadroom = 9 spare slots, so the list must
+	// regrow mid-batch — and every other element is orphaned.
+	var pileAll []RefDelta
+	for p := int32(0); p < 32; p++ {
+		pileAll = append(pileAll, RefDelta{Pos: p, Ref: 7})
+	}
 	shapes := []struct {
 		name  string
 		batch []RefDelta
@@ -293,6 +339,7 @@ func TestDeltaStateElementShapes(t *testing.T) {
 		{"swap targets in one segment", []RefDelta{{Pos: 0, Ref: 1}, {Pos: 1, Ref: 0}}, -1},
 		{"new ref equals old", []RefDelta{{Pos: 4, Ref: 2}, {Pos: 17, Ref: 2}}, -1},
 		{"pile onto one element", []RefDelta{{0, 7}, {1, 7}, {2, 7}, {3, 7}, {4, 7}, {5, 7}, {6, 7}, {7, 7}}, -1},
+		{"pile past the list's headroom", pileAll, 3},
 		{"element loses its last reference", []RefDelta{{Pos: 8, Ref: 0}, {Pos: 9, Ref: 0}}, 5},
 		{"whole iteration redirected", []RefDelta{{12, 1}, {13, 1}, {14, 2}, {15, 5}}, -1},
 		{"one iteration across the segment seam", []RefDelta{{13, 4}, {14, 4}, {15, 4}, {16, 4}, {17, 4}, {18, 4}}, -1},
@@ -307,19 +354,30 @@ func TestDeltaStateElementShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([]float64, l.NumElems)
+			fresh := make([]float64, l.NumElems)
+			share := cap(st.byElem[7])
 			read := func(ds []RefDelta, ctx string) {
+				ctx = fmt.Sprintf("%s/%v %s", sh.name, op, ctx)
 				if _, err := st.Apply(ds, 2, nil, dst); err != nil {
-					t.Fatalf("%s/%v %s: %v", sh.name, op, ctx, err)
+					t.Fatalf("%s: %v", ctx, err)
 				}
 				applyMirror(mirror, ds)
 				oracleRebuild(mirror, 4, want)
-				requireBitEqual(t, want, dst, fmt.Sprintf("%s/%v %s", sh.name, op, ctx))
-				if sh.orphan >= 0 && math.Float64bits(dst[sh.orphan]) != math.Float64bits(op.Neutral()) {
-					t.Fatalf("%s/%v %s: orphaned element %d reads %g, want neutral %g",
-						sh.name, op, ctx, sh.orphan, dst[sh.orphan], op.Neutral())
+				requireBitEqual(t, want, dst, ctx)
+				requireIndexCurrent(t, st, ctx)
+				if _, err := NewDeltaState(mirror, 4, 2, nil, fresh); err != nil {
+					t.Fatal(err)
+				}
+				requireBitEqual(t, fresh, dst, ctx+" vs fresh open")
+				if sh.orphan >= 0 && (len(st.byElem[sh.orphan]) != 0 || math.Float64bits(dst[sh.orphan]) != math.Float64bits(op.Neutral())) {
+					t.Fatalf("%s: orphaned element %d keeps positions %v and reads %g, want none and neutral %g",
+						ctx, sh.orphan, st.byElem[sh.orphan], dst[sh.orphan], op.Neutral())
 				}
 			}
 			read(sh.batch, "read")
+			if len(sh.batch) == len(pileAll) && cap(st.byElem[7]) <= share {
+				t.Fatalf("%s/%v: 32 positions in a list of capacity %d: the pile-up did not regrow it", sh.name, op, share)
+			}
 			// Then a no-op redirect in each segment: nothing changes, so the
 			// read must not either.
 			_, refs := mirror.Flat()
@@ -357,10 +415,55 @@ func TestDeltaStateLongStreamMatchesFreshOpen(t *testing.T) {
 			applyMirror(mirror, ds)
 			oracleRebuild(mirror, st.SegIters(), want)
 			requireBitEqual(t, want, dst, fmt.Sprintf("%v step %d vs oracle", op, step))
+			requireIndexCurrent(t, st, fmt.Sprintf("%v step %d", op, step))
 			if _, err := NewDeltaState(mirror, 0, 4, nil, fresh); err != nil {
 				t.Fatal(err)
 			}
 			requireBitEqual(t, fresh, dst, fmt.Sprintf("%v step %d vs fresh open", op, step))
+		}
+	}
+}
+
+// TestDeltaStateBulkBatchReopens drives the batch that tracking would
+// serve in quadratic time: every reference piled onto element 0, then
+// all of them moved on to element 1 — each redirect out of a list that
+// holds the whole stream. The second batch is past reopenAt, so the
+// state re-opens in place (seen in the list's capacity: a fresh share,
+// not append's growth), and must read what the oracle and the index
+// invariant say, with every segment counted as landed in.
+func TestDeltaStateBulkBatchReopens(t *testing.T) {
+	for _, op := range deltaOps {
+		l := deltaLoop(50, 300, op, 61)
+		mirror := l.Clone()
+		dst := make([]float64, l.NumElems)
+		st, err := NewDeltaState(l, 16, 3, nil, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, l.NumElems)
+		for target := int32(0); target < 2; target++ {
+			ds := make([]RefDelta, l.TotalRefs())
+			for p := range ds {
+				ds[p] = RefDelta{Pos: int32(p), Ref: target}
+			}
+			stats, err := st.Apply(ds, 3, nil, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("%v: all references onto element %d", op, target)
+			applyMirror(mirror, ds)
+			oracleRebuild(mirror, 16, want)
+			requireBitEqual(t, want, dst, ctx)
+			requireIndexCurrent(t, st, ctx)
+			// deltaLoop leaves some iterations empty, but no 16 in a row.
+			if stats.Computed != st.Segments() || stats.Reused != 0 {
+				t.Fatalf("%s: computed %d reused %d, want %d/0", ctx, stats.Computed, stats.Reused, st.Segments())
+			}
+			fresh := len(st.byElem[target])+indexHeadroom(l) == cap(st.byElem[target])
+			if reopened := target == 1; fresh != reopened {
+				t.Fatalf("%s: list capacity %d for %d positions: re-opened=%v, want %v",
+					ctx, cap(st.byElem[target]), len(st.byElem[target]), fresh, reopened)
+			}
 		}
 	}
 }
@@ -391,6 +494,7 @@ func TestDeltaStateRejectsInvalid(t *testing.T) {
 		if _, err := st.Apply(ds, 2, nil, dst); err == nil {
 			t.Fatalf("bad batch %d accepted", i)
 		}
+		requireIndexCurrent(t, st, fmt.Sprintf("after bad batch %d", i))
 	}
 	// State must be untouched: an empty apply reads the original sum.
 	if _, err := st.Apply(nil, 2, nil, dst); err != nil {
@@ -430,8 +534,10 @@ func TestDeltaStateZeroIters(t *testing.T) {
 
 // TestDeltaStateBytes holds the admission accounting estimate to the
 // live state's own figure, and both to what the state actually
-// allocates: one sum buffer per session segment, the resident result,
-// the element marks and the loop copy.
+// allocates: the element-major partials, the resident result, the
+// element marks, the loop copy and the reference index — every list's
+// capacity (its positions plus headroom, together the one backing array)
+// and its 24-byte header.
 func TestDeltaStateBytes(t *testing.T) {
 	l := deltaLoop(100, 3000, trace.OpAdd, 41)
 	st, err := NewDeltaState(l, 0, 4, nil, nil)
@@ -441,14 +547,45 @@ func TestDeltaStateBytes(t *testing.T) {
 	if got, want := st.Bytes(), DeltaStateBytes(l, 0, 4); got != want {
 		t.Fatalf("Bytes %d != DeltaStateBytes %d", got, want)
 	}
-	held := cap(st.result)*8 + cap(st.mask) + cap(st.stale) + cap(st.marked)*4 +
-		l.TotalRefs()*4 + (l.NumIters()+1)*4
-	for _, p := range st.parts {
-		held += cap(p) * 8
+	held := cap(st.cols)*8 + cap(st.result)*8 + cap(st.marks) + cap(st.rebuild)*4 + cap(st.refold)*4 +
+		l.TotalRefs()*4 + (l.NumIters()+1)*4 + cap(st.byElem)*24
+	for _, list := range st.byElem {
+		held += cap(list) * 4
 	}
 	if st.Bytes() != held {
 		t.Fatalf("Bytes %d, but the state holds %d", st.Bytes(), held)
 	}
+}
+
+// TestDeltaApplyWarmAllocs pins the steady state: once every list a
+// stream grows has its capacity, an apply allocates nothing. The stream
+// is a batch and its inverse, so the warm-up round sees every length the
+// timed rounds reach.
+func TestDeltaApplyWarmAllocs(t *testing.T) {
+	l := deltaLoop(100, 3000, trace.OpAdd, 41)
+	dst := make([]float64, l.NumElems)
+	st, err := NewDeltaState(l, 0, 4, nil, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := randomDeltas(rand.New(rand.NewSource(43)), l, 16)
+	inverse := slices.Clone(batch)
+	_, refs := l.Flat()
+	for i := range inverse {
+		inverse[i].Ref = refs[inverse[i].Pos]
+	}
+	round := func() {
+		for _, ds := range [][]RefDelta{batch, inverse} {
+			if _, err := st.Apply(ds, 4, nil, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a warm Apply round allocates %.1f times, want 0", allocs)
+	}
+	requireIndexCurrent(t, st, "after the warm rounds")
 }
 
 // TestSessionSegIters pins the session width rule: as many segments as

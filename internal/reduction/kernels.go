@@ -93,48 +93,6 @@ func accumFlatAdd(w []float64, offsets, refs []int32, iterLo, iterHi int) {
 	}
 }
 
-// accumMaskedAdd is the session delta kernel: accumFlatAdd restricted to
-// the elements whose mask byte is set. It streams the segment's
-// references flat, four mask bytes OR-ed per branch — a delta marks a
-// handful of elements, so nearly every group falls through without
-// computing a value — and hands the rare group holding a marked element
-// to accumMaskedRun, so marked elements receive exactly the
-// contributions, in exactly the order, accumFlatAdd would give them.
-func accumMaskedAdd(w []float64, mask []uint8, offsets, refs []int32, iterLo, iterHi int) {
-	if iterLo >= iterHi {
-		return
-	}
-	offs := offsets[iterLo : iterHi+1] //bce:slice
-	pos := int(offs[0])                //bce:slice
-	rs := refs[pos:offs[len(offs)-1]]  //bce:slice
-	ii := 1
-	for ; len(rs) >= 4; pos += 4 {
-		if mask[rs[0]]|mask[rs[1]]|mask[rs[2]]|mask[rs[3]] != 0 { //bce:gather
-			ii = accumMaskedRun(w, mask, offs, ii, rs[:4], pos, iterLo)
-		}
-		rs = rs[4:]
-	}
-	accumMaskedRun(w, mask, offs, ii, rs, pos, iterLo)
-}
-
-// accumMaskedRun applies the marked contributions among rs, the
-// references at flat positions pos, pos+1, ... of the segment whose
-// offsets are offs (iteration iterLo first). ii is the iteration cursor:
-// offs[ii-1] <= pos on entry, and the advanced cursor is returned, so a
-// segment's hits walk the offsets forward once between them.
-func accumMaskedRun(w []float64, mask []uint8, offs []int32, ii int, rs []int32, pos, iterLo int) int {
-	for j, idx := range rs {
-		if mask[idx] == 0 { //bce:gather
-			continue
-		}
-		for int(offs[ii]) <= pos+j { //bce:gather
-			ii++
-		}
-		w[idx] += trace.Value(iterLo+ii-1, pos+j-int(offs[ii-1]), idx) //bce:gather
-	}
-	return ii
-}
-
 // accumLazyAdd is ll's accumulation kernel: like accumFlatAdd, but every
 // first touch of an element initializes its value slot and threads it
 // onto the private linked list (next[idx] == -2 means untouched). It

@@ -101,22 +101,24 @@ func TestCombineAddBitIdenticalToCombineOp(t *testing.T) {
 	}
 }
 
-// TestAccumMaskedAddBitIdenticalToNaive pins the session delta kernel
-// to its reference across the remainder-straddling loop shapes, every
-// iteration sub-range alignment and mask densities from empty to full:
-// both must leave unmarked slots untouched and give marked slots the
-// same contributions in the same order — and with every element marked
-// that is exactly accumFlatAdd.
-func TestAccumMaskedAddBitIdenticalToNaive(t *testing.T) {
+// TestReplayElemBitIdenticalToNaive pins the session delta kernel to
+// its references across the remainder-straddling loop shapes, every
+// iteration sub-range alignment, every operator and mark densities from
+// empty to full: replaying a marked element's indexed positions inside
+// the range must give it the same contributions in the same order
+// naiveAccumFlat — and, for add, accumFlatAdd — gives that slot from
+// neutral.
+func TestReplayElemBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, l := range remainderLoops() {
 		offs, refs := l.Flat()
 		iters := l.NumIters()
+		byElem := freshIndex(l)
 		for _, density := range []float64{0, 0.02, 0.5, 1} {
-			mask := make([]uint8, l.NumElems)
-			for e := range mask {
+			var marked []int32
+			for e := 0; e < l.NumElems; e++ {
 				if rng.Float64() < density {
-					mask[e] = 1
+					marked = append(marked, int32(e))
 				}
 			}
 			for trial := 0; trial < 4; trial++ {
@@ -125,27 +127,50 @@ func TestAccumMaskedAddBitIdenticalToNaive(t *testing.T) {
 					lo = rng.Intn(iters)
 					hi = lo + rng.Intn(iters-lo+1)
 				}
-				fast := make([]float64, l.NumElems)
-				for e := range fast {
-					fast[e] = float64(e) / 7
-				}
-				naive := append([]float64(nil), fast...)
-				accumMaskedAdd(fast, mask, offs, refs, lo, hi)
-				naiveAccumMasked(naive, mask, l, lo, hi)
-				if i := bitsEqual(fast, naive); i != -1 {
-					t.Fatalf("loop=%s density=%g iters [%d,%d): masked kernel diverges from naive at element %d",
-						l.Name, density, lo, hi, i)
-				}
-				if density == 1 {
-					flat := make([]float64, l.NumElems)
-					for e := range flat {
-						flat[e] = float64(e) / 7
-					}
-					accumFlatAdd(flat, offs, refs, lo, hi)
-					if i := bitsEqual(fast, flat); i != -1 {
-						t.Fatalf("loop=%s iters [%d,%d): full mask diverges from accumFlatAdd at element %d", l.Name, lo, hi, i)
+				flat := make([]float64, l.NumElems)
+				accumFlatAdd(flat, offs, refs, lo, hi)
+				for _, op := range deltaOps {
+					l.Op = op
+					naive := make([]float64, l.NumElems)
+					fill(naive, op.Neutral())
+					naiveAccumFlat(naive, l, lo, hi)
+					for _, e := range marked {
+						got := replayElem(byElem[e], offs[lo:hi+1], lo, e, op)
+						if math.Float64bits(got) != math.Float64bits(naive[e]) {
+							t.Fatalf("loop=%s op=%v iters [%d,%d): replay of element %d = %x, naive %x",
+								l.Name, op, lo, hi, e, math.Float64bits(got), math.Float64bits(naive[e]))
+						}
+						if op == trace.OpAdd && math.Float64bits(got) != math.Float64bits(flat[e]) {
+							t.Fatalf("loop=%s iters [%d,%d): replay of element %d diverges from accumFlatAdd", l.Name, lo, hi, e)
+						}
 					}
 				}
+				l.Op = trace.OpAdd
+			}
+		}
+	}
+}
+
+// TestFoldColMatchesCombineTree pins the column folds to the segment
+// combine they are the single-element form of, at every tree width.
+func TestFoldColMatchesCombineTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for n := 1; n <= maxSegTreeWidth; n++ {
+		col := make([]float64, n)
+		parts := make([][]float64, n)
+		for k := range col {
+			col[k] = rng.NormFloat64() * 1e3
+			parts[k] = []float64{col[k]}
+		}
+		var want [1]float64
+		combineTreeAdd(want[:], parts, 0, 1)
+		if got := foldColAdd(col); math.Float64bits(got) != math.Float64bits(want[0]) {
+			t.Fatalf("width %d: foldColAdd %x, combineTreeAdd %x", n, math.Float64bits(got), math.Float64bits(want[0]))
+		}
+		for _, op := range deltaOps {
+			combineTreeOp(want[:], parts, 0, 1, op)
+			if got := foldColOp(col, op); math.Float64bits(got) != math.Float64bits(want[0]) {
+				t.Fatalf("width %d op %v: foldColOp %x, combineTreeOp %x", n, op, math.Float64bits(got), math.Float64bits(want[0]))
 			}
 		}
 	}

@@ -28,19 +28,6 @@ func naiveAccumFlat(w []float64, l *trace.Loop, lo, hi int) {
 	}
 }
 
-// naiveAccumMasked is accumMaskedAdd's reference: naiveAccumFlat
-// applying only the contributions to elements whose mask byte is set.
-func naiveAccumMasked(w []float64, mask []uint8, l *trace.Loop, lo, hi int) {
-	op := l.Op
-	for i := lo; i < hi; i++ {
-		for k, idx := range l.Iter(i) {
-			if mask[idx] != 0 {
-				w[idx] = op.Apply(w[idx], trace.Value(i, k, idx))
-			}
-		}
-	}
-}
-
 // naiveAccumLazy is accumLazyAdd's reference: lazy first-touch
 // initialization threading touched elements onto a private list.
 func naiveAccumLazy(v []float64, next []int32, head int32, l *trace.Loop, lo, hi int) int32 {
@@ -155,6 +142,24 @@ func combineTreeOp(dst []float64, parts [][]float64, lo, hi int, op trace.Op) {
 		}
 		dst[e] = t[0]
 	}
+}
+
+// foldColOp is foldColAdd's reference: the pairwise-tree fold of one
+// element's contiguous column of partials under op — combineTreeOp's
+// association for a single element whose parts are already gathered.
+func foldColOp(col []float64, op trace.Op) float64 {
+	n := len(col)
+	if n == 0 || n > maxSegTreeWidth {
+		panic("reduction: column fold needs 1..maxSegTreeWidth partials")
+	}
+	var t [maxSegTreeWidth]float64
+	copy(t[:], col)
+	for m := 1; m < n; m *= 2 {
+		for q := 0; q+m < n; q += 2 * m {
+			t[q] = op.Apply(t[q], t[q+m])
+		}
+	}
+	return t[0]
 }
 
 // treeCombineRange combines the element range [lo, hi) of the procs

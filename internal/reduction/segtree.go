@@ -70,3 +70,33 @@ func combineTreeAdd(dst []float64, parts [][]float64, lo, hi int) {
 		dst[e] = t[0] //bce:gather
 	}
 }
+
+// foldColAdd is combineTreeAdd for one element whose partials are
+// already contiguous: it returns the pairwise-tree sum of col, the
+// element-major column a streaming session (delta.go) keeps per element.
+// len(col) must be in [1, maxSegTreeWidth]; col is not modified. Same
+// association, same shrinking-slice fold as combineTreeAdd — only the
+// gather is a copy of one run of cache lines, which leaves the function
+// without a single bounds check (no //bce: marker: bce_check.sh fails on
+// any that appears).
+func foldColAdd(col []float64) float64 {
+	n := len(col)
+	if n == 0 || n > maxSegTreeWidth {
+		panic("reduction: column fold needs 1..maxSegTreeWidth partials")
+	}
+	var scratch [maxSegTreeWidth]float64
+	t := scratch[:n]
+	copy(t, col)
+	for m := 1; m < len(t); m *= 2 {
+		mm := m & (maxSegTreeWidth - 1)
+		rest := t
+		for len(rest) > mm {
+			rest[0] += rest[mm]
+			if len(rest) <= 2*mm {
+				break
+			}
+			rest = rest[2*mm:]
+		}
+	}
+	return t[0]
+}

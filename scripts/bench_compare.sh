@@ -296,7 +296,7 @@ END {
 # behind the streaming-session subsystem's claim that re-accumulating
 # the touched elements wins over full re-reduction for small update
 # batches, measured at the geometry the daemon serves (segIters 0,
-# 16-delta batches; recorded ratio 10.8x). Both figures come from the
+# 16-delta batches; recorded ratio 31x). Both figures come from the
 # same file and machine, so no normalization is needed; the gate runs
 # whenever the candidate carries the pair and names the lone half when
 # it carries only one.
