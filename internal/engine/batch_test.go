@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -156,6 +157,48 @@ func TestEngineCoalescesUnderBacklog(t *testing.T) {
 	}
 	if occJobs != s.Jobs {
 		t.Errorf("occupancy histogram accounts %d jobs, want %d", occJobs, s.Jobs)
+	}
+}
+
+// TestEngineFusedDenseLinkedList holds the worker, then submits a burst
+// of one loop the engine runs as ll on its dense path (MixedSet's
+// moderate regime at the default 8 processors), so the burst fuses into
+// one batch whose range-parallel merge writes every member from 8
+// goroutines (exercised under -race in CI). Every member must carry the
+// bits a direct ll run gives.
+func TestEngineFusedDenseLinkedList(t *testing.T) {
+	l := workloads.MixedSet(0.25)[5]
+	const procs = 8
+	if _, refs := l.Flat(); len(refs)/procs < l.NumElems/8 {
+		t.Fatalf("%s is sparse at procs %d; the test needs ll's dense path", l.Name, procs)
+	}
+	want := reduction.LinkedList{}.Run(l, procs)
+
+	e := mustNew(t, Config{Workers: 1, DisableSimplify: true})
+	defer e.Close()
+	release, err := e.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	const burst = 4
+	handles := make([]*Handle, burst)
+	for i := range handles {
+		if handles[i], err = e.SubmitAsyncInto(l, make([]float64, l.NumElems)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	for i, h := range handles {
+		res := h.Wait()
+		if res.Scheme != "ll" || res.BatchSize != burst {
+			t.Fatalf("member %d: scheme %q batch %d, want ll in one batch of %d", i, res.Scheme, res.BatchSize, burst)
+		}
+		for k := range want {
+			if math.Float64bits(res.Values[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("member %d: element %d = %g, direct ll %g", i, k, res.Values[k], want[k])
+			}
+		}
 	}
 }
 

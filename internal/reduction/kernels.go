@@ -152,7 +152,7 @@ func accumLazyAdd(v []float64, next []int32, head int32, offsets, refs []int32, 
 	return head
 }
 
-// mergeListAdd is ll's merge kernel: it walks one processor's
+// mergeListAdd is ll's sparse merge kernel: it walks one processor's
 // first-touch list and folds its private values into out.
 func mergeListAdd(out, v []float64, next []int32, head int32) {
 	for e := head; e >= 0; e = next[e] { //bce:gather
@@ -160,19 +160,19 @@ func mergeListAdd(out, v []float64, next []int32, head int32) {
 	}
 }
 
-// mergeDenseAdd is ll's merge kernel for the dense regime: when a
-// processor touched a large fraction of the array, walking the
-// first-touch list chases one random pointer per touched element, while
-// a linear sweep over the link array streams sequentially and lets the
-// branch predictor settle. The result is bit-identical to mergeListAdd
-// — each touched element folds into out exactly once, and element order
-// never mixes contributions of different elements.
-func mergeDenseAdd(out, v []float64, next []int32) {
-	v = v[:len(next)]     //bce:slice
-	out = out[:len(next)] //bce:slice
-	for e, nx := range next {
-		if nx != -2 {
-			out[e] += v[e]
+// mergeOrderedAdd is ll's dense merge kernel: it sets dst to the sum of
+// the private copies' elements [off, off+len(dst)), folded left to right
+// in processor order — per element the chain of adds the list walk
+// applies, since an untouched copy contributes its neutral +0 exactly.
+// The copy and each fold run over the shrinking-slice combineAdd, so
+// the only checks are the per-copy sub-slices.
+func mergeOrderedAdd(dst []float64, priv [][]float64, off int) {
+	for p, src := range priv {
+		src = src[off:] //bce:slice
+		if p == 0 {
+			copy(dst, src)
+		} else {
+			combineAdd(dst, src)
 		}
 	}
 }

@@ -2,43 +2,84 @@ package reduction
 
 import "repro/internal/trace"
 
-// LinkedList is the paper's "replicated buffer with links" (ll) scheme.
-// Like rep, every processor owns a full-size private buffer, but the
-// buffer is initialized lazily: the first time a processor touches an
-// element it initializes that single entry and threads it onto a private
-// linked list of touched elements. The merge phase then walks only the
-// lists, so Init disappears and Merge is proportional to the number of
-// elements each processor actually touched instead of the array size.
+// LinkedList is the paper's "replicated buffer with links" (ll) scheme:
+// every processor owns a full-size private buffer, and ll's promise is
+// that Init disappears and Merge is proportional to the elements each
+// processor actually touched instead of the array size. One predicate,
+// the loop's references per processor against an eighth of the array
+// (len(refs)/procs >= NumElems/8), picks how that promise is kept, for
+// every operator:
 //
-// ll wins over rep when the reference pattern is sparse enough that most
-// of rep's Init/Merge sweeps are wasted, but each access pays a flag check
-// and the merge pays pointer-chasing locality.
+//   - Sparse: the buffer is initialized lazily. The first time a
+//     processor touches an element it initializes that one entry and
+//     threads it onto a private list of touched elements; the merge walks
+//     only the lists. Each processor still marks its link array untouched
+//     (-2) up front, one streaming int32 sweep.
+//   - Dense: with an eighth or more of the array touched per processor,
+//     lazy initialization costs a flag check per reference and the list
+//     walk a random miss per element, against one streaming sweep of a
+//     copy that would be touched nearly everywhere anyway. Each processor
+//     privatizes eagerly as rep does, and the merge runs on procs
+//     goroutines over disjoint element ranges, each folding processor 0
+//     to procs-1 in order.
+//
+// Both regimes give the same bits. Per element, both fold the touching
+// processors' partials into the neutral element in processor order; the
+// eager merge also folds the untouched processors' neutral entries, and
+// the neutral element is exact under every operator (0+x, 1*x,
+// max(-Inf,x), min(+Inf,x) all return x), given partials that are never
+// -0 or NaN — every contribution is a trace.Value in (0, 1].
 type LinkedList struct{}
 
 // Name returns "ll".
 func (LinkedList) Name() string { return "ll" }
 
-// Run executes the loop with lazily-initialized replicated buffers.
+// Run executes the loop with replicated buffers on procs goroutines.
 func (s LinkedList) Run(l *trace.Loop, procs int) []float64 {
 	return s.RunInto(l, procs, nil, nil)
 }
 
-// RunInto executes the loop with lazily-initialized replicated buffers
-// whose value and link arrays come from the context's pool. OpAdd loops
-// run the unrolled lazy-accumulation kernel; other operators take the
-// retained scalar reference (naive.go).
+// RunInto executes the loop with replicated buffers whose value and link
+// arrays come from the context's pool. OpAdd loops run the unrolled
+// kernels; other operators take the retained scalar references
+// (naive.go).
 func (LinkedList) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	checkProcs(procs)
-	neutral := l.Op.Neutral()
 	pool := ex.pool()
 	fast := ex.fastAdd(l)
 	offsets, refs := l.Flat()
+
+	if len(refs)/procs >= l.NumElems/8 {
+		priv := privatize(l, procs, ex)
+		res, _ := ensureOut(out, l.NumElems) // a new name: a captured out would escape
+		targets := ex.batchTargets()
+		block := ex.mergeBlock(procs)
+		// Merge: each processor folds its element range block by block,
+		// and copies a finished block to the batch members while it is hot.
+		parallelFor(procs, func(p int) {
+			lo, hi := blockBounds(l.NumElems, procs, p)
+			for blo := lo; blo < hi; blo += block {
+				dst := res[blo:min(blo+block, hi)]
+				if fast {
+					mergeOrderedAdd(dst, priv, blo)
+				} else {
+					naiveMergeOrdered(dst, priv, blo, l.Op)
+				}
+				for _, t := range targets {
+					copy(t[blo:], dst)
+				}
+			}
+		})
+		for _, w := range priv {
+			pool.PutFloat64(w)
+		}
+		return res
+	}
 
 	vals := ex.float64Slots(procs)
 	nexts := ex.int32Slots(procs)
 	heads := pool.Int32(procs)
 	defer pool.PutInt32(heads)
-
 	parallelFor(procs, func(p int) {
 		v := pool.Float64(l.NumElems)
 		next := pool.Int32(l.NumElems)
@@ -53,34 +94,16 @@ func (LinkedList) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []f
 		vals[p], nexts[p], heads[p] = v, next, head
 	})
 
-	// Merge: walk each processor's touched list. Serialized per processor
-	// list but applied concurrently over disjoint output partitions would
-	// require per-element locks; instead processors merge their own lists
-	// into the shared array one list at a time (lists are short when the
-	// pattern is sparse — that is ll's use case). To stay deterministic
-	// and race-free we merge sequentially here; the lab's simulator
-	// charges the parallel cost model described in the paper.
+	// Merge: fold each processor's list into out in processor order; the
+	// lists are short, since the loop is sparse.
 	out, fresh := ensureOut(out, l.NumElems)
-	initNeutral(out, neutral, fresh)
-	// Dense references defeat the list walk's premise: with an eighth or
-	// more of the array touched per processor, chasing the first-touch
-	// list costs one random miss per element, while a sequential sweep of
-	// the link array streams at cache-line speed. The sweep applies the
-	// same one-add-per-touched-element in the same processor order, so
-	// the result is bit-identical either way.
-	denseMerge := fast && len(refs)/procs >= l.NumElems/8
+	initNeutral(out, l.Op.Neutral(), fresh)
 	for p := 0; p < procs; p++ {
-		v, next := vals[p], nexts[p]
-		switch {
-		case denseMerge:
-			mergeDenseAdd(out, v, next)
-		case fast:
-			mergeListAdd(out, v, next, heads[p])
-		default:
-			naiveMergeList(out, v, next, heads[p], l.Op)
+		if fast {
+			mergeListAdd(out, vals[p], nexts[p], heads[p])
+		} else {
+			naiveMergeList(out, vals[p], nexts[p], heads[p], l.Op)
 		}
-	}
-	for p := 0; p < procs; p++ {
 		pool.PutFloat64(vals[p])
 		pool.PutInt32(nexts[p])
 	}

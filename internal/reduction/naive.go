@@ -53,6 +53,15 @@ func naiveMergeList(out, v []float64, next []int32, head int32, op trace.Op) {
 	}
 }
 
+// naiveMergeOrdered is mergeOrderedAdd's reference: dst is the private
+// copies' elements [off, off+len(dst)) folded in processor order under op.
+func naiveMergeOrdered(dst []float64, priv [][]float64, off int, op trace.Op) {
+	copy(dst, priv[0][off:])
+	for _, src := range priv[1:] {
+		combineOp(dst, src[off:], op)
+	}
+}
+
 // naiveAccumSel is accumSelAdd's reference: conflicting elements fold
 // into the compact array through the remap table, exclusive elements
 // update out in place.

@@ -30,24 +30,7 @@ func (r Rep) Run(l *trace.Loop, procs int) []float64 {
 // take the retained scalar reference (naive.go).
 func (Rep) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	checkProcs(procs)
-	neutral := l.Op.Neutral()
-	pool := ex.pool()
-	priv := ex.float64Slots(procs)
-	fast := ex.fastAdd(l)
-	offsets, refs := l.Flat()
-
-	// Init + Loop: each processor fills its private copy.
-	parallelFor(procs, func(p int) {
-		w := pool.Float64(l.NumElems)
-		initNeutral(w, neutral, pool == nil)
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		if fast {
-			accumFlatAdd(w, offsets, refs, lo, hi)
-		} else {
-			naiveAccumFlat(w, l, lo, hi)
-		}
-		priv[p] = w
-	})
+	priv := privatize(l, procs, ex)
 
 	// Merge: processors cooperatively tree-combine their element ranges
 	// across the P copies in L2-sized blocks (writing every element, so
@@ -59,6 +42,7 @@ func (Rep) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 
 	out, _ = ensureOut(out, l.NumElems)
 	targets := ex.batchTargets()
 	block := ex.mergeBlock(procs)
+	fast := ex.fastAdd(l)
 	parallelFor(procs, func(p int) {
 		lo, hi := blockBounds(l.NumElems, procs, p)
 		treeCombineRange(priv, lo, hi, block, l.Op, fast)
@@ -67,8 +51,33 @@ func (Rep) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 
 			copy(t[lo:hi], priv[0][lo:hi])
 		}
 	})
-	for p := range priv {
-		pool.PutFloat64(priv[p])
+	for _, w := range priv {
+		ex.pool().PutFloat64(w)
 	}
 	return out
+}
+
+// privatize is the Init + Loop phase of the replicated-buffer schemes
+// (rep, and ll on dense loops): each processor fills a pooled private
+// copy with the neutral element and folds its block of iterations into
+// it. OpAdd loops run the unrolled flat-accumulation kernel; other
+// operators take the retained scalar reference (naive.go).
+func privatize(l *trace.Loop, procs int, ex *Exec) [][]float64 {
+	neutral := l.Op.Neutral()
+	pool := ex.pool()
+	priv := ex.float64Slots(procs)
+	fast := ex.fastAdd(l)
+	offsets, refs := l.Flat()
+	parallelFor(procs, func(p int) {
+		w := pool.Float64(l.NumElems)
+		initNeutral(w, neutral, pool == nil)
+		lo, hi := blockBounds(l.NumIters(), procs, p)
+		if fast {
+			accumFlatAdd(w, offsets, refs, lo, hi)
+		} else {
+			naiveAccumFlat(w, l, lo, hi)
+		}
+		priv[p] = w
+	})
+	return priv
 }

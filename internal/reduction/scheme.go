@@ -4,7 +4,8 @@
 //   - rep:  private accumulation and global update in replicated private
 //     arrays
 //   - ll:   replicated buffer with links (lazy initialization, merge only
-//     touched elements)
+//     touched elements; on dense loops, eager privatization and a
+//     range-parallel merge with the same bits)
 //   - sel:  selective privatization (only cross-processor shared elements
 //     are privatized; exclusive elements are written in place)
 //   - lw:   local write — an "owner computes" method with iteration
