@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/reduction"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -66,13 +67,15 @@ func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) []Result {
 	return out
 }
 
-// TestRepeatAnswersAreBitIdentical is the numerical contract's first
-// enforced clause: the bits of a direct execution depend on the loop, the
-// scheme and procs only — not on when it ran, what ran before it, or how
-// many jobs shared its batch. With simplification off every one of 64
-// submissions of a loop returns the first answer's bits; with it on, the
-// answers served from segment sums agree among themselves (they follow
-// SegPlan's association, which is not the direct schemes').
+// TestRepeatAnswersAreBitIdentical is the numerical contract's enforced
+// clause: the bits of a direct execution depend on the loop and procs
+// only — not on when it ran, what ran before it, how many jobs shared its
+// batch, or which scheme answered. With simplification off every one of
+// 64 submissions of a loop returns the first answer's bits, and those are
+// ll's (rep, ll, sel and hash fold in one order) or, from lw,
+// RunSequential's; with it on, the answers served from segment sums agree
+// among themselves (they follow SegPlan's association, which is not the
+// direct schemes').
 func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 	loops := workloads.MixedSet(0.25)
 	for _, procs := range []int{2, 4, 8} {
@@ -85,13 +88,22 @@ func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 				first := map[string][]float64{}
 				for i, res := range repeatAnswers(t, e, l) {
 					want, seen := first[res.Scheme]
+					ref := "the first " + res.Scheme + " answer"
 					if !seen {
 						first[res.Scheme] = res.Values
-						continue
+						if simplify {
+							continue
+						}
+						// Whichever scheme answered, the first answer is
+						// the loop's one direct answer.
+						want, ref = reduction.LinkedList{}.Run(l, procs), "ll's answer"
+						if res.Scheme == "lw" {
+							want, ref = l.RunSequential(), "RunSequential"
+						}
 					}
 					if d := bitDiffs(res.Values, want); d > 0 {
-						t.Errorf("procs=%d simplify=%v %s: submission %d (%s) differs from the first %s answer in %d of %d elements",
-							procs, simplify, l.Name, i, res.Scheme, res.Scheme, d, len(want))
+						t.Errorf("procs=%d simplify=%v %s: submission %d (%s) differs from %s in %d of %d elements",
+							procs, simplify, l.Name, i, res.Scheme, ref, d, len(want))
 						break
 					}
 					if res.Why == residentWhy {

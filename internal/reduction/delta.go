@@ -30,8 +30,8 @@ import (
 // contributions, in exactly the ascending order, the full kernels
 // (accumFlatAdd / naiveAccumFlat) apply to that element. Across segments
 // the combined result stays resident, and only the marked elements are
-// re-folded through the same fixed tree association every other path
-// uses (foldColAdd / foldColOp, the column forms of combineTreeAdd /
+// re-folded through the same fixed tree association SegPlan uses
+// (foldColAdd / foldColOp, the column forms of combineTreeAdd /
 // combineTreeOp). The rolling result is thus bit-for-bit identical to
 // rebuilding every segment from scratch — the property delta_test.go
 // pins with math.Float64bits against the naive kernels and

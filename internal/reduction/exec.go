@@ -110,16 +110,17 @@ type Exec struct {
 	// alongside the primary out. A batch of jobs over the same loop pays
 	// privatization, accumulation and merge once; each fused member's
 	// marginal cost is only its result write. Schemes with a full merge
-	// sweep (rep) write every member inside the sweep while the combined
-	// value is still in a register; the others fan the finished result out
-	// with one copy per member.
+	// sweep (rep, dense ll) copy each merged block to every member while
+	// it is cache-hot; the others fan the finished result out with one
+	// copy per member.
 	BatchOut [][]float64
-	// MergeBlockElems overrides the element-block size the blocked tree
-	// merge (rep, and sel's conflicting set) processes per round, the
-	// per-block privatization sizing hook: a block of every private copy
-	// should stay L2-resident across all log2(procs) combine rounds.
-	// Zero picks a default from the modeled platform's L2 geometry; the
-	// engine sets it from its configured platform via MergeBlockForCache.
+	// MergeBlockElems overrides the element-block size the blocked
+	// ordered merge (rep, dense ll and sel's conflicting set) folds at a
+	// time, the per-block privatization sizing hook: one output block
+	// should stay L2-resident while all procs private copies of it fold
+	// into it, one pass per copy. Zero picks a default from the modeled
+	// platform's L2 geometry; the engine sets it from its configured
+	// platform via MergeBlockForCache. The block size never changes bits.
 	MergeBlockElems int
 
 	// scratch: per-processor slice headers reused across jobs.
@@ -133,12 +134,12 @@ type Exec struct {
 	naive bool
 }
 
-// MergeBlockForCache returns the tree-merge block size (in elements) for
-// a machine whose per-processor L2 holds l2Bytes: the largest block such
+// MergeBlockForCache returns the merge block size (in elements) for a
+// machine whose per-processor L2 holds l2Bytes: the largest block such
 // that procs private copies of it plus the output block fit in half the
 // cache (the other half is left to the subscript stream and the batch
 // fan-out destinations), floored so tiny caches still amortize the
-// per-block round setup.
+// per-block setup of procs passes.
 func MergeBlockForCache(l2Bytes, procs int) int {
 	if procs < 1 {
 		procs = 1
@@ -150,7 +151,7 @@ func MergeBlockForCache(l2Bytes, procs int) int {
 	return block
 }
 
-// mergeBlock returns the context's tree-merge block size (nil-safe).
+// mergeBlock returns the context's merge block size (nil-safe).
 func (ex *Exec) mergeBlock(procs int) int {
 	if ex != nil && ex.MergeBlockElems > 0 {
 		return ex.MergeBlockElems

@@ -218,9 +218,9 @@ func TestFastKernelsBatchedFanOut(t *testing.T) {
 	}
 }
 
-// TestMergeBlockInvariance is the tree merge's association property: the
-// per-block sizing hook partitions the element space but must not change
-// the combine tree's shape within an element, so every block size yields
+// TestMergeBlockInvariance is the ordered merge's association property:
+// the per-block sizing hook partitions the element space but must not
+// change the fold order within an element, so every block size yields
 // bit-identical results.
 func TestMergeBlockInvariance(t *testing.T) {
 	l := randomLoop(5000, 3000, 4, 23)

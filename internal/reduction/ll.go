@@ -18,17 +18,13 @@ import "repro/internal/trace"
 //   - Dense: with an eighth or more of the array touched per processor,
 //     lazy initialization costs a flag check per reference and the list
 //     walk a random miss per element, against one streaming sweep of a
-//     copy that would be touched nearly everywhere anyway. Each processor
-//     privatizes eagerly as rep does, and the merge runs on procs
-//     goroutines over disjoint element ranges, each folding processor 0
-//     to procs-1 in order.
+//     copy that would be touched nearly everywhere anyway. The loop runs
+//     as rep does (replicate).
 //
 // Both regimes give the same bits. Per element, both fold the touching
 // processors' partials into the neutral element in processor order; the
-// eager merge also folds the untouched processors' neutral entries, and
-// the neutral element is exact under every operator (0+x, 1*x,
-// max(-Inf,x), min(+Inf,x) all return x), given partials that are never
-// -0 or NaN — every contribution is a trace.Value in (0, 1].
+// eager merge also folds the untouched processors' neutral entries, which
+// is exact (foldBlock).
 type LinkedList struct{}
 
 // Name returns "ll".
@@ -50,30 +46,7 @@ func (LinkedList) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []f
 	offsets, refs := l.Flat()
 
 	if len(refs)/procs >= l.NumElems/8 {
-		priv := privatize(l, procs, ex)
-		res, _ := ensureOut(out, l.NumElems) // a new name: a captured out would escape
-		targets := ex.batchTargets()
-		block := ex.mergeBlock(procs)
-		// Merge: each processor folds its element range block by block,
-		// and copies a finished block to the batch members while it is hot.
-		parallelFor(procs, func(p int) {
-			lo, hi := blockBounds(l.NumElems, procs, p)
-			for blo := lo; blo < hi; blo += block {
-				dst := res[blo:min(blo+block, hi)]
-				if fast {
-					mergeOrderedAdd(dst, priv, blo)
-				} else {
-					naiveMergeOrdered(dst, priv, blo, l.Op)
-				}
-				for _, t := range targets {
-					copy(t[blo:], dst)
-				}
-			}
-		})
-		for _, w := range priv {
-			pool.PutFloat64(w)
-		}
-		return res
+		return replicate(l, procs, ex, out)
 	}
 
 	vals := ex.float64Slots(procs)

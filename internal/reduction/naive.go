@@ -170,41 +170,3 @@ func foldColOp(col []float64, op trace.Op) float64 {
 	}
 	return t[0]
 }
-
-// treeCombineRange combines the element range [lo, hi) of the procs
-// private copies pairwise into priv[0]: stride-doubling rounds fold
-// priv[q+m] into priv[q], so each element's combine is a balanced tree of
-// depth ceil(log2(procs)) instead of a procs-deep dependent chain. The
-// range is processed in blocks of block elements so that one block of
-// every copy stays resident in L2 across all log2(procs) rounds (the
-// privatization-block sizing the polyhedral-reduction literature calls
-// reuse-aware blocking); the association per element is identical for
-// every block size, so blocking never changes results.
-//
-// The contents of priv[1..procs) inside [lo, hi) are destroyed; callers
-// release the buffers to the pool afterwards. fast selects the unrolled
-// add kernel; the naive flag in Exec clears it so the property tests can
-// hold association constant while swapping every kernel.
-func treeCombineRange(priv [][]float64, lo, hi, block int, op trace.Op, fast bool) {
-	if lo >= hi {
-		return
-	}
-	if block <= 0 {
-		block = hi - lo
-	}
-	for blo := lo; blo < hi; blo += block {
-		bhi := blo + block
-		if bhi > hi {
-			bhi = hi
-		}
-		for m := 1; m < len(priv); m *= 2 {
-			for q := 0; q+m < len(priv); q += 2 * m {
-				if fast {
-					combineAdd(priv[q][blo:bhi], priv[q+m][blo:bhi])
-				} else {
-					combineOp(priv[q][blo:bhi], priv[q+m][blo:bhi], op)
-				}
-			}
-		}
-	}
-}

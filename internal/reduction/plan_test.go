@@ -162,7 +162,8 @@ func TestSegPlanMatchesNaiveOracle(t *testing.T) {
 }
 
 // assertClose checks the plan result against the sequential reference to
-// the same tolerance the scheme tests use for reassociated reductions.
+// a relative 1e-9: the segment tree reassociates, so only the segment
+// oracle pins its bits.
 func assertClose(t *testing.T, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {

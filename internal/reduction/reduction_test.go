@@ -43,26 +43,50 @@ func clusteredLoop(elems, iters int, seed int64) *trace.Loop {
 	return l
 }
 
+// blockOrder is the association every privatizing scheme computes: each
+// processor's blockBounds block of iterations accumulated from the
+// neutral element, the blocks folded in processor order.
+func blockOrder(l *trace.Loop, procs int) []float64 {
+	var res []float64
+	for p := 0; p < procs; p++ {
+		w := make([]float64, l.NumElems)
+		fill(w, l.Op.Neutral())
+		lo, hi := blockBounds(l.NumIters(), procs, p)
+		naiveAccumFlat(w, l, lo, hi)
+		if p == 0 {
+			res = w
+		} else {
+			combineOp(res, w, l.Op)
+		}
+	}
+	return res
+}
+
+// exactAnswer is the bits s must return: lw's are RunSequential's, every
+// other scheme's are blockOrder's.
+func exactAnswer(s Scheme, l *trace.Loop, procs int) []float64 {
+	if s.Name() == "lw" {
+		return l.RunSequential()
+	}
+	return blockOrder(l, procs)
+}
+
 func assertMatchesSequential(t *testing.T, s Scheme, l *trace.Loop, procs int) {
 	t.Helper()
-	want := l.RunSequential()
+	want := exactAnswer(s, l, procs)
 	got := s.Run(l, procs)
 	if len(got) != len(want) {
 		t.Fatalf("%s: result length %d, want %d", s.Name(), len(got), len(want))
 	}
-	for i := range want {
-		diff := math.Abs(got[i] - want[i])
-		tol := 1e-9 * (1 + math.Abs(want[i]))
-		if diff > tol {
-			t.Fatalf("%s(procs=%d): element %d = %g, want %g (diff %g)", s.Name(), procs, i, got[i], want[i], diff)
-		}
+	if i := bitsEqual(got, want); i != -1 {
+		t.Fatalf("%s(procs=%d): element %d = %x, want %x", s.Name(), procs, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 	}
 }
 
 func TestAllSchemesMatchSequentialUniform(t *testing.T) {
 	l := randomLoop(500, 2000, 3, 42)
 	for _, s := range All() {
-		for _, procs := range []int{1, 2, 4, 8} {
+		for _, procs := range []int{1, 2, 3, 4, 8, 16} {
 			assertMatchesSequential(t, s, l, procs)
 		}
 	}
@@ -315,8 +339,8 @@ func TestRunPanicsOnZeroProcs(t *testing.T) {
 }
 
 func TestQuickAllSchemesAgree(t *testing.T) {
-	// Property: on arbitrary small patterns, every scheme produces the
-	// sequential result (within reassociation tolerance).
+	// Property: on arbitrary small patterns, every scheme returns its
+	// exact answer's bits.
 	f := func(pat []uint16, procsRaw uint8) bool {
 		if len(pat) == 0 {
 			return true
@@ -327,13 +351,9 @@ func TestQuickAllSchemesAgree(t *testing.T) {
 		for i := 0; i+1 < len(pat); i += 2 {
 			l.AddIter(int32(int(pat[i])%n), int32(int(pat[i+1])%n))
 		}
-		want := l.RunSequential()
 		for _, s := range All() {
-			got := s.Run(l, procs)
-			for e := range want {
-				if math.Abs(got[e]-want[e]) > 1e-9*(1+math.Abs(want[e])) {
-					return false
-				}
+			if bitsEqual(s.Run(l, procs), exactAnswer(s, l, procs)) != -1 {
+				return false
 			}
 		}
 		return true

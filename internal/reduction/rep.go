@@ -26,35 +26,52 @@ func (r Rep) Run(l *trace.Loop, procs int) []float64 {
 
 // RunInto executes the loop with replicated private arrays drawn from the
 // context's buffer pool; steady-state repeated executions allocate nothing.
-// OpAdd loops run the unrolled flat-accumulation kernel; other operators
-// take the retained scalar reference (naive.go).
 func (Rep) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	checkProcs(procs)
-	priv := privatize(l, procs, ex)
+	return replicate(l, procs, ex, out)
+}
 
-	// Merge: processors cooperatively tree-combine their element ranges
-	// across the P copies in L2-sized blocks (writing every element, so
-	// out needs no initialization), then copy the combined block to the
-	// primary and fused batch destinations while it is still cache-hot.
-	// The neutral element is exact under every operator (0+x, 1*x,
-	// max(-Inf,x), min(+Inf,x) all return x bit-for-bit), so the combined
-	// copy in priv[0] is the result.
-	out, _ = ensureOut(out, l.NumElems)
+// replicate is the replicated-buffer execution shared by rep and by ll on
+// dense loops: privatize, then merge. The merge runs on procs goroutines
+// over disjoint element ranges; each folds its range block by block in
+// processor order (foldBlock) and copies a finished block to the batch
+// members while it is hot. Every element is written, so out needs no
+// initialization.
+func replicate(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
+	priv := privatize(l, procs, ex)
+	res, _ := ensureOut(out, l.NumElems) // a new name: a captured out would escape
 	targets := ex.batchTargets()
 	block := ex.mergeBlock(procs)
 	fast := ex.fastAdd(l)
 	parallelFor(procs, func(p int) {
 		lo, hi := blockBounds(l.NumElems, procs, p)
-		treeCombineRange(priv, lo, hi, block, l.Op, fast)
-		copy(out[lo:hi], priv[0][lo:hi])
-		for _, t := range targets {
-			copy(t[lo:hi], priv[0][lo:hi])
+		for blo := lo; blo < hi; blo += block {
+			dst := res[blo:min(blo+block, hi)]
+			foldBlock(dst, priv, blo, l.Op, fast)
+			for _, t := range targets {
+				copy(t[blo:], dst)
+			}
 		}
 	})
 	for _, w := range priv {
 		ex.pool().PutFloat64(w)
 	}
-	return out
+	return res
+}
+
+// foldBlock sets dst to the private copies' elements [off, off+len(dst))
+// folded in processor order — the one way every privatizing scheme
+// combines partials. The neutral element is exact under every operator
+// (0+x, 1*x, max(-Inf,x), min(+Inf,x) all return x, given partials that
+// are never -0 or NaN — every contribution is a trace.Value in (0, 1]), so
+// the fold equals the one the lazy list and the hash tables apply to the
+// touching processors alone. dst may alias priv[0][off:].
+func foldBlock(dst []float64, priv [][]float64, off int, op trace.Op, fast bool) {
+	if fast {
+		mergeOrderedAdd(dst, priv, off)
+	} else {
+		naiveMergeOrdered(dst, priv, off, op)
+	}
 }
 
 // privatize is the Init + Loop phase of the replicated-buffer schemes

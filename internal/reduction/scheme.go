@@ -4,8 +4,7 @@
 //   - rep:  private accumulation and global update in replicated private
 //     arrays
 //   - ll:   replicated buffer with links (lazy initialization, merge only
-//     touched elements; on dense loops, eager privatization and a
-//     range-parallel merge with the same bits)
+//     touched elements; on dense loops, rep's execution)
 //   - sel:  selective privatization (only cross-processor shared elements
 //     are privatized; exclusive elements are written in place)
 //   - lw:   local write — an "owner computes" method with iteration
@@ -13,15 +12,19 @@
 //   - hash: sparse reductions with privatization in hash tables
 //
 // Every scheme is a real parallel execution of a trace.Loop on goroutines
-// (Run, or RunInto with a pooled execution context) whose result must
-// match the sequential reference — tested to tolerance, since parallel
-// schemes reassociate the reduction operator. Around the schemes the
-// package holds what the serving stack executes them through: the Exec
-// context and BufferPool, the optimized kernels and their naive twins,
-// SegPlan/SegCache (shared segment partial sums with a resident result)
-// and DeltaState (incremental sessions). inspect.go is the read-only
-// surface through which the paper-track simulators (the lab's simred)
-// replay the schemes' inspectors; nothing here depends on a machine model.
+// (Run, or RunInto with a pooled execution context). The privatizing
+// schemes (rep, ll, sel, hash) share one association: each processor
+// accumulates its static block of iterations from the neutral element,
+// and the partials fold in processor order, so the four return the same
+// bits for a given loop and procs. lw applies every contribution in
+// iteration order and returns trace.Loop.RunSequential's bits. Around the
+// schemes the package holds what the serving stack executes them through:
+// the Exec context and BufferPool, the optimized kernels and their naive
+// twins, SegPlan/SegCache (shared segment partial sums with a resident
+// result) and DeltaState (incremental sessions). inspect.go is the
+// read-only surface through which the paper-track simulators (the lab's
+// simred) replay the schemes' inspectors; nothing here depends on a
+// machine model.
 package reduction
 
 import (

@@ -4,13 +4,13 @@ package reduction
 // execution plan (plan.go): after the per-segment partial sums are
 // computed (accumFlatAdd over each segment's iteration range), every
 // batch member folds its per-segment parts into its destination with a
-// pairwise tree over the segment index — the same stride-doubling
-// association treeCombineRange uses across processors, applied across
-// segments. Unlike treeCombineRange the fold must NOT destroy its
-// inputs: a shared segment's partial sum is read by several members, and
-// a cached segment sum outlives the batch. The kernel therefore folds
-// each element through a fixed-size register/stack array instead of
-// combining the part buffers in place.
+// stride-doubling pairwise tree over the segment index. This is the
+// segment association only: the schemes fold processor partials in
+// processor order (foldBlock). The fold must not destroy its inputs: a
+// shared segment's partial sum is read by several members, and a cached
+// segment sum outlives the batch. The kernel therefore folds each element
+// through a fixed-size register/stack array instead of combining the part
+// buffers in place.
 //
 // The same BCE discipline as kernels.go applies: scripts/bce_check.sh
 // compiles this file with -d=ssa/check_bce and fails on any unmarked

@@ -87,10 +87,11 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 		priv[p] = compact
 	})
 
-	// Merge only the conflicting elements: tree-combine the compact
-	// arrays in blocks (exact under every operator's neutral, as in rep),
-	// then scatter the combined column into the conflicting elements'
-	// shared slots, parallel over compact-index ranges.
+	// Merge only the conflicting elements, parallel over compact-index
+	// ranges: fold each block of the compact arrays in processor order into
+	// priv[0] (foldBlock, as rep merges), then scatter it into the
+	// conflicting elements' shared slots, which still hold the neutral
+	// element — so assigning the folded value is exact.
 	if numConflict > 0 {
 		// Invert the remap for the conflicting set.
 		conflictElems := pool.Int32(numConflict)
@@ -102,17 +103,11 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 		block := ex.mergeBlock(procs)
 		parallelFor(procs, func(p int) {
 			lo, hi := blockBounds(numConflict, procs, p)
-			treeCombineRange(priv, lo, hi, block, l.Op, fast)
-			if fast {
-				combined := priv[0]
-				for c := lo; c < hi; c++ {
-					out[conflictElems[c]] += combined[c]
-				}
-			} else {
-				combined := priv[0]
-				for c := lo; c < hi; c++ {
-					e := conflictElems[c]
-					out[e] = l.Op.Apply(out[e], combined[c])
+			for blo := lo; blo < hi; blo += block {
+				dst := priv[0][blo:min(blo+block, hi)]
+				foldBlock(dst, priv, blo, l.Op, fast)
+				for c, v := range dst {
+					out[conflictElems[blo+c]] = v
 				}
 			}
 		})
