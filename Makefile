@@ -100,7 +100,7 @@ cover:
 
 # codegen compiles the reduction and wire packages with the compiler's
 # bounds-check diagnostic and fails when an unmarked check appears in the
-# optimized kernels (kernels.go, segtree.go) or the RESULT float codec
+# optimized kernels (kernels.go) or the RESULT float codec
 # (wire/floats.go) — the CI codegen job, runnable locally.
 codegen:
 	./scripts/bce_check.sh

@@ -5,8 +5,8 @@ import "fmt"
 // This file holds the decision boundary for the reduction-simplification
 // layer (pattern.AnalyzeSegments + reduction.SegPlan): given a batch's
 // measured segment-overlap structure, decide whether the simplified
-// execution — per-segment partial sums computed once, combined per
-// member through the pairwise tree — beats running every member's full
+// execution — per-segment partial sums computed once, folded in order
+// per member — beats running every member's full
 // reference stream directly. It is the Figure 3 idea applied one level
 // up: instead of choosing *which* parallel scheme executes a loop, it
 // chooses whether the batch's algebraic structure lets most of the work

@@ -74,8 +74,8 @@ func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) []Result {
 // 64 submissions of a loop returns the first answer's bits, and those are
 // ll's (rep, ll, sel and hash fold in one order) or, from lw,
 // RunSequential's; with it on, the answers served from segment sums agree
-// among themselves (they follow SegPlan's association, which is not the
-// direct schemes').
+// among themselves (they fold the same pieces in the same order, but cut
+// at segments, not processor blocks).
 func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 	loops := workloads.MixedSet(0.25)
 	for _, procs := range []int{2, 4, 8} {

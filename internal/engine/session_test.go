@@ -208,9 +208,9 @@ func TestOpenSessionRejectsInvalid(t *testing.T) {
 	if _, _, err := e.OpenSession(bad, 0, nil); err == nil {
 		t.Fatal("non-positive NumElems accepted")
 	}
-	// A segment width of 1 over a huge iteration count exceeds the
-	// combine-tree width; the worker must answer with the error rather
-	// than panic.
+	// A segment width of 1 over a huge iteration count cuts more than the
+	// 64 segments a session may hold; the worker must answer with the
+	// error rather than panic.
 	wide := sessionLoop(8, 300, 5)
 	if _, _, err := e.OpenSession(wide, 1, nil); err == nil {
 		t.Fatal("over-wide segment plan accepted")

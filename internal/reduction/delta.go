@@ -30,9 +30,9 @@ import (
 // contributions, in exactly the ascending order, the full kernels
 // (accumFlatAdd / naiveAccumFlat) apply to that element. Across segments
 // the combined result stays resident, and only the marked elements are
-// re-folded through the same fixed tree association SegPlan uses
-// (foldColAdd / foldColOp, the column forms of combineTreeAdd /
-// combineTreeOp). The rolling result is thus bit-for-bit identical to
+// re-folded, left to right in segment order (foldCol) — per element the
+// fold SegPlan applies to segment parts and the schemes to processor
+// partials. The rolling result is thus bit-for-bit identical to
 // rebuilding every segment from scratch — the property delta_test.go
 // pins with math.Float64bits against the naive kernels and
 // FuzzDeltaState searches for counter-examples to.
@@ -65,8 +65,8 @@ type DeltaState struct {
 	// element e's fold over segment seg, so the segs partials one result
 	// slot combines are contiguous.
 	cols []float64
-	// result is the tree combine of every column, kept current by every
-	// Apply.
+	// result is every column folded in segment order, kept current by
+	// every Apply.
 	result []float64
 	// byElem[e] lists, ascending, the flat positions whose reference is
 	// e. The lists are carved from one backing array with indexHeadroom
@@ -92,18 +92,18 @@ const (
 // The width no longer decides how much an update reads — a marked
 // element replays its own references, however the iterations are cut —
 // only how that work splits: more segments mean shorter replays and a
-// wider fold, and on the served stream (64 x 256 iterations) 8 segments
+// longer fold, and on the served stream (64 x 256 iterations) 8 segments
 // and 64 measured the same. The rule therefore stays what it was, because
-// the cut fixes the fold's association and with it every bit a session
-// has ever returned. Every segment costs one partial per element: take as
+// the cut fixes where the fold's pieces begin and with it the bits a
+// session returns. Every segment costs one partial per element: take as
 // many segments as fit in about the private loop copy's own footprint,
-// at most maxSegTreeWidth, never narrower than 32 iterations, and never
+// at most maxSegments, never narrower than 32 iterations, and never
 // fewer than DefaultSegIters would cut.
 func sessionSegIters(l *trace.Loop, procs int) int {
 	// max(.., 1) twice: a loop lighter than one column still gets a
 	// segment, and an empty array (which NewDeltaState rejects) must not
 	// divide by zero in the admission estimate.
-	segs := max(min(loopBytes(l)/(max(l.NumElems, 1)*8), maxSegTreeWidth), 1)
+	segs := max(min(loopBytes(l)/(max(l.NumElems, 1)*8), maxSegments), 1)
 	segIters := max((l.NumIters()+segs-1)/segs, 32)
 	return min(segIters, DefaultSegIters(l.NumIters(), procs))
 }
@@ -142,12 +142,11 @@ func DeltaStateBytes(l *trace.Loop, segIters, procs int) int {
 
 // NewDeltaState registers a session over l: the loop is deep-copied
 // (the session mutates it) and indexed by element, every segment's
-// partial sum is computed and combined into the resident result, and,
-// when dst is non-nil, that result is copied into it (dst must hold
-// NumElems elements). segIters <= 0 picks the session default for procs
-// (as many segments as fit the loop's own footprint, see
-// DeltaStateBytes). The segment count must fit the combine tree
-// (maxSegTreeWidth).
+// partial sum is computed and folded in segment order into the resident
+// result, and, when dst is non-nil, that result is copied into it (dst
+// must hold NumElems elements). segIters <= 0 picks the session default
+// for procs (as many segments as fit the loop's own footprint, see
+// DeltaStateBytes). The segment count must not exceed maxSegments.
 func NewDeltaState(l *trace.Loop, segIters, procs int, ex *Exec, dst []float64) (*DeltaState, error) {
 	checkProcs(procs)
 	if l.NumElems <= 0 {
@@ -157,8 +156,8 @@ func NewDeltaState(l *trace.Loop, segIters, procs int, ex *Exec, dst []float64) 
 		segIters = sessionSegIters(l, procs)
 	}
 	segs := (l.NumIters() + segIters - 1) / segIters
-	if segs > maxSegTreeWidth {
-		return nil, fmt.Errorf("reduction: %d session segments exceed the combine width %d", segs, maxSegTreeWidth)
+	if segs > maxSegments {
+		return nil, fmt.Errorf("reduction: %d session segments exceed the limit %d", segs, maxSegments)
 	}
 	// Long-lived buffers: never pooled, so no later worker scratch can
 	// alias a partial a future read still combines from.
@@ -391,14 +390,27 @@ func iterAt(offs []int32, pos int32) int {
 	return countLE(offs[1:], pos)
 }
 
-// fold combines element e's column of partials through the pairwise
-// tree.
+// fold folds element e's column of partials in segment order.
 func (s *DeltaState) fold(fast bool, e int) float64 {
-	col := s.cols[e*s.segs : (e+1)*s.segs]
+	return foldCol(s.cols[e*s.segs:(e+1)*s.segs], s.loop.Op, fast)
+}
+
+// foldCol is foldBlock for one element whose partials are contiguous: it
+// returns col folded left to right, col[0] first — the chain of
+// operations mergeOrderedAdd (fast, OpAdd) or naiveMergeOrdered applies
+// to one element. col must not be empty.
+func foldCol(col []float64, op trace.Op, fast bool) float64 {
+	acc := col[0]
 	if fast {
-		return foldColAdd(col)
+		for _, v := range col[1:] {
+			acc += v
+		}
+		return acc
 	}
-	return foldColOp(col, s.loop.Op)
+	for _, v := range col[1:] {
+		acc = op.Apply(acc, v)
+	}
+	return acc
 }
 
 // index builds byElem by one counting sort of the loop's references:

@@ -71,8 +71,8 @@ func FuzzDeltaState(f *testing.F) {
 			}
 			l.AddIter(refs...)
 		}
-		if segIters > 0 && (iters+segIters-1)/segIters > maxSegTreeWidth {
-			segIters = (iters + maxSegTreeWidth - 1) / maxSegTreeWidth
+		if segIters > 0 && (iters+segIters-1)/segIters > maxSegments {
+			segIters = (iters + maxSegments - 1) / maxSegments
 		}
 		total := l.TotalRefs()
 
@@ -82,8 +82,7 @@ func FuzzDeltaState(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewDeltaState: %v", err)
 		}
-		want := make([]float64, elems)
-		oracleRebuild(mirror, st.SegIters(), want)
+		want := cutOrder(mirror, segCuts(mirror, st.SegIters()))
 		requireBitEqual(t, want, dst, "open read")
 
 		fresh := make([]float64, elems)
@@ -116,7 +115,7 @@ func FuzzDeltaState(f *testing.F) {
 				continue
 			}
 			applyMirror(mirror, ds)
-			oracleRebuild(mirror, st.SegIters(), want)
+			want = cutOrder(mirror, segCuts(mirror, st.SegIters()))
 			requireBitEqual(t, want, dst, "delta read")
 			if _, err := NewDeltaState(mirror, st.SegIters(), procs, nil, fresh); err != nil {
 				t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // The delta-path contract is metamorphic: applying a delta stream to a
 // DeltaState and reading the rolling result must be bit-for-bit
 // (math.Float64bits) identical to mutating a mirror loop the same way
-// and rebuilding every segment from scratch through the naive.go
-// kernels in the same segment association. The tests below pin that
+// and reducing it from scratch under the session's segment cut
+// (cutOrder over segCuts, the naive.go kernels). The tests below pin that
 // across random loops, ops, segment widths, the batch shapes (straddling
 // segment boundaries, empty, full-touch) and the element shapes the
 // indexed re-accumulation must get right (swapped targets, no-op
@@ -77,30 +77,6 @@ func applyMirror(m *trace.Loop, ds []RefDelta) {
 	}
 }
 
-// oracleRebuild reduces l from scratch through the naive kernels only,
-// in the same segment association the delta path uses: per-segment
-// accumulation in iteration order, pairwise-tree combine.
-func oracleRebuild(l *trace.Loop, segIters int, dst []float64) {
-	iters := l.NumIters()
-	segs := (iters + segIters - 1) / segIters
-	if segs == 0 {
-		fill(dst, l.Op.Neutral())
-		return
-	}
-	parts := make([][]float64, segs)
-	for s := range parts {
-		parts[s] = make([]float64, l.NumElems)
-		fill(parts[s], l.Op.Neutral())
-		lo := s * segIters
-		hi := lo + segIters
-		if hi > iters {
-			hi = iters
-		}
-		naiveAccumFlat(parts[s], l, lo, hi)
-	}
-	combineTreeOp(dst, parts, 0, l.NumElems, l.Op)
-}
-
 // freshIndex is the reference index built from scratch: one pass over
 // the loop's current references, each position appended to its
 // element's list, so every list is strictly ascending by construction.
@@ -160,8 +136,8 @@ func TestDeltaStateMatchesOracle(t *testing.T) {
 		iters := rng.Intn(400)
 		procs := 1 + rng.Intn(4)
 		segIters := 1 + rng.Intn(64)
-		if segs := (iters + segIters - 1) / segIters; segs > maxSegTreeWidth {
-			segIters = (iters + maxSegTreeWidth - 1) / maxSegTreeWidth
+		if segs := (iters + segIters - 1) / segIters; segs > maxSegments {
+			segIters = (iters + maxSegments - 1) / maxSegments
 		}
 		l := deltaLoop(elems, iters, op, int64(900+trial))
 		mirror := l.Clone()
@@ -171,8 +147,7 @@ func TestDeltaStateMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewDeltaState: %v", trial, err)
 		}
-		want := make([]float64, elems)
-		oracleRebuild(mirror, st.SegIters(), want)
+		want := cutOrder(mirror, segCuts(mirror, st.SegIters()))
 		requireBitEqual(t, want, dst, "open read")
 
 		for step := 0; step < 6; step++ {
@@ -181,7 +156,7 @@ func TestDeltaStateMatchesOracle(t *testing.T) {
 				t.Fatalf("trial %d step %d: Apply: %v", trial, step, err)
 			}
 			applyMirror(mirror, ds)
-			oracleRebuild(mirror, st.SegIters(), want)
+			want = cutOrder(mirror, segCuts(mirror, st.SegIters()))
 			requireBitEqual(t, want, dst, "delta read")
 		}
 	}
@@ -205,7 +180,6 @@ func TestDeltaStateStraddlesSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	offs, _ := l.Flat()
-	want := make([]float64, elems)
 	for seg := 1; seg < st.Segments(); seg++ {
 		boundary := offs[seg*segIters] // first ref of segment seg
 		ds := []RefDelta{
@@ -221,7 +195,7 @@ func TestDeltaStateStraddlesSegments(t *testing.T) {
 				seg, stats.Computed, stats.Reused)
 		}
 		applyMirror(mirror, ds)
-		oracleRebuild(mirror, segIters, want)
+		want := cutOrder(mirror, segCuts(mirror, segIters))
 		requireBitEqual(t, want, dst, "straddle read")
 	}
 }
@@ -244,8 +218,7 @@ func TestDeltaStateEmptyBatch(t *testing.T) {
 		if stats.Computed != 0 || stats.Reused != st.Segments() {
 			t.Fatalf("empty batch: computed %d reused %d, want 0/%d", stats.Computed, stats.Reused, st.Segments())
 		}
-		want := make([]float64, 50)
-		oracleRebuild(l, st.SegIters(), want)
+		want := cutOrder(l, segCuts(l, st.SegIters()))
 		requireBitEqual(t, want, dst, "empty-batch read")
 	}
 }
@@ -282,8 +255,7 @@ func TestDeltaStateFullTouch(t *testing.T) {
 		t.Fatalf("full touch: computed %d reused %d, want %d/0", stats.Computed, stats.Reused, st.Segments())
 	}
 	applyMirror(mirror, ds)
-	want := make([]float64, elems)
-	oracleRebuild(mirror, segIters, want)
+	want := cutOrder(mirror, segCuts(mirror, segIters))
 	requireBitEqual(t, want, dst, "one-per-segment read")
 
 	// Every reference at once: the fully-degenerate batch.
@@ -296,7 +268,7 @@ func TestDeltaStateFullTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyMirror(mirror, ds)
-	oracleRebuild(mirror, segIters, want)
+	want = cutOrder(mirror, segCuts(mirror, segIters))
 	requireBitEqual(t, want, dst, "all-refs read")
 }
 
@@ -353,7 +325,6 @@ func TestDeltaStateElementShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]float64, l.NumElems)
 			fresh := make([]float64, l.NumElems)
 			share := cap(st.byElem[7])
 			read := func(ds []RefDelta, ctx string) {
@@ -362,7 +333,7 @@ func TestDeltaStateElementShapes(t *testing.T) {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				applyMirror(mirror, ds)
-				oracleRebuild(mirror, 4, want)
+				want := cutOrder(mirror, segCuts(mirror, 4))
 				requireBitEqual(t, want, dst, ctx)
 				requireIndexCurrent(t, st, ctx)
 				if _, err := NewDeltaState(mirror, 4, 2, nil, fresh); err != nil {
@@ -405,7 +376,6 @@ func TestDeltaStateLongStreamMatchesFreshOpen(t *testing.T) {
 		if st.Segments() < 2 {
 			t.Fatalf("default geometry cut %d segments; the stream needs several", st.Segments())
 		}
-		want := make([]float64, l.NumElems)
 		fresh := make([]float64, l.NumElems)
 		for step := 1; step <= steps; step++ {
 			ds := randomDeltas(rng, l, 1+rng.Intn(6))
@@ -413,7 +383,7 @@ func TestDeltaStateLongStreamMatchesFreshOpen(t *testing.T) {
 				t.Fatalf("%v step %d: %v", op, step, err)
 			}
 			applyMirror(mirror, ds)
-			oracleRebuild(mirror, st.SegIters(), want)
+			want := cutOrder(mirror, segCuts(mirror, st.SegIters()))
 			requireBitEqual(t, want, dst, fmt.Sprintf("%v step %d vs oracle", op, step))
 			requireIndexCurrent(t, st, fmt.Sprintf("%v step %d", op, step))
 			if _, err := NewDeltaState(mirror, 0, 4, nil, fresh); err != nil {
@@ -440,7 +410,6 @@ func TestDeltaStateBulkBatchReopens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]float64, l.NumElems)
 		for target := int32(0); target < 2; target++ {
 			ds := make([]RefDelta, l.TotalRefs())
 			for p := range ds {
@@ -452,7 +421,7 @@ func TestDeltaStateBulkBatchReopens(t *testing.T) {
 			}
 			ctx := fmt.Sprintf("%v: all references onto element %d", op, target)
 			applyMirror(mirror, ds)
-			oracleRebuild(mirror, 16, want)
+			want := cutOrder(mirror, segCuts(mirror, 16))
 			requireBitEqual(t, want, dst, ctx)
 			requireIndexCurrent(t, st, ctx)
 			// deltaLoop leaves some iterations empty, but no 16 in a row.
@@ -589,7 +558,7 @@ func TestDeltaApplyWarmAllocs(t *testing.T) {
 }
 
 // TestSessionSegIters pins the session width rule: as many segments as
-// fit the loop copy's own footprint, at most the combine width, at
+// fit the loop copy's own footprint, at most maxSegments, at
 // least 32 iterations each, never fewer than the batch default cuts.
 func TestSessionSegIters(t *testing.T) {
 	mk := func(elems, iters, refsPerIter int) *trace.Loop {
@@ -621,8 +590,8 @@ func TestSessionSegIters(t *testing.T) {
 		if def := DefaultSegIters(c.iters, 8); w > def {
 			t.Errorf("%s: width %d wider than the batch default %d", c.name, w, def)
 		}
-		if w < 32 || segs > maxSegTreeWidth {
-			t.Errorf("%s: width %d / %d segments breaks the floor or the combine width", c.name, w, segs)
+		if w < 32 || segs > maxSegments {
+			t.Errorf("%s: width %d / %d segments breaks the floor or maxSegments", c.name, w, segs)
 		}
 	}
 }

@@ -160,10 +160,10 @@ func mergeListAdd(out, v []float64, next []int32, head int32) {
 	}
 }
 
-// mergeOrderedAdd is the merge kernel of rep, dense ll and sel's
-// conflicting set: it sets dst to the sum of the private copies' elements
-// [off, off+len(dst)), folded left to right in processor order — per
-// element the chain of adds the list walk applies, since an untouched
+// mergeOrderedAdd is the merge kernel of rep, dense ll, sel's conflicting
+// set and SegPlan's segment parts: it sets dst to the sum of the
+// partials' elements [off, off+len(dst)), folded left to right in order —
+// per element the chain of adds the list walk applies, since an untouched
 // copy contributes its neutral +0 exactly. The copy and each fold run
 // over the shrinking-slice combineAdd, so the only checks are the
 // per-copy sub-slices.

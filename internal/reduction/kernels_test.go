@@ -151,31 +151,6 @@ func TestReplayElemBitIdenticalToNaive(t *testing.T) {
 	}
 }
 
-// TestFoldColMatchesCombineTree pins the column folds to the segment
-// combine they are the single-element form of, at every tree width.
-func TestFoldColMatchesCombineTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for n := 1; n <= maxSegTreeWidth; n++ {
-		col := make([]float64, n)
-		parts := make([][]float64, n)
-		for k := range col {
-			col[k] = rng.NormFloat64() * 1e3
-			parts[k] = []float64{col[k]}
-		}
-		var want [1]float64
-		combineTreeAdd(want[:], parts, 0, 1)
-		if got := foldColAdd(col); math.Float64bits(got) != math.Float64bits(want[0]) {
-			t.Fatalf("width %d: foldColAdd %x, combineTreeAdd %x", n, math.Float64bits(got), math.Float64bits(want[0]))
-		}
-		for _, op := range deltaOps {
-			combineTreeOp(want[:], parts, 0, 1, op)
-			if got := foldColOp(col, op); math.Float64bits(got) != math.Float64bits(want[0]) {
-				t.Fatalf("width %d op %v: foldColOp %x, combineTreeOp %x", n, op, math.Float64bits(got), math.Float64bits(want[0]))
-			}
-		}
-	}
-}
-
 // TestFastKernelsAliasedDst re-runs each scheme into the same out buffer,
 // pre-filled with stale garbage from the previous call; the recycled
 // destination must not leak into the new result.

@@ -123,50 +123,3 @@ func combineOp(dst, src []float64, op trace.Op) {
 		dst[i] = op.Apply(dst[i], src[i])
 	}
 }
-
-// combineTreeOp is combineTreeAdd's reference: fold parts[*][e] into
-// dst[e] through the same stride-doubling pairwise tree, element by
-// element, under op. Non-destructive on parts, like the fast kernel.
-func combineTreeOp(dst []float64, parts [][]float64, lo, hi int, op trace.Op) {
-	n := len(parts)
-	if lo >= hi || n == 0 {
-		return
-	}
-	if n > maxSegTreeWidth {
-		panic("reduction: segment combine wider than maxSegTreeWidth")
-	}
-	if n == 1 {
-		copy(dst[lo:hi], parts[0][lo:hi])
-		return
-	}
-	var t [maxSegTreeWidth]float64
-	for e := lo; e < hi; e++ {
-		for k := 0; k < n; k++ {
-			t[k] = parts[k][e]
-		}
-		for m := 1; m < n; m *= 2 {
-			for q := 0; q+m < n; q += 2 * m {
-				t[q] = op.Apply(t[q], t[q+m])
-			}
-		}
-		dst[e] = t[0]
-	}
-}
-
-// foldColOp is foldColAdd's reference: the pairwise-tree fold of one
-// element's contiguous column of partials under op — combineTreeOp's
-// association for a single element whose parts are already gathered.
-func foldColOp(col []float64, op trace.Op) float64 {
-	n := len(col)
-	if n == 0 || n > maxSegTreeWidth {
-		panic("reduction: column fold needs 1..maxSegTreeWidth partials")
-	}
-	var t [maxSegTreeWidth]float64
-	copy(t[:], col)
-	for m := 1; m < n; m *= 2 {
-		for q := 0; q+m < n; q += 2 * m {
-			t[q] = op.Apply(t[q], t[q+m])
-		}
-	}
-	return t[0]
-}

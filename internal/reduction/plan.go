@@ -12,19 +12,21 @@ import (
 // reference stream, the iteration space is cut into segments
 // (pattern.AnalyzeSegments), each distinct segment content is
 // accumulated into a partial-sum buffer exactly once, and every member
-// combines its per-segment parts through the pairwise tree
-// (combineTreeAdd). Members whose subscript streams overlap — shared
-// prefixes, nested windows, staircases — pay for the shared segments
-// once; with a SegCache attached, segments whose content survived from
-// an earlier batch are not recomputed at all (incremental
+// folds its per-segment parts in segment order (foldBlock, the fold the
+// schemes apply to processor partials). Members whose subscript streams
+// overlap — shared prefixes, nested windows, staircases — pay for the
+// shared segments once; with a SegCache attached, segments whose content
+// survived from an earlier batch are not recomputed at all (incremental
 // re-reduction).
 //
-// The plan preserves bit-for-bit agreement between the fast OpAdd
-// kernels and the scalar naive path: both accumulate each segment in
-// iteration order (accumFlatAdd vs naiveAccumFlat apply contributions
-// identically) and both fold segments in the same tree association, so
-// Exec.naive swaps every kernel while holding the arithmetic shape
-// constant — the property plan_test.go checks across overlap shapes.
+// The answer is the schemes' association with the iterations cut into
+// segments instead of processor blocks: each piece accumulated from the
+// neutral element in iteration order, the pieces folded in order. Where
+// the two cuts coincide the bits do too. The fast OpAdd kernels and the
+// scalar naive path agree bit for bit (accumFlatAdd vs naiveAccumFlat,
+// mergeOrderedAdd vs naiveMergeOrdered), so Exec.naive swaps every kernel
+// while holding the arithmetic shape constant — the property plan_test.go
+// checks across overlap shapes.
 type SegPlan struct {
 	// Analysis is the segment decomposition the plan executes.
 	Analysis *pattern.SegmentAnalysis
@@ -59,12 +61,23 @@ type SegRunStats struct {
 	Reused   int
 }
 
+// maxSegments bounds how many segments a plan or a session may cut the
+// iteration space into. The fold has no width limit of its own; 64 stays
+// because it fixes the cuts DefaultSegIters and sessionSegIters have
+// always made (and with them every bit a resident pattern or session has
+// returned), and because it sizes Run's per-segment served flags on the
+// stack.
+const maxSegments = 64
+
 // DefaultSegIters picks the segment width for a loop of numIters
 // iterations executed with procs processors: enough segments to expose
-// sharing and keep the combine tree busy (at least 8, at least the
-// processor count rounded up to a power of two) but never more than
-// maxSegTreeWidth, and never segments shorter than 32 iterations — a
-// segment must amortize its buffer fill and combine column.
+// sharing and to give every processor pieces to accumulate (at least 8,
+// at least the processor count rounded up to a power of two) but never
+// more than maxSegments, and never segments shorter than 32 iterations —
+// a segment must amortize its buffer fill and its share of the fold. The
+// rule is kept as it was because it fixes the cut, and the cut fixes the
+// answer; whether the cut should depend on procs at all is ROADMAP item
+// 4(a)'s call.
 func DefaultSegIters(numIters, procs int) int {
 	target := 8
 	p := 1
@@ -74,8 +87,8 @@ func DefaultSegIters(numIters, procs int) int {
 	if p > target {
 		target = p
 	}
-	if target > maxSegTreeWidth {
-		target = maxSegTreeWidth
+	if target > maxSegments {
+		target = maxSegments
 	}
 	segIters := (numIters + target - 1) / target
 	if segIters < 32 {
@@ -86,7 +99,7 @@ func DefaultSegIters(numIters, procs int) int {
 
 // BuildSegPlan analyzes the members (pattern.AnalyzeSegments) and builds
 // the task list of distinct partial sums. members must be non-empty,
-// share iteration geometry, and decompose into at most maxSegTreeWidth
+// share iteration geometry, and decompose into at most maxSegments
 // segments; segIters <= 0 picks DefaultSegIters for one processor.
 func BuildSegPlan(members []*trace.Loop, segIters int) (*SegPlan, error) {
 	return BuildSegPlanProcs(members, segIters, 1)
@@ -107,8 +120,8 @@ func BuildSegPlanProcs(members []*trace.Loop, segIters, procs int) (*SegPlan, er
 	if err != nil {
 		return nil, err
 	}
-	if a.Segments > maxSegTreeWidth {
-		return nil, fmt.Errorf("reduction: %d segments exceed the combine width %d", a.Segments, maxSegTreeWidth)
+	if a.Segments > maxSegments {
+		return nil, fmt.Errorf("reduction: %d segments exceed the limit %d", a.Segments, maxSegments)
 	}
 	p := &SegPlan{
 		Analysis: a,
@@ -184,13 +197,13 @@ func (p *SegPlan) CachedTasks(cache *SegCache) int {
 // could be recycled into another worker's scratch while a later batch
 // still reads the cached sums.
 //
-// The cache also keeps the fold of its slots resident: total is the
-// pairwise-tree combine of every slot's buffer, valid (totalOK) exactly
-// while no slot has been refreshed since it was folded. A loop whose
-// every segment verifies against its slot is then answered with one
-// copy instead of a Segments-way gather-fold per element — the same
-// bits, because total was written by the same combine over the same
-// buffers and the per-element fold does not depend on block bounds.
+// The cache also keeps the fold of its slots resident: total is every
+// slot's buffer folded in segment order, valid (totalOK) exactly while
+// no slot has been refreshed since it was folded. A loop whose every
+// segment verifies against its slot is then answered with one copy
+// instead of a Segments-way fold per element — the same bits, because
+// total was written by the same fold over the same buffers and the
+// per-element fold does not depend on block bounds.
 type SegCache struct {
 	numIters, numElems, segIters int
 	op                           trace.Op
@@ -287,7 +300,7 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 	// ends the resident total's validity. Tasks of one segment differ in
 	// content, so at most one of them matches the slot.
 	if cache != nil {
-		var served [maxSegTreeWidth]bool
+		var served [maxSegments]bool
 		for ti := range p.tasks {
 			t := &p.tasks[ti]
 			slot := &cache.slots[t.seg]
@@ -361,14 +374,14 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 		}
 	}
 
-	// Combine: per member, fold the segment parts through the pairwise
-	// tree in element blocks (each processor owns a block, so members
-	// share the parts while writing disjoint destinations). A member
-	// whose every part was served from the cache is the cache's own
-	// content: while the resident total is valid it gets a copy of it
-	// (parts[m] stays nil); otherwise its fold re-arms the total. Arming
-	// only on a fully served member means a stream that refreshes a slot
-	// every batch never pays the extra write.
+	// Combine: per member, fold the segment parts in segment order
+	// (foldBlock). Each processor owns an element range and walks it in
+	// merge blocks, as replicate does, so members share the parts while
+	// writing disjoint destinations. A member whose every part was served
+	// from the cache is the cache's own content: while the resident total
+	// is valid it gets a copy of it (parts[m] stays nil); otherwise its
+	// fold re-arms the total. Arming only on a fully served member means a
+	// stream that refreshes a slot every batch never pays the extra write.
 	parts := make([][][]float64, len(p.members))
 	arm, folds := -1, 0
 	for m := range p.members {
@@ -389,18 +402,20 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 	if arm >= 0 && cache.total == nil {
 		cache.total = make([]float64, p.numElems)
 	}
+	block := ex.mergeBlock(procs)
 	combine := func(lo, hi int) {
-		for m := range parts {
-			switch {
-			case parts[m] == nil:
-				copy(dsts[m][lo:hi], cache.total[lo:hi])
-			case fast:
-				combineTreeAdd(dsts[m], parts[m], lo, hi)
-			default:
-				combineTreeOp(dsts[m], parts[m], lo, hi, p.op)
-			}
-			if m == arm {
-				copy(cache.total[lo:hi], dsts[m][lo:hi])
+		for blo := lo; blo < hi; blo += block {
+			bhi := min(blo+block, hi)
+			for m := range parts {
+				dst := dsts[m][blo:bhi]
+				if parts[m] == nil {
+					copy(dst, cache.total[blo:bhi])
+				} else {
+					foldBlock(dst, parts[m], blo, p.op, fast)
+				}
+				if m == arm {
+					copy(cache.total[blo:bhi], dst)
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pattern"
@@ -46,33 +47,6 @@ func mutateSegments(l *trace.Loop, segIters int, seed int64, keep func(s int) bo
 		}
 	}
 	return c
-}
-
-// segOracle executes one member's segment decomposition entirely with
-// the scalar naive kernels and no sharing: per-segment partial sums in
-// iteration order, then the pairwise tree across segments. This is the
-// bit-for-bit reference the simplified plan must reproduce.
-func segOracle(l *trace.Loop, segIters int) []float64 {
-	iters := l.NumIters()
-	segs := (iters + segIters - 1) / segIters
-	parts := make([][]float64, segs)
-	neutral := l.Op.Neutral()
-	for s := range parts {
-		lo := s * segIters
-		hi := lo + segIters
-		if hi > iters {
-			hi = iters
-		}
-		buf := make([]float64, l.NumElems)
-		for i := range buf {
-			buf[i] = neutral
-		}
-		naiveAccumFlat(buf, l, lo, hi)
-		parts[s] = buf
-	}
-	dst := make([]float64, l.NumElems)
-	combineTreeOp(dst, parts, 0, l.NumElems, l.Op)
-	return dst
 }
 
 // planShapes are the overlap structures of the property test. Each
@@ -119,10 +93,9 @@ var planShapes = []struct {
 // TestSegPlanMatchesNaiveOracle is the simplification correctness
 // property: across overlap shapes and batch occupancies 1-8, the fast
 // simplified execution (shared partial sums, pooled buffers, unrolled
-// kernels) produces bit-for-bit the result of running each member's own
-// segment decomposition through the scalar naive path — sharing never
-// changes a single bit. Results also stay within tolerance of the
-// sequential reference.
+// kernels, a merge block that does not divide the processors' ranges)
+// produces bit-for-bit the result of running each member's own segment
+// cut through the scalar naive path — sharing never changes a single bit.
 func TestSegPlanMatchesNaiveOracle(t *testing.T) {
 	const dim, iters, rpi, segIters = 192, 128, 4, 16
 	pool := NewBufferPool()
@@ -140,40 +113,22 @@ func TestSegPlanMatchesNaiveOracle(t *testing.T) {
 					dsts[m] = make([]float64, dim)
 				}
 				for _, procs := range []int{1, 3, 8} {
-					st := p.Run(procs, &Exec{Pool: pool}, nil, dsts)
+					st := p.Run(procs, &Exec{Pool: pool, MergeBlockElems: 40}, nil, dsts)
 					if st.Computed != p.Analysis.Unique || st.Reused != 0 {
 						t.Fatalf("procs=%d computed/reused = %d/%d, want %d/0",
 							procs, st.Computed, st.Reused, p.Analysis.Unique)
 					}
 					for m, l := range members {
-						want := segOracle(l, segIters)
+						want := cutOrder(l, segCuts(l, segIters))
 						for e := range want {
 							if math.Float64bits(dsts[m][e]) != math.Float64bits(want[e]) {
 								t.Fatalf("procs=%d member %d elem %d = %v, oracle %v",
 									procs, m, e, dsts[m][e], want[e])
 							}
 						}
-						assertClose(t, dsts[m], l.RunSequential())
 					}
 				}
 			})
-		}
-	}
-}
-
-// assertClose checks the plan result against the sequential reference to
-// a relative 1e-9: the segment tree reassociates, so only the segment
-// oracle pins its bits.
-func assertClose(t *testing.T, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("length %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		diff := math.Abs(got[i] - want[i])
-		scale := math.Max(math.Abs(want[i]), 1)
-		if diff/scale > 1e-9 {
-			t.Fatalf("elem %d: got %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -230,7 +185,7 @@ func TestSegPlanCacheIncremental(t *testing.T) {
 	if st.Computed != 1 || st.Reused != p1.Analysis.Segments-1 {
 		t.Fatalf("incremental run computed/reused = %d/%d, want 1/%d", st.Computed, st.Reused, p1.Analysis.Segments-1)
 	}
-	want := segOracle(drift, segIters)
+	want := cutOrder(drift, segCuts(drift, segIters))
 	for e := range want {
 		if math.Float64bits(dst[0][e]) != math.Float64bits(want[e]) {
 			t.Fatalf("incremental elem %d = %v, oracle %v", e, dst[0][e], want[e])
@@ -254,7 +209,7 @@ func TestSegPlanCacheIncremental(t *testing.T) {
 	if st.Reused != 0 {
 		t.Fatalf("mismatched cache served %d segments", st.Reused)
 	}
-	wantO := segOracle(other, segIters)
+	wantO := cutOrder(other, segCuts(other, segIters))
 	for e := range wantO {
 		if math.Float64bits(dstO[0][e]) != math.Float64bits(wantO[e]) {
 			t.Fatalf("mismatched-cache elem %d = %v, oracle %v", e, dstO[0][e], wantO[e])
@@ -289,6 +244,40 @@ func TestSegPlanNonAddOp(t *testing.T) {
 	}
 }
 
+// TestSegmentCutMatchesProcessorCut holds the numerical contract's one
+// rule from its parameter side: every path folds pieces of the iteration
+// space in order and differs only in where it cuts. Where the segment cut
+// is the processor cut (NumIters divisible by procs, segIters =
+// NumIters/procs) a SegPlan and a session return Rep's bits, under every
+// operator; with one segment a SegPlan returns RunSequential's, the cut
+// lw answers with.
+func TestSegmentCutMatchesProcessorCut(t *testing.T) {
+	const elems, iters = 1024, 480 // 480 divides by 2, 3, 4 and 8
+	ex := &Exec{Pool: NewBufferPool()}
+	for _, op := range deltaOps {
+		for _, l := range []*trace.Loop{randomLoop(elems, iters, 4, 1), clusteredLoop(elems, iters, 2)} {
+			l.Op = op
+			for _, procs := range []int{2, 3, 4, 8} {
+				segIters := iters / procs
+				if pc, sc := procCuts(l, procs), segCuts(l, segIters); !slices.Equal(pc, sc) {
+					t.Fatalf("procs=%d: processor cut %v, segment cut %v", procs, pc, sc)
+				}
+				want := Rep{}.Run(l, procs)
+				ctx := fmt.Sprintf("%s/%v procs=%d", l.Name, op, procs)
+				got, _ := runPlan(t, []*trace.Loop{l}, segIters, procs, ex, nil)
+				assertBits(t, ctx+" SegPlan vs rep", got[0], want)
+				session := make([]float64, elems)
+				if _, err := NewDeltaState(l, segIters, procs, ex, session); err != nil {
+					t.Fatal(err)
+				}
+				assertBits(t, ctx+" session vs rep", session, want)
+			}
+			got, _ := runPlan(t, []*trace.Loop{l}, iters, 4, ex, nil)
+			assertBits(t, fmt.Sprintf("%s/%v one segment vs RunSequential", l.Name, op), got[0], l.RunSequential())
+		}
+	}
+}
+
 func TestDefaultSegIters(t *testing.T) {
 	cases := []struct {
 		iters, procs int
@@ -306,8 +295,8 @@ func TestDefaultSegIters(t *testing.T) {
 			t.Errorf("DefaultSegIters(%d,%d) = %d → %d segments, want %d",
 				c.iters, c.procs, si, segs, c.wantSegs)
 		}
-		if segs > maxSegTreeWidth {
-			t.Errorf("DefaultSegIters(%d,%d) exceeds combine width", c.iters, c.procs)
+		if segs > maxSegments {
+			t.Errorf("DefaultSegIters(%d,%d) cuts more than maxSegments", c.iters, c.procs)
 		}
 	}
 }
@@ -378,7 +367,7 @@ func mutateOffSample(t *testing.T, l *trace.Loop, segIters int, seed int64) *tra
 // correctness property: a batch run three times against one cache (seed
 // the slots, arm the total, serve the copy) answers every member, every
 // time, bit-for-bit like a plan run with no cache and like the
-// segment-association oracle — across overlap shapes, processor counts
+// segment-cut oracle — across overlap shapes, processor counts
 // and both kernel families. The sentinel planted in the total proves the
 // split the third run takes: the fully cached leader is a copy of the
 // total, joiners with private parts still fold.
@@ -402,7 +391,7 @@ func TestSegCacheResidentMatchesColdAndOracle(t *testing.T) {
 						for m, l := range members {
 							what := fmt.Sprintf("run %d member %d", run, m)
 							assertBits(t, what+" vs cold", got[m], cold[m])
-							assertBits(t, what+" vs oracle", got[m], segOracle(l, segIters))
+							assertBits(t, what+" vs oracle", got[m], cutOrder(l, segCuts(l, segIters)))
 						}
 					}
 
@@ -436,7 +425,7 @@ func TestSegCacheResidentInvalidation(t *testing.T) {
 	const dim, iters, rpi, segIters = 192, 128, 4, 16
 	a := planLoop("a", dim, iters, rpi, 1)
 	b := mutateSegments(a, segIters, 99, func(s int) bool { return s != 3 })
-	wantA, wantB := segOracle(a, segIters), segOracle(b, segIters)
+	wantA, wantB := cutOrder(a, segCuts(a, segIters)), cutOrder(b, segCuts(b, segIters))
 	ex := &Exec{Pool: NewBufferPool()}
 	cache := NewSegCache(a, segIters)
 	run := func(l *trace.Loop, want []float64, computed int, armedAfter bool) {
@@ -484,7 +473,7 @@ func TestSegCacheResidentSameHashDifferentContent(t *testing.T) {
 	const dim, iters, rpi, segIters = 192, 128, 16, 16
 	a := planLoop("a", dim, iters, rpi, 1)
 	b := mutateOffSample(t, a, segIters, 7)
-	want := map[*trace.Loop][]float64{a: segOracle(a, segIters), b: segOracle(b, segIters)}
+	want := map[*trace.Loop][]float64{a: cutOrder(a, segCuts(a, segIters)), b: cutOrder(b, segCuts(b, segIters))}
 	ex := &Exec{Pool: NewBufferPool()}
 	cache := NewSegCache(a, segIters)
 	dst := make([]float64, dim)
@@ -531,7 +520,7 @@ func TestSegCacheResidentChecksSlotHash(t *testing.T) {
 	if st.Computed != 1 || st.Reused != 7 {
 		t.Fatalf("computed/reused = %d/%d after a hash mismatch, want 1/7", st.Computed, st.Reused)
 	}
-	assertBits(t, "after hash mismatch", got[0], segOracle(l, segIters))
+	assertBits(t, "after hash mismatch", got[0], cutOrder(l, segCuts(l, segIters)))
 }
 
 // TestSegCacheBytes holds the admission formula to what an armed cache

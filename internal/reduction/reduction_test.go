@@ -43,32 +43,53 @@ func clusteredLoop(elems, iters int, seed int64) *trace.Loop {
 	return l
 }
 
-// blockOrder is the association every privatizing scheme computes: each
-// processor's blockBounds block of iterations accumulated from the
-// neutral element, the blocks folded in processor order.
-func blockOrder(l *trace.Loop, procs int) []float64 {
-	var res []float64
-	for p := 0; p < procs; p++ {
-		w := make([]float64, l.NumElems)
+// cutOrder is the one association every path computes, parametrised by
+// the cut: the iterations split at bounds (ascending, bounds[0] = 0 and
+// the last = NumIters), each piece accumulated from the neutral element
+// in iteration order by the naive kernel, the pieces folded in order.
+// The paths differ only in the cut they pass: one piece for lw,
+// processor blocks (procCuts) for the privatizing schemes, segments
+// (segCuts) for SegPlan, the resident total and sessions. No pieces
+// reduce to the neutral array.
+func cutOrder(l *trace.Loop, bounds []int) []float64 {
+	res := make([]float64, l.NumElems)
+	fill(res, l.Op.Neutral())
+	w := make([]float64, l.NumElems)
+	for k := 1; k < len(bounds); k++ {
 		fill(w, l.Op.Neutral())
-		lo, hi := blockBounds(l.NumIters(), procs, p)
-		naiveAccumFlat(w, l, lo, hi)
-		if p == 0 {
-			res = w
-		} else {
-			combineOp(res, w, l.Op)
-		}
+		naiveAccumFlat(w, l, bounds[k-1], bounds[k])
+		combineOp(res, w, l.Op)
 	}
 	return res
 }
 
+// procCuts is the schemes' cut: one blockBounds block per processor.
+func procCuts(l *trace.Loop, procs int) []int {
+	bounds := []int{0}
+	for p := 0; p < procs; p++ {
+		_, hi := blockBounds(l.NumIters(), procs, p)
+		bounds = append(bounds, hi)
+	}
+	return bounds
+}
+
+// segCuts is SegPlan's and the sessions' cut: segments of segIters
+// iterations, the last one short.
+func segCuts(l *trace.Loop, segIters int) []int {
+	bounds := []int{0}
+	for lo := 0; lo < l.NumIters(); lo += segIters {
+		bounds = append(bounds, min(lo+segIters, l.NumIters()))
+	}
+	return bounds
+}
+
 // exactAnswer is the bits s must return: lw's are RunSequential's, every
-// other scheme's are blockOrder's.
+// other scheme's are the processor cut's.
 func exactAnswer(s Scheme, l *trace.Loop, procs int) []float64 {
 	if s.Name() == "lw" {
 		return l.RunSequential()
 	}
-	return blockOrder(l, procs)
+	return cutOrder(l, procCuts(l, procs))
 }
 
 func assertMatchesSequential(t *testing.T, s Scheme, l *trace.Loop, procs int) {

@@ -59,13 +59,15 @@ func replicate(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	return res
 }
 
-// foldBlock sets dst to the private copies' elements [off, off+len(dst))
-// folded in processor order — the one way every privatizing scheme
-// combines partials. The neutral element is exact under every operator
-// (0+x, 1*x, max(-Inf,x), min(+Inf,x) all return x, given partials that
-// are never -0 or NaN — every contribution is a trace.Value in (0, 1]), so
-// the fold equals the one the lazy list and the hash tables apply to the
-// touching processors alone. dst may alias priv[0][off:].
+// foldBlock sets dst to the partials' elements [off, off+len(dst)) folded
+// in order — the one way partials are combined: processor copies in
+// every privatizing scheme, segment parts in SegPlan (foldCol is the
+// same chain for one session element). The neutral element is exact
+// under every operator (0+x, 1*x, max(-Inf,x), min(+Inf,x) all return x,
+// given partials that are never -0 or NaN — every contribution is a
+// trace.Value in (0, 1]), so the fold equals the one the lazy list and
+// the hash tables apply to the touching processors alone. dst may alias
+// priv[0][off:].
 func foldBlock(dst []float64, priv [][]float64, off int, op trace.Op, fast bool) {
 	if fast {
 		mergeOrderedAdd(dst, priv, off)

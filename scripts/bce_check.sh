@@ -9,11 +9,10 @@
 # validation, outside the compiler's view); an unmarked check reappearing
 # means a refactor broke a BCE idiom and the hot loop silently slowed down.
 #
-# Gated files: the accumulation kernels (kernels.go), the segment
-# combine tree (segtree.go) the simplified execution plan folds partial
-# sums through, and the RESULT vector's encode/decode loops
-# (internal/wire/floats.go), whose only checks are the two marked
-# whole-vector re-slices.
+# Gated files: the accumulation and merge kernels (kernels.go) every
+# scheme, the simplified execution plan and the sessions run, and the
+# RESULT vector's encode/decode loops (internal/wire/floats.go), whose
+# only checks are the two marked whole-vector re-slices.
 #
 # A check is intentional when either
 #   - its source line carries a //bce: marker (//bce:gather for
@@ -32,7 +31,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-gates="internal/reduction/kernels.go internal/reduction/segtree.go internal/wire/floats.go"
+gates="internal/reduction/kernels.go internal/wire/floats.go"
 allow=scripts/bce_allow.txt
 
 if ! diag=$(go build -gcflags='-d=ssa/check_bce' ./internal/reduction/ ./internal/wire/ 2>&1); then

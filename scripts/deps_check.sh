@@ -22,7 +22,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 mod=repro
-lab="^$mod/internal/(lab/.*|vtime|simcache|simarch|pclr|machine|spec|inspector|experiments|sched)\$"
+lab="^$mod/internal/(lab/.*|vtime|simcache|simarch|pclr|machine|spec|experiments|sched)\$"
 allowed="^$mod/(internal/lab/.*|cmd/smartapps|cmd/pclrsim|cmd/reduxsel|examples/.*)\$"
 
 bad=0
