@@ -143,8 +143,8 @@ func main() {
 func report(s engine.Stats, ss server.Stats) {
 	fmt.Printf("reduxd: served %d jobs in %d batches (%d coalesced), cache %d hits / %d misses, %d evictions\n",
 		s.Jobs, s.Batches, s.Coalesced, s.CacheHits, s.CacheMisses, s.CacheEvictions)
-	fmt.Printf("reduxd: admission: %d busy rejections; intern: %d hits, %d resident loops; pattern handles: %d hits, %d gone\n",
-		ss.Busy, ss.InternHits, ss.InternedLoops, ss.HandleHits, ss.HandleGone)
+	fmt.Printf("reduxd: admission: %d busy rejections; intern: %d hits, %d resident loops; pattern handles: %d hits, %d gone; inline: %d\n",
+		ss.Busy, ss.InternHits, ss.InternedLoops, ss.HandleHits, ss.HandleGone, ss.Inline)
 	fmt.Printf("reduxd: recalibration: %d re-inspections, %d scheme switches\n",
 		s.Recalibrations, s.SchemeSwitches)
 	if s.SimplifiedBatches != 0 || s.SimplifyFallbacks != 0 {

@@ -197,6 +197,6 @@ func report(agg engine.Stats, aggErr error, ps cluster.PoolStats, ss server.Stat
 	}
 	fmt.Printf("reduxgw: failover: %d rerouted, %d timed out, %d busy retries, %d busy spills, %d exhausted\n",
 		ps.Rerouted, ps.TimedOut, ps.BusyRetries, ps.BusySpills, ps.Exhausted)
-	fmt.Printf("reduxgw: admission: %d busy rejections; intern: %d hits, %d resident loops; pattern handles: %d hits, %d gone\n",
-		ss.Busy, ss.InternHits, ss.InternedLoops, ss.HandleHits, ss.HandleGone)
+	fmt.Printf("reduxgw: admission: %d busy rejections; intern: %d hits, %d resident loops; pattern handles: %d hits, %d gone; inline: %d\n",
+		ss.Busy, ss.InternHits, ss.InternedLoops, ss.HandleHits, ss.HandleGone, ss.Inline)
 }

@@ -22,13 +22,26 @@ func findTrace(traces []obs.JobTrace, id uint64) (obs.JobTrace, bool) {
 	return obs.JobTrace{}, false
 }
 
+// awaitTrace polls srv's ring for trace id: a tier observes a job once
+// its RESULT is on the socket, so the answer can reach the client a
+// moment before the trace lands.
+func awaitTrace(srv *server.Server, id uint64) (obs.JobTrace, bool) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if tr, ok := findTrace(srv.Traces(), id); ok {
+			return tr, true
+		}
+	}
+	return obs.JobTrace{}, false
+}
+
 // TestCrossTierTraceStitching is the end-to-end tracing acceptance test:
 // a traced job submitted through the gateway must appear in BOTH tiers'
 // trace rings under the same trace ID — the client-assigned ID rides the
 // SUBMIT frame to the gateway and is forwarded on the backend leg. On
 // each tier the stage durations sum exactly to that tier's recorded
-// total, and the gateway's total (which brackets the whole journey) is
-// within the client's observed latency.
+// total, and the gateway's total up to the start of its socket write
+// (which brackets the whole journey) is within the client's observed
+// latency.
 func TestCrossTierTraceStitching(t *testing.T) {
 	b := startBackend(t, engine.Config{}, server.Config{TraceSlow: -1})
 	g := testkit.StartGateway(t, cluster.Config{},
@@ -47,11 +60,11 @@ func TestCrossTierTraceStitching(t *testing.T) {
 	}
 	clientLatency := time.Since(start)
 
-	gwTrace, ok := findTrace(g.Srv.Traces(), wantID)
+	gwTrace, ok := awaitTrace(g.Srv, wantID)
 	if !ok {
 		t.Fatalf("trace %#x not in gateway ring: %+v", wantID, g.Srv.Traces())
 	}
-	beTrace, ok := findTrace(b.d.Srv.Traces(), wantID)
+	beTrace, ok := awaitTrace(b.d.Srv, wantID)
 	if !ok {
 		t.Fatalf("trace %#x not in backend ring: %+v", wantID, b.d.Srv.Traces())
 	}
@@ -86,14 +99,16 @@ func TestCrossTierTraceStitching(t *testing.T) {
 		}
 	}
 
-	// The gateway total brackets the backend total and sits within the
-	// client's observed latency (client adds only encode + socket time on
-	// top, so the gateway must account for the bulk of it).
+	// The gateway total brackets the backend total, and everything before
+	// its socket write sits within the client's observed latency (the
+	// client adds only encode + socket time on top, so the gateway must
+	// account for the bulk of it; the write itself may still be returning
+	// when the client already holds the answer).
 	if gwTrace.TotalNs < beTrace.TotalNs {
 		t.Fatalf("gateway total %dns below backend total %dns", gwTrace.TotalNs, beTrace.TotalNs)
 	}
-	if gwTrace.TotalNs > clientLatency.Nanoseconds() {
-		t.Fatalf("gateway total %dns exceeds client latency %dns", gwTrace.TotalNs, clientLatency.Nanoseconds())
+	if sent := gwTrace.TotalNs - gwStages["write"]; sent > clientLatency.Nanoseconds() {
+		t.Fatalf("gateway total before its write %dns exceeds client latency %dns", sent, clientLatency.Nanoseconds())
 	}
 }
 

@@ -185,8 +185,7 @@ func (e *Engine) runBatch(w *workerCtx, b *batch) {
 			w.stats.stages.Observe(obs.StageQueueWait, qw)
 			t.queueWait.Observe(qw)
 		}
-		t.n[tenantJobs].Add(1)
-		t.n[tenantBatches].Add(1)
+		t.countBatch(1)
 		e.runSession(w, b.sess, qw)
 		return
 	}
@@ -206,8 +205,7 @@ func (e *Engine) runBatch(w *workerCtx, b *batch) {
 		w.stats.stages.Observe(obs.StageQueueWait, qw)
 		t.queueWait.Observe(qw)
 	}
-	t.n[tenantJobs].Add(uint64(len(jobs) + len(ov)))
-	t.n[tenantBatches].Add(1)
+	t.countBatch(len(jobs) + len(ov))
 	lookupStart := time.Now()
 	entry, hit := e.lookup(l, b.fp)
 	var insp time.Duration

@@ -50,15 +50,17 @@ type cacheEntry struct {
 	// Simplification-layer state (simplify.go), guarded by mu. segs is
 	// the entry's cached segment partial sums, segGen the decGen the
 	// current segment state was built under (a mismatch invalidates sums
-	// and re-arms the counters), segBusy grants one worker exclusive use
-	// of the cache per batch, segSeen counts seed-worthy singleton
-	// batches toward the seeding threshold, and segMiss counts
-	// consecutive declined analyses toward the shutoff limit.
-	segs    *reduction.SegCache
-	segGen  uint64
-	segBusy bool
-	segSeen int
-	segMiss int
+	// and re-arms the counters), segClaim is the claim on the cache —
+	// segBusy while one worker holds it exclusively for a batch, n > 0
+	// while n callers serve the resident total (ServeResident's shared
+	// claim), 0 when free — segSeen counts seed-worthy singleton batches
+	// toward the seeding threshold, and segMiss counts consecutive
+	// declined analyses toward the shutoff limit.
+	segs     *reduction.SegCache
+	segGen   uint64
+	segClaim int
+	segSeen  int
+	segMiss  int
 }
 
 // install records the decision for prof and points the entry at the

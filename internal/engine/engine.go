@@ -15,6 +15,9 @@
 //     (reduction.Exec.BatchOut), whose marginal cost is one result write,
 //   - SubmitAsync returns a Handle so clients can pipeline submissions;
 //     Submit is SubmitAsync + Wait,
+//   - a loop whose resident total verifies can instead be answered on
+//     the caller's goroutine (ServeResident), and a session delta always
+//     is (Session.Apply): no queue, worker or hand-off,
 //   - privatization buffers are recycled through a shared
 //     reduction.BufferPool, so steady-state jobs allocate ~nothing,
 //   - a direct execution cuts its blocks with the schemes' static
@@ -180,7 +183,11 @@ type Engine struct {
 	tenants   []*tenantRT
 	tenantIdx map[string]int
 
+	// statShards holds one shard per worker plus a last one, caller, for
+	// the work callers run on their own goroutines (ServeResident,
+	// Session.Apply).
 	statShards []statShard
+	caller     *statShard
 }
 
 // New starts an engine with cfg's worker pool running. It returns an
@@ -264,8 +271,9 @@ func New(cfg Config) (*Engine, error) {
 		tenantIdx:  tenantIdx,
 		pool:       reduction.NewBufferPool(),
 		cache:      decisionCache{clock.NewSharded[*cacheEntry](cfg.CacheShards, cfg.MaxCacheEntries)},
-		statShards: newStatShards(cfg.Workers, cfg.MaxBatch),
+		statShards: newStatShards(cfg.Workers+1, cfg.MaxBatch),
 	}
+	e.caller = &e.statShards[cfg.Workers]
 	if cfg.MaxBatch > 1 {
 		e.co = newCoalescer(cfg.CacheShards, cfg.MaxBatch, !cfg.DisableSimplify)
 	}
@@ -415,14 +423,18 @@ type workerCtx struct {
 // serves batches until the queue closes.
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
-	w := &workerCtx{
-		ex: &reduction.Exec{
-			Pool:            e.pool,
-			MergeBlockElems: reduction.MergeBlockForCache(e.cfg.Platform.Cfg.L2Bytes, e.cfg.Platform.Procs),
-		},
-		stats: &e.statShards[id],
-	}
+	w := &workerCtx{ex: e.newExec(), stats: &e.statShards[id]}
 	for b := e.q.pop(); b != nil; b = e.q.pop() {
 		e.runBatch(w, b)
+	}
+}
+
+// newExec returns an execution context over the engine's buffer pool,
+// merge blocks sized for its platform: one per worker and one per
+// session.
+func (e *Engine) newExec() *reduction.Exec {
+	return &reduction.Exec{
+		Pool:            e.pool,
+		MergeBlockElems: reduction.MergeBlockForCache(e.cfg.Platform.Cfg.L2Bytes, e.cfg.Platform.Procs),
 	}
 }

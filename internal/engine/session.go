@@ -19,18 +19,21 @@ var ErrSessionClosed = errors.New("engine: session closed")
 // Session is a server-resident streaming reduction: a loop registered
 // once, then updated by delta batches whose rolling results
 // re-accumulate only the elements each batch touched
-// (reduction.DeltaState). Session executions
-// ride the same worker queue as one-shot jobs but are deliberately kept
-// out of the adaptive machinery: no decision cache, no coalescing, and
-// — like simplified runs — no drift-detector cost samples, since an
-// incremental apply's cost says nothing about the full loop's scheme.
+// (reduction.DeltaState). The open rides the worker queue like a one-shot
+// job; an Apply runs on the caller's goroutine with the session's own
+// execution context — a delta costs microseconds, less than the queue
+// hand-off it would pay. Sessions are deliberately kept out of the
+// adaptive machinery: no decision cache, no coalescing, and — like
+// simplified runs — no drift-detector cost samples, since an incremental
+// apply's cost says nothing about the full loop's scheme.
 //
 // A Session serializes its own operations: concurrent Apply calls queue
 // on the session mutex, and Close waits for the in-flight one, so a
 // result can never mix two generations.
 type Session struct {
 	e      *Engine
-	tenant int // scheduler index recorded at open; every apply queues under it
+	tenant int             // scheduler index recorded at open; every apply is counted under it
+	ex     *reduction.Exec // Apply's execution context, used under mu
 
 	mu     sync.Mutex
 	st     *reduction.DeltaState
@@ -38,15 +41,13 @@ type Session struct {
 	closed bool
 }
 
-// sessionWork is one session operation riding the worker queue inside a
-// batch (batch.sess). The worker computes and answers on done.
+// sessionWork is a session open riding the worker queue inside a batch
+// (batch.sess). The worker computes and answers on done.
 type sessionWork struct {
 	s        *Session
-	loop     *trace.Loop // open only: the loop to register
-	segIters int         // open only: 0 picks the default width
-	deltas   []reduction.RefDelta
+	loop     *trace.Loop // the loop to register
+	segIters int         // 0 picks the default width
 	dst      []float64
-	open     bool
 	done     chan sessionOutcome
 }
 
@@ -67,8 +68,9 @@ func (e *Engine) OpenSession(l *trace.Loop, segIters int, dst []float64) (*Sessi
 
 // OpenSessionTenant is OpenSession on behalf of a tenant (an index from
 // TenantIndex; out-of-range degrades to the default tenant). The open
-// and every later Apply queue on the tenant's FIFO, so resident sessions
-// are scheduled under the same weights as one-shot jobs.
+// queues on the tenant's FIFO, so it is scheduled under the same weights
+// as one-shot jobs; it and every later Apply count toward the tenant's
+// jobs and batches.
 func (e *Engine) OpenSessionTenant(l *trace.Loop, segIters int, dst []float64, tenant int) (*Session, Result, error) {
 	if l == nil {
 		return nil, Result{}, errors.New("engine: nil loop")
@@ -79,13 +81,12 @@ func (e *Engine) OpenSessionTenant(l *trace.Loop, segIters int, dst []float64, t
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
 	}
-	s := &Session{e: e, tenant: tenant}
+	s := &Session{e: e, tenant: tenant, ex: e.newExec()}
 	sw := &sessionWork{
 		s:        s,
 		loop:     l,
 		segIters: segIters,
 		dst:      sizeDst(dst, l.NumElems),
-		open:     true,
 		done:     make(chan sessionOutcome, 1),
 	}
 	if err := e.enqueueSession(sw); err != nil {
@@ -100,25 +101,35 @@ func (e *Engine) OpenSessionTenant(l *trace.Loop, segIters int, dst []float64, t
 
 // Apply streams one delta batch into the session and reads the rolling
 // reduction into dst (reused when its capacity suffices). An empty
-// batch is a pure read. Apply after Close (or eviction) returns
-// ErrSessionClosed.
+// batch is a pure read. It runs on the calling goroutine, under the
+// session mutex; a batch past reduction's re-open bound re-opens through
+// the session's execution context on Platform.Procs goroutines. Apply
+// after Close (or eviction) returns ErrSessionClosed, after the engine's
+// Close ErrClosed.
 func (s *Session) Apply(deltas []reduction.RefDelta, dst []float64) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Result{}, ErrSessionClosed
 	}
-	sw := &sessionWork{
-		s:      s,
-		deltas: deltas,
-		dst:    sizeDst(dst, s.st.Loop().NumElems),
-		done:   make(chan sessionOutcome, 1),
+	e := s.e
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if e.closed {
+		return Result{}, ErrClosed
 	}
-	if err := s.e.enqueueSession(sw); err != nil {
+	dst = sizeDst(dst, s.st.Loop().NumElems)
+	start := time.Now()
+	stats, err := s.st.Apply(deltas, e.cfg.Platform.Procs, s.ex, dst)
+	if err != nil {
 		return Result{}, err
 	}
-	out := <-sw.done
-	return out.res, out.err
+	elapsed := time.Since(start)
+	e.caller.stages.Observe(obs.StageExecute, elapsed)
+	e.caller.recordSession(false, stats.Computed, stats.Reused)
+	e.tenants[s.tenant].countBatch(1)
+	s.gen++
+	return sessionResult(dst, s.gen, elapsed, 0), nil
 }
 
 // Close retires the session and frees its resident state. It waits for
@@ -152,8 +163,8 @@ func (s *Session) Bytes() int {
 	return s.st.Bytes()
 }
 
-// enqueueSession submits one session operation to the worker queue,
-// mirroring SubmitAsyncInto's close handling. Session batches bypass the
+// enqueueSession submits one session open to the worker queue, mirroring
+// SubmitAsyncInto's close handling. Session batches bypass the
 // coalescer: they carry resident state, so there is nothing to fuse.
 func (e *Engine) enqueueSession(sw *sessionWork) error {
 	e.closeMu.RLock()
@@ -165,42 +176,35 @@ func (e *Engine) enqueueSession(sw *sessionWork) error {
 	return nil
 }
 
-// runSession executes one session operation on a worker: the open path
-// builds the DeltaState (full compute), the delta path re-accumulates
-// only the touched elements, on this worker alone. Both read into the
-// caller's destination and bump the generation. Session results never
-// feed lookup, recordCost or the coalescer — the drift-detector
+// runSession executes one session open on a worker: it builds the
+// DeltaState (full compute), reads the initial reduction into the
+// caller's destination and sets the generation to 1. Session results
+// never feed lookup, recordCost or the coalescer — the drift-detector
 // exclusion the simplified path also has, here by construction.
 func (e *Engine) runSession(w *workerCtx, sw *sessionWork, qw time.Duration) {
-	procs := e.cfg.Platform.Procs
 	start := time.Now()
-	var stats reduction.SegRunStats
-	var err error
-	if sw.open {
-		sw.s.st, err = reduction.NewDeltaState(sw.loop, sw.segIters, procs, w.ex, sw.dst)
-		if err == nil {
-			stats.Computed = sw.s.st.Segments()
-		}
-	} else {
-		stats, err = sw.s.st.Apply(sw.deltas, procs, w.ex, sw.dst)
-	}
+	st, err := reduction.NewDeltaState(sw.loop, sw.segIters, e.cfg.Platform.Procs, w.ex, sw.dst)
 	if err != nil {
 		sw.done <- sessionOutcome{err: err}
 		return
 	}
 	elapsed := time.Since(start)
 	w.stats.stages.Observe(obs.StageExecute, elapsed)
-	w.stats.recordSession(sw.open, stats.Computed, stats.Reused)
-	// The caller holds the session mutex across the whole round trip, so
-	// this generation bump never races another operation on the session.
-	sw.s.gen++
-	sw.done <- sessionOutcome{res: Result{
-		Values:     sw.dst,
+	w.stats.recordSession(true, st.Segments(), 0)
+	// Nobody else holds the session before the open answers.
+	sw.s.st, sw.s.gen = st, 1
+	sw.done <- sessionOutcome{res: sessionResult(sw.dst, 1, elapsed, qw)}
+}
+
+// sessionResult is the Result of one session operation.
+func sessionResult(values []float64, gen uint64, elapsed, qw time.Duration) Result {
+	return Result{
+		Values:     values,
 		Scheme:     "session",
 		Why:        "incremental delta re-reduction over resident segments",
 		BatchSize:  1,
 		Elapsed:    elapsed,
 		QueueWait:  qw,
-		SessionGen: sw.s.gen,
-	}}
+		SessionGen: gen,
+	}
 }

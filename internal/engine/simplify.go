@@ -23,9 +23,12 @@ import (
 // cache's resident result: one copy, after every slot verified.
 //
 // The cache claim protocol mirrors the entry's other mutable state: all
-// segment fields live under entry.mu, and segBusy grants one worker at a
-// time exclusive use of the cache (a concurrent same-pattern batch falls
-// back to the direct path rather than wait). A recalibration scheme
+// segment fields live under entry.mu, and a segBusy claim grants one
+// worker at a time exclusive use of the cache (a concurrent same-pattern
+// batch falls back to the direct path rather than wait). ServeResident's
+// callers share a read claim instead: any number of them may answer from
+// the resident total together, and a worker that finds readers declines
+// exactly as it declines another worker's claim. A recalibration scheme
 // switch bumps decGen; the claim compares it against the generation the
 // cache was built under and drops stale sums, so a workload that drifted
 // enough to change its scheme never reuses pre-drift partial sums.
@@ -49,6 +52,9 @@ const (
 	// drifted content) turn the layer off for an entry; a recalibration
 	// scheme switch re-arms it.
 	segMissLimit = 3
+	// segBusy is segClaim's value while a worker holds the segment cache
+	// exclusively.
+	segBusy = -1
 	// segCacheMaxBytes caps one entry's segment-cache footprint (sum
 	// buffers plus retained subscript content).
 	segCacheMaxBytes = 4 << 20
@@ -81,7 +87,7 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 	// Claim the entry's segment cache. Everything that can decline
 	// cheaply declines here, before the analysis sweep.
 	entry.mu.Lock()
-	if entry.segBusy {
+	if entry.segClaim != 0 {
 		entry.mu.Unlock()
 		return false
 	}
@@ -118,7 +124,7 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 		entry.segGen = entry.decGen
 	}
 	cache := entry.segs
-	entry.segBusy = true
+	entry.segClaim = segBusy
 	entry.mu.Unlock()
 
 	// A warm singleton first asks the cache for its resident result: when
@@ -188,6 +194,71 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 	return true
 }
 
+// ServeResident answers l on the calling goroutine when its decision-cache
+// entry's resident total verifies against it, the one serve that needs no
+// queue, batch or worker; false means nothing happened and the caller
+// submits as usual. fp must be l.Fingerprint(); tenant is an index from
+// TenantIndex.
+//
+// The decision cache is only probed: a miss creates no entry and leaves
+// the CLOCK ring as it was, a hit marks the entry as a worker's lookup
+// would. The serve declines when the engine is closed, when the entry is
+// stale (re-inspection runs on a worker), when its segment state is
+// absent, from another decision generation or of another geometry, when
+// a worker holds the exclusive claim, and when any slot fails
+// SegCache.Resident's checks. Otherwise use is called with a Result whose
+// Values alias the resident total: valid only inside the call, and never
+// to be written. The job is counted exactly as a worker's resident serve
+// counts it (the caller shard of Stats).
+func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int, use func(Result)) bool {
+	if e.cfg.DisableSimplify || l == nil || l.Op != trace.OpAdd || l.NumIters() == 0 {
+		return false
+	}
+	e.closeMu.RLock()
+	closed := e.closed
+	e.closeMu.RUnlock()
+	if closed {
+		return false
+	}
+	sh := e.cache.Shard(fp)
+	sh.Lock()
+	entry, ok := sh.Get(fp)
+	sh.Unlock()
+	if !ok {
+		return false
+	}
+	segIters := reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs)
+	entry.mu.Lock()
+	cache := entry.segs
+	if entry.stale || entry.segClaim == segBusy || cache == nil || entry.segGen != entry.decGen || !cache.Matches(l, segIters) {
+		entry.mu.Unlock()
+		return false
+	}
+	entry.segClaim++
+	entry.mu.Unlock()
+	defer func() {
+		entry.mu.Lock()
+		entry.segClaim--
+		entry.mu.Unlock()
+	}()
+
+	start := time.Now()
+	total, ok := cache.Resident(l)
+	if !ok {
+		return false
+	}
+	res := Result{Values: total, Scheme: "simplify", Why: residentWhy, CacheHit: true, BatchSize: 1, Elapsed: time.Since(start)}
+	if tenant < 0 || tenant >= len(e.tenants) {
+		tenant = 0
+	}
+	e.tenants[tenant].countBatch(1)
+	e.caller.stages.Observe(obs.StageExecute, res.Elapsed)
+	e.caller.record(res.Scheme, 1, true)
+	e.caller.recordSimplify(true, 0, (l.NumIters()+segIters-1)/segIters)
+	use(res)
+	return true
+}
+
 // finishSimplified is the common tail of both simplified exits (the
 // planned run and the resident serve): it returns the cache claim,
 // charges the execute stage, fans dsts out to the batch's jobs — dsts[0]
@@ -243,7 +314,7 @@ func (e *Engine) finishSimplified(w *workerCtx, entry *cacheEntry, hit bool, job
 // paying for analyses that never win.
 func (e *Engine) releaseSeg(entry *cacheEntry, success bool) {
 	entry.mu.Lock()
-	entry.segBusy = false
+	entry.segClaim = 0
 	if success {
 		entry.segMiss = 0
 	} else {

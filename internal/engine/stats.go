@@ -244,8 +244,10 @@ func (s Stats) Sub(old Stats) Stats {
 // statShard is one worker's private counters. Every worker owns exactly
 // one shard and is its only writer, so the per-batch update never contends
 // with other workers — this replaces the global scheme-counter mutex the
-// single-queue engine serialized every job through. Stats() takes each
-// shard's mutex briefly to read a consistent snapshot.
+// single-queue engine serialized every job through. The one extra caller
+// shard (Engine.caller) is shared by the goroutines that serve work
+// themselves; its mutex and the lock-free stages serialize them. Stats()
+// takes each shard's mutex briefly to read a consistent snapshot.
 type statShard struct {
 	mu sync.Mutex
 	// c holds the shard's scalar counters in the snapshot's own fields
@@ -255,7 +257,7 @@ type statShard struct {
 	schemes map[string]uint64
 	occ     []uint64
 	// stages holds the shard's stage-latency histograms. It lives outside
-	// the mutex: the owning worker records through lock-free atomics and
+	// the mutex: writers record through lock-free atomics and
 	// Stats() reads racy-but-consistent-enough snapshots, so instrumenting
 	// a stage never lengthens the critical section above.
 	stages obs.StageSet
@@ -336,7 +338,7 @@ func (s *statShard) recordRecal(switched bool) {
 	s.mu.Unlock()
 }
 
-// Stats snapshots the engine's counters.
+// Stats snapshots the engine's counters, the caller shard's included.
 func (e *Engine) Stats() Stats {
 	s := Stats{Schemes: make(map[string]uint64)}
 	for i := range e.statShards {

@@ -48,6 +48,12 @@ func (t *tenantRT) snapshot() TenantStats {
 	return ts
 }
 
+// countBatch counts one execution that served n of the tenant's jobs.
+func (t *tenantRT) countBatch(n int) {
+	t.n[tenantJobs].Add(uint64(n))
+	t.n[tenantBatches].Add(1)
+}
+
 // buildTenants turns the configured tenant list into the runtime table.
 // Index 0 is always the default tenant; a config entry named "default"
 // adjusts its weight instead of adding a row. Order is preserved — it is

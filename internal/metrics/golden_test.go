@@ -25,7 +25,7 @@ func (g goldenServer) Stats() server.Stats {
 	}
 	return server.Stats{
 		Busy: 3, InternHits: 42, InternedLoops: 5, InternEvictions: 9, HandleHits: 40, HandleGone: 2,
-		Sessions: 6, SessionOpens: 11, SessionEvictions: 7,
+		Inline: 31, Sessions: 6, SessionOpens: 11, SessionEvictions: 7,
 	}
 }
 func (g goldenServer) StageStats() []obs.StageSummary {

@@ -258,7 +258,7 @@ var (
 type fakeServer struct{}
 
 func (fakeServer) Stats() server.Stats {
-	return server.Stats{Busy: 3, InternHits: 42, InternedLoops: 5, HandleHits: 40, HandleGone: 2}
+	return server.Stats{Busy: 3, InternHits: 42, InternedLoops: 5, HandleHits: 40, HandleGone: 2, Inline: 31}
 }
 func (fakeServer) StageStats() []obs.StageSummary {
 	return []obs.StageSummary{
@@ -278,6 +278,7 @@ func TestWriteServerStats(t *testing.T) {
 		"redux_server_intern_hits_total 42",
 		"redux_server_pattern_handle_hits_total 40",
 		"redux_server_pattern_handle_gone_total 2",
+		"redux_server_inline_total 31",
 		"redux_server_interned_loops 5",
 		"redux_server_inflight_jobs 2",
 		`redux_server_stage_latency_seconds_count{stage="decode"} 10`,

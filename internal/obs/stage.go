@@ -4,8 +4,8 @@ import "time"
 
 // Stage names one leg of a job's path through the stack. The engine owns
 // queue-wait/inspect/execute; the serving layer owns decode, intern,
-// merge (the fan-out residual) and encode; the gateway adds route,
-// backend-wait and retry-backoff legs on top.
+// merge (the hand-off residual), encode, write-wait and write; the
+// gateway adds route, backend-wait and retry-backoff legs on top.
 type Stage uint8
 
 // The stage taxonomy, in pipeline order.
@@ -23,12 +23,19 @@ const (
 	// StageExecute is the reduction execution itself, batch merge
 	// included.
 	StageExecute
-	// StageMerge is the serving layer's fan-out residual: everything
-	// between dispatch and encode not attributed to an engine stage
-	// (result hand-off, destination copies, waiter scheduling).
+	// StageMerge is the serving layer's hand-off residual: everything up
+	// to the response's send not attributed to another stage (on the
+	// engine path the result hand-off, destination copies and waiter
+	// scheduling; about zero where the read loop answers a job itself).
 	StageMerge
 	// StageEncode is RESULT wire encoding.
 	StageEncode
+	// StageWriteWait is the time an encoded RESULT waits for the write
+	// loop: from its send to the start of the write that carries it.
+	StageWriteWait
+	// StageWrite is the socket write that carries the RESULT (one
+	// vectored write may carry several, each charged the whole write).
+	StageWrite
 	// StageRoute is gateway backend selection plus submission legs.
 	StageRoute
 	// StageBackendWait is the gateway's wait on backend RESULT frames,
@@ -48,6 +55,8 @@ var stageNames = [numStages]string{
 	StageExecute:     "execute",
 	StageMerge:       "merge",
 	StageEncode:      "encode",
+	StageWriteWait:   "write_wait",
+	StageWrite:       "write",
 	StageRoute:       "route",
 	StageBackendWait: "backend_wait",
 	StageRetryWait:   "retry_backoff",

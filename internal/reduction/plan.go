@@ -252,27 +252,37 @@ func SegCacheBytes(l *trace.Loop, segIters int) int {
 	return (segs+1)*l.NumElems*8 + l.TotalRefs()*4
 }
 
-// Serve answers l from the resident total: it succeeds only when the
-// total is valid and every slot passes the two checks Run's probe
-// applies — the sampled segment hash, then pattern.SameRefs against the
-// retained content — and then costs one copy into dst (NumElems
-// elements). False means nothing was written and the caller plans the
-// loop as usual. Like Run, Serve needs the caller's exclusive claim on
-// the cache.
+// Serve answers l from the resident total with one copy into dst
+// (NumElems elements) when Resident verifies it; false means nothing was
+// written and the caller plans the loop as usual.
 func (c *SegCache) Serve(l *trace.Loop, dst []float64) bool {
+	total, ok := c.Resident(l)
+	if ok {
+		copy(dst, total)
+	}
+	return ok
+}
+
+// Resident returns the resident total when it answers l: the total is
+// valid and every slot passes the two checks Run's probe applies — the
+// sampled segment hash, then pattern.SameRefs against the retained
+// content. The slice is the cache's own and is valid only while the
+// caller's claim on the cache holds. Resident and Serve only read the
+// cache, so any number of callers may run them together; Run needs an
+// exclusive claim.
+func (c *SegCache) Resident(l *trace.Loop) ([]float64, bool) {
 	if !c.totalOK || !c.Matches(l, c.segIters) {
-		return false
+		return nil, false
 	}
 	offs, refs := l.Flat()
 	for s := range c.slots {
 		slot := &c.slots[s]
 		seg := refs[offs[s*c.segIters]:offs[min((s+1)*c.segIters, c.numIters)]]
 		if !slot.valid || slot.hash != pattern.HashRefs(seg) || !pattern.SameRefs(slot.refs, seg) {
-			return false
+			return nil, false
 		}
 	}
-	copy(dst, c.total)
-	return true
+	return c.total, true
 }
 
 // Run executes the plan on procs goroutines: distinct partial sums are

@@ -26,20 +26,32 @@ const preambleTimeout = 10 * time.Second
 const writeQueue = 64
 
 // tlPool recycles per-job stage timelines. A timeline's lifetime is
-// strictly handleSubmit → waiter goroutine → observe, so the goroutine
-// that calls observe is the last holder and returns it here.
+// strictly read loop → (waiter goroutine →) write loop, so the write
+// loop, which observes it after the socket write, is the last holder and
+// returns it here.
 var tlPool = sync.Pool{New: func() any { return new(obs.Timeline) }}
 
-// conn is one client connection: a read loop decoding submissions into
-// the shared engine, one waiter goroutine per in-flight job, and a write
-// loop serializing their responses. Responses leave in completion order,
-// not submission order — the client matches them by job ID.
+// outFrame is one encoded response queued for the write loop. A job's
+// RESULT carries its timeline, its start t0 and the moment it was queued,
+// so the write loop closes the timeline after the socket write; HELLO,
+// STATS, ERROR and BUSY frames carry none.
+type outFrame struct {
+	buf      *wire.Buffer
+	tl       *obs.Timeline
+	t0, sent time.Time
+}
+
+// conn is one client connection: a read loop decoding submissions — and
+// answering resident work itself — a waiter goroutine per job that went
+// to the engine, and a write loop serializing their responses. Responses
+// leave in completion order, not submission order — the client matches
+// them by job ID.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	id  uint64 // session-store owner key (client session ids are conn-scoped)
 
-	writeCh   chan *wire.Buffer
+	writeCh   chan outFrame
 	writeDone chan struct{}
 
 	inflight atomic.Int64   // this connection's in-flight jobs
@@ -64,17 +76,39 @@ type conn struct {
 	scratchOff   []int32
 	scratchRefs  []int32
 	scratchDelta []reduction.RefDelta
+
+	// inline is the job the read loop is serving from resident state, and
+	// encodeInline the callback that encodes its RESULT, bound once per
+	// connection so a serve allocates nothing. Read-loop-only.
+	inline       inlineJob
+	encodeInline func(engine.Result)
+}
+
+// inlineJob is what encodeInline needs of the job it answers.
+type inlineJob struct {
+	jobID, handle uint64
+	tl            *obs.Timeline
+	buf           *wire.Buffer
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	return &conn{
+	c := &conn{
 		srv:       s,
 		nc:        nc,
 		id:        s.connIDs.Add(1),
 		tenant:    s.tenantList[0],
-		writeCh:   make(chan *wire.Buffer, writeQueue),
+		writeCh:   make(chan outFrame, writeQueue),
 		writeDone: make(chan struct{}),
 	}
+	c.encodeInline = func(res engine.Result) {
+		j := &c.inline
+		j.buf = wire.GetBuffer()
+		encStart := time.Now()
+		j.buf.B = wire.AppendResultHandle(j.buf.B, j.jobID, &res, j.handle)
+		j.tl.Add(obs.StageExecute, res.Elapsed)
+		j.tl.Add(obs.StageEncode, time.Since(encStart))
+	}
+	return c
 }
 
 // beginDrain stops the read loop at its next frame boundary: the flag
@@ -86,7 +120,17 @@ func (c *conn) beginDrain() {
 }
 
 // send hands one encoded response to the write loop, which frees it.
-func (c *conn) send(buf *wire.Buffer) { c.writeCh <- buf }
+func (c *conn) send(buf *wire.Buffer) { c.writeCh <- outFrame{buf: buf} }
+
+// sendResult is send for a job's RESULT: whatever of the job's time since
+// t0 no stage covers is charged to merge, the engine path's hand-off, so
+// the stages sum to the job's total; the write loop adds the write stages
+// and observes the timeline once the frame is on the socket.
+func (c *conn) sendResult(buf *wire.Buffer, tl *obs.Timeline, t0 time.Time) {
+	sent := time.Now()
+	tl.Add(obs.StageMerge, sent.Sub(t0)-time.Duration(tl.TotalNs()))
+	c.writeCh <- outFrame{buf: buf, tl: tl, t0: t0, sent: sent}
+}
 
 func (c *conn) sendError(jobID uint64, msg string) {
 	buf := wire.GetBuffer()
@@ -232,12 +276,13 @@ func (c *conn) handleStatsReq(jobID uint64) {
 	}()
 }
 
-// handleSubmit admits, decodes and interns one submission, then hands the
-// wait to a per-job goroutine so the read loop can keep pipelining.
-// Admission runs first, on nothing but the already-parsed header: an
-// over-budget client is rejected for the price of a BUSY frame, before
-// the server spends decode work or intern-table mutations (and evictions)
-// on a job it will not run.
+// handleSubmit admits, decodes and interns one submission, then answers
+// it on the read loop when the loop's resident total verifies
+// (serveInline), else hands the wait to a per-job goroutine so the read
+// loop can keep pipelining. Admission runs first, on nothing but the
+// already-parsed header: an over-budget client is rejected for the price
+// of a BUSY frame, before the server spends decode work or intern-table
+// mutations (and evictions) on a job it will not run.
 //
 // A SUBMIT_REF takes the same path with both expensive steps replaced:
 // "decode" reads three integers and "intern" is one table probe — no
@@ -305,6 +350,9 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	tl.Add(obs.StageDecode, decodeDone.Sub(t0))
 	tl.Add(obs.StageIntern, time.Since(decodeDone))
 
+	if c.serveInline(canon, fp, f.JobID, handle, tl, t0, release) {
+		return
+	}
 	w, err := c.srv.disp.Dispatch(canon, fp, c.srv.getDst(canon.NumElems), tl, c.tenant.name)
 	if err != nil {
 		tlPool.Put(tl)
@@ -338,13 +386,6 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		encStart := time.Now()
 		buf.B = wire.AppendResultHandle(buf.B, jobID, &res, handle)
 		tl.Add(obs.StageEncode, time.Since(encStart))
-		// Whatever the attributed stages did not cover — result hand-off,
-		// destination copies, waiter scheduling — is the merge/fan-out leg,
-		// so the stage durations always sum to the job's total.
-		total := time.Since(t0)
-		tl.Add(obs.StageMerge, total-time.Duration(tl.TotalNs()))
-		c.srv.observe(tl, total)
-		tlPool.Put(tl)
 		// The result array is fully encoded into buf; recycle it for a
 		// later submission's destination. That goes before the send:
 		// putDst allocates, and a goroutine that parks in GC assist with
@@ -352,8 +393,31 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		// — a client refilling the window it was just handed would draw
 		// BUSY. After the send only the release may remain.
 		c.srv.putDst(res.Values)
-		c.send(buf)
+		c.sendResult(buf, tl, t0)
 	}()
+}
+
+// serveInline answers one admitted, interned submission on the read loop
+// when the dispatcher holds a verified resident total for it: the RESULT
+// is encoded straight from that total, admission is released and the
+// frame queued — no engine queue, worker, waiter goroutine or
+// destination array. False means nothing was sent and the job takes the
+// engine path.
+func (c *conn) serveInline(l *trace.Loop, fp, jobID, handle uint64, tl *obs.Timeline, t0 time.Time, release func()) bool {
+	if c.srv.resident == nil {
+		return false
+	}
+	c.inline = inlineJob{jobID: jobID, handle: handle, tl: tl}
+	ok := c.srv.resident.ServeResident(l, fp, c.tenant.name, c.encodeInline)
+	buf := c.inline.buf
+	c.inline = inlineJob{}
+	if !ok {
+		return false
+	}
+	c.srv.inlined.Add(1)
+	release()
+	c.sendResult(buf, tl, t0)
+	return true
 }
 
 // admit charges one job against the admission budgets, checked from the
@@ -408,23 +472,18 @@ func (c *conn) admit(jobID uint64) (func(), bool) {
 	}, true
 }
 
-// sendSessionResult encodes and sends one session operation's RESULT,
-// folding its timeline into the server's stage histograms. The engine
-// leg's stages (queue wait, execute) ride the Result; encode and the
-// uncovered remainder are attributed here, mirroring the submit waiter.
-func (c *conn) sendSessionResult(jobID uint64, res *engine.Result, tl *obs.Timeline, t0 time.Time) {
+// encodeSessionResult encodes one session operation's RESULT and
+// recycles its destination array. The engine leg's stages (queue wait,
+// execute) ride the Result; encode is attributed here.
+func (c *conn) encodeSessionResult(jobID uint64, res *engine.Result, tl *obs.Timeline) *wire.Buffer {
 	buf := wire.GetBuffer()
 	encStart := time.Now()
 	buf.B = wire.AppendResult(buf.B, jobID, res)
 	tl.Add(obs.StageQueueWait, res.QueueWait)
 	tl.Add(obs.StageExecute, res.Elapsed)
 	tl.Add(obs.StageEncode, time.Since(encStart))
-	total := time.Since(t0)
-	tl.Add(obs.StageMerge, total-time.Duration(tl.TotalNs()))
-	c.srv.observe(tl, total)
-	tlPool.Put(tl)
 	c.srv.putDst(res.Values) // before the send, as in handleSubmit's waiter
-	c.send(buf)
+	return buf
 }
 
 // handleOpenSession admits, decodes and registers one streaming session.
@@ -508,14 +567,15 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 			c.sendError(jobID, fmt.Sprintf("session %d already open on this connection", sid))
 			return
 		}
-		c.sendSessionResult(jobID, &res, tl, t0)
+		c.sendResult(c.encodeSessionResult(jobID, &res, tl), tl, t0)
 	}()
 }
 
 // handleDelta admits and decodes one delta batch, resolves its session
-// (touching the TTL clock and CLOCK bit), and applies it on a waiter
-// goroutine. An unknown, expired or evicted session draws the typed
-// session-gone ERROR — never a stale sum.
+// (touching the TTL clock and CLOCK bit), and applies it on the read
+// loop: an apply costs microseconds, less than a goroutine hand-off, and
+// a batch is bounded by MaxFrameBytes. An unknown, expired or evicted
+// session draws the typed session-gone ERROR — never a stale sum.
 func (c *conn) handleDelta(f wire.Frame) {
 	t0 := time.Now()
 	release, ok := c.admit(f.JobID)
@@ -537,35 +597,28 @@ func (c *conn) handleDelta(f wire.Frame) {
 		c.sendError(f.JobID, fmt.Sprintf("%sno session %d on this connection", wire.SessionGonePrefix, sid))
 		return
 	}
-	// The decode scratch is reused by the next frame; the waiter gets its
-	// own copy of the (small) batch.
-	deltas := append([]reduction.RefDelta(nil), c.scratchDelta...)
+	dst := c.srv.getDst(ss.elems)
+	res, err := ss.es.Apply(c.scratchDelta, dst)
+	if err != nil {
+		c.srv.putDst(dst)
+		release()
+		if errors.Is(err, engine.ErrSessionClosed) {
+			// Evicted between the lookup above and the apply; the client
+			// re-opens rather than trusting stale state.
+			c.sendError(f.JobID, fmt.Sprintf("%ssession %d evicted", wire.SessionGonePrefix, sid))
+		} else {
+			c.sendError(f.JobID, err.Error())
+		}
+		return
+	}
+	c.srv.inlined.Add(1)
 	tl := tlPool.Get().(*obs.Timeline)
 	tl.Reset()
 	tl.TraceID = obs.NewTraceID()
 	tl.Add(obs.StageDecode, decodeDone.Sub(t0))
-
-	c.jobWG.Add(1)
-	jobID := f.JobID
-	go func() {
-		defer c.jobWG.Done()
-		defer release()
-		dst := c.srv.getDst(ss.elems)
-		res, err := ss.es.Apply(deltas, dst)
-		if err != nil {
-			c.srv.putDst(dst)
-			tlPool.Put(tl)
-			if errors.Is(err, engine.ErrSessionClosed) {
-				// Evicted between the lookup above and the apply; the
-				// client re-opens rather than trusting stale state.
-				c.sendError(jobID, fmt.Sprintf("%ssession %d evicted", wire.SessionGonePrefix, sid))
-			} else {
-				c.sendError(jobID, err.Error())
-			}
-			return
-		}
-		c.sendSessionResult(jobID, &res, tl, t0)
-	}()
+	buf := c.encodeSessionResult(f.JobID, &res, tl)
+	release()
+	c.sendResult(buf, tl, t0)
 }
 
 // handleCloseSession retires one session, answering an empty RESULT that
@@ -606,18 +659,22 @@ func (c *conn) handleCloseSession(f wire.Frame) {
 // anything else) straight from the buffers the encoders filled. After a
 // write error it keeps draining (and freeing) buffers so no sender ever
 // blocks on a dead connection.
+//
+// A RESULT's timeline closes here: write_wait runs from its send to the
+// start of the write that carries it, write is that write, and the job is
+// observed once the write returns.
 func (c *conn) writeLoop() {
 	defer close(c.writeDone)
-	// One batch's buffers, their byte slices, and the view over those that
+	// One batch's frames, their byte slices, and the view over those that
 	// WriteTo consumes as it writes: allocated here, once per connection.
 	var (
-		batch [writeQueue]*wire.Buffer
+		batch [writeQueue]outFrame
 		iov   [writeQueue][]byte
 		vec   net.Buffers
 		werr  error
 	)
-	for buf := range c.writeCh {
-		batch[0] = buf
+	for f := range c.writeCh {
+		batch[0] = f
 		n := 1
 	drain:
 		for n < len(batch) {
@@ -633,15 +690,27 @@ func (c *conn) writeLoop() {
 			}
 		}
 		if werr == nil {
-			for i, buf := range batch[:n] {
-				iov[i] = buf.B
+			for i, f := range batch[:n] {
+				iov[i] = f.buf.B
 			}
 			vec = iov[:n]
+			start := time.Now()
 			_, werr = vec.WriteTo(c.nc)
+			end := time.Now()
+			for _, f := range batch[:n] {
+				if f.tl != nil {
+					f.tl.Add(obs.StageWriteWait, start.Sub(f.sent))
+					f.tl.Add(obs.StageWrite, end.Sub(start))
+					c.srv.observe(f.tl, end.Sub(f.t0))
+				}
+			}
 		}
-		for i, buf := range batch[:n] {
-			buf.Free()
-			batch[i] = nil // the pool owns it now; do not pin it from here
+		for i, f := range batch[:n] {
+			f.buf.Free()
+			if f.tl != nil {
+				tlPool.Put(f.tl)
+			}
+			batch[i] = outFrame{} // the pools own them now; do not pin them from here
 		}
 	}
 }

@@ -73,6 +73,19 @@ func (d engineDispatcher) Stats() (engine.Stats, error) { return d.eng.Stats(), 
 func (d engineDispatcher) Procs() int                   { return d.eng.Procs() }
 func (d engineDispatcher) HelloFlags() uint64           { return 0 }
 
+// residentDispatcher is the optional capability of a Dispatcher that can
+// answer a job on the calling goroutine from resident state. The daemon's
+// engine dispatcher has it; the gateway's routing dispatcher holds no
+// resident state.
+type residentDispatcher interface {
+	// ServeResident is engine.ServeResident with the tenant by name.
+	ServeResident(l *trace.Loop, fp uint64, tenant string, use func(engine.Result)) bool
+}
+
+func (d engineDispatcher) ServeResident(l *trace.Loop, fp uint64, tenant string, use func(engine.Result)) bool {
+	return d.eng.ServeResident(l, fp, d.eng.TenantIndex(tenant), use)
+}
+
 // engineWaiter adapts engine.Handle (whose Wait cannot fail once the
 // submission was accepted) to the Waiter interface, copying the
 // engine-attributed stage durations onto the job's timeline.

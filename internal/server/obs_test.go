@@ -6,10 +6,26 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/testkit"
 	"repro/internal/workloads"
 )
+
+// waitTraces polls srv's trace ring until it holds at least n traces: the
+// write loop observes a job once its RESULT is on the socket, so a client
+// can hold the answer a moment before the trace lands.
+func waitTraces(t *testing.T, srv *server.Server, n int) []obs.JobTrace {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if traces := srv.Traces(); len(traces) >= n {
+			return traces
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace ring holds %d traces, want %d", len(srv.Traces()), n)
+		}
+	}
+}
 
 // TestServerStageTimelines drives jobs through the wire path with
 // TraceSlow negative (trace everything) and checks the observability
@@ -43,7 +59,7 @@ func TestServerStageTimelines(t *testing.T) {
 		}
 	}
 
-	traces := d.Srv.Traces()
+	traces := waitTraces(t, d.Srv, 6)
 	if len(traces) != 6 {
 		t.Fatalf("trace ring holds %d traces, want 6", len(traces))
 	}
@@ -80,10 +96,11 @@ func TestServerStageTimelines(t *testing.T) {
 	for _, s := range stages {
 		byName[s.Name] = s.Snap.Count
 	}
-	// decode, intern and execute happen on every job; queue_wait and
-	// inspect depend on engine timing, merge on whether the residual was
-	// non-zero — only the unconditional ones are asserted.
-	for _, name := range []string{"decode", "intern", "execute"} {
+	// decode, intern, execute and the two write stages happen on every
+	// job; queue_wait and inspect depend on the path and engine timing,
+	// merge on whether the residual was non-zero — only the unconditional
+	// ones are asserted.
+	for _, name := range []string{"decode", "intern", "execute", "write_wait", "write"} {
 		if byName[name] != 6 {
 			t.Fatalf("stage %s observed %d times, want 6 (have %v)", name, byName[name], byName)
 		}
@@ -122,5 +139,72 @@ func TestServerTraceSlowThreshold(t *testing.T) {
 	}
 	if len(d.Srv.StageStats()) == 0 {
 		t.Fatal("stage histograms empty despite served jobs")
+	}
+}
+
+// TestWriteStagesCloseTimeline follows one engine-path job (a cold
+// pattern's first sight) and one job the read loop served inline (the
+// same pattern once its resident total is armed) to the socket: both
+// timelines carry write_wait and write, the engine path's queue_wait and
+// the inline one's none, and each sums exactly to its total, which now
+// ends when the write returns.
+func TestWriteStagesCloseTimeline(t *testing.T) {
+	d := testkit.StartDaemon(t, engine.Config{}, server.Config{TraceSlow: -1, TraceRingSize: 128})
+	cl := testkit.DialPool(t, d.Addr, client.Config{Conns: 1})
+	l := workloads.NewSharedSubrangeStream(1, 0, 0.125, 5).Members[0]
+
+	submit := func(id uint64) {
+		t.Helper()
+		h, err := cl.SubmitAsyncIntoTraced(l, nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const enginePath, inline = uint64(0xe1), uint64(0x11)
+	submit(enginePath)
+	for n := 0; d.Srv.Stats().Inline == 0; n++ {
+		if n == 16 {
+			t.Fatal("no submission served inline after 16 repeats")
+		}
+		submit(uint64(0x100 + n))
+	}
+	before := d.Srv.Stats().Inline
+	submit(inline)
+	if got := d.Srv.Stats().Inline - before; got != 1 {
+		t.Fatalf("the armed repeat moved the inline counter by %d, want 1", got)
+	}
+
+	byID := map[uint64]obs.JobTrace{}
+	for deadline := time.Now().Add(10 * time.Second); len(byID) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("traces %#x and %#x not both observed", enginePath, inline)
+		}
+		for _, tr := range d.Srv.Traces() {
+			if tr.TraceID == enginePath || tr.TraceID == inline {
+				byID[tr.TraceID] = tr
+			}
+		}
+	}
+	for id, tr := range byID {
+		stages := map[string]int64{}
+		var sum int64
+		for _, st := range tr.Stages {
+			stages[st.Stage] = st.Ns
+			sum += st.Ns
+		}
+		if sum != tr.TotalNs {
+			t.Errorf("trace %#x: stages sum to %dns, total %dns", id, sum, tr.TotalNs)
+		}
+		for _, name := range []string{"decode", "intern", "execute", "encode", "write_wait", "write"} {
+			if stages[name] <= 0 {
+				t.Errorf("trace %#x has no %s stage: %v", id, name, stages)
+			}
+		}
+		if (stages["queue_wait"] > 0) != (id == enginePath) {
+			t.Errorf("trace %#x: queue_wait %dns (engine path: %v)", id, stages["queue_wait"], id == enginePath)
+		}
 	}
 }

@@ -6,19 +6,29 @@
 //
 // The dataflow per connection is two goroutines around the shared engine:
 //
-//	read loop:  frame → admission → decode → intern → engine.SubmitAsync
-//	            (SUBMIT_REF: admission → handle lookup ─────┘)
-//	                                                        │ (per-job waiter)
-//	write loop: pooled response buffers ← encode ← Handle.Wait
+//	read loop:  frame → admission → decode → intern → engine.ServeResident ─┐
+//	            (SUBMIT_REF: admission → handle lookup ─────┘)    │ miss      │ hit: encode
+//	                                                              ▼           │ from the
+//	                                          engine.SubmitAsync → per-job    │ resident
+//	                                          waiter: Handle.Wait → encode    │ total
+//	write loop: pooled response buffers ←─────────────────────────┴───────────┘
+//
+// A submission whose loop the engine holds a verified resident total for,
+// and every session delta, runs to completion on the read loop: no engine
+// queue, worker or waiter goroutine. Everything else — misses, cold
+// loops, simplified-but-unverified batches, session opens — takes the
+// engine path and its batch fusion.
 //
 // Neither loop sits behind a buffered-I/O layer. The read loop's
 // wire.Reader reads the socket into one buffer and parses frames where
 // they landed; the write loop takes every response queued at that moment
 // and hands the batch to the socket as one vectored write, straight from
 // the pooled buffers the encoders filled. A RESULT vector is therefore
-// touched twice in user space on its way out (the engine's copy into the
-// job's array, the encode) and once on its way in at the client (the
-// decode) — docs/ARCHITECTURE.md "The byte path of a RESULT".
+// touched once in user space on its way out when served inline (the
+// encode from the resident total), twice on the engine path (the
+// engine's copy into the job's array, the encode), and once on its way
+// in at the client (the decode) — docs/ARCHITECTURE.md "The byte path of
+// a RESULT".
 //
 // Three properties carry the engine's performance across the network hop:
 //
@@ -137,6 +147,7 @@ func (c *Config) fill() {
 // (NewWithDispatcher). Feed it listeners via Serve, stop with Shutdown.
 type Server struct {
 	disp     Dispatcher
+	resident residentDispatcher // disp's inline serve; nil on a gateway
 	cfg      Config
 	intern   *internTable
 	sessions *sessionStore
@@ -167,6 +178,9 @@ type Server struct {
 	// whose handle was no longer resident.
 	handleHits atomic.Uint64
 	handleGone atomic.Uint64
+	// inlined counts jobs the read loop answered itself: resident submits
+	// and applied deltas.
+	inlined atomic.Uint64
 
 	// stages aggregates every served job's stage timeline; ring keeps the
 	// timelines of jobs slower than cfg.TraceSlow for /tracez.
@@ -187,8 +201,10 @@ func New(eng *engine.Engine, cfg Config) *Server {
 func NewWithDispatcher(d Dispatcher, cfg Config) *Server {
 	cfg.fill()
 	tenants, tenantList := buildTenantTable(cfg.Tenants, nil)
+	resident, _ := d.(residentDispatcher)
 	return &Server{
 		disp:       d,
+		resident:   resident,
 		cfg:        cfg,
 		intern:     newInternTable(16, cfg.MaxInternedLoops),
 		sessions:   newSessionStore(cfg.MaxSessions, cfg.SessionTTL, cfg.MaxSessionBytes),
@@ -311,6 +327,10 @@ type Stats struct {
 	// fingerprint collision, or issued before a restart) and were answered
 	// "pattern gone"; the client resubmits each as a full SUBMIT.
 	HandleGone uint64
+	// Inline is how many jobs the connection's read loop answered itself,
+	// with no engine queue or waiter goroutine: submissions served from a
+	// verified resident total, and applied session deltas.
+	Inline uint64
 	// Sessions is the current resident streaming-session count.
 	Sessions int
 	// SessionOpens counts sessions admitted over the server's lifetime.
@@ -332,6 +352,8 @@ var StatsFields = []obs.Field[Stats]{
 		U64: func(s *Stats) *uint64 { return &s.HandleHits }},
 	{Series: "redux_server_pattern_handle_gone_total", Help: "Pattern handles that missed and were answered pattern-gone (the client resubmits in full).",
 		U64: func(s *Stats) *uint64 { return &s.HandleGone }},
+	{Series: "redux_server_inline_total", Help: "Jobs the connection's read loop answered itself: submissions served from a verified resident total, and applied session deltas.",
+		U64: func(s *Stats) *uint64 { return &s.Inline }},
 	{Kind: obs.Gauge, Series: "redux_server_interned_loops", Help: "Canonical loops currently interned.",
 		Int: func(s *Stats) *int { return &s.InternedLoops }},
 	{Series: "redux_server_intern_evictions_total", Help: "Canonical loops, and with them their pattern handles, evicted by the intern table's CLOCK sweep.",
@@ -353,6 +375,7 @@ func (s *Server) Stats() Stats {
 		InternEvictions:  s.intern.Evictions(),
 		HandleHits:       s.handleHits.Load(),
 		HandleGone:       s.handleGone.Load(),
+		Inline:           s.inlined.Load(),
 		Sessions:         s.sessions.len(),
 		SessionOpens:     s.sessions.opens.Load(),
 		SessionEvictions: s.sessions.evictions.Load(),

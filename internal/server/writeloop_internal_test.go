@@ -13,7 +13,7 @@ import (
 
 // writeLoopConn is a conn with just what send and writeLoop touch.
 func writeLoopConn(nc net.Conn) *conn {
-	c := &conn{nc: nc, writeCh: make(chan *wire.Buffer, writeQueue), writeDone: make(chan struct{})}
+	c := &conn{nc: nc, writeCh: make(chan outFrame, writeQueue), writeDone: make(chan struct{})}
 	go c.writeLoop()
 	return c
 }

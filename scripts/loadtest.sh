@@ -6,7 +6,8 @@
 # results must verify against the sequential reference, and batch
 # coalescing must have engaged across the network hop (coalesced > 0).
 # The /metrics scrape must also show pattern-handle hits: repeats of a hot
-# loop travel as references, not re-shipped patterns.
+# loop travel as references, not re-shipped patterns; and, in this mode
+# and SESSIONS mode, jobs the daemon's read loop served inline.
 #
 # Set GATEWAY=N (N >= 1) to test the cluster tier instead: N reduxd
 # backends are booted behind a reduxgw gateway and the same stream is
@@ -201,6 +202,16 @@ if [ "$sessions" -eq 0 ] && [ "$tenants" -eq 0 ]; then
     grep -Eq '^redux_server_pattern_handle_hits_total [1-9]' "$work/metrics.txt" \
         || { echo "loadtest: FAIL: no pattern-handle hits in /metrics (every SUBMIT re-shipped its loop)" >&2; exit 1; }
     echo "loadtest: $(grep -E '^redux_server_pattern_handle_(hits|gone)_total ' "$work/metrics.txt" | tr '\n' ' ')"
+fi
+
+if [ "$gateway" -eq 0 ] && [ "$tenants" -eq 0 ]; then
+    # Hot repeats of a Zipf loop and session deltas are answered on the
+    # daemon's read loop, with no engine queue or waiter goroutine: the
+    # counter must have moved. (A gateway's front door holds no resident
+    # state, so it never serves inline.)
+    grep -Eq '^redux_server_inline_total [1-9]' "$work/metrics.txt" \
+        || { echo "loadtest: FAIL: no job served inline in /metrics (resident hits and deltas all took the engine queue)" >&2; exit 1; }
+    echo "loadtest: $(grep -E '^redux_server_inline_total ' "$work/metrics.txt")"
 fi
 
 if [ "$tenants" -gt 0 ]; then
