@@ -21,10 +21,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# deps-check holds the service/lab boundary: no simulator package — and
-# not internal/sched, the feedback scheduler — in the closure of the
-# daemons, the load driver, testkit or bench/; lab packages imported only
-# from the lab, the paper-track commands and the examples; internal/core
+# deps-check holds the service/lab boundary: no simulator package in the
+# closure of the daemons, the load driver, testkit or bench/; lab
+# packages imported only from the lab, the paper-track commands and the
+# examples; internal/core
 # (the host descriptor) and internal/clock (eviction) leaves.
 deps-check:
 	./scripts/deps_check.sh
@@ -106,11 +106,12 @@ codegen:
 	./scripts/bce_check.sh
 
 # portability cross-compiles for linux/arm64 and linux/amd64 at the v3
-# (AVX2) microarchitecture level, then runs the kernel-bearing packages'
-# tests shuffled twice — the CI portability job, runnable locally.
+# (AVX2) microarchitecture level, then runs the kernel-bearing and
+# transport packages' tests shuffled twice — the CI portability job,
+# runnable locally.
 portability:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=amd64 GOAMD64=v3 $(GO) build ./...
-	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/
+	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/ ./internal/wire/ ./internal/client/ ./internal/server/ ./internal/cluster/
 
 ci: fmt vet deps-check build codegen portability race bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check

@@ -16,6 +16,18 @@
 // at-most-once delivery), and the next submission that lands on that pool
 // slot dials afresh.
 //
+// Submitters do not write to the socket. Each connection has one write
+// loop (wire.Writer): a submission queues its frame and returns, and the
+// loop sends everything queued since its last write in one vectored
+// write, so pipelined submissions share a syscall. A frame's write
+// failure therefore never comes back from SubmitAsync*, Stats' or a
+// session operation's send: it fails the connection, and every job on it
+// — the one whose frame broke the write included — resolves with
+// ErrConnLost, as a job whose frame was written before the connection
+// died always has. Frames leave a connection in the order they were
+// queued, so one goroutine's frames (a session's deltas among them)
+// arrive in the order it sent them.
+//
 // A loop's access pattern crosses the wire once per connection. When the
 // server advertises pattern handles, the RESULT of a loop's first full
 // SUBMIT carries the handle the server interned it under; the connection
@@ -80,6 +92,7 @@ func (c *Config) fill() {
 type Client struct {
 	addr string
 	cfg  Config
+	dial func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 	next  atomic.Uint64 // round-robin cursor over the pool
 	conns []*poolConn
@@ -112,8 +125,13 @@ var (
 // eagerly — validating address, protocol and version — and the rest of
 // the pool dials lazily on first use.
 func Dial(addr string, cfg Config) (*Client, error) {
+	return dialVia(addr, cfg, net.DialTimeout)
+}
+
+// dialVia is Dial with the function that opens each pooled connection.
+func dialVia(addr string, cfg Config, dial func(network, addr string, timeout time.Duration) (net.Conn, error)) (*Client, error) {
 	cfg.fill()
-	c := &Client{addr: addr, cfg: cfg, conns: make([]*poolConn, cfg.Conns)}
+	c := &Client{addr: addr, cfg: cfg, dial: dial, conns: make([]*poolConn, cfg.Conns)}
 	for i := range c.conns {
 		c.conns[i] = &poolConn{cl: c}
 	}
@@ -188,7 +206,8 @@ func (c *Client) Stats() (engine.Stats, error) {
 	return pc.stats()
 }
 
-// Close tears down the pool. In-flight jobs resolve with ErrConnLost.
+// Close tears down the pool. In-flight jobs, and frames still queued for
+// a write, resolve with ErrClosed.
 func (c *Client) Close() error {
 	c.closed.Store(true)
 	for _, pc := range c.conns {
@@ -299,9 +318,8 @@ type poolConn struct {
 type netSession struct {
 	pc    *poolConn
 	nc    net.Conn
+	w     *wire.Writer[struct{}] // the connection's write loop
 	hello wire.Hello
-
-	writeMu sync.Mutex // one frame at a time on nc
 
 	pendMu  sync.Mutex
 	pending map[uint64]*pend
@@ -325,7 +343,7 @@ func (pc *poolConn) ensure() (*netSession, error) {
 	if pc.cl.closed.Load() {
 		return nil, ErrClosed
 	}
-	nc, err := net.DialTimeout("tcp", pc.cl.addr, pc.cl.cfg.DialTimeout)
+	nc, err := pc.cl.dial("tcp", pc.cl.addr, pc.cl.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", pc.cl.addr, err)
 	}
@@ -369,6 +387,9 @@ func (pc *poolConn) ensure() (*netSession, error) {
 			return nil, fmt.Errorf("client: hello: %w", err)
 		}
 	}
+	s.w = wire.NewWriter[struct{}](nc, nil, func(err error) {
+		s.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
+	})
 	pc.s = s
 	go s.readLoop(hr)
 	return s, nil
@@ -384,9 +405,9 @@ func (pc *poolConn) close() {
 	}
 }
 
-// submit registers a pending job on the slot's session and writes its
+// submit registers a pending job on the slot's session and queues its
 // SUBMIT frame. A write failure kills the session (failing its in-flight
-// jobs) and leaves the slot ready to redial.
+// jobs, this one included) and leaves the slot ready to redial.
 func (pc *poolConn) submit(l *trace.Loop, dst []float64, traceID uint64) (*Handle, error) {
 	s, err := pc.ensure()
 	if err != nil {
@@ -402,39 +423,38 @@ func (pc *poolConn) submit(l *trace.Loop, dst []float64, traceID uint64) (*Handl
 	if err != nil {
 		return nil, err
 	}
-	if err := s.writeSubmit(id, p); err != nil {
-		return nil, err
-	}
+	s.sendSubmit(id, p)
 	return &Handle{done: p.done}, nil
 }
 
-// writeSubmit encodes and sends p's job under id: a SUBMIT_REF when
+// sendSubmit encodes and queues p's job under id: a SUBMIT_REF when
 // register found a current handle for the loop, the full SUBMIT otherwise.
-func (s *netSession) writeSubmit(id uint64, p *pend) error {
+func (s *netSession) sendSubmit(id uint64, p *pend) {
 	buf := wire.GetBuffer()
 	if p.ref != 0 {
 		buf.B = wire.AppendSubmitRef(buf.B, id, p.fp, p.ref, p.traceID)
 	} else {
 		buf.B = wire.AppendSubmitTraced(buf.B, id, p.loop, p.traceID)
 	}
-	return s.write(buf)
+	s.send(buf)
 }
 
 // resubmit sends p's job again after its SUBMIT_REF was answered "pattern
 // gone" (the handle is already forgotten, so this goes out in full unless
 // a sibling job re-learned it meanwhile). It runs on its own goroutine,
-// never the read loop: a write can block on a full socket, and the read
-// loop is what keeps the peer draining. The job keeps its pend, so the
-// caller's Handle resolves exactly once either way — by the read loop
-// when the answer arrives, by fail when the write breaks the connection,
-// or here when the connection died before the job could re-register.
+// never the read loop: a send blocks on a full write queue behind a full
+// socket, and the read loop is what keeps the peer draining. The job
+// keeps its pend, so the caller's Handle resolves exactly once either way
+// — by the read loop when the answer arrives, by fail when the write
+// breaks the connection, or here when the connection died before the job
+// could re-register.
 func (s *netSession) resubmit(p *pend) {
 	id, err := s.register(p)
 	if err != nil {
 		p.done <- outcome{err: err}
 		return
 	}
-	s.writeSubmit(id, p) // on error, fail has already resolved p
+	s.sendSubmit(id, p)
 }
 
 // stats issues a STATSREQ and waits for the snapshot.
@@ -450,9 +470,7 @@ func (pc *poolConn) stats() (engine.Stats, error) {
 	}
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendStatsReq(buf.B, id)
-	if err := s.write(buf); err != nil {
-		return engine.Stats{}, err
-	}
+	s.send(buf)
 	out := <-p.done
 	return out.stats, out.err
 }
@@ -501,20 +519,10 @@ func (s *netSession) forget(p *pend) {
 	}
 }
 
-// write sends one encoded frame: the complete pooled buffer in a single
-// socket write, serialized with the other submitters so frames never
-// interleave.
-func (s *netSession) write(buf *wire.Buffer) error {
-	s.writeMu.Lock()
-	_, err := s.nc.Write(buf.B)
-	s.writeMu.Unlock()
-	buf.Free()
-	if err != nil {
-		s.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
-		return fmt.Errorf("client: write: %w", ErrConnLost)
-	}
-	return nil
-}
+// send queues one encoded frame for the write loop, which frees it. The
+// frame's job must already be registered: if the frame cannot be written,
+// fail resolves it.
+func (s *netSession) send(buf *wire.Buffer) { s.w.Send(buf, struct{}{}) }
 
 // readLoop dispatches response frames to their pending jobs until the
 // connection dies, then fails whatever is left.
@@ -615,9 +623,9 @@ func (s *netSession) take(id uint64) *pend {
 	return p
 }
 
-// fail kills the session exactly once: the socket closes, every in-flight
-// job resolves with err, and the pool slot is cleared so the next
-// submission redials.
+// fail kills the session exactly once: the socket closes, the write loop
+// frees what is still queued and exits, every in-flight job resolves with
+// err, and the pool slot is cleared so the next submission redials.
 func (s *netSession) fail(err error) {
 	s.pendMu.Lock()
 	if s.dead {
@@ -630,6 +638,7 @@ func (s *netSession) fail(err error) {
 	s.pendMu.Unlock()
 
 	s.nc.Close()
+	s.w.Close()
 	s.pc.mu.Lock()
 	if s.pc.s == s {
 		s.pc.s = nil

@@ -278,8 +278,8 @@ func TestHandlesDieWithConnection(t *testing.T) {
 }
 
 // TestConcurrentSubmittersKeepFramesWhole has 16 goroutines share one
-// connection: each SUBMIT is one socket write under the session's write
-// lock, so the server must be able to parse the byte stream into exactly
+// connection: their SUBMITs queue for the connection's one write loop,
+// so the server must be able to parse the byte stream into exactly
 // the frames that were sent — 800 whole SUBMITs, none interleaved — and
 // every caller must get its own loop's sums back.
 func TestConcurrentSubmittersKeepFramesWhole(t *testing.T) {

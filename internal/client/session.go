@@ -60,9 +60,7 @@ func (c *Client) OpenSession(l *trace.Loop) (*Session, engine.Result, error) {
 	s.pendMu.Unlock()
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendOpenSession(buf.B, id, sid, l)
-	if err := s.write(buf); err != nil {
-		return nil, engine.Result{}, err
-	}
+	s.send(buf)
 	out := <-p.done
 	if out.err != nil {
 		return nil, engine.Result{}, out.err
@@ -111,9 +109,7 @@ func (s *Session) SubmitDeltaAsyncInto(deltas []reduction.RefDelta, dst []float6
 	}
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendDelta(buf.B, id, s.id, deltas)
-	if err := s.s.write(buf); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSessionGone, err)
-	}
+	s.s.send(buf)
 	return &Handle{done: p.done}, nil
 }
 
@@ -134,9 +130,7 @@ func (s *Session) Close() error {
 	}
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendCloseSession(buf.B, id, s.id)
-	if err := s.s.write(buf); err != nil {
-		return nil
-	}
+	s.s.send(buf)
 	out := <-p.done
 	if out.err != nil {
 		if errors.Is(out.err, ErrSessionGone) || errors.Is(out.err, ErrConnLost) {

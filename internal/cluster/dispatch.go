@@ -212,8 +212,9 @@ func (w *waiter) submitNext() error {
 }
 
 // submitTo attempts one leg on b, reporting success. Submit-time
-// failures (dial refused, write on a dead socket) mark b down for the
-// prober to revive.
+// failures (dial refused, a connection already dead) mark b down for the
+// prober to revive; a write that fails later resolves the leg with
+// ErrConnLost, which Wait re-places.
 func (w *waiter) submitTo(b *backend) bool {
 	cl := b.cl.Load()
 	if cl == nil {

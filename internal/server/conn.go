@@ -21,22 +21,17 @@ import (
 // hold sockets open forever.
 const preambleTimeout = 10 * time.Second
 
-// writeQueue is how many encoded responses may wait for the write loop
-// before conn.send blocks — and so the most one vectored write carries.
-const writeQueue = 64
-
 // tlPool recycles per-job stage timelines. A timeline's lifetime is
 // strictly read loop → (waiter goroutine →) write loop, so the write
 // loop, which observes it after the socket write, is the last holder and
 // returns it here.
 var tlPool = sync.Pool{New: func() any { return new(obs.Timeline) }}
 
-// outFrame is one encoded response queued for the write loop. A job's
+// outNote rides with one queued response through the write loop. A job's
 // RESULT carries its timeline, its start t0 and the moment it was queued,
-// so the write loop closes the timeline after the socket write; HELLO,
+// so closeTimelines can close the timeline after the socket write; HELLO,
 // STATS, ERROR and BUSY frames carry none.
-type outFrame struct {
-	buf      *wire.Buffer
+type outNote struct {
 	tl       *obs.Timeline
 	t0, sent time.Time
 }
@@ -51,8 +46,7 @@ type conn struct {
 	nc  net.Conn
 	id  uint64 // session-store owner key (client session ids are conn-scoped)
 
-	writeCh   chan outFrame
-	writeDone chan struct{}
+	w *wire.Writer[outNote] // the write loop, started once the preamble is in
 
 	inflight atomic.Int64   // this connection's in-flight jobs
 	jobWG    sync.WaitGroup // waiter goroutines still running
@@ -93,12 +87,10 @@ type inlineJob struct {
 
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
-		srv:       s,
-		nc:        nc,
-		id:        s.connIDs.Add(1),
-		tenant:    s.tenantList[0],
-		writeCh:   make(chan outFrame, writeQueue),
-		writeDone: make(chan struct{}),
+		srv:    s,
+		nc:     nc,
+		id:     s.connIDs.Add(1),
+		tenant: s.tenantList[0],
 	}
 	c.encodeInline = func(res engine.Result) {
 		j := &c.inline
@@ -120,7 +112,7 @@ func (c *conn) beginDrain() {
 }
 
 // send hands one encoded response to the write loop, which frees it.
-func (c *conn) send(buf *wire.Buffer) { c.writeCh <- outFrame{buf: buf} }
+func (c *conn) send(buf *wire.Buffer) { c.w.Send(buf, outNote{}) }
 
 // sendResult is send for a job's RESULT: whatever of the job's time since
 // t0 no stage covers is charged to merge, the engine path's hand-off, so
@@ -129,7 +121,7 @@ func (c *conn) send(buf *wire.Buffer) { c.writeCh <- outFrame{buf: buf} }
 func (c *conn) sendResult(buf *wire.Buffer, tl *obs.Timeline, t0 time.Time) {
 	sent := time.Now()
 	tl.Add(obs.StageMerge, sent.Sub(t0)-time.Duration(tl.TotalNs()))
-	c.writeCh <- outFrame{buf: buf, tl: tl, t0: t0, sent: sent}
+	c.w.Send(buf, outNote{tl: tl, t0: t0, sent: sent})
 }
 
 func (c *conn) sendError(jobID uint64, msg string) {
@@ -170,7 +162,7 @@ func (c *conn) serve() {
 		c.nc.SetReadDeadline(time.Unix(1, 0))
 	}
 
-	go c.writeLoop()
+	c.w = wire.NewWriter(c.nc, c.closeTimelines, nil)
 	hello := wire.GetBuffer()
 	hello.B = wire.AppendHello(hello.B, wire.Hello{
 		Version:     wire.ProtoVersion,
@@ -241,8 +233,7 @@ func (c *conn) serve() {
 	// are torn down (their owner is gone, no delta can ever reach them).
 	c.jobWG.Wait()
 	c.srv.sessions.dropConn(c.id)
-	close(c.writeCh)
-	<-c.writeDone
+	c.w.Close()
 }
 
 // handleStatsReq answers one statistics request off the read loop: for
@@ -653,64 +644,18 @@ func (c *conn) handleCloseSession(f wire.Frame) {
 	}()
 }
 
-// writeLoop serializes responses: it takes one pooled buffer, drains
-// whatever else is queued behind it, and hands the batch to the socket as
-// one vectored write (writev on a TCP connection, sequential writes on
-// anything else) straight from the buffers the encoders filled. After a
-// write error it keeps draining (and freeing) buffers so no sender ever
-// blocks on a dead connection.
-//
-// A RESULT's timeline closes here: write_wait runs from its send to the
-// start of the write that carries it, write is that write, and the job is
-// observed once the write returns.
-func (c *conn) writeLoop() {
-	defer close(c.writeDone)
-	// One batch's frames, their byte slices, and the view over those that
-	// WriteTo consumes as it writes: allocated here, once per connection.
-	var (
-		batch [writeQueue]outFrame
-		iov   [writeQueue][]byte
-		vec   net.Buffers
-		werr  error
-	)
-	for f := range c.writeCh {
-		batch[0] = f
-		n := 1
-	drain:
-		for n < len(batch) {
-			select {
-			case more, ok := <-c.writeCh:
-				if !ok {
-					break drain
-				}
-				batch[n] = more
-				n++
-			default:
-				break drain
-			}
-		}
-		if werr == nil {
-			for i, f := range batch[:n] {
-				iov[i] = f.buf.B
-			}
-			vec = iov[:n]
-			start := time.Now()
-			_, werr = vec.WriteTo(c.nc)
-			end := time.Now()
-			for _, f := range batch[:n] {
-				if f.tl != nil {
-					f.tl.Add(obs.StageWriteWait, start.Sub(f.sent))
-					f.tl.Add(obs.StageWrite, end.Sub(start))
-					c.srv.observe(f.tl, end.Sub(f.t0))
-				}
-			}
-		}
-		for i, f := range batch[:n] {
-			f.buf.Free()
-			if f.tl != nil {
-				tlPool.Put(f.tl)
-			}
-			batch[i] = outFrame{} // the pools own them now; do not pin them from here
+// closeTimelines is the write loop's after-write hook: a RESULT's
+// write_wait runs from its send to the start of the write that carries
+// it, write is that write, and the job is observed once the write
+// returns. A connection whose write failed observes nothing more; its
+// read loop notices the dead socket.
+func (c *conn) closeTimelines(notes []outNote, start, end time.Time) {
+	for _, n := range notes {
+		if n.tl != nil {
+			n.tl.Add(obs.StageWriteWait, start.Sub(n.sent))
+			n.tl.Add(obs.StageWrite, end.Sub(start))
+			c.srv.observe(n.tl, end.Sub(n.t0))
+			tlPool.Put(n.tl)
 		}
 	}
 }

@@ -207,10 +207,12 @@ func TestTenantStatsOverWire(t *testing.T) {
 // of rejections and successes across every gate (conn, tenant quota,
 // rate, global) must leave all in-flight gauges at exactly zero — the
 // historical bug class here was an early return that charged a counter
-// and never rolled it back.
+// and never rolled it back. The engine is held while each round's storm
+// is queued, so the jobs that reach it stay in flight and the gates
+// reject deterministically, however the frames are batched on the wire.
 func TestAdmissionReleaseBalanced(t *testing.T) {
 	tenants := []server.TenantSpec{{Name: "capped", Weight: 1, MaxInflight: 2}}
-	_, srv, addr, teardown := startServer(t,
+	eng, srv, addr, teardown := startServer(t,
 		engine.Config{Workers: 1, Tenants: server.EngineTenants(tenants)},
 		server.Config{Tenants: tenants, MaxInflightPerConn: 4, MaxInflightGlobal: 8})
 	defer teardown()
@@ -221,6 +223,11 @@ func TestAdmissionReleaseBalanced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		release, err := eng.Hold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release() // before teardown's engine Close, should a check fail
 		var handles []*client.Handle
 		for i := 0; i < 48; i++ {
 			h, err := cl.SubmitAsync(l)
@@ -233,6 +240,7 @@ func TestAdmissionReleaseBalanced(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			_, _ = cl.Stats()
 		}
+		release()
 		for _, h := range handles {
 			if _, err := h.Wait(); err != nil && !errors.Is(err, client.ErrBusy) {
 				t.Fatalf("round %d: %v", round, err)

@@ -11,16 +11,16 @@ import (
 	"repro/internal/wire"
 )
 
-// writeLoopConn is a conn with just what send and writeLoop touch.
+// writeLoopConn is a conn with just what send and its write loop touch.
 func writeLoopConn(nc net.Conn) *conn {
-	c := &conn{nc: nc, writeCh: make(chan outFrame, writeQueue), writeDone: make(chan struct{})}
-	go c.writeLoop()
+	c := &conn{nc: nc}
+	c.w = wire.NewWriter(nc, c.closeTimelines, nil)
 	return c
 }
 
 // connPairs returns both transports the write loop has to serve: net.Pipe
-// (no writev: net.Buffers falls back to one Write per buffer) and loopback
-// TCP (the vectored path).
+// (no writev: the batch is gathered into one Write) and loopback TCP (the
+// vectored path).
 func connPairs(t *testing.T) map[string][2]net.Conn {
 	t.Helper()
 	p1, p2 := net.Pipe()
@@ -91,7 +91,7 @@ func TestWriteLoopKeepsFramesIntactAndOrdered(t *testing.T) {
 		}
 		go func() {
 			wg.Wait()
-			close(c.writeCh)
+			c.w.Close()
 		}()
 
 		pair[1].SetReadDeadline(time.Now().Add(60 * time.Second))
@@ -119,7 +119,7 @@ func TestWriteLoopKeepsFramesIntactAndOrdered(t *testing.T) {
 				}
 			}
 		}
-		<-c.writeDone
+		c.w.Close()
 	}
 }
 
@@ -150,8 +150,7 @@ func TestWriteLoopDrainsAfterPeerCloses(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			wg.Wait()
-			close(c.writeCh)
-			<-c.writeDone
+			c.w.Close()
 			close(done)
 		}()
 		select {
@@ -159,7 +158,7 @@ func TestWriteLoopDrainsAfterPeerCloses(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("%s: senders still blocked 60s after the peer closed", name)
 		}
-		if n := len(c.writeCh); n != 0 {
+		if n := c.w.Queued(); n != 0 {
 			t.Fatalf("%s: %d buffers left in the queue", name, n)
 		}
 	}

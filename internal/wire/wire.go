@@ -15,14 +15,15 @@
 // with jobID 0 are connection-scoped (HELLO, fatal ERROR).
 //
 // The hot path is allocation-conscious end to end: encoders append into
-// pooled buffers (GetBuffer/Free), the Reader parses frames in place from
-// the one buffer it reads the connection into, loop decoding can reuse
-// caller scratch (Frame.DecodeSubmitInto) and result decoding fills a
-// caller-provided destination array in one bulk pass (floats.go) — a
-// RESULT vector is touched once per side of a hop. Decoding is
-// defensive: every read is bounds-checked, sizes are capped before
-// allocation, and corrupt or truncated input returns an error — never a
-// panic (see FuzzDecodeFrame).
+// pooled buffers (GetBuffer/Free), a Writer sends the buffers queued on a
+// connection in one vectored write and frees them, the Reader parses
+// frames in place from the one buffer it reads the connection into, loop
+// decoding can reuse caller scratch (Frame.DecodeSubmitInto) and result
+// decoding fills a caller-provided destination array in one bulk pass
+// (floats.go) — a RESULT vector is touched once per side of a hop.
+// Decoding is defensive: every read is bounds-checked, sizes are capped
+// before allocation, and corrupt or truncated input returns an error —
+// never a panic (see FuzzDecodeFrame).
 package wire
 
 import (
