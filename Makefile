@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race bench bench-smoke bench-check fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check deps-check codegen portability
+.PHONY: build test test-short race race-resident bench bench-smoke bench-check fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check deps-check codegen portability
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test-short:
 
 race:
 	$(GO) test -short -race ./...
+
+# race-resident repeats the engine's resident-serve tests (the server's
+# inline serve and the Submit family's caller path, both sharing one
+# claim on the resident total) twenty times under the race detector —
+# the CI build-test job's second step.
+race-resident:
+	$(GO) test -race -count=20 -run 'ServeResident|Inline|Caller' ./internal/engine/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -114,4 +121,4 @@ portability:
 	GOOS=linux GOARCH=amd64 GOAMD64=v3 $(GO) build ./...
 	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/ ./internal/wire/ ./internal/client/ ./internal/server/ ./internal/cluster/
 
-ci: fmt vet deps-check build codegen portability race bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check
+ci: fmt vet deps-check build codegen portability race race-resident bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check

@@ -5,7 +5,7 @@
 // it without pulling in a machine model.
 //
 // The values are still the paper's Table 1 geometry rather than the
-// host's; a calibrated descriptor (ROADMAP item 2(b)) fills this struct
+// host's; a calibrated descriptor (ROADMAP item 3(b)) fills this struct
 // instead of replacing it. The paper's simulated machine, and the
 // SmartApps runtime that predicts against it, are the lab (see
 // docs/ARCHITECTURE.md, "Service and lab").

@@ -1,0 +1,261 @@
+package engine
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/reduction"
+)
+
+// The Submit family answers a verified resident hit on the caller
+// (SubmitAsyncIntoTenant → ServeResident). These tests pin that path;
+// run them under -race.
+
+// TestCallerHitNeedsNoWorker: with the only worker parked by Hold and the
+// one queue slot taken, a resident hit still completes — the Handle
+// SubmitAsync returns is already done, and the answer is RunSequential's.
+func TestCallerHitNeedsNoWorker(t *testing.T) {
+	l := simpLoop("caller-noworker", 512, 256, 16, 21)
+	want := l.RunSequential()
+	e := mustNew(t, Config{Workers: 1, QueueDepth: 1})
+	defer e.Close()
+	seedResident(t, e, l, want)
+	release, err := e.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	cold, err := e.SubmitAsync(simpLoop("caller-cold", 512, 256, 16, 22))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A hit that queued would block here, behind the full queue, until
+	// release; the submission runs off the test goroutine so that shows
+	// as a failure rather than a hang.
+	type submitted struct {
+		h   *Handle
+		err error
+	}
+	got := make(chan submitted, 1)
+	go func() {
+		h, err := e.SubmitAsync(l)
+		got <- submitted{h, err}
+	}()
+	var h *Handle
+	select {
+	case s := <-got:
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		h = s.h
+	case <-time.After(10 * time.Second):
+		t.Fatal("a resident hit blocked behind the parked worker and the full queue")
+	}
+	if !h.received {
+		t.Fatal("a resident hit returned a pending Handle")
+	}
+	res := h.Wait()
+	if res.Why != residentWhy || res.BatchSize != 1 || res.QueueWait != 0 {
+		t.Fatalf("got %s (%s), batch %d, queue wait %v; want an unqueued resident serve", res.Scheme, res.Why, res.BatchSize, res.QueueWait)
+	}
+	if d := bitDiffs(res.Values, want); d > 0 {
+		t.Fatalf("resident hit differs from RunSequential in %d of %d elements", d, len(want))
+	}
+	release()
+	cold.Wait()
+}
+
+// TestCallerValuesAliasDst: a caller's dst with room is the answer's
+// storage; the resident total never is — scribbling on an answer and
+// resubmitting returns the same bits.
+func TestCallerValuesAliasDst(t *testing.T) {
+	l := simpLoop("caller-alias", 512, 256, 16, 23)
+	want := l.RunSequential()
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, want)
+	entry, _ := e.lookup(l, l.Fingerprint())
+	total, ok := entry.segs.Resident(l)
+	if !ok {
+		t.Fatal("resident total not armed")
+	}
+
+	dst := make([]float64, l.NumElems+5)
+	res, err := e.SubmitInto(l, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Why != residentWhy || len(res.Values) != l.NumElems || &res.Values[0] != &dst[0] {
+		t.Fatalf("%s: Values (len %d) do not alias the caller's dst", res.Why, len(res.Values))
+	}
+	for _, dst := range [][]float64{nil, make([]float64, l.NumElems-1)} {
+		res, err := e.SubmitInto(l, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Why != residentWhy || len(res.Values) != l.NumElems || &res.Values[0] == &total[0] {
+			t.Fatalf("cap %d: %s, len %d; want a fresh copy of the resident total", cap(dst), res.Why, len(res.Values))
+		}
+		for i := range res.Values {
+			res.Values[i] = -1
+		}
+	}
+	res, err = e.Submit(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := bitDiffs(res.Values, want); res.Why != residentWhy || d > 0 {
+		t.Fatalf("after scribbling on earlier answers: %s, %d of %d elements differ", res.Why, d, len(want))
+	}
+}
+
+// TestCallerClosedResident: Close turns a resident loop away like any
+// other.
+func TestCallerClosedResident(t *testing.T) {
+	l := simpLoop("caller-closed", 512, 256, 16, 24)
+	e := mustNew(t, Config{Workers: 1})
+	seedResident(t, e, l, l.RunSequential())
+	e.Close()
+	if _, err := e.Submit(l); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
+	}
+	if _, err := e.SubmitAsync(l); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitAsync after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestCallerMutatedFallsThrough: a same-fingerprint loop whose content
+// moved fails verification on the caller and is run by a worker, with
+// RunSequential's bits and nothing counted in the caller shard.
+func TestCallerMutatedFallsThrough(t *testing.T) {
+	l := simpLoop("caller-mutated", 512, 256, 16, 25)
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, l.RunSequential())
+	m := mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 5, func(s int) bool { return s != 1 })
+
+	callerJobs := e.caller.c.Jobs
+	res, err := e.Submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Why == residentWhy {
+		t.Fatal("a mutated loop was answered from the resident total")
+	}
+	if d := bitDiffs(res.Values, m.RunSequential()); d > 0 {
+		t.Fatalf("mutated loop differs from RunSequential in %d of %d elements", d, len(res.Values))
+	}
+	if e.caller.c.Jobs != callerJobs {
+		t.Fatalf("caller shard counted %d jobs for a fall-through", e.caller.c.Jobs-callerJobs)
+	}
+}
+
+// TestCallerStatsCountOnce: a resident hit through the Submit family is
+// one job, one batch and one cache hit, on its tenant's row and in the
+// caller shard; no worker shard moves.
+func TestCallerStatsCountOnce(t *testing.T) {
+	l := simpLoop("caller-stats", 512, 256, 16, 26)
+	e := mustNew(t, Config{Workers: 2, Tenants: []TenantConfig{{Name: "t1"}}})
+	defer e.Close()
+	seedResident(t, e, l, l.RunSequential())
+
+	before := e.Stats()
+	workerJobs := make([]uint64, e.cfg.Workers)
+	for i := range workerJobs {
+		workerJobs[i] = e.statShards[i].c.Jobs
+	}
+	callerJobs := e.caller.c.Jobs
+	h, err := e.SubmitAsyncIntoTenant(l, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.Wait(); res.Why != residentWhy {
+		t.Fatalf("not a resident hit: %s", res.Why)
+	}
+	d := e.Stats().Sub(before)
+	if d.Jobs != 1 || d.Batches != 1 || d.CacheHits != 1 || d.Schemes["simplify"] != 1 || d.Tenants[1].Jobs != 1 || d.Tenants[0].Jobs != 0 {
+		t.Fatalf("one hit moved jobs/batches/hits/simplify/t1/default by %d/%d/%d/%d/%d/%d, want 1/1/1/1/1/0",
+			d.Jobs, d.Batches, d.CacheHits, d.Schemes["simplify"], d.Tenants[1].Jobs, d.Tenants[0].Jobs)
+	}
+	if e.caller.c.Jobs != callerJobs+1 {
+		t.Fatalf("caller shard moved by %d, want 1", e.caller.c.Jobs-callerJobs)
+	}
+	for i, n := range workerJobs {
+		if e.statShards[i].c.Jobs != n {
+			t.Fatalf("worker %d's shard moved on a caller hit", i)
+		}
+	}
+}
+
+// TestCallerRacesSchemeSwitch: eight submitters hammer one hot loop
+// through the Submit family while another goroutine keeps bumping the
+// entry's decision generation, as a recalibration scheme switch does.
+// Hits, declines, re-seeds and worker serves interleave; every answer
+// must be RunSequential's bits, and the reader count must return to zero.
+func TestCallerRacesSchemeSwitch(t *testing.T) {
+	l := simpLoop("caller-race", 512, 256, 16, 27)
+	want := l.RunSequential()
+	e := mustNew(t, Config{Workers: 2, Platform: core.DefaultPlatform(4)})
+	defer e.Close()
+	seedResident(t, e, l, want)
+	entry, _ := e.lookup(l, l.Fingerprint())
+
+	const submitters, rounds = 8, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var bumper sync.WaitGroup
+	bumper.Add(1)
+	go func() {
+		defer bumper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			entry.mu.Lock()
+			entry.decGen++
+			entry.mu.Unlock()
+			for i := 0; i < 50; i++ {
+				if _, err := e.Submit(l); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	resident := make([]int, submitters)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]float64, l.NumElems)
+			for i := 0; i < rounds; i++ {
+				h, err := e.SubmitAsyncInto(l, dst)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res := h.Wait()
+				if d := bitDiffs(res.Values, want); d > 0 {
+					t.Errorf("submitter %d round %d (%s): %d of %d elements differ from RunSequential", g, i, res.Why, d, len(want))
+					return
+				}
+				if res.Why == residentWhy && res.QueueWait == 0 {
+					resident[g]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	bumper.Wait()
+	if n := readers(e, l); n != 0 {
+		t.Fatalf("reader count %d after the storm, want 0", n)
+	}
+	t.Logf("caller resident hits per submitter: %v", resident)
+}

@@ -15,9 +15,10 @@
 //     (reduction.Exec.BatchOut), whose marginal cost is one result write,
 //   - SubmitAsync returns a Handle so clients can pipeline submissions;
 //     Submit is SubmitAsync + Wait,
-//   - a loop whose resident total verifies can instead be answered on
-//     the caller's goroutine (ServeResident), and a session delta always
-//     is (Session.Apply): no queue, worker or hand-off,
+//   - a verified resident hit never queues: a loop whose resident total
+//     verifies is answered on the caller's goroutine (ServeResident; the
+//     Submit family tries it first), and a session delta always is
+//     (Session.Apply): no coalescer, queue, worker or hand-off,
 //   - privatization buffers are recycled through a shared
 //     reduction.BufferPool, so steady-state jobs allocate ~nothing,
 //   - a direct execution cuts its blocks with the schemes' static
@@ -303,7 +304,10 @@ var ErrClosed = errors.New("engine: closed")
 
 // Submit runs one reduction job and blocks until its result is ready.
 // It is safe to call from many goroutines; the worker pool bounds how many
-// batches execute at once.
+// batches execute at once. For add, max and min the answer is
+// l.RunSequential()'s bits whichever path computed it, provided the loop
+// has fewer than 2^26 references (trace.Value's exact grid; a loop
+// submitted over the wire always has).
 func (e *Engine) Submit(l *trace.Loop) (Result, error) {
 	return e.SubmitInto(l, nil)
 }
@@ -324,7 +328,8 @@ func (e *Engine) SubmitInto(l *trace.Loop, dst []float64) (Result, error) {
 // waiting. Jobs submitted while a same-pattern batch is queued fuse into
 // it without consuming a queue slot; a job needing a fresh batch blocks
 // while the queue is at QueueDepth (backpressure), until a worker frees a
-// slot.
+// slot. A verified resident hit never blocks on QueueDepth: it is
+// answered before SubmitAsync returns (see SubmitAsyncIntoTenant).
 func (e *Engine) SubmitAsync(l *trace.Loop) (*Handle, error) {
 	return e.SubmitAsyncInto(l, nil)
 }
@@ -340,23 +345,50 @@ func (e *Engine) SubmitAsyncInto(l *trace.Loop, dst []float64) (*Handle, error) 
 // The job queues on the tenant's own FIFO and fuses only with the same
 // tenant's same-pattern jobs — cross-tenant fusion would let one
 // tenant's traffic ride (and observe) another's scheduling share.
+//
+// A loop whose resident total verifies never queues: ServeResident
+// answers it on the calling goroutine, the total is copied into dst, and
+// the returned Handle is already complete — no batch, queue slot, worker
+// or channel, so such a hit never fuses and never blocks on QueueDepth.
+// Everything else goes through SubmitFingerprinted.
 func (e *Engine) SubmitAsyncIntoTenant(l *trace.Loop, dst []float64, tenant int) (*Handle, error) {
-	if l == nil {
-		return nil, errors.New("engine: nil loop")
+	if err := checkLoop(l); err != nil {
+		return nil, err
 	}
-	return e.SubmitFingerprinted(l, l.Fingerprint(), dst, tenant)
+	fp := l.Fingerprint()
+	var h *Handle
+	if e.ServeResident(l, fp, tenant, func(res Result) {
+		total := res.Values
+		res.Values = sizeDst(dst, len(total))
+		copy(res.Values, total)
+		h = &Handle{res: res, received: true}
+	}) {
+		return h, nil
+	}
+	return e.SubmitFingerprinted(l, fp, dst, tenant)
 }
 
-// SubmitFingerprinted is SubmitAsyncIntoTenant for a caller that already
-// holds l.Fingerprint() — the network server computes it once to intern
-// the submission — so the loop is not hashed again here. fp must be
-// exactly l.Fingerprint(): it keys the decision cache and batch fusion.
-func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, tenant int) (*Handle, error) {
+// checkLoop rejects a loop no path can run.
+func checkLoop(l *trace.Loop) error {
 	if l == nil {
-		return nil, errors.New("engine: nil loop")
+		return errors.New("engine: nil loop")
 	}
 	if l.NumElems <= 0 {
-		return nil, fmt.Errorf("engine: loop %q has non-positive NumElems", l.Name)
+		return fmt.Errorf("engine: loop %q has non-positive NumElems", l.Name)
+	}
+	return nil
+}
+
+// SubmitFingerprinted is the queue-only submission: SubmitAsyncIntoTenant
+// without the resident probe, for a caller that already holds
+// l.Fingerprint() and has already tried ServeResident — the network
+// server computes the fingerprint once to intern the submission and
+// probes the resident total itself — so neither is repeated here. fp
+// must be exactly l.Fingerprint(): it keys the decision cache and batch
+// fusion.
+func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, tenant int) (*Handle, error) {
+	if err := checkLoop(l); err != nil {
+		return nil, err
 	}
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
@@ -383,8 +415,10 @@ func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, te
 // dequeues it waits. On a one-worker engine everything enqueued after
 // Hold returns therefore stays queued — and open to batch fusion — until
 // release, which makes queue residency deterministic for tests that
-// otherwise race a plug job's duration. release is idempotent and must
-// be called before Close.
+// otherwise race a plug job's duration. A verified resident hit is not
+// enqueued, so Hold does not park it and it never fuses; a test that
+// needs a resident loop queued submits through SubmitFingerprinted.
+// release is idempotent and must be called before Close.
 func (e *Engine) Hold() (release func(), err error) {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()

@@ -201,14 +201,32 @@ func TestServeResidentDeclines(t *testing.T) {
 		t.Fatalf("declines moved counters: jobs %d→%d", base.Jobs, s.Jobs)
 	}
 
-	// A worker that finds a reader declines its claim: the job runs direct.
+	// A worker that finds a reader declines its claim: the job runs
+	// direct. A caller's submission shares the reader's claim instead and
+	// is answered inline, with the bits the worker's resident serve gives
+	// once the reader has left.
+	submitQueued := func() (Result, error) {
+		h, err := e.SubmitFingerprinted(l, l.Fingerprint(), nil, 0)
+		if err != nil {
+			return Result{}, err
+		}
+		return h.Wait(), nil
+	}
 	set(func() { entry.segClaim++ })
-	if res, err := e.Submit(l); err != nil || res.Scheme == "simplify" {
+	if res, err := submitQueued(); err != nil || res.Scheme == "simplify" {
 		t.Fatalf("worker claimed the cache under a reader: %s, %v", res.Scheme, err)
 	}
+	inline, err := e.Submit(l)
+	if err != nil || inline.Why != residentWhy || inline.QueueWait != 0 {
+		t.Fatalf("caller not served inline under a reader: %s, queue wait %v, %v", inline.Why, inline.QueueWait, err)
+	}
 	set(func() { entry.segClaim-- })
-	if res, _ := e.Submit(l); res.Why != residentWhy {
-		t.Fatalf("worker did not serve resident once the reader left: %s", res.Why)
+	res, err := submitQueued()
+	if err != nil || res.Why != residentWhy {
+		t.Fatalf("worker did not serve resident once the reader left: %s, %v", res.Why, err)
+	}
+	if d := bitDiffs(inline.Values, res.Values); d > 0 {
+		t.Fatalf("inline serve differs from the worker's resident serve in %d of %d elements", d, len(res.Values))
 	}
 	if _, ok := serveResident(e, l, 0); !ok {
 		t.Fatal("armed entry declined")

@@ -198,7 +198,9 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 // entry's resident total verifies against it, the one serve that needs no
 // queue, batch or worker; false means nothing happened and the caller
 // submits as usual. fp must be l.Fingerprint(); tenant is an index from
-// TenantIndex.
+// TenantIndex. It is the one resident serve off a worker: the Submit
+// family calls it before queueing, and the network server calls it on
+// its read loop before SubmitFingerprinted.
 //
 // The decision cache is only probed: a miss creates no entry and leaves
 // the CLOCK ring as it was, a hit marks the entry as a worker's lookup

@@ -76,7 +76,7 @@ func TestEverySchemeHasASimulator(t *testing.T) {
 
 // TestHostDescriptorMatchesTable1 pins the one number the service and the
 // lab share: the host descriptor's default L2 is the simulated machine's
-// (Table 1), 512 KB. When ROADMAP 2(b) calibrates the descriptor the two
+// (Table 1), 512 KB. When ROADMAP 3(b) calibrates the descriptor the two
 // part ways on purpose and this test goes with them.
 func TestHostDescriptorMatchesTable1(t *testing.T) {
 	for _, procs := range []int{1, 4, 8} {

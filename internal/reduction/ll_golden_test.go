@@ -46,10 +46,11 @@ func bitsDigest(v []float64) uint64 {
 // shared by every run (recycled buffers with stale contents) and once
 // through the nil Exec, and compares the digest of each output's bits
 // with testdata/ll_bits.golden. The golden was recorded by this same
-// loop over the lazily initialised ll whose merge swept the link array
-// on dense loops, before ll's dense path became eager privatization with
-// a range-parallel merge; it pins that the rewrite changed no bit.
-// There is deliberately no -update path.
+// loop when trace.Value moved its contributions to the exact grid; it
+// pins ll's per-element fold order for mul, the one operator that still
+// rounds. There is deliberately no -update path. Add, max and min are
+// exact on the grid, so their rows must also equal RunSequential's bits
+// at every processor count, pooled or not.
 func TestLinkedListGolden(t *testing.T) {
 	ex := &reduction.Exec{Pool: reduction.NewBufferPool()}
 	var b strings.Builder
@@ -62,6 +63,9 @@ func TestLinkedListGolden(t *testing.T) {
 				out = reduction.LinkedList{}.RunInto(l, procs, ex, out)
 				pooled := bitsDigest(out)
 				cold := bitsDigest(reduction.LinkedList{}.Run(l, procs))
+				if seq := bitsDigest(l.RunSequential()); op != trace.OpMul && (pooled != seq || cold != seq) {
+					t.Errorf("%s %v p%d: ll's bits differ from RunSequential's (pooled=%016x nil=%016x seq=%016x)", l.Name, op, procs, pooled, cold, seq)
+				}
 				fmt.Fprintf(&b, "%s %v p%d pooled=%016x nil=%016x\n", l.Name, op, procs, pooled, cold)
 			}
 		}

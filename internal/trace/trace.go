@@ -178,17 +178,25 @@ func (l *Loop) ArrayBytes() int { return l.NumElems * l.ElemBytes }
 // of iteration iter to element idx. Using a pure function instead of stored
 // values keeps multi-million-reference traces compact while still letting
 // every scheme's result be checked against the sequential reference
-// execution bit-for-bit (all schemes apply contributions in element-local
-// order, and the operators used in tests are tolerance-checked for the
-// reassociation the parallel schemes perform).
+// execution bit for bit.
+//
+// Contributions lie on an exact grid: multiples of 2^-27 in (0, 1]. A sum
+// of fewer than 2^26 of them is a multiple of 2^-27 below 2^26, which a
+// float64 holds exactly, so every partial sum is exact and every
+// association of an add reduction returns RunSequential's bits (max and
+// min are exact anyway; mul still rounds). A loop that arrives over the
+// wire stays under the bound, since a frame is capped at 64 MiB and every
+// reference costs at least one byte of it.
 func Value(iter, k int, idx int32) float64 {
 	h := uint64(iter)*0x9E3779B97F4A7C15 ^ uint64(k)*0xBF58476D1CE4E5B9 ^ uint64(idx)*0x94D049BB133111EB
 	h ^= h >> 31
 	h *= 0xD6E8FEB86659FD93
 	h ^= h >> 27
-	// Map to (0, 1]: keep contributions positive and well-scaled so that
-	// add/mul/max/min reductions all remain numerically stable.
-	return float64(h>>11)/float64(1<<53) + 1e-9
+	// The top 27 bits, shifted into [1, 2^27] and scaled into (0, 1]:
+	// positive and well-scaled, so add/mul/max/min all stay stable. The
+	// int64 conversion is exact (the value is below 2^27) and compiles to
+	// one signed convert, where a uint64 one takes a branch.
+	return float64(int64(h>>37)+1) / (1 << 27)
 }
 
 // RunSequential executes the loop sequentially and returns the reduction

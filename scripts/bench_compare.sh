@@ -162,7 +162,7 @@ END {
     }
 }' "$cand" || failed="$failed affinity"
 
-# Network-hop gate (ROADMAP 1(c)): what one loopback hop adds to a job —
+# Network-hop gate (ROADMAP 1(a)): what one loopback hop adds to a job —
 # RemoteZipf minus EngineZipf32Clients/coalesced, the root-bench twin of
 # bench/'s stack.hop_overhead_us — must not grow past the baseline
 # file's overhead by more than the tolerance. With pattern handles a
