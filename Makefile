@@ -79,7 +79,7 @@ loadtest-gateway:
 # lists exactly the series a /metrics page declares (CI runs this as the
 # docs job).
 docs-check:
-	$(GO) run ./cmd/doccheck ./internal/wire ./internal/client ./internal/server ./internal/cluster ./internal/obs ./internal/metrics
+	$(GO) run ./cmd/doccheck ./internal/wire ./internal/client ./internal/server ./internal/cluster ./internal/obs ./internal/metrics ./internal/tier
 	./scripts/md_links.sh
 	$(GO) test -count=1 -run '^TestSeriesDocs$$' ./internal/metrics
 

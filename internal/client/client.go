@@ -65,8 +65,6 @@ type Config struct {
 	Conns int
 	// DialTimeout bounds one dial attempt (default 5s).
 	DialTimeout time.Duration
-	// MaxFrameBytes caps one response frame (default wire.DefaultMaxFrame).
-	MaxFrameBytes int
 	// Tenant, when set, authenticates every pooled connection as that
 	// tenant: a client HELLO carrying the name is sent right after the
 	// preamble, and the server charges the connection's jobs against the
@@ -82,9 +80,6 @@ func (c *Config) fill() {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = wire.DefaultMaxFrame
 	}
 }
 
@@ -358,7 +353,7 @@ func (pc *poolConn) ensure() (*netSession, error) {
 	}
 	// The server speaks first: its HELLO validates version agreement
 	// before any job is risked on the connection.
-	hr := wire.NewReader(nc, pc.cl.cfg.MaxFrameBytes)
+	hr := wire.NewReader(nc, wire.DefaultMaxFrame)
 	nc.SetReadDeadline(time.Now().Add(pc.cl.cfg.DialTimeout))
 	f, err := hr.Next()
 	if err != nil {

@@ -58,8 +58,6 @@ type Config struct {
 	Conns int
 	// DialTimeout bounds one dial attempt (default 5s).
 	DialTimeout time.Duration
-	// MaxFrameBytes caps one response frame (default wire.DefaultMaxFrame).
-	MaxFrameBytes int
 	// HealthInterval is the probe period for unhealthy backends (default
 	// 250ms). Healthy backends are not probed — the data path itself
 	// detects their failures.
@@ -88,9 +86,6 @@ func (c *Config) fill() {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = wire.DefaultMaxFrame
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
@@ -319,9 +314,8 @@ func (p *Pool) probe(b *backend) {
 	defer b.probeMu.Unlock()
 	if b.cl.Load() == nil {
 		fresh, err := client.Dial(b.addr, client.Config{
-			Conns:         p.cfg.Conns,
-			DialTimeout:   p.cfg.DialTimeout,
-			MaxFrameBytes: p.cfg.MaxFrameBytes,
+			Conns:       p.cfg.Conns,
+			DialTimeout: p.cfg.DialTimeout,
 		})
 		if err != nil {
 			return
@@ -333,7 +327,7 @@ func (p *Pool) probe(b *backend) {
 		}
 		return
 	}
-	if h, ok := probeDial(b.addr, p.cfg.DialTimeout, p.cfg.MaxFrameBytes); ok {
+	if h, ok := probeDial(b.addr, p.cfg.DialTimeout); ok {
 		b.procs.Store(int64(h.Procs))
 		b.healthy.Store(true)
 	}
@@ -342,7 +336,7 @@ func (p *Pool) probe(b *backend) {
 // probeDial performs one real liveness round-trip: dial, preamble, read
 // the HELLO, all under the dial timeout. Either the backend proves it is
 // serving the protocol right now, or the probe fails.
-func probeDial(addr string, timeout time.Duration, maxFrame int) (wire.Hello, bool) {
+func probeDial(addr string, timeout time.Duration) (wire.Hello, bool) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return wire.Hello{}, false
@@ -352,7 +346,7 @@ func probeDial(addr string, timeout time.Duration, maxFrame int) (wire.Hello, bo
 	if err := wire.WritePreamble(nc); err != nil {
 		return wire.Hello{}, false
 	}
-	f, err := wire.NewReader(nc, maxFrame).Next()
+	f, err := wire.NewReader(nc, wire.DefaultMaxFrame).Next()
 	if err != nil {
 		return wire.Hello{}, false
 	}
@@ -401,15 +395,15 @@ type PoolStats struct {
 // so they carry no wire position).
 var PoolStatsFields = []obs.Field[PoolStats]{
 	{Series: "redux_cluster_rerouted_total", Help: "Jobs re-placed after their backend's connection died.",
-		U64: func(s *PoolStats) *uint64 { return &s.Rerouted }},
+		Key: "rerouted", U64: func(s *PoolStats) *uint64 { return &s.Rerouted }},
 	{Series: "redux_cluster_timedout_total", Help: "Jobs re-placed after a backend sat silent past the leg timeout.",
-		U64: func(s *PoolStats) *uint64 { return &s.TimedOut }},
+		Key: "timed_out", U64: func(s *PoolStats) *uint64 { return &s.TimedOut }},
 	{Series: "redux_cluster_busy_retries_total", Help: "Same-backend resubmissions after BUSY answers.",
-		U64: func(s *PoolStats) *uint64 { return &s.BusyRetries }},
+		Key: "busy_retries", U64: func(s *PoolStats) *uint64 { return &s.BusyRetries }},
 	{Series: "redux_cluster_busy_spills_total", Help: "Jobs that left their affinity backend after the BUSY retry budget.",
-		U64: func(s *PoolStats) *uint64 { return &s.BusySpills }},
+		Key: "busy_spills", U64: func(s *PoolStats) *uint64 { return &s.BusySpills }},
 	{Series: "redux_cluster_exhausted_total", Help: "Jobs that ran out of backends (answered BUSY upstream).",
-		U64: func(s *PoolStats) *uint64 { return &s.Exhausted }},
+		Key: "exhausted", U64: func(s *PoolStats) *uint64 { return &s.Exhausted }},
 }
 
 // PoolStats snapshots the routing counters.

@@ -18,7 +18,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{Workers: -1},
 		{Platform: core.Platform{Procs: 65}},
 		{Platform: core.Platform{Procs: -2}},
-		{SampleStride: -1},
 		{QueueDepth: -3},
 		{MaxCacheEntries: -1},
 		{CacheShards: -4},

@@ -55,9 +55,6 @@ type Config struct {
 	// inspector's DIM metric and sizes the schemes' merge blocks. A zero
 	// platform defaults to core.DefaultPlatform(8).
 	Platform core.Platform
-	// SampleStride is the inspector sampling stride for pattern
-	// characterization (default 8).
-	SampleStride int
 	// QueueDepth is the submission queue length in batches (default
 	// 2*Workers). Jobs fusing into a queued batch consume no queue slot.
 	// With tenants configured the depth applies per tenant, so one
@@ -194,7 +191,7 @@ type Engine struct {
 // New starts an engine with cfg's worker pool running. It returns an
 // error when the configuration is invalid: a platform beyond the 64
 // processors the reduction schemes support, or negative Workers, QueueDepth,
-// MaxCacheEntries, CacheShards, MaxBatch or SampleStride (zero always
+// MaxCacheEntries, CacheShards or MaxBatch (zero always
 // means "use the default").
 func New(cfg Config) (*Engine, error) {
 	switch {
@@ -207,8 +204,6 @@ func New(cfg Config) (*Engine, error) {
 		// iteration's owners in a [64]bool and LocalWrite.RunInto panics
 		// past it.
 		return nil, fmt.Errorf("engine: platform with %d processors exceeds the 64 the reduction schemes support (lw's owner set)", cfg.Platform.Procs)
-	case cfg.SampleStride < 0:
-		return nil, fmt.Errorf("engine: negative SampleStride %d", cfg.SampleStride)
 	case cfg.QueueDepth < 0:
 		return nil, fmt.Errorf("engine: negative QueueDepth %d", cfg.QueueDepth)
 	case cfg.MaxCacheEntries < 0:
@@ -231,9 +226,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Platform.Procs == 0 {
 		cfg.Platform = core.DefaultPlatform(8)
-	}
-	if cfg.SampleStride == 0 {
-		cfg.SampleStride = 8
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 2 * cfg.Workers

@@ -56,6 +56,9 @@ const (
 	// periodic re-profile marks the entry stale (the paper's
 	// re-characterization trigger; pattern.Tracker uses the same level).
 	recalDistance = 0.25
+	// sampleStride is the inspector's iteration stride for every
+	// characterization the engine runs.
+	sampleStride = 8
 )
 
 // recalEnabled reports whether the recalibration subsystem runs.
@@ -63,7 +66,7 @@ func (e *Engine) recalEnabled() bool { return !e.cfg.DisableRecal }
 
 // characterize runs the engine's standard sampled inspector pass on l.
 func (e *Engine) characterize(l *trace.Loop) *pattern.Profile {
-	return pattern.CharacterizeSampled(l, e.cfg.Platform.Procs, e.cfg.Platform.Cfg.L2Bytes, e.cfg.SampleStride)
+	return pattern.CharacterizeSampled(l, e.cfg.Platform.Procs, e.cfg.Platform.Cfg.L2Bytes, sampleStride)
 }
 
 // recordCost feeds one batch execution's measured cost into the entry's

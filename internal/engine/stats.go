@@ -151,17 +151,17 @@ const (
 // order; each row renders one sample per tenant, labelled tenant=Name.
 var TenantFields = []obs.Field[TenantStats]{
 	tenantJobs: {Series: "redux_engine_tenant_jobs_total", Help: "Reduction jobs executed per tenant.",
-		Group: WireTenant, Slot: 1, U64: func(t *TenantStats) *uint64 { return &t.Jobs }},
+		Key: "jobs", Group: WireTenant, Slot: 1, U64: func(t *TenantStats) *uint64 { return &t.Jobs }},
 	tenantBatches: {Series: "redux_engine_tenant_batches_total", Help: "Batch executions per tenant.",
-		Group: WireTenant, Slot: 2, U64: func(t *TenantStats) *uint64 { return &t.Batches }},
+		Key: "batches", Group: WireTenant, Slot: 2, U64: func(t *TenantStats) *uint64 { return &t.Batches }},
 	tenantBusy: {Series: "redux_engine_tenant_busy_total", Help: "Jobs rejected by the tenant's admission quotas (BUSY tenant answers).",
-		Group: WireTenant, Slot: 3, U64: func(t *TenantStats) *uint64 { return &t.Busy }},
+		Key: "busy", Group: WireTenant, Slot: 3, U64: func(t *TenantStats) *uint64 { return &t.Busy }},
 	tenantRecalibrations: {Series: "redux_engine_tenant_recalibrations_total", Help: "Stale-entry re-inspections triggered by the tenant's batches.",
-		Group: WireTenant, Slot: 4, U64: func(t *TenantStats) *uint64 { return &t.Recalibrations }},
+		Key: "recalibrations", Group: WireTenant, Slot: 4, U64: func(t *TenantStats) *uint64 { return &t.Recalibrations }},
 	tenantSchemeSwitches: {Series: "redux_engine_tenant_scheme_switches_total", Help: "Recalibrations by the tenant's batches that replaced a cached scheme.",
-		Group: WireTenant, Slot: 5, U64: func(t *TenantStats) *uint64 { return &t.SchemeSwitches }},
+		Key: "scheme_switches", Group: WireTenant, Slot: 5, U64: func(t *TenantStats) *uint64 { return &t.SchemeSwitches }},
 	tenantWeight: {Kind: obs.Setting, Series: "redux_engine_tenant_weight", Help: "Configured DRR scheduling weight per tenant.",
-		Group: WireTenant, Slot: 0, Int: func(t *TenantStats) *int { return &t.Weight }},
+		Key: "weight", Group: WireTenant, Slot: 0, Int: func(t *TenantStats) *int { return &t.Weight }},
 }
 
 // tenant returns s's row for the named tenant, appending a zero row the

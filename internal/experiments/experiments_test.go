@@ -2,16 +2,21 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
-func tinyFig3() Fig3Scale { return Fig3Scale{Dense: 0.04, Sparse: 0.3, Procs: 8} }
+// tinyFig3 computes Figure 3 at the test scale once per test binary; the
+// tests that read it share the one result.
+var tinyFig3 = sync.OnceValue(func() []Fig3Result {
+	return RunFig3(Fig3Scale{Dense: 0.04, Sparse: 0.3, Procs: 8})
+})
 
 func TestFig3RecommendationsAllMatch(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates all 21 Figure 3 rows (~13s); run without -short")
+		t.Skip("computes all 21 Figure 3 rows once for both Fig. 3 tests (~25s); run without -short")
 	}
-	res := RunFig3(tinyFig3())
+	res := tinyFig3()
 	s := Summarize(res)
 	if s.Rows != 21 {
 		t.Fatalf("rows = %d, want 21", s.Rows)
@@ -33,9 +38,9 @@ func TestFig3RecommendationsAllMatch(t *testing.T) {
 
 func TestFig3FormatContainsSummary(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates all 21 Figure 3 rows (~13s); run without -short")
+		t.Skip("computes all 21 Figure 3 rows once for both Fig. 3 tests (~25s); run without -short")
 	}
-	out := FormatFig3(RunFig3(tinyFig3()))
+	out := FormatFig3(tinyFig3())
 	if !strings.Contains(out, "recommendation-matches-paper=21/21") {
 		t.Errorf("summary line missing or wrong:\n%s", out[len(out)-200:])
 	}

@@ -1,11 +1,13 @@
 // Package metrics renders the runtime's statistics structs as Prometheus
-// series for the /metrics endpoint. The scalar series are not listed
-// here: each stats struct declares its own schema beside its fields
-// (engine.StatsFields, engine.TenantFields, server.StatsFields,
-// cluster.PoolStatsFields) and this package loops over those tables, so
-// a counter added to a struct's table cannot be missing from the scrape.
-// Only the structured families — scheme mix, occupancy, the stage and
-// queue-wait histograms, per-backend health — are written out by hand.
+// series for the /metrics endpoint, and as the text summary the binaries
+// print (WriteSummary). The scalar rows are not listed here: each stats
+// struct declares its own schema beside its fields (engine.StatsFields,
+// engine.TenantFields, server.StatsFields, cluster.PoolStatsFields) and
+// both renderers loop over those tables, so a counter added to a
+// struct's table cannot be missing from the scrape or the summary. Only
+// the structured families — scheme mix, occupancy, the stage and
+// queue-wait histograms, tenant rows, per-backend health — are written
+// out by hand.
 //
 // Naming follows the Prometheus conventions: counters end in _total,
 // gauges are bare nouns, histograms are _seconds families with stage
@@ -14,7 +16,9 @@
 package metrics
 
 import (
+	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strconv"
 
@@ -115,4 +119,83 @@ func WritePoolStats(w io.Writer, ps cluster.PoolStats) error {
 		m.Sample("redux_cluster_backend_jobs_total", float64(b.Jobs), "backend", b.Addr)
 	}
 	return m.Err()
+}
+
+// Snapshot is one tier's counters at one moment, the input of
+// WriteSummary. A nil part is not printed: an in-process engine has no
+// server, and only a gateway has a pool.
+type Snapshot struct {
+	// Engine is one engine's counters, or a gateway's merge of its
+	// backends' STATS answers.
+	Engine *engine.Stats
+	// Server is the wire front end's counters.
+	Server *server.Stats
+	// Pool is a gateway's routing and failover counters.
+	Pool *cluster.PoolStats
+}
+
+// WriteSummary renders s as the text block reduxd and reduxgw print on
+// shutdown and reduxserve prints under its report, every line starting
+// with prefix. Like the /metrics page it loops over the stats tables
+// (engine.StatsFields, engine.TenantFields, server.StatsFields,
+// cluster.PoolStatsFields), so a row added to any of them is printed
+// with no edit here or in a binary: one line per table, holding its
+// non-zero rows as key=value. The structured fields follow their table:
+// scheme mix, batch occupancy and one line per tenant after the engine
+// line, one line per backend after the pool line.
+func WriteSummary(w io.Writer, prefix string, s Snapshot) error {
+	var b []byte
+	if e := s.Engine; e != nil {
+		b = appendRows(b, prefix+"engine:", engine.StatsFields, e)
+		if len(e.Schemes) > 0 {
+			b = append(b, prefix+"scheme mix:"...)
+			for _, name := range slices.Sorted(maps.Keys(e.Schemes)) {
+				b = fmt.Appendf(b, " %s:%d", name, e.Schemes[name])
+			}
+			b = append(b, '\n')
+		}
+		if slices.ContainsFunc(e.BatchOccupancy, func(n uint64) bool { return n > 0 }) {
+			b = append(b, prefix+"batch occupancy:"...)
+			for size, n := range e.BatchOccupancy {
+				if n > 0 {
+					b = fmt.Appendf(b, " %dx:%d", size, n)
+				}
+			}
+			b = append(b, '\n')
+		}
+		for i := range e.Tenants {
+			b = appendRows(b, prefix+"tenant "+e.Tenants[i].Name+":", engine.TenantFields, &e.Tenants[i])
+		}
+	}
+	if s.Server != nil {
+		b = appendRows(b, prefix+"server:", server.StatsFields, s.Server)
+	}
+	if p := s.Pool; p != nil {
+		b = appendRows(b, prefix+"pool:", cluster.PoolStatsFields, p)
+		for _, be := range p.Backends {
+			state := "down"
+			if be.Healthy {
+				state = "healthy"
+			}
+			b = fmt.Appendf(b, "%sbackend %s: %s, jobs=%d\n", prefix, be.Addr, state, be.Jobs)
+		}
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// appendRows appends one summary line: label, then key=value for each of
+// the table's rows that is non-zero in v.
+func appendRows[T any](b []byte, label string, rows []obs.Field[T], v *T) []byte {
+	b = append(b, label...)
+	n := len(b)
+	for i := range rows {
+		if f := &rows[i]; f.Get(v) != 0 {
+			b = fmt.Appendf(b, " %s=%d", f.Key, f.Get(v))
+		}
+	}
+	if len(b) == n {
+		b = append(b, " all zero"...)
+	}
+	return append(b, '\n')
 }

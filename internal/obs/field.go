@@ -39,8 +39,9 @@ type Field[T any] struct {
 	Kind Kind
 	// Series and Help are the Prometheus family name and HELP text.
 	Series, Help string
-	// Key is the row's key in machine-readable reports (reduxserve
-	// -json); empty in tables no report prints.
+	// Key names the row in reports: the shutdown summary
+	// (metrics.WriteSummary) of every table, and reduxserve -json for
+	// engine.StatsFields. Unique within its table.
 	Key string
 	// Group and Slot place the row in the positional STATS frame: Group
 	// selects the run of values (the base run or one of the optional

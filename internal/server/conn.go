@@ -172,7 +172,7 @@ func (c *conn) serve() {
 	})
 	c.send(hello)
 
-	r := wire.NewReader(c.nc, c.srv.cfg.MaxFrameBytes)
+	r := wire.NewReader(c.nc, wire.DefaultMaxFrame)
 	for {
 		f, err := r.Next()
 		if err != nil {
@@ -293,7 +293,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	if isRef {
 		fp, handle, traceID, err = f.DecodeSubmitRef()
 	} else {
-		c.scratchOff, c.scratchRefs, traceID, err = f.DecodeSubmitInto(&c.scratch, c.scratchOff, c.scratchRefs, c.srv.cfg.MaxElems)
+		c.scratchOff, c.scratchRefs, traceID, err = f.DecodeSubmitInto(&c.scratch, c.scratchOff, c.scratchRefs, wire.DefaultMaxElems)
 	}
 	if err != nil {
 		// The frame itself was well-delimited, so the stream stays in
@@ -500,7 +500,7 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 	}
 	var sid uint64
 	var err error
-	sid, c.scratchOff, c.scratchRefs, err = f.DecodeOpenSessionInto(&c.scratch, c.scratchOff, c.scratchRefs, c.srv.cfg.MaxElems)
+	sid, c.scratchOff, c.scratchRefs, err = f.DecodeOpenSessionInto(&c.scratch, c.scratchOff, c.scratchRefs, wire.DefaultMaxElems)
 	if err != nil {
 		release()
 		c.sendError(f.JobID, err.Error())
@@ -565,7 +565,7 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 // handleDelta admits and decodes one delta batch, resolves its session
 // (touching the TTL clock and CLOCK bit), and applies it on the read
 // loop: an apply costs microseconds, less than a goroutine hand-off, and
-// a batch is bounded by MaxFrameBytes. An unknown, expired or evicted
+// a batch is bounded by wire.DefaultMaxFrame. An unknown, expired or evicted
 // session draws the typed session-gone ERROR — never a stale sum.
 func (c *conn) handleDelta(f wire.Frame) {
 	t0 := time.Now()

@@ -63,10 +63,15 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. The request caps are not settings: a
+// frame is at most wire.DefaultMaxFrame (64 MiB) and a loop at most
+// wire.DefaultMaxElems wide. The frame cap is what holds the numerical
+// contract for the wire: a 64 MiB SUBMIT carries fewer than 2^26
+// references, so every add path answers with RunSequential's bits (see
+// engine.Submit). A knob that raised the cap would break that contract
+// without any error.
 type Config struct {
 	// MaxInflightPerConn bounds jobs in flight per connection (default
 	// 64). Submissions beyond it draw BUSY(BusyConn).
@@ -74,11 +79,6 @@ type Config struct {
 	// MaxInflightGlobal bounds jobs in flight across all connections
 	// (default 1024). Submissions beyond it draw BUSY(BusyGlobal).
 	MaxInflightGlobal int
-	// MaxFrameBytes caps one request frame (default wire.DefaultMaxFrame).
-	MaxFrameBytes int
-	// MaxElems caps a submitted loop's reduction array dimension (default
-	// wire.DefaultMaxElems).
-	MaxElems int
 	// MaxInternedLoops bounds the canonical-loop intern table (default
 	// 4096 across all shards); beyond it the owning shard evicts by CLOCK.
 	MaxInternedLoops int
@@ -115,12 +115,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxInflightGlobal <= 0 {
 		c.MaxInflightGlobal = 1024
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = wire.DefaultMaxFrame
-	}
-	if c.MaxElems <= 0 {
-		c.MaxElems = wire.DefaultMaxElems
 	}
 	if c.MaxInternedLoops <= 0 {
 		c.MaxInternedLoops = 4096
@@ -345,25 +339,25 @@ type Stats struct {
 // carry no wire position).
 var StatsFields = []obs.Field[Stats]{
 	{Series: "redux_server_busy_total", Help: "Submissions rejected by admission control (BUSY answers).",
-		U64: func(s *Stats) *uint64 { return &s.Busy }},
+		Key: "busy", U64: func(s *Stats) *uint64 { return &s.Busy }},
 	{Series: "redux_server_intern_hits_total", Help: "Submissions that mapped onto an already-interned canonical loop.",
-		U64: func(s *Stats) *uint64 { return &s.InternHits }},
+		Key: "intern_hits", U64: func(s *Stats) *uint64 { return &s.InternHits }},
 	{Series: "redux_server_pattern_handle_hits_total", Help: "Submissions that arrived as a pattern handle the intern table still held (no decode; included in intern hits).",
-		U64: func(s *Stats) *uint64 { return &s.HandleHits }},
+		Key: "handle_hits", U64: func(s *Stats) *uint64 { return &s.HandleHits }},
 	{Series: "redux_server_pattern_handle_gone_total", Help: "Pattern handles that missed and were answered pattern-gone (the client resubmits in full).",
-		U64: func(s *Stats) *uint64 { return &s.HandleGone }},
+		Key: "handle_gone", U64: func(s *Stats) *uint64 { return &s.HandleGone }},
 	{Series: "redux_server_inline_total", Help: "Jobs the connection's read loop answered itself: submissions served from a verified resident total, and applied session deltas.",
-		U64: func(s *Stats) *uint64 { return &s.Inline }},
+		Key: "inline", U64: func(s *Stats) *uint64 { return &s.Inline }},
 	{Kind: obs.Gauge, Series: "redux_server_interned_loops", Help: "Canonical loops currently interned.",
-		Int: func(s *Stats) *int { return &s.InternedLoops }},
+		Key: "interned_loops", Int: func(s *Stats) *int { return &s.InternedLoops }},
 	{Series: "redux_server_intern_evictions_total", Help: "Canonical loops, and with them their pattern handles, evicted by the intern table's CLOCK sweep.",
-		U64: func(s *Stats) *uint64 { return &s.InternEvictions }},
+		Key: "intern_evictions", U64: func(s *Stats) *uint64 { return &s.InternEvictions }},
 	{Kind: obs.Gauge, Series: "redux_server_sessions", Help: "Streaming sessions currently resident.",
-		Int: func(s *Stats) *int { return &s.Sessions }},
+		Key: "sessions_resident", Int: func(s *Stats) *int { return &s.Sessions }},
 	{Series: "redux_server_session_opens_total", Help: "Streaming sessions admitted (OPEN_SESSION accepted).",
-		U64: func(s *Stats) *uint64 { return &s.SessionOpens }},
+		Key: "sessions_admitted", U64: func(s *Stats) *uint64 { return &s.SessionOpens }},
 	{Series: "redux_server_session_evictions_total", Help: "Sessions evicted by TTL expiry or the CLOCK sweep.",
-		U64: func(s *Stats) *uint64 { return &s.SessionEvictions }},
+		Key: "session_evictions", U64: func(s *Stats) *uint64 { return &s.SessionEvictions }},
 }
 
 // Stats snapshots the server counters.

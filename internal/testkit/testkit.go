@@ -6,8 +6,10 @@
 // the right order (cleanups run LIFO, so build stacks bottom-up and the
 // client closes before the gateway, the gateway before the backends).
 //
-// All helpers are -race safe: teardown joins every goroutine it started
-// (Serve loops, engine workers) before returning.
+// The stacks are thin t.Cleanup wrappers over internal/tier, the boot
+// and drain sequence the binaries share. All helpers are -race safe:
+// teardown joins every goroutine it started (Serve loops, engine
+// workers) before returning.
 package testkit
 
 import (
@@ -20,31 +22,45 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
+	"repro/internal/tier"
 	"repro/internal/trace"
 )
 
 // shutdownTimeout bounds one component's graceful drain in teardown.
 const shutdownTimeout = 10 * time.Second
 
-// Daemon is one booted engine + server stack, the reduxd shape.
-type Daemon struct {
-	// Eng is the daemon's engine, owned by the stack (closed by Close).
-	Eng *engine.Engine
-	// Srv is the wire-protocol front end over Eng.
-	Srv *server.Server
-	// Addr is the daemon's dial address.
-	Addr string
+// Daemon is one booted engine + server stack, the reduxd shape: its
+// tier's Eng (owned by the stack), Srv and Addr. ExpectUncleanServe
+// marks the listener as externally killed (a failure-injection test cut
+// it): Close then accepts any Serve error, where it normally requires
+// server.ErrServerClosed.
+type Daemon struct{ stack }
 
-	t       testing.TB
-	done    chan error
-	closed  bool
-	unclean bool
+// Gateway is a booted cluster pool behind a wire-protocol front end, the
+// reduxgw shape: its tier's Pool (owned by the stack), Srv and Addr.
+type Gateway struct{ stack }
+
+// stack is a booted tier whose teardown fails the test on an unclean
+// drain.
+type stack struct {
+	*tier.Tier
+	t      testing.TB
+	closed bool
 }
 
-// ExpectUncleanServe marks the daemon's listener as externally killed (a
-// failure-injection test cut it): Close then accepts any Serve error,
-// where it normally requires server.ErrServerClosed.
-func (d *Daemon) ExpectUncleanServe() { d.unclean = true }
+// Close drains the stack: server shutdown, serve loop joined, engine or
+// pool closed. It is idempotent, so tests may call it mid-run and the
+// registered cleanup becomes a no-op.
+func (s *stack) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	s.Drain(shutdownTimeout)
+	if err := s.Tier.Close(); err != nil {
+		s.t.Errorf("testkit: close %s: %v", s.Addr, err)
+	}
+}
 
 // StartDaemon boots an engine and a server on a random loopback port.
 // Zero-value configs get the small test defaults (2 workers, 4 procs).
@@ -59,11 +75,7 @@ func StartDaemon(t testing.TB, ecfg engine.Config, scfg server.Config) *Daemon {
 // restart-on-the-same-port scenario boots its second daemon.
 func StartDaemonAt(t testing.TB, addr string, ecfg engine.Config, scfg server.Config) *Daemon {
 	t.Helper()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return StartDaemonOn(t, ln, ecfg, scfg)
+	return StartDaemonOn(t, listen(t, addr), ecfg, scfg)
 }
 
 // StartDaemonOn is StartDaemon over a caller-built listener — how a
@@ -76,53 +88,13 @@ func StartDaemonOn(t testing.TB, ln net.Listener, ecfg engine.Config, scfg serve
 	if ecfg.Platform.Procs == 0 {
 		ecfg.Platform = core.DefaultPlatform(4)
 	}
-	eng, err := engine.New(ecfg)
+	tr, err := tier.StartDaemon(ln, ecfg, scfg)
 	if err != nil {
-		ln.Close()
 		t.Fatal(err)
 	}
-	d := &Daemon{
-		Eng:  eng,
-		Srv:  server.New(eng, scfg),
-		Addr: ln.Addr().String(),
-		t:    t,
-		done: make(chan error, 1),
-	}
-	go func() { d.done <- d.Srv.Serve(ln) }()
+	d := &Daemon{stack{Tier: tr, t: t}}
 	t.Cleanup(d.Close)
 	return d
-}
-
-// Close drains the daemon: server shutdown, serve loop joined, engine
-// closed. It is idempotent, so tests may call it mid-run and the
-// registered cleanup becomes a no-op.
-func (d *Daemon) Close() {
-	if d.closed {
-		return
-	}
-	d.closed = true
-	if err := d.Srv.Shutdown(shutdownTimeout); err != nil {
-		d.t.Errorf("testkit: daemon shutdown: %v", err)
-	}
-	if err := <-d.done; err != server.ErrServerClosed && !d.unclean {
-		d.t.Errorf("testkit: daemon Serve returned %v, want ErrServerClosed", err)
-	}
-	d.Eng.Close()
-}
-
-// Gateway is a booted cluster pool behind a wire-protocol front end,
-// the reduxgw shape.
-type Gateway struct {
-	// Pool is the gateway's backend pool, owned by the stack.
-	Pool *cluster.Pool
-	// Srv is the wire-protocol front end over Pool.
-	Srv *server.Server
-	// Addr is the gateway's dial address.
-	Addr string
-
-	t      testing.TB
-	done   chan error
-	closed bool
 }
 
 // StartGateway boots a pattern-routing gateway over the given backend
@@ -132,41 +104,23 @@ type Gateway struct {
 func StartGateway(t testing.TB, ccfg cluster.Config, scfg server.Config, backends ...string) *Gateway {
 	t.Helper()
 	ccfg.Backends = backends
-	pool, err := cluster.New(ccfg)
+	tr, err := tier.StartGateway(listen(t, "127.0.0.1:0"), ccfg, scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		pool.Close()
-		t.Fatal(err)
-	}
-	g := &Gateway{
-		Pool: pool,
-		Srv:  server.NewWithDispatcher(pool, scfg),
-		Addr: ln.Addr().String(),
-		t:    t,
-		done: make(chan error, 1),
-	}
-	go func() { g.done <- g.Srv.Serve(ln) }()
+	g := &Gateway{stack{Tier: tr, t: t}}
 	t.Cleanup(g.Close)
 	return g
 }
 
-// Close drains the gateway front end, joins its serve loop and closes
-// the pool. Idempotent, like Daemon.Close.
-func (g *Gateway) Close() {
-	if g.closed {
-		return
+// listen opens a TCP listener on addr or fails t.
+func listen(t testing.TB, addr string) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.closed = true
-	if err := g.Srv.Shutdown(shutdownTimeout); err != nil {
-		g.t.Errorf("testkit: gateway shutdown: %v", err)
-	}
-	if err := <-g.done; err != server.ErrServerClosed {
-		g.t.Errorf("testkit: gateway Serve returned %v, want ErrServerClosed", err)
-	}
-	g.Pool.Close()
+	return ln
 }
 
 // DialPool connects a pooled pipelining client to addr and registers its

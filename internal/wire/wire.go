@@ -42,9 +42,15 @@ const ProtoVersion = 1
 var Magic = [4]byte{'R', 'D', 'X', 'P'}
 
 // Defaults for the decode-side resource caps. Both exist so a corrupt or
-// hostile frame cannot make a peer allocate unbounded memory.
+// hostile frame cannot make a peer allocate unbounded memory, and the
+// server, client and gateway pool read with exactly these (none of them
+// makes a cap configurable).
 const (
-	// DefaultMaxFrame caps one frame's payload (64 MiB).
+	// DefaultMaxFrame caps one frame's payload (64 MiB). It also keeps a
+	// submitted loop under 2^26 references (each costs at least a byte),
+	// the bound under which trace.Value's exact grid makes every add
+	// path return RunSequential's bits; raising it would void that
+	// contract silently.
 	DefaultMaxFrame = 64 << 20
 	// DefaultMaxElems caps a submitted loop's reduction array dimension.
 	DefaultMaxElems = 1 << 24
