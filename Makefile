@@ -112,13 +112,15 @@ cover:
 codegen:
 	./scripts/bce_check.sh
 
-# portability cross-compiles for linux/arm64 and linux/amd64 at the v3
-# (AVX2) microarchitecture level, then runs the kernel-bearing and
-# transport packages' tests shuffled twice — the CI portability job,
-# runnable locally.
+# portability cross-compiles for linux/arm64, linux/amd64 at the v3
+# (AVX2) microarchitecture level and big-endian linux/s390x (the RESULT
+# codec's portable path), then runs the kernel-bearing and transport
+# packages' tests shuffled twice — the CI portability job, runnable
+# locally.
 portability:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=amd64 GOAMD64=v3 $(GO) build ./...
+	GOOS=linux GOARCH=s390x $(GO) build ./...
 	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/ ./internal/wire/ ./internal/client/ ./internal/server/ ./internal/cluster/
 
 ci: fmt vet deps-check build codegen portability race race-resident bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check

@@ -99,13 +99,21 @@ func TestCrossTierTraceStitching(t *testing.T) {
 		}
 	}
 
-	// The gateway total brackets the backend total, and everything before
-	// its socket write sits within the client's observed latency (the
-	// client adds only encode + socket time on top, so the gateway must
-	// account for the bulk of it; the write itself may still be returning
-	// when the client already holds the answer).
-	if gwTrace.TotalNs < beTrace.TotalNs {
-		t.Fatalf("gateway total %dns below backend total %dns", gwTrace.TotalNs, beTrace.TotalNs)
+	// The backend's timeline closes after its own socket write, and the
+	// gateway may hold the answer — and finish its own timeline — while
+	// that write is still returning. Everything the backend did before
+	// its write, though, lies between the gateway's route start and the
+	// end of its wait for the leg: inside the gateway total, and inside
+	// route + backend_wait + merge, since the waiter goroutine's start
+	// between the two legs is charged to merge, the residual. Everything
+	// before the gateway's own write sits within the client's observed
+	// latency (the client adds only encode + socket time on top, so the
+	// gateway must account for the bulk of it).
+	beSent := beTrace.TotalNs - beStages["write"]
+	leg := gwStages["route"] + gwStages["backend_wait"] + gwStages["merge"]
+	if leg < beSent || gwTrace.TotalNs < beSent {
+		t.Fatalf("gateway route+backend_wait+merge %dns / total %dns below the backend's %dns before its write",
+			leg, gwTrace.TotalNs, beSent)
 	}
 	if sent := gwTrace.TotalNs - gwStages["write"]; sent > clientLatency.Nanoseconds() {
 		t.Fatalf("gateway total before its write %dns exceeds client latency %dns", sent, clientLatency.Nanoseconds())

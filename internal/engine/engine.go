@@ -300,6 +300,17 @@ var ErrClosed = errors.New("engine: closed")
 // l.RunSequential()'s bits whichever path computed it, provided the loop
 // has fewer than 2^26 references (trace.Value's exact grid; a loop
 // submitted over the wire always has).
+//
+// A submitted loop must not change afterwards; build a new one instead
+// (Clone, then edit the copy). A resubmission is checked against what
+// the engine holds only at sampled positions: trace.Loop.Fingerprint's
+// and, per segment, pattern.HashRefs'. Its subscripts are otherwise
+// compared with the retained ones, and the engine retains the loop's own
+// storage, so for a loop edited in place through Flat that comparison is
+// with itself. An in-place edit at a sampled position is recomputed on a
+// worker; one anywhere else is answered with the previous content's
+// resident total. A different loop object is compared in full, so an
+// edited copy is always recomputed.
 func (e *Engine) Submit(l *trace.Loop) (Result, error) {
 	return e.SubmitInto(l, nil)
 }

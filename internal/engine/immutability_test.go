@@ -1,0 +1,96 @@
+package engine
+
+import (
+	"testing"
+
+	"repro/internal/pattern"
+	"repro/internal/reduction"
+	"repro/internal/trace"
+)
+
+// The immutability rule, with the in-process adversary as its test: a
+// resident loop mutated in place through Flat and resubmitted is checked
+// at the sampled positions only — Fingerprint's and each segment's
+// pattern.HashRefs'. SameRefs against the retained subscripts compares a
+// slice with itself, since the cache retains the loop's own storage. So
+// a mutation at a sampled position is recomputed by a worker, and one
+// anywhere else is answered with the previous content's resident total.
+// The contract is documented (Engine.Submit, trace.Loop.Flat), not
+// detected.
+
+// sampledPositions reports, per reference position of l, whether
+// changing it alone moves l's fingerprint (fp) or its segment's hash
+// (seg).
+func sampledPositions(l *trace.Loop, segIters int) (fp, seg []bool) {
+	offs, refs := l.Flat()
+	fp, seg = make([]bool, len(refs)), make([]bool, len(refs))
+	base := l.Fingerprint()
+	for it := 0; it < l.NumIters(); it += segIters {
+		lo, hi := int(offs[it]), int(offs[min(it+segIters, l.NumIters())])
+		h := pattern.HashRefs(refs[lo:hi])
+		for p := lo; p < hi; p++ {
+			old := refs[p]
+			refs[p] = (old + 1) % int32(l.NumElems)
+			fp[p], seg[p] = l.Fingerprint() != base, pattern.HashRefs(refs[lo:hi]) != h
+			refs[p] = old
+		}
+	}
+	return fp, seg
+}
+
+func TestMutatedInPlaceResident(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pick func(fp, seg bool) bool
+		// stale: the answer is the previous content's total.
+		stale bool
+	}{
+		{"unsampled", func(fp, seg bool) bool { return !fp && !seg }, true},
+		{"segment-sampled", func(fp, seg bool) bool { return !fp && seg }, false},
+		{"fingerprint-sampled", func(fp, seg bool) bool { return fp }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := simpLoop("adversary-"+tc.name, 512, 256, 16, 31)
+			before := l.RunSequential()
+			e := mustNew(t, Config{Workers: 1})
+			defer e.Close()
+			seedResident(t, e, l, before)
+
+			fp, seg := sampledPositions(l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs))
+			p := -1
+			for i := len(fp) - 1; i >= 0 && p < 0; i-- {
+				if tc.pick(fp[i], seg[i]) {
+					p = i
+				}
+			}
+			if p < 0 {
+				t.Fatal("no position of the wanted kind")
+			}
+			_, refs := l.Flat()
+			refs[p] = (refs[p] + 1) % int32(l.NumElems)
+			after := l.RunSequential()
+			if bitDiffs(after, before) == 0 {
+				t.Fatal("the mutation does not change the answer")
+			}
+
+			callerJobs := e.caller.c.Jobs
+			res, err := e.Submit(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.stale {
+				if res.Why != residentWhy || bitDiffs(res.Values, before) != 0 || e.caller.c.Jobs != callerJobs+1 {
+					t.Fatalf("%s on the caller, %d elements off the previous total; want the previous total, served resident",
+						res.Why, bitDiffs(res.Values, before))
+				}
+				return
+			}
+			if res.Why == residentWhy || e.caller.c.Jobs != callerJobs {
+				t.Fatalf("a mutation at sampled position %d was answered from the resident total", p)
+			}
+			if d := bitDiffs(res.Values, after); d > 0 {
+				t.Fatalf("the mutated loop's answer differs from its RunSequential in %d of %d elements", d, len(after))
+			}
+		})
+	}
+}

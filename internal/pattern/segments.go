@@ -252,27 +252,16 @@ func segRefRange(offs []int32, s, segIters, iters int) (lo, hi int) {
 	return int(offs[itLo]), int(offs[itHi])
 }
 
-// HashRefs is the sampled FNV content hash of one segment's subscript
-// slice — the value SegmentAnalysis.Hashes holds, exported so a cached
-// segment sum can be probed without a full analysis. Length and sample
-// positions are mixed in, so a shifted copy of the same values hashes
-// differently.
+// HashRefs is the sampled content hash of one segment's subscript slice
+// — the value SegmentAnalysis.Hashes holds, exported so a cached segment
+// sum can be probed without a full analysis. It reads every
+// (len(refs)/64)-th reference from 0 (stride at least 1) into a
+// trace.SampleHash seeded with the length; positions are mixed in, so a
+// shifted copy of the same values hashes differently.
 func HashRefs(refs []int32) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-		h ^= h >> 29
-	}
-	mix(uint64(len(refs)))
-	stride := len(refs) / segHashSamples
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < len(refs); i += stride {
-		mix(uint64(uint32(refs[i])) | uint64(i)<<32)
-	}
-	return h
+	h := trace.NewSampleHash(uint64(len(refs)))
+	h.Refs(refs, len(refs)/segHashSamples)
+	return h.Sum()
 }
 
 // SameRefs reports element-wise equality of two subscript (or offsets)

@@ -243,35 +243,18 @@ func (l *Loop) TouchedElems() int {
 // surely have the same pattern regime, which is what the adaptive engine's
 // decision cache keys on — the paper's "re-characterize only when the
 // pattern changed" rule turned into a hash lookup. It reads O(samples)
-// references regardless of trace size.
+// references regardless of trace size: refs at every (len(refs)/256)-th
+// position from 0, mixed with their positions, and offsets at every
+// (NumIters/256)-th, each stride at least 1. Those positions are the
+// contract: changing any one of them changes the fingerprint, and a loop
+// that differs only elsewhere has the same one (see Flat). The samples
+// feed a four-lane SampleHash.
 func (l *Loop) Fingerprint() uint64 {
 	const samples = 256
-	h := uint64(14695981039346656037) // FNV offset basis
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-		h ^= h >> 29
-	}
-	mix(uint64(l.NumElems))
-	mix(uint64(l.ElemBytes))
-	mix(uint64(len(l.refs)))
-	mix(uint64(len(l.offsets)))
-	mix(uint64(l.Op))
-	stride := len(l.refs) / samples
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 0; i < len(l.refs); i += stride {
-		mix(uint64(uint32(l.refs[i])) | uint64(i)<<32)
-	}
-	offStride := (len(l.offsets) - 1) / samples
-	if offStride < 1 {
-		offStride = 1
-	}
-	for i := 0; i < len(l.offsets); i += offStride {
-		mix(uint64(uint32(l.offsets[i])))
-	}
-	return h
+	h := NewSampleHash(uint64(l.NumElems), uint64(l.ElemBytes), uint64(len(l.refs)), uint64(len(l.offsets)), uint64(l.Op))
+	h.Refs(l.refs, len(l.refs)/samples)
+	h.Values(l.offsets, (len(l.offsets)-1)/samples)
+	return h.Sum()
 }
 
 // Flat exposes the loop's flattened iteration structure: offsets is the
@@ -279,7 +262,11 @@ func (l *Loop) Fingerprint() uint64 {
 // concatenated reduction element indices, so iteration i references
 // refs[offsets[i]:offsets[i+1]]. Both slices alias internal storage and
 // must not be modified; the wire protocol encodes from them directly
-// instead of walking Iter per iteration.
+// instead of walking Iter per iteration. A loop edited through them
+// after it was submitted is not detected: a service that holds the loop
+// re-checks it only at the positions Fingerprint and the segment hash
+// sample, and answers an edit anywhere else with the previous content's
+// result (engine.Engine.Submit states the contract).
 func (l *Loop) Flat() (offsets, refs []int32) { return l.offsets, l.refs }
 
 // SetFlat installs a flattened iteration structure built elsewhere (a

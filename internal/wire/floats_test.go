@@ -10,10 +10,15 @@ import (
 	"repro/internal/engine"
 )
 
-// TestBulkFloatsMatchPerElement runs the two bulk loops over every length
-// around their unroll width and compares them with the one-element
-// encoding they replaced, on arbitrary bit patterns.
+// TestBulkFloatsMatchPerElement runs both codec paths over every length
+// around the portable loops' unroll width and compares them with the
+// one-element encoding they replaced, on arbitrary bit patterns.
 func TestBulkFloatsMatchPerElement(t *testing.T) {
+	paths := []struct {
+		name string
+		put  func([]byte, []float64)
+		get  func([]float64, []byte)
+	}{{"host", putF64s, getF64s}, {"portable", putF64sPortable, getF64sPortable}}
 	rng := rand.New(rand.NewSource(3))
 	for n := 0; n <= 17; n++ {
 		v := make([]float64, n)
@@ -22,19 +27,59 @@ func TestBulkFloatsMatchPerElement(t *testing.T) {
 			v[i] = math.Float64frombits(rng.Uint64())
 			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v[i]))
 		}
-		got := make([]byte, 8*n+3) // longer than needed: only 8n bytes may be written
-		for i := range got {
-			got[i] = 0xa5
+		for _, p := range paths {
+			got := make([]byte, 8*n+3) // longer than needed: only 8n bytes may be written
+			for i := range got {
+				got[i] = 0xa5
+			}
+			p.put(got, v)
+			if string(got[:8*n]) != string(want) || got[8*n] != 0xa5 {
+				t.Fatalf("%s n=%d: put wrote %x, want %x", p.name, n, got, want)
+			}
+			back := make([]float64, n)
+			p.get(back, got)
+			for i := range v {
+				if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
+					t.Fatalf("%s n=%d: element %d reads back %x, want %x", p.name, n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+				}
+			}
 		}
-		putF64s(got, v)
-		if string(got[:8*n]) != string(want) || got[8*n] != 0xa5 {
-			t.Fatalf("n=%d: putF64s wrote %x, want %x", n, got, want)
-		}
-		back := make([]float64, n)
-		getF64s(back, got)
-		for i := range v {
-			if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
-				t.Fatalf("n=%d: element %d reads back %x, want %x", n, i, math.Float64bits(back[i]), math.Float64bits(v[i]))
+	}
+}
+
+// TestFloatCodecPathsAgree holds the two codec paths to the same bytes
+// on the values a byte-order slip would mangle first — NaN payloads
+// (quiet and signalling, both signs), −0, ±Inf, subnormals, extremes —
+// at every vector length from 0 to 9, each vector starting at a
+// different point of the list. On a big-endian host both paths are the
+// portable one.
+func TestFloatCodecPathsAgree(t *testing.T) {
+	special := []uint64{
+		0x7ff8000000000001, 0xfff0000000000001, 0x7ff4000000000000, 0xffffffffffffffff,
+		0x8000000000000000, 0x0000000000000000, 0x7ff0000000000000, 0xfff0000000000000,
+		0x0000000000000001, 0x800fffffffffffff, 0x7fefffffffffffff, 0x0010000000000000,
+		0x3ff0000000000000, 0x0123456789abcdef,
+	}
+	for n := 0; n <= 9; n++ {
+		for start := range special {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = math.Float64frombits(special[(start+i)%len(special)])
+			}
+			fast, portable := make([]byte, 8*n), make([]byte, 8*n)
+			putF64s(fast, v)
+			putF64sPortable(portable, v)
+			if string(fast) != string(portable) {
+				t.Fatalf("n=%d start=%d: putF64s wrote %x, the portable loop %x", n, start, fast, portable)
+			}
+			back, backPortable := make([]float64, n), make([]float64, n)
+			getF64s(back, fast)
+			getF64sPortable(backPortable, fast)
+			for i := range v {
+				want := math.Float64bits(v[i])
+				if got, gotP := math.Float64bits(back[i]), math.Float64bits(backPortable[i]); got != want || gotP != want {
+					t.Fatalf("n=%d start=%d: element %d reads back %x (portable %x), want %x", n, start, i, got, gotP, want)
+				}
 			}
 		}
 	}

@@ -11,8 +11,12 @@
 #
 # Gated files: the accumulation and merge kernels (kernels.go) every
 # scheme, the simplified execution plan and the sessions run, and the
-# RESULT vector's encode/decode loops (internal/wire/floats.go), whose
-# only checks are the two marked whole-vector re-slices.
+# RESULT vector's codec (internal/wire/floats.go). On a little-endian
+# host the codec is one copy through a byte view of the vector; its
+# per-element loops are the portable path, kept in the same file and
+# compiled on every host, so they are gated here whichever path the host
+# runs. The file's only checks are its four marked whole-vector
+# re-slices, one per function.
 #
 # A check is intentional when either
 #   - its source line carries a //bce: marker (//bce:gather for

@@ -5,7 +5,8 @@
 # the kernels, never the other way round.
 #
 #   1. The dependency closure of the daemons, the load driver, the test
-#      kit and the bench/ module contains no lab package.
+#      kit (faultnet included) and the bench/ module contains no lab
+#      package.
 #   2. Every importer of a lab package (test files included) is itself a
 #      lab package, one of the three paper-track commands, or an example.
 #   3. internal/core, the host descriptor, and internal/clock, the one
@@ -25,7 +26,7 @@ allowed="^$mod/(internal/lab/.*|cmd/smartapps|cmd/pclrsim|cmd/reduxsel|examples/
 bad=0
 
 # Rule 1.
-closure=$( { go list -deps ./cmd/reduxd ./cmd/reduxgw ./cmd/reduxserve ./internal/testkit
+closure=$( { go list -deps ./cmd/reduxd ./cmd/reduxgw ./cmd/reduxserve ./internal/testkit/...
              go list -C bench -deps ./...; } | sort -u)
 leaked=$(echo "$closure" | grep -E "$lab" || true)
 if [ -n "$leaked" ]; then
