@@ -61,14 +61,16 @@ serve:
 	$(GO) run ./cmd/reduxd
 
 # loadtest boots reduxd on loopback, streams 2000 Zipf jobs through the
-# pooled client (reduxserve -remote -json) and checks the report: all
-# jobs verified, batch coalescing engaged across the network hop.
+# pooled client (reduxserve -remote -json) and checks the report and
+# /metrics: all jobs verified, hot repeats sent as pattern handles and
+# answered inline from their resident totals.
 loadtest:
 	./scripts/loadtest.sh
 
 # loadtest-gateway is the same stream driven through the cluster tier:
 # two reduxd backends behind a reduxgw gateway, checking that pattern-
-# affinity routing keeps coalescing alive across the extra hop.
+# affinity routing lands hot repeats on the backend holding their
+# resident total (summed backend redux_server_inline_total > 0).
 loadtest-gateway:
 	GATEWAY=2 ./scripts/loadtest.sh
 

@@ -138,64 +138,51 @@ func BenchmarkEngineConcurrentThroughput(b *testing.B) {
 
 // BenchmarkEngineZipf32Clients measures the sharded engine under the
 // Zipf-skewed hot-key stream with 32 concurrent clients — the production
-// traffic shape where a few patterns dominate. "coalesced" is the batched
-// path (same-pattern jobs queued together fuse into one execution);
-// "perjob" is MaxBatch 1 — no fusion, PR 1's per-job execution path over
-// the same sharded engine. The ratio of the two is what batch coalescing
-// buys; both are recorded in BENCH_engine.json by make bench.
+// traffic shape where a few patterns dominate, so most jobs are resident
+// hits answered on the submitting goroutine. It is the in-process half of
+// the network-hop gate (RemoteZipf minus this row).
 func BenchmarkEngineZipf32Clients(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		maxBatch int
-	}{
-		{"coalesced", 0},
-		{"perjob", 1},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			loops := workloads.HotKeySet(16, 0.5)
-			stream := workloads.ZipfStream(loops, 4096, 1.4, 1)
-			e, err := engine.New(engine.Config{
-				Workers:    4,
-				Platform:   core.DefaultPlatform(8),
-				QueueDepth: 16,
-				MaxBatch:   mode.maxBatch,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			for _, l := range loops { // warm cache and pools
-				if _, err := e.Submit(l); err != nil {
-					b.Fatal(err)
-				}
-			}
-			const clients = 32
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					var dst []float64
-					for {
-						n := int(next.Add(1)) - 1
-						if n >= b.N {
-							return
-						}
-						res, err := e.SubmitInto(stream[n%len(stream)], dst)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						dst = res.Values
-					}
-				}()
-			}
-			wg.Wait()
-		})
+	loops := workloads.HotKeySet(16, 0.5)
+	stream := workloads.ZipfStream(loops, 4096, 1.4, 1)
+	e, err := engine.New(engine.Config{
+		Workers:    4,
+		Platform:   core.DefaultPlatform(8),
+		QueueDepth: 16,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer e.Close()
+	for _, l := range loops { // warm cache and pools
+		if _, err := e.Submit(l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const clients = 32
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var dst []float64
+			for {
+				n := int(next.Add(1)) - 1
+				if n >= b.N {
+					return
+				}
+				res, err := e.SubmitInto(stream[n%len(stream)], dst)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				dst = res.Values
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkGatewayZipf is BenchmarkRemoteZipf through the cluster tier:
@@ -673,14 +660,15 @@ func BenchmarkRemoteZipf(b *testing.B) {
 	}
 }
 
-// BenchmarkSimplifyOverlap measures an overlap batch of the shared-subrange
-// workload served both ways: direct per-member execution (the rep kernel
-// once per member — what each member costs without the simplification
-// layer) against one simplified plan paying exactly what the engine's
-// trySimplified pays per batch: the segment analysis sweep, each distinct
-// segment's partial sum once, and the per-member combine column. The cache
-// is cold on every iteration, so the measured win is pure shared-segment
-// reuse within one batch; incremental warm-cache reuse only widens it.
+// BenchmarkSimplifyOverlap measures the shared-subrange workload's members
+// served both ways: direct per-member execution (the rep kernel once per
+// member — what each member costs without the simplification layer)
+// against one multi-member SegPlan: the segment analysis sweep, each
+// distinct segment's partial sum once, and the per-member combine column.
+// The cache is cold on every iteration, so the measured win is pure
+// shared-segment reuse across the members. The engine plans one loop at a
+// time and gets the same sharing from the verified sums its segment cache
+// keeps between jobs.
 // bench_compare.sh gates the per-job speedup at occupancy >= 4
 // (SIMPLIFY_MIN_SPEEDUP, default 1.5x).
 func BenchmarkSimplifyOverlap(b *testing.B) {

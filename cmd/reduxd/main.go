@@ -1,7 +1,7 @@
 // Command reduxd is the reduction daemon: one long-lived adaptive engine
 // behind a TCP front end speaking the wire protocol (docs/PROTOCOL.md).
 // Many clients connect, pipeline reduction jobs, and share the engine's
-// decision cache, buffer pools and batch fusion — the paper's runtime
+// decision cache, buffer pools and resident totals — the paper's runtime
 // turned into a network service.
 //
 //	reduxd -addr 127.0.0.1:9070 -workers 4 -procs 8
@@ -33,7 +33,6 @@ var (
 	workers      = flag.Int("workers", 4, "concurrent batches in the engine's pool")
 	procs        = flag.Int("procs", 8, "goroutines per reduction execution")
 	queue        = flag.Int("queue", 0, "submission queue depth in batches (0 = 2*workers)")
-	maxBatch     = flag.Int("max-batch", 0, "max jobs fused per execution (0 = default 32; 1 disables batch coalescing)")
 	driftRatio   = flag.Float64("drift-ratio", 0, "cost-drift ratio marking a cached decision stale (0 = default 1.5)")
 	recalEvery   = flag.Int("recal-every", 0, "executions between sampled re-profiles of a cached decision (0 = default 256)")
 	recalConfirm = flag.Int("recal-confirm", 0, "consecutive confirming re-inspections before a scheme switch (0 = default 2)")
@@ -65,7 +64,6 @@ func main() {
 		Workers:      *workers,
 		Platform:     core.DefaultPlatform(*procs),
 		QueueDepth:   *queue,
-		MaxBatch:     *maxBatch,
 		DriftRatio:   *driftRatio,
 		RecalEvery:   *recalEvery,
 		RecalConfirm: *recalConfirm,

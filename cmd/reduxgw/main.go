@@ -3,8 +3,8 @@
 // difference, except for the gateway capability bit in HELLO) and routes
 // every submission onward to a pool of reduxd backends by consistent-
 // hashing the access-pattern fingerprint (internal/cluster). Equal
-// patterns always land on the same backend, so batch fusion and the
-// decision cache keep paying off at cluster scale.
+// patterns always land on the same backend, so the decision cache and
+// the resident totals keep paying off at cluster scale.
 //
 //	reduxd  -addr 127.0.0.1:9071 &
 //	reduxd  -addr 127.0.0.1:9072 &

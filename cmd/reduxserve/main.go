@@ -1,8 +1,8 @@
 // Command reduxserve hammers the concurrent adaptive reduction engine with
 // a closed-loop stream of reduction jobs — the production-service shape
 // of the paper's runtime: many clients, one long-lived engine, decisions
-// and buffers amortized across jobs, same-pattern jobs fused into
-// batches. The streams are the mixed regime round-robin (default), a
+// and buffers amortized across jobs, hot repeats answered from resident
+// totals. The streams are the mixed regime round-robin (default), a
 // Zipf-skewed hot-key stream (-zipf), its phase-drifting variant
 // (-drift), per-tenant streams (-tenants) and streaming sessions
 // (-sessions). Sampled results must carry the sequential reference's
@@ -53,7 +53,7 @@ type config struct {
 	recalEvery, recalConfirm, queue      int
 	gateway                              int
 	scale, zipfS, driftRatio             float64
-	zipf, drift, norecal, nocoalesce     bool
+	zipf, drift, norecal                 bool
 	verify, jsonOut                      bool
 	remote, tenantsFlag                  string
 	// tenants is -tenants parsed (validate fills it).
@@ -76,7 +76,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.recalEvery, "recal-every", 0, "engine executions between sampled re-profiles (local mode, 0 = default 256)")
 	fs.IntVar(&c.recalConfirm, "recal-confirm", 0, "consecutive confirming re-inspections before a scheme switch (local mode, 0 = default 2)")
 	fs.BoolVar(&c.norecal, "norecal", false, "disable online recalibration (local mode)")
-	fs.BoolVar(&c.nocoalesce, "nocoalesce", false, "disable batch coalescing (engine MaxBatch 1: per-job execution path)")
 	fs.IntVar(&c.queue, "queue", 0, "submission queue depth in batches (0 = 2*workers)")
 	fs.BoolVar(&c.verify, "verify", true, "check a sample of results against the sequential reference")
 	fs.IntVar(&c.sessions, "sessions", 0, "drive this many concurrent streaming sessions (OPEN_SESSION + SUBMIT_DELTA) instead of the one-shot job stream; -jobs counts delta batches across all sessions")
@@ -90,7 +89,7 @@ func (c *config) register(fs *flag.FlagSet) {
 // engineFlags configure the in-process engine only: in remote mode the
 // server was configured at reduxd startup, so setting one signals a
 // misunderstanding.
-var engineFlags = []string{"workers", "procs", "queue", "nocoalesce", "drift-ratio", "recal-every", "recal-confirm", "norecal"}
+var engineFlags = []string{"workers", "procs", "queue", "drift-ratio", "recal-every", "recal-confirm", "norecal"}
 
 // validate parses -tenants and rejects inconsistent flags; fs reports
 // which flags the command line set.
@@ -179,28 +178,28 @@ type configError struct{ error }
 
 // report is the run summary, printable as text or JSON.
 type report struct {
-	Mode         string            `json:"mode"`
-	Remote       string            `json:"remote,omitempty"`
-	Gateway      int               `json:"gateway_backends,omitempty"`
-	Workers      int               `json:"workers,omitempty"`
-	Procs        int               `json:"procs,omitempty"`
-	Clients      int               `json:"clients"`
-	Jobs         int               `json:"jobs"`
-	Failures     int64             `json:"failures"`
-	Verified     bool              `json:"verified"`
-	ElapsedNs    int64             `json:"elapsed_ns"`
-	JobsPerSec   float64           `json:"jobs_per_sec"`
-	LatP50Ns     int64             `json:"latency_p50_ns"`
-	LatP95Ns     int64             `json:"latency_p95_ns"`
-	LatP99Ns     int64             `json:"latency_p99_ns"`
-	LatMaxNs     int64             `json:"latency_max_ns"`
-	JobsPerBatch float64           `json:"jobs_per_batch"`
-	Occupancy    []uint64          `json:"batch_occupancy"`
-	Sessions     int               `json:"sessions,omitempty"`
-	ShadowChecks int64             `json:"shadow_checks,omitempty"`
-	AllocPerJob  float64           `json:"client_alloc_bytes_per_job"`
-	Schemes      map[string]uint64 `json:"schemes"`
-	Tenants      []tenantReport    `json:"tenants,omitempty"`
+	Mode           string            `json:"mode"`
+	Remote         string            `json:"remote,omitempty"`
+	Gateway        int               `json:"gateway_backends,omitempty"`
+	Workers        int               `json:"workers,omitempty"`
+	Procs          int               `json:"procs,omitempty"`
+	Clients        int               `json:"clients"`
+	Jobs           int               `json:"jobs"`
+	Failures       int64             `json:"failures"`
+	Verified       bool              `json:"verified"`
+	ElapsedNs      int64             `json:"elapsed_ns"`
+	JobsPerSec     float64           `json:"jobs_per_sec"`
+	LatP50Ns       int64             `json:"latency_p50_ns"`
+	LatP95Ns       int64             `json:"latency_p95_ns"`
+	LatP99Ns       int64             `json:"latency_p99_ns"`
+	LatMaxNs       int64             `json:"latency_max_ns"`
+	JobsPerBatch   float64           `json:"jobs_per_batch"`
+	BatchOccupancy []uint64          `json:"batch_occupancy"`
+	Sessions       int               `json:"sessions,omitempty"`
+	ShadowChecks   int64             `json:"shadow_checks,omitempty"`
+	AllocPerJob    float64           `json:"client_alloc_bytes_per_job"`
+	Schemes        map[string]uint64 `json:"schemes"`
+	Tenants        []tenantReport    `json:"tenants,omitempty"`
 	// Engine is what the engine's counters accumulated over the measured
 	// phase. Its scalars are marshalled flat into the report, each under
 	// the key its engine.StatsFields row declares.
@@ -386,9 +385,6 @@ func run(cfg config) (report, error) {
 		RecalConfirm: cfg.recalConfirm,
 		DisableRecal: cfg.norecal,
 	}
-	if cfg.nocoalesce {
-		ecfg.MaxBatch = 1
-	}
 	// One backend per identity: a HELLO binds a whole connection, so each
 	// tenant's stream needs its own client.
 	var bes []backend
@@ -443,8 +439,8 @@ func run(cfg config) (report, error) {
 	if cfg.jsonOut {
 		progress = os.Stderr
 	}
-	fmt.Fprintf(progress, "%s: %d jobs from %d clients, %s stream (coalesce=%v)\n",
-		where, cfg.jobs, cfg.clients, rep.Mode, !cfg.nocoalesce)
+	fmt.Fprintf(progress, "%s: %d jobs from %d clients, %s stream\n",
+		where, cfg.jobs, cfg.clients, rep.Mode)
 
 	// Warm the cache and pools with one pass over each tenant's pattern
 	// population so the measured phase is the steady state a long-lived
@@ -527,7 +523,7 @@ func run(cfg config) (report, error) {
 	if s.Batches > 0 {
 		rep.JobsPerBatch = float64(s.Jobs) / float64(s.Batches)
 	}
-	rep.Occupancy = s.BatchOccupancy
+	rep.BatchOccupancy = s.BatchOccupancy
 	rep.ShadowChecks = d.shadowChecks.Load()
 	rep.AllocPerJob = float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.jobs)
 	rep.Schemes = s.Schemes

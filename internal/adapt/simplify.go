@@ -3,30 +3,28 @@ package adapt
 import "fmt"
 
 // This file holds the decision boundary for the reduction-simplification
-// layer (pattern.AnalyzeSegments + reduction.SegPlan): given a batch's
-// measured segment-overlap structure, decide whether the simplified
-// execution — per-segment partial sums computed once, folded in order
-// per member — beats running every member's full
-// reference stream directly. It is the Figure 3 idea applied one level
-// up: instead of choosing *which* parallel scheme executes a loop, it
-// chooses whether the batch's algebraic structure lets most of the work
-// be skipped before any scheme runs at all.
+// layer (pattern.AnalyzeSegments + reduction.SegPlan): given a loop's
+// measured segment structure against the segment sums the engine already
+// holds, decide whether the simplified execution — per-segment partial
+// sums, only the uncached ones computed, folded in order — beats running
+// the full reference stream directly. It is the Figure 3 idea applied
+// one level up: instead of choosing *which* parallel scheme executes a
+// loop, it chooses whether earlier executions let most of the work be
+// skipped before any scheme runs at all.
 //
 // The rule is a cost comparison in units of one reference-stream
 // element. The direct path touches Members×RefsPerMember references; the
 // simplified path pays an analysis sweep over the same references, the
 // accumulation of only the unique uncached segments, and a combine
-// column of Segments parts per member per element. Both sides and the
-// cut-points are exercised from simplify_test.go, including the batch
+// column of Segments parts per member per element. With no segment
+// cached there is nothing to reuse and the loop runs direct. Both sides
+// and the cut-points are exercised from simplify_test.go, including the
 // geometries the engine's recalibration tests depend on staying direct.
 
-// SimplifyInput is the per-batch evidence RecommendSimplify weighs. The
-// engine fills it from pattern.SegmentAnalysis plus its own cache state.
+// SimplifyInput is the evidence RecommendSimplify weighs for one
+// execution. The engine fills it from pattern.SegmentAnalysis plus its
+// own cache state.
 type SimplifyInput struct {
-	// Occupancy is the batch occupancy: distinct member loops sharing
-	// one decision (coalesced same-fingerprint jobs, deduplicated by
-	// trace identity).
-	Occupancy int
 	// Members, Segments and Unique come from the segment analysis:
 	// analyzed members, segment count, and distinct (owner == member)
 	// partial sums a simplified run would compute.
@@ -50,12 +48,6 @@ type SimplifyInput struct {
 
 // SimplifyThresholds are the boundary's tunable cut-points.
 type SimplifyThresholds struct {
-	// MinOccupancy is the batch occupancy below which simplification is
-	// not attempted cold: with too few members the shared-segment
-	// discount cannot cover the analysis sweep. A warm segment cache
-	// overrides this floor (incremental re-reduction pays off even for
-	// singleton re-submissions).
-	MinOccupancy int
 	// AnalyzeCostRatio is the per-reference cost of the segment
 	// analysis (hash + ownership verify) relative to the direct path's
 	// per-reference cost.
@@ -73,7 +65,6 @@ type SimplifyThresholds struct {
 // DefaultSimplifyThresholds returns the calibrated boundary.
 func DefaultSimplifyThresholds() SimplifyThresholds {
 	return SimplifyThresholds{
-		MinOccupancy:     4,
 		AnalyzeCostRatio: 0.15,
 		CombineCostRatio: 0.15,
 		MinAdvantage:     0.2,
@@ -103,7 +94,7 @@ func simplifyCosts(in SimplifyInput, t SimplifyThresholds) (direct, simplified f
 
 // SimplifyRationale is RecommendSimplify's one-line explanation in the
 // style of Recommend, kept as the numbers behind it: the engine asks the
-// boundary on every analyzed batch but only an executed one delivers a
+// boundary on every analyzed execution but only an executed one delivers a
 // Result.Why, so the text is formatted by String, on demand.
 type SimplifyRationale struct {
 	verdict            simplifyVerdict
@@ -116,16 +107,15 @@ type simplifyVerdict uint8
 
 const (
 	verdictDegenerate simplifyVerdict = iota
-	verdictBelowFloor
+	verdictColdCache
 	verdictWins
 	verdictWithinMargin
 )
 
 func (r SimplifyRationale) String() string {
 	switch r.verdict {
-	case verdictBelowFloor:
-		return fmt.Sprintf("occupancy %d below floor %d with cold cache; direct",
-			r.in.Occupancy, r.t.MinOccupancy)
+	case verdictColdCache:
+		return "no cached segment; direct"
 	case verdictWins:
 		return fmt.Sprintf("simplified cost %.0f beats direct %.0f by >%d%% (unique %d/%d, cached %d)",
 			r.simplified, r.direct, int(r.t.MinAdvantage*100), r.in.Unique, r.in.Members*r.in.Segments, r.in.CachedTasks)
@@ -133,19 +123,19 @@ func (r SimplifyRationale) String() string {
 		return fmt.Sprintf("simplified cost %.0f within %d%% of direct %.0f; direct",
 			r.simplified, int(r.t.MinAdvantage*100), r.direct)
 	default: // verdictDegenerate
-		return "degenerate batch; direct"
+		return "degenerate input; direct"
 	}
 }
 
-// RecommendSimplify decides whether a batch executes through the
+// RecommendSimplify decides whether an execution goes through the
 // simplified plan. It returns the decision and its rationale.
 func RecommendSimplify(in SimplifyInput, t SimplifyThresholds) (bool, SimplifyRationale) {
 	r := SimplifyRationale{in: in, t: t}
 	if in.Members < 1 || in.Segments < 1 || in.RefsPerMember < 1 {
 		return false, r
 	}
-	if in.Occupancy < t.MinOccupancy && in.CachedTasks == 0 {
-		r.verdict = verdictBelowFloor
+	if in.CachedTasks == 0 {
+		r.verdict = verdictColdCache
 		return false, r
 	}
 	r.direct, r.simplified = simplifyCosts(in, t)
@@ -157,8 +147,8 @@ func RecommendSimplify(in SimplifyInput, t SimplifyThresholds) (bool, SimplifyRa
 	return false, r
 }
 
-// SimplifySeedWorthwhile gates seeding a segment cache from a singleton
-// batch: worth it only when a later warm hit would actually win, i.e.
+// SimplifySeedWorthwhile gates seeding a segment cache from a direct
+// execution: worth it only when a later warm hit would actually win, i.e.
 // the steady-state incremental cost (analysis of one member plus the
 // combine column, with every segment served from cache) clears the
 // boundary's margin below one member's direct cost. Loops whose output
@@ -171,7 +161,6 @@ func SimplifySeedWorthwhile(refsPerMember, numElems, segments int, t SimplifyThr
 		return false
 	}
 	warm := SimplifyInput{
-		Occupancy:     1,
 		Members:       1,
 		Segments:      segments,
 		Unique:        segments,

@@ -4,13 +4,13 @@ import "testing"
 
 // Geometry of the shared-subrange workload (workloads.SharedSubrangeStream):
 // a dense loop whose reference stream dwarfs its output array — the shape
-// the simplification layer targets.
-func denseInput(occ, unique, cached int) SimplifyInput {
+// the simplification layer targets — cut into 8 segments, cached of them
+// already verified in the engine's segment cache.
+func denseInput(cached int) SimplifyInput {
 	return SimplifyInput{
-		Occupancy:     occ,
-		Members:       occ,
+		Members:       1,
 		Segments:      8,
-		Unique:        unique,
+		Unique:        8,
 		CachedTasks:   cached,
 		RefsPerMember: 32768,
 		NumElems:      2048,
@@ -19,75 +19,72 @@ func denseInput(occ, unique, cached int) SimplifyInput {
 
 func TestRecommendSimplifyOverlapWins(t *testing.T) {
 	th := DefaultSimplifyThresholds()
-	// Full overlap at the occupancy floor: 4 members share all 8
-	// segments, so the plan computes 8 partial sums instead of 4 full
-	// streams.
-	ok, why := RecommendSimplify(denseInput(4, 8, 0), th)
-	if !ok {
-		t.Errorf("full-overlap occupancy-4 batch not simplified: %s", why)
-	}
-	// More members only helps.
-	if ok, why := RecommendSimplify(denseInput(8, 8, 0), th); !ok {
-		t.Errorf("full-overlap occupancy-8 batch not simplified: %s", why)
+	// The loop overlaps what the cache holds: every segment (an unchanged
+	// repeat) or all but the one window that moved. Folding cached sums
+	// beats a full direct pass.
+	for _, cached := range []int{8, 7} {
+		if ok, why := RecommendSimplify(denseInput(cached), th); !ok {
+			t.Errorf("%d of 8 segments cached, not simplified: %s", cached, why)
+		}
 	}
 }
 
-func TestRecommendSimplifyOccupancyFloor(t *testing.T) {
+func TestRecommendSimplifyColdCacheStaysDirect(t *testing.T) {
 	th := DefaultSimplifyThresholds()
-	// Below the floor with a cold cache the sweep cannot amortize.
-	if ok, why := RecommendSimplify(denseInput(2, 2, 0), th); ok {
-		t.Errorf("occupancy-2 cold batch simplified: %s", why)
+	// With nothing cached there is nothing to reuse: the analysis sweep
+	// is pure overhead, whatever the loop's geometry.
+	ok, why := RecommendSimplify(denseInput(0), th)
+	if ok {
+		t.Fatalf("cold loop simplified: %s", why)
 	}
-	// A warm cache overrides the floor: a singleton whose segments are
-	// nearly all cached is the incremental re-reduction case.
-	if ok, why := RecommendSimplify(denseInput(1, 8, 7), th); !ok {
-		t.Errorf("warm singleton not simplified: %s", why)
+	if got := why.String(); got != "no cached segment; direct" {
+		t.Errorf("cold rationale %q", got)
 	}
 }
 
 func TestRecommendSimplifyDisjointStaysDirect(t *testing.T) {
 	th := DefaultSimplifyThresholds()
-	// Fully disjoint content: Unique == Members*Segments, the plan would
-	// do strictly more work than the direct path.
-	if ok, why := RecommendSimplify(denseInput(4, 32, 0), th); ok {
-		t.Errorf("disjoint batch simplified: %s", why)
+	// Content almost disjoint from the cache: one segment survives, so
+	// the plan recomputes seven of eight sums on top of the analysis
+	// sweep and the combine column — more work than the direct path.
+	if ok, why := RecommendSimplify(denseInput(1), th); ok {
+		t.Errorf("mostly-disjoint loop simplified: %s", why)
 	}
 }
 
 func TestRecommendSimplifyConstRunsDiscountDirect(t *testing.T) {
 	th := DefaultSimplifyThresholds()
-	// A staircase batch near the boundary: 4 members, half the cells
-	// shared. Without constant runs it clears the margin; with the
-	// direct path discounted by near-total constant runs it no longer
-	// does.
-	in := denseInput(4, 16, 0)
+	// A loop near the boundary: half its segments cached. Without
+	// constant runs it clears the margin; with the direct path
+	// discounted by near-total constant runs it no longer does.
+	in := denseInput(4)
 	if ok, why := RecommendSimplify(in, th); !ok {
-		t.Fatalf("half-shared batch without runs not simplified: %s", why)
+		t.Fatalf("half-cached loop without runs not simplified: %s", why)
 	}
 	in.ConstRunFrac = 0.95
 	if ok, why := RecommendSimplify(in, th); ok {
-		t.Errorf("constant-run batch simplified despite discounted direct cost: %s", why)
+		t.Errorf("constant-run loop simplified despite discounted direct cost: %s", why)
 	}
 }
 
 // TestRecommendSimplifyRejectsDriftGeometry pins the property the
 // engine's recalibration tests rely on: the drift workloads' loops have
 // an output dimension (16000 elements) on the order of their reference
-// stream (24000 refs), so the combine column alone eats the shared-work
-// win and those batches must stay on the direct path — their Result
-// schemes keep the Figure 3 names.
+// stream (24000 refs), so the combine column alone eats the reuse win —
+// even with every segment cached — and those loops must stay on the
+// direct path: their Result schemes keep the Figure 3 names.
 func TestRecommendSimplifyRejectsDriftGeometry(t *testing.T) {
 	th := DefaultSimplifyThresholds()
 	in := SimplifyInput{
-		Occupancy: 4, Members: 4, Segments: 8,
-		Unique: 8, CachedTasks: 0,
+		Members: 1, Segments: 8,
+		Unique: 8, CachedTasks: 8,
 		RefsPerMember: 24000, NumElems: 16000,
 	}
 	if ok, why := RecommendSimplify(in, th); ok {
-		t.Errorf("drift-geometry batch simplified: %s", why)
+		t.Errorf("drift-geometry loop simplified: %s", why)
 	}
 	if SimplifySeedWorthwhile(24000, 16000, 8, th) {
-		t.Error("drift-geometry singleton seeds a segment cache")
+		t.Error("drift-geometry loop seeds a segment cache")
 	}
 }
 

@@ -36,8 +36,8 @@
 // transparent: a handle the server has since dropped is answered
 // "pattern gone" and the client resubmits the full loop itself, so the
 // caller never sees the fallback. The one contract it adds is the one the
-// engine's pointer-identity batch fusion already relies on: a submitted
-// loop is immutable while in use. A caller that mutates a loop it has
+// engine's resident totals already rely on: a submitted loop is immutable
+// while in use. A caller that mutates a loop it has
 // submitted (AddIter, SetFlat) is only protected as far as the fingerprint
 // sees — the client re-checks Fingerprint() on every submission and falls
 // back to a full SUBMIT when it moved, but the fingerprint samples the

@@ -8,11 +8,11 @@
 // The routing rule is the whole point: submissions are placed by
 // rendezvous-hashing the loop's pattern fingerprint over the healthy
 // backends, so every repetition of one access pattern lands on the same
-// reduxd. Batch fusion and the decision cache only pay off when
+// reduxd. The decision cache and the resident totals only pay off when
 // equal-pattern jobs share an engine — the paper's application-centric
 // locality argument, applied to placement instead of scheduling. Spread
 // the same traffic round-robin and each backend would see every pattern:
-// N× the cached decisions, 1/N the coalescing opportunities.
+// N× the cached decisions and resident totals, 1/N the hits on each.
 //
 // Placement is correctness-free, so failure handling can be aggressive:
 //

@@ -191,8 +191,7 @@ func TestGatewayBackendDeathReroutes(t *testing.T) {
 	// Pipeline a burst onto the owner, then cut every socket under it.
 	// The owner's single worker is parked first and the cut waits until
 	// its server has admitted part of the burst: jobs are then in flight
-	// on the doomed sockets however fast the burst would have executed
-	// (it fuses into a few batches that can otherwise finish first).
+	// on the doomed sockets however fast the burst would have executed.
 	release, err := owner.eng.Hold()
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ type cacheEntry struct {
 	// after its decision (seeded once seen reaches RecalSeedExecs),
 	// execs counts executions toward the next periodic re-profile,
 	// stale flags the entry for re-inspection, reinspecting serializes
-	// re-inspections (one batch-head at a time, so hysteresis counts
+	// re-inspections (one job at a time, so hysteresis counts
 	// distinct epochs, not one instant sampled by several workers), and
 	// confirm counts consecutive re-inspections that recommended
 	// pending — a change of mind restarts the count.
@@ -41,7 +41,7 @@ type cacheEntry struct {
 	reinspecting bool
 	confirm      int
 	pending      string
-	// decGen bumps on scheme switches: a batch snapshots it with the
+	// decGen bumps on scheme switches: a job snapshots it with the
 	// decision, and recordCost drops measurements whose decision was
 	// replaced while they executed — a straggler's old-scheme cost must
 	// not seed the new scheme's freshly reset anchor.
@@ -51,9 +51,9 @@ type cacheEntry struct {
 	// the entry's cached segment partial sums, segGen the decGen the
 	// current segment state was built under (a mismatch invalidates sums
 	// and re-arms the counters), segClaim is the claim on the cache —
-	// segBusy while one worker holds it exclusively for a batch, n > 0
+	// segBusy while one worker holds it exclusively for a job, n > 0
 	// while n callers serve the resident total (ServeResident's shared
-	// claim), 0 when free — segSeen counts seed-worthy singleton batches
+	// claim), 0 when free — segSeen counts seed-worthy jobs
 	// toward the seeding threshold, and segMiss counts consecutive
 	// declined analyses toward the shutoff limit.
 	segs     *reduction.SegCache

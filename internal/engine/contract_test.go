@@ -24,20 +24,17 @@ func bitDiffs(got, want []float64) int {
 	return d
 }
 
-// Legs of repeatAnswers: the public entry, the queue-only entry one
-// job at a time, and the queue-only entry behind parked workers.
+// Legs of repeatAnswers: the public entry and the queue-only entry.
 const (
 	legCaller = iota
 	legWorker
-	legFused
 	legs
 )
 
-// repeatAnswers submits l 96 times to e, 32 per leg: one after another
-// through Submit, which answers a resident loop on the caller; one after
-// another through SubmitFingerprinted, which always queues for a worker;
-// then 32 at once through SubmitFingerprinted behind parked workers so
-// they fuse into batches. The answers come back per leg.
+// repeatAnswers submits l 64 times to e, 32 per leg: one after another
+// through Submit, which answers a resident loop on the caller; then one
+// after another through SubmitFingerprinted, which always queues for a
+// worker. The answers come back per leg.
 func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) [legs][]Result {
 	t.Helper()
 	var out [legs][]Result
@@ -56,42 +53,14 @@ func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) [legs][]Result {
 		}
 		out[legWorker] = append(out[legWorker], h.Wait())
 	}
-	releases := make([]func(), e.cfg.Workers)
-	for i := range releases {
-		release, err := e.Hold()
-		if err != nil {
-			t.Fatal(err)
-		}
-		releases[i] = release
-	}
-	handles := make([]*Handle, 32)
-	for i := range handles {
-		h, err := e.SubmitFingerprinted(l, fp, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
-	}
-	for _, release := range releases {
-		release()
-	}
-	fused := false
-	for _, h := range handles {
-		res := h.Wait()
-		fused = fused || res.BatchSize > 1
-		out[legFused] = append(out[legFused], res)
-	}
-	if !fused {
-		t.Errorf("%s: no concurrent submission fused into a batch", l.Name)
-	}
 	return out
 }
 
 // TestRepeatAnswersAreBitIdentical is the numerical contract's enforced
 // clause: the bits of a direct execution depend on the loop and procs
-// only — not on when it ran, what ran before it, how many jobs shared its
-// batch, or which scheme answered. With simplification off every one of
-// 96 submissions of a loop returns the first answer's bits, and those are
+// only — not on when it ran, what ran before it, or which scheme
+// answered. With simplification off every one of 64 submissions of a
+// loop returns the first answer's bits, and those are
 // ll's (rep, ll, sel and hash fold in one order) or, from lw,
 // RunSequential's; with it on, the answers served from segment sums agree
 // among themselves (they fold the same pieces in the same order, but cut
@@ -160,8 +129,8 @@ func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 					t.Errorf("procs=%d %s: %d schemes answered one unchanging loop", procs, l.Name, len(first))
 				}
 			}
-			if simplify && (resident[legCaller] == 0 || resident[legWorker] == 0 || resident[legFused] == 0) {
-				t.Errorf("procs=%d: resident answers per leg (caller, worker, fused) = %v; a leg checked nothing", procs, resident)
+			if simplify && (resident[legCaller] == 0 || resident[legWorker] == 0) {
+				t.Errorf("procs=%d: resident answers per leg (caller, worker) = %v; a leg checked nothing", procs, resident)
 			}
 			if !simplify && resident != [legs]int{} {
 				t.Errorf("procs=%d: resident answers %v with simplification off", procs, resident)

@@ -7,11 +7,11 @@ import "sync"
 // the pre-tenant engine used, keeping its contract — bounded depth with
 // blocking enqueue (backpressure), FIFO order within a tenant, close
 // drains — and adding the isolation the channel could not express: a
-// tenant flooding its own FIFO cannot displace another tenant's batches,
+// tenant flooding its own FIFO cannot displace another tenant's jobs,
 // and under saturation each backlogged tenant receives weight/sum(weights)
 // of the pops.
 //
-// The DRR variant is unit-cost (every batch costs one deficit credit,
+// The DRR variant is unit-cost (every job costs one deficit credit,
 // matching the scheduler's unit of work — one execution): when the round
 // pointer reaches a backlogged tenant with no credit, the tenant's
 // weight is added; each pop spends one credit; an emptied tenant forfeits
@@ -22,12 +22,12 @@ import "sync"
 // property suite relies on.
 type drrQueue struct {
 	mu    sync.Mutex
-	avail sync.Cond // signaled when a batch arrives or the queue closes
+	avail sync.Cond // signaled when a job arrives or the queue closes
 	space sync.Cond // broadcast when a pop frees a slot or the queue closes
 
 	qs     []tenantFIFO
-	depth  int // per-tenant capacity, in batches
-	size   int // total queued batches across tenants
+	depth  int // per-tenant capacity, in jobs
+	size   int // total queued jobs across tenants
 	cur    int // DRR round pointer
 	closed bool
 }
@@ -37,25 +37,25 @@ type drrQueue struct {
 type tenantFIFO struct {
 	weight  int
 	deficit int
-	items   []*batch
+	items   []*job
 	head    int
 }
 
 func (f *tenantFIFO) len() int { return len(f.items) - f.head }
 
-func (f *tenantFIFO) popFront() *batch {
-	b := f.items[f.head]
-	f.items[f.head] = nil // release the batch to GC while queued slots idle
+func (f *tenantFIFO) popFront() *job {
+	j := f.items[f.head]
+	f.items[f.head] = nil // release the job to GC while queued slots idle
 	f.head++
 	if f.head == len(f.items) {
 		f.items = f.items[:0]
 		f.head = 0
 	}
-	return b
+	return j
 }
 
 // newDRRQueue builds a queue with one FIFO per weight, each capped at
-// depth batches.
+// depth jobs.
 func newDRRQueue(weights []int, depth int) *drrQueue {
 	q := &drrQueue{qs: make([]tenantFIFO, len(weights)), depth: depth}
 	for i, w := range weights {
@@ -66,12 +66,12 @@ func newDRRQueue(weights []int, depth int) *drrQueue {
 	return q
 }
 
-// push enqueues b on its tenant's FIFO, blocking while the FIFO is at
+// push enqueues j on its tenant's FIFO, blocking while the FIFO is at
 // depth (backpressure, exactly like the channel send it replaces). It
 // reports false when the queue closed — unreachable from the engine,
 // whose closeMu excludes Close while an enqueue is in flight, but kept
 // so the queue is safe standalone (the property tests drive it bare).
-func (q *drrQueue) push(tenant int, b *batch) bool {
+func (q *drrQueue) push(tenant int, j *job) bool {
 	q.mu.Lock()
 	for q.qs[tenant].len() >= q.depth && !q.closed {
 		q.space.Wait()
@@ -80,18 +80,18 @@ func (q *drrQueue) push(tenant int, b *batch) bool {
 		q.mu.Unlock()
 		return false
 	}
-	q.qs[tenant].items = append(q.qs[tenant].items, b)
+	q.qs[tenant].items = append(q.qs[tenant].items, j)
 	q.size++
 	q.avail.Signal()
 	q.mu.Unlock()
 	return true
 }
 
-// pop dequeues the next batch under the DRR policy, blocking while the
+// pop dequeues the next job under the DRR policy, blocking while the
 // queue is empty and open. It returns nil once the queue is closed and
 // drained — the worker-loop termination signal, mirroring a closed
 // channel's zero value.
-func (q *drrQueue) pop() *batch {
+func (q *drrQueue) pop() *job {
 	q.mu.Lock()
 	for q.size == 0 && !q.closed {
 		q.avail.Wait()
@@ -100,20 +100,20 @@ func (q *drrQueue) pop() *batch {
 		q.mu.Unlock()
 		return nil
 	}
-	b := q.popLocked()
+	j := q.popLocked()
 	// Broadcast, not signal: waiting pushers may belong to a different
 	// tenant than the slot just freed, and a signaled pusher whose own
 	// FIFO is still full would swallow the wakeup.
 	q.space.Broadcast()
 	q.mu.Unlock()
-	return b
+	return j
 }
 
 // popLocked runs one DRR step (mu held, size > 0): advance the round
 // pointer past idle tenants (resetting their deficit — no banking),
 // replenish the serving tenant's deficit from its weight when spent, and
-// serve one batch for one credit.
-func (q *drrQueue) popLocked() *batch {
+// serve one job for one credit.
+func (q *drrQueue) popLocked() *job {
 	for {
 		f := &q.qs[q.cur]
 		if f.len() == 0 {
@@ -124,7 +124,7 @@ func (q *drrQueue) popLocked() *batch {
 		if f.deficit == 0 {
 			f.deficit = f.weight
 		}
-		b := f.popFront()
+		j := f.popFront()
 		f.deficit--
 		q.size--
 		if f.len() == 0 {
@@ -135,11 +135,11 @@ func (q *drrQueue) popLocked() *batch {
 		} else if f.deficit == 0 {
 			q.cur = (q.cur + 1) % len(q.qs)
 		}
-		return b
+		return j
 	}
 }
 
-// close marks the queue closed and wakes every waiter. Queued batches
+// close marks the queue closed and wakes every waiter. Queued jobs
 // remain poppable — close drains, it does not discard.
 func (q *drrQueue) close() {
 	q.mu.Lock()
@@ -149,7 +149,7 @@ func (q *drrQueue) close() {
 	q.mu.Unlock()
 }
 
-// queued reports the total batches currently queued (tests only).
+// queued reports the total jobs currently queued (tests only).
 func (q *drrQueue) queued() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

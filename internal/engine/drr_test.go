@@ -10,7 +10,7 @@ import (
 // linearly per pop, no per-tenant FIFOs, no head indices. The two share
 // only the policy's specification — round pointer over tenants in index
 // order, deficit replenished from the weight when a backlogged tenant is
-// reached with none, one credit per batch, forfeiture when a tenant
+// reached with none, one credit per job, forfeiture when a tenant
 // empties — so agreement on random traces pins the optimized queue
 // against the spec, in the style of the DeltaState oracle suite.
 type drrOracle struct {
@@ -72,8 +72,8 @@ func (o *drrOracle) pop() (oracleItem, bool) {
 
 // TestDRRMatchesOracle replays seeded random arrival/service traces —
 // random tenant counts, weights, and push/pop interleavings — through
-// drrQueue and the brute-force oracle, requiring the exact same batch on
-// every pop. Fingerprints carry the batch identity across the queue.
+// drrQueue and the brute-force oracle, requiring the exact same job on
+// every pop. Fingerprints carry the job identity across the queue.
 func TestDRRMatchesOracle(t *testing.T) {
 	const depth = 16
 	for seed := int64(0); seed < 40; seed++ {
@@ -90,7 +90,7 @@ func TestDRRMatchesOracle(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			tenant := rng.Intn(ntenants)
 			if rng.Intn(3) != 0 && queued[tenant] < depth {
-				b := &batch{fp: uint64(nextID), tenant: tenant}
+				b := &job{fp: uint64(nextID), tenant: tenant}
 				if !q.push(tenant, b) {
 					t.Fatalf("seed %d: push on open queue refused", seed)
 				}
@@ -105,7 +105,7 @@ func TestDRRMatchesOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d: pop on non-empty queue returned nothing", seed, step)
 				}
 				if int(got.fp) != want.id || got.tenant != want.tenant {
-					t.Fatalf("seed %d step %d: queue served batch %d (tenant %d), oracle %d (tenant %d)",
+					t.Fatalf("seed %d step %d: queue served job %d (tenant %d), oracle %d (tenant %d)",
 						seed, step, got.fp, got.tenant, want.id, want.tenant)
 				}
 				queued[got.tenant]--
@@ -123,7 +123,7 @@ func TestDRRMatchesOracle(t *testing.T) {
 			total--
 		}
 		if q.queued() != 0 {
-			t.Fatalf("seed %d: %d batches stranded after drain", seed, q.queued())
+			t.Fatalf("seed %d: %d jobs stranded after drain", seed, q.queued())
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestDRRSharesUnderSaturation(t *testing.T) {
 	q := newDRRQueue(weights, rounds*8)
 	for tenant, w := range weights {
 		for j := 0; j < rounds*w; j++ {
-			q.push(tenant, &batch{tenant: tenant})
+			q.push(tenant, &job{tenant: tenant})
 		}
 	}
 	served := make([]int, len(weights))
@@ -176,7 +176,7 @@ func TestDRRWorkConservation(t *testing.T) {
 	for phase := 0; phase < len(weights)*3; phase++ {
 		tenant := phase % len(weights)
 		for j := 0; j < 10; j++ {
-			q.push(tenant, &batch{tenant: tenant})
+			q.push(tenant, &job{tenant: tenant})
 		}
 		for j := 0; j < 10; j++ {
 			if b := q.pop(); b.tenant != tenant {
@@ -189,7 +189,7 @@ func TestDRRWorkConservation(t *testing.T) {
 	// follows the weights exactly.
 	for tenant := range weights {
 		for j := 0; j < 10; j++ {
-			q.push(tenant, &batch{tenant: tenant})
+			q.push(tenant, &job{tenant: tenant})
 		}
 	}
 	counts := make([]int, len(weights))
@@ -212,12 +212,12 @@ func TestDRRStarvationFreedom(t *testing.T) {
 	otherW := weights[0] + weights[1]
 	q := newDRRQueue(weights, 4096)
 	for j := 0; j < 2000; j++ {
-		q.push(0, &batch{tenant: 0})
-		q.push(1, &batch{tenant: 1})
+		q.push(0, &job{tenant: 0})
+		q.push(1, &job{tenant: 1})
 	}
 	const victimJobs = 100
 	for j := 0; j < victimJobs; j++ {
-		q.push(2, &batch{tenant: 2})
+		q.push(2, &job{tenant: 2})
 	}
 	gap, victimServed := 0, 0
 	for victimServed < victimJobs {
@@ -237,8 +237,8 @@ func TestDRRStarvationFreedom(t *testing.T) {
 // TestDRRIsolationAdversarial is the deterministic half of the isolation
 // story (the wall-clock half lives in BenchmarkTenantIsolation): a hot
 // tenant holding a 10x standing backlog may not stretch a background
-// batch's queue residency beyond one DRR round, measured in service
-// ticks. Without per-tenant queues the same batch would wait behind the
+// job's queue residency beyond one DRR round, measured in service
+// ticks. Without per-tenant queues the same job would wait behind the
 // entire hot backlog.
 func TestDRRIsolationAdversarial(t *testing.T) {
 	weights := []int{1, 1}
@@ -246,10 +246,10 @@ func TestDRRIsolationAdversarial(t *testing.T) {
 	q := newDRRQueue(weights, 8192)
 	hotBacklog := 5000
 	for j := 0; j < hotBacklog; j++ {
-		q.push(0, &batch{tenant: 0})
+		q.push(0, &job{tenant: 0})
 	}
 	for trial := 0; trial < 50; trial++ {
-		q.push(1, &batch{tenant: 1})
+		q.push(1, &job{tenant: 1})
 		ticks := 0
 		for {
 			ticks++
@@ -258,10 +258,10 @@ func TestDRRIsolationAdversarial(t *testing.T) {
 			}
 		}
 		if ticks > sumW {
-			t.Fatalf("trial %d: background batch waited %d service ticks behind a hot backlog (bound %d)", trial, ticks, sumW)
+			t.Fatalf("trial %d: background job waited %d service ticks behind a hot backlog (bound %d)", trial, ticks, sumW)
 		}
 		// Keep the hot backlog standing at 10x-forever pressure.
-		q.push(0, &batch{tenant: 0})
-		q.push(0, &batch{tenant: 0})
+		q.push(0, &job{tenant: 0})
+		q.push(0, &job{tenant: 0})
 	}
 }

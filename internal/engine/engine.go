@@ -2,23 +2,24 @@
 // top of the SmartApps adaptive pipeline. Where the lab's smartapp runtime
 // models one application adapting its own reduction loop, the engine is the
 // production-service shape of the same idea: many clients submit reduction
-// jobs, a bounded worker pool executes them, and the adaptive machinery is
-// amortized across jobs the way the paper amortizes it across invocations:
+// jobs, a bounded worker pool runs each as its own execution, and the
+// adaptive machinery is amortized across jobs the way the paper amortizes
+// it across invocations:
 //
 //   - pattern characterization (package pattern) runs once per distinct
 //     access-pattern signature; a sharded decision cache keyed by
 //     trace.Fingerprint (a clock.Sharded) lets repeated workloads skip
 //     re-inspection without a global lock,
-//   - same-pattern jobs submitted while a batch waits in the queue are
-//     coalesced: one execution pays inspection, scheme lookup,
-//     privatization and accumulation for every fused member
-//     (reduction.Exec.BatchOut), whose marginal cost is one result write,
+//   - the simplification layer keeps verified per-segment partial sums
+//     on a decision's cache entry, so a loop that comes back with most of
+//     its content unchanged recomputes only the segments that moved, and
+//     one that comes back unchanged is answered from its resident total,
 //   - SubmitAsync returns a Handle so clients can pipeline submissions;
 //     Submit is SubmitAsync + Wait,
 //   - a verified resident hit never queues: a loop whose resident total
 //     verifies is answered on the caller's goroutine (ServeResident; the
 //     Submit family tries it first), and a session delta always is
-//     (Session.Apply): no coalescer, queue, worker or hand-off,
+//     (Session.Apply): no queue, worker or hand-off,
 //   - privatization buffers are recycled through a shared
 //     reduction.BufferPool, so steady-state jobs allocate ~nothing,
 //   - a direct execution cuts its blocks with the schemes' static
@@ -47,7 +48,7 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the number of batches executed concurrently (the bounded
+	// Workers is the number of jobs executed concurrently (the bounded
 	// pool). Defaults to 4.
 	Workers int
 	// Platform is the host descriptor the engine serves on: its Procs is
@@ -55,10 +56,9 @@ type Config struct {
 	// inspector's DIM metric and sizes the schemes' merge blocks. A zero
 	// platform defaults to core.DefaultPlatform(8).
 	Platform core.Platform
-	// QueueDepth is the submission queue length in batches (default
-	// 2*Workers). Jobs fusing into a queued batch consume no queue slot.
-	// With tenants configured the depth applies per tenant, so one
-	// tenant's backlog cannot exhaust another tenant's queue slots.
+	// QueueDepth is the submission queue length in jobs (default
+	// 2*Workers). With tenants configured the depth applies per tenant,
+	// so one tenant's backlog cannot exhaust another tenant's queue slots.
 	QueueDepth int
 	// Tenants configures weighted multi-tenant scheduling. The default
 	// tenant always exists at index 0 (weight 1 unless an entry named
@@ -70,19 +70,15 @@ type Config struct {
 	// MaxCacheEntries bounds the decision cache across all shards
 	// (default 1024); beyond it the owning shard evicts by CLOCK.
 	MaxCacheEntries int
-	// CacheShards is the number of decision-cache and coalescer lock
-	// shards, rounded up to a power of two (default 16).
+	// CacheShards is the number of decision-cache lock shards, rounded
+	// up to a power of two (default 16).
 	CacheShards int
-	// MaxBatch caps how many same-pattern jobs fuse into one execution
-	// (default 32). 1 turns batch fusion off: every job executes
-	// individually (the per-job path, kept measurable).
-	MaxBatch int
 	// DriftRatio is the recalibration cost-drift trigger: when a cache
 	// entry's EWMA execution cost diverges from its decision-time anchor
 	// by more than this ratio (either direction), the entry is marked
 	// stale and re-inspected. Must be > 1; 0 means the default 1.5.
 	DriftRatio float64
-	// RecalEvery is how many batch executions of one entry pass between
+	// RecalEvery is how many direct executions of one entry pass between
 	// sampled re-profiles of its pattern — the backstop drift trigger
 	// for shifts the cost EWMA cannot see (pattern distance past the
 	// re-characterization threshold marks the entry stale even when its
@@ -101,37 +97,39 @@ type Config struct {
 	// engine decides once per fingerprint and trusts the entry until
 	// CLOCK eviction, the pre-recalibration behavior.
 	DisableRecal bool
-	// DisableSimplify turns off the algebraic simplification layer:
-	// batches never run as shared segment partial sums and no segment
-	// caches are seeded, so every job executes its full reference stream
-	// through the cached scheme (the pre-simplification behavior).
+	// DisableSimplify turns off the algebraic simplification layer: jobs
+	// never run as cached segment partial sums and no segment caches are
+	// seeded, so every job executes its full reference stream through the
+	// cached scheme (the pre-simplification behavior).
 	DisableSimplify bool
 }
 
 // Result is the outcome of one reduction job.
 type Result struct {
 	// Values is the reduction array. When SubmitInto was given a dst with
-	// sufficient capacity, Values aliases it — on the batched path too.
+	// sufficient capacity, Values aliases it.
 	Values []float64
 	// Scheme is the executed implementation: a paper abbreviation (rep,
 	// ll, sel, lw or hash), or "simplify" when the job was served from
-	// shared segment partial sums.
+	// cached segment partial sums.
 	Scheme string
 	// Why is the selection rationale recorded in the decision cache.
 	Why string
 	// CacheHit reports whether the job reused a cached decision instead
 	// of re-running pattern inspection.
 	CacheHit bool
-	// BatchSize is how many jobs were fused into the execution that
-	// produced this result (1 = unfused).
+	// BatchSize is carried for the wire: the RESULT frame has the field,
+	// and a gateway forwards what an older daemon reported (how many jobs
+	// shared the execution). This engine runs every job on its own and
+	// always sets 1.
 	BatchSize int
-	// Elapsed is the wall-clock execution time of the job's batch
-	// (excluding queueing).
+	// Elapsed is the wall-clock execution time of the job (excluding
+	// queueing).
 	Elapsed time.Duration
-	// QueueWait is how long the job's batch sat in the submission queue
-	// before a worker picked it up (the coalescing window).
+	// QueueWait is how long the job sat in the submission queue before a
+	// worker picked it up.
 	QueueWait time.Duration
-	// Inspect is the pattern-characterization time this batch paid; zero
+	// Inspect is the pattern-characterization time this job paid; zero
 	// on a decision-cache hit.
 	Inspect time.Duration
 	// Imbalance is carried for the wire: the RESULT frame has the field,
@@ -176,7 +174,6 @@ type Engine struct {
 	closed  bool
 
 	cache decisionCache
-	co    *coalescer // nil when MaxBatch is 1
 
 	tenants   []*tenantRT
 	tenantIdx map[string]int
@@ -191,8 +188,7 @@ type Engine struct {
 // New starts an engine with cfg's worker pool running. It returns an
 // error when the configuration is invalid: a platform beyond the 64
 // processors the reduction schemes support, or negative Workers, QueueDepth,
-// MaxCacheEntries, CacheShards or MaxBatch (zero always
-// means "use the default").
+// MaxCacheEntries or CacheShards (zero always means "use the default").
 func New(cfg Config) (*Engine, error) {
 	switch {
 	case cfg.Workers < 0:
@@ -210,8 +206,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: negative MaxCacheEntries %d", cfg.MaxCacheEntries)
 	case cfg.CacheShards < 0:
 		return nil, fmt.Errorf("engine: negative CacheShards %d", cfg.CacheShards)
-	case cfg.MaxBatch < 0:
-		return nil, fmt.Errorf("engine: negative MaxBatch %d", cfg.MaxBatch)
 	case cfg.DriftRatio < 0:
 		return nil, fmt.Errorf("engine: negative DriftRatio %g", cfg.DriftRatio)
 	case cfg.DriftRatio > 0 && cfg.DriftRatio <= 1:
@@ -237,9 +231,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg.CacheShards = 16
 	}
 	cfg.CacheShards = ceilPow2(cfg.CacheShards)
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 32
-	}
 	if cfg.DriftRatio == 0 {
 		cfg.DriftRatio = 1.5
 	}
@@ -264,12 +255,9 @@ func New(cfg Config) (*Engine, error) {
 		tenantIdx:  tenantIdx,
 		pool:       reduction.NewBufferPool(),
 		cache:      decisionCache{clock.NewSharded[*cacheEntry](cfg.CacheShards, cfg.MaxCacheEntries)},
-		statShards: newStatShards(cfg.Workers+1, cfg.MaxBatch),
+		statShards: newStatShards(cfg.Workers + 1),
 	}
 	e.caller = &e.statShards[cfg.Workers]
-	if cfg.MaxBatch > 1 {
-		e.co = newCoalescer(cfg.CacheShards, cfg.MaxBatch, !cfg.DisableSimplify)
-	}
 	e.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go e.worker(w)
@@ -296,7 +284,7 @@ var ErrClosed = errors.New("engine: closed")
 
 // Submit runs one reduction job and blocks until its result is ready.
 // It is safe to call from many goroutines; the worker pool bounds how many
-// batches execute at once. For add, max and min the answer is
+// jobs execute at once. For add, max and min the answer is
 // l.RunSequential()'s bits whichever path computed it, provided the loop
 // has fewer than 2^26 references (trace.Value's exact grid; a loop
 // submitted over the wire always has).
@@ -328,11 +316,10 @@ func (e *Engine) SubmitInto(l *trace.Loop, dst []float64) (Result, error) {
 
 // SubmitAsync enqueues one reduction job and returns a Handle without
 // waiting for execution, so a client can pipeline many submissions before
-// waiting. Jobs submitted while a same-pattern batch is queued fuse into
-// it without consuming a queue slot; a job needing a fresh batch blocks
-// while the queue is at QueueDepth (backpressure), until a worker frees a
-// slot. A verified resident hit never blocks on QueueDepth: it is
-// answered before SubmitAsync returns (see SubmitAsyncIntoTenant).
+// waiting. It blocks while the queue is at QueueDepth (backpressure),
+// until a worker frees a slot. A verified resident hit never blocks on
+// QueueDepth: it is answered before SubmitAsync returns (see
+// SubmitAsyncIntoTenant).
 func (e *Engine) SubmitAsync(l *trace.Loop) (*Handle, error) {
 	return e.SubmitAsyncInto(l, nil)
 }
@@ -345,14 +332,12 @@ func (e *Engine) SubmitAsyncInto(l *trace.Loop, dst []float64) (*Handle, error) 
 
 // SubmitAsyncIntoTenant is SubmitAsyncInto on behalf of a tenant (an
 // index from TenantIndex; out-of-range degrades to the default tenant).
-// The job queues on the tenant's own FIFO and fuses only with the same
-// tenant's same-pattern jobs — cross-tenant fusion would let one
-// tenant's traffic ride (and observe) another's scheduling share.
+// The job queues on the tenant's own FIFO.
 //
 // A loop whose resident total verifies never queues: ServeResident
 // answers it on the calling goroutine, the total is copied into dst, and
-// the returned Handle is already complete — no batch, queue slot, worker
-// or channel, so such a hit never fuses and never blocks on QueueDepth.
+// the returned Handle is already complete — no queue slot, worker or
+// channel, so such a hit never blocks on QueueDepth.
 // Everything else goes through SubmitFingerprinted.
 func (e *Engine) SubmitAsyncIntoTenant(l *trace.Loop, dst []float64, tenant int) (*Handle, error) {
 	if err := checkLoop(l); err != nil {
@@ -387,8 +372,7 @@ func checkLoop(l *trace.Loop) error {
 // l.Fingerprint() and has already tried ServeResident — the network
 // server computes the fingerprint once to intern the submission and
 // probes the resident total itself — so neither is repeated here. fp
-// must be exactly l.Fingerprint(): it keys the decision cache and batch
-// fusion.
+// must be exactly l.Fingerprint(): it keys the decision cache.
 func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, tenant int) (*Handle, error) {
 	if err := checkLoop(l); err != nil {
 		return nil, err
@@ -396,31 +380,24 @@ func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, te
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
 	}
-	j := &job{loop: l, dst: dst, done: make(chan Result, 1)}
+	j := &job{loop: l, fp: fp, dst: dst, done: make(chan Result, 1), tenant: tenant, enq: time.Now()}
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed {
 		return nil, ErrClosed
 	}
-	if e.co == nil {
-		e.q.push(tenant, &batch{fp: fp, tenant: tenant, jobs: []*job{j}, enq: time.Now()})
-	} else if b, isNew := e.co.add(fp, tenant, j); isNew {
-		// The batch stays open to joiners while this send waits for a
-		// queue slot and until a worker seals it — that queue residency is
-		// the coalescing window.
-		e.q.push(tenant, b)
-	}
+	e.q.push(tenant, j)
 	return &Handle{done: j.done}, nil
 }
 
 // Hold parks one worker until the returned release is called: a
-// work-free batch joins the default tenant's FIFO, and the worker that
+// work-free job joins the default tenant's FIFO, and the worker that
 // dequeues it waits. On a one-worker engine everything enqueued after
-// Hold returns therefore stays queued — and open to batch fusion — until
-// release, which makes queue residency deterministic for tests that
-// otherwise race a plug job's duration. A verified resident hit is not
-// enqueued, so Hold does not park it and it never fuses; a test that
-// needs a resident loop queued submits through SubmitFingerprinted.
+// Hold returns therefore stays queued until release, which makes queue
+// residency deterministic for tests that otherwise race a plug job's
+// duration. A verified resident hit is not enqueued, so Hold does not
+// park it; a test that needs a resident loop queued submits through
+// SubmitFingerprinted.
 // release is idempotent and must be called before Close.
 func (e *Engine) Hold() (release func(), err error) {
 	e.closeMu.RLock()
@@ -429,7 +406,7 @@ func (e *Engine) Hold() (release func(), err error) {
 		return nil, ErrClosed
 	}
 	hold := make(chan struct{})
-	e.q.push(0, &batch{hold: hold})
+	e.q.push(0, &job{hold: hold})
 	return sync.OnceFunc(func() { close(hold) }), nil
 }
 
@@ -447,22 +424,20 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// workerCtx is one worker's reusable per-batch scratch: the pooled
-// execution context, the fused-destination slice and the worker's stat
-// shard.
+// workerCtx is one worker's reusable scratch: the pooled execution
+// context and the worker's stat shard.
 type workerCtx struct {
 	ex    *reduction.Exec
-	outs  [][]float64
 	stats *statShard
 }
 
 // worker owns one reusable execution context and one stat shard, and
-// serves batches until the queue closes.
+// serves jobs until the queue closes.
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
 	w := &workerCtx{ex: e.newExec(), stats: &e.statShards[id]}
-	for b := e.q.pop(); b != nil; b = e.q.pop() {
-		e.runBatch(w, b)
+	for j := e.q.pop(); j != nil; j = e.q.pop() {
+		e.runJob(w, j)
 	}
 }
 

@@ -194,7 +194,6 @@ func TestCloseResolvesOutstandingHandles(t *testing.T) {
 			Workers:    1,
 			Platform:   core.DefaultPlatform(2),
 			QueueDepth: 1, // maximum backpressure: senders block in SubmitAsync
-			MaxBatch:   4,
 		})
 		const submitters = 6
 		// A handle travels with the index of the loop it answers, in one

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"errors"
-	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +21,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{QueueDepth: -3},
 		{MaxCacheEntries: -1},
 		{CacheShards: -4},
-		{MaxBatch: -2},
 	}
 	for i, cfg := range bad {
 		if e, err := New(cfg); err == nil {
@@ -37,11 +36,11 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestSubmitIntoAliasesDst verifies the unbatched path returns the
+// TestSubmitIntoAliasesDst verifies the queued path returns the
 // caller's array when its capacity suffices.
 func TestSubmitIntoAliasesDst(t *testing.T) {
 	loops, refs := mixedLoops()
-	e := mustNew(t, Config{Workers: 1, MaxBatch: 1})
+	e := mustNew(t, Config{Workers: 1})
 	defer e.Close()
 	for i, l := range loops {
 		dst := make([]float64, l.NumElems)
@@ -56,9 +55,10 @@ func TestSubmitIntoAliasesDst(t *testing.T) {
 	}
 }
 
-// TestRunBatchAliasesAndMatches drives the fused execution path directly
-// (no queue timing involved): every member's result must alias its own
-// destination when capacity suffices and match the sequential reference.
+// TestRunBatchAliasesAndMatches drives the execution path directly (no
+// queue timing involved): the result must alias the job's destination
+// when capacity suffices, match the sequential reference, and count as
+// one job in one execution.
 func TestRunBatchAliasesAndMatches(t *testing.T) {
 	loops, refs := mixedLoops()
 	l, want := loops[0], refs[0]
@@ -69,135 +69,70 @@ func TestRunBatchAliasesAndMatches(t *testing.T) {
 		stats: &e.statShards[0],
 	}
 
-	const members = 4
-	fp := l.Fingerprint()
-	b := &batch{fp: fp}
-	jobs := make([]*job, members)
-	dsts := make([][]float64, members)
-	for i := range jobs {
-		dsts[i] = make([]float64, l.NumElems)
-		jobs[i] = &job{loop: l, dst: dsts[i], done: make(chan Result, 1)}
-		if i == 0 {
-			b.jobs = []*job{jobs[0]}
-		} else if !b.tryJoin(jobs[i], e.cfg.MaxBatch) {
-			t.Fatalf("member %d failed to join open batch", i)
-		}
+	dst := make([]float64, l.NumElems)
+	j := &job{loop: l, fp: l.Fingerprint(), dst: dst, done: make(chan Result, 1)}
+	e.runJob(w, j)
+	res := <-j.done
+	if res.BatchSize != 1 {
+		t.Errorf("BatchSize = %d, want 1", res.BatchSize)
 	}
-	e.runBatch(w, b)
-	for i, j := range jobs {
-		res := <-j.done
-		if res.BatchSize != members {
-			t.Errorf("member %d: BatchSize = %d, want %d", i, res.BatchSize, members)
-		}
-		if &res.Values[0] != &dsts[i][0] {
-			t.Errorf("member %d: result does not alias its dst", i)
-		}
-		if i > 0 && !res.CacheHit {
-			t.Errorf("member %d: fused member not reported as cache hit", i)
-		}
-		assertMatches(t, l.Name, res.Values, want)
+	if &res.Values[0] != &dst[0] {
+		t.Error("result does not alias its dst")
 	}
-	// A sealed batch refuses late joiners.
-	if b.tryJoin(&job{loop: l, done: make(chan Result, 1)}, e.cfg.MaxBatch) {
-		t.Error("sealed batch accepted a join")
-	}
+	assertMatches(t, l.Name, res.Values, want)
 	s := e.Stats()
-	if s.Jobs != members || s.Batches != 1 || s.Coalesced != members-1 {
-		t.Errorf("stats jobs/batches/coalesced = %d/%d/%d, want %d/1/%d",
-			s.Jobs, s.Batches, s.Coalesced, members, members-1)
+	if s.Jobs != 1 || s.Batches != 1 || s.Coalesced != 0 {
+		t.Errorf("stats jobs/batches/coalesced = %d/%d/%d, want 1/1/0", s.Jobs, s.Batches, s.Coalesced)
 	}
-	if s.BatchOccupancy[members] != 1 {
-		t.Errorf("occupancy[%d] = %d, want 1", members, s.BatchOccupancy[members])
+	if want := []uint64{0, 1}; !slices.Equal(s.BatchOccupancy, want) {
+		t.Errorf("occupancy = %v, want %v", s.BatchOccupancy, want)
 	}
 }
 
-// TestEngineCoalescesUnderBacklog parks the single worker (Engine.Hold),
-// then submits a burst of identical hot jobs: while the worker is held,
-// the hot jobs must fuse into one queued batch, and every fused result
-// must alias its own destination and match the reference.
-func TestEngineCoalescesUnderBacklog(t *testing.T) {
-	hot := workloads.Generate("hot", workloads.PatternSpec{
+// TestEngineColdBurstRunsPerJob parks the single worker (Engine.Hold),
+// then queues a burst of one never-seen loop: released, every job runs
+// as its own execution — no job rides another's — and each answer is
+// RunSequential's bits in the caller's own destination.
+func TestEngineColdBurstRunsPerJob(t *testing.T) {
+	cold := workloads.Generate("cold", workloads.PatternSpec{
 		Dim: 2000, SPPercent: 50, CHR: 0.5, MO: 2, Locality: 0.5, Work: 4, Seed: 8,
 	}, 1)
-	want := hot.RunSequential()
+	want := cold.RunSequential()
 
-	e := mustNew(t, Config{Workers: 1, QueueDepth: 4})
+	e := mustNew(t, Config{Workers: 1, QueueDepth: 64})
 	defer e.Close()
 	release, err := e.Hold()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer release()
-	const burst = 6
+	const burst = 32
+	fp := cold.Fingerprint()
 	handles := make([]*Handle, burst)
 	dsts := make([][]float64, burst)
 	for i := range handles {
-		dsts[i] = make([]float64, hot.NumElems)
-		if handles[i], err = e.SubmitAsyncInto(hot, dsts[i]); err != nil {
+		dsts[i] = make([]float64, cold.NumElems)
+		if handles[i], err = e.SubmitFingerprinted(cold, fp, dsts[i], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	release()
 	for i, h := range handles {
 		res := h.Wait()
-		if &res.Values[0] != &dsts[i][0] {
-			t.Errorf("hot %d: result does not alias its dst", i)
+		if d := bitDiffs(res.Values, want); d > 0 {
+			t.Errorf("job %d (%s) differs from RunSequential in %d of %d elements", i, res.Scheme, d, len(want))
 		}
-		assertMatches(t, "hot", res.Values, want)
+		if res.BatchSize != 1 {
+			t.Errorf("job %d: BatchSize = %d, want 1", i, res.BatchSize)
+		}
+		if &res.Values[0] != &dsts[i][0] {
+			t.Errorf("job %d: result does not alias its dst", i)
+		}
 	}
 	s := e.Stats()
-	if s.Jobs != burst || s.Batches != 1 || s.Coalesced != burst-1 {
-		t.Errorf("jobs/batches/coalesced = %d/%d/%d, want %d/1/%d: the held burst must run as one batch",
-			s.Jobs, s.Batches, s.Coalesced, burst, burst-1)
-	}
-	var occJobs uint64
-	for k, v := range s.BatchOccupancy {
-		occJobs += uint64(k) * v
-	}
-	if occJobs != s.Jobs {
-		t.Errorf("occupancy histogram accounts %d jobs, want %d", occJobs, s.Jobs)
-	}
-}
-
-// TestEngineFusedDenseLinkedList holds the worker, then submits a burst
-// of one loop the engine runs as ll on its dense path (MixedSet's
-// moderate regime at the default 8 processors), so the burst fuses into
-// one batch whose range-parallel merge writes every member from 8
-// goroutines (exercised under -race in CI). Every member must carry the
-// bits a direct ll run gives.
-func TestEngineFusedDenseLinkedList(t *testing.T) {
-	l := workloads.MixedSet(0.25)[5]
-	const procs = 8
-	if _, refs := l.Flat(); len(refs)/procs < l.NumElems/8 {
-		t.Fatalf("%s is sparse at procs %d; the test needs ll's dense path", l.Name, procs)
-	}
-	want := reduction.LinkedList{}.Run(l, procs)
-
-	e := mustNew(t, Config{Workers: 1, DisableSimplify: true})
-	defer e.Close()
-	release, err := e.Hold()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	const burst = 4
-	handles := make([]*Handle, burst)
-	for i := range handles {
-		if handles[i], err = e.SubmitAsyncInto(l, make([]float64, l.NumElems)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	release()
-	for i, h := range handles {
-		res := h.Wait()
-		if res.Scheme != "ll" || res.BatchSize != burst {
-			t.Fatalf("member %d: scheme %q batch %d, want ll in one batch of %d", i, res.Scheme, res.BatchSize, burst)
-		}
-		for k := range want {
-			if math.Float64bits(res.Values[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("member %d: element %d = %g, direct ll %g", i, k, res.Values[k], want[k])
-			}
-		}
+	if s.Jobs != burst || s.Batches != s.Jobs || s.Coalesced != 0 {
+		t.Errorf("jobs/batches/coalesced = %d/%d/%d, want %d/%d/0: every job is its own execution",
+			s.Jobs, s.Batches, s.Coalesced, burst, burst)
 	}
 }
 
@@ -268,7 +203,7 @@ func assertClose(errs chan<- string, name string, got, want []float64) {
 func TestCacheEvictionCLOCK(t *testing.T) {
 	loops, _ := mixedLoops()
 	A, B, C := loops[0], loops[1], loops[2]
-	e := mustNew(t, Config{Workers: 1, CacheShards: 1, MaxCacheEntries: 2, MaxBatch: 1})
+	e := mustNew(t, Config{Workers: 1, CacheShards: 1, MaxCacheEntries: 2})
 	defer e.Close()
 	for _, l := range []*trace.Loop{A, B, A, C, A, B} {
 		if _, err := e.Submit(l); err != nil {
@@ -306,7 +241,7 @@ func TestSubmitAsyncPipelining(t *testing.T) {
 	for i, h := range handles {
 		res := h.Wait()
 		assertMatches(t, loops[i%len(loops)].Name, res.Values, refs[i%len(loops)])
-		if res.BatchSize < 1 {
+		if res.BatchSize != 1 {
 			t.Errorf("handle %d: BatchSize = %d", i, res.BatchSize)
 		}
 		// Wait is idempotent.

@@ -27,14 +27,14 @@ import (
 //     fresh profile's pattern.Distance from the decision-time profile
 //     exceeds recalDistance, the entry is marked stale even if the cost
 //     happens to look steady,
-//   - a stale entry is re-inspected at the head of its next batch:
+//   - a stale entry is re-inspected before its next job executes:
 //     fresh characterization through internal/adapt. A recommendation
 //     matching the current scheme revalidates the entry (new profile and
 //     cost anchor, staleness cleared); a differing recommendation must
 //     repeat — same replacement scheme — on Config.RecalConfirm
 //     consecutive re-inspections before the scheme actually switches;
 //     hysteresis, so measurement noise cannot thrash rep<->sel on
-//     alternate batches. Re-inspections are serialized per entry so the
+//     alternate jobs. Re-inspections are serialized per entry so the
 //     confirmations come from distinct epochs of the workload.
 //
 // A switch replaces the entry's scheme, profile and rationale, bumps the
@@ -69,14 +69,11 @@ func (e *Engine) characterize(l *trace.Loop) *pattern.Profile {
 	return pattern.CharacterizeSampled(l, e.cfg.Platform.Procs, e.cfg.Platform.Cfg.L2Bytes, sampleStride)
 }
 
-// recordCost feeds one batch execution's measured cost into the entry's
+// recordCost feeds one direct execution's measured cost into the entry's
 // drift detector, and runs the periodic sampled re-profile when the
-// entry's execution count comes due. Costs are per execution, not per
-// member: a batch pays the scheme once regardless of how many jobs fused
-// into it, so per-execution cost tracks the scheme while per-job cost
-// would drift with batch occupancy alone. decSeen is the decision
-// generation the batch executed under; a measurement taken under a
-// decision that was switched away mid-flight is dropped.
+// entry's execution count comes due. decSeen is the decision generation
+// the job executed under; a measurement taken under a decision that was
+// switched away mid-flight is dropped.
 func (e *Engine) recordCost(entry *cacheEntry, l *trace.Loop, elapsed time.Duration, decSeen uint64) {
 	ns := float64(elapsed.Nanoseconds())
 	entry.mu.Lock()
@@ -117,7 +114,7 @@ func (e *Engine) recordCost(entry *cacheEntry, l *trace.Loop, elapsed time.Durat
 		return
 	}
 	// The re-profile runs outside the entry lock: characterization is
-	// O(refs/stride) and same-fingerprint batches on other workers should
+	// O(refs/stride) and same-fingerprint jobs on other workers should
 	// not serialize behind it.
 	fresh := e.characterize(l)
 	if pattern.Distance(baseline, fresh) > recalDistance {
@@ -134,8 +131,8 @@ func (e *Engine) recordCost(entry *cacheEntry, l *trace.Loop, elapsed time.Durat
 	}
 }
 
-// maybeReinspect revalidates a stale entry before its batch executes:
-// fresh characterization of the batch leader's loop through the decision
+// maybeReinspect revalidates a stale entry before its job executes:
+// fresh characterization of the job's loop through the decision
 // algorithm, with hysteresis before a switch. It reports whether a
 // re-inspection ran and whether it switched the scheme.
 func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, switched bool) {
@@ -144,16 +141,16 @@ func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, 
 		entry.mu.Unlock()
 		return false, false
 	}
-	// Claim the re-inspection: concurrent batches of the same stale
+	// Claim the re-inspection: concurrent jobs of the same stale
 	// fingerprint execute the current scheme unexamined rather than
 	// characterizing the same instant several times — hysteresis must
-	// count distinct batch-head epochs, or two workers sampling one
+	// count distinct epochs, or two workers sampling one
 	// moment's noise could consume the whole confirmation budget at
 	// once.
 	entry.reinspecting = true
 	entry.mu.Unlock()
 	// Characterize outside the lock, like recordCost's periodic
-	// re-profile: the stale entry's other batches (snapshotting the
+	// re-profile: the stale entry's other jobs (snapshotting the
 	// decision, recording costs) must not serialize behind an
 	// O(refs/stride) inspector pass.
 	fresh := e.characterize(l)
@@ -185,7 +182,7 @@ func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, 
 		entry.confirm = 1
 	}
 	if entry.confirm < e.cfg.RecalConfirm {
-		// Not yet confirmed: stay stale so the next batch re-inspects
+		// Not yet confirmed: stay stale so the next job re-inspects
 		// again; a noise blip that recommends differently once will be
 		// contradicted before the hysteresis threshold is reached.
 		return true, false

@@ -23,7 +23,7 @@ var ErrSessionClosed = errors.New("engine: session closed")
 // job; an Apply runs on the caller's goroutine with the session's own
 // execution context — a delta costs microseconds, less than the queue
 // hand-off it would pay. Sessions are deliberately kept out of the
-// adaptive machinery: no decision cache, no coalescing, and — like
+// adaptive machinery: no decision cache and — like
 // simplified runs — no drift-detector cost samples, since an incremental
 // apply's cost says nothing about the full loop's scheme.
 //
@@ -41,8 +41,8 @@ type Session struct {
 	closed bool
 }
 
-// sessionWork is a session open riding the worker queue inside a batch
-// (batch.sess). The worker computes and answers on done.
+// sessionWork is a session open riding the worker queue inside a job
+// (job.sess). The worker computes and answers on done.
 type sessionWork struct {
 	s        *Session
 	loop     *trace.Loop // the loop to register
@@ -127,7 +127,7 @@ func (s *Session) Apply(deltas []reduction.RefDelta, dst []float64) (Result, err
 	elapsed := time.Since(start)
 	e.caller.stages.Observe(obs.StageExecute, elapsed)
 	e.caller.recordSession(false, stats.Computed, stats.Reused)
-	e.tenants[s.tenant].countBatch(1)
+	e.tenants[s.tenant].countJob()
 	s.gen++
 	return sessionResult(dst, s.gen, elapsed, 0), nil
 }
@@ -164,23 +164,22 @@ func (s *Session) Bytes() int {
 }
 
 // enqueueSession submits one session open to the worker queue, mirroring
-// SubmitAsyncInto's close handling. Session batches bypass the
-// coalescer: they carry resident state, so there is nothing to fuse.
+// SubmitAsyncInto's close handling.
 func (e *Engine) enqueueSession(sw *sessionWork) error {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed {
 		return ErrClosed
 	}
-	e.q.push(sw.s.tenant, &batch{sess: sw, tenant: sw.s.tenant, enq: time.Now()})
+	e.q.push(sw.s.tenant, &job{sess: sw, tenant: sw.s.tenant, enq: time.Now()})
 	return nil
 }
 
 // runSession executes one session open on a worker: it builds the
 // DeltaState (full compute), reads the initial reduction into the
 // caller's destination and sets the generation to 1. Session results
-// never feed lookup, recordCost or the coalescer — the drift-detector
-// exclusion the simplified path also has, here by construction.
+// never feed lookup or recordCost — the drift-detector exclusion the
+// simplified path also has, here by construction.
 func (e *Engine) runSession(w *workerCtx, sw *sessionWork, qw time.Duration) {
 	start := time.Now()
 	st, err := reduction.NewDeltaState(sw.loop, sw.segIters, e.cfg.Platform.Procs, w.ex, sw.dst)

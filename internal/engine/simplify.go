@@ -9,23 +9,24 @@ import (
 	"repro/internal/trace"
 )
 
-// This file wires the algebraic simplification layer into the batch
-// path. A sealed batch that carries overlap members — or a singleton
-// whose geometry makes incremental re-reduction worthwhile — is analyzed
-// into a segment decomposition (pattern.AnalyzeSegments via
-// reduction.BuildSegPlan); when the decision boundary
-// (adapt.RecommendSimplify) finds the shared-segment work plus the
-// combine column cheaper than the members' direct executions, the batch
-// runs as one set of per-segment partial sums. Segment sums are cached
-// on the decision-cache entry between batches, so a stream that mutates
-// one window of an otherwise-stable loop recomputes only the affected
-// segments, and a loop that comes back unchanged is answered from the
-// cache's resident result: one copy, after every slot verified.
+// This file wires the algebraic simplification layer into the job path.
+// A job whose geometry makes incremental re-reduction worthwhile seeds a
+// segment cache on its decision-cache entry; later jobs of the pattern
+// are analyzed into a segment decomposition (pattern.AnalyzeSegments via
+// reduction.BuildSegPlan) against it, and when the decision boundary
+// (adapt.RecommendSimplify) finds the uncached segments plus the combine
+// column cheaper than a direct execution, the job runs as per-segment
+// partial sums with every verified cached sum reused. A stream that
+// mutates one window of an otherwise-stable loop therefore recomputes
+// only the affected segments — and distinct loops sharing subranges
+// share the sums of those subranges — while a loop that comes back
+// unchanged is answered from the cache's resident result: one copy,
+// after every slot verified.
 //
 // The cache claim protocol mirrors the entry's other mutable state: all
 // segment fields live under entry.mu, and a segBusy claim grants one
 // worker at a time exclusive use of the cache (a concurrent same-pattern
-// batch falls back to the direct path rather than wait). ServeResident's
+// job falls back to the direct path rather than wait). ServeResident's
 // callers share a read claim instead: any number of them may answer from
 // the resident total together, and a worker that finds readers declines
 // exactly as it declines another worker's claim. A recalibration scheme
@@ -42,9 +43,9 @@ import (
 // off (segMissLimit) until the entry's decision changes.
 
 const (
-	// segSeedAfter is how many singleton batches of a seed-worthy pattern
-	// must arrive before the engine pays one simplified execution to fill
-	// the entry's segment cache. The seed run costs about one direct
+	// segSeedAfter is how many jobs of a seed-worthy pattern must arrive
+	// before the engine pays one simplified execution to fill the
+	// entry's segment cache. The seed run costs about one direct
 	// execution plus the analysis sweep; every later submission with
 	// surviving content reuses its sums.
 	segSeedAfter = 2
@@ -58,19 +59,19 @@ const (
 	// segCacheMaxBytes caps one entry's segment-cache footprint (sum
 	// buffers plus retained subscript content).
 	segCacheMaxBytes = 4 << 20
-	// residentWhy is the rationale a batch served from the segment cache's
+	// residentWhy is the rationale a job served from the segment cache's
 	// resident result reports.
 	residentWhy = "resident result: every cached segment verified unchanged; one copy"
 )
 
-// trySimplified offers a sealed batch to the simplification layer. It
-// returns true when the batch was fully executed (results delivered,
-// stats recorded); false means the caller runs the direct path.
-func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, ov []*job, qw, insp time.Duration) bool {
+// trySimplified offers a job to the simplification layer. It returns
+// true when the job was fully executed (result delivered, stats
+// recorded); false means the caller runs the direct path.
+func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, j *job, qw, insp time.Duration) bool {
 	if e.cfg.DisableSimplify {
 		return false
 	}
-	l := jobs[0].loop
+	l := j.loop
 	if l.Op != trace.OpAdd || l.NumIters() == 0 {
 		return false
 	}
@@ -80,9 +81,6 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 	th := adapt.DefaultSimplifyThresholds()
 	seedable := adapt.SimplifySeedWorthwhile(l.TotalRefs(), l.NumElems, segments, th) &&
 		reduction.SegCacheBytes(l, segIters) <= segCacheMaxBytes
-
-	ovGroups := groupByLoop(ov)
-	occ := 1 + len(ovGroups)
 
 	// Claim the entry's segment cache. Everything that can decline
 	// cheaply declines here, before the analysis sweep.
@@ -108,7 +106,7 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 		entry.segs = nil
 	}
 	warm := entry.segs != nil
-	if occ == 1 && !warm {
+	if !warm {
 		if !seedable {
 			entry.mu.Unlock()
 			return false
@@ -118,8 +116,6 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 			entry.mu.Unlock()
 			return false
 		}
-	}
-	if entry.segs == nil && seedable {
 		entry.segs = reduction.NewSegCache(l, segIters)
 		entry.segGen = entry.decGen
 	}
@@ -127,41 +123,33 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 	entry.segClaim = segBusy
 	entry.mu.Unlock()
 
-	// A warm singleton first asks the cache for its resident result: when
-	// every slot still verifies against the submitted loop the answer is
-	// one copy, a lower bound on any execution, so there is nothing for
-	// the analysis sweep or the cost model to decide. Any failed check
-	// falls through to the planned path below.
-	res := Result{Scheme: "simplify", CacheHit: true, QueueWait: qw, Inspect: insp}
-	if occ == 1 && warm {
-		dst := sizeDst(jobs[0].dst, l.NumElems)
-		jobs[0].dst = dst
+	// A warm job first asks the cache for its resident result: when every
+	// slot still verifies against the submitted loop the answer is one
+	// copy, a lower bound on any execution, so there is nothing for the
+	// analysis sweep or the cost model to decide. Any failed check falls
+	// through to the planned path below.
+	res := Result{Scheme: "simplify", CacheHit: hit, BatchSize: 1, QueueWait: qw, Inspect: insp}
+	j.dst = sizeDst(j.dst, l.NumElems)
+	if warm {
 		start := time.Now()
-		if cache.Serve(l, dst) {
+		if cache.Serve(l, j.dst) {
 			res.Why, res.Elapsed = residentWhy, time.Since(start)
-			e.finishSimplified(w, entry, hit, jobs, nil, [][]float64{dst}, res, reduction.SegRunStats{Reused: segments})
+			e.finishSimplified(w, entry, j, res, reduction.SegRunStats{Reused: segments})
 			return true
 		}
 	}
 
-	members := make([]*trace.Loop, 1, occ)
-	members[0] = l
-	for _, g := range ovGroups {
-		members = append(members, g[0].loop)
-	}
-	plan, err := reduction.BuildSegPlanProcs(members, segIters, procs)
+	plan, err := reduction.BuildSegPlanProcs([]*trace.Loop{l}, segIters, procs)
 	if err != nil {
-		// Overlap joiners passed the cheap geometry gate but not the
-		// analysis's offsets check; the batch is not decomposable.
+		// More segments than a plan holds: the loop is not decomposable.
 		e.releaseSeg(entry, false)
 		w.stats.recordSimplify(false, 0, 0)
 		return false
 	}
 
 	res.Why = "seeding segment cache for incremental re-reduction"
-	if !(occ == 1 && !warm) {
+	if warm {
 		in := adapt.SimplifyInput{
-			Occupancy:     occ,
 			Members:       plan.Analysis.Members,
 			Segments:      plan.Analysis.Segments,
 			Unique:        plan.Analysis.Unique,
@@ -179,24 +167,16 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs, 
 		res.Why = rationale.String()
 	}
 
-	// One destination per distinct loop; duplicate jobs get copies in
-	// finishSimplified, exactly like the direct path's batch fan-out.
-	dsts := make([][]float64, len(members))
-	dsts[0] = sizeDst(jobs[0].dst, l.NumElems)
-	for gi, g := range ovGroups {
-		dsts[gi+1] = sizeDst(g[0].dst, l.NumElems)
-	}
-
 	start := time.Now()
-	st := plan.Run(procs, w.ex, cache, dsts)
+	st := plan.Run(procs, w.ex, cache, [][]float64{j.dst})
 	res.Elapsed = time.Since(start)
-	e.finishSimplified(w, entry, hit, jobs, ovGroups, dsts, res, st)
+	e.finishSimplified(w, entry, j, res, st)
 	return true
 }
 
 // ServeResident answers l on the calling goroutine when its decision-cache
 // entry's resident total verifies against it, the one serve that needs no
-// queue, batch or worker; false means nothing happened and the caller
+// queue or worker; false means nothing happened and the caller
 // submits as usual. fp must be l.Fingerprint(); tenant is an index from
 // TenantIndex. It is the one resident serve off a worker: the Submit
 // family calls it before queueing, and the network server calls it on
@@ -253,9 +233,9 @@ func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int, use func(Re
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
 	}
-	e.tenants[tenant].countBatch(1)
+	e.tenants[tenant].countJob()
 	e.caller.stages.Observe(obs.StageExecute, res.Elapsed)
-	e.caller.record(res.Scheme, 1, true)
+	e.caller.record(res.Scheme, true)
 	e.caller.recordSimplify(true, 0, (l.NumIters()+segIters-1)/segIters)
 	use(res)
 	return true
@@ -263,51 +243,16 @@ func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int, use func(Re
 
 // finishSimplified is the common tail of both simplified exits (the
 // planned run and the resident serve): it returns the cache claim,
-// charges the execute stage, fans dsts out to the batch's jobs — dsts[0]
-// answers the leader group, dsts[gi+1] overlap group gi — and records
-// the batch. res carries everything the members' results share but
-// BatchSize and Values.
-func (e *Engine) finishSimplified(w *workerCtx, entry *cacheEntry, hit bool, jobs []*job, ovGroups [][]*job,
-	dsts [][]float64, res Result, st reduction.SegRunStats) {
+// charges the execute stage, records the job and answers it with j.dst.
+func (e *Engine) finishSimplified(w *workerCtx, entry *cacheEntry, j *job, res Result, st reduction.SegRunStats) {
 	e.releaseSeg(entry, true)
 	w.stats.stages.Observe(obs.StageExecute, res.Elapsed)
-
-	res.BatchSize = len(jobs)
-	for _, g := range ovGroups {
-		res.BatchSize += len(g)
-	}
-	// Materialize every duplicate job's copy before sending any result:
-	// the first send wakes its client, which may legally resubmit its
-	// destination array — the one later copies still read from.
-	fan := func(g []*job, src []float64) {
-		g[0].dst = src
-		for _, j := range g[1:] {
-			j.dst = sizeDst(j.dst, len(src))
-			copy(j.dst, src)
-		}
-	}
-	send := func(g []*job) {
-		for _, j := range g {
-			r := res
-			r.Values = j.dst
-			if j == jobs[0] {
-				r.CacheHit = hit
-			}
-			j.done <- r
-		}
-	}
-	fan(jobs, dsts[0])
-	for gi, g := range ovGroups {
-		fan(g, dsts[gi+1])
-	}
-	// Account the batch before waking anyone: a client that reads Stats
+	// Account the job before waking its client: a client that reads Stats
 	// right after its result must find its own job counted.
-	w.stats.record("simplify", res.BatchSize, hit)
+	w.stats.record(res.Scheme, res.CacheHit)
 	w.stats.recordSimplify(true, st.Computed, st.Reused)
-	send(jobs)
-	for _, g := range ovGroups {
-		send(g)
-	}
+	res.Values = j.dst
+	j.done <- res
 }
 
 // releaseSeg returns the entry's segment-cache claim. A successful

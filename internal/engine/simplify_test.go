@@ -65,94 +65,11 @@ func mutateKeepingFingerprint(t *testing.T, l *trace.Loop, segIters int, seed in
 	return c
 }
 
-// simpWorker builds a workerCtx over the engine's pool and stat shard 0,
-// for driving runBatch directly (no queue timing involved).
-func simpWorker(e *Engine) *workerCtx {
-	return &workerCtx{
-		ex:    &reduction.Exec{Pool: e.pool},
-		stats: &e.statShards[0],
-	}
-}
-
-// overlapBatch hand-builds a sealed-ready batch: one leader job plus one
-// overlap job per extra loop, the shape the coalescer produces when
-// distinct same-fingerprint loops fuse.
-func overlapBatch(t *testing.T, e *Engine, loops []*trace.Loop) (*batch, []*job) {
-	t.Helper()
-	jobs := make([]*job, len(loops))
-	for i, l := range loops {
-		jobs[i] = &job{loop: l, dst: make([]float64, l.NumElems), done: make(chan Result, 1)}
-	}
-	b := &batch{fp: loops[0].Fingerprint(), allowOv: true, jobs: []*job{jobs[0]}}
-	for _, j := range jobs[1:] {
-		if !b.tryJoin(j, e.cfg.MaxBatch) {
-			t.Fatal("overlap member failed to join")
-		}
-	}
-	if len(b.ov) != len(loops)-1 {
-		t.Fatalf("overlap members = %d, want %d", len(b.ov), len(loops)-1)
-	}
-	return b, jobs
-}
-
-// TestEngineSimplifiedOverlapBatch runs a full-overlap batch (leader
-// plus three clones) through runBatch: it must execute as one simplified
-// plan, produce correct results for every member, and seed the entry's
-// segment cache so a later singleton submission reuses every segment.
-func TestEngineSimplifiedOverlapBatch(t *testing.T) {
-	const dim, iters, rpi = 512, 256, 16
-	l := simpLoop("simp", dim, iters, rpi, 1)
-	want := l.RunSequential()
-	e := mustNew(t, Config{Workers: 1})
-	defer e.Close()
-
-	loops := []*trace.Loop{l, l.Clone(), l.Clone(), l.Clone()}
-	b, jobs := overlapBatch(t, e, loops)
-	e.runBatch(simpWorker(e), b)
-	for i, j := range jobs {
-		res := <-j.done
-		if res.Scheme != "simplify" {
-			t.Fatalf("member %d ran %s, want simplify (%s)", i, res.Scheme, res.Why)
-		}
-		if res.BatchSize != len(loops) {
-			t.Errorf("member %d BatchSize = %d, want %d", i, res.BatchSize, len(loops))
-		}
-		if i > 0 && !res.CacheHit {
-			t.Errorf("member %d not reported as cache hit", i)
-		}
-		assertMatches(t, "overlap", res.Values, want)
-	}
-	s := e.Stats()
-	if s.SimplifiedBatches != 1 || s.SimplifyFallbacks != 0 {
-		t.Fatalf("simplified/fallbacks = %d/%d, want 1/0", s.SimplifiedBatches, s.SimplifyFallbacks)
-	}
-	// Full overlap: one partial sum per segment, none cached yet.
-	if s.SegsComputed != 8 || s.SegsReused != 0 {
-		t.Fatalf("computed/reused = %d/%d, want 8/0", s.SegsComputed, s.SegsReused)
-	}
-	if s.Jobs != 4 || s.Batches != 1 || s.Coalesced != 3 {
-		t.Fatalf("jobs/batches/coalesced = %d/%d/%d, want 4/1/3", s.Jobs, s.Batches, s.Coalesced)
-	}
-
-	// The batch seeded the segment cache: a singleton re-submission of
-	// the same content reuses every segment sum.
-	res, err := e.Submit(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheme != "simplify" {
-		t.Fatalf("warm singleton ran %s, want simplify (%s)", res.Scheme, res.Why)
-	}
-	assertMatches(t, "warm", res.Values, want)
-	s = e.Stats()
-	if s.SegsReused != 8 || s.SegsComputed != 8 {
-		t.Fatalf("after warm singleton computed/reused = %d/%d, want 8/8", s.SegsComputed, s.SegsReused)
-	}
-}
-
 // TestEngineSimplifyIncremental is the drift-stream property at the
-// engine level: a singleton stream that mutates one segment between
-// submissions recomputes only that segment once its cache is seeded.
+// engine level: a stream that mutates one segment between submissions
+// recomputes only that segment once its cache is seeded — and distinct
+// loops sharing subranges, submitted one at a time, share the sums of
+// what they have in common.
 func TestEngineSimplifyIncremental(t *testing.T) {
 	const dim, iters, rpi = 512, 256, 16
 	segIters := reduction.DefaultSegIters(iters, 8)
@@ -194,43 +111,73 @@ func TestEngineSimplifyIncremental(t *testing.T) {
 	if got := s.SegsReused - base.SegsReused; got != 7 {
 		t.Errorf("drift submission reused %d segments, want 7", got)
 	}
+
+	// Shared subranges: each member differs from the others in one
+	// window, so once the first member seeds the cache, every later one
+	// reuses the windows it shares with the member run before it.
+	ss := workloads.NewSharedSubrangeStream(4, 0, 0.125, 3)
+	e2 := mustNew(t, Config{Workers: 1})
+	defer e2.Close()
+	seedCache(t, e2, ss.Members[0])
+	base = e2.Stats()
+	for _, m := range ss.Members[1:] {
+		res, err := e2.Submit(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Scheme != "simplify" {
+			t.Fatalf("%s ran %s, want simplify (%s)", m.Name, res.Scheme, res.Why)
+		}
+		assertMatches(t, m.Name, res.Values, m.RunSequential())
+	}
+	s = e2.Stats()
+	if s.SegsReused == base.SegsReused {
+		t.Error("no segment sum reused across distinct shared-subrange members")
+	}
 }
 
-// TestEngineSimplifyFallbackDisjoint fuses four same-fingerprint loops
-// with (near-)fully disjoint content: the analysis finds no sharing, the
-// boundary declines, and every group falls back to a correct direct
-// execution under the cached decision.
+// seedCache submits l segSeedAfter times: direct runs while the entry
+// counts, then the seeding run that fills its segment cache.
+func seedCache(t *testing.T, e *Engine, l *trace.Loop) {
+	t.Helper()
+	for n := 0; n < segSeedAfter; n++ {
+		if _, err := e.Submit(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineSimplifyFallbackDisjoint submits, after a seeded loop, a
+// same-fingerprint loop with fully disjoint content: the analysis finds
+// no cached segment, the boundary declines, and the job falls back to a
+// correct direct execution under the cached decision.
 func TestEngineSimplifyFallbackDisjoint(t *testing.T) {
 	const dim, iters, rpi = 512, 256, 16
 	segIters := reduction.DefaultSegIters(iters, 8)
 	l := simpLoop("disjoint", dim, iters, rpi, 3)
-	loops := []*trace.Loop{l}
-	for m := 1; m < 4; m++ {
-		loops = append(loops, mutateKeepingFingerprint(t, l, segIters, int64(10+m), func(int) bool { return false }))
-	}
+	other := mutateKeepingFingerprint(t, l, segIters, 11, func(int) bool { return false })
 	e := mustNew(t, Config{Workers: 1})
 	defer e.Close()
+	seedCache(t, e, l)
 
-	b, jobs := overlapBatch(t, e, loops)
-	e.runBatch(simpWorker(e), b)
-	for i, j := range jobs {
-		res := <-j.done
-		if res.Scheme == "simplify" {
-			t.Fatalf("disjoint member %d ran simplified", i)
-		}
-		if i > 0 && !res.CacheHit {
-			t.Errorf("overlap member %d not reported as cache hit", i)
-		}
-		assertMatches(t, loops[i].Name, res.Values, loops[i].RunSequential())
+	base := e.Stats()
+	res, err := e.Submit(other)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res.Scheme == "simplify" {
+		t.Fatal("disjoint loop ran simplified")
+	}
+	if !res.CacheHit {
+		t.Error("disjoint loop not reported as a decision-cache hit")
+	}
+	assertMatches(t, other.Name, res.Values, other.RunSequential())
 	s := e.Stats()
-	if s.SimplifyFallbacks != 1 || s.SimplifiedBatches != 0 {
-		t.Fatalf("fallbacks/simplified = %d/%d, want 1/0", s.SimplifyFallbacks, s.SimplifiedBatches)
+	if got := s.SimplifyFallbacks - base.SimplifyFallbacks; got != 1 {
+		t.Fatalf("fallbacks moved by %d, want 1", got)
 	}
-	// One queue batch, four per-group executions: the occupancy ledger
-	// still accounts every job exactly once.
-	if s.Jobs != 4 || s.Coalesced != s.Jobs-s.Batches {
-		t.Fatalf("jobs/batches/coalesced = %d/%d/%d", s.Jobs, s.Batches, s.Coalesced)
+	if s.SimplifiedBatches != base.SimplifiedBatches {
+		t.Fatal("disjoint loop counted as simplified")
 	}
 }
 
@@ -260,37 +207,36 @@ func TestEngineSimplifyDisabled(t *testing.T) {
 
 // TestEngineSimplifyMissShutoff drives consecutive declined analyses
 // past segMissLimit: the layer must stop analyzing (fallback counter
-// freezes) instead of paying the sweep on every batch forever.
+// freezes) instead of paying the sweep on every job forever.
 func TestEngineSimplifyMissShutoff(t *testing.T) {
 	const dim, iters, rpi = 512, 256, 16
 	segIters := reduction.DefaultSegIters(iters, 8)
 	l := simpLoop("missy", dim, iters, rpi, 5)
 	e := mustNew(t, Config{Workers: 1})
 	defer e.Close()
+	seedCache(t, e, l)
 
+	base := e.Stats()
 	for n := 0; n < segMissLimit+3; n++ {
-		loops := []*trace.Loop{l}
-		for m := 1; m < 4; m++ {
-			loops = append(loops, mutateKeepingFingerprint(t, l, segIters, int64(100*n+m), func(int) bool { return false }))
+		other := mutateKeepingFingerprint(t, l, segIters, int64(100+n), func(int) bool { return false })
+		res, err := e.Submit(other)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b, jobs := overlapBatch(t, e, loops)
-		e.runBatch(simpWorker(e), b)
-		for _, j := range jobs {
-			<-j.done
-		}
+		assertMatches(t, other.Name, res.Values, other.RunSequential())
 	}
 	s := e.Stats()
-	if s.SimplifyFallbacks != segMissLimit {
-		t.Fatalf("fallbacks = %d, want shutoff at %d", s.SimplifyFallbacks, segMissLimit)
+	if got := s.SimplifyFallbacks - base.SimplifyFallbacks; got != segMissLimit {
+		t.Fatalf("fallbacks = %d, want shutoff at %d", got, segMissLimit)
 	}
-	if s.SimplifiedBatches != 0 {
-		t.Fatalf("SimplifiedBatches = %d, want 0", s.SimplifiedBatches)
+	if s.SimplifiedBatches != base.SimplifiedBatches {
+		t.Fatalf("SimplifiedBatches moved by %d, want 0", s.SimplifiedBatches-base.SimplifiedBatches)
 	}
 }
 
 // TestEngineSimplifyValuesMatchDirect cross-checks the two execution
-// paths end to end: the same overlap batch produces (tolerance-equal)
-// results with the layer on and off.
+// paths end to end: the same stream of partly-changed loops produces
+// (tolerance-equal) results with the layer on and off.
 func TestEngineSimplifyValuesMatchDirect(t *testing.T) {
 	const dim, iters, rpi = 512, 256, 16
 	segIters := reduction.DefaultSegIters(iters, 8)
@@ -302,11 +248,13 @@ func TestEngineSimplifyValuesMatchDirect(t *testing.T) {
 	}
 	for _, disable := range []bool{false, true} {
 		e := mustNew(t, Config{Workers: 1, DisableSimplify: disable})
-		b, jobs := overlapBatch(t, e, loops)
-		e.runBatch(simpWorker(e), b)
-		for i, j := range jobs {
-			res := <-j.done
-			assertMatches(t, loops[i].Name, res.Values, loops[i].RunSequential())
+		seedCache(t, e, l)
+		for _, m := range loops {
+			res, err := e.Submit(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatches(t, m.Name, res.Values, m.RunSequential())
 			if math.IsNaN(res.Values[0]) {
 				t.Fatal("NaN result")
 			}
@@ -333,11 +281,11 @@ func seedResident(t *testing.T, e *Engine, l *trace.Loop, want []float64) {
 	}
 }
 
-// TestEngineResidentServe pins the warm-singleton exit: once the cache is
-// armed, a repeat of the unchanged loop is answered from the resident
-// result — reported as a simplified batch that reused every segment and
-// computed none — and duplicate jobs fused into such a batch each get
-// their own copy in their own destination.
+// TestEngineResidentServe pins the warm exit: once the cache is armed, a
+// repeat of the unchanged loop is answered from the resident result —
+// reported as a simplified execution that reused every segment and
+// computed none — on the caller and, for a queued job, on a worker, each
+// copy in the job's own destination.
 func TestEngineResidentServe(t *testing.T) {
 	const dim, iters, rpi, segments = 512, 256, 16, 8
 	l := simpLoop("resident", dim, iters, rpi, 7)
@@ -372,35 +320,23 @@ func TestEngineResidentServe(t *testing.T) {
 		t.Errorf("resident serve counted a fallback")
 	}
 
-	// Three pointer-identical jobs in one batch: one serve, fanned out.
-	const members = 3
-	b := &batch{fp: l.Fingerprint(), allowOv: true}
-	jobs := make([]*job, members)
-	for i := range jobs {
-		jobs[i] = &job{loop: l, dst: make([]float64, dim), done: make(chan Result, 1)}
-		if i == 0 {
-			b.jobs = []*job{jobs[0]}
-		} else if !b.tryJoin(jobs[i], e.cfg.MaxBatch) {
-			t.Fatalf("duplicate %d failed to join", i)
-		}
+	// A queued repeat is served the same way by the worker, into its
+	// own destination.
+	dst := make([]float64, dim)
+	h, err := e.SubmitFingerprinted(l, l.Fingerprint(), dst, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.runBatch(simpWorker(e), b)
-	for i, j := range jobs {
-		res := <-j.done
-		if res.Why != residentWhy || res.BatchSize != members {
-			t.Fatalf("duplicate %d: Why %q BatchSize %d", i, res.Why, res.BatchSize)
-		}
-		if &res.Values[0] != &j.dst[0] {
-			t.Errorf("duplicate %d: result does not alias its own dst", i)
-		}
-		assertMatches(t, "duplicate", res.Values, want)
-		// Scribbling over one answer must not reach another's.
-		for k := range res.Values {
-			res.Values[k] = -1
-		}
+	res = h.Wait()
+	if res.Why != residentWhy || res.BatchSize != 1 {
+		t.Fatalf("queued repeat: Why %q BatchSize %d", res.Why, res.BatchSize)
 	}
-	if s := e.Stats(); s.Jobs != base.Jobs+1+members || s.Coalesced != base.Coalesced+members-1 {
-		t.Errorf("jobs/coalesced = %d/%d after the fused serve", s.Jobs, s.Coalesced)
+	if &res.Values[0] != &dst[0] {
+		t.Error("queued repeat: result does not alias its dst")
+	}
+	assertMatches(t, "queued", res.Values, want)
+	if s := e.Stats(); s.Jobs != base.Jobs+2 || s.Coalesced != 0 {
+		t.Errorf("jobs/coalesced = %d/%d after two serves", s.Jobs, s.Coalesced)
 	}
 }
 

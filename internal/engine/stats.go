@@ -11,7 +11,10 @@ import (
 type Stats struct {
 	Jobs, CacheHits, CacheMisses uint64
 	// Batches is the number of executions; Coalesced counts jobs that rode
-	// another job's execution (so Jobs - Batches == Coalesced).
+	// another job's execution (so Jobs - Batches == Coalesced). This
+	// engine runs every job on its own, so its Batches equals Jobs and its
+	// Coalesced stays 0; both are kept for the wire, where a gateway sums
+	// what older daemons report.
 	Batches, Coalesced uint64
 	// CacheEntries is the number of distinct pattern signatures cached;
 	// CacheEvictions counts CLOCK victims across all shards.
@@ -42,9 +45,10 @@ type Stats struct {
 	SessionSegsComputed, SessionSegsReused uint64
 	// Schemes counts executed jobs per scheme name.
 	Schemes map[string]uint64
-	// BatchOccupancy[k] is the number of executed batches that fused
-	// exactly k jobs (index 0 is unused; the last bucket also absorbs any
-	// larger size).
+	// BatchOccupancy[k] is the number of executions that served exactly
+	// k jobs (index 0 is unused). This engine reports two buckets, every
+	// execution in bucket 1; merged snapshots of older daemons may carry
+	// more.
 	BatchOccupancy []uint64
 	// Stages holds the engine's per-stage latency histograms (queue_wait,
 	// inspect, execute), merged across the worker shards; only stages
@@ -252,10 +256,9 @@ type statShard struct {
 	mu sync.Mutex
 	// c holds the shard's scalar counters in the snapshot's own fields
 	// (the two the cache owns stay zero here; the non-scalar fields are
-	// unused — schemes and occ below are the shard's).
+	// unused — schemes below are the shard's).
 	c       Stats
 	schemes map[string]uint64
-	occ     []uint64
 	// stages holds the shard's stage-latency histograms. It lives outside
 	// the mutex: writers record through lock-free atomics and
 	// Stats() reads racy-but-consistent-enough snapshots, so instrumenting
@@ -263,40 +266,31 @@ type statShard struct {
 	stages obs.StageSet
 }
 
-func newStatShards(workers, maxBatch int) []statShard {
+func newStatShards(workers int) []statShard {
 	shards := make([]statShard, workers)
 	for i := range shards {
 		shards[i].schemes = make(map[string]uint64)
-		shards[i].occ = make([]uint64, maxBatch+1)
 	}
 	return shards
 }
 
-// record accounts one executed batch of size n under the given scheme.
-// The leader's lookup outcome is hit; fused members always reuse the
-// decision, so they count as hits.
-func (s *statShard) record(scheme string, n int, hit bool) {
+// record accounts one executed job under the given scheme; hit is its
+// decision-cache lookup outcome.
+func (s *statShard) record(scheme string, hit bool) {
 	s.mu.Lock()
-	s.c.Jobs += uint64(n)
+	s.c.Jobs++
 	s.c.Batches++
-	s.c.Coalesced += uint64(n - 1)
 	if hit {
 		s.c.CacheHits++
 	} else {
 		s.c.CacheMisses++
 	}
-	s.c.CacheHits += uint64(n - 1)
-	s.schemes[scheme] += uint64(n)
-	bucket := n
-	if bucket >= len(s.occ) {
-		bucket = len(s.occ) - 1
-	}
-	s.occ[bucket]++
+	s.schemes[scheme]++
 	s.mu.Unlock()
 }
 
 // recordSimplify accounts one simplification attempt that got as far as
-// the segment analysis: an executed simplified batch with its computed
+// the segment analysis: an executed simplified job with its computed
 // and cache-reused segment counts, or a fallback to the direct path.
 func (s *statShard) recordSimplify(executed bool, computed, reused int) {
 	s.mu.Lock()
@@ -314,7 +308,7 @@ func (s *statShard) recordSimplify(executed bool, computed, reused int) {
 // registration (open) or a delta application with its segment
 // computed/reused split. Session work stays out of the job/batch/scheme
 // counters — it is a different serving mode, and folding it into the
-// one-shot numbers would skew the coalescing and cache-hit stories.
+// one-shot numbers would skew the execution and cache-hit stories.
 func (s *statShard) recordSession(open bool, computed, reused int) {
 	s.mu.Lock()
 	if open {
@@ -348,15 +342,10 @@ func (e *Engine) Stats() Stats {
 		for k, v := range sh.schemes {
 			s.Schemes[k] += v
 		}
-		if s.BatchOccupancy == nil {
-			s.BatchOccupancy = make([]uint64, len(sh.occ))
-		}
-		for k, v := range sh.occ {
-			s.BatchOccupancy[k] += v
-		}
 		sh.mu.Unlock()
 		s.Stages = obs.MergeStageSummaries(s.Stages, sh.stages.Snapshot())
 	}
+	s.BatchOccupancy = []uint64{0, s.Batches}
 	s.CacheEntries, s.CacheEvictions = e.cache.Len(), e.cache.Evictions()
 	// Tenant rows only exist in multi-tenant engines, so a single-tenant
 	// deployment's STATS frame stays byte-identical to the legacy layout.

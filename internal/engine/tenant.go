@@ -9,7 +9,7 @@ import (
 
 // TenantConfig names one tenant and its share of the engine. Weights are
 // relative: under saturation a tenant receives weight/sum(weights) of
-// the batch executions (the DRR guarantee), and any share a tenant does
+// the executions (the DRR guarantee), and any share a tenant does
 // not use flows to the backlogged ones (work conservation).
 type TenantConfig struct {
 	// Name identifies the tenant; clients claim it in their HELLO frame.
@@ -24,9 +24,8 @@ type TenantConfig struct {
 const DefaultTenant = "default"
 
 // tenantRT is one tenant's runtime state: its scheduling identity plus
-// the per-tenant counters runBatch records. Counters are atomics — a
-// batch bumps its tenant's row exactly once, so there is nothing to
-// shard.
+// the per-tenant counters runJob records. Counters are atomics — a job
+// bumps its tenant's row exactly once, so there is nothing to shard.
 type tenantRT struct {
 	name   string
 	weight int
@@ -48,9 +47,9 @@ func (t *tenantRT) snapshot() TenantStats {
 	return ts
 }
 
-// countBatch counts one execution that served n of the tenant's jobs.
-func (t *tenantRT) countBatch(n int) {
-	t.n[tenantJobs].Add(uint64(n))
+// countJob counts one of the tenant's jobs, which is one execution.
+func (t *tenantRT) countJob() {
+	t.n[tenantJobs].Add(1)
 	t.n[tenantBatches].Add(1)
 }
 

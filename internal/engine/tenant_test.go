@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/workloads"
 )
 
 func TestBuildTenantsValidation(t *testing.T) {
@@ -231,29 +230,5 @@ func TestStatsMergeSubAlgebra(t *testing.T) {
 	}
 	if sum.Tenants[1].Jobs != a.Tenants[1].Jobs+b.Tenants[0].Jobs {
 		t.Errorf("Sub mutated its receiver: %+v", sum.Tenants[1])
-	}
-}
-
-// TestTenantFusionScoped pins that batch fusion never crosses tenants:
-// the same fingerprint under two tenants opens two batches (isolation
-// would leak through a shared batch — one tenant's jobs riding another's
-// scheduling credit).
-func TestTenantFusionScoped(t *testing.T) {
-	co := newCoalescer(4, 8, false)
-	l := workloads.MixedSet(0.1)[0]
-	fp := l.Fingerprint()
-	j0 := &job{loop: l}
-	j1 := &job{loop: l}
-	j2 := &job{loop: l}
-	if _, isNew := co.add(fp, 0, j0); !isNew {
-		t.Fatal("first add under tenant 0 did not open a batch")
-	}
-	if _, isNew := co.add(fp, 1, j1); !isNew {
-		t.Fatal("same fingerprint under tenant 1 fused into tenant 0's batch")
-	}
-	if b, isNew := co.add(fp, 0, j2); isNew {
-		t.Fatal("same tenant, same fingerprint did not fuse")
-	} else if b.tenant != 0 {
-		t.Fatalf("fused batch carries tenant %d, want 0", b.tenant)
 	}
 }

@@ -150,7 +150,7 @@ func AnalyzeSegmentsProcs(members []*trace.Loop, segIters, procs int) (*SegmentA
 	// of segment positions end to end.
 	shared := make([]bool, segs)
 	unique := make([]int, procs)
-	fanOut(procs, func(pr int) {
+	parallelFor(procs, func(pr int) {
 		for s := pr; s < segs; s += procs {
 			lo, hi := segRefRange(leadOffs, s, segIters, iters)
 			for m, l := range members {
@@ -222,9 +222,9 @@ func AnalyzeSegmentsProcs(members []*trace.Loop, segIters, procs int) (*SegmentA
 	return a, nil
 }
 
-// fanOut runs fn(0..procs-1) concurrently and waits; procs 1 stays on
+// parallelFor runs fn(0..procs-1) concurrently and waits; procs 1 stays on
 // the calling goroutine.
-func fanOut(procs int, fn func(pr int)) {
+func parallelFor(procs int, fn func(pr int)) {
 	if procs <= 1 {
 		fn(0)
 		return

@@ -105,15 +105,6 @@ func (bp *BufferPool) PutInt32(s []int32) {
 type Exec struct {
 	// Pool supplies recycled privatization buffers; nil allocates fresh.
 	Pool *BufferPool
-	// BatchOut is the engine's batch-fusion path: additional destination
-	// arrays (each of length NumElems) that receive the reduction result
-	// alongside the primary out. A batch of jobs over the same loop pays
-	// privatization, accumulation and merge once; each fused member's
-	// marginal cost is only its result write. Schemes with a full merge
-	// sweep (rep, dense ll) copy each merged block to every member while
-	// it is cache-hot; the others fan the finished result out with one
-	// copy per member.
-	BatchOut [][]float64
 	// MergeBlockElems overrides the element-block size the blocked
 	// ordered merge (rep, dense ll and sel's conflicting set) folds at a
 	// time, the per-block privatization sizing hook: one output block
@@ -217,26 +208,6 @@ func (ex *Exec) hashTableSlots(procs int) []hashTable {
 		s[i] = hashTable{}
 	}
 	return s
-}
-
-// batchTargets returns the fused batch destinations (nil-safe).
-func (ex *Exec) batchTargets() [][]float64 {
-	if ex == nil {
-		return nil
-	}
-	return ex.BatchOut
-}
-
-// fanOut copies the finished result into every batch destination — the
-// per-member cost of batch fusion for schemes whose result is not produced
-// by a single final sweep.
-func (ex *Exec) fanOut(out []float64) {
-	if ex == nil {
-		return
-	}
-	for _, dst := range ex.BatchOut {
-		copy(dst, out)
-	}
 }
 
 // ensureOut returns out resized to n when its capacity suffices, else a

@@ -97,27 +97,6 @@ func TestHashSurvivesSkewedIterBounds(t *testing.T) {
 	assertSameResult(t, "hash+skew", got, l.RunSequential())
 }
 
-// TestRunIntoBatchOut runs every scheme with two fused batch destinations
-// and verifies each receives an exact copy of the primary result, with
-// stale contents fully overwritten.
-func TestRunIntoBatchOut(t *testing.T) {
-	l := clusteredLoop(300, 800, 5)
-	want := l.RunSequential()
-	for _, s := range All() {
-		t1 := make([]float64, l.NumElems)
-		t2 := make([]float64, l.NumElems)
-		for i := range t1 {
-			t1[i] = math.NaN() // poison: any unwritten element fails the check
-			t2[i] = math.NaN()
-		}
-		ex := &Exec{Pool: NewBufferPool(), BatchOut: [][]float64{t1, t2}}
-		got := s.RunInto(l, 4, ex, nil)
-		assertSameResult(t, s.Name()+"/primary", got, want)
-		assertSameResult(t, s.Name()+"/batch0", t1, want)
-		assertSameResult(t, s.Name()+"/batch1", t2, want)
-	}
-}
-
 func TestBufferPoolRoundTrip(t *testing.T) {
 	bp := NewBufferPool()
 	f := bp.Float64(100)

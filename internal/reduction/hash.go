@@ -131,6 +131,5 @@ func (Hash) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64
 		}
 		t.release(pool)
 	}
-	ex.fanOut(out)
 	return out
 }

@@ -173,26 +173,6 @@ func TestFastKernelsAliasedDst(t *testing.T) {
 	}
 }
 
-// TestFastKernelsBatchedFanOut checks that every fused batch destination
-// receives bytes identical to the primary result under the fast path.
-func TestFastKernelsBatchedFanOut(t *testing.T) {
-	pool := NewBufferPool()
-	l := randomLoop(900, 600, 4, 17)
-	for _, s := range kernelSchemes {
-		ex := &Exec{Pool: pool, BatchOut: [][]float64{
-			make([]float64, l.NumElems),
-			make([]float64, l.NumElems),
-			make([]float64, l.NumElems),
-		}}
-		out := s.RunInto(l, 8, ex, nil)
-		for m, dst := range ex.BatchOut {
-			if i := bitsEqual(dst, out); i != -1 {
-				t.Fatalf("%s: batch member %d diverges from primary at element %d", s.Name(), m, i)
-			}
-		}
-	}
-}
-
 // TestMergeBlockInvariance is the ordered merge's association property:
 // the per-block sizing hook partitions the element space but must not
 // change the fold order within an element, so every block size yields

@@ -80,6 +80,5 @@ func (LinkedList) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []f
 		pool.PutFloat64(vals[p])
 		pool.PutInt32(nexts[p])
 	}
-	ex.fanOut(out)
 	return out
 }

@@ -108,11 +108,10 @@ func TestLinkedListWarmAllocs(t *testing.T) {
 }
 
 // TestLinkedListDenseBatchConcurrent runs the dense path from several
-// goroutines at once, each with its own operator, Exec and fused batch
-// members over one shared pool, at merge block sizes that cut the
-// processors' element ranges unevenly: under -race it checks that the
-// range-parallel merge and its per-block fan-out write disjoint parts of
-// out and every member, and every destination must equal the unpooled
+// goroutines at once, each with its own operator and Exec over one
+// shared pool, at merge block sizes that cut the processors' element
+// ranges unevenly: under -race it checks that the range-parallel merge
+// writes disjoint parts of out, and every round must equal the unpooled
 // result.
 func TestLinkedListDenseBatchConcurrent(t *testing.T) {
 	base := randomLoop(3000, 1200, 4, 12)
@@ -129,16 +128,11 @@ func TestLinkedListDenseBatchConcurrent(t *testing.T) {
 			ex := &Exec{Pool: pool, MergeBlockElems: block}
 			out := make([]float64, l.NumElems)
 			for round := 0; round < 4; round++ {
-				ex.BatchOut = [][]float64{make([]float64, l.NumElems), make([]float64, l.NumElems), make([]float64, l.NumElems)}
-				for _, dst := range append([][]float64{out}, ex.BatchOut...) {
-					fill(dst, math.NaN())
-				}
+				fill(out, math.NaN())
 				out = LinkedList{}.RunInto(l, procs, ex, out)
-				for m, dst := range append([][]float64{out}, ex.BatchOut...) {
-					if i := bitsEqual(dst, want); i != -1 {
-						t.Errorf("%v block %d round %d: destination %d diverges at %d", l.Op, block, round, m, i)
-						return
-					}
+				if i := bitsEqual(out, want); i != -1 {
+					t.Errorf("%v block %d round %d: result diverges at %d", l.Op, block, round, i)
+					return
 				}
 			}
 		}()

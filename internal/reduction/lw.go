@@ -88,7 +88,6 @@ func (lw LocalWrite) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) 
 	for p := range iterLists {
 		pool.PutInt32(iterLists[p])
 	}
-	ex.fanOut(out)
 	return out
 }
 

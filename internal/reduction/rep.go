@@ -34,23 +34,17 @@ func (Rep) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 
 // replicate is the replicated-buffer execution shared by rep and by ll on
 // dense loops: privatize, then merge. The merge runs on procs goroutines
 // over disjoint element ranges; each folds its range block by block in
-// processor order (foldBlock) and copies a finished block to the batch
-// members while it is hot. Every element is written, so out needs no
+// processor order (foldBlock). Every element is written, so out needs no
 // initialization.
 func replicate(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	priv := privatize(l, procs, ex)
 	res, _ := ensureOut(out, l.NumElems) // a new name: a captured out would escape
-	targets := ex.batchTargets()
 	block := ex.mergeBlock(procs)
 	fast := ex.fastAdd(l)
 	parallelFor(procs, func(p int) {
 		lo, hi := blockBounds(l.NumElems, procs, p)
 		for blo := lo; blo < hi; blo += block {
-			dst := res[blo:min(blo+block, hi)]
-			foldBlock(dst, priv, blo, l.Op, fast)
-			for _, t := range targets {
-				copy(t[blo:], dst)
-			}
+			foldBlock(res[blo:min(blo+block, hi)], priv, blo, l.Op, fast)
 		}
 	})
 	for _, w := range priv {

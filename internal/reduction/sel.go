@@ -116,6 +116,5 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 	for p := range priv {
 		pool.PutFloat64(priv[p])
 	}
-	ex.fanOut(out)
 	return out
 }

@@ -304,14 +304,16 @@ func TestLegacyClientSeesNoHandles(t *testing.T) {
 	}
 }
 
-// TestPatternHandleBurstFuses pipelines a burst of one brand-new pattern:
-// no handle exists until the first RESULT comes back, so the whole burst
-// goes out as full SUBMITs. They must still intern onto one canonical
-// loop and fuse, and once the handle is learned the same burst by
-// reference must fuse just the same.
-func TestPatternHandleBurstFuses(t *testing.T) {
+// TestPatternHandleBurstInterns pipelines a burst of one brand-new
+// pattern: no handle exists until the first RESULT comes back, so the
+// whole burst goes out as full SUBMITs, which must still intern onto one
+// canonical loop; once the handle is learned the same burst goes out by
+// reference.
+func TestPatternHandleBurstInterns(t *testing.T) {
+	// Simplification off: after the first burst a resident total would
+	// answer the learned one on the read loop, and it would never queue.
 	eng, srv, addr, teardown := startServer(t,
-		engine.Config{Workers: 1, QueueDepth: 4},
+		engine.Config{Workers: 1, QueueDepth: 64, DisableSimplify: true},
 		server.Config{})
 	defer teardown()
 	cl, err := client.Dial(addr, client.Config{Conns: 1})
@@ -327,9 +329,8 @@ func TestPatternHandleBurstFuses(t *testing.T) {
 		t.Helper()
 		before := eng.Stats()
 		// The single worker stays parked until the server has admitted the
-		// whole burst, so the burst's batch is still queued — open to
-		// joiners — when its last member arrives: fusion does not depend on
-		// how fast the worker drains.
+		// whole burst, so every job of it is in flight at once, whatever
+		// the worker's speed.
 		release, err := eng.Hold()
 		if err != nil {
 			t.Fatal(err)
@@ -343,7 +344,7 @@ func TestPatternHandleBurstFuses(t *testing.T) {
 			}
 		}
 		// The read loop dispatches inline, so once the last job is admitted
-		// every earlier one has joined the queued batch.
+		// every earlier one is queued too.
 		for deadline := time.Now().Add(10 * time.Second); srv.Inflight() < jobs; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s: server admitted %d of %d burst jobs", name, srv.Inflight(), jobs)
@@ -361,8 +362,8 @@ func TestPatternHandleBurstFuses(t *testing.T) {
 		if got := after.Jobs - before.Jobs; got != jobs {
 			t.Fatalf("%s: engine ran %d jobs, want %d", name, got, jobs)
 		}
-		if after.Coalesced == before.Coalesced {
-			t.Fatalf("%s: burst did not fuse (%d batches for %d jobs)", name, after.Batches-before.Batches, jobs)
+		if got := after.Batches - before.Batches; got != jobs {
+			t.Fatalf("%s: %d executions for %d jobs, want one each", name, got, jobs)
 		}
 	}
 

@@ -8,12 +8,14 @@ import (
 )
 
 // internTable maps decoded submissions onto canonical *trace.Loop objects.
-// The engine's batch fusion requires pointer-identical loops (fingerprints
-// sample the trace, so equality of fingerprints alone is not enough to
-// share an execution); without interning, every network submission would
-// decode to a distinct object and coalescing would never engage across
-// the wire. The table is a fingerprint-sharded clock.Sharded, the same
-// structure as the engine's decision cache.
+// Fingerprints sample the trace, so the engine verifies a resubmission
+// against the subscripts its resident total was computed from; for the
+// canonical object those are the loop's own storage, and the comparison
+// is an identity check (pattern.SameRefs). Without interning, every
+// network submission would decode to a distinct object and every resident
+// hit would compare its full reference stream. The table is a
+// fingerprint-sharded clock.Sharded, the same structure as the engine's
+// decision cache.
 //
 // The table is also the pattern-handle store: every installed loop gets an
 // ID, the server hands (fingerprint, ID) back to the submitter, and a later
@@ -87,7 +89,7 @@ func (t *internTable) canonical(fp uint64, l *trace.Loop) (canon *trace.Loop, id
 		// racing submission installed an entry since the unlocked check.
 		// In the race case share the winner when it matches; in the
 		// collision case take over the slot — the displaced pattern loses
-		// sharing, not correctness (in-flight batches keep their pointer).
+		// sharing, not correctness (in-flight jobs keep their pointer).
 		if e.loop != resident && e.loop.EqualPattern(l) {
 			return e.loop, e.id, true
 		}

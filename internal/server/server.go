@@ -16,8 +16,8 @@
 // A submission whose loop the engine holds a verified resident total for,
 // and every session delta, runs to completion on the read loop: no engine
 // queue, worker or waiter goroutine. Everything else — misses, cold
-// loops, simplified-but-unverified batches, session opens — takes the
-// engine path and its batch fusion.
+// loops, simplified-but-unverified jobs, session opens — takes the
+// engine queue.
 //
 // Neither loop sits behind a buffered-I/O layer. The read loop's
 // wire.Reader reads the socket into one buffer and parses frames where
@@ -34,11 +34,11 @@
 //
 //   - Pipelining: responses are keyed by client-assigned job IDs and sent
 //     as jobs finish, out of order, so one connection can keep many jobs
-//     in flight and the queue deep enough for batch fusion to engage.
-//   - Interning: the engine fuses only pointer-identical loops, so the
-//     server interns decoded submissions by fingerprint + full pattern
-//     equality. Repeats of a hot pattern — the Zipf traffic a production
-//     service sees — collapse onto one canonical *trace.Loop and coalesce
+//     in flight.
+//   - Interning: the server interns decoded submissions by fingerprint +
+//     full pattern equality. Repeats of a hot pattern — the Zipf traffic
+//     a production service sees — collapse onto one canonical
+//     *trace.Loop, whose resident total verifies against its own storage
 //     exactly as if a single process had submitted them. An interned
 //     pattern also has a handle (fingerprint + entry ID): the RESULT of
 //     a full SUBMIT carries it to clients that asked, and later
@@ -306,7 +306,7 @@ type Stats struct {
 	// Busy is how many submissions admission control rejected.
 	Busy uint64
 	// InternHits is how many submissions mapped onto an already-interned
-	// canonical loop (the precondition for cross-client batch fusion).
+	// canonical loop (so a resident hit verifies by identity).
 	InternHits uint64
 	// InternedLoops is the current canonical-loop residency.
 	InternedLoops int

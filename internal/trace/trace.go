@@ -303,9 +303,9 @@ func (l *Loop) SetFlatUnchecked(offsets, refs []int32) {
 // a stricter predicate would only break sharing between submissions the
 // engine itself treats as one pattern. The network server interns
 // decoded loops under this predicate so repeated submissions of one hot
-// pattern become pointer-identical, which is what lets the engine's
-// batch fusion engage across the network hop (the first submission's
-// metadata rides along on the canonical loop).
+// pattern become pointer-identical, which is what lets the engine verify
+// a resident hit across the network hop by identity (the first
+// submission's metadata rides along on the canonical loop).
 func (l *Loop) EqualPattern(m *Loop) bool {
 	if l == m {
 		return true

@@ -14,20 +14,20 @@ import (
 // traffic shape of a solver family iterating one mesh where each variant
 // perturbs a different boundary region: per-member direct execution
 // re-reduces the identical interior over and over, while a segment
-// decomposition (pattern.AnalyzeSegments) computes each shared segment
-// once per batch and each private window once per member.
+// decomposition (pattern.AnalyzeSegments) against cached segment sums
+// recomputes only the windows that differ from the last member run.
 //
 // As in DriftStream, all members share one trace.Fingerprint — the
 // private-window rewrite preserves the subscripts at the fingerprint's
-// sampled stride positions — so the engine's coalescer fuses concurrent
-// members into a single batch, which is what hands the simplification
-// layer its occupancy.
+// sampled stride positions — so every member lands on one decision-cache
+// entry, and a member submitted after another reuses the entry's
+// verified sums of the windows the two share.
 type SharedSubrangeStream struct {
 	// Members are the distinct loops; Members[m]'s private window is
 	// window m % sharedWindows of the reference stream.
 	Members []*trace.Loop
 	// Stream is the job sequence: length jobs round-robin over Members,
-	// so a backlogged engine sees all members in flight together.
+	// so consecutive jobs are distinct members.
 	Stream []*trace.Loop
 }
 
@@ -48,8 +48,8 @@ const (
 // distinct loops sharing all but one window each, a stream of length jobs
 // round-robin over them, scale multiplying the trace size, and a seed
 // making everything reproducible. The construction panics if a member
-// fails to preserve the shared fingerprint — that would silently turn
-// the overlap-batch scenario into independent singleton batches.
+// fails to preserve the shared fingerprint — that would silently put the
+// members on distinct cache entries that share nothing.
 func NewSharedSubrangeStream(members, length int, scale float64, seed int64) *SharedSubrangeStream {
 	if members < 1 || length < 0 {
 		panic(fmt.Sprintf("workloads: SharedSubrangeStream needs members >= 1 and length >= 0, got %d/%d", members, length))

@@ -7,8 +7,8 @@ import (
 )
 
 // TestSharedSubrangeFingerprintStable pins the property the engine's
-// coalescer depends on: every member of the stream shares one
-// fingerprint, so concurrent members fuse into one batch.
+// segment sharing depends on: every member of the stream shares one
+// fingerprint, so all members land on one decision-cache entry.
 func TestSharedSubrangeFingerprintStable(t *testing.T) {
 	ss := NewSharedSubrangeStream(6, 12, 0.5, 7)
 	want := ss.Members[0].Fingerprint()

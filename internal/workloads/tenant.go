@@ -5,8 +5,8 @@ import "repro/internal/trace"
 // TenantMixStream builds one Zipf-skewed job stream per tenant over
 // per-tenant disjoint pattern populations: tenant i's patterns use a seed
 // block and dimension offset no other tenant touches, so no fingerprint
-// collides across tenants and cross-tenant batch fusion is structurally
-// impossible. That makes the streams the right input for isolation
+// collides across tenants and cross-tenant sharing of cached decisions
+// or segment sums is structurally impossible. That makes the streams the right input for isolation
 // experiments — any throughput a background tenant loses to a hot tenant
 // is scheduling interference, never accidental sharing. lengths[i] is
 // tenant i's offered job count (the caller scales these by tenant weight

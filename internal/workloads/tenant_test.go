@@ -4,8 +4,8 @@ import "testing"
 
 // TestTenantMixStreamDisjoint pins the property isolation experiments
 // lean on: no pattern fingerprint appears in two tenants' streams, so
-// cross-tenant batch fusion cannot silently couple the tenants a test
-// means to keep independent.
+// shared cache entries cannot silently couple the tenants a test means
+// to keep independent.
 func TestTenantMixStreamDisjoint(t *testing.T) {
 	lengths := []int{40, 40, 400}
 	streams := TenantMixStream(lengths, 6, 0.05, 42)

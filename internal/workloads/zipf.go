@@ -35,8 +35,8 @@ func HotKeySet(n int, scale float64) []*trace.Loop {
 // population: stream[j] points at loops[rank] with ranks drawn from a
 // Zipf(s) distribution, so a few hot patterns dominate the traffic — the
 // shape of production reduction services, and the regime where the
-// engine's batch coalescing becomes visible (hot patterns repeat while
-// earlier submissions still sit in the queue). s must be > 1; larger
+// engine's decision cache and resident totals do the work (hot patterns
+// repeat, so most jobs find their answer already computed). s must be > 1; larger
 // values concentrate more of the stream on the hottest patterns.
 func ZipfStream(loops []*trace.Loop, length int, s float64, seed int64) []*trace.Loop {
 	if len(loops) == 0 {

@@ -163,7 +163,7 @@ END {
 }' "$cand" || failed="$failed affinity"
 
 # Network-hop gate (ROADMAP 1(a)): what one loopback hop adds to a job —
-# RemoteZipf minus EngineZipf32Clients/coalesced, the root-bench twin of
+# RemoteZipf minus EngineZipf32Clients, the root-bench twin of
 # bench/'s stack.hop_overhead_us — must not grow past the baseline
 # file's overhead by more than the tolerance. With pattern handles a
 # repeat submission ships and decodes a few bytes, so what is left of
@@ -179,7 +179,7 @@ awk -v tol="$tol" -v unit="$unit" '
 NR == FNR { base[$1] = $2; next }
 { cand[$1] = $2 }
 END {
-    r = "RemoteZipf"; e = "EngineZipf32Clients/coalesced"
+    r = "RemoteZipf"; e = "EngineZipf32Clients"
     if (!(r in cand) || !(e in cand) || !(r in base) || !(e in base)) {
         miss = (!(r in cand) || !(r in base)) ? r : e
         printf "bench_compare: network-hop gate skipped: %s missing from baseline or candidate\n", miss
