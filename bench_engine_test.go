@@ -792,9 +792,8 @@ func BenchmarkSegPlanWarm(b *testing.B) {
 //     off the clock and the measured cost is pure engine work; decisions
 //     are warmed first, so the cache is as kind to this path as it can be).
 //
-// The stream and the geometry are the served ones: the claims
-// benchmark's session_remote shape (16 scattered deltas a batch, scale
-// 0.5) and segIters 0, the only width the daemon ever passes.
+// The stream is the served one: the claims benchmark's session_remote
+// shape (16 scattered deltas a batch, scale 0.5).
 // scripts/bench_compare.sh gates the ratio at SESSION_MIN_SPEEDUP: if
 // incremental re-reduction ever degenerates to full recompute cost, the
 // session subsystem has lost its reason to exist.
@@ -809,7 +808,7 @@ func BenchmarkSessionDelta(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer e.Close()
-		sess, res, err := e.OpenSession(ds.Base, 0, nil)
+		sess, res, err := e.OpenSession(ds.Base, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -862,13 +861,12 @@ func BenchmarkSessionDelta(b *testing.B) {
 // cold as the other three sessions' traffic leaves it. A session whose
 // stream runs out is re-opened off the clock, as the bench re-opens it.
 func BenchmarkDeltaApply(b *testing.B) {
-	const sessions, steps, procs = 4, 16384, 8
-	ex := &reduction.Exec{Pool: reduction.NewBufferPool()}
+	const sessions, steps = 4, 16384
 	streams := make([]*workloads.DeltaStream, sessions)
 	states := make([]*reduction.DeltaState, sessions)
 	open := func(i int) {
 		var err error
-		if states[i], err = reduction.NewDeltaState(streams[i].Base, 0, procs, ex, nil); err != nil {
+		if states[i], err = reduction.NewDeltaState(streams[i].Base, 0, 1, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -886,7 +884,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 			open(i)
 			b.StartTimer()
 		}
-		if _, err := states[i].Apply(streams[i].Batches[step], procs, ex, dst); err != nil {
+		if _, err := states[i].Apply(streams[i].Batches[step], 1, nil, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -265,7 +265,7 @@ func (b local) SubmitInto(l *trace.Loop, dst []float64) (engine.Result, error) {
 }
 
 func (b local) OpenSession(l *trace.Loop) (sessionHandle, engine.Result, error) {
-	s, res, err := b.e.OpenSessionTenant(l, 0, nil, b.tenant)
+	s, res, err := b.e.OpenSessionTenant(l, nil, b.tenant)
 	if err != nil {
 		return nil, res, err
 	}

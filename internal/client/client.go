@@ -220,10 +220,12 @@ func (c *Client) pick() (*poolConn, error) {
 	return c.conns[c.next.Add(1)%uint64(len(c.conns))], nil
 }
 
-// outcome resolves one in-flight job (or stats request).
+// outcome resolves one in-flight job (or stats request). A stats
+// snapshot travels by pointer: every job's result channel and Handle
+// hold an outcome, and only a stats request carries one.
 type outcome struct {
 	res   engine.Result
-	stats engine.Stats
+	stats *engine.Stats
 	err   error
 }
 
@@ -467,7 +469,10 @@ func (pc *poolConn) stats() (engine.Stats, error) {
 	buf.B = wire.AppendStatsReq(buf.B, id)
 	s.send(buf)
 	out := <-p.done
-	return out.stats, out.err
+	if out.err != nil {
+		return engine.Stats{}, out.err
+	}
+	return *out.stats, nil
 }
 
 // register assigns the next job ID on the session. IDs start at 1; 0 is
@@ -603,7 +608,7 @@ func (s *netSession) resolve(f wire.Frame, p *pend) outcome {
 		if err != nil {
 			return outcome{err: fmt.Errorf("client: %w", err)}
 		}
-		return outcome{stats: st}
+		return outcome{stats: &st}
 	default:
 		return outcome{err: fmt.Errorf("client: unexpected %v frame", f.Type)}
 	}

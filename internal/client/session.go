@@ -12,7 +12,7 @@ import (
 
 // Session is a streaming reduction session: the loop ships once
 // (OPEN_SESSION), then only small delta batches cross the wire
-// (SUBMIT_DELTA) while the server recomputes just the touched segments.
+// (SUBMIT_DELTA) while the server moves its resident result by them.
 //
 // A session is pinned to the single TCP connection it was opened on —
 // the server's resident state is keyed by that connection — so unlike

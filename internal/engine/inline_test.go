@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -328,23 +329,22 @@ func TestServeResidentRaces(t *testing.T) {
 }
 
 // TestSessionApplyOnCaller: Apply runs on the calling goroutine — it
-// completes with the only worker parked — and moves the session counters
-// by what the same batch does to a twin DeltaState, plus one job and
-// batch on the session's tenant, in the caller shard; the one-shot
-// counters stay put.
+// completes with the only worker parked — reads RunSequential's bits
+// over the mirrored loop, and moves the session counters by the
+// iterations the batch landed in (computed) and the rest (reused), plus
+// one job and batch on the session's tenant, in the caller shard; the
+// one-shot counters stay put.
 func TestSessionApplyOnCaller(t *testing.T) {
 	const procs = 4
 	e := mustNew(t, Config{Workers: 1, Platform: core.DefaultPlatform(procs), Tenants: []TenantConfig{{Name: "t1"}}})
 	defer e.Close()
 	l := sessionLoop(80, 300, 21)
-	s, _, err := e.OpenSessionTenant(l, 0, nil, 1)
+	s, _, err := e.OpenSessionTenant(l, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := reduction.NewDeltaState(l, 0, procs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mirror := l.Clone()
+	offs, refs := mirror.Flat()
 	release, err := e.Hold()
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,6 @@ func TestSessionApplyOnCaller(t *testing.T) {
 	defer release()
 
 	rng := rand.New(rand.NewSource(5))
-	dst := make([]float64, l.NumElems)
 	for step := 0; step < 6; step++ {
 		ds := sessionDeltas(rng, l, 4)
 		before := e.Stats()
@@ -361,19 +360,23 @@ func TestSessionApplyOnCaller(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := twin.Apply(ds, procs, nil, dst)
-		if err != nil {
-			t.Fatal(err)
+		iters := map[int]bool{}
+		for _, d := range ds {
+			it, _ := slices.BinarySearch(offs[1:], d.Pos+1)
+			iters[it] = true
+			refs[d.Pos] = d.Ref
 		}
-		for i := range dst {
-			if math.Float64bits(res.Values[i]) != math.Float64bits(dst[i]) {
-				t.Fatalf("step %d element %d: session %v, twin %v", step, i, res.Values[i], dst[i])
+		want := mirror.RunSequential()
+		for i := range want {
+			if math.Float64bits(res.Values[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("step %d element %d: session %v, RunSequential %v", step, i, res.Values[i], want[i])
 			}
 		}
 		d := e.Stats().Sub(before)
-		if d.SessionJobs != 1 || d.SessionSegsComputed != uint64(st.Computed) || d.SessionSegsReused != uint64(st.Reused) {
+		computed, reused := uint64(len(iters)), uint64(l.NumIters()-len(iters))
+		if d.SessionJobs != 1 || d.SessionSegsComputed != computed || d.SessionSegsReused != reused {
 			t.Fatalf("step %d: session counters moved %d/%d/%d, want 1/%d/%d", step,
-				d.SessionJobs, d.SessionSegsComputed, d.SessionSegsReused, st.Computed, st.Reused)
+				d.SessionJobs, d.SessionSegsComputed, d.SessionSegsReused, computed, reused)
 		}
 		if d.Jobs != 0 || d.Batches != 0 || d.SessionOpens != 0 {
 			t.Fatalf("step %d: apply moved one-shot counters: %+v", step, d)

@@ -17,12 +17,11 @@ import (
 var ErrSessionClosed = errors.New("engine: session closed")
 
 // Session is a server-resident streaming reduction: a loop registered
-// once, then updated by delta batches whose rolling results
-// re-accumulate only the elements each batch touched
-// (reduction.DeltaState). The open rides the worker queue like a one-shot
-// job; an Apply runs on the caller's goroutine with the session's own
-// execution context — a delta costs microseconds, less than the queue
-// hand-off it would pay. Sessions are deliberately kept out of the
+// once, then updated by delta batches whose rolling results follow each
+// redirected reference with two exact updates (reduction.DeltaState).
+// The open rides the worker queue like a one-shot job; an Apply runs on
+// the caller's goroutine — a delta costs microseconds, less than the
+// queue hand-off it would pay. Sessions are deliberately kept out of the
 // adaptive machinery: no decision cache and — like
 // simplified runs — no drift-detector cost samples, since an incremental
 // apply's cost says nothing about the full loop's scheme.
@@ -32,8 +31,7 @@ var ErrSessionClosed = errors.New("engine: session closed")
 // result can never mix two generations.
 type Session struct {
 	e      *Engine
-	tenant int             // scheduler index recorded at open; every apply is counted under it
-	ex     *reduction.Exec // Apply's execution context, used under mu
+	tenant int // scheduler index recorded at open; every apply is counted under it
 
 	mu     sync.Mutex
 	st     *reduction.DeltaState
@@ -44,11 +42,10 @@ type Session struct {
 // sessionWork is a session open riding the worker queue inside a job
 // (job.sess). The worker computes and answers on done.
 type sessionWork struct {
-	s        *Session
-	loop     *trace.Loop // the loop to register
-	segIters int         // 0 picks the default width
-	dst      []float64
-	done     chan sessionOutcome
+	s    *Session
+	loop *trace.Loop // the loop to register
+	dst  []float64
+	done chan sessionOutcome
 }
 
 type sessionOutcome struct {
@@ -57,13 +54,11 @@ type sessionOutcome struct {
 }
 
 // OpenSession registers l as a streaming session: a worker deep-copies
-// the loop, computes every segment's partial sum, and combines the
-// initial reduction into dst (reused when its capacity suffices, like
-// SubmitInto). segIters <= 0 picks the session default width, derived
-// from the loop (reduction.DeltaStateBytes states the rule). The
-// returned Result carries SessionGen 1.
-func (e *Engine) OpenSession(l *trace.Loop, segIters int, dst []float64) (*Session, Result, error) {
-	return e.OpenSessionTenant(l, segIters, dst, 0)
+// the loop and reduces it sequentially into dst (reused when its
+// capacity suffices, like SubmitInto). The returned Result carries
+// SessionGen 1.
+func (e *Engine) OpenSession(l *trace.Loop, dst []float64) (*Session, Result, error) {
+	return e.OpenSessionTenant(l, dst, 0)
 }
 
 // OpenSessionTenant is OpenSession on behalf of a tenant (an index from
@@ -71,7 +66,7 @@ func (e *Engine) OpenSession(l *trace.Loop, segIters int, dst []float64) (*Sessi
 // queues on the tenant's FIFO, so it is scheduled under the same weights
 // as one-shot jobs; it and every later Apply count toward the tenant's
 // jobs and batches.
-func (e *Engine) OpenSessionTenant(l *trace.Loop, segIters int, dst []float64, tenant int) (*Session, Result, error) {
+func (e *Engine) OpenSessionTenant(l *trace.Loop, dst []float64, tenant int) (*Session, Result, error) {
 	if l == nil {
 		return nil, Result{}, errors.New("engine: nil loop")
 	}
@@ -81,13 +76,12 @@ func (e *Engine) OpenSessionTenant(l *trace.Loop, segIters int, dst []float64, t
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
 	}
-	s := &Session{e: e, tenant: tenant, ex: e.newExec()}
+	s := &Session{e: e, tenant: tenant}
 	sw := &sessionWork{
-		s:        s,
-		loop:     l,
-		segIters: segIters,
-		dst:      sizeDst(dst, l.NumElems),
-		done:     make(chan sessionOutcome, 1),
+		s:    s,
+		loop: l,
+		dst:  sizeDst(dst, l.NumElems),
+		done: make(chan sessionOutcome, 1),
 	}
 	if err := e.enqueueSession(sw); err != nil {
 		return nil, Result{}, err
@@ -102,10 +96,8 @@ func (e *Engine) OpenSessionTenant(l *trace.Loop, segIters int, dst []float64, t
 // Apply streams one delta batch into the session and reads the rolling
 // reduction into dst (reused when its capacity suffices). An empty
 // batch is a pure read. It runs on the calling goroutine, under the
-// session mutex; a batch past reduction's re-open bound re-opens through
-// the session's execution context on Platform.Procs goroutines. Apply
-// after Close (or eviction) returns ErrSessionClosed, after the engine's
-// Close ErrClosed.
+// session mutex. Apply after Close (or eviction) returns
+// ErrSessionClosed, after the engine's Close ErrClosed.
 func (s *Session) Apply(deltas []reduction.RefDelta, dst []float64) (Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,7 +112,7 @@ func (s *Session) Apply(deltas []reduction.RefDelta, dst []float64) (Result, err
 	}
 	dst = sizeDst(dst, s.st.Loop().NumElems)
 	start := time.Now()
-	stats, err := s.st.Apply(deltas, e.cfg.Platform.Procs, s.ex, dst)
+	stats, err := s.st.Apply(deltas, e.cfg.Platform.Procs, nil, dst)
 	if err != nil {
 		return Result{}, err
 	}
@@ -176,13 +168,13 @@ func (e *Engine) enqueueSession(sw *sessionWork) error {
 }
 
 // runSession executes one session open on a worker: it builds the
-// DeltaState (full compute), reads the initial reduction into the
+// DeltaState (one sequential reduction), reads the initial reduction into the
 // caller's destination and sets the generation to 1. Session results
 // never feed lookup or recordCost — the drift-detector exclusion the
 // simplified path also has, here by construction.
 func (e *Engine) runSession(w *workerCtx, sw *sessionWork, qw time.Duration) {
 	start := time.Now()
-	st, err := reduction.NewDeltaState(sw.loop, sw.segIters, e.cfg.Platform.Procs, w.ex, sw.dst)
+	st, err := reduction.NewDeltaState(sw.loop, 0, e.cfg.Platform.Procs, w.ex, sw.dst)
 	if err != nil {
 		sw.done <- sessionOutcome{err: err}
 		return
@@ -200,7 +192,7 @@ func sessionResult(values []float64, gen uint64, elapsed, qw time.Duration) Resu
 	return Result{
 		Values:     values,
 		Scheme:     "session",
-		Why:        "incremental delta re-reduction over resident segments",
+		Why:        "incremental delta over the resident result",
 		BatchSize:  1,
 		Elapsed:    elapsed,
 		QueueWait:  qw,

@@ -41,10 +41,10 @@ func sessionDeltas(rng *rand.Rand, l *trace.Loop, n int) []reduction.RefDelta {
 }
 
 // TestSessionMatchesFreshOpen is the engine-level metamorphic check: the
-// rolling result after streaming deltas must be bit-identical to opening
-// a fresh session over an identically mutated mirror loop (same segment
-// association, same kernels — so any divergence is incremental-state
-// rot, exactly what the session path must never produce).
+// rolling result after streaming deltas must be bit-identical to
+// RunSequential over an identically mutated mirror loop, and so to
+// opening a fresh session over it — any divergence is incremental-state
+// rot, exactly what the session path must never produce.
 func TestSessionMatchesFreshOpen(t *testing.T) {
 	e := mustNew(t, Config{Workers: 2, Platform: core.DefaultPlatform(4)})
 	defer e.Close()
@@ -52,7 +52,7 @@ func TestSessionMatchesFreshOpen(t *testing.T) {
 	l := sessionLoop(80, 300, 1)
 	mirror := l.Clone()
 
-	s, res, err := e.OpenSession(l, 0, nil)
+	s, res, err := e.OpenSession(l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,15 @@ func TestSessionMatchesFreshOpen(t *testing.T) {
 		for _, d := range ds {
 			refs[d.Pos] = d.Ref
 		}
-		fresh, fres, err := e.OpenSession(mirror, 0, nil)
+		fresh, fres, err := e.OpenSession(mirror, nil)
 		if err != nil {
 			t.Fatalf("step %d: fresh open: %v", step, err)
 		}
-		for i := range fres.Values {
+		want := mirror.RunSequential()
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(res.Values[i]) {
+				t.Fatalf("step %d elem %d: session %g != RunSequential %g", step, i, res.Values[i], want[i])
+			}
 			if math.Float64bits(fres.Values[i]) != math.Float64bits(res.Values[i]) {
 				t.Fatalf("step %d elem %d: session %g != fresh %g", step, i, res.Values[i], fres.Values[i])
 			}
@@ -96,10 +100,10 @@ func TestSessionMatchesFreshOpen(t *testing.T) {
 		t.Fatalf("SessionJobs %d, want 8", st.SessionJobs)
 	}
 	if st.SessionSegsComputed == 0 {
-		t.Fatal("no session segments computed")
+		t.Fatal("no session iterations computed")
 	}
 	if st.SessionSegsReused == 0 {
-		t.Fatal("no session segments reused — deltas of 5 positions should not touch every segment")
+		t.Fatal("no session iterations reused — deltas of 5 positions should not touch every iteration")
 	}
 	// Session work must stay out of the one-shot counters (and thus out
 	// of the drift detector's cost stream).
@@ -114,7 +118,7 @@ func TestSessionDstReuse(t *testing.T) {
 	defer e.Close()
 	l := sessionLoop(32, 64, 2)
 	dst := make([]float64, 32)
-	s, res, err := e.OpenSession(l, 0, dst)
+	s, res, err := e.OpenSession(l, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestSessionClose(t *testing.T) {
 	e := mustNew(t, Config{Workers: 2})
 	defer e.Close()
 	l := sessionLoop(16, 40, 3)
-	s, _, err := e.OpenSession(l, 0, nil)
+	s, _, err := e.OpenSession(l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +161,7 @@ func TestSessionClose(t *testing.T) {
 
 	// Concurrent hammer: appliers race Close; every outcome must be a
 	// valid result or ErrSessionClosed. Run under -race in CI.
-	s2, _, err := e.OpenSession(l, 0, nil)
+	s2, _, err := e.OpenSession(l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestSessionClose(t *testing.T) {
 func TestSessionAfterEngineClose(t *testing.T) {
 	e := mustNew(t, Config{Workers: 1})
 	l := sessionLoop(8, 16, 4)
-	s, _, err := e.OpenSession(l, 0, nil)
+	s, _, err := e.OpenSession(l, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +196,7 @@ func TestSessionAfterEngineClose(t *testing.T) {
 	if _, err := s.Apply(nil, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("apply after engine close: %v, want ErrClosed", err)
 	}
-	if _, _, err := e.OpenSession(l, 0, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := e.OpenSession(l, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("open after engine close: %v, want ErrClosed", err)
 	}
 }
@@ -201,18 +205,11 @@ func TestSessionAfterEngineClose(t *testing.T) {
 func TestOpenSessionRejectsInvalid(t *testing.T) {
 	e := mustNew(t, Config{Workers: 1})
 	defer e.Close()
-	if _, _, err := e.OpenSession(nil, 0, nil); err == nil {
+	if _, _, err := e.OpenSession(nil, nil); err == nil {
 		t.Fatal("nil loop accepted")
 	}
 	bad := &trace.Loop{Name: "bad"}
-	if _, _, err := e.OpenSession(bad, 0, nil); err == nil {
+	if _, _, err := e.OpenSession(bad, nil); err == nil {
 		t.Fatal("non-positive NumElems accepted")
-	}
-	// A segment width of 1 over a huge iteration count cuts more than the
-	// 64 segments a session may hold; the worker must answer with the
-	// error rather than panic.
-	wide := sessionLoop(8, 300, 5)
-	if _, _, err := e.OpenSession(wide, 1, nil); err == nil {
-		t.Fatal("over-wide segment plan accepted")
 	}
 }

@@ -36,11 +36,12 @@ type Stats struct {
 	SimplifiedBatches, SimplifyFallbacks uint64
 	SegsComputed, SegsReused             uint64
 	// SessionOpens counts streaming sessions registered; SessionJobs
-	// counts delta applications served through them. SessionSegsComputed
-	// and SessionSegsReused split each apply's segments into recomputed
-	// fresh vs. carried over intact — the per-update incremental win,
-	// kept apart from the batch-simplification SegsComputed/SegsReused
-	// so the two reuse stories stay separately observable.
+	// counts delta applications served through them. A session's reuse
+	// unit is one iteration: SessionSegsComputed counts the iterations
+	// an open reduced and an apply's deltas landed in, SessionSegsReused
+	// the iterations an apply left alone — kept apart from the
+	// batch-simplification SegsComputed/SegsReused so the two reuse
+	// stories stay separately observable.
 	SessionOpens, SessionJobs              uint64
 	SessionSegsComputed, SessionSegsReused uint64
 	// Schemes counts executed jobs per scheme name.

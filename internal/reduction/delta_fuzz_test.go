@@ -35,20 +35,19 @@ func validDeltas(ds []RefDelta, totalRefs, numElems int) bool {
 	return true
 }
 
-// FuzzDeltaState searches for a loop shape, operator, segment width and
-// delta stream that break the session contract. The input decodes into
-// a small ragged loop (empty iterations included), a width (0 = the
-// session default), and batches until the bytes run out; batches are
-// left raw — unsorted, duplicated, out of range — often enough that
+// FuzzDeltaState searches for a loop shape, operator and delta stream
+// that break the session contract. The input decodes into a small ragged
+// loop (empty iterations included) and batches until the bytes run out;
+// two header bytes that once picked a segment width and a processor
+// count are still read, so the checked-in seeds decode as before. Batches
+// are left raw — unsorted, duplicated, out of range — often enough that
 // rejection is exercised as much as application. Properties:
 //
 //   - Apply accepts a batch exactly when it is well-formed;
 //   - a rejected batch mutates nothing: the loop is unchanged and the
 //     next read returns the previous bits;
-//   - every accepted read is bit-identical to the from-scratch oracle
-//     and to a fresh session opened over the mutated mirror;
-//   - after every batch, accepted or rejected, the reference index is a
-//     fresh counting sort of the session loop.
+//   - every accepted read is RunSequential's bits over the mutated
+//     mirror, and Computed counts the iterations the batch landed in.
 func FuzzDeltaState(f *testing.F) {
 	// The structured seeds live in testdata/fuzz/FuzzDeltaState: one
 	// stream per operator and width, the element shapes, rejected batches
@@ -59,8 +58,8 @@ func FuzzDeltaState(f *testing.F) {
 		elems := 1 + in.next()%48
 		iters := in.next() % 96
 		op := deltaOps[in.next()%len(deltaOps)]
-		segIters := in.next() % 40
-		procs := 1 + in.next()%4
+		in.next() // once the segment width
+		in.next() // once the processor count
 		l := trace.NewLoop("fuzz", elems)
 		l.Op = op
 		var refs []int32
@@ -71,21 +70,17 @@ func FuzzDeltaState(f *testing.F) {
 			}
 			l.AddIter(refs...)
 		}
-		if segIters > 0 && (iters+segIters-1)/segIters > maxSegments {
-			segIters = (iters + maxSegments - 1) / maxSegments
-		}
 		total := l.TotalRefs()
 
 		mirror := l.Clone()
 		dst := make([]float64, elems)
-		st, err := NewDeltaState(l, segIters, procs, nil, dst)
+		st, err := NewDeltaState(l, 0, 1, nil, dst)
 		if err != nil {
 			t.Fatalf("NewDeltaState: %v", err)
 		}
-		want := cutOrder(mirror, segCuts(mirror, st.SegIters()))
+		want := mirror.RunSequential()
 		requireBitEqual(t, want, dst, "open read")
 
-		fresh := make([]float64, elems)
 		for len(in) > 0 {
 			shape := in.next()
 			ds := make([]RefDelta, shape%8)
@@ -99,28 +94,22 @@ func FuzzDeltaState(f *testing.F) {
 			if shape&0x30 != 0 { // three inputs in four arrive sorted
 				sort.Slice(ds, func(i, j int) bool { return ds[i].Pos < ds[j].Pos })
 			}
-			_, err := st.Apply(ds, procs, nil, dst)
-			requireIndexCurrent(t, st, "after a batch")
-			if valid := validDeltas(ds, total, elems); (err == nil) != valid {
-				t.Fatalf("batch %v: valid=%v but Apply returned %v", ds, valid, err)
-			}
-			if err != nil {
+			valid := validDeltas(ds, total, elems)
+			if !valid {
+				if _, err := st.Apply(ds, 1, nil, dst); err == nil {
+					t.Fatalf("malformed batch %v accepted", ds)
+				}
 				if !st.Loop().EqualPattern(mirror) {
 					t.Fatalf("rejected batch %v mutated the session loop", ds)
 				}
-				if _, err := st.Apply(nil, procs, nil, dst); err != nil {
+				if _, err := st.Apply(nil, 1, nil, dst); err != nil {
 					t.Fatal(err)
 				}
 				requireBitEqual(t, want, dst, "read after a rejected batch")
 				continue
 			}
-			applyMirror(mirror, ds)
-			want = cutOrder(mirror, segCuts(mirror, st.SegIters()))
-			requireBitEqual(t, want, dst, "delta read")
-			if _, err := NewDeltaState(mirror, st.SegIters(), procs, nil, fresh); err != nil {
-				t.Fatal(err)
-			}
-			requireBitEqual(t, fresh, dst, "delta read vs fresh open")
+			applyChecked(t, st, mirror, ds, dst, "delta read")
+			want = mirror.RunSequential()
 		}
 	})
 }

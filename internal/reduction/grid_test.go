@@ -44,9 +44,11 @@ func gridLoops() []*trace.Loop {
 
 // TestExactGridEveryPathIsSequential is the contract trace.Value's grid
 // buys: for add, max and min every scheme at every processor count, and
-// the segment cut through SegPlan, its resident total and a session,
-// returns RunSequential's bits. Mul still rounds, so its cuts keep the
-// cutOrder oracle elsewhere.
+// the segment cut through SegPlan and its resident total, returns
+// RunSequential's bits. Mul still rounds, so its cuts keep the cutOrder
+// oracle elsewhere. A session has no cut: under every operator, its
+// open and every delta read are RunSequential's bits over the mirrored
+// loop.
 func TestExactGridEveryPathIsSequential(t *testing.T) {
 	ex := &Exec{Pool: NewBufferPool()}
 	for _, base := range gridLoops() {
@@ -82,10 +84,21 @@ func TestExactGridEveryPathIsSequential(t *testing.T) {
 					t.Fatalf("%s %v p%d: the resident total did not verify", l.Name, op, procs)
 				}
 				check(fmt.Sprintf("resident total p%d", procs), total)
-				if _, err := NewDeltaState(l, 0, procs, ex, dst); err != nil {
-					t.Fatal(err)
-				}
-				check(fmt.Sprintf("session p%d", procs), dst)
+			}
+		}
+		for _, op := range deltaOps {
+			l := base.Clone()
+			l.Op = op
+			mirror := l.Clone()
+			dst := make([]float64, l.NumElems)
+			st, err := NewDeltaState(l, 0, 1, ex, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, mirror.RunSequential(), dst, fmt.Sprintf("%s %v session open", l.Name, op))
+			rng := rand.New(rand.NewSource(int64(op)))
+			for step := 0; step < 4; step++ {
+				applyChecked(t, st, mirror, randomDeltas(rng, l, 16), dst, fmt.Sprintf("%s %v session step %d", l.Name, op, step))
 			}
 		}
 	}

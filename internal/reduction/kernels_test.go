@@ -2,7 +2,6 @@ package reduction
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/trace"
@@ -96,56 +95,6 @@ func TestCombineAddBitIdenticalToCombineOp(t *testing.T) {
 			combineOp(dstNaive, src, trace.OpAdd)
 			if i := bitsEqual(dstFast, dstNaive); i != -1 {
 				t.Fatalf("combineAdd(n=%d, srcN=%d) diverges at %d", n, srcN, i)
-			}
-		}
-	}
-}
-
-// TestReplayElemBitIdenticalToNaive pins the session delta kernel to
-// its references across the remainder-straddling loop shapes, every
-// iteration sub-range alignment, every operator and mark densities from
-// empty to full: replaying a marked element's indexed positions inside
-// the range must give it the same contributions in the same order
-// naiveAccumFlat — and, for add, accumFlatAdd — gives that slot from
-// neutral.
-func TestReplayElemBitIdenticalToNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, l := range remainderLoops() {
-		offs, refs := l.Flat()
-		iters := l.NumIters()
-		byElem := freshIndex(l)
-		for _, density := range []float64{0, 0.02, 0.5, 1} {
-			var marked []int32
-			for e := 0; e < l.NumElems; e++ {
-				if rng.Float64() < density {
-					marked = append(marked, int32(e))
-				}
-			}
-			for trial := 0; trial < 4; trial++ {
-				lo, hi := 0, iters
-				if trial > 0 && iters > 0 {
-					lo = rng.Intn(iters)
-					hi = lo + rng.Intn(iters-lo+1)
-				}
-				flat := make([]float64, l.NumElems)
-				accumFlatAdd(flat, offs, refs, lo, hi)
-				for _, op := range deltaOps {
-					l.Op = op
-					naive := make([]float64, l.NumElems)
-					fill(naive, op.Neutral())
-					naiveAccumFlat(naive, l, lo, hi)
-					for _, e := range marked {
-						got := replayElem(byElem[e], offs[lo:hi+1], lo, e, op)
-						if math.Float64bits(got) != math.Float64bits(naive[e]) {
-							t.Fatalf("loop=%s op=%v iters [%d,%d): replay of element %d = %x, naive %x",
-								l.Name, op, lo, hi, e, math.Float64bits(got), math.Float64bits(naive[e]))
-						}
-						if op == trace.OpAdd && math.Float64bits(got) != math.Float64bits(flat[e]) {
-							t.Fatalf("loop=%s iters [%d,%d): replay of element %d diverges from accumFlatAdd", l.Name, lo, hi, e)
-						}
-					}
-				}
-				l.Op = trace.OpAdd
 			}
 		}
 	}

@@ -61,12 +61,11 @@ type SegRunStats struct {
 	Reused   int
 }
 
-// maxSegments bounds how many segments a plan or a session may cut the
-// iteration space into. The fold has no width limit of its own; 64 stays
-// because it fixes the cuts DefaultSegIters and sessionSegIters have
-// always made (and with them every bit a resident pattern or session has
-// returned), and because it sizes Run's per-segment served flags on the
-// stack.
+// maxSegments bounds how many segments a plan may cut the iteration
+// space into. The fold has no width limit of its own; 64 stays because
+// it fixes the cuts DefaultSegIters has always made (and with them every
+// bit a resident pattern has returned), and because it sizes Run's
+// per-segment served flags on the stack.
 const maxSegments = 64
 
 // DefaultSegIters picks the segment width for a loop of numIters

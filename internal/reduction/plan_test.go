@@ -248,7 +248,7 @@ func TestSegPlanNonAddOp(t *testing.T) {
 // rule from its parameter side: every path folds pieces of the iteration
 // space in order and differs only in where it cuts. Where the segment cut
 // is the processor cut (NumIters divisible by procs, segIters =
-// NumIters/procs) a SegPlan and a session return Rep's bits, under every
+// NumIters/procs) a SegPlan returns Rep's bits, under every
 // operator; with one segment a SegPlan returns RunSequential's, the cut
 // lw answers with.
 func TestSegmentCutMatchesProcessorCut(t *testing.T) {
@@ -266,11 +266,6 @@ func TestSegmentCutMatchesProcessorCut(t *testing.T) {
 				ctx := fmt.Sprintf("%s/%v procs=%d", l.Name, op, procs)
 				got, _ := runPlan(t, []*trace.Loop{l}, segIters, procs, ex, nil)
 				assertBits(t, ctx+" SegPlan vs rep", got[0], want)
-				session := make([]float64, elems)
-				if _, err := NewDeltaState(l, segIters, procs, ex, session); err != nil {
-					t.Fatal(err)
-				}
-				assertBits(t, ctx+" session vs rep", session, want)
 			}
 			got, _ := runPlan(t, []*trace.Loop{l}, iters, 4, ex, nil)
 			assertBits(t, fmt.Sprintf("%s/%v one segment vs RunSequential", l.Name, op), got[0], l.RunSequential())

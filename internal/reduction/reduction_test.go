@@ -49,8 +49,8 @@ func clusteredLoop(elems, iters int, seed int64) *trace.Loop {
 // in iteration order by the naive kernel, the pieces folded in order.
 // The paths differ only in the cut they pass: one piece for lw,
 // processor blocks (procCuts) for the privatizing schemes, segments
-// (segCuts) for SegPlan, the resident total and sessions. No pieces
-// reduce to the neutral array.
+// (segCuts) for SegPlan and the resident total. No pieces reduce to the
+// neutral array.
 func cutOrder(l *trace.Loop, bounds []int) []float64 {
 	res := make([]float64, l.NumElems)
 	fill(res, l.Op.Neutral())
@@ -73,7 +73,7 @@ func procCuts(l *trace.Loop, procs int) []int {
 	return bounds
 }
 
-// segCuts is SegPlan's and the sessions' cut: segments of segIters
+// segCuts is SegPlan's cut: segments of segIters
 // iterations, the last one short.
 func segCuts(l *trace.Loop, segIters int) []int {
 	bounds := []int{0}

@@ -55,8 +55,8 @@ func replicate(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 
 // foldBlock sets dst to the partials' elements [off, off+len(dst)) folded
 // in order — the one way partials are combined: processor copies in
-// every privatizing scheme, segment parts in SegPlan (foldCol is the
-// same chain for one session element). The neutral element is exact
+// every privatizing scheme, segment parts in SegPlan. The neutral
+// element is exact
 // under every operator (0+x, 1*x, max(-Inf,x), min(+Inf,x) all return x,
 // given partials that are never -0 or NaN — every contribution is a
 // trace.Value in (0, 1]), so the fold equals the one the lazy list and

@@ -482,7 +482,7 @@ func (c *conn) encodeSessionResult(jobID uint64, res *engine.Result, tl *obs.Tim
 // store's residency and byte budgets, checked against the loop's
 // estimated resident footprint before any state is built, with CLOCK
 // eviction making room and BUSY(BusySession) when it cannot. The open
-// itself (a full segment compute) runs on a waiter goroutine so the read
+// itself (one full reduction) runs on a waiter goroutine so the read
 // loop keeps pipelining.
 func (c *conn) handleOpenSession(f wire.Frame) {
 	t0 := time.Now()
@@ -513,7 +513,7 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 		c.sendError(f.JobID, fmt.Sprintf("session %d already open on this connection", sid))
 		return
 	}
-	est := int64(reduction.DeltaStateBytes(&c.scratch, 0, c.srv.disp.Procs()))
+	est := int64(reduction.DeltaStateBytes(&c.scratch))
 	if err := c.srv.sessions.reserve(est); err != nil {
 		release()
 		c.sendBusy(f.JobID, wire.BusySession)
@@ -535,7 +535,7 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 		defer c.jobWG.Done()
 		defer release()
 		dst := c.srv.getDst(l.NumElems)
-		es, res, err := sd.OpenSession(l, 0, dst, tenant)
+		es, res, err := sd.OpenSession(l, dst, tenant)
 		if err != nil {
 			c.srv.sessions.abort(est)
 			c.srv.putDst(dst)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/reduction"
 	"repro/internal/server"
 	"repro/internal/testkit"
 	"repro/internal/workloads"
@@ -31,7 +30,7 @@ func assertBits(t *testing.T, what string, got, want []float64) {
 // armed on a daemon, every RESULT the read loop serves inline is
 // bit-identical to an in-process engine's resident answer for the same
 // loop (the segment cut), and every delta a session applies on the read
-// loop reads bit-identical to a fresh DeltaState over the mirrored loop.
+// loop reads bit-identical to RunSequential over the mirrored loop.
 // Both are answered with the daemon's only worker parked: a resident
 // SUBMIT_REF and a delta take no engine queue slot.
 func TestInlineAnswersAreEnginePathBits(t *testing.T) {
@@ -98,11 +97,7 @@ func TestInlineAnswersAreEnginePathBits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		fresh := make([]float64, ds.Base.NumElems)
-		if _, err := reduction.NewDeltaState(ds.MirrorAt(step+1), 0, procs, nil, fresh); err != nil {
-			t.Fatal(err)
-		}
-		assertBits(t, "session delta", res.Values, fresh)
+		assertBits(t, "session delta", res.Values, ds.MirrorAt(step+1).RunSequential())
 	}
 	if got := d.Srv.Stats().Inline - before; got != uint64(len(ds.Batches)) {
 		t.Fatalf("%d of %d deltas applied inline", got, len(ds.Batches))

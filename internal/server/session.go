@@ -22,11 +22,11 @@ type SessionDispatcher interface {
 	// reduction. tenant is the owning connection's HELLO-bound tenant
 	// name: the open and every later apply are scheduled under that
 	// tenant's weighted queue.
-	OpenSession(l *trace.Loop, segIters int, dst []float64, tenant string) (*engine.Session, engine.Result, error)
+	OpenSession(l *trace.Loop, dst []float64, tenant string) (*engine.Session, engine.Result, error)
 }
 
-func (d engineDispatcher) OpenSession(l *trace.Loop, segIters int, dst []float64, tenant string) (*engine.Session, engine.Result, error) {
-	return d.eng.OpenSessionTenant(l, segIters, dst, d.eng.TenantIndex(tenant))
+func (d engineDispatcher) OpenSession(l *trace.Loop, dst []float64, tenant string) (*engine.Session, engine.Result, error) {
+	return d.eng.OpenSessionTenant(l, dst, d.eng.TenantIndex(tenant))
 }
 
 // errSessionBudget reports that admission could not make room for a new

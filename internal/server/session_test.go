@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/testkit"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // mkSessLoop builds a deterministic random add-reduction for the session
@@ -351,5 +353,40 @@ func TestSessionEvictionRace(t *testing.T) {
 	wg.Wait()
 	if reopens == 0 {
 		t.Log("note: no eviction hit the streamer this run (timing-dependent)")
+	}
+}
+
+// TestSessionBudgetAdmitsLoopPlusResult pins what a session costs the
+// byte budget: its loop copy and result vector. At the served session
+// shape (1 024 elements, 16 384 iterations of 8 references) that is
+// 598 020 bytes; the session state it replaced — a reference index and
+// 64 segment partials per element beside the loop — was estimated at
+// 1 844 228. A budget sized for two sessions of the old estimate now
+// holds six resident, at least 2.5 times as many, and the seventh open
+// evicts one.
+func TestSessionBudgetAdmitsLoopPlusResult(t *testing.T) {
+	const oldEstimate, perSession, sized = 1844228, 598020, 2
+	d := testkit.StartDaemon(t, engine.Config{Workers: 1},
+		server.Config{MaxSessionBytes: sized * oldEstimate})
+	cl := testkit.DialPool(t, d.Addr, client.Config{Conns: 1})
+
+	want := sized * oldEstimate / perSession
+	if 2*want < 5*sized {
+		t.Fatalf("a budget of %d old sessions admits %d, fewer than 2.5 times as many", sized, want)
+	}
+	for i := 0; i <= want; i++ {
+		ds := workloads.NewDeltaStream(1, 16, 0.5, int64(i+1))
+		if got := reduction.DeltaStateBytes(ds.Base); got != perSession {
+			t.Fatalf("session %d estimated at %d bytes, want %d", i, got, perSession)
+		}
+		_, res := testkit.StartSession(t, cl, ds.Base)
+		assertBits(t, fmt.Sprintf("session %d open", i), res.Values, ds.Base.RunSequential())
+		resident, evicted := i+1, uint64(0)
+		if i == want {
+			resident, evicted = want, 1
+		}
+		if ss := d.Srv.Stats(); ss.Sessions != resident || ss.SessionEvictions != evicted {
+			t.Fatalf("after open %d: %d resident, %d evicted; want %d and %d", i, ss.Sessions, ss.SessionEvictions, resident, evicted)
+		}
 	}
 }

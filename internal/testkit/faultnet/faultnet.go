@@ -3,13 +3,16 @@
 // does: every Write reaches the peer in pieces of 1..k bytes, one
 // underlying write each, and every Read returns at most 1..k bytes. Both
 // are legal for a stream socket, and every frame parser and write loop
-// above it must be indifferent to them. The piece sizes are drawn from a
-// seeded source, so a failing run replays from its seed.
+// above it must be indifferent to them. ListenResetting adds resets: a
+// connection closes itself once a drawn number of bytes has crossed it,
+// mid-frame as often as not. The piece sizes and reset points are drawn
+// from a seeded source, so a failing run replays from its seed.
 //
-// Stalls, resets and half-open connections are not modelled yet.
+// Stalls and half-open connections are not modelled yet.
 package faultnet
 
 import (
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -22,11 +25,21 @@ func Listen(ln net.Listener, seed int64, maxPiece int) net.Listener {
 	return &listener{Listener: ln, seed: seed, maxPiece: maxPiece}
 }
 
+// ListenResetting is Listen whose connections also reset: connection i
+// closes itself once a byte count drawn from seed+i in
+// [minBytes, maxBytes] has crossed it, reads and writes together. The
+// transfer that reaches the count is cut there, and everything after it
+// fails as on a closed socket.
+func ListenResetting(ln net.Listener, seed int64, maxPiece, minBytes, maxBytes int) net.Listener {
+	return &listener{Listener: ln, seed: seed, maxPiece: maxPiece, minBytes: minBytes, maxBytes: max(maxBytes, minBytes, 1)}
+}
+
 type listener struct {
 	net.Listener
-	seed     int64
-	maxPiece int
-	accepted atomic.Int64
+	seed               int64
+	maxPiece           int
+	minBytes, maxBytes int // reset window; maxBytes 0 never resets
+	accepted           atomic.Int64
 }
 
 func (l *listener) Accept() (net.Conn, error) {
@@ -34,23 +47,49 @@ func (l *listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Wrap(c, l.seed+l.accepted.Add(1)-1, l.maxPiece), nil
+	seed := l.seed + l.accepted.Add(1) - 1
+	fc := wrap(c, seed, l.maxPiece)
+	if l.maxBytes > 0 {
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		fc.left.Store(int64(l.minBytes + rng.Intn(l.maxBytes-l.minBytes+1)))
+	}
+	return fc, nil
 }
 
 // Wrap returns c with its writes split and its reads shortened to pieces
 // of 1..maxPiece bytes drawn from seed.
-func Wrap(c net.Conn, seed int64, maxPiece int) net.Conn {
+func Wrap(c net.Conn, seed int64, maxPiece int) net.Conn { return wrap(c, seed, maxPiece) }
+
+func wrap(c net.Conn, seed int64, maxPiece int) *conn {
 	maxPiece = max(maxPiece, 1)
-	return &conn{
+	fc := &conn{
 		Conn:  c,
 		read:  pieces{rng: rand.New(rand.NewSource(seed)), max: maxPiece},
 		write: pieces{rng: rand.New(rand.NewSource(^seed)), max: maxPiece},
 	}
+	fc.left.Store(math.MaxInt64)
+	return fc
 }
 
 type conn struct {
 	net.Conn
 	read, write pieces
+	left        atomic.Int64 // bytes until the connection resets
+}
+
+// limit cuts a transfer to the bytes the budget has left, keeping at
+// least one: a spent budget has closed the socket, which then fails the
+// transfer.
+func (c *conn) limit(b []byte) []byte {
+	return b[:min(int64(len(b)), max(c.left.Load(), 1))]
+}
+
+// spend charges n transferred bytes to the budget and closes the socket
+// once it is spent.
+func (c *conn) spend(n int) {
+	if c.left.Add(-int64(n)) <= 0 {
+		c.Conn.Close()
+	}
 }
 
 // pieces draws piece sizes for one direction; the lock lets concurrent
@@ -74,15 +113,18 @@ func (c *conn) Read(b []byte) (int, error) {
 	if len(b) > 1 {
 		b = b[:c.read.next(len(b))]
 	}
-	return c.Conn.Read(b)
+	n, err := c.Conn.Read(c.limit(b))
+	c.spend(n)
+	return n, err
 }
 
 // Write sends b one piece per underlying write.
 func (c *conn) Write(b []byte) (int, error) {
 	written := 0
 	for len(b) > 0 {
-		n, err := c.Conn.Write(b[:c.write.next(len(b))])
+		n, err := c.Conn.Write(c.limit(b[:c.write.next(len(b))]))
 		written += n
+		c.spend(n)
 		if err != nil {
 			return written, err
 		}

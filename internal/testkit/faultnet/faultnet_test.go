@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/engine"
@@ -69,6 +70,53 @@ func TestPieces(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("short reads do not reassemble to the message")
+	}
+}
+
+// TestResets: a resetting listener's connection closes once its drawn
+// byte count has crossed it — here a server that only writes, so the
+// peer reads exactly that many bytes, in the window, the same count for
+// the same seed, and then end of stream.
+func TestResets(t *testing.T) {
+	const lo, hi = 1000, 3000
+	counts := map[int64]int{}
+	for _, seed := range []int64{5, 5, 6} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl := faultnet.ListenResetting(ln, seed, 1<<20, lo, hi)
+		go func() {
+			c, err := rl.Accept()
+			if err != nil {
+				return
+			}
+			msg := make([]byte, 512)
+			for {
+				if _, err := c.Write(msg); err != nil {
+					c.Close()
+					return
+				}
+			}
+		}()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(10 * time.Second)) // a connection that never resets fails, not hangs
+		n, err := io.Copy(io.Discard, c)
+		c.Close()
+		ln.Close()
+		if err != nil {
+			t.Fatalf("seed %d: %v after %d bytes, want end of stream", seed, err, n)
+		}
+		if n < lo || n > hi {
+			t.Fatalf("seed %d: reset after %d bytes, outside [%d, %d]", seed, n, lo, hi)
+		}
+		if prev, ok := counts[seed]; ok && prev != int(n) {
+			t.Fatalf("seed %d: reset after %d bytes, then after %d", seed, prev, n)
+		}
+		counts[seed] = int(n)
 	}
 }
 

@@ -25,8 +25,9 @@ const deltaRefsPerIter = 8
 // rebuilds, a mesh smoother relocating a few nodes per sweep). Each
 // batch redirects a handful of flat reference positions to new
 // elements; everything else is untouched, which is exactly the sharing
-// across time that reduction.DeltaState converts into re-accumulating
-// the touched elements instead of re-reducing the loop.
+// across time that reduction.DeltaState converts into two exact updates
+// of the resident result per redirected reference instead of
+// re-reducing the loop.
 //
 // The stream is deterministic (seeded), so a benchmark, a load test and
 // a shadow verifier can all regenerate the identical base loop and
@@ -46,9 +47,9 @@ type DeltaStream struct {
 // batchSize deltas each over a base loop whose size scales with scale,
 // all reproducible from seed. Positions are drawn uniformly over the
 // flat reference stream and element targets uniformly over the array,
-// so successive batches scatter across segments the way uncoordinated
-// particle motion does — the worst case for any scheme that hopes
-// updates cluster.
+// so successive batches scatter across the iterations the way
+// uncoordinated particle motion does — the worst case for any scheme
+// that hopes updates cluster.
 func NewDeltaStream(batches, batchSize int, scale float64, seed int64) *DeltaStream {
 	if batches < 0 || batchSize < 1 {
 		panic(fmt.Sprintf("workloads: DeltaStream needs batches >= 0 and batchSize >= 1, got %d/%d", batches, batchSize))

@@ -293,10 +293,10 @@ END {
 # Session gate: incremental re-reduction (SessionDelta/delta) must beat
 # re-submitting the whole mutated loop every step (SessionDelta/resubmit)
 # by at least SESSION_MIN_SPEEDUP (default 5.0) — the mechanical check
-# behind the streaming-session subsystem's claim that re-accumulating
-# the touched elements wins over full re-reduction for small update
-# batches, measured at the geometry the daemon serves (segIters 0,
-# 16-delta batches; recorded ratio 31x). Both figures come from the
+# behind the streaming-session subsystem's claim that moving the
+# resident result by the redirected references wins over full
+# re-reduction for small update batches, measured on the stream the
+# daemon serves (16-delta batches; recorded ratio 636x). Both figures come from the
 # same file and machine, so no normalization is needed; the gate runs
 # whenever the candidate carries the pair and names the lone half when
 # it carries only one.
