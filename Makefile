@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short race race-resident bench bench-smoke bench-check fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check deps-check codegen portability
+.PHONY: build test test-short race race-resident bench bench-smoke bench-check fmt vet ci serve loadtest loadtest-gateway fuzz cover docs-check deps-check codegen corpus-check portability
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,15 @@ fuzz:
 	$(GO) test -race -run '^FuzzClockCache$$' -fuzz '^FuzzClockCache$$' -fuzztime 10s ./internal/clock
 	$(GO) test -race -run '^FuzzParseTenantSpecs$$' -fuzz '^FuzzParseTenantSpecs$$' -fuzztime 10s ./internal/server
 
+# corpus-check regenerates the FuzzDecodeFrame seed corpus into a
+# temporary directory and diffs it against the checked-in seeds, so a
+# wire change that moves an encoding cannot leave the corpus behind
+# (regenerate with `cd internal/wire && go run gen_corpus.go`).
+corpus-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	(cd internal/wire && $(GO) run gen_corpus.go "$$tmp" >/dev/null) && \
+	diff -r -x '[!s]*' "$$tmp" internal/wire/testdata/fuzz/FuzzDecodeFrame
+
 # cover measures -short statement coverage over ./internal/... and fails
 # if the total drops below the floor committed in scripts/coverage_gate.sh.
 cover:
@@ -125,4 +134,4 @@ portability:
 	GOOS=linux GOARCH=s390x $(GO) build ./...
 	$(GO) test -shuffle=on -count=2 -short ./internal/reduction/ ./internal/engine/ ./internal/wire/ ./internal/client/ ./internal/server/ ./internal/cluster/
 
-ci: fmt vet deps-check build codegen portability race race-resident bench-smoke bench-check fuzz cover loadtest loadtest-gateway docs-check
+ci: fmt vet deps-check build codegen portability race race-resident bench-smoke bench-check corpus-check fuzz cover loadtest loadtest-gateway docs-check

@@ -30,9 +30,9 @@ import (
 // The command line.
 var (
 	addr         = flag.String("addr", "127.0.0.1:9070", "TCP listen address (port 0 picks a free port)")
-	workers      = flag.Int("workers", 4, "concurrent batches in the engine's pool")
+	workers      = flag.Int("workers", 4, "concurrent jobs in the engine's pool")
 	procs        = flag.Int("procs", 8, "goroutines per reduction execution")
-	queue        = flag.Int("queue", 0, "submission queue depth in batches (0 = 2*workers)")
+	queue        = flag.Int("queue", 0, "submission queue depth in jobs (0 = 2*workers)")
 	driftRatio   = flag.Float64("drift-ratio", 0, "cost-drift ratio marking a cached decision stale (0 = default 1.5)")
 	recalEvery   = flag.Int("recal-every", 0, "executions between sampled re-profiles of a cached decision (0 = default 256)")
 	recalConfirm = flag.Int("recal-confirm", 0, "consecutive confirming re-inspections before a scheme switch (0 = default 2)")

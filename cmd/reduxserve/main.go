@@ -62,7 +62,7 @@ type config struct {
 
 // register declares the flags on fs.
 func (c *config) register(fs *flag.FlagSet) {
-	fs.IntVar(&c.workers, "workers", 4, "concurrent batches in the engine's pool (local mode)")
+	fs.IntVar(&c.workers, "workers", 4, "concurrent jobs in the engine's pool (local mode)")
 	fs.IntVar(&c.procs, "procs", 8, "goroutines per reduction execution (local mode)")
 	fs.IntVar(&c.jobs, "jobs", 400, "total jobs to submit")
 	fs.IntVar(&c.clients, "clients", 8, "concurrent submitting goroutines")
@@ -76,7 +76,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.recalEvery, "recal-every", 0, "engine executions between sampled re-profiles (local mode, 0 = default 256)")
 	fs.IntVar(&c.recalConfirm, "recal-confirm", 0, "consecutive confirming re-inspections before a scheme switch (local mode, 0 = default 2)")
 	fs.BoolVar(&c.norecal, "norecal", false, "disable online recalibration (local mode)")
-	fs.IntVar(&c.queue, "queue", 0, "submission queue depth in batches (0 = 2*workers)")
+	fs.IntVar(&c.queue, "queue", 0, "submission queue depth in jobs (0 = 2*workers)")
 	fs.BoolVar(&c.verify, "verify", true, "check a sample of results against the sequential reference")
 	fs.IntVar(&c.sessions, "sessions", 0, "drive this many concurrent streaming sessions (OPEN_SESSION + SUBMIT_DELTA) instead of the one-shot job stream; -jobs counts delta batches across all sessions")
 	fs.StringVar(&c.remote, "remote", "", "drive a reduxd server at this address instead of an in-process engine")
@@ -178,28 +178,26 @@ type configError struct{ error }
 
 // report is the run summary, printable as text or JSON.
 type report struct {
-	Mode           string            `json:"mode"`
-	Remote         string            `json:"remote,omitempty"`
-	Gateway        int               `json:"gateway_backends,omitempty"`
-	Workers        int               `json:"workers,omitempty"`
-	Procs          int               `json:"procs,omitempty"`
-	Clients        int               `json:"clients"`
-	Jobs           int               `json:"jobs"`
-	Failures       int64             `json:"failures"`
-	Verified       bool              `json:"verified"`
-	ElapsedNs      int64             `json:"elapsed_ns"`
-	JobsPerSec     float64           `json:"jobs_per_sec"`
-	LatP50Ns       int64             `json:"latency_p50_ns"`
-	LatP95Ns       int64             `json:"latency_p95_ns"`
-	LatP99Ns       int64             `json:"latency_p99_ns"`
-	LatMaxNs       int64             `json:"latency_max_ns"`
-	JobsPerBatch   float64           `json:"jobs_per_batch"`
-	BatchOccupancy []uint64          `json:"batch_occupancy"`
-	Sessions       int               `json:"sessions,omitempty"`
-	ShadowChecks   int64             `json:"shadow_checks,omitempty"`
-	AllocPerJob    float64           `json:"client_alloc_bytes_per_job"`
-	Schemes        map[string]uint64 `json:"schemes"`
-	Tenants        []tenantReport    `json:"tenants,omitempty"`
+	Mode         string            `json:"mode"`
+	Remote       string            `json:"remote,omitempty"`
+	Gateway      int               `json:"gateway_backends,omitempty"`
+	Workers      int               `json:"workers,omitempty"`
+	Procs        int               `json:"procs,omitempty"`
+	Clients      int               `json:"clients"`
+	Jobs         int               `json:"jobs"`
+	Failures     int64             `json:"failures"`
+	Verified     bool              `json:"verified"`
+	ElapsedNs    int64             `json:"elapsed_ns"`
+	JobsPerSec   float64           `json:"jobs_per_sec"`
+	LatP50Ns     int64             `json:"latency_p50_ns"`
+	LatP95Ns     int64             `json:"latency_p95_ns"`
+	LatP99Ns     int64             `json:"latency_p99_ns"`
+	LatMaxNs     int64             `json:"latency_max_ns"`
+	Sessions     int               `json:"sessions,omitempty"`
+	ShadowChecks int64             `json:"shadow_checks,omitempty"`
+	AllocPerJob  float64           `json:"client_alloc_bytes_per_job"`
+	Schemes      map[string]uint64 `json:"schemes"`
+	Tenants      []tenantReport    `json:"tenants,omitempty"`
 	// Engine is what the engine's counters accumulated over the measured
 	// phase. Its scalars are marshalled flat into the report, each under
 	// the key its engine.StatsFields row declares.
@@ -520,10 +518,6 @@ func run(cfg config) (report, error) {
 	}
 	rep.JobsPerSec = float64(cfg.jobs) / (float64(rep.ElapsedNs) / 1e9)
 	rep.Engine = s
-	if s.Batches > 0 {
-		rep.JobsPerBatch = float64(s.Jobs) / float64(s.Batches)
-	}
-	rep.BatchOccupancy = s.BatchOccupancy
 	rep.ShadowChecks = d.shadowChecks.Load()
 	rep.AllocPerJob = float64(after.TotalAlloc-before.TotalAlloc) / float64(cfg.jobs)
 	rep.Schemes = s.Schemes
@@ -684,7 +678,7 @@ func printHuman(w io.Writer, rep report) error {
 		time.Duration(rep.LatP95Ns).Round(time.Microsecond),
 		time.Duration(rep.LatP99Ns).Round(time.Microsecond),
 		time.Duration(rep.LatMaxNs).Round(time.Microsecond))
-	fmt.Fprintf(w, "%.2f jobs/batch, %.1f KB/job allocated client-side\n", rep.JobsPerBatch, rep.AllocPerJob/1024)
+	fmt.Fprintf(w, "%.1f KB/job allocated client-side\n", rep.AllocPerJob/1024)
 	if rep.Sessions > 0 {
 		fmt.Fprintf(w, "sessions: %d shadow checks\n", rep.ShadowChecks)
 	}

@@ -175,11 +175,11 @@ func TestTextReportFollowsStatsFields(t *testing.T) {
 	saved := engine.StatsFields
 	t.Cleanup(func() { engine.StatsFields = saved })
 	engine.StatsFields = append(slices.Clip(saved), obs.Field[engine.Stats]{
-		Series: "redux_engine_probe_total", Key: "probe_row",
-		U64: func(s *engine.Stats) *uint64 { return &s.Coalesced },
+		Kind: obs.Setting, Series: "redux_engine_probe", Key: "probe_row",
+		U64: func(s *engine.Stats) *uint64 { return &s.Jobs },
 	})
 	var out bytes.Buffer
-	if err := printHuman(&out, report{Engine: engine.Stats{Coalesced: 7}}); err != nil {
+	if err := printHuman(&out, report{Engine: engine.Stats{Jobs: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "probe_row=7") {

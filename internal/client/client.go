@@ -28,9 +28,9 @@
 // queued, so one goroutine's frames (a session's deltas among them)
 // arrive in the order it sent them.
 //
-// A loop's access pattern crosses the wire once per connection. When the
-// server advertises pattern handles, the RESULT of a loop's first full
-// SUBMIT carries the handle the server interned it under; the connection
+// A loop's access pattern crosses the wire once per connection. The
+// RESULT of a loop's first full SUBMIT carries the handle the server
+// interned it under; the connection
 // remembers loop pointer → (fingerprint, handle) and every later
 // submission of that *trace.Loop is a few-byte SUBMIT_REF. All of it is
 // transparent: a handle the server has since dropped is answered
@@ -69,8 +69,7 @@ type Config struct {
 	// tenant: a client HELLO carrying the name is sent right after the
 	// preamble, and the server charges the connection's jobs against the
 	// tenant's admission quotas and schedules them under its weight.
-	// Empty means the default tenant and a wire dialogue byte-identical
-	// to pre-tenant clients.
+	// Empty means the default tenant, and no client HELLO is sent.
 	Tenant string
 }
 
@@ -117,8 +116,9 @@ var (
 )
 
 // Dial connects to a reduxd server. The first connection is established
-// eagerly — validating address, protocol and version — and the rest of
-// the pool dials lazily on first use.
+// eagerly — validating address, protocol and version (a server of
+// another version fails it with wire.ErrVersion) — and the rest of the
+// pool dials lazily on first use.
 func Dial(addr string, cfg Config) (*Client, error) {
 	return dialVia(addr, cfg, net.DialTimeout)
 }
@@ -178,9 +178,8 @@ func (c *Client) SubmitAsyncInto(l *trace.Loop, dst []float64) (*Handle, error) 
 
 // SubmitAsyncIntoTraced is SubmitAsyncInto carrying an end-to-end trace
 // ID: the server records the job's stage timeline under it (visible at
-// /tracez on every tier the job crosses). A zero ID omits the field from
-// the wire — the server then assigns its own — so untraced submission
-// stays byte-identical to older clients.
+// /tracez on every tier the job crosses). With a zero ID the server
+// assigns its own.
 func (c *Client) SubmitAsyncIntoTraced(l *trace.Loop, dst []float64, traceID uint64) (*Handle, error) {
 	if l == nil {
 		return nil, errors.New("client: nil loop")
@@ -284,8 +283,7 @@ type pend struct {
 	// loop and traceID are a one-shot SUBMIT's payload (loop is nil for
 	// every other operation), kept so the job can be sent again in full
 	// when its reference is answered "pattern gone". fp is the loop's
-	// fingerprint at submission — zero, never computed, on a connection
-	// without pattern handles. ref is the handle the frame went out
+	// fingerprint at submission. ref is the handle the frame went out
 	// under, 0 for a full SUBMIT; register decides it.
 	loop    *trace.Loop
 	traceID uint64
@@ -324,9 +322,9 @@ type netSession struct {
 	nextID  uint64
 	nextSID uint64 // streaming-session ids, scoped to this connection
 	// handles maps a submitted loop to the pattern handle this
-	// connection's server issued for it (guarded by pendMu; nil when the
-	// server does not speak pattern handles). It lives and dies with the
-	// connection, so a handle is never replayed to a restarted server.
+	// connection's server issued for it (guarded by pendMu). It lives and
+	// dies with the connection, so a handle is never replayed to a
+	// restarted server.
 	handles map[*trace.Loop]patternHandle
 }
 
@@ -352,9 +350,11 @@ func (pc *poolConn) ensure() (*netSession, error) {
 		pc:      pc,
 		nc:      nc,
 		pending: make(map[uint64]*pend),
+		handles: make(map[*trace.Loop]patternHandle),
 	}
 	// The server speaks first: its HELLO validates version agreement
-	// before any job is risked on the connection.
+	// (DecodeHello fails another version with wire.ErrVersion) before any
+	// job is risked on the connection.
 	hr := wire.NewReader(nc, wire.DefaultMaxFrame)
 	nc.SetReadDeadline(time.Now().Add(pc.cl.cfg.DialTimeout))
 	f, err := hr.Next()
@@ -368,18 +368,10 @@ func (pc *poolConn) ensure() (*netSession, error) {
 	}
 	nc.SetReadDeadline(time.Time{})
 	// The client's own HELLO (connection-scoped, job ID 0, mirroring the
-	// server's) binds the connection to its tenant and, when the server
-	// offered pattern handles, accepts them — both before any job rides
-	// it. With no tenant and no offer nothing is sent, and with a tenant
-	// alone the frame is the pre-handle one: a server that predates
-	// handles sees the dialogue it always has.
-	ch := wire.Hello{Version: wire.ProtoVersion, Tenant: pc.cl.cfg.Tenant}
-	if s.hello.Flags&wire.HelloFlagPatternHandles != 0 {
-		ch.Flags = wire.HelloFlagPatternHandles
-		s.handles = make(map[*trace.Loop]patternHandle)
-	}
-	if ch.Tenant != "" || ch.Flags != 0 {
-		if _, err := nc.Write(wire.AppendHello(nil, ch)); err != nil {
+	// server's) binds the connection to its tenant before any job rides
+	// it; the default tenant needs none.
+	if t := pc.cl.cfg.Tenant; t != "" {
+		if _, err := nc.Write(wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Tenant: t})); err != nil {
 			nc.Close()
 			return nil, fmt.Errorf("client: hello: %w", err)
 		}
@@ -410,12 +402,9 @@ func (pc *poolConn) submit(l *trace.Loop, dst []float64, traceID uint64) (*Handl
 	if err != nil {
 		return nil, err
 	}
-	p := &pend{done: make(chan outcome, 1), dst: dst, loop: l, traceID: traceID}
-	if s.handles != nil {
-		// Fingerprinted now, compared in register: a loop the caller
-		// changed since its handle was learned must go out in full.
-		p.fp = l.Fingerprint()
-	}
+	// Fingerprinted now, compared in register: a loop the caller changed
+	// since its handle was learned must go out in full.
+	p := &pend{done: make(chan outcome, 1), dst: dst, loop: l, traceID: traceID, fp: l.Fingerprint()}
 	id, err := s.register(p)
 	if err != nil {
 		return nil, err
@@ -581,7 +570,7 @@ func (s *netSession) resolve(f wire.Frame, p *pend) outcome {
 		if err != nil {
 			return outcome{err: fmt.Errorf("client: %w", err)}
 		}
-		if handle != 0 && p.loop != nil && s.handles != nil {
+		if handle != 0 && p.loop != nil {
 			s.learn(p, handle)
 		}
 		return outcome{res: res}

@@ -3,10 +3,12 @@ package client_test
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,24 +42,23 @@ func assertSums(t *testing.T, l *trace.Loop, got []float64) {
 	}
 }
 
-// legacyStub is a server from before pattern handles: its HELLO carries
-// no capability bit and it answers every SUBMIT with a tail-less RESULT.
-// It records every byte the client sends after the preamble, which is
-// what the compat test compares.
-type legacyStub struct {
+// recordingStub is a server that answers every SUBMIT with a RESULT
+// naming no pattern handle, so the client never sends a SUBMIT_REF. It
+// records every byte the client sends after the preamble.
+type recordingStub struct {
 	addr string
 	mu   sync.Mutex
 	got  bytes.Buffer
 }
 
-func startLegacyStub(t *testing.T) *legacyStub {
+func startRecordingStub(t *testing.T) *recordingStub {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	st := &legacyStub{addr: ln.Addr().String()}
+	st := &recordingStub{addr: ln.Addr().String()}
 	go func() {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -77,20 +78,20 @@ func startLegacyStub(t *testing.T) *legacyStub {
 				return
 			}
 			if f.Type != wire.FrameSubmit {
-				continue // the tenant HELLO
+				continue
 			}
 			l, err := f.DecodeSubmit(0)
 			if err != nil {
 				return
 			}
-			res := engine.Result{Values: l.RunSequential(), Scheme: "stub", BatchSize: 1}
+			res := engine.Result{Values: l.RunSequential(), Scheme: "stub"}
 			nc.Write(wire.AppendResult(nil, f.JobID, &res))
 		}
 	}()
 	return st
 }
 
-type lockedWriter struct{ st *legacyStub }
+type lockedWriter struct{ st *recordingStub }
 
 func (w lockedWriter) Write(p []byte) (int, error) {
 	w.st.mu.Lock()
@@ -98,42 +99,38 @@ func (w lockedWriter) Write(p []byte) (int, error) {
 	return w.st.got.Write(p)
 }
 
-func (st *legacyStub) received() []byte {
+func (st *recordingStub) received() []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return append([]byte(nil), st.got.Bytes()...)
 }
 
-// TestLegacyServerDialogueUnchanged is the new-client row of the compat
-// matrix at dialogue level: against a server that does not advertise
-// pattern handles the client sends exactly what it sent before they
-// existed — no opt-in HELLO, never a SUBMIT_REF however often a loop
-// repeats — and with a tenant configured, exactly the old tenant HELLO
-// (whose encoding the wire package pins against a captured frame).
-func TestLegacyServerDialogueUnchanged(t *testing.T) {
-	l := tinyLoop(1)
-	for _, tenant := range []string{"", "acme"} {
-		st := startLegacyStub(t)
-		cl, err := client.Dial(st.addr, client.Config{Conns: 1, Tenant: tenant})
+// TestDialRejectsOtherVersion: a server whose HELLO names another
+// protocol version — a version-1 daemon's three-field greeting, or a
+// later version's — fails Dial with wire.ErrVersion naming both.
+func TestDialRejectsOtherVersion(t *testing.T) {
+	v1 := []byte{5, 0, 0, 0, byte(wire.FrameHello), 0, 1, 4, 64}
+	v3 := wire.AppendHello(nil, wire.Hello{Version: 3, Procs: 4, MaxInflight: 64})
+	for _, hello := range [][]byte{v1, v3} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []byte
-		if tenant != "" {
-			want = wire.AppendHello(want, wire.Hello{Version: wire.ProtoVersion, Tenant: tenant})
-		}
-		for id := uint64(1); id <= 3; id++ {
-			res, err := cl.Submit(l)
+		go func() {
+			nc, err := ln.Accept()
 			if err != nil {
-				t.Fatal(err)
+				return
 			}
-			assertSums(t, l, res.Values)
-			want = wire.AppendSubmit(want, id, l)
-		}
-		cl.Close()
-		if got := st.received(); !bytes.Equal(got, want) {
-			t.Fatalf("tenant %q: client sent %d bytes to a legacy server, want the %d-byte pre-handle dialogue\n got %x\nwant %x",
-				tenant, len(got), len(want), got, want)
+			defer nc.Close()
+			if _, err := wire.ReadPreamble(nc); err == nil {
+				nc.Write(hello)
+			}
+		}()
+		_, err = client.Dial(ln.Addr().String(), client.Config{Conns: 1})
+		ln.Close()
+		want := fmt.Sprintf("peer speaks %d, this build %d", hello[6], wire.ProtoVersion)
+		if !errors.Is(err, wire.ErrVersion) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Dial against a version-%d HELLO: %v, want wire.ErrVersion (%s)", hello[6], err, want)
 		}
 	}
 }
@@ -284,7 +281,7 @@ func TestHandlesDieWithConnection(t *testing.T) {
 // every caller must get its own loop's sums back.
 func TestConcurrentSubmittersKeepFramesWhole(t *testing.T) {
 	const callers, each = 16, 50
-	st := startLegacyStub(t)
+	st := startRecordingStub(t)
 	cl, err := client.Dial(st.addr, client.Config{Conns: 1})
 	if err != nil {
 		t.Fatal(err)

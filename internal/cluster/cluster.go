@@ -335,7 +335,8 @@ func (p *Pool) probe(b *backend) {
 
 // probeDial performs one real liveness round-trip: dial, preamble, read
 // the HELLO, all under the dial timeout. Either the backend proves it is
-// serving the protocol right now, or the probe fails.
+// serving this protocol version right now (DecodeHello refuses another),
+// or the probe fails.
 func probeDial(addr string, timeout time.Duration) (wire.Hello, bool) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {

@@ -59,8 +59,8 @@ func TestCallerHitNeedsNoWorker(t *testing.T) {
 		t.Fatal("a resident hit returned a pending Handle")
 	}
 	res := h.Wait()
-	if res.Why != residentWhy || res.BatchSize != 1 || res.QueueWait != 0 {
-		t.Fatalf("got %s (%s), batch %d, queue wait %v; want an unqueued resident serve", res.Scheme, res.Why, res.BatchSize, res.QueueWait)
+	if res.Why != residentWhy || res.QueueWait != 0 {
+		t.Fatalf("got %s (%s), queue wait %v; want an unqueued resident serve", res.Scheme, res.Why, res.QueueWait)
 	}
 	if d := bitDiffs(res.Values, want); d > 0 {
 		t.Fatalf("resident hit differs from RunSequential in %d of %d elements", d, len(want))

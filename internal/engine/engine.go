@@ -64,8 +64,8 @@ type Config struct {
 	// tenant always exists at index 0 (weight 1 unless an entry named
 	// "default" overrides it); each other entry adds a tenant whose jobs
 	// queue separately and are drained by weighted deficit round robin.
-	// Empty means single-tenant: one queue, stats and wire frames
-	// byte-identical to the pre-tenant engine.
+	// Empty means single-tenant: one queue, and stats with no tenant
+	// rows.
 	Tenants []TenantConfig
 	// MaxCacheEntries bounds the decision cache across all shards
 	// (default 1024); beyond it the owning shard evicts by CLOCK.
@@ -118,10 +118,9 @@ type Result struct {
 	// CacheHit reports whether the job reused a cached decision instead
 	// of re-running pattern inspection.
 	CacheHit bool
-	// BatchSize is carried for the wire: the RESULT frame has the field,
-	// and a gateway forwards what an older daemon reported (how many jobs
-	// shared the execution). This engine runs every job on its own and
-	// always sets 1.
+	// BatchSize is never set: every job runs on its own, and the RESULT
+	// frame no longer carries it. It waits for the next [benchmark] PR,
+	// whose probes still set it.
 	BatchSize int
 	// Elapsed is the wall-clock execution time of the job (excluding
 	// queueing).
@@ -132,14 +131,9 @@ type Result struct {
 	// Inspect is the pattern-characterization time this job paid; zero
 	// on a decision-cache hit.
 	Inspect time.Duration
-	// Imbalance is carried for the wire: the RESULT frame has the field,
-	// and a gateway forwards what an older daemon measured (max/mean of
-	// its per-processor accumulation times). This engine never sets it.
-	Imbalance float64
 	// SessionGen is the streaming session's generation after the
 	// operation that produced this result (1 at open, +1 per delta
-	// apply); zero for one-shot jobs. It rides the RESULT frame as an
-	// optional trailing field.
+	// apply); zero for one-shot jobs.
 	SessionGen uint64
 }
 

@@ -72,9 +72,9 @@ func TestServeResidentStatsParity(t *testing.T) {
 	}
 	after := e.Stats()
 
-	if inline.Scheme != worker.Scheme || inline.Why != worker.Why || inline.CacheHit != worker.CacheHit || inline.BatchSize != worker.BatchSize {
-		t.Errorf("inline %s/%q/%v/%d, worker %s/%q/%v/%d", inline.Scheme, inline.Why, inline.CacheHit, inline.BatchSize,
-			worker.Scheme, worker.Why, worker.CacheHit, worker.BatchSize)
+	if inline.Scheme != worker.Scheme || inline.Why != worker.Why || inline.CacheHit != worker.CacheHit {
+		t.Errorf("inline %s/%q/%v, worker %s/%q/%v", inline.Scheme, inline.Why, inline.CacheHit,
+			worker.Scheme, worker.Why, worker.CacheHit)
 	}
 	for i := range worker.Values {
 		if math.Float64bits(inline.Values[i]) != math.Float64bits(worker.Values[i]) {
@@ -109,9 +109,6 @@ func TestServeResidentStatsParity(t *testing.T) {
 	}
 	if wd.Schemes["simplify"] != 1 || id.Schemes["simplify"] != 1 || len(id.Schemes) != 1 {
 		t.Errorf("scheme mix: worker %v, inline %v", wd.Schemes, id.Schemes)
-	}
-	if wd.BatchOccupancy[1] != 1 || id.BatchOccupancy[1] != 1 {
-		t.Errorf("occupancy[1]: worker %d, inline %d", wd.BatchOccupancy[1], id.BatchOccupancy[1])
 	}
 	for i := range wd.Tenants {
 		for _, f := range TenantFields {
@@ -381,7 +378,7 @@ func TestSessionApplyOnCaller(t *testing.T) {
 		if d.Jobs != 0 || d.Batches != 0 || d.SessionOpens != 0 {
 			t.Fatalf("step %d: apply moved one-shot counters: %+v", step, d)
 		}
-		if d.Tenants[1].Jobs != 1 || d.Tenants[1].Batches != 1 || d.Tenants[0].Jobs != 0 {
+		if d.Tenants[1].Jobs != 1 || d.Tenants[0].Jobs != 0 {
 			t.Fatalf("step %d: tenant rows moved %+v", step, d.Tenants)
 		}
 		if e.caller.c.SessionJobs != callerJobs+1 {

@@ -109,7 +109,6 @@ func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, j *job, hit bool, qw
 		Scheme:    name,
 		Why:       why,
 		CacheHit:  hit,
-		BatchSize: 1,
 		Elapsed:   elapsed,
 		QueueWait: qw,
 		Inspect:   insp,

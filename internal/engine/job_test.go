@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -73,19 +72,13 @@ func TestRunBatchAliasesAndMatches(t *testing.T) {
 	j := &job{loop: l, fp: l.Fingerprint(), dst: dst, done: make(chan Result, 1)}
 	e.runJob(w, j)
 	res := <-j.done
-	if res.BatchSize != 1 {
-		t.Errorf("BatchSize = %d, want 1", res.BatchSize)
-	}
 	if &res.Values[0] != &dst[0] {
 		t.Error("result does not alias its dst")
 	}
 	assertMatches(t, l.Name, res.Values, want)
 	s := e.Stats()
-	if s.Jobs != 1 || s.Batches != 1 || s.Coalesced != 0 {
-		t.Errorf("stats jobs/batches/coalesced = %d/%d/%d, want 1/1/0", s.Jobs, s.Batches, s.Coalesced)
-	}
-	if want := []uint64{0, 1}; !slices.Equal(s.BatchOccupancy, want) {
-		t.Errorf("occupancy = %v, want %v", s.BatchOccupancy, want)
+	if s.Jobs != 1 || s.Batches != 1 {
+		t.Errorf("stats jobs/batches = %d/%d, want 1/1", s.Jobs, s.Batches)
 	}
 }
 
@@ -122,17 +115,14 @@ func TestEngineColdBurstRunsPerJob(t *testing.T) {
 		if d := bitDiffs(res.Values, want); d > 0 {
 			t.Errorf("job %d (%s) differs from RunSequential in %d of %d elements", i, res.Scheme, d, len(want))
 		}
-		if res.BatchSize != 1 {
-			t.Errorf("job %d: BatchSize = %d, want 1", i, res.BatchSize)
-		}
 		if &res.Values[0] != &dsts[i][0] {
 			t.Errorf("job %d: result does not alias its dst", i)
 		}
 	}
 	s := e.Stats()
-	if s.Jobs != burst || s.Batches != s.Jobs || s.Coalesced != 0 {
-		t.Errorf("jobs/batches/coalesced = %d/%d/%d, want %d/%d/0: every job is its own execution",
-			s.Jobs, s.Batches, s.Coalesced, burst, burst)
+	if s.Jobs != burst || s.Batches != s.Jobs {
+		t.Errorf("jobs/batches = %d/%d, want %d/%d: every job is its own execution",
+			s.Jobs, s.Batches, burst, burst)
 	}
 }
 
@@ -241,9 +231,6 @@ func TestSubmitAsyncPipelining(t *testing.T) {
 	for i, h := range handles {
 		res := h.Wait()
 		assertMatches(t, loops[i%len(loops)].Name, res.Values, refs[i%len(loops)])
-		if res.BatchSize != 1 {
-			t.Errorf("handle %d: BatchSize = %d", i, res.BatchSize)
-		}
 		// Wait is idempotent.
 		if again := h.Wait(); &again.Values[0] != &res.Values[0] {
 			t.Errorf("handle %d: second Wait returned a different result", i)

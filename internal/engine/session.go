@@ -43,7 +43,7 @@ type Session struct {
 // (job.sess). The worker computes and answers on done.
 type sessionWork struct {
 	s    *Session
-	loop *trace.Loop // the loop to register
+	loop *trace.Loop // the loop to register; the session adopts it
 	dst  []float64
 	done chan sessionOutcome
 }
@@ -53,10 +53,9 @@ type sessionOutcome struct {
 	err error
 }
 
-// OpenSession registers l as a streaming session: a worker deep-copies
-// the loop and reduces it sequentially into dst (reused when its
-// capacity suffices, like SubmitInto). The returned Result carries
-// SessionGen 1.
+// OpenSession registers a deep copy of l as a streaming session: a
+// worker reduces it sequentially into dst (reused when its capacity
+// suffices, like SubmitInto). The returned Result carries SessionGen 1.
 func (e *Engine) OpenSession(l *trace.Loop, dst []float64) (*Session, Result, error) {
 	return e.OpenSessionTenant(l, dst, 0)
 }
@@ -65,8 +64,18 @@ func (e *Engine) OpenSession(l *trace.Loop, dst []float64) (*Session, Result, er
 // TenantIndex; out-of-range degrades to the default tenant). The open
 // queues on the tenant's FIFO, so it is scheduled under the same weights
 // as one-shot jobs; it and every later Apply count toward the tenant's
-// jobs and batches.
+// jobs.
 func (e *Engine) OpenSessionTenant(l *trace.Loop, dst []float64, tenant int) (*Session, Result, error) {
+	if l == nil {
+		return nil, Result{}, errors.New("engine: nil loop")
+	}
+	return e.AdoptSessionTenant(l.Clone(), dst, tenant)
+}
+
+// AdoptSessionTenant is OpenSessionTenant without the copy: the session
+// takes l over, and the caller must not touch it again. The server hands
+// over the loop it decoded an OPEN_SESSION into.
+func (e *Engine) AdoptSessionTenant(l *trace.Loop, dst []float64, tenant int) (*Session, Result, error) {
 	if l == nil {
 		return nil, Result{}, errors.New("engine: nil loop")
 	}
@@ -112,7 +121,7 @@ func (s *Session) Apply(deltas []reduction.RefDelta, dst []float64) (Result, err
 	}
 	dst = sizeDst(dst, s.st.Loop().NumElems)
 	start := time.Now()
-	stats, err := s.st.Apply(deltas, e.cfg.Platform.Procs, nil, dst)
+	stats, err := s.st.Apply(deltas, 0, nil, dst)
 	if err != nil {
 		return Result{}, err
 	}
@@ -174,7 +183,7 @@ func (e *Engine) enqueueSession(sw *sessionWork) error {
 // simplified path also has, here by construction.
 func (e *Engine) runSession(w *workerCtx, sw *sessionWork, qw time.Duration) {
 	start := time.Now()
-	st, err := reduction.NewDeltaState(sw.loop, 0, e.cfg.Platform.Procs, w.ex, sw.dst)
+	st, err := reduction.AdoptDeltaState(sw.loop, w.ex, sw.dst)
 	if err != nil {
 		sw.done <- sessionOutcome{err: err}
 		return
@@ -193,7 +202,6 @@ func sessionResult(values []float64, gen uint64, elapsed, qw time.Duration) Resu
 		Values:     values,
 		Scheme:     "session",
 		Why:        "incremental delta over the resident result",
-		BatchSize:  1,
 		Elapsed:    elapsed,
 		QueueWait:  qw,
 		SessionGen: gen,

@@ -128,7 +128,7 @@ func (e *Engine) trySimplified(w *workerCtx, entry *cacheEntry, hit bool, j *job
 	// copy, a lower bound on any execution, so there is nothing for the
 	// analysis sweep or the cost model to decide. Any failed check falls
 	// through to the planned path below.
-	res := Result{Scheme: "simplify", CacheHit: hit, BatchSize: 1, QueueWait: qw, Inspect: insp}
+	res := Result{Scheme: "simplify", CacheHit: hit, QueueWait: qw, Inspect: insp}
 	j.dst = sizeDst(j.dst, l.NumElems)
 	if warm {
 		start := time.Now()
@@ -229,7 +229,7 @@ func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int, use func(Re
 	if !ok {
 		return false
 	}
-	res := Result{Values: total, Scheme: "simplify", Why: residentWhy, CacheHit: true, BatchSize: 1, Elapsed: time.Since(start)}
+	res := Result{Values: total, Scheme: "simplify", Why: residentWhy, CacheHit: true, Elapsed: time.Since(start)}
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
 	}

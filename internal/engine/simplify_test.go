@@ -302,8 +302,8 @@ func TestEngineResidentServe(t *testing.T) {
 	if res.Scheme != "simplify" || res.Why != residentWhy {
 		t.Fatalf("repeat ran %s (%s), want the resident serve", res.Scheme, res.Why)
 	}
-	if !res.CacheHit || res.BatchSize != 1 {
-		t.Errorf("CacheHit/BatchSize = %v/%d, want true/1", res.CacheHit, res.BatchSize)
+	if !res.CacheHit {
+		t.Error("resident serve is not a cache hit")
 	}
 	assertMatches(t, "resident", res.Values, want)
 	s := e.Stats()
@@ -328,15 +328,15 @@ func TestEngineResidentServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	res = h.Wait()
-	if res.Why != residentWhy || res.BatchSize != 1 {
-		t.Fatalf("queued repeat: Why %q BatchSize %d", res.Why, res.BatchSize)
+	if res.Why != residentWhy {
+		t.Fatalf("queued repeat: Why %q", res.Why)
 	}
 	if &res.Values[0] != &dst[0] {
 		t.Error("queued repeat: result does not alias its dst")
 	}
 	assertMatches(t, "queued", res.Values, want)
-	if s := e.Stats(); s.Jobs != base.Jobs+2 || s.Coalesced != 0 {
-		t.Errorf("jobs/coalesced = %d/%d after two serves", s.Jobs, s.Coalesced)
+	if s := e.Stats(); s.Jobs != base.Jobs+2 || s.Batches != base.Batches+2 {
+		t.Errorf("jobs/batches = %d/%d after two serves", s.Jobs-base.Jobs, s.Batches-base.Batches)
 	}
 }
 

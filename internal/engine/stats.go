@@ -10,12 +10,10 @@ import (
 // per-worker shards.
 type Stats struct {
 	Jobs, CacheHits, CacheMisses uint64
-	// Batches is the number of executions; Coalesced counts jobs that rode
-	// another job's execution (so Jobs - Batches == Coalesced). This
-	// engine runs every job on its own, so its Batches equals Jobs and its
-	// Coalesced stays 0; both are kept for the wire, where a gateway sums
-	// what older daemons report.
-	Batches, Coalesced uint64
+	// Batches is the number of executions, which equals Jobs: every job
+	// runs on its own. It waits for the next [benchmark] PR, whose
+	// engine.jobs_per_batch reading still divides by it.
+	Batches uint64
 	// CacheEntries is the number of distinct pattern signatures cached;
 	// CacheEvictions counts CLOCK victims across all shards.
 	CacheEntries   int
@@ -32,7 +30,8 @@ type Stats struct {
 	// to the direct path. SegsComputed and SegsReused count the segment
 	// partial sums simplified executions accumulated fresh vs. served
 	// verified from an entry's segment cache — reuse is the incremental
-	// re-reduction win.
+	// re-reduction win. They wait for the next [benchmark] PR, whose
+	// engine.segs_reused_ratio reads them.
 	SimplifiedBatches, SimplifyFallbacks uint64
 	SegsComputed, SegsReused             uint64
 	// SessionOpens counts streaming sessions registered; SessionJobs
@@ -41,16 +40,12 @@ type Stats struct {
 	// an open reduced and an apply's deltas landed in, SessionSegsReused
 	// the iterations an apply left alone — kept apart from the
 	// batch-simplification SegsComputed/SegsReused so the two reuse
-	// stories stay separately observable.
+	// stories stay separately observable. The pair waits for the next
+	// [benchmark] PR, whose session ratio still reads it.
 	SessionOpens, SessionJobs              uint64
 	SessionSegsComputed, SessionSegsReused uint64
 	// Schemes counts executed jobs per scheme name.
 	Schemes map[string]uint64
-	// BatchOccupancy[k] is the number of executions that served exactly
-	// k jobs (index 0 is unused). This engine reports two buckets, every
-	// execution in bucket 1; merged snapshots of older daemons may carry
-	// more.
-	BatchOccupancy []uint64
 	// Stages holds the engine's per-stage latency histograms (queue_wait,
 	// inspect, execute), merged across the worker shards; only stages
 	// with observations appear. Snapshots decoded off the wire may carry
@@ -58,7 +53,7 @@ type Stats struct {
 	Stages []obs.StageSummary
 	// Tenants holds the per-tenant slices of the counters above, one row
 	// per configured tenant in scheduler order. Empty in single-tenant
-	// engines, so legacy deployments encode byte-identical STATS frames.
+	// engines.
 	Tenants []TenantStats
 }
 
@@ -70,8 +65,8 @@ type TenantStats struct {
 	Name   string
 	Weight int
 	// Jobs counts reductions executed for the tenant (session operations
-	// included); Batches counts the executions that carried them.
-	Jobs, Batches uint64
+	// included).
+	Jobs uint64
 	// Busy counts submissions the serving tier rejected against the
 	// tenant's quota or token bucket (BUSY code 5). The engine itself
 	// never rejects — the server folds its counter in before encoding.
@@ -85,66 +80,49 @@ type TenantStats struct {
 	QueueWait obs.Snapshot
 }
 
-// The positional groups of the STATS frame, as Field.Group of a schema
-// row: the base run every frame carries, then the optional trailing
-// tails in the order they joined the protocol (the stage histograms sit
-// between the simplify and session tails), and last the scalars of one
-// row of the tenant tail (TenantFields). The runs are complete as
-// recorded — a peer reads them positionally, so none can grow; a row
-// added later leaves Group zero and stays off the wire.
-const (
-	WireBase uint8 = iota + 1
-	WireRecal
-	WireSimplify
-	WireSession
-	WireTenant
-)
-
 // StatsFields is the schema of Stats' scalars, one row each, in /metrics
 // page order. Adding a counter is a struct field, a row here and its
-// increment site; the snapshot, Merge, Sub, the STATS codec, /metrics
-// and reduxserve's report all loop over this table.
+// increment site; the snapshot, Merge, Sub, the STATS codec (which keys
+// each value by the row's Key), /metrics and reduxserve's report all
+// loop over this table.
 var StatsFields = []obs.Field[Stats]{
 	{Series: "redux_engine_jobs_total", Help: "Reduction jobs executed.",
-		Key: "engine_jobs", Group: WireBase, Slot: 0, U64: func(s *Stats) *uint64 { return &s.Jobs }},
+		Key: "engine_jobs", U64: func(s *Stats) *uint64 { return &s.Jobs }},
 	{Series: "redux_engine_cache_hits_total", Help: "Scheme decisions served from the pattern cache.",
-		Key: "cache_hits", Group: WireBase, Slot: 1, U64: func(s *Stats) *uint64 { return &s.CacheHits }},
+		Key: "cache_hits", U64: func(s *Stats) *uint64 { return &s.CacheHits }},
 	{Series: "redux_engine_cache_misses_total", Help: "Scheme decisions that required a fresh inspection.",
-		Key: "cache_misses", Group: WireBase, Slot: 2, U64: func(s *Stats) *uint64 { return &s.CacheMisses }},
-	{Series: "redux_engine_batches_total", Help: "Batch executions (fused jobs share one).",
-		Key: "batches", Group: WireBase, Slot: 3, U64: func(s *Stats) *uint64 { return &s.Batches }},
-	{Series: "redux_engine_coalesced_jobs_total", Help: "Jobs that rode another job's execution.",
-		Key: "coalesced", Group: WireBase, Slot: 4, U64: func(s *Stats) *uint64 { return &s.Coalesced }},
+		Key: "cache_misses", U64: func(s *Stats) *uint64 { return &s.CacheMisses }},
+	{Series: "redux_engine_batches_total", Help: "Executions (one per job).",
+		Key: "batches", U64: func(s *Stats) *uint64 { return &s.Batches }},
 	{Series: "redux_engine_cache_evictions_total", Help: "Pattern cache CLOCK evictions.",
-		Key: "cache_evictions", Group: WireBase, Slot: 6, U64: func(s *Stats) *uint64 { return &s.CacheEvictions }},
+		Key: "cache_evictions", U64: func(s *Stats) *uint64 { return &s.CacheEvictions }},
 	{Series: "redux_engine_recalibrations_total", Help: "Stale-entry re-inspections through the decision algorithm.",
-		Key: "recalibrations", Group: WireRecal, Slot: 0, U64: func(s *Stats) *uint64 { return &s.Recalibrations }},
+		Key: "recalibrations", U64: func(s *Stats) *uint64 { return &s.Recalibrations }},
 	{Series: "redux_engine_scheme_switches_total", Help: "Recalibrations that replaced a cached scheme.",
-		Key: "scheme_switches", Group: WireRecal, Slot: 1, U64: func(s *Stats) *uint64 { return &s.SchemeSwitches }},
+		Key: "scheme_switches", U64: func(s *Stats) *uint64 { return &s.SchemeSwitches }},
 	{Series: "redux_engine_simplified_batches_total", Help: "Batches executed through the simplified segment plan.",
-		Key: "simplified_batches", Group: WireSimplify, Slot: 0, U64: func(s *Stats) *uint64 { return &s.SimplifiedBatches }},
+		Key: "simplified_batches", U64: func(s *Stats) *uint64 { return &s.SimplifiedBatches }},
 	{Series: "redux_engine_simplify_fallbacks_total", Help: "Segment analyses that fell back to the direct path.",
-		Key: "simplify_fallbacks", Group: WireSimplify, Slot: 1, U64: func(s *Stats) *uint64 { return &s.SimplifyFallbacks }},
+		Key: "simplify_fallbacks", U64: func(s *Stats) *uint64 { return &s.SimplifyFallbacks }},
 	{Series: "redux_engine_segments_computed_total", Help: "Segment partial sums accumulated fresh.",
-		Key: "segments_computed", Group: WireSimplify, Slot: 2, U64: func(s *Stats) *uint64 { return &s.SegsComputed }},
+		Key: "segments_computed", U64: func(s *Stats) *uint64 { return &s.SegsComputed }},
 	{Series: "redux_engine_segments_reused_total", Help: "Segment partial sums served from an entry's segment cache.",
-		Key: "segments_reused", Group: WireSimplify, Slot: 3, U64: func(s *Stats) *uint64 { return &s.SegsReused }},
+		Key: "segments_reused", U64: func(s *Stats) *uint64 { return &s.SegsReused }},
 	{Series: "redux_engine_session_opens_total", Help: "Streaming sessions registered.",
-		Key: "session_opens", Group: WireSession, Slot: 0, U64: func(s *Stats) *uint64 { return &s.SessionOpens }},
+		Key: "session_opens", U64: func(s *Stats) *uint64 { return &s.SessionOpens }},
 	{Series: "redux_engine_session_jobs_total", Help: "Delta batches applied through streaming sessions.",
-		Key: "session_jobs", Group: WireSession, Slot: 1, U64: func(s *Stats) *uint64 { return &s.SessionJobs }},
+		Key: "session_jobs", U64: func(s *Stats) *uint64 { return &s.SessionJobs }},
 	{Series: "redux_engine_session_segments_computed_total", Help: "Session segments recomputed because a delta touched them.",
-		Key: "session_segments_computed", Group: WireSession, Slot: 2, U64: func(s *Stats) *uint64 { return &s.SessionSegsComputed }},
+		Key: "session_segments_computed", U64: func(s *Stats) *uint64 { return &s.SessionSegsComputed }},
 	{Series: "redux_engine_session_segments_reused_total", Help: "Session segments reused intact across a delta apply.",
-		Key: "session_segments_reused", Group: WireSession, Slot: 3, U64: func(s *Stats) *uint64 { return &s.SessionSegsReused }},
+		Key: "session_segments_reused", U64: func(s *Stats) *uint64 { return &s.SessionSegsReused }},
 	{Kind: obs.Gauge, Series: "redux_engine_cache_entries", Help: "Distinct pattern signatures currently cached.",
-		Key: "cache_entries", Group: WireBase, Slot: 5, Int: func(s *Stats) *int { return &s.CacheEntries }},
+		Key: "cache_entries", Int: func(s *Stats) *int { return &s.CacheEntries }},
 }
 
 // Row constants of TenantFields; they index a tenantRT's counters.
 const (
 	tenantJobs = iota
-	tenantBatches
 	tenantBusy
 	tenantRecalibrations
 	tenantSchemeSwitches
@@ -156,17 +134,15 @@ const (
 // order; each row renders one sample per tenant, labelled tenant=Name.
 var TenantFields = []obs.Field[TenantStats]{
 	tenantJobs: {Series: "redux_engine_tenant_jobs_total", Help: "Reduction jobs executed per tenant.",
-		Key: "jobs", Group: WireTenant, Slot: 1, U64: func(t *TenantStats) *uint64 { return &t.Jobs }},
-	tenantBatches: {Series: "redux_engine_tenant_batches_total", Help: "Batch executions per tenant.",
-		Key: "batches", Group: WireTenant, Slot: 2, U64: func(t *TenantStats) *uint64 { return &t.Batches }},
+		Key: "jobs", U64: func(t *TenantStats) *uint64 { return &t.Jobs }},
 	tenantBusy: {Series: "redux_engine_tenant_busy_total", Help: "Jobs rejected by the tenant's admission quotas (BUSY tenant answers).",
-		Key: "busy", Group: WireTenant, Slot: 3, U64: func(t *TenantStats) *uint64 { return &t.Busy }},
+		Key: "busy", U64: func(t *TenantStats) *uint64 { return &t.Busy }},
 	tenantRecalibrations: {Series: "redux_engine_tenant_recalibrations_total", Help: "Stale-entry re-inspections triggered by the tenant's batches.",
-		Key: "recalibrations", Group: WireTenant, Slot: 4, U64: func(t *TenantStats) *uint64 { return &t.Recalibrations }},
+		Key: "recalibrations", U64: func(t *TenantStats) *uint64 { return &t.Recalibrations }},
 	tenantSchemeSwitches: {Series: "redux_engine_tenant_scheme_switches_total", Help: "Recalibrations by the tenant's batches that replaced a cached scheme.",
-		Key: "scheme_switches", Group: WireTenant, Slot: 5, U64: func(t *TenantStats) *uint64 { return &t.SchemeSwitches }},
+		Key: "scheme_switches", U64: func(t *TenantStats) *uint64 { return &t.SchemeSwitches }},
 	tenantWeight: {Kind: obs.Setting, Series: "redux_engine_tenant_weight", Help: "Configured DRR scheduling weight per tenant.",
-		Key: "weight", Group: WireTenant, Slot: 0, Int: func(t *TenantStats) *int { return &t.Weight }},
+		Key: "weight", Int: func(t *TenantStats) *int { return &t.Weight }},
 }
 
 // tenant returns s's row for the named tenant, appending a zero row the
@@ -187,19 +163,10 @@ func (s *Stats) tenant(name string) *TenantStats {
 // CacheEntries, so with pattern affinity intact the total equals the
 // distinct-pattern count across the tier, and exceeds it exactly when a
 // pattern was characterized on more than one backend (affinity broke).
-// Scheme counts sum; the occupancy histogram sums element-wise (growing
-// to the longer histogram); stages and tenant rows merge by name. s
-// never keeps a reference into o's storage.
+// Scheme counts sum; stages and tenant rows merge by name. s never
+// keeps a reference into o's storage.
 func (s *Stats) Merge(o Stats) {
 	obs.MergeFields(StatsFields, s, &o)
-	if len(o.BatchOccupancy) > len(s.BatchOccupancy) {
-		grown := make([]uint64, len(o.BatchOccupancy))
-		copy(grown, s.BatchOccupancy)
-		s.BatchOccupancy = grown
-	}
-	for k, v := range o.BatchOccupancy {
-		s.BatchOccupancy[k] += v
-	}
 	if len(o.Schemes) > 0 && s.Schemes == nil {
 		s.Schemes = make(map[string]uint64, len(o.Schemes))
 	}
@@ -216,8 +183,8 @@ func (s *Stats) Merge(o Stats) {
 }
 
 // Sub returns what s accumulated since the earlier snapshot old of the
-// same engine (or tier): counters, scheme counts, occupancy buckets and
-// each tenant row's counters are differences; gauges, settings and the
+// same engine (or tier): counters, scheme counts and each tenant row's
+// counters are differences; gauges, settings and the
 // latency histograms (Stages, a tenant's QueueWait) are s's own, being
 // levels rather than totals. Schemes that did not move are dropped.
 func (s Stats) Sub(old Stats) Stats {
@@ -227,12 +194,6 @@ func (s Stats) Sub(old Stats) Stats {
 	for k, v := range s.Schemes {
 		if v -= old.Schemes[k]; v > 0 {
 			d.Schemes[k] = v
-		}
-	}
-	d.BatchOccupancy = append([]uint64(nil), s.BatchOccupancy...)
-	for k := range d.BatchOccupancy {
-		if k < len(old.BatchOccupancy) {
-			d.BatchOccupancy[k] -= old.BatchOccupancy[k]
 		}
 	}
 	d.Tenants = append([]TenantStats(nil), s.Tenants...)
@@ -346,10 +307,8 @@ func (e *Engine) Stats() Stats {
 		sh.mu.Unlock()
 		s.Stages = obs.MergeStageSummaries(s.Stages, sh.stages.Snapshot())
 	}
-	s.BatchOccupancy = []uint64{0, s.Batches}
 	s.CacheEntries, s.CacheEvictions = e.cache.Len(), e.cache.Evictions()
-	// Tenant rows only exist in multi-tenant engines, so a single-tenant
-	// deployment's STATS frame stays byte-identical to the legacy layout.
+	// Tenant rows only exist in multi-tenant engines.
 	if len(e.tenants) > 1 {
 		s.Tenants = make([]TenantStats, 0, len(e.tenants))
 		for _, t := range e.tenants {

@@ -19,8 +19,8 @@ type TenantConfig struct {
 	Weight int
 }
 
-// DefaultTenant is the identity of traffic that claims no tenant: legacy
-// clients, and multi-tenant configs always include it at index 0.
+// DefaultTenant is the identity of traffic that claims no tenant;
+// multi-tenant configs always include it at index 0.
 const DefaultTenant = "default"
 
 // tenantRT is one tenant's runtime state: its scheduling identity plus
@@ -47,11 +47,8 @@ func (t *tenantRT) snapshot() TenantStats {
 	return ts
 }
 
-// countJob counts one of the tenant's jobs, which is one execution.
-func (t *tenantRT) countJob() {
-	t.n[tenantJobs].Add(1)
-	t.n[tenantBatches].Add(1)
-}
+// countJob counts one of the tenant's jobs.
+func (t *tenantRT) countJob() { t.n[tenantJobs].Add(1) }
 
 // buildTenants turns the configured tenant list into the runtime table.
 // Index 0 is always the default tenant; a config entry named "default"
@@ -86,7 +83,7 @@ func buildTenants(cfgs []TenantConfig) ([]*tenantRT, map[string]int, error) {
 
 // TenantIndex resolves a tenant name to its scheduler index. Unknown
 // names (and the empty name) map to the default tenant — an
-// unrecognized HELLO claim degrades to legacy treatment rather than an
+// unrecognized HELLO claim degrades to the default tenant rather than an
 // error, so config skew between tiers cannot reject traffic.
 func (e *Engine) TenantIndex(name string) int {
 	if i, ok := e.tenantIdx[name]; ok {

@@ -63,8 +63,7 @@ func TestTenantDefaultWeightOverride(t *testing.T) {
 
 // TestTenantStatsAttribution runs real jobs under two tenants and checks
 // the per-tenant rows slice the global counters correctly — and that a
-// single-tenant engine emits no rows at all, keeping legacy STATS frames
-// byte-identical.
+// single-tenant engine emits no rows at all.
 func TestTenantStatsAttribution(t *testing.T) {
 	loops, refs := mixedLoops()
 	e := mustNew(t, Config{Workers: 2, Tenants: []TenantConfig{{Name: "gold", Weight: 4}}})
@@ -94,9 +93,6 @@ func TestTenantStatsAttribution(t *testing.T) {
 	for _, row := range s.Tenants {
 		if row.Jobs != perTenant {
 			t.Errorf("tenant %s: %d jobs, want %d", row.Name, row.Jobs, perTenant)
-		}
-		if row.Batches == 0 || row.Batches > row.Jobs {
-			t.Errorf("tenant %s: %d batches for %d jobs", row.Name, row.Batches, row.Jobs)
 		}
 		if row.QueueWait.Count == 0 {
 			t.Errorf("tenant %s: queue-wait histogram never observed", row.Name)
@@ -178,18 +174,16 @@ func fillStats(s *Stats, base uint64) {
 
 // TestStatsMergeSubAlgebra pins the two table-driven folds against each
 // other: for any snapshots a and b, Merge(a, b).Sub(b) gives a back on
-// every counter (scalars, schemes, occupancy, tenant rows), while gauges
+// every counter (scalars, schemes, tenant rows), while gauges
 // and settings are carried from the merged side rather than subtracted.
 func TestStatsMergeSubAlgebra(t *testing.T) {
 	a := Stats{
-		Schemes:        map[string]uint64{"rep": 5, "ll": 2},
-		BatchOccupancy: []uint64{0, 4, 1},
-		Tenants:        []TenantStats{{Name: "default"}, {Name: "gold"}},
+		Schemes: map[string]uint64{"rep": 5, "ll": 2},
+		Tenants: []TenantStats{{Name: "default"}, {Name: "gold"}},
 	}
 	b := Stats{
-		Schemes:        map[string]uint64{"rep": 9},
-		BatchOccupancy: []uint64{0, 7},
-		Tenants:        []TenantStats{{Name: "gold"}},
+		Schemes: map[string]uint64{"rep": 9},
+		Tenants: []TenantStats{{Name: "gold"}},
 	}
 	fillStats(&a, 1000)
 	fillStats(&b, 5000)
@@ -214,9 +208,6 @@ func TestStatsMergeSubAlgebra(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.Schemes, a.Schemes) {
 		t.Errorf("schemes = %v, want %v", back.Schemes, a.Schemes)
-	}
-	if !reflect.DeepEqual(back.BatchOccupancy, a.BatchOccupancy) {
-		t.Errorf("occupancy = %v, want %v", back.BatchOccupancy, a.BatchOccupancy)
 	}
 	for r := range a.Tenants {
 		for i := range TenantFields {

@@ -5,9 +5,8 @@
 // engine.TenantFields, server.StatsFields, cluster.PoolStatsFields) and
 // both renderers loop over those tables, so a counter added to a
 // struct's table cannot be missing from the scrape or the summary. Only
-// the structured families — scheme mix, occupancy, the stage and
-// queue-wait histograms, tenant rows, per-backend health — are written
-// out by hand.
+// the structured families — scheme mix, the stage and queue-wait
+// histograms, tenant rows, per-backend health — are written out by hand.
 //
 // Naming follows the Prometheus conventions: counters end in _total,
 // gauges are bare nouns, histograms are _seconds families with stage
@@ -20,7 +19,6 @@ import (
 	"io"
 	"maps"
 	"slices"
-	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -38,15 +36,6 @@ func WriteEngineStats(w io.Writer, s engine.Stats) error {
 	m.MapCounter("redux_engine_scheme_jobs_total",
 		"Jobs executed per reduction scheme.", "scheme", s.Schemes)
 
-	m.Family("redux_engine_batch_occupancy_total", "counter",
-		"Executed batches by fused-job count (last bucket absorbs larger).")
-	for k, v := range s.BatchOccupancy {
-		if k == 0 {
-			continue // index 0 is unused by construction
-		}
-		m.Sample("redux_engine_batch_occupancy_total", float64(v), "size", strconv.Itoa(k))
-	}
-
 	m.StageSet("redux_engine_stage_latency_seconds",
 		"Engine-side per-stage job latency (queue_wait, inspect, execute).", s.Stages)
 
@@ -60,7 +49,7 @@ func WriteEngineStats(w io.Writer, s engine.Stats) error {
 			m.Sample(f.Series, float64(f.Get(&s.Tenants[j])), "tenant", s.Tenants[j].Name)
 		}
 	}
-	m.Family("redux_engine_tenant_queue_wait_seconds", "histogram", "Batch queue wait per tenant.")
+	m.Family("redux_engine_tenant_queue_wait_seconds", "histogram", "Submission queue wait per tenant.")
 	for _, t := range s.Tenants {
 		m.Histogram("redux_engine_tenant_queue_wait_seconds", t.QueueWait, "tenant", t.Name)
 	}
@@ -141,8 +130,8 @@ type Snapshot struct {
 // cluster.PoolStatsFields), so a row added to any of them is printed
 // with no edit here or in a binary: one line per table, holding its
 // non-zero rows as key=value. The structured fields follow their table:
-// scheme mix, batch occupancy and one line per tenant after the engine
-// line, one line per backend after the pool line.
+// scheme mix and one line per tenant after the engine line, one line per
+// backend after the pool line.
 func WriteSummary(w io.Writer, prefix string, s Snapshot) error {
 	var b []byte
 	if e := s.Engine; e != nil {
@@ -151,15 +140,6 @@ func WriteSummary(w io.Writer, prefix string, s Snapshot) error {
 			b = append(b, prefix+"scheme mix:"...)
 			for _, name := range slices.Sorted(maps.Keys(e.Schemes)) {
 				b = fmt.Appendf(b, " %s:%d", name, e.Schemes[name])
-			}
-			b = append(b, '\n')
-		}
-		if slices.ContainsFunc(e.BatchOccupancy, func(n uint64) bool { return n > 0 }) {
-			b = append(b, prefix+"batch occupancy:"...)
-			for size, n := range e.BatchOccupancy {
-				if n > 0 {
-					b = fmt.Appendf(b, " %dx:%d", size, n)
-				}
 			}
 			b = append(b, '\n')
 		}

@@ -99,22 +99,21 @@ func checkSchema[T any](t *testing.T, rows []obs.Field[T]) {
 func sampleStats() engine.Stats {
 	return engine.Stats{
 		Jobs: 100, CacheHits: 80, CacheMisses: 20,
-		Batches: 40, Coalesced: 60,
+		Batches:      100,
 		CacheEntries: 7, CacheEvictions: 2,
 		Recalibrations: 9, SchemeSwitches: 4,
 		SimplifiedBatches: 12, SimplifyFallbacks: 1,
 		SegsComputed: 30, SegsReused: 18,
 		SessionOpens: 3, SessionJobs: 25,
 		SessionSegsComputed: 40, SessionSegsReused: 160,
-		Schemes:        map[string]uint64{"rep": 60, "ll": 40},
-		BatchOccupancy: []uint64{0, 10, 15},
+		Schemes: map[string]uint64{"rep": 60, "ll": 40},
 		Stages: []obs.StageSummary{
 			{Name: "execute", Snap: obs.Snapshot{Count: 100, SumNs: 2_500_000, MaxNs: 90_000, Buckets: []uint64{0, 1, 4, 95}}},
 		},
 		Tenants: []engine.TenantStats{
-			{Name: "default", Weight: 1, Jobs: 30, Batches: 12,
+			{Name: "default", Weight: 1, Jobs: 30,
 				QueueWait: obs.Snapshot{Count: 12, SumNs: 9000, MaxNs: 1100, Buckets: []uint64{2, 10}}},
-			{Name: "acme", Weight: 4, Jobs: 70, Batches: 28, Busy: 5, Recalibrations: 6, SchemeSwitches: 3,
+			{Name: "acme", Weight: 4, Jobs: 70, Busy: 5, Recalibrations: 6, SchemeSwitches: 3,
 				QueueWait: obs.Snapshot{Count: 28, SumNs: 21000, MaxNs: 2500, Buckets: []uint64{3, 25}}},
 		},
 	}
@@ -142,7 +141,6 @@ func TestEngineTenantSeries(t *testing.T) {
 	for _, want := range []string{
 		`redux_engine_tenant_jobs_total{tenant="default"} 30`,
 		`redux_engine_tenant_jobs_total{tenant="acme"} 70`,
-		`redux_engine_tenant_batches_total{tenant="acme"} 28`,
 		`redux_engine_tenant_busy_total{tenant="acme"} 5`,
 		`redux_engine_tenant_recalibrations_total{tenant="acme"} 6`,
 		`redux_engine_tenant_scheme_switches_total{tenant="acme"} 3`,

@@ -36,9 +36,8 @@ func fill[T any](t *testing.T, rows []obs.Field[T], v *T, base uint64) []string 
 // the prefix.
 func TestSummaryPrintsEveryNonZeroRow(t *testing.T) {
 	es := engine.Stats{
-		Schemes:        map[string]uint64{"rep": 3, "hash": 2},
-		BatchOccupancy: []uint64{0, 5, 0, 1},
-		Tenants:        []engine.TenantStats{{Name: "a"}},
+		Schemes: map[string]uint64{"rep": 3, "hash": 2},
+		Tenants: []engine.TenantStats{{Name: "a"}},
 	}
 	var ss server.Stats
 	ps := cluster.PoolStats{Backends: []cluster.BackendStatus{{Addr: "b1:1", Healthy: true, Jobs: 9}, {Addr: "b2:2"}}}
@@ -63,7 +62,6 @@ func TestSummaryPrintsEveryNonZeroRow(t *testing.T) {
 	}
 	for _, s := range []string{
 		"reduxgw: scheme mix: hash:2 rep:3\n",
-		"reduxgw: batch occupancy: 1x:5 3x:1\n",
 		"reduxgw: backend b1:1: healthy, jobs=9\n",
 		"reduxgw: backend b2:2: down, jobs=0\n",
 	} {
@@ -105,11 +103,11 @@ func TestSummaryFollowsStatsFields(t *testing.T) {
 	saved := engine.StatsFields
 	t.Cleanup(func() { engine.StatsFields = saved })
 	engine.StatsFields = append(slices.Clip(saved), obs.Field[engine.Stats]{
-		Series: "redux_engine_probe_total", Key: "probe_row",
-		U64: func(s *engine.Stats) *uint64 { return &s.Coalesced },
+		Kind: obs.Setting, Series: "redux_engine_probe", Key: "probe_row",
+		U64: func(s *engine.Stats) *uint64 { return &s.Jobs },
 	})
 	var b bytes.Buffer
-	WriteSummary(&b, "", Snapshot{Engine: &engine.Stats{Coalesced: 7}})
+	WriteSummary(&b, "", Snapshot{Engine: &engine.Stats{Jobs: 7}})
 	if !strings.Contains(b.String(), "probe_row=7") {
 		t.Errorf("new row missing:\n%s", b.String())
 	}

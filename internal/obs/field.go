@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // Kind says how a stats scalar behaves over time, which fixes how two
 // snapshots of it combine (MergeFields), how a later one is read against
 // an earlier one (SubFields), and its Prometheus type.
@@ -39,17 +37,11 @@ type Field[T any] struct {
 	Kind Kind
 	// Series and Help are the Prometheus family name and HELP text.
 	Series, Help string
-	// Key names the row in reports: the shutdown summary
+	// Key names the row in reports — the shutdown summary
 	// (metrics.WriteSummary) of every table, and reduxserve -json for
-	// engine.StatsFields. Unique within its table.
+	// engine.StatsFields — and, for the engine's tables, in the keyed
+	// STATS frame. Unique within its table.
 	Key string
-	// Group and Slot place the row in the positional STATS frame: Group
-	// selects the run of values (the base run or one of the optional
-	// tails, numbered from 1 by the table's owner) and Slot the position
-	// inside it. Explicit, so reordering the page never moves wire
-	// bytes. Group 0 is a scalar that does not travel: it is scraped and
-	// reported where it is counted, but no STATS frame carries it.
-	Group, Slot uint8
 	// U64 returns the address of the scalar inside a T, when the field
 	// is a uint64; exactly one of U64 and Int is set.
 	U64 func(*T) *uint64
@@ -97,32 +89,6 @@ func SubFields[T any](rows []Field[T], dst, old *T) {
 			f.Set(dst, f.Get(dst)-f.Get(old))
 		}
 	}
-}
-
-// WireGroups sorts a table into its positional runs: element g lists
-// group g's rows in Slot order (element 0, the rows that do not travel,
-// is left empty). It panics unless each group's slots are exactly
-// 0..n-1 — a mis-declared table must not reach the wire.
-func WireGroups[T any](rows []Field[T]) [][]*Field[T] {
-	var groups [][]*Field[T]
-	for i := range rows {
-		f := &rows[i]
-		for int(f.Group) >= len(groups) {
-			groups = append(groups, nil)
-		}
-		if f.Group != 0 {
-			groups[f.Group] = append(groups[f.Group], f)
-		}
-	}
-	for _, g := range groups {
-		sort.Slice(g, func(a, b int) bool { return g[a].Slot < g[b].Slot })
-		for i, f := range g {
-			if int(f.Slot) != i {
-				panic("obs: stats schema: wire slots of a group are not 0..n-1 at " + f.Series)
-			}
-		}
-	}
-	return groups
 }
 
 // WriteFields renders one family per row, in table order, each with the

@@ -14,9 +14,9 @@ type toyStats struct {
 
 func toyFields() []Field[toyStats] {
 	return []Field[toyStats]{
-		{Series: "toy_hits_total", Help: "Hits.", Group: 2, Slot: 0, U64: func(s *toyStats) *uint64 { return &s.Hits }},
-		{Kind: Gauge, Series: "toy_level", Help: "Level.", Group: 1, Slot: 1, Int: func(s *toyStats) *int { return &s.Level }},
-		{Kind: Setting, Series: "toy_weight", Help: "Weight.", Group: 1, Slot: 0, Int: func(s *toyStats) *int { return &s.Weight }},
+		{Series: "toy_hits_total", Help: "Hits.", U64: func(s *toyStats) *uint64 { return &s.Hits }},
+		{Kind: Gauge, Series: "toy_level", Help: "Level.", Int: func(s *toyStats) *int { return &s.Level }},
+		{Kind: Setting, Series: "toy_weight", Help: "Weight.", Int: func(s *toyStats) *int { return &s.Weight }},
 	}
 }
 
@@ -39,36 +39,6 @@ func TestFieldMergeSubByKind(t *testing.T) {
 	neg := toyStats{Level: -4}
 	if got := rows[1].Get(&neg); got != 0 {
 		t.Errorf("a negative int reads as %d, want 0", got)
-	}
-}
-
-func TestWireGroups(t *testing.T) {
-	rows := toyFields()
-	groups := WireGroups(rows)
-	if len(groups) != 3 || len(groups[0]) != 0 || len(groups[1]) != 2 || len(groups[2]) != 1 {
-		t.Fatalf("groups = %v", groups)
-	}
-	if groups[1][0].Series != "toy_weight" || groups[1][1].Series != "toy_level" || groups[2][0].Series != "toy_hits_total" {
-		t.Errorf("rows not in slot order: %s, %s | %s", groups[1][0].Series, groups[1][1].Series, groups[2][0].Series)
-	}
-	offWire := append(toyFields(), Field[toyStats]{Series: "toy_local_total", U64: func(s *toyStats) *uint64 { return &s.Hits }})
-	if g := WireGroups(offWire); len(g[0]) != 0 || len(g[1]) != 2 || len(g[2]) != 1 {
-		t.Errorf("a Group-0 row reached a wire run: %v", g)
-	}
-	for name, mutate := range map[string]func([]Field[toyStats]){
-		"duplicate slot": func(r []Field[toyStats]) { r[1].Slot = 0 },
-		"unclaimed slot": func(r []Field[toyStats]) { r[1].Slot = 2 },
-	} {
-		bad := toyFields()
-		mutate(bad)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: WireGroups accepted a mis-declared table", name)
-				}
-			}()
-			WireGroups(bad)
-		}()
 	}
 }
 

@@ -190,7 +190,7 @@ func (ss *StageSet) Snapshot() []StageSummary {
 }
 
 // StageSummary pairs a stage label with its histogram snapshot; it is
-// the element engine.Stats and the STATS wire tail carry.
+// the element engine.Stats and the STATS frame carry.
 type StageSummary struct {
 	// Name is the stage label (Stage.String of a known stage, but
 	// summaries decoded off the wire may carry labels this build does

@@ -9,7 +9,7 @@ import (
 // cryptographically random: a process-local counter mixed through a
 // splitmix64 finalizer gives well-spread nonzero IDs with one atomic add
 // per job and no allocation. Zero is reserved to mean "untraced" on the
-// wire (the SUBMIT tail is omitted), so NewTraceID never returns it.
+// wire (a SUBMIT's trace ID field), so NewTraceID never returns it.
 
 var traceCounter atomic.Uint64
 

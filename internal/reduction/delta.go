@@ -75,18 +75,25 @@ func DeltaStateBytes(l *trace.Loop) int {
 	return l.TotalRefs()*4 + (l.NumIters()+1)*4 + l.NumElems*8
 }
 
-// NewDeltaState registers a session over l: the loop is deep-copied (the
-// session mutates it) and reduced sequentially into the resident result,
-// which is copied into dst when dst is non-nil (dst must hold NumElems
-// elements). segIters and procs are ignored: a session has no segment
-// cut, and its one open pass runs on the caller. ex picks the kernel
-// (see Exec) and may be nil.
+// NewDeltaState is AdoptDeltaState over a deep copy of l, for a caller
+// that keeps its loop. segIters and procs are ignored: a session has no
+// segment cut, and its one open pass runs on the caller. It waits for
+// the next [benchmark] PR: only bench/probes.go still calls it.
 func NewDeltaState(l *trace.Loop, segIters, procs int, ex *Exec, dst []float64) (*DeltaState, error) {
+	return AdoptDeltaState(l.Clone(), ex, dst)
+}
+
+// AdoptDeltaState registers a session over l, which it takes over (the
+// session mutates it; the caller must not touch it again), and reduces
+// it sequentially into the resident result, which is copied into dst
+// when dst is non-nil (dst must hold NumElems elements). ex picks the
+// kernel (see Exec) and may be nil.
+func AdoptDeltaState(l *trace.Loop, ex *Exec, dst []float64) (*DeltaState, error) {
 	if l.NumElems <= 0 {
 		return nil, fmt.Errorf("reduction: session loop %q has non-positive NumElems", l.Name)
 	}
 	s := &DeltaState{
-		loop:   l.Clone(),
+		loop:   l,
 		result: make([]float64, l.NumElems),
 		exact:  l.Op == trace.OpAdd && l.TotalRefs() < exactRefs,
 	}
@@ -118,7 +125,8 @@ func (s *DeltaState) Bytes() int { return DeltaStateBytes(s.loop) }
 // rejected before any mutation, so the state is never half-updated. An
 // empty batch re-reads the current result.
 //
-// procs is ignored and ex picks the kernel of a re-reduction. The
+// procs is ignored (it waits for the next [benchmark] PR, which drops it
+// from bench/probes.go's call) and ex picks the kernel of a re-reduction. The
 // returned stats count the distinct iterations the batch's deltas land
 // in as Computed and every other iteration as Reused.
 func (s *DeltaState) Apply(deltas []RefDelta, procs int, ex *Exec, dst []float64) (SegRunStats, error) {

@@ -56,16 +56,12 @@ type conn struct {
 	// the read loop touches it; waiter goroutines capture what they need
 	// before spawning.
 	tenant *tenantState
-	// handles records that the client's HELLO asked for pattern handles
-	// (wire.HelloFlagPatternHandles): RESULTs answering a full SUBMIT then
-	// carry the interned entry's ID. Read-loop-only, like tenant.
-	handles bool
 
 	draining atomic.Bool
 
 	// Decode scratch, reused frame after frame (only the read loop
 	// touches it; interning clones before anything escapes, and
-	// OPEN_SESSION clones before handing off to its waiter).
+	// OPEN_SESSION decodes into a loop of its own instead).
 	scratch      trace.Loop
 	scratchOff   []int32
 	scratchRefs  []int32
@@ -152,7 +148,19 @@ func (c *conn) serve() {
 		// the full preamble timeout.
 		c.nc.SetReadDeadline(time.Unix(1, 0))
 	}
+	hello := wire.Hello{
+		Version:     wire.ProtoVersion,
+		Procs:       c.srv.disp.Procs(),
+		MaxInflight: c.srv.cfg.MaxInflightPerConn,
+		Flags:       c.srv.disp.HelloFlags(),
+	}
 	if _, err := wire.ReadPreamble(c.nc); err != nil {
+		if errors.Is(err, wire.ErrVersion) {
+			// A peer of another version learns which one this is, then
+			// the connection closes: there is nothing to negotiate.
+			c.nc.SetWriteDeadline(time.Now().Add(preambleTimeout))
+			c.nc.Write(wire.AppendHello(nil, hello))
+		}
 		return
 	}
 	c.nc.SetReadDeadline(time.Time{})
@@ -163,14 +171,9 @@ func (c *conn) serve() {
 	}
 
 	c.w = wire.NewWriter(c.nc, c.closeTimelines, nil)
-	hello := wire.GetBuffer()
-	hello.B = wire.AppendHello(hello.B, wire.Hello{
-		Version:     wire.ProtoVersion,
-		Procs:       c.srv.disp.Procs(),
-		MaxInflight: c.srv.cfg.MaxInflightPerConn,
-		Flags:       c.srv.disp.HelloFlags() | wire.HelloFlagPatternHandles,
-	})
-	c.send(hello)
+	buf := wire.GetBuffer()
+	buf.B = wire.AppendHello(buf.B, hello)
+	c.send(buf)
 
 	r := wire.NewReader(c.nc, wire.DefaultMaxFrame)
 	for {
@@ -185,19 +188,17 @@ func (c *conn) serve() {
 			break
 		}
 		if f.Type == wire.FrameHello {
-			// A client HELLO binds the connection to a tenant and opts it
-			// into pattern handles. It rides job ID 0 (connection-scoped),
-			// so it must be recognized before the violation check below.
-			// Unknown tenant names degrade to the default tenant rather
-			// than failing the connection, so a fleet can be configured
-			// incrementally.
+			// A client HELLO binds the connection to a tenant. It rides
+			// job ID 0 (connection-scoped), so it must be recognized before
+			// the violation check below. Unknown tenant names degrade to
+			// the default tenant rather than failing the connection, so a
+			// fleet can be configured incrementally.
 			h, err := f.DecodeHello()
 			if err != nil {
 				c.sendError(0, err.Error())
 				break
 			}
 			c.tenant = c.srv.tenantFor(h.Tenant)
-			c.handles = h.Flags&wire.HelloFlagPatternHandles != 0
 			continue
 		}
 		if f.JobID == 0 {
@@ -209,7 +210,7 @@ func (c *conn) serve() {
 			continue
 		}
 		if f.Type == wire.FrameStatsReq {
-			c.handleStatsReq(f.JobID)
+			c.handleStatsReq(f)
 			continue
 		}
 		if f.Type == wire.FrameOpenSession {
@@ -244,9 +245,15 @@ func (c *conn) serve() {
 // each holds a goroutine (and, on a gateway, backend RPCs) exactly like
 // a job, so an unbudgeted flood of STATSREQ frames must hit BUSY the
 // same way a flood of SUBMITs does.
-func (c *conn) handleStatsReq(jobID uint64) {
+func (c *conn) handleStatsReq(f wire.Frame) {
+	jobID := f.JobID
 	release, ok := c.admit(jobID)
 	if !ok {
+		return
+	}
+	if err := f.DecodeStatsReq(); err != nil {
+		release()
+		c.sendError(jobID, err.Error())
 		return
 	}
 	c.jobWG.Add(1)
@@ -321,9 +328,6 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	} else {
 		fp = c.scratch.Fingerprint()
 		canon, handle, hit = c.srv.intern.canonical(fp, &c.scratch)
-		if !c.handles {
-			handle = 0
-		}
 	}
 	if hit {
 		c.srv.interned.Add(1)
@@ -498,9 +502,10 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 		c.sendError(f.JobID, "sessions unsupported by this peer")
 		return
 	}
-	var sid uint64
-	var err error
-	sid, c.scratchOff, c.scratchRefs, err = f.DecodeOpenSessionInto(&c.scratch, c.scratchOff, c.scratchRefs, wire.DefaultMaxElems)
+	// The session adopts the loop the frame decodes into: one copy of
+	// the pattern per open, sized exactly.
+	l := new(trace.Loop)
+	sid, _, _, err := f.DecodeOpenSessionInto(l, nil, nil, wire.DefaultMaxElems)
 	if err != nil {
 		release()
 		c.sendError(f.JobID, err.Error())
@@ -513,16 +518,12 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 		c.sendError(f.JobID, fmt.Sprintf("session %d already open on this connection", sid))
 		return
 	}
-	est := int64(reduction.DeltaStateBytes(&c.scratch))
+	est := int64(reduction.DeltaStateBytes(l))
 	if err := c.srv.sessions.reserve(est); err != nil {
 		release()
 		c.sendBusy(f.JobID, wire.BusySession)
 		return
 	}
-	// The scratch loop is reused by the very next frame; the session
-	// needs its own copy (the engine's deep copy inside NewDeltaState
-	// then owns the mutable refs).
-	l := c.scratch.Clone()
 	tl := tlPool.Get().(*obs.Timeline)
 	tl.Reset()
 	tl.TraceID = obs.NewTraceID()

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -19,8 +18,8 @@ import (
 
 // rawConn is a hand-driven protocol peer: preamble out, server HELLO in,
 // then whatever frames the test writes and reads. It is how the handle
-// tests speak as a legacy client, or replay a stale handle on purpose —
-// things the pooled client is built never to do.
+// tests replay a stale handle on purpose — something the pooled client is
+// built never to do.
 type rawConn struct {
 	t     *testing.T
 	nc    net.Conn
@@ -64,12 +63,6 @@ func (rc *rawConn) next() wire.Frame {
 	}
 	f.Body = append([]byte(nil), f.Body...)
 	return f
-}
-
-// acceptHandles sends the client HELLO that opts the connection into
-// pattern handles.
-func (rc *rawConn) acceptHandles() {
-	rc.write(wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Flags: wire.HelloFlagPatternHandles}))
 }
 
 // sameShardLoops returns n distinct small patterns whose fingerprints
@@ -182,10 +175,6 @@ func TestPatternHandleCollisionNeverAliases(t *testing.T) {
 	wantA, wantB := a.RunSequential(), b.RunSequential()
 
 	rc := dialRaw(t, addr)
-	if rc.hello.Flags&wire.HelloFlagPatternHandles == 0 {
-		t.Fatalf("server HELLO flags %#x lack the pattern-handle bit", rc.hello.Flags)
-	}
-	rc.acceptHandles()
 
 	// result reads one RESULT for jobID and returns its values and handle.
 	result := func(jobID uint64) ([]float64, uint64) {
@@ -206,7 +195,7 @@ func TestPatternHandleCollisionNeverAliases(t *testing.T) {
 	vals, hA := result(1)
 	assertMatches(t, "a", vals, wantA)
 	if hA == 0 {
-		t.Fatal("full SUBMIT on a handle connection answered without a handle")
+		t.Fatal("full SUBMIT answered without a handle")
 	}
 	rc.write(wire.AppendSubmitRef(nil, 2, fp, hA, 0))
 	vals, again := result(2)
@@ -260,47 +249,6 @@ func TestPatternHandleCollisionNeverAliases(t *testing.T) {
 	}
 	if got := srv.Stats().HandleGone; got <= st.HandleGone {
 		t.Fatal("alternating colliding variants through the client never fell back")
-	}
-}
-
-// TestLegacyClientSeesNoHandles is the legacy-client row of the compat
-// matrix at dialogue level: a client that never sends the opt-in HELLO
-// gets RESULT frames with no handle tail — each one byte-identical to
-// what the tail-less encoder produces for the same result, an encoder
-// the wire package pins against frames captured before handles existed —
-// however often it repeats a pattern, and the server's own HELLO differs
-// from the old one only by the capability bit.
-func TestLegacyClientSeesNoHandles(t *testing.T) {
-	_, srv, addr, teardown := startServer(t, engine.Config{}, server.Config{})
-	defer teardown()
-
-	rc := dialRaw(t, addr)
-	legacyHello := wire.AppendHello(nil, wire.Hello{Version: wire.ProtoVersion, Procs: 4, MaxInflight: 64})
-	if got := wire.AppendHello(nil, wire.Hello{Version: rc.hello.Version, Procs: rc.hello.Procs, MaxInflight: rc.hello.MaxInflight,
-		Flags: rc.hello.Flags &^ wire.HelloFlagPatternHandles}); !bytes.Equal(got, legacyHello) {
-		t.Fatalf("server HELLO minus the handle bit is %x, want the legacy %x", got, legacyHello)
-	}
-
-	l := workloads.MixedSet(0.2)[0]
-	want := l.RunSequential()
-	for id := uint64(1); id <= 3; id++ {
-		rc.write(wire.AppendSubmit(nil, id, l))
-		f := rc.next()
-		if f.Type != wire.FrameResult || f.JobID != id {
-			t.Fatalf("job %d answered %v (job %d)", id, f.Type, f.JobID)
-		}
-		res, handle, err := f.DecodeResultHandle(nil)
-		if err != nil || handle != 0 {
-			t.Fatalf("legacy client was sent handle %d (err %v)", handle, err)
-		}
-		assertMatches(t, l.Name, res.Values, want)
-		reenc := wire.AppendResult(nil, id, &res)
-		if !bytes.Equal(reenc[6:], f.Body) { // 4 length + type + 1-byte job ID
-			t.Fatalf("RESULT %d is not the legacy encoding of its own content", id)
-		}
-	}
-	if st := srv.Stats(); st.HandleHits != 0 || st.HandleGone != 0 || st.InternHits != 2 {
-		t.Fatalf("legacy dialogue moved handle counters: %+v", st)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,6 +138,117 @@ func TestSessionsOverResets(t *testing.T) {
 		}
 	}
 
+	cl.Close()
+	d.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after the drain, %d before the daemon booted:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// countingListener counts the connections it accepts: past the client's
+// first two, each one is a redial after a reset.
+type countingListener struct {
+	net.Listener
+	n atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
+// TestJobsAndHandlesOverResets pipelines one-shot jobs over eight hot
+// loops from a two-connection client through a daemon whose connections
+// reset once a seeded 150–300 KB has crossed them, until at least three
+// resets have happened. A loop's first job on a connection is a full
+// SUBMIT and its repeats go by SUBMIT_REF, so resets land on both frames
+// and on the RESULTs that carry handles. Every Handle resolves exactly
+// once — Wait returns, and returns again the same — to RunSequential's
+// bits or ErrConnLost; the daemon's in-flight counts, per connection and
+// global, return to 0; and no goroutine outlives the drain.
+func TestJobsAndHandlesOverResets(t *testing.T) {
+	const resets, inFlight = 3, 16
+	base := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingListener{Listener: ln}
+	d := testkit.StartDaemonOn(t, faultnet.ListenResetting(counted, 11, 1500, 150<<10, 300<<10), engine.Config{}, server.Config{})
+	cl, err := client.Dial(d.Addr, client.Config{Conns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops := workloads.HotKeySet(8, 0.1)
+	want := make([][]float64, len(loops))
+	for i, l := range loops {
+		want[i] = l.RunSequential()
+	}
+
+	type pending struct {
+		i int
+		h *client.Handle
+	}
+	var queue []pending
+	answered, lost := 0, 0
+	wait := func(p pending) {
+		res, err := p.h.WaitTimeout(10 * time.Second)
+		again, errAgain := p.h.Wait()
+		if !errors.Is(errAgain, err) || len(again.Values) != len(res.Values) {
+			t.Fatalf("loop %d: a second Wait returned %v, the first %v", p.i, errAgain, err)
+		}
+		switch {
+		case err == nil:
+			answered++
+			assertBits(t, fmt.Sprintf("job %d (loop %d)", answered+lost, p.i), res.Values, want[p.i])
+		case errors.Is(err, client.ErrConnLost):
+			lost++
+		default:
+			t.Fatalf("loop %d: %v, want a result or ErrConnLost", p.i, err)
+		}
+	}
+	for job := 0; counted.n.Load() < 2+resets; job++ {
+		if job == 100_000 {
+			t.Fatalf("%d jobs and only %d connections accepted", job, counted.n.Load())
+		}
+		i := job % len(loops)
+		h, err := cl.SubmitAsync(loops[i])
+		if err != nil {
+			if !errors.Is(err, client.ErrConnLost) {
+				t.Fatalf("submit: %v", err)
+			}
+			continue // the slot was dying; the next submission redials
+		}
+		queue = append(queue, pending{i: i, h: h})
+		if len(queue) == inFlight {
+			wait(queue[0])
+			queue = queue[1:]
+		}
+	}
+	for _, p := range queue {
+		wait(p)
+	}
+	st := d.Srv.Stats()
+	if lost == 0 || st.HandleHits == 0 {
+		t.Fatalf("%d answered, %d lost, %d handle hits: the resets or the handles never happened", answered, lost, st.HandleHits)
+	}
+	t.Logf("%d jobs answered, %d lost over %d connections; %d handle hits", answered, lost, counted.n.Load(), st.HandleHits)
+
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		conns := d.Srv.ConnInflight()
+		if d.Srv.Inflight() == 0 && !slices.ContainsFunc(conns, func(n int64) bool { return n != 0 }) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in flight after every job resolved: %d global, per connection %v", d.Srv.Inflight(), conns)
+		}
+	}
 	cl.Close()
 	d.Close()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {

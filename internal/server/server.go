@@ -105,7 +105,7 @@ type Config struct {
 	// in-flight quota per tenant). Clients bind to a tenant with the HELLO
 	// tenant field; unidentified or unknown clients land on the default
 	// tenant. Empty means single-tenant: no per-tenant gates, and STATS
-	// frames stay byte-identical to the pre-tenant protocol.
+	// frames carry no tenant rows.
 	Tenants []TenantSpec
 }
 
@@ -335,8 +335,8 @@ type Stats struct {
 }
 
 // StatsFields is the schema of Stats' scalars, one row each, in /metrics
-// page order (see engine.StatsFields; these rows never travel, so they
-// carry no wire position).
+// page order (see engine.StatsFields; these rows do not travel in STATS
+// frames).
 var StatsFields = []obs.Field[Stats]{
 	{Series: "redux_server_busy_total", Help: "Submissions rejected by admission control (BUSY answers).",
 		Key: "busy", U64: func(s *Stats) *uint64 { return &s.Busy }},

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"errors"
+	"io"
 	"math"
 	"net"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/server"
@@ -65,7 +67,7 @@ func TestServeMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", l.Name, err)
 			}
-			if res.Scheme == "" || res.BatchSize < 1 {
+			if res.Scheme == "" {
 				t.Fatalf("%s: bad result metadata %+v", l.Name, res)
 			}
 			assertMatches(t, l.Name, res.Values, l.RunSequential())
@@ -234,17 +236,13 @@ func TestInterningSurvivesNetworkHop(t *testing.T) {
 			t.Fatalf("job %d: %v", i, err)
 		}
 		assertMatches(t, l.Name, res.Values, want)
-		if res.BatchSize != 1 {
-			t.Fatalf("job %d: BatchSize %d, want 1", i, res.BatchSize)
-		}
 	}
 	s := eng.Stats()
 	if got := s.Jobs - warm.Jobs; got != jobs {
 		t.Fatalf("engine executed %d jobs, want %d", got, jobs)
 	}
-	if s.Batches-warm.Batches != jobs || s.Coalesced != warm.Coalesced {
-		t.Fatalf("%d executions, %d coalesced for %d jobs; want one execution per job",
-			s.Batches-warm.Batches, s.Coalesced-warm.Coalesced, jobs)
+	if s.Batches-warm.Batches != jobs {
+		t.Fatalf("%d executions for %d jobs; want one execution per job", s.Batches-warm.Batches, jobs)
 	}
 	if ss := srv.Stats(); ss.InternHits < jobs {
 		t.Fatalf("intern hits %d, want >= %d (every repeat should hit)", ss.InternHits, jobs)
@@ -368,6 +366,39 @@ func TestProtocolViolationsClose(t *testing.T) {
 	f, err = r.Next()
 	if err != nil || f.Type != wire.FrameError || f.JobID != 0 {
 		t.Fatalf("expected fatal ERROR frame, got %+v err %v", f, err)
+	}
+}
+
+// TestForeignVersionReadsHelloThenEOF: a peer whose preamble names
+// another protocol version — a version-1 client — is answered with the
+// tier's own HELLO, so it can say which version it met, and the
+// connection then closes. The daemon and the gateway share the path.
+func TestForeignVersionReadsHelloThenEOF(t *testing.T) {
+	d := testkit.StartDaemon(t, engine.Config{Workers: 1}, server.Config{})
+	g := testkit.StartGateway(t, cluster.Config{}, server.Config{}, d.Addr)
+	for _, tc := range []struct {
+		name, addr string
+		flags      uint64
+	}{{"daemon", d.Addr, 0}, {"gateway", g.Addr, wire.HelloFlagGateway}} {
+		nc, err := net.Dial("tcp", tc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		nc.Write([]byte{'R', 'D', 'X', 'P', 1})
+		r := wire.NewReader(nc, 1<<20)
+		f, err := r.Next()
+		if err != nil {
+			t.Fatalf("%s: no HELLO for a version-1 preamble: %v", tc.name, err)
+		}
+		h, err := f.DecodeHello()
+		if err != nil || h.Version != wire.ProtoVersion || h.Flags != tc.flags {
+			t.Fatalf("%s: HELLO %+v (%v), want version %d flags %#x", tc.name, h, err, wire.ProtoVersion, tc.flags)
+		}
+		if _, err := r.Next(); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: after the HELLO got %v, want EOF", tc.name, err)
+		}
+		nc.Close()
 	}
 }
 

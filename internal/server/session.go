@@ -17,16 +17,16 @@ import (
 // state is pinned to one engine, which cuts across fingerprint routing),
 // so its connections answer OPEN_SESSION with a job-scoped ERROR.
 type SessionDispatcher interface {
-	// OpenSession registers l (cloned by the callee — the session
-	// mutates its loop) and returns the live session with its initial
-	// reduction. tenant is the owning connection's HELLO-bound tenant
+	// OpenSession registers l, which the session adopts (it mutates its
+	// loop; the caller hands l over), and returns the live session with
+	// its initial reduction. tenant is the owning connection's HELLO-bound tenant
 	// name: the open and every later apply are scheduled under that
 	// tenant's weighted queue.
 	OpenSession(l *trace.Loop, dst []float64, tenant string) (*engine.Session, engine.Result, error)
 }
 
 func (d engineDispatcher) OpenSession(l *trace.Loop, dst []float64, tenant string) (*engine.Session, engine.Result, error) {
-	return d.eng.OpenSessionTenant(l, dst, d.eng.TenantIndex(tenant))
+	return d.eng.AdoptSessionTenant(l, dst, d.eng.TenantIndex(tenant))
 }
 
 // errSessionBudget reports that admission could not make room for a new

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/testkit"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -103,9 +105,9 @@ func TestSessionStreamsOverWire(t *testing.T) {
 		dst = res.Values
 	}
 
-	// The session counters must survive the STATS round trip (fourth
-	// optional tail) and the server must still be holding exactly the one
-	// open session.
+	// The session counters must survive the STATS round trip (keyed
+	// rows) and the server must still be holding exactly the one open
+	// session.
 	stats, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -389,4 +391,43 @@ func TestSessionBudgetAdmitsLoopPlusResult(t *testing.T) {
 			t.Fatalf("after open %d: %d resident, %d evicted; want %d and %d", i, ss.Sessions, ss.SessionEvictions, resident, evicted)
 		}
 	}
+}
+
+// TestOpenSessionAllocatesOneLoop: an OPEN_SESSION decodes straight into
+// the loop its session adopts, so one served open allocates the
+// session's resident state about once — below 1.5 × DeltaStateBytes at
+// session_remote's shape (a decode into scratch, a clone of it and the
+// session's own copy made it three loops). The frames are written and
+// read raw, so the client side allocates nothing while the count runs.
+func TestOpenSessionAllocatesOneLoop(t *testing.T) {
+	d := testkit.StartDaemon(t, engine.Config{Workers: 1}, server.Config{})
+	l := workloads.NewDeltaStream(0, 16, 0.5, 3).Base
+	rc := dialRaw(t, d.Addr)
+	open := func(jobID, sid uint64) {
+		rc.write(wire.AppendOpenSession(nil, jobID, sid, l))
+		if f := rc.next(); f.Type != wire.FrameResult || f.JobID != jobID {
+			msg, _ := f.DecodeError()
+			t.Fatalf("open %d answered %v %q", jobID, f.Type, msg)
+		}
+	}
+	// Warm up: the connection's read buffer grows to the frame, and the
+	// pools hold a destination array and a RESULT buffer.
+	open(1, 1)
+	rc.write(wire.AppendCloseSession(nil, 2, 1))
+	rc.next()
+
+	frame := wire.AppendOpenSession(nil, 3, 2, l)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rc.write(frame)
+	f := rc.next()
+	runtime.ReadMemStats(&after)
+	if f.Type != wire.FrameResult {
+		t.Fatalf("open answered %v", f.Type)
+	}
+	got, est := after.TotalAlloc-before.TotalAlloc, reduction.DeltaStateBytes(l)
+	if limit := uint64(est) * 3 / 2; got > limit {
+		t.Fatalf("one open allocated %d B, want below %d (1.5 × DeltaStateBytes %d)", got, limit, est)
+	}
+	t.Logf("one open allocated %d B; DeltaStateBytes %d", got, est)
 }

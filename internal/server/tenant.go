@@ -212,8 +212,8 @@ func (s *Server) tenantFor(name string) *tenantState {
 // into an engine stats snapshot's tenant rows, matching by name and
 // appending rows for tenants the engine has not seen yet. The engine
 // cannot count these itself: a job rejected by BUSY(BusyTenant) never
-// reaches it. No-op on single-tenant servers so legacy STATS frames stay
-// byte-identical.
+// reaches it. No-op on single-tenant servers, whose STATS frames carry
+// no tenant rows.
 func (s *Server) MergeTenantBusy(st *engine.Stats) {
 	if len(s.tenantList) <= 1 {
 		return

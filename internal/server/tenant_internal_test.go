@@ -177,8 +177,8 @@ func TestBuildTenantTableDefault(t *testing.T) {
 }
 
 func TestMergeTenantBusy(t *testing.T) {
-	// Single-tenant server: strictly a no-op so legacy frames stay
-	// byte-identical.
+	// Single-tenant server: strictly a no-op, so STATS carries no tenant
+	// rows.
 	s := NewWithDispatcher(nil, Config{})
 	st := engine.Stats{}
 	s.MergeTenantBusy(&st)

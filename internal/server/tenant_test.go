@@ -138,7 +138,7 @@ func TestTenantRateLimitBusy(t *testing.T) {
 // TestTenantStatsOverWire drives jobs under two tenant identities and
 // reads the per-tenant attribution back through a STATS round trip — the
 // full path: HELLO binding, weighted dispatch, engine rows, the server's
-// busy merge, and the fifth STATS tail.
+// busy merge, and the STATS tenant rows.
 func TestTenantStatsOverWire(t *testing.T) {
 	tenants := []server.TenantSpec{
 		{Name: "gold", Weight: 4},

@@ -229,15 +229,18 @@ func field(out, prefix string) string {
 
 // TestMainDaemonAndGateway runs the shared process body as reduxd and as
 // reduxgw in front of it: the listening lines, /metrics on the debug
-// mux, the drain on a signal and the summaries, which carry a row added
-// to engine.StatsFields with no edit to the binaries.
+// mux, the drain on a signal and the summaries. The engine_jobs row is
+// swapped for a row appended under a new key, so the job count reaches
+// the daemon's /metrics, the gateway's aggregate — fetched over the
+// wire, as keyed STATS rows — and both summaries only through the new
+// row, with no edit to the codec or the binaries.
 func TestMainDaemonAndGateway(t *testing.T) {
 	saved := engine.StatsFields
 	t.Cleanup(func() { engine.StatsFields = saved })
-	// A Setting row reading Jobs: it prints Jobs, and merging keeps the
-	// first value instead of counting Jobs twice.
-	engine.StatsFields = append(slices.Clip(saved), obs.Field[engine.Stats]{
-		Kind: obs.Setting, Series: "redux_engine_probe", Key: "probe_row",
+	engine.StatsFields = append(slices.DeleteFunc(slices.Clone(saved), func(f obs.Field[engine.Stats]) bool {
+		return f.Key == "engine_jobs"
+	}), obs.Field[engine.Stats]{
+		Series: "redux_engine_probe_total", Key: "probe_row",
 		U64: func(s *engine.Stats) *uint64 { return &s.Jobs },
 	})
 	restore(t)
@@ -274,6 +277,9 @@ func TestMainDaemonAndGateway(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if agg, err := cl.Stats(); err != nil || agg.Jobs != 3 {
+		t.Fatalf("gateway aggregate over the wire: %d jobs (%v), want 3", agg.Jobs, err)
+	}
 	cl.Close()
 
 	resp, err := http.Get("http://" + field(out.String(), "reduxd: debug listening on ") + "/metrics")
@@ -282,7 +288,7 @@ func TestMainDaemonAndGateway(t *testing.T) {
 	}
 	page, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"\nredux_engine_jobs_total 3\n", "\nredux_engine_probe 3\n", "\nredux_server_busy_total 0\n"} {
+	for _, want := range []string{"\nredux_engine_probe_total 3\n", "\nredux_server_busy_total 0\n"} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("daemon /metrics lacks %q:\n%s", want, page)
 		}
@@ -300,12 +306,12 @@ func TestMainDaemonAndGateway(t *testing.T) {
 	}
 	for _, want := range []string{
 		"reduxgw: terminated, draining\n",
-		"reduxgw: engine: engine_jobs=3 ",
+		"reduxgw: engine: ",
 		"reduxgw: server: ",
 		"reduxgw: pool: all zero\n",
 		"reduxgw: backend " + daddr + ": healthy, jobs=3\n",
 		"reduxd: terminated, draining\n",
-		"reduxd: engine: engine_jobs=3 ",
+		"reduxd: engine: ",
 		"reduxd: server: ",
 	} {
 		if !strings.Contains(out.String(), want) {

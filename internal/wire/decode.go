@@ -3,7 +3,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -67,17 +71,31 @@ func (c *cur) intField(name string, max int) (int, error) {
 	return int(v), nil
 }
 
-func (c *cur) str(limit int) (string, error) {
-	n, err := c.intField("string length", limit)
+// bytes reads a string's bytes in place: they alias the frame body.
+func (c *cur) bytes() ([]byte, error) {
+	n, err := c.intField("string length", maxStringLen)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if len(c.b) < n {
-		return "", fmt.Errorf("%w: truncated string (%d of %d bytes)", ErrCorrupt, len(c.b), n)
+		return nil, fmt.Errorf("%w: truncated string (%d of %d bytes)", ErrCorrupt, len(c.b), n)
 	}
-	s := string(c.b[:n])
+	b := c.b[:n]
 	c.b = c.b[n:]
-	return s, nil
+	return b, nil
+}
+
+func (c *cur) str() (string, error) {
+	b, err := c.bytes()
+	return string(b), err
+}
+
+// end rejects a body with bytes left after its last field.
+func (c *cur) end(what string) error {
+	if len(c.b) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after %s body", ErrCorrupt, len(c.b), what)
+	}
+	return nil
 }
 
 func (f Frame) expect(t FrameType) error {
@@ -87,7 +105,49 @@ func (f Frame) expect(t FrameType) error {
 	return nil
 }
 
-// DecodeHello decodes a HELLO frame.
+// The RESULT strings, a scheme name and a rationale, come from a small
+// set that repeats job after job. RESULT decoding looks them up in a
+// copy-on-write table (a lookup is one atomic load, and m[string(b)]
+// does not allocate) and allocates only on a miss. The table is bounded
+// in entries and in entry length, so a peer sending ever new strings
+// costs an allocation each, not memory.
+const (
+	maxInterned      = 256
+	maxInternedBytes = 256
+)
+
+var (
+	internedMu sync.Mutex // serializes the copy-on-write of a miss
+	interned   atomic.Pointer[map[string]string]
+)
+
+func init() { interned.Store(&map[string]string{}) }
+
+// internedString returns b as a string, shared with every earlier call
+// for the same bytes while the table has room.
+func internedString(b []byte) string {
+	if s, ok := (*interned.Load())[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(b) > maxInternedBytes {
+		return s
+	}
+	internedMu.Lock()
+	defer internedMu.Unlock()
+	old := *interned.Load()
+	if len(old) >= maxInterned {
+		return s
+	}
+	next := maps.Clone(old)
+	next[s] = s
+	interned.Store(&next)
+	return s
+}
+
+// DecodeHello decodes a HELLO frame. The version leads the body, and
+// one other than ProtoVersion is ErrVersion naming both, whatever follows
+// (the rest of the body is laid out by that version).
 func (f Frame) DecodeHello() (Hello, error) {
 	if err := f.expect(FrameHello); err != nil {
 		return Hello{}, err
@@ -98,28 +158,22 @@ func (f Frame) DecodeHello() (Hello, error) {
 	if h.Version, err = c.intField("version", math.MaxUint8); err != nil {
 		return Hello{}, err
 	}
+	if err := checkVersion(h.Version); err != nil {
+		return Hello{}, err
+	}
 	if h.Procs, err = c.intField("procs", 1<<20); err != nil {
 		return Hello{}, err
 	}
 	if h.MaxInflight, err = c.intField("max inflight", math.MaxInt32); err != nil {
 		return Hello{}, err
 	}
-	// Flags is an optional trailing field: a peer that predates it sends
-	// the shorter frame, which decodes with Flags == 0.
-	if c.remaining() > 0 {
-		if h.Flags, err = c.uvarint(); err != nil {
-			return Hello{}, fmt.Errorf("%w: hello flags", ErrCorrupt)
-		}
+	if h.Flags, err = c.uvarint(); err != nil {
+		return Hello{}, fmt.Errorf("%w: hello flags", ErrCorrupt)
 	}
-	// Tenant extends the tail after Flags, same evolution rule: absent
-	// from peers that predate it (or that claim no tenant), which decodes
-	// to the empty string — the default tenant.
-	if c.remaining() > 0 {
-		if h.Tenant, err = c.str(maxStringLen); err != nil {
-			return Hello{}, err
-		}
+	if h.Tenant, err = c.str(); err != nil {
+		return Hello{}, err
 	}
-	return h, nil
+	return h, c.end("hello")
 }
 
 // DecodeSubmit decodes a SUBMIT frame into a freshly allocated loop,
@@ -137,7 +191,7 @@ func (f Frame) DecodeSubmit(maxElems int) (*trace.Loop, error) {
 // so a connection loop can reuse them frame after frame; l takes
 // ownership until the next decode). maxElems caps the loop's reduction
 // array dimension; 0 means DefaultMaxElems. The third return is the
-// frame's optional trailing trace ID (0 when the submitter sent none).
+// frame's trace ID (0 when the submitter traces nothing).
 func (f Frame) DecodeSubmitInto(l *trace.Loop, offsets, refs []int32, maxElems int) ([]int32, []int32, uint64, error) {
 	if maxElems <= 0 {
 		maxElems = DefaultMaxElems
@@ -150,22 +204,15 @@ func (f Frame) DecodeSubmitInto(l *trace.Loop, offsets, refs []int32, maxElems i
 	if err != nil {
 		return offsets, refs, 0, err
 	}
-	// Optional trailing trace ID (HELLO-flags evolution rule): absent from
-	// peers that predate it, decoded as 0.
-	var traceID uint64
-	if c.remaining() > 0 {
-		if traceID, err = c.uvarint(); err != nil {
-			return offsets, refs, 0, fmt.Errorf("%w: trace id", ErrCorrupt)
-		}
+	traceID, err := c.uvarint()
+	if err != nil {
+		return offsets, refs, 0, fmt.Errorf("%w: trace id", ErrCorrupt)
 	}
-	if c.remaining() != 0 {
-		return offsets, refs, 0, fmt.Errorf("%w: %d trailing bytes after submit body", ErrCorrupt, c.remaining())
-	}
-	return offsets, refs, traceID, nil
+	return offsets, refs, traceID, c.end("submit")
 }
 
 // DecodeSubmitRef decodes a SUBMIT_REF frame: the pattern fingerprint,
-// the (non-zero) handle, and the optional trailing trace ID.
+// the (non-zero) handle, and the trace ID.
 func (f Frame) DecodeSubmitRef() (fp, handle, traceID uint64, err error) {
 	if err := f.expect(FrameSubmitRef); err != nil {
 		return 0, 0, 0, err
@@ -179,13 +226,11 @@ func (f Frame) DecodeSubmitRef() (fp, handle, traceID uint64, err error) {
 	if handle, err = c.uvarint(); err != nil || handle == 0 {
 		return 0, 0, 0, fmt.Errorf("%w: pattern handle", ErrCorrupt)
 	}
-	if c.remaining() > 0 {
-		if traceID, err = c.uvarint(); err != nil {
-			return 0, 0, 0, fmt.Errorf("%w: trace id", ErrCorrupt)
-		}
+	if traceID, err = c.uvarint(); err != nil {
+		return 0, 0, 0, fmt.Errorf("%w: trace id", ErrCorrupt)
 	}
-	if c.remaining() != 0 {
-		return 0, 0, 0, fmt.Errorf("%w: %d trailing bytes after submit-ref body", ErrCorrupt, c.remaining())
+	if err := c.end("submit-ref"); err != nil {
+		return 0, 0, 0, err
 	}
 	return fp, handle, traceID, nil
 }
@@ -196,7 +241,7 @@ func (f Frame) DecodeSubmitRef() (fp, handle, traceID uint64, err error) {
 // bounded by the remaining payload, iteration lengths reconciled against
 // NumRefs, every reference bounds-checked.
 func decodeLoopBody(c *cur, l *trace.Loop, offsets, refs []int32, maxElems int) ([]int32, []int32, error) {
-	name, err := c.str(maxStringLen)
+	name, err := c.str()
 	if err != nil {
 		return offsets, refs, err
 	}
@@ -312,10 +357,7 @@ func (f Frame) DecodeOpenSessionInto(l *trace.Loop, offsets, refs []int32, maxEl
 	if err != nil {
 		return 0, offsets, refs, err
 	}
-	if c.remaining() != 0 {
-		return 0, offsets, refs, fmt.Errorf("%w: %d trailing bytes after open-session body", ErrCorrupt, c.remaining())
-	}
-	return sid, offsets, refs, nil
+	return sid, offsets, refs, c.end("open-session")
 }
 
 // DecodeDelta decodes a SUBMIT_DELTA frame into the provided scratch
@@ -365,10 +407,7 @@ func (f Frame) DecodeDelta(deltas []reduction.RefDelta) (uint64, []reduction.Ref
 		}
 		deltas = append(deltas, reduction.RefDelta{Pos: int32(pos), Ref: int32(ref)})
 	}
-	if c.remaining() != 0 {
-		return 0, deltas, fmt.Errorf("%w: %d trailing bytes after delta body", ErrCorrupt, c.remaining())
-	}
-	return sid, deltas, nil
+	return sid, deltas, c.end("delta")
 }
 
 // DecodeCloseSession decodes a CLOSE_SESSION frame's session id.
@@ -381,10 +420,7 @@ func (f Frame) DecodeCloseSession() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: session id", ErrCorrupt)
 	}
-	if c.remaining() != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes after close-session body", ErrCorrupt, c.remaining())
-	}
-	return sid, nil
+	return sid, c.end("close-session")
 }
 
 // DecodeResult decodes a RESULT frame. The reduction array is written
@@ -395,8 +431,10 @@ func (f Frame) DecodeResult(dst []float64) (engine.Result, error) {
 	return r, err
 }
 
-// DecodeResultHandle is DecodeResult also returning the frame's optional
-// trailing pattern handle (0 when the server attached none).
+// DecodeResultHandle is DecodeResult also returning the frame's pattern
+// handle (0 when the RESULT names none). Scheme and Why come from a
+// bounded intern table, so a repeated decode into a sized dst does not
+// allocate.
 func (f Frame) DecodeResultHandle(dst []float64) (engine.Result, uint64, error) {
 	if err := f.expect(FrameResult); err != nil {
 		return engine.Result{}, 0, err
@@ -408,22 +446,17 @@ func (f Frame) DecodeResultHandle(dst []float64) (engine.Result, uint64, error) 
 		return engine.Result{}, 0, err
 	}
 	r.CacheHit = flags&1 != 0
-	if r.BatchSize, err = c.intField("batch size", math.MaxInt32); err != nil {
-		return engine.Result{}, 0, err
-	}
 	ns, err := c.uvarint()
 	if err != nil {
 		return engine.Result{}, 0, fmt.Errorf("%w: elapsed", ErrCorrupt)
 	}
 	r.Elapsed = elapsedFromWire(ns)
-	if r.Imbalance, err = c.f64(); err != nil {
-		return engine.Result{}, 0, err
-	}
-	if r.Scheme, err = c.str(maxStringLen); err != nil {
-		return engine.Result{}, 0, err
-	}
-	if r.Why, err = c.str(maxStringLen); err != nil {
-		return engine.Result{}, 0, err
+	for _, s := range []*string{&r.Scheme, &r.Why} {
+		b, err := c.bytes()
+		if err != nil {
+			return engine.Result{}, 0, err
+		}
+		*s = internedString(b)
 	}
 	n, err := c.intField("value count", c.remaining()/8)
 	if err != nil {
@@ -441,22 +474,15 @@ func (f Frame) DecodeResultHandle(dst []float64) (engine.Result, uint64, error) 
 	}
 	getF64s(dst, c.b[:8*n])
 	c.b = c.b[8*n:]
-	// Optional trailing session generation (HELLO-flags evolution rule):
-	// session results carry it, one-shot results and older peers omit it.
-	if c.remaining() > 0 {
-		if r.SessionGen, err = c.uvarint(); err != nil {
-			return engine.Result{}, 0, fmt.Errorf("%w: session generation", ErrCorrupt)
-		}
+	if r.SessionGen, err = c.uvarint(); err != nil {
+		return engine.Result{}, 0, fmt.Errorf("%w: session generation", ErrCorrupt)
 	}
-	// Optional pattern handle after the generation, same rule.
-	var handle uint64
-	if c.remaining() > 0 {
-		if handle, err = c.uvarint(); err != nil {
-			return engine.Result{}, 0, fmt.Errorf("%w: pattern handle", ErrCorrupt)
-		}
+	handle, err := c.uvarint()
+	if err != nil {
+		return engine.Result{}, 0, fmt.Errorf("%w: pattern handle", ErrCorrupt)
 	}
-	if c.remaining() != 0 {
-		return engine.Result{}, 0, fmt.Errorf("%w: %d trailing bytes after result body", ErrCorrupt, c.remaining())
+	if err := c.end("result"); err != nil {
+		return engine.Result{}, 0, err
 	}
 	r.Values = dst
 	return r, handle, nil
@@ -468,7 +494,11 @@ func (f Frame) DecodeError() (string, error) {
 		return "", err
 	}
 	c := cur{b: f.Body}
-	return c.str(maxStringLen)
+	msg, err := c.str()
+	if err != nil {
+		return "", err
+	}
+	return msg, c.end("error")
 }
 
 // DecodeBusy decodes a BUSY frame's rejection code.
@@ -484,21 +514,50 @@ func (f Frame) DecodeBusy() (BusyCode, error) {
 	if code < byte(BusyConn) || code > byte(BusyTenant) {
 		return 0, fmt.Errorf("%w: unknown busy code %d", ErrCorrupt, code)
 	}
-	return BusyCode(code), nil
+	return BusyCode(code), c.end("busy")
 }
 
-// readFields decodes one positional run of scalars into v. Int-typed
-// rows are bounded like every other count on the wire.
-func readFields[T any](c *cur, rows []*obs.Field[T], v *T) error {
-	for _, f := range rows {
+// DecodeStatsReq checks a STATSREQ frame, whose body is empty.
+func (f Frame) DecodeStatsReq() error {
+	if err := f.expect(FrameStatsReq); err != nil {
+		return err
+	}
+	c := cur{b: f.Body}
+	return c.end("stats-request")
+}
+
+// readKeyed decodes a keyed run into v: a row count, then per row a key
+// and a value. A key the schema lacks is skipped (a peer with a newer
+// table), a key seen twice is corrupt, and an int-typed row is bounded
+// like every other count on the wire.
+func readKeyed[T any](c *cur, rows []obs.Field[T], v *T) error {
+	n, err := c.intField("row count", c.remaining()/2) // a row is ≥ 2 bytes
+	if err != nil {
+		return err
+	}
+	seen := make(map[string]bool, n)
+	for range n {
+		key, err := c.bytes()
+		if err != nil {
+			return err
+		}
 		x, err := c.uvarint()
 		if err != nil {
-			return fmt.Errorf("%w: %s", ErrCorrupt, f.Series)
+			return fmt.Errorf("%w: value of %q", ErrCorrupt, key)
 		}
-		if f.Int != nil && x > math.MaxInt32 {
-			return fmt.Errorf("%w: %s %d exceeds limit %d", ErrCorrupt, f.Series, x, math.MaxInt32)
+		if seen[string(key)] {
+			return fmt.Errorf("%w: duplicate key %q", ErrCorrupt, key)
 		}
-		f.Set(v, x)
+		seen[string(key)] = true
+		i := slices.IndexFunc(rows, func(f obs.Field[T]) bool { return f.Key == string(key) })
+		if i < 0 {
+			continue
+		}
+		if f := &rows[i]; f.Int == nil || x <= math.MaxInt32 {
+			f.Set(v, x)
+		} else {
+			return fmt.Errorf("%w: %s %d exceeds limit %d", ErrCorrupt, key, x, math.MaxInt32)
+		}
 	}
 	return nil
 }
@@ -525,33 +584,25 @@ func (c *cur) snapshot() (s obs.Snapshot, err error) {
 	return s, nil
 }
 
-// DecodeStats decodes a STATS frame into an engine statistics snapshot.
+// DecodeStats decodes a STATS frame into an engine statistics snapshot:
+// the keyed engine.StatsFields run, the scheme mix, the stage histograms
+// and the tenant rows.
 func (f Frame) DecodeStats() (engine.Stats, error) {
 	if err := f.expect(FrameStats); err != nil {
 		return engine.Stats{}, err
 	}
 	c := cur{b: f.Body}
 	var s engine.Stats
-	if err := readFields(&c, statsWire[engine.WireBase], &s); err != nil {
+	if err := readKeyed(&c, engine.StatsFields, &s); err != nil {
 		return engine.Stats{}, err
-	}
-	occ, err := c.intField("occupancy buckets", c.remaining())
-	if err != nil {
-		return engine.Stats{}, err
-	}
-	s.BatchOccupancy = make([]uint64, occ)
-	for i := range s.BatchOccupancy {
-		if s.BatchOccupancy[i], err = c.uvarint(); err != nil {
-			return engine.Stats{}, fmt.Errorf("%w: occupancy bucket", ErrCorrupt)
-		}
 	}
 	schemes, err := c.intField("scheme count", c.remaining())
 	if err != nil {
 		return engine.Stats{}, err
 	}
 	s.Schemes = make(map[string]uint64, schemes)
-	for i := 0; i < schemes; i++ {
-		name, err := c.str(maxStringLen)
+	for range schemes {
+		name, err := c.str()
 		if err != nil {
 			return engine.Stats{}, err
 		}
@@ -559,61 +610,39 @@ func (f Frame) DecodeStats() (engine.Stats, error) {
 			return engine.Stats{}, fmt.Errorf("%w: scheme count", ErrCorrupt)
 		}
 	}
-	// The optional tails, in positional order. A peer that predates one
-	// sends the shorter frame, which decodes with that tail's fields
-	// zero; a tail that is present must be complete.
-	for _, g := range []uint8{engine.WireRecal, engine.WireSimplify} {
-		if c.remaining() > 0 {
-			if err := readFields(&c, statsWire[g], &s); err != nil {
-				return engine.Stats{}, err
-			}
-		}
+	nstages, err := c.intField("stage count", c.remaining())
+	if err != nil {
+		return engine.Stats{}, err
 	}
-	// Stage-latency histograms: stage count, then per stage a name and
-	// histogram snapshot.
-	if c.remaining() > 0 {
-		nstages, err := c.intField("stage count", c.remaining())
-		if err != nil {
-			return engine.Stats{}, err
-		}
+	if nstages > 0 {
 		s.Stages = make([]obs.StageSummary, nstages)
-		for i := range s.Stages {
-			if s.Stages[i].Name, err = c.str(maxStringLen); err != nil {
-				return engine.Stats{}, err
-			}
-			if s.Stages[i].Snap, err = c.snapshot(); err != nil {
-				return engine.Stats{}, err
-			}
-		}
 	}
-	if c.remaining() > 0 {
-		if err := readFields(&c, statsWire[engine.WireSession], &s); err != nil {
+	for i := range s.Stages {
+		if s.Stages[i].Name, err = c.str(); err != nil {
+			return engine.Stats{}, err
+		}
+		if s.Stages[i].Snap, err = c.snapshot(); err != nil {
 			return engine.Stats{}, err
 		}
 	}
-	// Per-tenant rows: a tenant count, then per tenant a name, the
-	// tenant schema's positional run and a queue-wait histogram snapshot.
-	if c.remaining() > 0 {
-		ntenants, err := c.intField("tenant count", c.remaining())
-		if err != nil {
-			return engine.Stats{}, err
-		}
+	ntenants, err := c.intField("tenant count", c.remaining())
+	if err != nil {
+		return engine.Stats{}, err
+	}
+	if ntenants > 0 {
 		s.Tenants = make([]engine.TenantStats, ntenants)
-		for i := range s.Tenants {
-			t := &s.Tenants[i]
-			if t.Name, err = c.str(maxStringLen); err != nil {
-				return engine.Stats{}, err
-			}
-			if err := readFields(&c, tenantWire, t); err != nil {
-				return engine.Stats{}, err
-			}
-			if t.QueueWait, err = c.snapshot(); err != nil {
-				return engine.Stats{}, err
-			}
+	}
+	for i := range s.Tenants {
+		t := &s.Tenants[i]
+		if t.Name, err = c.str(); err != nil {
+			return engine.Stats{}, err
+		}
+		if err := readKeyed(&c, engine.TenantFields, t); err != nil {
+			return engine.Stats{}, err
+		}
+		if t.QueueWait, err = c.snapshot(); err != nil {
+			return engine.Stats{}, err
 		}
 	}
-	if c.remaining() != 0 {
-		return engine.Stats{}, fmt.Errorf("%w: %d trailing bytes after stats body", ErrCorrupt, c.remaining())
-	}
-	return s, nil
+	return s, c.end("stats")
 }

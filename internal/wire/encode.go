@@ -36,7 +36,12 @@ func endFrame(dst []byte, lenPos int) []byte {
 	return dst
 }
 
+// appendString encodes s truncated to the decoder's string cap, so an
+// encoder never emits a string its own peer rejects.
 func appendString(dst []byte, s string) []byte {
+	if len(s) > maxStringLen {
+		s = s[:maxStringLen]
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
@@ -45,64 +50,46 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// AppendHello encodes a HELLO greeting (the server's, or a tenant-scoped
-// client's). The flags field is emitted only when non-zero, exercising
-// the optional-trailing-field evolution rule both decoders must follow
-// (docs/PROTOCOL.md "Versioning"); the tenant field extends the tail the
-// same way, and since optional tails decode positionally, emitting the
-// tenant forces the flags out too (a zero is fine — only the frame
-// length carries meaning).
+// AppendHello encodes a HELLO greeting: the server's, or the one a
+// client sends to claim a tenant.
 func AppendHello(dst []byte, h Hello) []byte {
-	scoped := h.Tenant != ""
-	if len(h.Tenant) > maxStringLen {
-		h.Tenant = h.Tenant[:maxStringLen]
-	}
 	dst, p := beginFrame(dst, FrameHello, 0)
 	dst = binary.AppendUvarint(dst, uint64(h.Version))
 	dst = binary.AppendUvarint(dst, uint64(h.Procs))
 	dst = binary.AppendUvarint(dst, uint64(h.MaxInflight))
-	if h.Flags != 0 || scoped {
-		dst = binary.AppendUvarint(dst, h.Flags)
-	}
-	if scoped {
-		dst = appendString(dst, h.Tenant)
-	}
+	dst = binary.AppendUvarint(dst, h.Flags)
+	dst = appendString(dst, h.Tenant)
 	return endFrame(dst, p)
 }
 
-// AppendSubmit encodes one reduction job: the loop's metadata, then the
-// per-iteration reference counts, then the subscript stream as
+// AppendSubmit encodes one untraced reduction job: the loop's metadata,
+// then the per-iteration reference counts, then the subscript stream as
 // zigzag-varint deltas — irregular but locality-bearing subscript streams
 // (the paper's Table 2 loops) compress to one or two bytes per reference.
 func AppendSubmit(dst []byte, jobID uint64, l *trace.Loop) []byte {
 	return AppendSubmitTraced(dst, jobID, l, 0)
 }
 
-// AppendSubmitTraced is AppendSubmit with an end-to-end trace ID carried
-// as an optional trailing field (the HELLO-flags evolution rule: emitted
-// only when non-zero, decoded as zero by peers that predate it). The
-// gateway uses it to forward a job's trace ID to the owning backend so
-// one slow job's timeline can be stitched across tiers.
+// AppendSubmitTraced is AppendSubmit ending in an end-to-end trace ID
+// (0: untraced, the server assigns its own). The gateway forwards a
+// job's ID to the owning backend so one slow job's timeline can be
+// stitched across tiers.
 func AppendSubmitTraced(dst []byte, jobID uint64, l *trace.Loop, traceID uint64) []byte {
 	dst, p := beginFrame(dst, FrameSubmit, jobID)
 	dst = appendLoopBody(dst, l)
-	if traceID != 0 {
-		dst = binary.AppendUvarint(dst, traceID)
-	}
+	dst = binary.AppendUvarint(dst, traceID)
 	return endFrame(dst, p)
 }
 
 // AppendSubmitRef encodes a submission by reference: the pattern's
 // fingerprint as a fixed little-endian u64 (fingerprints are uniformly
 // distributed, so a varint would only be longer), the handle the server
-// issued for it, and the same optional trailing trace ID as SUBMIT.
+// issued for it, and the trace ID as in SUBMIT.
 func AppendSubmitRef(dst []byte, jobID, fp, handle, traceID uint64) []byte {
 	dst, p := beginFrame(dst, FrameSubmitRef, jobID)
 	dst = binary.LittleEndian.AppendUint64(dst, fp)
 	dst = binary.AppendUvarint(dst, handle)
-	if traceID != 0 {
-		dst = binary.AppendUvarint(dst, traceID)
-	}
+	dst = binary.AppendUvarint(dst, traceID)
 	return endFrame(dst, p)
 }
 
@@ -170,69 +157,40 @@ func AppendCloseSession(dst []byte, jobID, sessionID uint64) []byte {
 	return endFrame(dst, p)
 }
 
-// AppendResult encodes a completed job: execution metadata, then the
-// reduction array as raw little-endian float64s. Scheme and Why are
-// truncated to the decoder's string cap so the encoder can never emit a
-// frame its own peer rejects.
+// AppendResult encodes a completed job that names no pattern handle.
 func AppendResult(dst []byte, jobID uint64, r *engine.Result) []byte {
 	return AppendResultHandle(dst, jobID, r, 0)
 }
 
-// AppendResultHandle is AppendResult carrying the pattern handle the
-// server interned the submitted loop under, as an optional trailing field
-// after the session generation (handles start at 1; zero omits it). A
-// server emits it only on connections whose client asked for handles
-// (HelloFlagPatternHandles) — a client that predates the tail would
-// reject the frame's trailing bytes.
+// AppendResultHandle encodes a completed job: execution metadata, the
+// reduction array as raw little-endian float64s, the session generation
+// (0 for a one-shot job) and the pattern handle the server interned the
+// submitted loop under (0 when the RESULT names none: a session answer,
+// or the answer to a SUBMIT_REF, whose sender holds the handle already).
 func AppendResultHandle(dst []byte, jobID uint64, r *engine.Result, handle uint64) []byte {
-	scheme, why := r.Scheme, r.Why
-	if len(scheme) > maxStringLen {
-		scheme = scheme[:maxStringLen]
-	}
-	if len(why) > maxStringLen {
-		why = why[:maxStringLen]
-	}
 	dst, p := beginFrame(dst, FrameResult, jobID)
 	var flags byte
 	if r.CacheHit {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(r.BatchSize))
-	elapsed := r.Elapsed
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	dst = binary.AppendUvarint(dst, uint64(elapsed))
-	dst = appendF64(dst, r.Imbalance)
-	dst = appendString(dst, scheme)
-	dst = appendString(dst, why)
+	dst = binary.AppendUvarint(dst, uint64(max(r.Elapsed, 0)))
+	dst = appendString(dst, r.Scheme)
+	dst = appendString(dst, r.Why)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Values)))
-	// One grow for the vector and both tails, then the bulk store.
+	// One grow for the vector and the two fields after it, then the bulk
+	// store.
 	vec := len(dst)
 	dst = slices.Grow(dst, 8*len(r.Values)+2*binary.MaxVarintLen64)[:vec+8*len(r.Values)]
 	putF64s(dst[vec:], r.Values)
-	// The session generation is an optional trailing field under the
-	// HELLO-flags evolution rule: session results carry it (generations
-	// start at 1), one-shot results omit it, and peers that predate it
-	// decode the shorter frame and see zero.
-	// The handle extends the tail the same way; optional tails decode
-	// positionally, so emitting it forces the generation out (as zero).
-	if r.SessionGen != 0 || handle != 0 {
-		dst = binary.AppendUvarint(dst, r.SessionGen)
-	}
-	if handle != 0 {
-		dst = binary.AppendUvarint(dst, handle)
-	}
+	dst = binary.AppendUvarint(dst, r.SessionGen)
+	dst = binary.AppendUvarint(dst, handle)
 	return endFrame(dst, p)
 }
 
 // AppendError encodes a job failure (jobID != 0) or a fatal connection
 // error (jobID 0).
 func AppendError(dst []byte, jobID uint64, msg string) []byte {
-	if len(msg) > maxStringLen {
-		msg = msg[:maxStringLen]
-	}
 	dst, p := beginFrame(dst, FrameError, jobID)
 	dst = appendString(dst, msg)
 	return endFrame(dst, p)
@@ -251,40 +209,15 @@ func AppendStatsReq(dst []byte, jobID uint64) []byte {
 	return endFrame(dst, p)
 }
 
-// statsWire and tenantWire are the stats schema sorted into the STATS
-// frame's positional runs: statsWire[g] is wire group g of engine.Stats
-// (engine.WireBase and the optional tails), tenantWire one tenant row.
-var (
-	statsWire  = obs.WireGroups(engine.StatsFields)
-	tenantWire = obs.WireGroups(engine.TenantFields)[engine.WireTenant]
-)
-
-// appendFields encodes one positional run of v's scalars.
-func appendFields[T any](dst []byte, rows []*obs.Field[T], v *T) []byte {
-	for _, f := range rows {
-		dst = binary.AppendUvarint(dst, f.Get(v))
+// appendKeyed encodes a keyed run of v's scalars: the row count, then
+// every row of the schema as its Key and value.
+func appendKeyed[T any](dst []byte, rows []obs.Field[T], v *T) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	for i := range rows {
+		dst = appendString(dst, rows[i].Key)
+		dst = binary.AppendUvarint(dst, rows[i].Get(v))
 	}
 	return dst
-}
-
-// nonZero reports whether any scalar of a positional run is non-zero in
-// v — the "this optional tail has something to say" test.
-func nonZero[T any](rows []*obs.Field[T], v *T) bool {
-	for _, f := range rows {
-		if f.Get(v) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// appendName encodes a stage or tenant name, truncated to the string
-// limit.
-func appendName(dst []byte, name string) []byte {
-	if len(name) > maxStringLen {
-		name = name[:maxStringLen]
-	}
-	return appendString(dst, name)
 }
 
 // appendSnapshot encodes a histogram snapshot: count, sum, max, then
@@ -300,16 +233,14 @@ func appendSnapshot(dst []byte, s *obs.Snapshot) []byte {
 	return dst
 }
 
-// AppendStats encodes an engine statistics snapshot: the base run of
-// the stats schema, the occupancy histogram, the scheme mix, then the
-// optional trailing tails.
+// AppendStats encodes an engine statistics snapshot: every
+// engine.StatsFields row keyed by its Key, the scheme mix, the stage
+// histograms by name, then the tenant rows by name, each a keyed run of
+// engine.TenantFields plus its queue-wait histogram. The codec names no
+// counter, so a row added to either table travels with no edit here.
 func AppendStats(dst []byte, jobID uint64, s *engine.Stats) []byte {
 	dst, p := beginFrame(dst, FrameStats, jobID)
-	dst = appendFields(dst, statsWire[engine.WireBase], s)
-	dst = binary.AppendUvarint(dst, uint64(len(s.BatchOccupancy)))
-	for _, v := range s.BatchOccupancy {
-		dst = binary.AppendUvarint(dst, v)
-	}
+	dst = appendKeyed(dst, engine.StatsFields, s)
 	// The scheme mix travels in name order, so one snapshot has one
 	// encoding; decoders accept any order.
 	dst = binary.AppendUvarint(dst, uint64(len(s.Schemes)))
@@ -317,42 +248,17 @@ func AppendStats(dst []byte, jobID uint64, s *engine.Stats) []byte {
 		dst = appendString(dst, name)
 		dst = binary.AppendUvarint(dst, s.Schemes[name])
 	}
-	// The tails follow the same evolution rule as the HELLO flags field:
-	// each is emitted only when it has something to say and decodes as
-	// zero at peers that predate it. They decode positionally, so a tail
-	// forces every earlier one out too (zeros are fine — only the frame
-	// length carries meaning): recalibration pair, simplification quad,
-	// stage histograms, session quad, tenant rows. Only multi-tenant
-	// engines populate Tenants and only an engine that has served has
-	// stages, so an idle single-tenant engine emits the shortest frame.
-	tenantTail := len(s.Tenants) != 0
-	sessTail := tenantTail || nonZero(statsWire[engine.WireSession], s)
-	histTail := sessTail || len(s.Stages) != 0
-	simpTail := histTail || nonZero(statsWire[engine.WireSimplify], s)
-	if simpTail || nonZero(statsWire[engine.WireRecal], s) {
-		dst = appendFields(dst, statsWire[engine.WireRecal], s)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Stages)))
+	for i := range s.Stages {
+		dst = appendString(dst, s.Stages[i].Name)
+		dst = appendSnapshot(dst, &s.Stages[i].Snap)
 	}
-	if simpTail {
-		dst = appendFields(dst, statsWire[engine.WireSimplify], s)
-	}
-	if histTail {
-		dst = binary.AppendUvarint(dst, uint64(len(s.Stages)))
-		for i := range s.Stages {
-			dst = appendName(dst, s.Stages[i].Name)
-			dst = appendSnapshot(dst, &s.Stages[i].Snap)
-		}
-	}
-	if sessTail {
-		dst = appendFields(dst, statsWire[engine.WireSession], s)
-	}
-	if tenantTail {
-		dst = binary.AppendUvarint(dst, uint64(len(s.Tenants)))
-		for i := range s.Tenants {
-			t := &s.Tenants[i]
-			dst = appendName(dst, t.Name)
-			dst = appendFields(dst, tenantWire, t)
-			dst = appendSnapshot(dst, &t.QueueWait)
-		}
+	dst = binary.AppendUvarint(dst, uint64(len(s.Tenants)))
+	for i := range s.Tenants {
+		t := &s.Tenants[i]
+		dst = appendString(dst, t.Name)
+		dst = appendKeyed(dst, engine.TenantFields, t)
+		dst = appendSnapshot(dst, &t.QueueWait)
 	}
 	return endFrame(dst, p)
 }

@@ -26,11 +26,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	// fuzzer can splice.
 	rng := rand.New(rand.NewSource(1))
 	l := randomLoop(rng)
-	res := engine.Result{Values: []float64{1.5, -2, 0}, Scheme: "hash", Why: "w", BatchSize: 3}
-	st := engine.Stats{Jobs: 9, Schemes: map[string]uint64{"rep": 9}, BatchOccupancy: []uint64{0, 9}}
+	res := engine.Result{Values: []float64{1.5, -2, 0}, Scheme: "hash", Why: "w"}
+	st := engine.Stats{Jobs: 9, Schemes: map[string]uint64{"rep": 9}}
 	f.Add(AppendSubmit(nil, 1, l))
 	f.Add(AppendResult(nil, 2, &res))
-	f.Add(AppendHello(nil, Hello{Version: 1, Procs: 8, MaxInflight: 64}))
+	f.Add(AppendHello(nil, Hello{Version: ProtoVersion, Procs: 8, MaxInflight: 64}))
 	f.Add(AppendError(nil, 3, "e"))
 	f.Add(AppendBusy(nil, 4, BusyConn))
 	f.Add(AppendStatsReq(nil, 5))
@@ -68,10 +68,11 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // TestSeedCorpusDecodes keeps the checked-in fuzz seed corpus
 // (testdata/fuzz/FuzzDecodeFrame, regenerated by gen_corpus.go) honest:
-// every seed must be a structurally valid, completely consumed frame —
+// every seed must be a completely consumed frame its type's decoder
+// accepts —
 // a corpus of already-rejected inputs would teach the fuzzer nothing
 // about the accepted grammar — and the seeds must jointly cover every
-// frame type, including the optional trailing extensions.
+// frame type.
 func TestSeedCorpusDecodes(t *testing.T) {
 	covered := make(map[FrameType]bool)
 	for name, s := range seedCorpus(t) {
@@ -81,6 +82,9 @@ func TestSeedCorpusDecodes(t *testing.T) {
 		}
 		if n != len(s) {
 			t.Fatalf("%s: seed decoded %d of %d bytes", name, n, len(s))
+		}
+		if _, _, ok := reencode(f); !ok {
+			t.Fatalf("%s: the %v decoder rejects the seed's body", name, f.Type)
 		}
 		covered[f.Type] = true
 	}
@@ -127,7 +131,7 @@ func seedCorpus(t testing.TB) map[string][]byte {
 
 // FuzzFrameFixpoint holds the codec to one encoding per value. The
 // decoders accept frames the encoders never emit — over-long varints,
-// zero-valued optional tails, a scheme listed twice — so an accepted
+// STATS keys this build does not know, a scheme listed twice — so an accepted
 // input x need not be canonical; but y = encode(decode(x)) must decode to
 // the value x did, and encoding that again must reproduce y byte for
 // byte, for every frame type. Seeds: the FuzzDecodeFrame corpus and the
@@ -204,9 +208,9 @@ func reencode(f Frame) (val any, enc []byte, ok bool) {
 			return nil, nil, false
 		}
 		enc = AppendResultHandle(nil, f.JobID, &r, handle)
-		vals, imb := bits(r.Values), math.Float64bits(r.Imbalance)
-		r.Values, r.Imbalance = nil, 0
-		return []any{f.JobID, r, vals, imb, handle}, enc, true
+		vals := bits(r.Values)
+		r.Values = nil
+		return []any{f.JobID, r, vals, handle}, enc, true
 	case FrameError:
 		msg, err := f.DecodeError()
 		return []any{f.JobID, msg}, AppendError(nil, f.JobID, msg), err == nil
@@ -214,20 +218,13 @@ func reencode(f Frame) (val any, enc []byte, ok bool) {
 		code, err := f.DecodeBusy()
 		return []any{f.JobID, code}, AppendBusy(nil, f.JobID, code), err == nil
 	case FrameStatsReq:
-		return f.JobID, AppendStatsReq(nil, f.JobID), true // no body grammar
+		return f.JobID, AppendStatsReq(nil, f.JobID), f.DecodeStatsReq() == nil
 	case FrameStats:
 		s, err := f.DecodeStats()
 		if err != nil {
 			return nil, nil, false
 		}
-		enc = AppendStats(nil, f.JobID, &s)
-		if len(s.Stages) == 0 {
-			s.Stages = nil
-		}
-		if len(s.Tenants) == 0 {
-			s.Tenants = nil
-		}
-		return []any{f.JobID, s}, enc, true
+		return []any{f.JobID, s}, AppendStats(nil, f.JobID, &s), true
 	case FrameOpenSession:
 		var l trace.Loop
 		sid, _, _, err := f.DecodeOpenSessionInto(&l, nil, nil, maxElems)
@@ -258,7 +255,7 @@ func exerciseTypedDecoders(t *testing.T, fr Frame) {
 	var scratch trace.Loop
 	fr.DecodeSubmitInto(&scratch, nil, nil, 1<<16)
 	if r, _, err := fr.DecodeResultHandle(nil); err == nil {
-		if r.BatchSize < 0 || len(r.Values) > len(fr.Body) {
+		if len(r.Values) > len(fr.Body) {
 			t.Fatalf("DecodeResultHandle postcondition violated: %+v", r)
 		}
 		// The handle-unaware entry point reads the same frames.
@@ -272,8 +269,9 @@ func exerciseTypedDecoders(t *testing.T, fr Frame) {
 	fr.DecodeHello()
 	fr.DecodeError()
 	fr.DecodeBusy()
+	fr.DecodeStatsReq()
 	if s, err := fr.DecodeStats(); err == nil {
-		if len(s.BatchOccupancy) > len(fr.Body) || len(s.Schemes) > len(fr.Body) {
+		if len(s.Stages) > len(fr.Body) || len(s.Tenants) > len(fr.Body) || len(s.Schemes) > len(fr.Body) {
 			t.Fatalf("DecodeStats over-allocated: %+v", s)
 		}
 	}

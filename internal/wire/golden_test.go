@@ -42,21 +42,18 @@ func goldenHex(t *testing.T, path string, got []byte) []byte {
 	return want
 }
 
-// goldenStatsCases returns one snapshot per positional STATS tail, each
-// extending the previous one — the same chain gen_corpus.go seeds the
-// fuzzer with. The six tail cases carry a single scheme: they were
-// recorded while the scheme map was still written in Go map order.
-// "mixed" is the full snapshot with a three-scheme mix, recorded once the
-// encoder sorted it.
+// goldenStatsCases returns seven snapshots, each extending the previous
+// one by a part of the STATS body — recalibrations, simplification and
+// stage counters, session counters, tenant rows, and last a three-scheme
+// mix — the same chain gen_corpus.go seeds the fuzzer with.
 func goldenStatsCases() []struct {
 	name string
 	s    engine.Stats
 } {
 	none := engine.Stats{
-		Jobs: 100, CacheHits: 80, CacheMisses: 20, Batches: 40, Coalesced: 60,
+		Jobs: 100, CacheHits: 80, CacheMisses: 20, Batches: 100,
 		CacheEntries: 7, CacheEvictions: 2,
-		Schemes:        map[string]uint64{"rep": 100},
-		BatchOccupancy: []uint64{0, 10, 15},
+		Schemes: map[string]uint64{"rep": 100},
 	}
 	recal := none
 	recal.Recalibrations, recal.SchemeSwitches = 9, 4
@@ -73,9 +70,9 @@ func goldenStatsCases() []struct {
 	sess.SessionSegsComputed, sess.SessionSegsReused = 40, 160
 	ten := sess
 	ten.Tenants = []engine.TenantStats{
-		{Name: "default", Weight: 1, Jobs: 30, Batches: 12,
+		{Name: "default", Weight: 1, Jobs: 30,
 			QueueWait: obs.Snapshot{Count: 30, SumNs: 27000, MaxNs: 1300, Buckets: []uint64{1, 0, 4, 25}}},
-		{Name: "acme", Weight: 4, Jobs: 70, Batches: 28, Busy: 5, Recalibrations: 6, SchemeSwitches: 3,
+		{Name: "acme", Weight: 4, Jobs: 70, Busy: 5, Recalibrations: 6, SchemeSwitches: 3,
 			QueueWait: obs.Snapshot{Count: 60, SumNs: 54000, MaxNs: 2700, Buckets: []uint64{1, 0, 9, 50}}},
 	}
 	mixed := ten
@@ -90,13 +87,10 @@ func goldenStatsCases() []struct {
 	}
 }
 
-// TestStatsGoldenBytes pins the STATS frame of each of the six tail
-// combinations to bytes recorded from the hand-written encoder this
-// table-driven one replaced, and checks each golden decodes back to the
-// snapshot that produced it: the schema must reproduce the positional
-// layout exactly, not merely round-trip with itself. Every snapshot is
-// encoded 32 times: one snapshot has one encoding, however many schemes
-// its map holds.
+// TestStatsGoldenBytes pins the version-2 STATS frame of each snapshot
+// to recorded bytes, and checks each golden decodes back to the snapshot
+// that produced it. Every snapshot is encoded 32 times: one snapshot has
+// one encoding, however many schemes its map holds.
 func TestStatsGoldenBytes(t *testing.T) {
 	for i, tc := range goldenStatsCases() {
 		got := AppendStats(nil, uint64(6+i), &tc.s)
@@ -124,7 +118,7 @@ func TestStatsGoldenBytes(t *testing.T) {
 }
 
 // TestStatsSchemaRoundTrip guards the failure mode a table-driven codec
-// introduces — a row wired to the wrong field or the wrong wire slot:
+// introduces — a row wired to the wrong field:
 // every scalar of the snapshot and of two tenant rows is set to a
 // distinct prime, and the decoded frame must equal what was encoded.
 func TestStatsSchemaRoundTrip(t *testing.T) {
@@ -142,10 +136,9 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 	}
 
 	want := engine.Stats{
-		Schemes:        map[string]uint64{"rep": next()},
-		BatchOccupancy: []uint64{0, next(), next()},
-		Stages:         []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: next(), SumNs: next(), MaxNs: next(), Buckets: []uint64{next()}}}},
-		Tenants:        []engine.TenantStats{{Name: "default"}, {Name: "acme", QueueWait: obs.Snapshot{Count: next(), Buckets: []uint64{0, next()}}}},
+		Schemes: map[string]uint64{"rep": next()},
+		Stages:  []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: next(), SumNs: next(), MaxNs: next(), Buckets: []uint64{next()}}}},
+		Tenants: []engine.TenantStats{{Name: "default"}, {Name: "acme", QueueWait: obs.Snapshot{Count: next(), Buckets: []uint64{0, next()}}}},
 	}
 	// Scalars are set through reflection, not through the rows under
 	// test: a row that reads or writes its neighbour's field must not be
@@ -172,12 +165,6 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A row without a wire group does not travel; it decodes as zero.
-	for i := range engine.StatsFields {
-		if f := &engine.StatsFields[i]; f.Group == 0 {
-			f.Set(&want, 0)
-		}
-	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip moved a field:\n got %+v\nwant %+v", got, want)
 	}
@@ -185,8 +172,9 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 
 // goldenResultCases returns the RESULT frames pinned under
 // testdata/result: the vector sizes the codec's bulk loops must handle
-// (none, one, the 3 100-element hot answer), both optional tails, and the
-// float64 values a bit-copy keeps and an arithmetic round trip would not.
+// (none, one, the 3 100-element hot answer), a session generation and a
+// pattern handle, and the float64 values a bit-copy keeps and an
+// arithmetic round trip would not.
 func goldenResultCases() []struct {
 	name   string
 	r      engine.Result
@@ -205,8 +193,8 @@ func goldenResultCases() []struct {
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.MaxFloat64, -math.MaxFloat64,
 	}
-	meta := engine.Result{Scheme: "rep", Why: "simplify: resident result", BatchSize: 3, CacheHit: true,
-		Elapsed: 4200 * time.Nanosecond, Imbalance: 1.25}
+	meta := engine.Result{Scheme: "rep", Why: "simplify: resident result", CacheHit: true,
+		Elapsed: 4200 * time.Nanosecond}
 	with := func(v []float64, gen uint64) engine.Result {
 		r := meta
 		r.Values, r.SessionGen = v, gen
@@ -226,8 +214,9 @@ func goldenResultCases() []struct {
 	}
 }
 
-// TestResultGoldenBytes pins the RESULT frame, recorded from the
-// per-element codec the bulk one replaced. Each case is encoded eight
+// TestResultGoldenBytes pins the version-2 RESULT frame, whose values
+// the version-1 goldens had recorded from the per-element codec the bulk
+// one replaced. Each case is encoded eight
 // times into one reused buffer that is dirty and non-empty on entry (the
 // encoders append), then the golden is decoded into a destination with
 // spare capacity, with exact capacity and with none, comparing

@@ -35,8 +35,9 @@ import (
 )
 
 // ProtoVersion is the protocol revision this package speaks. The preamble
-// and HELLO carry it; see docs/PROTOCOL.md for the compatibility rules.
-const ProtoVersion = 1
+// and HELLO carry it. A peer speaks exactly one version: tiers upgrade
+// together (docs/PROTOCOL.md "Versioning").
+const ProtoVersion = 2
 
 // Magic opens every connection ("RDXP" — reduction exchange protocol).
 var Magic = [4]byte{'R', 'D', 'X', 'P'}
@@ -83,7 +84,7 @@ const (
 	// FrameOpenSession registers a server-resident streaming session: a
 	// session id plus a full trace.Loop the server keeps between updates.
 	// The server answers with a RESULT carrying the initial reduction and
-	// the session-generation tail.
+	// session generation 1.
 	FrameOpenSession FrameType = 8
 	// FrameDelta streams one batch of reference updates into an open
 	// session and reads back the rolling reduction.
@@ -94,10 +95,10 @@ const (
 	FrameCloseSession FrameType = 10
 	// FrameSubmitRef is a SUBMIT that names its loop instead of carrying
 	// it: the pattern's fingerprint plus the handle the server attached to
-	// the RESULT of an earlier full SUBMIT of the same loop. Sent only to
-	// peers that advertised HelloFlagPatternHandles. It is answered exactly
-	// like the SUBMIT it stands for, or with a job-scoped ERROR opening
-	// with PatternGonePrefix when the server no longer holds the pattern.
+	// the RESULT of an earlier full SUBMIT of the same loop. It is
+	// answered exactly like the SUBMIT it stands for, or with a
+	// job-scoped ERROR opening with PatternGonePrefix when the server no
+	// longer holds the pattern.
 	FrameSubmitRef FrameType = 11
 )
 
@@ -172,22 +173,11 @@ func (c BusyCode) String() string {
 	}
 }
 
-// HELLO capability bits (Hello.Flags). Flags is an optional trailing
-// field: peers that predate it decode the shorter frame and see zero.
-const (
-	// HelloFlagGateway marks the peer as a reduxgw gateway rather than a
-	// reduxd daemon: submissions are routed onward by pattern fingerprint
-	// and STATS answers are aggregates over the backend tier.
-	HelloFlagGateway uint64 = 1 << 0
-	// HelloFlagPatternHandles negotiates pattern handles, one bit read in
-	// both directions. In the server's HELLO it says the peer resolves
-	// SUBMIT_REF frames; a client that sees it may answer with its own
-	// HELLO carrying the same bit, which asks the server to attach the
-	// handle tail to the RESULT of every full SUBMIT on this connection.
-	// A side that never sees the bit never sends the new frame or tail,
-	// so a legacy peer's dialogue is unchanged.
-	HelloFlagPatternHandles uint64 = 1 << 1
-)
+// HelloFlagGateway, a capability bit of Hello.Flags, marks the peer as a
+// reduxgw gateway rather than a reduxd daemon: submissions are routed
+// onward by pattern fingerprint and STATS answers are aggregates over the
+// backend tier. A peer ignores bits it does not know.
+const HelloFlagGateway uint64 = 1 << 0
 
 // Hello is the decoded HELLO frame.
 type Hello struct {
@@ -199,15 +189,13 @@ type Hello struct {
 	// MaxInflight is the per-connection in-flight job budget; submissions
 	// beyond it draw BUSY frames.
 	MaxInflight int
-	// Flags carries capability bits (HelloFlag*). Zero when the peer
-	// predates the field — it is an optional trailing extension.
+	// Flags carries capability bits (HelloFlagGateway).
 	Flags uint64
-	// Tenant is the tenant identity the peer claims, an optional trailing
-	// field after Flags. Empty means the default tenant (what legacy
-	// peers, which never send it, decode to). Clients send it in their
-	// own HELLO frame right after the preamble to scope the connection's
-	// submissions to a tenant; unknown names degrade to the default
-	// tenant rather than erroring, so config skew cannot reject traffic.
+	// Tenant is the tenant identity the peer claims; empty means the
+	// default tenant. A client sends it in its own HELLO frame right
+	// after the preamble to scope the connection's submissions to a
+	// tenant; unknown names degrade to the default tenant rather than
+	// erroring, so config skew cannot reject traffic.
 	Tenant string
 }
 
@@ -289,8 +277,8 @@ func WritePreamble(w io.Writer) error {
 }
 
 // ReadPreamble consumes and validates the connection opener, returning the
-// peer's version. The version must be exactly ProtoVersion for now;
-// future revisions may negotiate down via HELLO.
+// peer's version. A version other than ProtoVersion is ErrVersion (see
+// checkVersion); there is nothing to negotiate.
 func ReadPreamble(r io.Reader) (int, error) {
 	var p [5]byte
 	if _, err := io.ReadFull(r, p[:]); err != nil {
@@ -300,10 +288,16 @@ func ReadPreamble(r io.Reader) (int, error) {
 		return 0, ErrBadMagic
 	}
 	v := int(p[4])
+	return v, checkVersion(v)
+}
+
+// checkVersion returns nil for ProtoVersion and otherwise ErrVersion
+// naming both versions.
+func checkVersion(v int) error {
 	if v != ProtoVersion {
-		return v, fmt.Errorf("%w: %d (want %d)", ErrVersion, v, ProtoVersion)
+		return fmt.Errorf("%w: peer speaks %d, this build %d", ErrVersion, v, ProtoVersion)
 	}
-	return v, nil
+	return nil
 }
 
 // readBufSize is a Reader's initial buffer: room for two of the hot

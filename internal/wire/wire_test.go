@@ -4,13 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -97,13 +99,12 @@ func TestResultRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		want := engine.Result{
-			Values:    make([]float64, rng.Intn(500)),
-			Scheme:    "sel",
-			Why:       "sparse pattern, high connectivity",
-			CacheHit:  rng.Intn(2) == 0,
-			BatchSize: 1 + rng.Intn(32),
-			Elapsed:   time.Duration(rng.Int63n(int64(time.Second))),
-			Imbalance: rng.Float64() * 3,
+			Values:     make([]float64, rng.Intn(500)),
+			Scheme:     "sel",
+			Why:        "sparse pattern, high connectivity",
+			CacheHit:   rng.Intn(2) == 0,
+			Elapsed:    time.Duration(rng.Int63n(int64(time.Second))),
+			SessionGen: uint64(rng.Intn(3)),
 		}
 		for i := range want.Values {
 			want.Values[i] = rng.NormFloat64()
@@ -123,8 +124,8 @@ func TestResultRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Scheme != want.Scheme || got.Why != want.Why ||
-			got.CacheHit != want.CacheHit || got.BatchSize != want.BatchSize ||
-			got.Elapsed != want.Elapsed || got.Imbalance != want.Imbalance {
+			got.CacheHit != want.CacheHit || got.Elapsed != want.Elapsed ||
+			got.SessionGen != want.SessionGen {
 			t.Fatalf("metadata mismatch: %+v vs %+v", got, want)
 		}
 		if len(got.Values) != len(want.Values) {
@@ -141,16 +142,18 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsRoundTrip: a snapshot with every part present — scalars, a
+// scheme mix, stages and tenant rows — decodes to itself.
 func TestStatsRoundTrip(t *testing.T) {
 	want := engine.Stats{
-		Jobs: 100, CacheHits: 80, CacheMisses: 20,
-		Batches: 40, Coalesced: 60,
-		CacheEntries: 16, CacheEvictions: 3,
-		Schemes:        map[string]uint64{"rep": 50, "sel": 30, "pclr-Dir": 20},
-		BatchOccupancy: []uint64{0, 10, 5, 0, 25},
+		Jobs: 100, CacheHits: 80, CacheMisses: 20, Batches: 100,
+		CacheEntries: 16, CacheEvictions: 3, SessionJobs: 7,
+		Schemes: map[string]uint64{"rep": 50, "sel": 30, "pclr-Dir": 20},
+		Stages:  []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: 3, SumNs: 90, MaxNs: 40, Buckets: []uint64{0, 3}}}},
+		Tenants: []engine.TenantStats{{Name: "acme", Weight: 4, Jobs: 9, Busy: 2,
+			QueueWait: obs.Snapshot{Count: 9, SumNs: 81, MaxNs: 20, Buckets: []uint64{9}}}},
 	}
-	buf := AppendStats(nil, 9, &want)
-	f, _, err := DecodeFrame(buf, 0)
+	f, _, err := DecodeFrame(AppendStats(nil, 9, &want), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,284 +161,61 @@ func TestStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Jobs != want.Jobs || got.CacheHits != want.CacheHits ||
-		got.CacheMisses != want.CacheMisses || got.Batches != want.Batches ||
-		got.Coalesced != want.Coalesced || got.CacheEntries != want.CacheEntries ||
-		got.CacheEvictions != want.CacheEvictions {
-		t.Fatalf("counters mismatch: %+v", got)
-	}
-	if len(got.BatchOccupancy) != len(want.BatchOccupancy) {
-		t.Fatalf("occupancy length %d", len(got.BatchOccupancy))
-	}
-	for i, v := range want.BatchOccupancy {
-		if got.BatchOccupancy[i] != v {
-			t.Fatalf("occupancy[%d] = %d, want %d", i, got.BatchOccupancy[i], v)
-		}
-	}
-	if len(got.Schemes) != len(want.Schemes) {
-		t.Fatalf("schemes %v", got.Schemes)
-	}
-	for k, v := range want.Schemes {
-		if got.Schemes[k] != v {
-			t.Fatalf("scheme %s = %d, want %d", k, got.Schemes[k], v)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestStatsRecalCompat pins the optional-trailing-pair rule the
-// recalibration counters ride on, mirroring TestHelloFlagsCompat: a
-// frame without the tail (what a pre-recalibration peer emits) decodes
-// with both counters zero, a tailed frame round-trips, and the encoder
-// omits the pair when both are zero so old decoders that reject trailing
-// bytes would still accept it.
-func TestStatsRecalCompat(t *testing.T) {
-	legacy := AppendStats(nil, 9, &engine.Stats{Jobs: 5, Schemes: map[string]uint64{"rep": 5}})
-	tailed := AppendStats(nil, 9, &engine.Stats{
-		Jobs: 5, Schemes: map[string]uint64{"rep": 5},
-		Recalibrations: 7, SchemeSwitches: 2,
-	})
-	if len(tailed) != len(legacy)+2 {
-		t.Fatalf("tailed frame %d bytes vs legacy %d: recal pair not trailing", len(tailed), len(legacy))
-	}
-	f, _, err := DecodeFrame(legacy, 0)
+// keyedStats encodes a STATS frame whose engine-scalar run is written
+// from rows instead of engine.StatsFields, with one tenant row written
+// from tenantRows — the frame a peer with another schema sends.
+func keyedStats(rows []obs.Field[engine.Stats], s *engine.Stats, tenantRows []obs.Field[engine.TenantStats], ts *engine.TenantStats) []byte {
+	dst, p := beginFrame(nil, FrameStats, 1)
+	dst = appendKeyed(dst, rows, s)
+	dst = append(dst, 0, 0, 1) // no schemes, no stages, one tenant
+	dst = appendString(dst, ts.Name)
+	dst = appendKeyed(dst, tenantRows, ts)
+	dst = appendSnapshot(dst, &ts.QueueWait)
+	return endFrame(dst, p)
+}
+
+// TestStatsKeyedRows: the STATS scalars travel by key, so a key this
+// build does not know (a newer peer's counter) is skipped and the rows
+// around it still land, in the engine run and in a tenant row alike; a
+// key sent twice is corrupt; and a row missing from the frame decodes as
+// zero.
+func TestStatsKeyedRows(t *testing.T) {
+	s := engine.Stats{Jobs: 5, CacheHits: 3, CacheEvictions: 2}
+	ts := engine.TenantStats{Name: "acme", Jobs: 4, Weight: 2}
+	newer := append(slices.Clip(engine.StatsFields), obs.Field[engine.Stats]{Key: "from_a_newer_peer", U64: func(s *engine.Stats) *uint64 { return &s.Jobs }})
+	newerTenant := append([]obs.Field[engine.TenantStats]{{Key: "tenant_counter_of_a_newer_peer", U64: func(t *engine.TenantStats) *uint64 { return &t.Jobs }}}, engine.TenantFields...)
+	f, _, err := DecodeFrame(keyedStats(newer, &s, newerTenant, &ts), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.DecodeStats()
-	if err != nil || s.Recalibrations != 0 || s.SchemeSwitches != 0 {
-		t.Fatalf("legacy stats decoded to recal %d/%d, err %v (want 0/0)", s.Recalibrations, s.SchemeSwitches, err)
-	}
-	f, _, err = DecodeFrame(tailed, 0)
+	got, err := f.DecodeStats()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("unknown keys not skipped: %v", err)
 	}
-	if s, err = f.DecodeStats(); err != nil || s.Recalibrations != 7 || s.SchemeSwitches != 2 {
-		t.Fatalf("tailed stats decoded to recal %d/%d, err %v (want 7/2)", s.Recalibrations, s.SchemeSwitches, err)
+	if got.Jobs != 5 || got.CacheHits != 3 || got.CacheEvictions != 2 || len(got.Tenants) != 1 || got.Tenants[0].Jobs != 4 || got.Tenants[0].Weight != 2 {
+		t.Fatalf("rows around an unknown key: %+v", got)
 	}
-	// A half-pair (recalibrations without switches) is corrupt.
-	f, _, err = DecodeFrame(halfPairStats(legacy), 0)
-	if err != nil {
-		t.Fatal(err)
+
+	older := engine.StatsFields[:2] // engine_jobs, cache_hits
+	f, _, _ = DecodeFrame(keyedStats(older, &s, engine.TenantFields, &ts), 0)
+	if got, err = f.DecodeStats(); err != nil || got.Jobs != 5 || got.CacheHits != 3 || got.CacheEvictions != 0 {
+		t.Fatalf("frame without the later rows: %+v, %v", got, err)
 	}
+
+	twice := append(slices.Clip(engine.StatsFields), engine.StatsFields[0])
+	f, _, _ = DecodeFrame(keyedStats(twice, &s, engine.TenantFields, &ts), 0)
 	if _, err := f.DecodeStats(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("half recal pair decoded without error: %v", err)
+		t.Fatalf("duplicate engine key: %v, want ErrCorrupt", err)
 	}
-}
-
-// halfPairStats rebuilds a legacy STATS frame with one extra trailing
-// uvarint — the invalid half of the recalibration pair.
-func halfPairStats(legacy []byte) []byte {
-	b := append([]byte(nil), legacy...)
-	b = append(b, 7) // one more uvarint in the payload
-	n := uint32(len(b) - 4)
-	b[0], b[1], b[2], b[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-	return b
-}
-
-// TestStatsSimplifyCompat pins the second optional tail — the
-// simplification quad after the recalibration pair: pair-only frames
-// decode with the quad zero, a quad frame round-trips (forcing the pair
-// out even when it is zero, since tails decode positionally), and
-// legacy frames decode with everything zero.
-func TestStatsSimplifyCompat(t *testing.T) {
-	base := engine.Stats{Jobs: 5, Schemes: map[string]uint64{"rep": 5}}
-	legacy := AppendStats(nil, 9, &base)
-
-	quad := base
-	quad.SimplifiedBatches, quad.SimplifyFallbacks = 11, 3
-	quad.SegsComputed, quad.SegsReused = 40, 120
-	tailed := AppendStats(nil, 9, &quad)
-	// Zero recal pair (2 bytes) + four single-byte counters.
-	if len(tailed) != len(legacy)+6 {
-		t.Fatalf("quad frame %d bytes vs legacy %d: quad not trailing after the pair", len(tailed), len(legacy))
-	}
-	f, _, err := DecodeFrame(tailed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := f.DecodeStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SimplifiedBatches != 11 || s.SimplifyFallbacks != 3 ||
-		s.SegsComputed != 40 || s.SegsReused != 120 {
-		t.Fatalf("quad round-trip = %d/%d/%d/%d", s.SimplifiedBatches, s.SimplifyFallbacks, s.SegsComputed, s.SegsReused)
-	}
-	if s.Recalibrations != 0 || s.SchemeSwitches != 0 {
-		t.Fatalf("zero recal pair decoded as %d/%d", s.Recalibrations, s.SchemeSwitches)
-	}
-
-	// A pair-only frame (a recalibrating peer without simplification)
-	// decodes with the quad zero.
-	pairOnly := base
-	pairOnly.Recalibrations = 7
-	f, _, err = DecodeFrame(AppendStats(nil, 9, &pairOnly), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, err = f.DecodeStats(); err != nil || s.SimplifiedBatches != 0 || s.SegsReused != 0 {
-		t.Fatalf("pair-only frame decoded quad %d/%d, err %v", s.SimplifiedBatches, s.SegsReused, err)
-	}
-
-	// A partial quad is corrupt.
-	f, _, err = DecodeFrame(halfPairStats(AppendStats(nil, 9, &pairOnly)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	twiceTenant := append(slices.Clip(engine.TenantFields), engine.TenantFields[0])
+	f, _, _ = DecodeFrame(keyedStats(engine.StatsFields, &s, twiceTenant, &ts), 0)
 	if _, err := f.DecodeStats(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("partial quad decoded without error: %v", err)
-	}
-}
-
-// TestSubmitTraceCompat pins the SUBMIT frame's optional trailing trace
-// ID on the HELLO-flags rule: untraced frames are byte-identical to the
-// pre-trace encoding and decode with trace ID 0; traced frames
-// round-trip; a truncated trace ID is corrupt.
-func TestSubmitTraceCompat(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	l := randomLoop(rng)
-	legacy := AppendSubmit(nil, 1, l)
-	zeroTraced := AppendSubmitTraced(nil, 1, l, 0)
-	if !bytes.Equal(legacy, zeroTraced) {
-		t.Fatal("zero trace ID changed the SUBMIT encoding")
-	}
-	traced := AppendSubmitTraced(nil, 1, l, 0xdeadbeef)
-	if len(traced) <= len(legacy) {
-		t.Fatalf("traced frame (%d bytes) not longer than legacy (%d)", len(traced), len(legacy))
-	}
-
-	f, _, err := DecodeFrame(legacy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := &trace.Loop{}
-	_, _, id, err := f.DecodeSubmitInto(got, nil, nil, 0)
-	if err != nil || id != 0 {
-		t.Fatalf("legacy submit decoded trace id %d, err %v (want 0)", id, err)
-	}
-
-	f, _, err = DecodeFrame(traced, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, id, err = f.DecodeSubmitInto(got, nil, nil, 0); err != nil || id != 0xdeadbeef {
-		t.Fatalf("traced submit decoded trace id %#x, err %v (want 0xdeadbeef)", id, err)
-	}
-	if !l.EqualPattern(got) {
-		t.Fatal("traced submit corrupted the loop pattern")
-	}
-
-	// A truncated trace ID (multi-byte uvarint cut before its terminator)
-	// is corrupt, not silently zero. 0xdeadbeef encodes to 5 bytes, so
-	// dropping the last byte leaves a dangling continuation bit.
-	cut := append([]byte(nil), traced[:len(traced)-1]...)
-	n := uint32(len(cut) - 4)
-	cut[0], cut[1], cut[2], cut[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-	f, _, err = DecodeFrame(cut, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := f.DecodeSubmitInto(got, nil, nil, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated trace id decoded without error: %v", err)
-	}
-}
-
-// TestStatsHistCompat pins the third optional STATS tail — the
-// stage-latency histogram summary after the simplification quad. The
-// matrix: legacy (no tails), pair-only, quad, and hist frames all decode
-// with the correct fields zero or present; a hist frame forces the pair
-// and quad out even when zero (positional tails); truncated hist tails
-// are corrupt.
-func TestStatsHistCompat(t *testing.T) {
-	base := engine.Stats{Jobs: 5, Schemes: map[string]uint64{"rep": 5}}
-	stages := []obs.StageSummary{
-		{Name: "execute", Snap: obs.Snapshot{Count: 3, SumNs: 3000, MaxNs: 1500, Buckets: []uint64{0, 1, 2}}},
-		{Name: "queue_wait", Snap: obs.Snapshot{Count: 2, SumNs: 10, MaxNs: 7, Buckets: []uint64{1, 0, 0, 1}}},
-	}
-
-	legacy := AppendStats(nil, 9, &base)
-	withHist := base
-	withHist.Stages = stages
-	tailed := AppendStats(nil, 9, &withHist)
-	if len(tailed) <= len(legacy)+6 {
-		t.Fatalf("hist frame %d bytes vs legacy %d: hist tail (and forced pair+quad) missing", len(tailed), len(legacy))
-	}
-
-	decode := func(buf []byte) (engine.Stats, error) {
-		f, _, err := DecodeFrame(buf, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.DecodeStats()
-	}
-
-	// Legacy decodes with no stages.
-	s, err := decode(legacy)
-	if err != nil || len(s.Stages) != 0 {
-		t.Fatalf("legacy stats decoded %d stages, err %v", len(s.Stages), err)
-	}
-	// Pair-only and quad frames (earlier tails) decode with no stages.
-	pairOnly := base
-	pairOnly.Recalibrations = 7
-	if s, err = decode(AppendStats(nil, 9, &pairOnly)); err != nil || len(s.Stages) != 0 {
-		t.Fatalf("pair-only stats decoded %d stages, err %v", len(s.Stages), err)
-	}
-	quad := base
-	quad.SegsReused = 11
-	if s, err = decode(AppendStats(nil, 9, &quad)); err != nil || len(s.Stages) != 0 {
-		t.Fatalf("quad stats decoded %d stages, err %v", len(s.Stages), err)
-	}
-
-	// The hist frame round-trips, zero pair and quad included.
-	s, err = decode(tailed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Recalibrations != 0 || s.SimplifiedBatches != 0 {
-		t.Fatalf("forced-out zero tails decoded as %d/%d", s.Recalibrations, s.SimplifiedBatches)
-	}
-	if len(s.Stages) != 2 {
-		t.Fatalf("hist round-trip: %d stages", len(s.Stages))
-	}
-	for i, want := range stages {
-		got := s.Stages[i]
-		if got.Name != want.Name || got.Snap.Count != want.Snap.Count ||
-			got.Snap.SumNs != want.Snap.SumNs || got.Snap.MaxNs != want.Snap.MaxNs {
-			t.Fatalf("stage %d = %+v, want %+v", i, got, want)
-		}
-		if len(got.Snap.Buckets) != len(want.Snap.Buckets) {
-			t.Fatalf("stage %d buckets %v, want %v", i, got.Snap.Buckets, want.Snap.Buckets)
-		}
-		for b := range want.Snap.Buckets {
-			if got.Snap.Buckets[b] != want.Snap.Buckets[b] {
-				t.Fatalf("stage %d bucket %d = %d, want %d", i, b, got.Snap.Buckets[b], want.Snap.Buckets[b])
-			}
-		}
-	}
-	// Every earlier tail rides along undisturbed when also set.
-	full := withHist
-	full.Recalibrations, full.SegsReused = 7, 11
-	if s, err = decode(AppendStats(nil, 9, &full)); err != nil ||
-		s.Recalibrations != 7 || s.SegsReused != 11 || len(s.Stages) != 2 {
-		t.Fatalf("full-tails frame decoded %d/%d/%d stages, err %v", s.Recalibrations, s.SegsReused, len(s.Stages), err)
-	}
-
-	// Truncating the hist tail anywhere inside it is corrupt. The tailed
-	// frame's prefix through the forced-out zero tails is the legacy
-	// encoding plus 2 bytes of zero pair and 4 of zero quad; cutting
-	// exactly there is a valid quad frame, so start one byte past it.
-	histStart := len(legacy) + 6
-	for n := histStart + 1; n < len(tailed); n++ {
-		cut := append([]byte(nil), tailed[:n]...)
-		ln := uint32(len(cut) - 4)
-		cut[0], cut[1], cut[2], cut[3] = byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24)
-		f, _, err := DecodeFrame(cut, 0)
-		if err != nil {
-			continue // header-level truncation already rejected
-		}
-		if _, err := f.DecodeStats(); err == nil {
-			t.Fatalf("hist tail truncated to %d bytes decoded without error", n)
-		}
+		t.Fatalf("duplicate tenant key: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -476,190 +256,6 @@ func TestSmallFramesRoundTrip(t *testing.T) {
 	}
 	if _, err = r.Next(); err != io.EOF {
 		t.Fatalf("expected io.EOF at stream end, got %v", err)
-	}
-}
-
-// TestHelloFlagsCompat pins the optional-trailing-field rule HELLO's
-// flags ride on: a flagless frame (what a pre-gateway peer emits) decodes
-// with Flags == 0, a flagged frame round-trips, and the encoder omits the
-// field entirely when flags are zero so old decoders that reject trailing
-// bytes would still accept it.
-func TestHelloFlagsCompat(t *testing.T) {
-	legacy := AppendHello(nil, Hello{Version: ProtoVersion, Procs: 4, MaxInflight: 8})
-	flagged := AppendHello(nil, Hello{Version: ProtoVersion, Procs: 4, MaxInflight: 8, Flags: HelloFlagGateway})
-	if len(flagged) <= len(legacy) {
-		t.Fatalf("flagged frame (%d bytes) not longer than legacy (%d): flags field missing", len(flagged), len(legacy))
-	}
-	f, _, err := DecodeFrame(legacy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := f.DecodeHello()
-	if err != nil || h.Flags != 0 {
-		t.Fatalf("legacy hello decoded to %+v, err %v (want Flags 0)", h, err)
-	}
-	f, _, err = DecodeFrame(flagged, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, err = f.DecodeHello(); err != nil || h.Flags != HelloFlagGateway {
-		t.Fatalf("flagged hello decoded to %+v, err %v (want gateway flag)", h, err)
-	}
-}
-
-// TestHelloTenantCompat pins the HELLO frame's optional trailing tenant
-// field: tenantless frames are byte-identical to the pre-tenant encoding
-// and decode with Tenant empty, a tenant frame forces the flags field out
-// (positional tails) and round-trips, flags and tenant ride together, and
-// a truncated tenant string is corrupt.
-func TestHelloTenantCompat(t *testing.T) {
-	legacy := AppendHello(nil, Hello{Version: ProtoVersion, Procs: 4, MaxInflight: 8})
-	tenant := AppendHello(nil, Hello{Version: ProtoVersion, Procs: 4, MaxInflight: 8, Tenant: "acme"})
-	// Forced-out zero flags (1 byte) + length-prefixed name (1+4 bytes).
-	if len(tenant) != len(legacy)+6 {
-		t.Fatalf("tenant frame %d bytes vs legacy %d, want +6", len(tenant), len(legacy))
-	}
-
-	f, _, err := DecodeFrame(legacy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := f.DecodeHello()
-	if err != nil || h.Tenant != "" {
-		t.Fatalf("legacy hello decoded tenant %q, err %v (want empty)", h.Tenant, err)
-	}
-
-	f, _, err = DecodeFrame(tenant, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, err = f.DecodeHello(); err != nil || h.Tenant != "acme" || h.Flags != 0 {
-		t.Fatalf("tenant hello decoded to %+v, err %v", h, err)
-	}
-
-	both := AppendHello(nil, Hello{Version: ProtoVersion, Procs: 4, MaxInflight: 8, Flags: HelloFlagGateway, Tenant: "acme"})
-	f, _, err = DecodeFrame(both, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, err = f.DecodeHello(); err != nil || h.Tenant != "acme" || h.Flags != HelloFlagGateway {
-		t.Fatalf("flags+tenant hello decoded to %+v, err %v", h, err)
-	}
-
-	// Cutting inside the tenant string (after its length prefix) is
-	// corrupt, not silently empty.
-	cut := append([]byte(nil), tenant[:len(tenant)-2]...)
-	ln := uint32(len(cut) - 4)
-	cut[0], cut[1], cut[2], cut[3] = byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24)
-	f, _, err = DecodeFrame(cut, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.DecodeHello(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated tenant decoded without error: %v", err)
-	}
-}
-
-// TestStatsTenantCompat pins the fifth optional STATS tail — the
-// per-tenant rows after the session quad. The compat matrix: every
-// earlier-tail shape (legacy, pair, quad, hist, session) decodes with no
-// tenant rows; a tenant frame forces all four earlier tails out (zeros)
-// and round-trips names, weights, counters and queue-wait snapshots; all
-// tails ride together; truncating anywhere inside the tenant tail is
-// corrupt.
-func TestStatsTenantCompat(t *testing.T) {
-	base := engine.Stats{Jobs: 5, Schemes: map[string]uint64{"rep": 5}}
-	legacy := AppendStats(nil, 9, &base)
-
-	tenants := []engine.TenantStats{
-		{Name: "default", Weight: 1, Jobs: 3, Batches: 2,
-			QueueWait: obs.Snapshot{Count: 2, SumNs: 90, MaxNs: 60, Buckets: []uint64{0, 1, 1}}},
-		{Name: "acme", Weight: 4, Jobs: 40, Batches: 10, Busy: 6, Recalibrations: 2, SchemeSwitches: 1,
-			QueueWait: obs.Snapshot{Count: 10, SumNs: 5000, MaxNs: 900}},
-	}
-	tailed := base
-	tailed.Tenants = tenants
-	buf := AppendStats(nil, 9, &tailed)
-	// Forced-out earlier tails: zero pair (2) + zero quad (4) + zero-stage
-	// histogram (1) + zero session quad (4) = 11 bytes before the rows.
-	if len(buf) <= len(legacy)+11 {
-		t.Fatalf("tenant frame %d bytes vs legacy %d: tenant tail missing", len(buf), len(legacy))
-	}
-
-	decode := func(b []byte) (engine.Stats, error) {
-		f, _, err := DecodeFrame(b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.DecodeStats()
-	}
-
-	for name, st := range map[string]engine.Stats{
-		"legacy":  base,
-		"pair":    {Jobs: 5, Recalibrations: 7},
-		"quad":    {Jobs: 5, SegsReused: 11},
-		"hist":    {Jobs: 5, Stages: []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: 1, SumNs: 5, MaxNs: 5, Buckets: []uint64{1}}}}},
-		"session": {Jobs: 5, SessionOpens: 2, SessionJobs: 9},
-	} {
-		s, err := decode(AppendStats(nil, 9, &st))
-		if err != nil || len(s.Tenants) != 0 {
-			t.Fatalf("%s frame decoded %d tenant rows, err %v (want none)", name, len(s.Tenants), err)
-		}
-	}
-
-	s, err := decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Recalibrations != 0 || s.SimplifiedBatches != 0 || len(s.Stages) != 0 || s.SessionOpens != 0 {
-		t.Fatalf("forced-out earlier tails decoded as %d/%d/%d/%d", s.Recalibrations, s.SimplifiedBatches, len(s.Stages), s.SessionOpens)
-	}
-	if len(s.Tenants) != len(tenants) {
-		t.Fatalf("tenant round-trip: %d rows, want %d", len(s.Tenants), len(tenants))
-	}
-	for i, want := range tenants {
-		got := s.Tenants[i]
-		if got.Name != want.Name || got.Weight != want.Weight ||
-			got.Jobs != want.Jobs || got.Batches != want.Batches || got.Busy != want.Busy ||
-			got.Recalibrations != want.Recalibrations || got.SchemeSwitches != want.SchemeSwitches {
-			t.Fatalf("tenant %d = %+v, want %+v", i, got, want)
-		}
-		if got.QueueWait.Count != want.QueueWait.Count || got.QueueWait.SumNs != want.QueueWait.SumNs ||
-			got.QueueWait.MaxNs != want.QueueWait.MaxNs || len(got.QueueWait.Buckets) != len(want.QueueWait.Buckets) {
-			t.Fatalf("tenant %d queue-wait %+v, want %+v", i, got.QueueWait, want.QueueWait)
-		}
-		for b := range want.QueueWait.Buckets {
-			if got.QueueWait.Buckets[b] != want.QueueWait.Buckets[b] {
-				t.Fatalf("tenant %d bucket %d = %d, want %d", i, b, got.QueueWait.Buckets[b], want.QueueWait.Buckets[b])
-			}
-		}
-	}
-
-	// Every earlier tail rides along undisturbed when also set.
-	full := tailed
-	full.Recalibrations, full.SegsReused, full.SessionJobs = 7, 11, 9
-	full.Stages = []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: 1, SumNs: 5, MaxNs: 5, Buckets: []uint64{1}}}}
-	if s, err = decode(AppendStats(nil, 9, &full)); err != nil ||
-		s.Recalibrations != 7 || s.SegsReused != 11 || len(s.Stages) != 1 ||
-		s.SessionJobs != 9 || len(s.Tenants) != 2 {
-		t.Fatalf("full-tails frame decoded %d/%d/%d/%d/%d rows, err %v",
-			s.Recalibrations, s.SegsReused, len(s.Stages), s.SessionJobs, len(s.Tenants), err)
-	}
-
-	// Truncating inside the tenant tail is corrupt. The tail starts right
-	// after the 11 forced-out bytes.
-	tenantStart := len(legacy) + 11
-	for n := tenantStart + 1; n < len(buf); n++ {
-		cut := append([]byte(nil), buf[:n]...)
-		ln := uint32(len(cut) - 4)
-		cut[0], cut[1], cut[2], cut[3] = byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24)
-		f, _, err := DecodeFrame(cut, 0)
-		if err != nil {
-			continue // header-level truncation already rejected
-		}
-		if _, err := f.DecodeStats(); err == nil {
-			t.Fatalf("tenant tail truncated to %d bytes decoded without error", n)
-		}
 	}
 }
 
@@ -711,43 +307,114 @@ func TestPreamble(t *testing.T) {
 	}
 }
 
+// everyFrame returns one valid encoding of each of the 11 frame types
+// (two of RESULT: one-shot with a handle, and a session answer).
+func everyFrame() [][]byte {
+	l := randomLoop(rand.New(rand.NewSource(5)))
+	res := engine.Result{Values: []float64{1, 2, 3}, Scheme: "rep", Why: "w"}
+	sres := engine.Result{Values: []float64{4, 5}, Scheme: "session", SessionGen: 9}
+	return [][]byte{
+		AppendHello(nil, Hello{Version: ProtoVersion, Procs: 4, MaxInflight: 8, Flags: HelloFlagGateway, Tenant: "acme"}),
+		AppendSubmitTraced(nil, 1, l, 0xdeadbeef),
+		AppendResultHandle(nil, 2, &res, 300),
+		AppendResult(nil, 3, &sres),
+		AppendError(nil, 4, "boom"),
+		AppendBusy(nil, 5, BusyTenant),
+		AppendStatsReq(nil, 300),
+		AppendStats(nil, 6, &engine.Stats{Jobs: 7, Schemes: map[string]uint64{"ll": 1},
+			Stages: []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: 1, SumNs: 9, MaxNs: 9, Buckets: []uint64{1}}}},
+			Tenants: []engine.TenantStats{{Name: "acme", Weight: 4, Jobs: 7,
+				QueueWait: obs.Snapshot{Count: 1, SumNs: 9, MaxNs: 9, Buckets: []uint64{1}}}}}),
+		AppendOpenSession(nil, 7, 2, l),
+		AppendDelta(nil, 8, 2, []reduction.RefDelta{{Pos: 0, Ref: 1}, {Pos: 5, Ref: 0}}),
+		AppendCloseSession(nil, 9, 2),
+		AppendSubmitRef(nil, 10, 0x9e3779b97f4a7c15, 5, 0xdeadbeef),
+	}
+}
+
 // TestTruncatedFramesError slices a valid frame at every possible length:
 // each prefix must decode to an error, never a panic and never a bogus
 // success.
 func TestTruncatedFramesError(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l := randomLoop(rng)
-	res := engine.Result{Values: []float64{1, 2, 3}, Scheme: "rep", BatchSize: 2}
-	sres := engine.Result{Values: []float64{4, 5}, Scheme: "session", SessionGen: 9}
-	frames := [][]byte{
-		AppendSubmit(nil, 1, l),
-		AppendResult(nil, 2, &res),
-		AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 8}),
-		AppendError(nil, 3, "boom"),
-		AppendBusy(nil, 4, BusyConn),
-		AppendStats(nil, 5, &engine.Stats{Schemes: map[string]uint64{"ll": 1}, BatchOccupancy: []uint64{0, 1}}),
-		AppendOpenSession(nil, 6, 2, l),
-		AppendDelta(nil, 7, 2, []reduction.RefDelta{{Pos: 0, Ref: 1}, {Pos: 5, Ref: 0}}),
-		AppendCloseSession(nil, 8, 2),
-		AppendResult(nil, 9, &sres),
-		AppendStats(nil, 10, &engine.Stats{SessionOpens: 1, SessionJobs: 2, Schemes: map[string]uint64{}, BatchOccupancy: []uint64{0}}),
-		AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 8, Tenant: "acme"}),
-		AppendBusy(nil, 11, BusyTenant),
-		AppendStats(nil, 12, &engine.Stats{Schemes: map[string]uint64{}, BatchOccupancy: []uint64{0},
-			Tenants: []engine.TenantStats{{Name: "acme", Weight: 4, Jobs: 7,
-				QueueWait: obs.Snapshot{Count: 1, SumNs: 9, MaxNs: 9, Buckets: []uint64{1}}}}}),
-		AppendSubmitRef(nil, 13, 0x9e3779b97f4a7c15, 300, 0),
-		AppendSubmitRef(nil, 14, 0x9e3779b97f4a7c15, 5, 0xdeadbeef),
-		AppendResultHandle(nil, 15, &res, 300),
-		AppendResultHandle(nil, 16, &sres, 7),
-		AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 8, Flags: HelloFlagPatternHandles}),
-	}
-	for fi, full := range frames {
+	for fi, full := range everyFrame() {
 		for n := 0; n < len(full); n++ {
 			if _, _, err := DecodeFrame(full[:n], 0); err == nil {
 				t.Fatalf("frame %d truncated to %d bytes decoded without error", fi, n)
 			}
 		}
+	}
+}
+
+// reframe returns frame b with its body replaced by body and the length
+// prefix patched, so the frame itself parses.
+func reframe(b []byte, body []byte) []byte {
+	f, _, err := DecodeFrame(b, 0)
+	if err != nil {
+		panic(err)
+	}
+	head := len(b) - len(f.Body)
+	out := append(append([]byte(nil), b[:head]...), body...)
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	return out
+}
+
+// TestFixedLayoutRejectsShortAndLong: version 2 has one layout per frame
+// type and every field is mandatory, so each type's decoder rejects a
+// body one byte short and a body with one byte more. (STATSREQ's body is
+// empty: it has no short form.)
+func TestFixedLayoutRejectsShortAndLong(t *testing.T) {
+	covered := map[FrameType]bool{}
+	for _, full := range everyFrame() {
+		f, _, err := DecodeFrame(full, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered[f.Type] = true
+		if _, _, ok := reencode(f); !ok {
+			t.Fatalf("%v: the valid frame does not decode", f.Type)
+		}
+		variants := map[string][]byte{"one trailing byte": append(slices.Clip(f.Body), 0)}
+		if len(f.Body) > 0 {
+			variants["one byte short"] = f.Body[:len(f.Body)-1]
+		}
+		for name, body := range variants {
+			g, _, err := DecodeFrame(reframe(full, body), 0)
+			if err != nil {
+				t.Fatalf("%v %s: the frame does not parse: %v", f.Type, name, err)
+			}
+			if _, _, ok := reencode(g); ok {
+				t.Errorf("%v: a body %s decodes", f.Type, name)
+			}
+		}
+	}
+	for ft := FrameHello; ft <= FrameSubmitRef; ft++ {
+		if !covered[ft] {
+			t.Errorf("no case covers %v", ft)
+		}
+	}
+}
+
+// TestResultDecodeAllocsNothing: decoding a RESULT into a sized
+// destination allocates nothing — the scheme and rationale come from the
+// intern table after their first sight.
+func TestResultDecodeAllocsNothing(t *testing.T) {
+	res := engine.Result{Values: make([]float64, 512), Scheme: "simplify", Why: "resident result: one copy", CacheHit: true}
+	f, _, err := DecodeFrame(AppendResultHandle(nil, 7, &res, 3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 512)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.DecodeResult(dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeResult allocates %.1f times per call", allocs)
+	}
+	r1, _ := f.DecodeResult(dst)
+	r2, _ := f.DecodeResult(dst)
+	if r1.Scheme != res.Scheme || r1.Why != res.Why || unsafe.StringData(r1.Why) != unsafe.StringData(r2.Why) {
+		t.Fatal("repeated decodes do not share one interned rationale")
 	}
 }
 
@@ -931,124 +598,6 @@ func TestCloseSessionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultSessionGenCompat pins the RESULT frame's optional trailing
-// session generation on the HELLO-flags rule: one-shot results are
-// byte-identical to the pre-session encoding and decode with generation
-// 0, session results round-trip, and a truncated tail is corrupt.
-func TestResultSessionGenCompat(t *testing.T) {
-	base := engine.Result{Values: []float64{1, 2}, Scheme: "session", BatchSize: 1}
-	legacy := AppendResult(nil, 3, &base)
-	gen := base
-	gen.SessionGen = 300 // two uvarint bytes
-	tailed := AppendResult(nil, 3, &gen)
-	if len(tailed) != len(legacy)+2 {
-		t.Fatalf("tailed result %d bytes vs legacy %d: generation not trailing", len(tailed), len(legacy))
-	}
-	f, _, err := DecodeFrame(legacy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := f.DecodeResult(nil)
-	if err != nil || r.SessionGen != 0 {
-		t.Fatalf("legacy result decoded generation %d, err %v (want 0)", r.SessionGen, err)
-	}
-	f, _, err = DecodeFrame(tailed, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, err = f.DecodeResult(nil); err != nil || r.SessionGen != 300 {
-		t.Fatalf("tailed result decoded generation %d, err %v (want 300)", r.SessionGen, err)
-	}
-	cut := append([]byte(nil), tailed[:len(tailed)-1]...)
-	ln := uint32(len(cut) - 4)
-	cut[0], cut[1], cut[2], cut[3] = byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24)
-	f, _, err = DecodeFrame(cut, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.DecodeResult(nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated generation decoded without error: %v", err)
-	}
-}
-
-// TestStatsSessionCompat pins the fourth optional STATS tail — the
-// session quad after the stage histograms. The compat matrix: legacy,
-// pair-only, quad, and hist frames (all earlier-tail shapes) decode with
-// the session counters zero; a session frame forces every earlier tail
-// out (zero pair, zero quad, zero-stage histogram) and round-trips; all
-// tails ride together; truncating inside the session tail is corrupt.
-func TestStatsSessionCompat(t *testing.T) {
-	base := engine.Stats{Jobs: 5, Schemes: map[string]uint64{"rep": 5}}
-	legacy := AppendStats(nil, 9, &base)
-
-	sess := base
-	sess.SessionOpens, sess.SessionJobs = 2, 9
-	sess.SessionSegsComputed, sess.SessionSegsReused = 30, 80
-	tailed := AppendStats(nil, 9, &sess)
-	// Forced-out earlier tails: zero pair (2) + zero quad (4) + zero-stage
-	// histogram (1), then four single-byte session counters.
-	if len(tailed) != len(legacy)+11 {
-		t.Fatalf("session frame %d bytes vs legacy %d, want +11", len(tailed), len(legacy))
-	}
-
-	decode := func(buf []byte) (engine.Stats, error) {
-		f, _, err := DecodeFrame(buf, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.DecodeStats()
-	}
-
-	for name, st := range map[string]engine.Stats{
-		"legacy": base,
-		"pair":   {Jobs: 5, Recalibrations: 7},
-		"quad":   {Jobs: 5, SegsReused: 11},
-		"hist":   {Jobs: 5, Stages: []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: 1, SumNs: 5, MaxNs: 5, Buckets: []uint64{1}}}}},
-	} {
-		s, err := decode(AppendStats(nil, 9, &st))
-		if err != nil || s.SessionOpens != 0 || s.SessionJobs != 0 ||
-			s.SessionSegsComputed != 0 || s.SessionSegsReused != 0 {
-			t.Fatalf("%s frame decoded session quad %d/%d/%d/%d, err %v (want zeros)",
-				name, s.SessionOpens, s.SessionJobs, s.SessionSegsComputed, s.SessionSegsReused, err)
-		}
-	}
-
-	s, err := decode(tailed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SessionOpens != 2 || s.SessionJobs != 9 || s.SessionSegsComputed != 30 || s.SessionSegsReused != 80 {
-		t.Fatalf("session round-trip = %d/%d/%d/%d", s.SessionOpens, s.SessionJobs, s.SessionSegsComputed, s.SessionSegsReused)
-	}
-	if s.Recalibrations != 0 || s.SimplifiedBatches != 0 || len(s.Stages) != 0 {
-		t.Fatalf("forced-out earlier tails decoded as %d/%d/%d stages", s.Recalibrations, s.SimplifiedBatches, len(s.Stages))
-	}
-
-	full := sess
-	full.Recalibrations, full.SegsReused = 7, 11
-	full.Stages = []obs.StageSummary{{Name: "execute", Snap: obs.Snapshot{Count: 1, SumNs: 5, MaxNs: 5, Buckets: []uint64{1}}}}
-	if s, err = decode(AppendStats(nil, 9, &full)); err != nil ||
-		s.Recalibrations != 7 || s.SegsReused != 11 || len(s.Stages) != 1 || s.SessionJobs != 9 {
-		t.Fatalf("full-tails frame decoded %d/%d/%d/%d, err %v", s.Recalibrations, s.SegsReused, len(s.Stages), s.SessionJobs, err)
-	}
-
-	// Truncating inside the session tail (a partial quad) is corrupt. The
-	// tail starts right after the forced-out earlier tails.
-	sessStart := len(legacy) + 7
-	for n := sessStart + 1; n < len(tailed); n++ {
-		cut := append([]byte(nil), tailed[:n]...)
-		ln := uint32(len(cut) - 4)
-		cut[0], cut[1], cut[2], cut[3] = byte(ln), byte(ln>>8), byte(ln>>16), byte(ln>>24)
-		f, _, err := DecodeFrame(cut, 0)
-		if err != nil {
-			continue
-		}
-		if _, err := f.DecodeStats(); err == nil {
-			t.Fatalf("session tail truncated to %d bytes decoded without error", n)
-		}
-	}
-}
-
 func TestBufferPoolReuse(t *testing.T) {
 	b := GetBuffer()
 	b.B = AppendStatsReq(b.B, 1)
@@ -1063,22 +612,6 @@ func TestBufferPoolReuse(t *testing.T) {
 	c.Free()
 }
 
-// parentFrames are frames captured from the encoders of the commit before
-// pattern handles existed (hex of the full length-prefixed frame), over
-// goldenLoop / goldenResult below. They are what "byte-identical to
-// today" means in the handle compat matrix: a peer that never negotiates
-// handles must keep producing exactly these bytes.
-var parentFrames = map[string]string{
-	"submit":       "2e000000020706676f6c64656e4008000000000000000440000000000000000003040b030301040208080700747d7c773e33",
-	"submitTraced": "38000000020706676f6c64656e4008000000000000000440000000000000000003040b030301040208080700747d7c773e3395f8a9fa97b7de9b9e01",
-	"result":       "4100000003070103c0c407000000000000f43f04686173680b766572792073706172736504000000000000f83f00000000000002c00000000000000000000000c00b5ae641",
-	"resultGen":    "4500000003070103c0c407000000000000f43f0773657373696f6e0b766572792073706172736504000000000000f83f00000000000002c00000000000000000000000c00b5ae6411a",
-	"hello":        "050000000100010440",
-	"helloGw":      "06000000010001044001",
-	"helloTenant":  "0b0000000100010000000461636d65",
-	"error":        "07000000040704626f6f6d",
-}
-
 func goldenLoop() *trace.Loop {
 	l := trace.NewLoop("golden", 64)
 	l.WorkPerIter = 2.5
@@ -1088,110 +621,6 @@ func goldenLoop() *trace.Loop {
 	l.AddIter(0)
 	l.AddIter(62, 2, 33, 7)
 	return l
-}
-
-func goldenResult() engine.Result {
-	return engine.Result{
-		Values: []float64{1.5, -2.25, 0, 3e9}, Scheme: "hash",
-		Why: "very sparse", CacheHit: true, BatchSize: 3,
-		Elapsed: 123456, Imbalance: 1.25,
-	}
-}
-
-// TestPatternHandleCompat is the handle rows of the compat matrix. The
-// frames a legacy dialogue consists of — HELLO, SUBMIT (traced or not),
-// RESULT (one-shot and session), ERROR — must encode to the bytes the
-// pre-handle encoders produced (parentFrames), which is what keeps a
-// legacy client against a new server, and a new client against a server
-// that does not advertise HelloFlagPatternHandles, byte-identical to
-// before: in both pairings the new frame and the new tail are simply
-// never sent (pinned at the dialogue level by the server and client
-// package tests). Then the new encodings: the handle is a trailing
-// RESULT field behind the session generation, the capability is one more
-// HELLO flag bit, and both decode on the HELLO-flags rule.
-func TestPatternHandleCompat(t *testing.T) {
-	l, res := goldenLoop(), goldenResult()
-	sres := res
-	sres.Scheme, sres.SessionGen = "session", 26
-	now := map[string][]byte{
-		"submit":       AppendSubmit(nil, 7, l),
-		"submitTraced": AppendSubmitTraced(nil, 7, l, 0x9e3779b97f4a7c15),
-		"result":       AppendResultHandle(nil, 7, &res, 0),
-		"resultGen":    AppendResultHandle(nil, 7, &sres, 0),
-		"hello":        AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 64}),
-		"helloGw":      AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 64, Flags: HelloFlagGateway}),
-		"helloTenant":  AppendHello(nil, Hello{Version: 1, Tenant: "acme"}),
-		"error":        AppendError(nil, 7, "boom"),
-	}
-	for name, want := range parentFrames {
-		if got := hex.EncodeToString(now[name]); got != want {
-			t.Errorf("%s frame drifted from the pre-handle encoding:\n got %s\nwant %s", name, got, want)
-		}
-	}
-	if !bytes.Equal(AppendResult(nil, 7, &res), now["result"]) {
-		t.Error("AppendResult differs from AppendResultHandle with no handle")
-	}
-
-	// The capability bit is one more flag: same frame length as the
-	// gateway HELLO, and a decoder that knows only bit 0 still reads the
-	// field and sees its own bit unchanged.
-	both := AppendHello(nil, Hello{Version: 1, Procs: 4, MaxInflight: 64, Flags: HelloFlagGateway | HelloFlagPatternHandles})
-	if len(both) != len(now["helloGw"]) {
-		t.Fatalf("handle bit changed the HELLO length: %d vs %d", len(both), len(now["helloGw"]))
-	}
-	f, _, err := DecodeFrame(both, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := f.DecodeHello()
-	if err != nil || h.Flags&HelloFlagGateway == 0 || h.Flags&HelloFlagPatternHandles == 0 {
-		t.Fatalf("hello flags %#x, err %v", h.Flags, err)
-	}
-
-	// RESULT handle tail: positional after the generation, so a one-shot
-	// result grows by a zero generation byte plus the handle, a session
-	// result by the handle alone.
-	decode := func(b []byte) (engine.Result, uint64, error) {
-		t.Helper()
-		f, n, err := DecodeFrame(b, 0)
-		if err != nil || n != len(b) {
-			t.Fatalf("frame: n=%d err=%v", n, err)
-		}
-		return f.DecodeResultHandle(nil)
-	}
-	tailed := AppendResultHandle(nil, 7, &res, 300) // two uvarint bytes
-	if len(tailed) != len(now["result"])+1+2 {
-		t.Fatalf("handle tail: %d bytes vs legacy %d", len(tailed), len(now["result"]))
-	}
-	r, handle, err := decode(tailed)
-	if err != nil || handle != 300 || r.SessionGen != 0 || r.Scheme != "hash" || len(r.Values) != 4 {
-		t.Fatalf("tailed result: handle %d gen %d err %v", handle, r.SessionGen, err)
-	}
-	genTailed := AppendResultHandle(nil, 7, &sres, 300)
-	if len(genTailed) != len(now["resultGen"])+2 {
-		t.Fatalf("handle after generation: %d bytes vs %d", len(genTailed), len(now["resultGen"]))
-	}
-	if r, handle, err = decode(genTailed); err != nil || handle != 300 || r.SessionGen != 26 {
-		t.Fatalf("gen+handle result: handle %d gen %d err %v", handle, r.SessionGen, err)
-	}
-	for name, legacy := range map[string][]byte{"result": now["result"], "resultGen": now["resultGen"]} {
-		if _, handle, err := decode(legacy); err != nil || handle != 0 {
-			t.Fatalf("legacy %s decoded handle %d, err %v (want 0)", name, handle, err)
-		}
-	}
-	// A handle-unaware caller still reads a tailed frame through the old
-	// entry point.
-	f, _, _ = DecodeFrame(tailed, 0)
-	if r, err := f.DecodeResult(nil); err != nil || r.BatchSize != 3 {
-		t.Fatalf("DecodeResult on a tailed frame: %+v, %v", r, err)
-	}
-	// Truncated inside the handle: corrupt, not silently zero.
-	cut := append([]byte(nil), tailed[:len(tailed)-1]...)
-	n := uint32(len(cut) - 4)
-	cut[0], cut[1], cut[2], cut[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-	if _, _, err := decode(cut); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated handle decoded without error: %v", err)
-	}
 }
 
 // TestSubmitRefRoundTrip covers the reference frame: it round-trips with
