@@ -14,12 +14,12 @@ test-short:
 race:
 	$(GO) test -short -race ./...
 
-# race-resident repeats the engine's resident-serve tests (the server's
-# inline serve and the Submit family's caller path, both sharing one
-# claim on the resident total) twenty times under the race detector —
-# the CI build-test job's second step.
+# race-resident repeats the engine's resident-result tests (the server's
+# inline serve, the Submit family's caller path and the workers, all
+# reading one immutable resident that a worker may replace) twenty
+# times under the race detector — the CI build-test job's second step.
 race-resident:
-	$(GO) test -race -count=20 -run 'ServeResident|Inline|Caller' ./internal/engine/
+	$(GO) test -race -count=20 -run 'Resident|Inline|Caller' ./internal/engine/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

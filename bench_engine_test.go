@@ -343,6 +343,9 @@ func BenchmarkDriftRecovery(b *testing.B) {
 		// Recover fast enough to watch within a benchtime run: re-profile
 		// every 8 executions, default hysteresis of 2.
 		RecalEvery: 8,
+		// The drift detector measures direct executions only, and a
+		// repeated hot key would be answered from its resident.
+		DisableSimplify: true,
 	}
 	e, err := engine.New(cfg)
 	if err != nil {

@@ -2,10 +2,10 @@
 // Recommend is Section 4's decision algorithm: it maps a measured
 // access-pattern profile (package pattern) to the reduction scheme that
 // best matches it, with a one-line rationale, and SchemeFor turns that
-// into the runnable scheme. RecommendSimplify (simplify.go) is the same
-// idea one level up: whether a batch's segment-overlap structure lets
-// most of the work be skipped before any scheme runs. Both are pure
-// functions of their evidence. The harness that validates Recommend
+// into the runnable scheme. It is a pure function of its evidence; the
+// one reuse decision left in the service (whether a hot loop's resident
+// result answers a submission) is a content check in the engine, not a
+// cost model. The harness that validates Recommend
 // against simulated execution time, the way the paper's Figure 3 does,
 // is the lab's package simred.
 package adapt

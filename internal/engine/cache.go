@@ -47,20 +47,20 @@ type cacheEntry struct {
 	// not seed the new scheme's freshly reset anchor.
 	decGen uint64
 
-	// Simplification-layer state (simplify.go), guarded by mu. segs is
-	// the entry's cached segment partial sums, segGen the decGen the
-	// current segment state was built under (a mismatch invalidates sums
-	// and re-arms the counters), segClaim is the claim on the cache —
-	// segBusy while one worker holds it exclusively for a job, n > 0
-	// while n callers serve the resident total (ServeResident's shared
-	// claim), 0 when free — segSeen counts seed-worthy jobs
-	// toward the seeding threshold, and segMiss counts consecutive
-	// declined analyses toward the shutoff limit.
-	segs     *reduction.SegCache
-	segGen   uint64
-	segClaim int
-	segSeen  int
-	segMiss  int
+	// Resident-result state (resident.go), guarded by mu. res is the
+	// armed resident, nil until a direct execution arms it; lastHashes
+	// are the segment hashes of the entry's previous direct run on a
+	// hit, which the next one compares to tell its content came back.
+	res        *resident
+	lastHashes []uint64
+}
+
+// newDecision bumps the decision generation and drops what the old
+// decision produced: the resident, whose bits are the old scheme's, and
+// the recorded segment hashes. Callers hold mu.
+func (en *cacheEntry) newDecision() {
+	en.decGen++
+	en.res, en.lastHashes = nil, en.lastHashes[:0]
 }
 
 // install records the decision for prof and points the entry at the
@@ -77,6 +77,19 @@ func (en *cacheEntry) install(prof *pattern.Profile, rec adapt.Recommendation) {
 // is simply re-inspected at its next sight.
 type decisionCache struct {
 	*clock.Sharded[*cacheEntry]
+}
+
+// newDecisionCache builds a decision cache holding at most maxEntries:
+// one lock shard per 64 entries, rounded down to a power of two and
+// clamped to 1..16, each holding an equal share (the 1024 default is 16
+// shards of 64). Up to shards-1 entries of maxEntries go unused when the
+// shards do not divide it.
+func newDecisionCache(maxEntries int) decisionCache {
+	shards := 1
+	for shards < 16 && shards*2*64 <= maxEntries {
+		shards *= 2
+	}
+	return decisionCache{clock.NewSharded[*cacheEntry](shards, shards*(maxEntries/shards))}
 }
 
 // get returns the entry for fp, creating (and, at capacity, evicting) as

@@ -70,7 +70,7 @@ func TestCallerHitNeedsNoWorker(t *testing.T) {
 }
 
 // TestCallerValuesAliasDst: a caller's dst with room is the answer's
-// storage; the resident total never is — scribbling on an answer and
+// storage; the resident's vector never is — scribbling on an answer and
 // resubmitting returns the same bits.
 func TestCallerValuesAliasDst(t *testing.T) {
 	l := simpLoop("caller-alias", 512, 256, 16, 23)
@@ -79,10 +79,13 @@ func TestCallerValuesAliasDst(t *testing.T) {
 	defer e.Close()
 	seedResident(t, e, l, want)
 	entry, _ := e.lookup(l, l.Fingerprint())
-	total, ok := entry.segs.Resident(l)
-	if !ok {
-		t.Fatal("resident total not armed")
+	entry.mu.Lock()
+	r := entry.res
+	entry.mu.Unlock()
+	if !r.answers(l) {
+		t.Fatal("resident not armed")
 	}
+	total := r.values
 
 	dst := make([]float64, l.NumElems+5)
 	res, err := e.SubmitInto(l, dst)
@@ -98,7 +101,7 @@ func TestCallerValuesAliasDst(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Why != residentWhy || len(res.Values) != l.NumElems || &res.Values[0] == &total[0] {
-			t.Fatalf("cap %d: %s, len %d; want a fresh copy of the resident total", cap(dst), res.Why, len(res.Values))
+			t.Fatalf("cap %d: %s, len %d; want a fresh copy of the resident's vector", cap(dst), res.Why, len(res.Values))
 		}
 		for i := range res.Values {
 			res.Values[i] = -1
@@ -144,7 +147,7 @@ func TestCallerMutatedFallsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Why == residentWhy {
-		t.Fatal("a mutated loop was answered from the resident total")
+		t.Fatal("a mutated loop was answered from the resident")
 	}
 	if d := bitDiffs(res.Values, m.RunSequential()); d > 0 {
 		t.Fatalf("mutated loop differs from RunSequential in %d of %d elements", d, len(res.Values))
@@ -193,9 +196,9 @@ func TestCallerStatsCountOnce(t *testing.T) {
 
 // TestCallerRacesSchemeSwitch: eight submitters hammer one hot loop
 // through the Submit family while another goroutine keeps bumping the
-// entry's decision generation, as a recalibration scheme switch does.
-// Hits, declines, re-seeds and worker serves interleave; every answer
-// must be RunSequential's bits, and the reader count must return to zero.
+// entry's decision, as a recalibration scheme switch does (dropping the
+// resident). Hits, declines, re-arms and worker serves interleave; every
+// answer must be RunSequential's bits.
 func TestCallerRacesSchemeSwitch(t *testing.T) {
 	l := simpLoop("caller-race", 512, 256, 16, 27)
 	want := l.RunSequential()
@@ -218,7 +221,7 @@ func TestCallerRacesSchemeSwitch(t *testing.T) {
 			default:
 			}
 			entry.mu.Lock()
-			entry.decGen++
+			entry.newDecision()
 			entry.mu.Unlock()
 			for i := 0; i < 50; i++ {
 				if _, err := e.Submit(l); err != nil {
@@ -254,8 +257,5 @@ func TestCallerRacesSchemeSwitch(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	bumper.Wait()
-	if n := readers(e, l); n != 0 {
-		t.Fatalf("reader count %d after the storm, want 0", n)
-	}
 	t.Logf("caller resident hits per submitter: %v", resident)
 }

@@ -59,15 +59,12 @@ func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) [legs][]Result {
 // TestRepeatAnswersAreBitIdentical is the numerical contract's enforced
 // clause: the bits of a direct execution depend on the loop and procs
 // only — not on when it ran, what ran before it, or which scheme
-// answered. With simplification off every one of 64 submissions of a
-// loop returns the first answer's bits, and those are
-// ll's (rep, ll, sel and hash fold in one order) or, from lw,
-// RunSequential's; with it on, the answers served from segment sums agree
-// among themselves (they fold the same pieces in the same order, but cut
-// at segments, not processor blocks), and a resident hit answered on the
-// caller returns the bits a worker's resident serve does. On the exact
-// grid the cuts cannot show, so every answer to an add loop is also
-// RunSequential's.
+// answered. Every one of 64 submissions of a loop returns the first
+// answer's bits, and those are ll's (rep, ll, sel and hash fold in one
+// order) or, from lw, RunSequential's — with residency on too, since a
+// resident holds the bits of the direct execution that armed it, on the
+// caller and on a worker alike. On the exact grid the cuts cannot show,
+// so every answer to an add loop is also RunSequential's.
 func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 	loops := workloads.MixedSet(0.25)
 	for _, procs := range []int{2, 4, 8} {
@@ -77,32 +74,25 @@ func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 			for _, l := range loops {
 				seq := l.RunSequential()
 				// first holds the first answer each executing scheme gave;
-				// "simplify" is the segment-sum path. firstResident holds
-				// each leg's first resident answer.
+				// "simplify" is a resident serve.
 				first := map[string][]float64{}
-				var firstResident [legs][]float64
 				answers := repeatAnswers(t, e, l)
+				// Whichever scheme answered first, its answer is the
+				// loop's one direct answer, and every resident holds it.
+				want, ref := reduction.LinkedList{}.Run(l, procs), "ll's answer"
+				if answers[legCaller][0].Scheme == "lw" {
+					want, ref = l.RunSequential(), "RunSequential"
+				}
 				for leg, results := range answers {
 					for i, res := range results {
-						want, seen := first[res.Scheme]
-						ref := "the first " + res.Scheme + " answer"
 						if l.Op == trace.OpAdd {
 							if d := bitDiffs(res.Values, seq); d > 0 {
 								t.Errorf("procs=%d simplify=%v %s: leg %d submission %d (%s) differs from RunSequential in %d of %d elements",
 									procs, simplify, l.Name, leg, i, res.Scheme, d, len(seq))
 							}
 						}
-						if !seen {
+						if _, seen := first[res.Scheme]; !seen {
 							first[res.Scheme] = res.Values
-							if simplify {
-								continue
-							}
-							// Whichever scheme answered, the first answer is
-							// the loop's one direct answer.
-							want, ref = reduction.LinkedList{}.Run(l, procs), "ll's answer"
-							if res.Scheme == "lw" {
-								want, ref = l.RunSequential(), "RunSequential"
-							}
 						}
 						if d := bitDiffs(res.Values, want); d > 0 {
 							t.Errorf("procs=%d simplify=%v %s: leg %d submission %d (%s) differs from %s in %d of %d elements",
@@ -113,16 +103,7 @@ func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 						// caller, which never queued.
 						if res.Why == residentWhy && (leg != legCaller || res.QueueWait == 0) {
 							resident[leg]++
-							if firstResident[leg] == nil {
-								firstResident[leg] = res.Values
-							}
 						}
-					}
-				}
-				if in, wk := firstResident[legCaller], firstResident[legWorker]; in != nil && wk != nil {
-					if d := bitDiffs(in, wk); d > 0 {
-						t.Errorf("procs=%d %s: the caller's resident serve differs from the worker's in %d of %d elements",
-							procs, l.Name, d, len(wk))
 					}
 				}
 				if !simplify && len(first) != 1 {

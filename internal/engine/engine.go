@@ -10,13 +10,12 @@
 //     access-pattern signature; a sharded decision cache keyed by
 //     trace.Fingerprint (a clock.Sharded) lets repeated workloads skip
 //     re-inspection without a global lock,
-//   - the simplification layer keeps verified per-segment partial sums
-//     on a decision's cache entry, so a loop that comes back with most of
-//     its content unchanged recomputes only the segments that moved, and
-//     one that comes back unchanged is answered from its resident total,
+//   - a hot loop's resident result (resident.go) is armed by its own
+//     direct execution once its content comes back, so a loop that
+//     comes back unchanged is answered with one verified copy,
 //   - SubmitAsync returns a Handle so clients can pipeline submissions;
 //     Submit is SubmitAsync + Wait,
-//   - a verified resident hit never queues: a loop whose resident total
+//   - a verified resident hit never queues: a loop whose resident
 //     verifies is answered on the caller's goroutine (ServeResident; the
 //     Submit family tries it first), and a session delta always is
 //     (Session.Apply): no queue, worker or hand-off,
@@ -38,7 +37,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/reduction"
 	"repro/internal/trace"
@@ -67,12 +65,10 @@ type Config struct {
 	// Empty means single-tenant: one queue, and stats with no tenant
 	// rows.
 	Tenants []TenantConfig
-	// MaxCacheEntries bounds the decision cache across all shards
-	// (default 1024); beyond it the owning shard evicts by CLOCK.
+	// MaxCacheEntries bounds the decision cache across all its lock
+	// shards (default 1024); beyond it the owning shard evicts by CLOCK.
+	// The lock-shard count follows from it (newDecisionCache).
 	MaxCacheEntries int
-	// CacheShards is the number of decision-cache lock shards, rounded
-	// up to a power of two (default 16).
-	CacheShards int
 	// DriftRatio is the recalibration cost-drift trigger: when a cache
 	// entry's EWMA execution cost diverges from its decision-time anchor
 	// by more than this ratio (either direction), the entry is marked
@@ -97,10 +93,9 @@ type Config struct {
 	// engine decides once per fingerprint and trusts the entry until
 	// CLOCK eviction, the pre-recalibration behavior.
 	DisableRecal bool
-	// DisableSimplify turns off the algebraic simplification layer: jobs
-	// never run as cached segment partial sums and no segment caches are
-	// seeded, so every job executes its full reference stream through the
-	// cached scheme (the pre-simplification behavior).
+	// DisableSimplify turns off resident results: no entry is armed and
+	// no job is answered from one, so every job executes its full
+	// reference stream through the cached scheme.
 	DisableSimplify bool
 }
 
@@ -110,8 +105,8 @@ type Result struct {
 	// sufficient capacity, Values aliases it.
 	Values []float64
 	// Scheme is the executed implementation: a paper abbreviation (rep,
-	// ll, sel, lw or hash), or "simplify" when the job was served from
-	// cached segment partial sums.
+	// ll, sel, lw or hash), or "simplify" when the job was answered from
+	// its entry's resident result.
 	Scheme string
 	// Why is the selection rationale recorded in the decision cache.
 	Why string
@@ -181,8 +176,8 @@ type Engine struct {
 
 // New starts an engine with cfg's worker pool running. It returns an
 // error when the configuration is invalid: a platform beyond the 64
-// processors the reduction schemes support, or negative Workers, QueueDepth,
-// MaxCacheEntries or CacheShards (zero always means "use the default").
+// processors the reduction schemes support, or negative Workers, QueueDepth
+// or MaxCacheEntries (zero always means "use the default").
 func New(cfg Config) (*Engine, error) {
 	switch {
 	case cfg.Workers < 0:
@@ -198,8 +193,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: negative QueueDepth %d", cfg.QueueDepth)
 	case cfg.MaxCacheEntries < 0:
 		return nil, fmt.Errorf("engine: negative MaxCacheEntries %d", cfg.MaxCacheEntries)
-	case cfg.CacheShards < 0:
-		return nil, fmt.Errorf("engine: negative CacheShards %d", cfg.CacheShards)
 	case cfg.DriftRatio < 0:
 		return nil, fmt.Errorf("engine: negative DriftRatio %g", cfg.DriftRatio)
 	case cfg.DriftRatio > 0 && cfg.DriftRatio <= 1:
@@ -221,10 +214,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxCacheEntries == 0 {
 		cfg.MaxCacheEntries = 1024
 	}
-	if cfg.CacheShards == 0 {
-		cfg.CacheShards = 16
-	}
-	cfg.CacheShards = ceilPow2(cfg.CacheShards)
 	if cfg.DriftRatio == 0 {
 		cfg.DriftRatio = 1.5
 	}
@@ -248,7 +237,7 @@ func New(cfg Config) (*Engine, error) {
 		tenants:    tenants,
 		tenantIdx:  tenantIdx,
 		pool:       reduction.NewBufferPool(),
-		cache:      decisionCache{clock.NewSharded[*cacheEntry](cfg.CacheShards, cfg.MaxCacheEntries)},
+		cache:      newDecisionCache(cfg.MaxCacheEntries),
 		statShards: newStatShards(cfg.Workers + 1),
 	}
 	e.caller = &e.statShards[cfg.Workers]
@@ -257,15 +246,6 @@ func New(cfg Config) (*Engine, error) {
 		go e.worker(w)
 	}
 	return e, nil
-}
-
-// ceilPow2 rounds n up to the next power of two.
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Procs returns the per-job goroutine fan-out the engine executes with
@@ -286,13 +266,13 @@ var ErrClosed = errors.New("engine: closed")
 // A submitted loop must not change afterwards; build a new one instead
 // (Clone, then edit the copy). A resubmission is checked against what
 // the engine holds only at sampled positions: trace.Loop.Fingerprint's
-// and, per segment, pattern.HashRefs'. Its subscripts are otherwise
-// compared with the retained ones, and the engine retains the loop's own
-// storage, so for a loop edited in place through Flat that comparison is
-// with itself. An in-place edit at a sampled position is recomputed on a
-// worker; one anywhere else is answered with the previous content's
-// resident total. A different loop object is compared in full, so an
-// edited copy is always recomputed.
+// and, per segment, pattern.HashRefs'. Its iteration bounds and
+// subscripts are otherwise compared with the retained ones, and the
+// engine retains the loop's own storage, so for a loop edited in place
+// through Flat that comparison is with itself. An in-place edit at a
+// sampled position is recomputed on a worker; one anywhere else is
+// answered with the previous content's resident result. A different loop
+// object is compared in full, so an edited copy is always recomputed.
 func (e *Engine) Submit(l *trace.Loop) (Result, error) {
 	return e.SubmitInto(l, nil)
 }
@@ -328,8 +308,8 @@ func (e *Engine) SubmitAsyncInto(l *trace.Loop, dst []float64) (*Handle, error) 
 // index from TenantIndex; out-of-range degrades to the default tenant).
 // The job queues on the tenant's own FIFO.
 //
-// A loop whose resident total verifies never queues: ServeResident
-// answers it on the calling goroutine, the total is copied into dst, and
+// A loop whose resident verifies never queues: ServeResident answers it
+// on the calling goroutine, the resident's vector is copied into dst, and
 // the returned Handle is already complete — no queue slot, worker or
 // channel, so such a hit never blocks on QueueDepth.
 // Everything else goes through SubmitFingerprinted.
@@ -365,7 +345,7 @@ func checkLoop(l *trace.Loop) error {
 // without the resident probe, for a caller that already holds
 // l.Fingerprint() and has already tried ServeResident — the network
 // server computes the fingerprint once to intern the submission and
-// probes the resident total itself — so neither is repeated here. fp
+// probes the resident itself — so neither is repeated here. fp
 // must be exactly l.Fingerprint(): it keys the decision cache.
 func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, tenant int) (*Handle, error) {
 	if err := checkLoop(l); err != nil {
@@ -419,10 +399,12 @@ func (e *Engine) Close() {
 }
 
 // workerCtx is one worker's reusable scratch: the pooled execution
-// context and the worker's stat shard.
+// context, the segment hashes maybeArm computes, and the worker's stat
+// shard.
 type workerCtx struct {
-	ex    *reduction.Exec
-	stats *statShard
+	ex     *reduction.Exec
+	hashes []uint64
+	stats  *statShard
 }
 
 // worker owns one reusable execution context and one stat shard, and

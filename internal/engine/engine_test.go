@@ -124,8 +124,8 @@ func TestEngineDecisionCacheHitsOnRepeatedPattern(t *testing.T) {
 	loops, _ := mixedLoops()
 	l := loops[0]
 	// The test pins the direct path's decision-cache accounting (one
-	// scheme, exact hit counts); the simplification layer would flip a
-	// repeated dense pattern to the simplified plan partway through.
+	// scheme, exact hit counts); residency would answer a repeated
+	// pattern from its resident partway through.
 	e := mustNew(t, Config{Workers: 2, DisableSimplify: true})
 	defer e.Close()
 

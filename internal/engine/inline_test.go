@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -24,12 +25,12 @@ func serveResident(e *Engine, l *trace.Loop, tenant int) (Result, bool) {
 	return got, ok
 }
 
-// readers returns the entry's shared-claim count.
-func readers(e *Engine, l *trace.Loop) int {
+// residentFor returns l's entry's resident.
+func residentFor(e *Engine, l *trace.Loop) *resident {
 	entry, _ := e.lookup(l, l.Fingerprint())
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	return entry.segClaim
+	return entry.res
 }
 
 // stageCount is how many observations stage s has in a Stats snapshot.
@@ -44,10 +45,10 @@ func stageCount(s Stats, name string) uint64 {
 
 // TestServeResidentStatsParity: an inline serve moves the engine's
 // counters exactly as a worker's resident serve of the same loop does —
-// job, batch, cache hit, scheme, occupancy, simplified batch, reused
-// segments, the tenant's row and one execute observation — and it lands
-// in the caller shard, which Stats sums. Its Values carry the worker's
-// bits and alias the resident total.
+// job, batch, cache hit, scheme, reused segments, the tenant's row and
+// one execute observation — and it lands in the caller shard, which
+// Stats sums. Its Values carry the worker's bits and alias the
+// resident's vector.
 func TestServeResidentStatsParity(t *testing.T) {
 	l := simpLoop("parity", 512, 256, 16, 7)
 	want := l.RunSequential()
@@ -82,18 +83,11 @@ func TestServeResidentStatsParity(t *testing.T) {
 		}
 	}
 	e.ServeResident(l, l.Fingerprint(), 1, func(res Result) {
-		entry, _ := e.lookup(l, l.Fingerprint())
-		if total, _ := entry.segs.Resident(l); &res.Values[0] != &total[0] {
-			t.Error("inline Values do not alias the resident total")
-		}
-		if readers(e, l) != 1 {
-			t.Errorf("reader count %d inside use, want 1", readers(e, l))
+		if &res.Values[0] != &residentFor(e, l).values[0] {
+			t.Error("inline Values do not alias the resident's vector")
 		}
 	})
 	after2 := e.Stats()
-	if readers(e, l) != 0 {
-		t.Fatalf("reader count %d after the serves, want 0", readers(e, l))
-	}
 	if e.caller.c.Jobs != callerJobs+2 {
 		t.Errorf("caller shard counted %d jobs, want 2", e.caller.c.Jobs-callerJobs)
 	}
@@ -107,7 +101,7 @@ func TestServeResidentStatsParity(t *testing.T) {
 			t.Errorf("%s: worker serve moved it by %d, inline serve by %d", f.Series, w, i)
 		}
 	}
-	if wd.Schemes["simplify"] != 1 || id.Schemes["simplify"] != 1 || len(id.Schemes) != 1 {
+	if wd.Schemes[residentScheme] != 1 || id.Schemes[residentScheme] != 1 || len(id.Schemes) != 1 {
 		t.Errorf("scheme mix: worker %v, inline %v", wd.Schemes, id.Schemes)
 	}
 	for i := range wd.Tenants {
@@ -130,14 +124,14 @@ func TestServeResidentStatsParity(t *testing.T) {
 
 // TestServeResidentDeclines covers every decline: no entry (which must
 // create none and leave the CLOCK ring as it was), an unarmed entry, a
-// stale entry, a worker's exclusive claim, a decision-generation
-// mismatch, a geometry mismatch, changed content and a closed engine. A
-// decline moves no counter. While a reader holds the shared claim, a
-// worker's resident serve declines to the direct path instead.
+// stale entry, a geometry mismatch, changed content, iteration bounds
+// moved under unchanged subscripts, a decision switch and a closed
+// engine. A decline moves no counter. A worker's resident serve gives
+// the caller's bits.
 func TestServeResidentDeclines(t *testing.T) {
-	l := simpLoop("decline", 512, 256, 16, 9)
+	l := simpLoop("decline", 512, 2048, 4, 9)
 	want := l.RunSequential()
-	e := mustNew(t, Config{Workers: 1, CacheShards: 1, MaxCacheEntries: 2})
+	e := mustNew(t, Config{Workers: 1, MaxCacheEntries: 2})
 	defer e.Close()
 
 	cold := simpLoop("cold", 512, 256, 16, 10)
@@ -155,11 +149,11 @@ func TestServeResidentDeclines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := serveResident(e, l, 0); ok {
-		t.Fatal("served an entry with no segment state")
+		t.Fatal("served an entry with no resident")
 	}
-	for n := 1; n < segSeedAfter+1; n++ { // the rest of seedResident's submissions
+	for n := 1; n < 3; n++ { // the rest of seedResident's submissions
 		if res, err := e.Submit(l); err != nil || res.Why == residentWhy {
-			t.Fatalf("seeding submission %d: %s, %v", n, res.Why, err)
+			t.Fatalf("arming submission %d: %s, %v", n, res.Why, err)
 		}
 	}
 	if res, ok := serveResident(e, l, 0); !ok {
@@ -168,6 +162,15 @@ func TestServeResidentDeclines(t *testing.T) {
 		assertMatches(t, l.Name, res.Values, want)
 	}
 
+	// bounds moves one reference from iteration 2 to iteration 3: the
+	// subscripts, the segment hashes and the fingerprint (which samples
+	// every eighth offset of 2048 iterations) stay, the answer does not.
+	bounds := l.Clone()
+	offs, _ := bounds.Flat()
+	offs[3]--
+	if bounds.Fingerprint() != l.Fingerprint() || bitDiffs(bounds.RunSequential(), want) == 0 {
+		t.Fatal("the moved bound must keep the fingerprint and change the answer")
+	}
 	entry, _ := e.lookup(l, l.Fingerprint())
 	set := func(f func()) {
 		entry.mu.Lock()
@@ -181,10 +184,10 @@ func TestServeResidentDeclines(t *testing.T) {
 		submission *trace.Loop
 	}{
 		{"stale", func() { entry.stale = true }, func() { entry.stale = false }, l},
-		{"segBusy", func() { entry.segClaim = segBusy }, func() { entry.segClaim = 0 }, l},
-		{"segGen", func() { entry.segGen++ }, func() { entry.segGen-- }, l},
 		{"geometry", func() {}, func() {}, simpLoop("decline", 512, 200, 16, 9)},
 		{"content", func() {}, func() {}, mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 3, func(s int) bool { return s != 2 })},
+		{"bounds", func() {}, func() {}, bounds},
+		{"switch", entry.newDecision, func() {}, l},
 	} {
 		set(c.on)
 		if e.ServeResident(c.submission, l.Fingerprint(), 0, func(Result) { t.Errorf("%s: use called", c.name) }) {
@@ -192,42 +195,31 @@ func TestServeResidentDeclines(t *testing.T) {
 		}
 		set(c.off)
 	}
-	if readers(e, l) != 0 {
-		t.Fatalf("declines left %d readers", readers(e, l))
-	}
-	if s := e.Stats(); s.Jobs != base.Jobs || s.SimplifiedBatches != base.SimplifiedBatches {
+	if s := e.Stats(); s.Jobs != base.Jobs || s.SegsReused != base.SegsReused {
 		t.Fatalf("declines moved counters: jobs %d→%d", base.Jobs, s.Jobs)
 	}
+	if res, err := e.Submit(bounds); err != nil || res.Why == residentWhy || bitDiffs(res.Values, bounds.RunSequential()) > 0 {
+		t.Fatalf("moved bounds: %s, %v; want a direct run with its own bits", res.Why, err)
+	}
 
-	// A worker that finds a reader declines its claim: the job runs
-	// direct. A caller's submission shares the reader's claim instead and
-	// is answered inline, with the bits the worker's resident serve gives
-	// once the reader has left.
-	submitQueued := func() (Result, error) {
-		h, err := e.SubmitFingerprinted(l, l.Fingerprint(), nil, 0)
-		if err != nil {
-			return Result{}, err
+	// After the switch the next two runs re-arm; then the worker's
+	// resident serve and the caller's give the same bits.
+	for n := 0; n < 2; n++ {
+		if _, err := e.Submit(l); err != nil {
+			t.Fatal(err)
 		}
-		return h.Wait(), nil
 	}
-	set(func() { entry.segClaim++ })
-	if res, err := submitQueued(); err != nil || res.Scheme == "simplify" {
-		t.Fatalf("worker claimed the cache under a reader: %s, %v", res.Scheme, err)
+	h, err := e.SubmitFingerprinted(l, l.Fingerprint(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res := h.Wait()
 	inline, err := e.Submit(l)
-	if err != nil || inline.Why != residentWhy || inline.QueueWait != 0 {
-		t.Fatalf("caller not served inline under a reader: %s, queue wait %v, %v", inline.Why, inline.QueueWait, err)
-	}
-	set(func() { entry.segClaim-- })
-	res, err := submitQueued()
-	if err != nil || res.Why != residentWhy {
-		t.Fatalf("worker did not serve resident once the reader left: %s, %v", res.Why, err)
+	if err != nil || res.Why != residentWhy || inline.Why != residentWhy || inline.QueueWait != 0 {
+		t.Fatalf("worker %s, caller %s (queue wait %v), %v; want two resident serves", res.Why, inline.Why, inline.QueueWait, err)
 	}
 	if d := bitDiffs(inline.Values, res.Values); d > 0 {
 		t.Fatalf("inline serve differs from the worker's resident serve in %d of %d elements", d, len(res.Values))
-	}
-	if _, ok := serveResident(e, l, 0); !ok {
-		t.Fatal("armed entry declined")
 	}
 	e.Close()
 	if _, ok := serveResident(e, l, 0); ok {
@@ -253,35 +245,35 @@ func TestServeResidentNeedsNoWorker(t *testing.T) {
 }
 
 // TestServeResidentRaces hammers one armed entry from inline readers
-// while workers refresh its slots with a same-fingerprint variant, a
-// decision switch bumps decGen and a one-entry cache evicts the entry
-// under another pattern. Every answer must be its own loop's (never the
-// variant's), and the reader count must return to zero. Run under -race.
+// while workers re-arm it with a same-fingerprint variant, a decision
+// switch drops the resident and a one-entry cache evicts the entry under
+// another pattern. Every answer must be its own loop's RunSequential
+// bits, never the variant's. Then a reader that holds a resident while a
+// worker re-arms the entry with the variant must still read its own
+// loop's bits. Run under -race.
 func TestServeResidentRaces(t *testing.T) {
 	ms := workloads.NewSharedSubrangeStream(2, 0, 0.125, 5).Members
 	a, b := ms[0], ms[1]
 	other := simpLoop("other", 512, 256, 16, 12)
 	want := map[*trace.Loop][]float64{a: a.RunSequential(), b: b.RunSequential(), other: other.RunSequential()}
-	e := mustNew(t, Config{Workers: 2, CacheShards: 1, MaxCacheEntries: 1, Platform: core.DefaultPlatform(4)})
+	e := mustNew(t, Config{Workers: 2, MaxCacheEntries: 1, Platform: core.DefaultPlatform(4)})
 	defer e.Close()
 	seedResident(t, e, a, want[a])
 
 	check := func(l *trace.Loop, got []float64) {
-		for i, w := range want[l] {
-			if math.Abs(got[i]-w) > 1e-9*(1+math.Abs(w)) {
-				t.Errorf("%s: element %d = %g, want %g", l.Name, i, got[i], w)
-				return
-			}
+		if d := bitDiffs(got, want[l]); d > 0 {
+			t.Errorf("%s: %d of %d elements differ from RunSequential", l.Name, d, len(got))
 		}
 	}
 	const rounds = 300
 	var wg sync.WaitGroup
+	var done atomic.Bool
 	served := make([]int, 3)
 	for g := range served {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
+			for i := 0; !done.Load(); i++ {
 				l := a
 				if g == 2 && i%2 == 1 {
 					l = b
@@ -296,33 +288,54 @@ func TestServeResidentRaces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer done.Store(true)
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < rounds/4; i++ {
+			// Three in a row: a loop's content comes back and arms.
 			l := []*trace.Loop{a, a, b, other}[rng.Intn(4)]
-			res, err := e.Submit(l)
-			if err != nil {
-				t.Error(err)
-				return
+			for k := 0; k < 3; k++ {
+				res, err := e.Submit(l)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(l, res.Values)
 			}
-			check(l, res.Values)
 			if i%16 == 5 {
 				entry, _ := e.lookup(a, a.Fingerprint())
 				entry.mu.Lock()
-				entry.decGen++
+				entry.newDecision()
 				entry.mu.Unlock()
 			}
 		}
 	}()
 	wg.Wait()
-
-	entry, _ := e.lookup(a, a.Fingerprint())
-	entry.mu.Lock()
-	n := entry.segClaim
-	entry.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("reader count %d after the storm, want 0", n)
-	}
 	t.Logf("inline serves per reader: %v", served)
+
+	// Three submissions of a arm it whatever the storm left behind.
+	for n := 0; n < 3; n++ {
+		res, err := e.Submit(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(a, res.Values)
+	}
+	held := e.ServeResident(a, a.Fingerprint(), 0, func(res Result) {
+		for n := 0; n < 2; n++ { // b records its hashes, then comes back and arms
+			h, err := e.SubmitFingerprinted(b, b.Fingerprint(), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(b, h.Wait().Values)
+		}
+		if !residentFor(e, b).answers(b) {
+			t.Fatal("b did not re-arm the entry")
+		}
+		check(a, res.Values)
+	})
+	if !held {
+		t.Fatal("the armed loop was declined")
+	}
 }
 
 // TestSessionApplyOnCaller: Apply runs on the calling goroutine — it
@@ -387,5 +400,24 @@ func TestSessionApplyOnCaller(t *testing.T) {
 	}
 	if gen := s.Gen(); gen != 7 {
 		t.Fatalf("generation %d after six applies, want 7", gen)
+	}
+}
+
+// TestServeResidentWarmAllocs: a warm resident serve on the caller —
+// the cache probe, the checks and the accounting — allocates nothing.
+func TestServeResidentWarmAllocs(t *testing.T) {
+	l := simpLoop("allocs", 512, 256, 16, 14)
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, l.RunSequential())
+	fp := l.Fingerprint()
+	use := func(Result) {}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !e.ServeResident(l, fp, 0, use) {
+			t.Fatal("the armed loop was declined")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per warm resident serve, want 0", allocs)
 	}
 }

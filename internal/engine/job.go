@@ -33,9 +33,9 @@ type job struct {
 }
 
 // runJob executes one dequeued job through the cached adaptive path:
-// decision lookup, then the simplification layer when the entry's
-// segment cache can answer or is worth seeding, else one execution of
-// the cached scheme whose cost feeds the drift detector.
+// decision lookup, then the entry's resident when it answers the loop,
+// else one execution of the cached scheme whose cost feeds the drift
+// detector.
 func (e *Engine) runJob(w *workerCtx, j *job) {
 	if j.hold != nil {
 		<-j.hold
@@ -82,14 +82,15 @@ func (e *Engine) runJob(w *workerCtx, j *job) {
 		}
 	}
 
-	if e.trySimplified(w, entry, hit, j, qw, insp) {
+	if e.serveResidentJob(w, entry, j, hit, qw, insp) {
 		return
 	}
 	e.runDirect(w, entry, j, hit, qw, insp)
 }
 
-// runDirect executes one job through the entry's cached scheme and feeds
-// the measured cost to the drift detector.
+// runDirect executes one job through the entry's cached scheme, arms the
+// entry's resident when the loop's content came back (maybeArm), and
+// feeds the measured cost to the drift detector.
 func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, j *job, hit bool, qw, insp time.Duration) {
 	l := j.loop
 
@@ -102,6 +103,9 @@ func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, j *job, hit bool, qw
 	start := time.Now()
 	out := scheme.RunInto(l, e.cfg.Platform.Procs, w.ex, j.dst)
 	elapsed := time.Since(start)
+	if hit {
+		e.maybeArm(w, entry, l, out, decSeen)
+	}
 	w.stats.stages.Observe(obs.StageExecute, elapsed)
 	w.stats.record(name, hit)
 	j.done <- Result{

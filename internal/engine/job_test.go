@@ -19,7 +19,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{Platform: core.Platform{Procs: -2}},
 		{QueueDepth: -3},
 		{MaxCacheEntries: -1},
-		{CacheShards: -4},
 	}
 	for i, cfg := range bad {
 		if e, err := New(cfg); err == nil {
@@ -27,11 +26,22 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 			t.Errorf("config %d: invalid config accepted", i)
 		}
 	}
-	// CacheShards rounds up to a power of two.
-	e := mustNew(t, Config{Workers: 1, CacheShards: 3})
-	defer e.Close()
-	if got := e.cfg.CacheShards; got != 4 {
-		t.Errorf("CacheShards = %d, want 4", got)
+}
+
+// TestCacheEntriesBoundedByMax holds MaxCacheEntries to its doc: it
+// bounds the decision cache across all shards, and with as many distinct
+// fingerprints as it can take, the cache fills to it exactly when the
+// derived shard count divides it (1000 takes 8 shards of 125).
+func TestCacheEntriesBoundedByMax(t *testing.T) {
+	for _, max := range []int{1, 2, 3, 100, 1000, 1024} {
+		e := mustNew(t, Config{Workers: 1, MaxCacheEntries: max})
+		for fp := uint64(0); fp < uint64(4*max); fp++ {
+			e.cache.get(fp)
+		}
+		if got := e.Stats().CacheEntries; got != max {
+			t.Errorf("MaxCacheEntries %d: %d entries cached", max, got)
+		}
+		e.Close()
 	}
 }
 
@@ -193,7 +203,7 @@ func assertClose(errs chan<- string, name string, got, want []float64) {
 func TestCacheEvictionCLOCK(t *testing.T) {
 	loops, _ := mixedLoops()
 	A, B, C := loops[0], loops[1], loops[2]
-	e := mustNew(t, Config{Workers: 1, CacheShards: 1, MaxCacheEntries: 2})
+	e := mustNew(t, Config{Workers: 1, MaxCacheEntries: 2})
 	defer e.Close()
 	for _, l := range []*trace.Loop{A, B, A, C, A, B} {
 		if _, err := e.Submit(l); err != nil {

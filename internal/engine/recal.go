@@ -188,7 +188,7 @@ func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, 
 		return true, false
 	}
 	entry.install(fresh, rec)
-	entry.decGen++
+	entry.newDecision()
 	entry.stale = false
 	entry.confirm = 0
 	entry.pending = ""

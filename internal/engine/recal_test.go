@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -11,13 +12,16 @@ import (
 // under: one worker (batches execute in submission order), a huge
 // DriftRatio so wall-clock noise cannot mark entries stale (only the
 // periodic re-profile can), a short re-profile period and the default
-// hysteresis depth of 2.
+// hysteresis depth of 2. Residency is off: a repeated loop would be
+// answered from its resident, and the drift detector only measures
+// direct executions.
 func recalConfig() Config {
 	return Config{
-		Workers:    1,
-		Platform:   core.DefaultPlatform(8),
-		DriftRatio: 1e9,
-		RecalEvery: 4,
+		Workers:         1,
+		Platform:        core.DefaultPlatform(8),
+		DriftRatio:      1e9,
+		RecalEvery:      4,
+		DisableSimplify: true,
 	}
 }
 
@@ -256,6 +260,62 @@ func TestRecalConfigValidation(t *testing.T) {
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted an invalid recalibration config", cfg)
+		}
+	}
+}
+
+// TestResidentAcrossDriftPhaseShift runs a DriftStream phase shift with
+// residency on (recalConfig turns it off). Every answer is
+// RunSequential's bits of its own phase's loop; the first submission of
+// a key in the new phase is never answered from the old phase's
+// resident; and each key's new content is answered resident once it has
+// come back, from the third submission of the phase on (one run records
+// its hashes, the next arms).
+func TestResidentAcrossDriftPhaseShift(t *testing.T) {
+	ds := workloads.NewDriftStream(2, 2, 64, 1.4, 0.5, 3)
+	cfg := recalConfig()
+	cfg.DisableSimplify = false
+	e := mustNew(t, cfg)
+	defer e.Close()
+	type key struct{ phase, key int }
+	of := map[*trace.Loop]key{}
+	want := map[*trace.Loop][]float64{}
+	for p, phase := range ds.Phases {
+		for k, l := range phase {
+			of[l], want[l] = key{p, k}, l.RunSequential()
+		}
+	}
+	for k := range ds.Phases[0] {
+		if bitDiffs(want[ds.Phases[0][k]], want[ds.Phases[1][k]]) == 0 {
+			t.Fatalf("key %d answers the same in both phases", k)
+		}
+	}
+	seen := map[key]int{}
+	firstResident := map[key]int{}
+	for i, l := range ds.Stream {
+		res, err := e.Submit(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := bitDiffs(res.Values, want[l]); d > 0 {
+			t.Fatalf("job %d (%s, %s): %d elements differ from its own phase's RunSequential", i, l.Name, res.Scheme, d)
+		}
+		k := of[l]
+		seen[k]++
+		if res.Why == residentWhy {
+			if _, ok := firstResident[k]; !ok {
+				firstResident[k] = seen[k]
+			}
+		}
+	}
+	t.Logf("submissions per (phase, key) %v, first resident at %v", seen, firstResident)
+	for k, n := range seen {
+		at, ok := firstResident[k]
+		switch {
+		case !ok && n >= 4:
+			t.Errorf("phase %d key %d: %d submissions, never answered resident", k.phase, k.key, n)
+		case ok && k.phase > 0 && at < 3:
+			t.Errorf("phase %d key %d: answered resident at its submission %d, before its content came back", k.phase, k.key, at)
 		}
 	}
 }

@@ -23,7 +23,7 @@ var ErrSessionClosed = errors.New("engine: session closed")
 // the caller's goroutine — a delta costs microseconds, less than the
 // queue hand-off it would pay. Sessions are deliberately kept out of the
 // adaptive machinery: no decision cache and — like
-// simplified runs — no drift-detector cost samples, since an incremental
+// resident serves — no drift-detector cost samples, since an incremental
 // apply's cost says nothing about the full loop's scheme.
 //
 // A Session serializes its own operations: concurrent Apply calls queue
@@ -179,8 +179,8 @@ func (e *Engine) enqueueSession(sw *sessionWork) error {
 // runSession executes one session open on a worker: it builds the
 // DeltaState (one sequential reduction), reads the initial reduction into the
 // caller's destination and sets the generation to 1. Session results
-// never feed lookup or recordCost — the drift-detector exclusion the
-// simplified path also has, here by construction.
+// never feed lookup or recordCost — the drift-detector exclusion
+// resident serves also have, here by construction.
 func (e *Engine) runSession(w *workerCtx, sw *sessionWork, qw time.Duration) {
 	start := time.Now()
 	st, err := reduction.AdoptDeltaState(sw.loop, w.ex, sw.dst)

@@ -24,24 +24,19 @@ type Stats struct {
 	// counts the re-inspections that actually replaced an entry's scheme
 	// after the hysteresis threshold.
 	Recalibrations, SchemeSwitches uint64
-	// SimplifiedBatches counts batches executed through the simplified
-	// segment plan; SimplifyFallbacks counts batches whose segment
-	// analysis ran but whose decision (or decomposability) sent them back
-	// to the direct path. SegsComputed and SegsReused count the segment
-	// partial sums simplified executions accumulated fresh vs. served
-	// verified from an entry's segment cache — reuse is the incremental
-	// re-reduction win. They wait for the next [benchmark] PR, whose
-	// engine.segs_reused_ratio reads them.
-	SimplifiedBatches, SimplifyFallbacks uint64
-	SegsComputed, SegsReused             uint64
+	// SegsComputed counts the segments of every resident armed, and
+	// SegsReused the segments of every job answered from a resident (a
+	// resident serve is counted under Schemes["simplify"]). They wait for
+	// the next [benchmark] PR, whose engine.segs_reused_ratio reads them.
+	SegsComputed, SegsReused uint64
 	// SessionOpens counts streaming sessions registered; SessionJobs
 	// counts delta applications served through them. A session's reuse
 	// unit is one iteration: SessionSegsComputed counts the iterations
 	// an open reduced and an apply's deltas landed in, SessionSegsReused
-	// the iterations an apply left alone — kept apart from the
-	// batch-simplification SegsComputed/SegsReused so the two reuse
-	// stories stay separately observable. The pair waits for the next
-	// [benchmark] PR, whose session ratio still reads it.
+	// the iterations an apply left alone — kept apart from the resident
+	// SegsComputed/SegsReused so the two reuse stories stay separately
+	// observable. The pair waits for the next [benchmark] PR, whose
+	// session ratio still reads it.
 	SessionOpens, SessionJobs              uint64
 	SessionSegsComputed, SessionSegsReused uint64
 	// Schemes counts executed jobs per scheme name.
@@ -100,13 +95,9 @@ var StatsFields = []obs.Field[Stats]{
 		Key: "recalibrations", U64: func(s *Stats) *uint64 { return &s.Recalibrations }},
 	{Series: "redux_engine_scheme_switches_total", Help: "Recalibrations that replaced a cached scheme.",
 		Key: "scheme_switches", U64: func(s *Stats) *uint64 { return &s.SchemeSwitches }},
-	{Series: "redux_engine_simplified_batches_total", Help: "Batches executed through the simplified segment plan.",
-		Key: "simplified_batches", U64: func(s *Stats) *uint64 { return &s.SimplifiedBatches }},
-	{Series: "redux_engine_simplify_fallbacks_total", Help: "Segment analyses that fell back to the direct path.",
-		Key: "simplify_fallbacks", U64: func(s *Stats) *uint64 { return &s.SimplifyFallbacks }},
-	{Series: "redux_engine_segments_computed_total", Help: "Segment partial sums accumulated fresh.",
+	{Series: "redux_engine_segments_computed_total", Help: "Segments of the resident results armed.",
 		Key: "segments_computed", U64: func(s *Stats) *uint64 { return &s.SegsComputed }},
-	{Series: "redux_engine_segments_reused_total", Help: "Segment partial sums served from an entry's segment cache.",
+	{Series: "redux_engine_segments_reused_total", Help: "Segments of the jobs answered from a resident result.",
 		Key: "segments_reused", U64: func(s *Stats) *uint64 { return &s.SegsReused }},
 	{Series: "redux_engine_session_opens_total", Help: "Streaming sessions registered.",
 		Key: "session_opens", U64: func(s *Stats) *uint64 { return &s.SessionOpens }},
@@ -251,18 +242,12 @@ func (s *statShard) record(scheme string, hit bool) {
 	s.mu.Unlock()
 }
 
-// recordSimplify accounts one simplification attempt that got as far as
-// the segment analysis: an executed simplified job with its computed
-// and cache-reused segment counts, or a fallback to the direct path.
-func (s *statShard) recordSimplify(executed bool, computed, reused int) {
+// recordSegs accounts a resident's segments: computed when it was
+// armed, reused when it answered a job.
+func (s *statShard) recordSegs(computed, reused int) {
 	s.mu.Lock()
-	if executed {
-		s.c.SimplifiedBatches++
-		s.c.SegsComputed += uint64(computed)
-		s.c.SegsReused += uint64(reused)
-	} else {
-		s.c.SimplifyFallbacks++
-	}
+	s.c.SegsComputed += uint64(computed)
+	s.c.SegsReused += uint64(reused)
 	s.mu.Unlock()
 }
 

@@ -102,7 +102,6 @@ func sampleStats() engine.Stats {
 		Batches:      100,
 		CacheEntries: 7, CacheEvictions: 2,
 		Recalibrations: 9, SchemeSwitches: 4,
-		SimplifiedBatches: 12, SimplifyFallbacks: 1,
 		SegsComputed: 30, SegsReused: 18,
 		SessionOpens: 3, SessionJobs: 25,
 		SessionSegsComputed: 40, SessionSegsReused: 160,

@@ -86,7 +86,9 @@ const (
 )
 
 // AnalyzeSegments builds the segment decomposition of a batch's members
-// on one goroutine; AnalyzeSegmentsProcs spreads the work.
+// on one goroutine; AnalyzeSegmentsProcs spreads the work. Only
+// reduction.SegPlan calls them, and they leave with it at the next
+// change to the claims benchmark.
 func AnalyzeSegments(members []*trace.Loop, segIters int) (*SegmentAnalysis, error) {
 	return AnalyzeSegmentsProcs(members, segIters, 1)
 }
@@ -265,11 +267,11 @@ func HashRefs(refs []int32) uint64 {
 }
 
 // SameRefs reports element-wise equality of two subscript (or offsets)
-// slices with a pointer fast path. The planner uses it to verify cached
-// segment sums against the submitted content before reusing them, so it
-// runs over every shared segment of every batch: the main loop folds
-// eight XORs into one branch per block, keeping the equal case (the
-// overwhelmingly common one) free of per-element branches.
+// slices with a pointer fast path. The engine uses it to verify a
+// resident result's retained bounds and subscripts against every
+// submission it answers (and SegPlan its cached segment sums): the main
+// loop folds eight XORs into one branch per block, keeping the equal
+// case (the overwhelmingly common one) free of per-element branches.
 func SameRefs(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false

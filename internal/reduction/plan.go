@@ -16,8 +16,13 @@ import (
 // schemes apply to processor partials). Members whose subscript streams
 // overlap — shared prefixes, nested windows, staircases — pay for the
 // shared segments once; with a SegCache attached, segments whose content
-// survived from an earlier batch are not recomputed at all (incremental
+// survived from an earlier run are not recomputed at all (incremental
 // re-reduction).
+//
+// No serving path runs a SegPlan: the engine answers a hot loop from
+// one resident result armed by its own direct execution. SegPlan stays
+// for the claims benchmark's segplan probes and leaves with the next
+// change to that benchmark.
 //
 // The answer is the schemes' association with the iterations cut into
 // segments instead of processor blocks: each piece accumulated from the
@@ -63,8 +68,7 @@ type SegRunStats struct {
 
 // maxSegments bounds how many segments a plan may cut the iteration
 // space into. The fold has no width limit of its own; 64 stays because
-// it fixes the cuts DefaultSegIters has always made (and with them every
-// bit a resident pattern has returned), and because it sizes Run's
+// it fixes the cuts DefaultSegIters has always made and sizes Run's
 // per-segment served flags on the stack.
 const maxSegments = 64
 
@@ -74,9 +78,9 @@ const maxSegments = 64
 // at least the processor count rounded up to a power of two) but never
 // more than maxSegments, and never segments shorter than 32 iterations —
 // a segment must amortize its buffer fill and its share of the fold. The
-// rule is kept as it was because it fixes the cut, and the cut fixes the
-// answer; whether the cut should depend on procs at all is ROADMAP item
-// 4(a)'s call.
+// cut fixes a SegPlan's mul bits and the segments the engine's resident
+// check hashes; no served answer depends on it. It leaves with SegPlan
+// at the next change to the claims benchmark.
 func DefaultSegIters(numIters, procs int) int {
 	target := 8
 	p := 1
@@ -105,8 +109,9 @@ func BuildSegPlan(members []*trace.Loop, segIters int) (*SegPlan, error) {
 }
 
 // BuildSegPlanProcs is BuildSegPlan with the analysis sweep spread over
-// up to procs goroutines — the form the engine uses, so the inspection
-// pass scales with the processors the execution will use anyway.
+// up to procs goroutines, so the inspection pass scales with the
+// processors the execution will use anyway. It leaves with SegPlan at
+// the next change to the claims benchmark.
 func BuildSegPlanProcs(members []*trace.Loop, segIters, procs int) (*SegPlan, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("reduction: BuildSegPlan needs at least one member")
@@ -164,57 +169,20 @@ func BuildSegPlanProcs(members []*trace.Loop, segIters, procs int) (*SegPlan, er
 	return p, nil
 }
 
-// Members returns how many distinct loops the plan covers.
-func (p *SegPlan) Members() int { return len(p.members) }
-
-// CachedTasks reports how many of the plan's distinct partial sums the
-// cache could serve, by hash probe alone — the optimistic reuse estimate
-// the decision boundary weighs before committing to a simplified run.
-// Run still verifies slot content against the submitted subscripts
-// before trusting it.
-func (p *SegPlan) CachedTasks(cache *SegCache) int {
-	if cache == nil || !cache.Matches(p.members[0], p.Analysis.SegIters) {
-		return 0
-	}
-	n := 0
-	for ti := range p.tasks {
-		t := &p.tasks[ti]
-		slot := &cache.slots[t.seg]
-		if slot.valid && slot.hash == t.hash {
-			n++
-		}
-	}
-	return n
-}
-
 // SegCache holds one pattern's cached segment partial sums between
-// batches, keyed by segment position and verified by content before
-// reuse. The engine hangs one off its decision-cache entry; the
-// recalibration generation bump invalidates it wholesale (the entry's
-// scheme decision changed, so the workload did too). Buffers are owned
-// by the cache and never returned to a BufferPool: a pooled buffer
-// could be recycled into another worker's scratch while a later batch
-// still reads the cached sums.
-//
-// The cache also keeps the fold of its slots resident: total is every
-// slot's buffer folded in segment order, valid (totalOK) exactly while
-// no slot has been refreshed since it was folded. A loop whose every
-// segment verifies against its slot is then answered with one copy
-// instead of a Segments-way fold per element — the same bits, because
-// total was written by the same fold over the same buffers and the
-// per-element fold does not depend on block bounds.
+// runs, keyed by segment position and verified by content before reuse.
+// Buffers are owned by the cache and never returned to a BufferPool: a
+// pooled buffer could be recycled into another run's scratch while a
+// later run still reads the cached sums.
 type SegCache struct {
 	numIters, numElems, segIters int
 	op                           trace.Op
 	slots                        []segSlot
-	total                        []float64
-	totalOK                      bool
 }
 
 // segSlot is one cached segment sum plus the subscript content it was
 // computed from. refs aliases the owning loop's storage (loops are
-// immutable once submitted); holding it keeps that trace alive, which
-// SegCacheBytes accounts for when the engine caps cache size.
+// immutable once submitted), which keeps that trace alive.
 type segSlot struct {
 	valid bool
 	hash  uint64
@@ -223,7 +191,8 @@ type segSlot struct {
 }
 
 // NewSegCache builds an empty cache for the loop's geometry under the
-// given segment width.
+// given segment width. It leaves with SegPlan at the next change to the
+// claims benchmark.
 func NewSegCache(l *trace.Loop, segIters int) *SegCache {
 	segs := (l.NumIters() + segIters - 1) / segIters
 	return &SegCache{
@@ -242,55 +211,13 @@ func (c *SegCache) Matches(l *trace.Loop, segIters int) bool {
 		c.segIters == segIters && c.op == l.Op
 }
 
-// SegCacheBytes estimates the resident footprint of a segment cache for
-// a loop under the given width: the sum buffers, the resident total and
-// the retained subscript content. The engine refuses to attach caches
-// beyond its budget.
-func SegCacheBytes(l *trace.Loop, segIters int) int {
-	segs := (l.NumIters() + segIters - 1) / segIters
-	return (segs+1)*l.NumElems*8 + l.TotalRefs()*4
-}
-
-// Serve answers l from the resident total with one copy into dst
-// (NumElems elements) when Resident verifies it; false means nothing was
-// written and the caller plans the loop as usual.
-func (c *SegCache) Serve(l *trace.Loop, dst []float64) bool {
-	total, ok := c.Resident(l)
-	if ok {
-		copy(dst, total)
-	}
-	return ok
-}
-
-// Resident returns the resident total when it answers l: the total is
-// valid and every slot passes the two checks Run's probe applies — the
-// sampled segment hash, then pattern.SameRefs against the retained
-// content. The slice is the cache's own and is valid only while the
-// caller's claim on the cache holds. Resident and Serve only read the
-// cache, so any number of callers may run them together; Run needs an
-// exclusive claim.
-func (c *SegCache) Resident(l *trace.Loop) ([]float64, bool) {
-	if !c.totalOK || !c.Matches(l, c.segIters) {
-		return nil, false
-	}
-	offs, refs := l.Flat()
-	for s := range c.slots {
-		slot := &c.slots[s]
-		seg := refs[offs[s*c.segIters]:offs[min((s+1)*c.segIters, c.numIters)]]
-		if !slot.valid || slot.hash != pattern.HashRefs(seg) || !pattern.SameRefs(slot.refs, seg) {
-			return nil, false
-		}
-	}
-	return c.total, true
-}
-
 // Run executes the plan on procs goroutines: distinct partial sums are
 // accumulated in parallel (skipping any verified in cache), then every
 // member's destination is combined from its parts in element blocks.
 // dsts must hold one destination of numElems elements per member. cache
 // may be nil; a cache whose geometry does not match is ignored. Run is
 // not concurrency-safe with respect to the cache: the caller serializes
-// cache-attached runs (the engine's per-entry claim does this).
+// cache-attached runs.
 func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) SegRunStats {
 	checkProcs(procs)
 	if len(dsts) != len(p.members) {
@@ -305,9 +232,9 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 	var st SegRunStats
 
 	// Probe: serve tasks whose cached content verifies, then pick the
-	// member-0 task of every unserved segment to refresh its slot — which
-	// ends the resident total's validity. Tasks of one segment differ in
-	// content, so at most one of them matches the slot.
+	// member-0 task of every unserved segment to refresh its slot. Tasks
+	// of one segment differ in content, so at most one of them matches
+	// the slot.
 	if cache != nil {
 		var served [maxSegments]bool
 		for ti := range p.tasks {
@@ -335,7 +262,6 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 			}
 			t.buf = slot.buf[:p.numElems]
 			t.intoSlot = true
-			cache.totalOK = false
 		}
 	}
 
@@ -386,60 +312,24 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 	// Combine: per member, fold the segment parts in segment order
 	// (foldBlock). Each processor owns an element range and walks it in
 	// merge blocks, as replicate does, so members share the parts while
-	// writing disjoint destinations. A member whose every part was served
-	// from the cache is the cache's own content: while the resident total
-	// is valid it gets a copy of it (parts[m] stays nil); otherwise its
-	// fold re-arms the total. Arming only on a fully served member means a
-	// stream that refreshes a slot every batch never pays the extra write.
+	// writing disjoint destinations.
 	parts := make([][][]float64, len(p.members))
-	arm, folds := -1, 0
 	for m := range p.members {
-		if cache != nil && p.allCached(m) {
-			if cache.totalOK {
-				continue
-			}
-			if arm < 0 {
-				arm = m
-			}
-		}
 		parts[m] = make([][]float64, p.Analysis.Segments)
 		for s := 0; s < p.Analysis.Segments; s++ {
 			parts[m][s] = p.tasks[p.taskOf[m][s]].buf
 		}
-		folds++
-	}
-	if arm >= 0 && cache.total == nil {
-		cache.total = make([]float64, p.numElems)
 	}
 	block := ex.mergeBlock(procs)
-	combine := func(lo, hi int) {
+	parallelFor(procs, func(pr int) {
+		lo, hi := blockBounds(p.numElems, procs, pr)
 		for blo := lo; blo < hi; blo += block {
 			bhi := min(blo+block, hi)
 			for m := range parts {
-				dst := dsts[m][blo:bhi]
-				if parts[m] == nil {
-					copy(dst, cache.total[blo:bhi])
-				} else {
-					foldBlock(dst, parts[m], blo, p.op, fast)
-				}
-				if m == arm {
-					copy(cache.total[blo:bhi], dst)
-				}
+				foldBlock(dsts[m][blo:bhi], parts[m], blo, p.op, fast)
 			}
 		}
-	}
-	if folds == 0 {
-		// Nothing but copies: not worth a goroutine fan-out.
-		combine(0, p.numElems)
-	} else {
-		parallelFor(procs, func(pr int) {
-			lo, hi := blockBounds(p.numElems, procs, pr)
-			combine(lo, hi)
-		})
-	}
-	if arm >= 0 {
-		cache.totalOK = true
-	}
+	})
 
 	for ti := range p.tasks {
 		t := &p.tasks[ti]
@@ -450,15 +340,4 @@ func (p *SegPlan) Run(procs int, ex *Exec, cache *SegCache, dsts [][]float64) Se
 		t.cached, t.intoSlot, t.pooled = false, false, false
 	}
 	return st
-}
-
-// allCached reports whether every part member m combines was served
-// from the cache this run.
-func (p *SegPlan) allCached(m int) bool {
-	for _, ti := range p.taskOf[m] {
-		if !p.tasks[ti].cached {
-			return false
-		}
-	}
-	return true
 }

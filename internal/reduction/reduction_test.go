@@ -49,7 +49,7 @@ func clusteredLoop(elems, iters int, seed int64) *trace.Loop {
 // in iteration order by the naive kernel, the pieces folded in order.
 // The paths differ only in the cut they pass: one piece for lw,
 // processor blocks (procCuts) for the privatizing schemes, segments
-// (segCuts) for SegPlan and the resident total. No pieces reduce to the
+// (segCuts) for SegPlan. No pieces reduce to the
 // neutral array.
 func cutOrder(l *trace.Loop, bounds []int) []float64 {
 	res := make([]float64, l.NumElems)

@@ -20,8 +20,8 @@
 // iteration order and returns trace.Loop.RunSequential's bits. Around the
 // schemes the package holds what the serving stack executes them through:
 // the Exec context and BufferPool, the optimized kernels and their naive
-// twins, SegPlan/SegCache (shared segment partial sums with a resident
-// result) and DeltaState (incremental sessions). inspect.go is the
+// twins, SegPlan/SegCache (shared segment partial sums, kept for the
+// claims benchmark's probes) and DeltaState (incremental sessions). inspect.go is the
 // read-only surface through which the paper-track simulators (the lab's
 // simred) replay the schemes' inspectors; nothing here depends on a
 // machine model.

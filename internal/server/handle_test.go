@@ -258,7 +258,7 @@ func TestPatternHandleCollisionNeverAliases(t *testing.T) {
 // canonical loop; once the handle is learned the same burst goes out by
 // reference.
 func TestPatternHandleBurstInterns(t *testing.T) {
-	// Simplification off: after the first burst a resident total would
+	// Residency off: after the first burst a resident result would
 	// answer the learned one on the read loop, and it would never queue.
 	eng, srv, addr, teardown := startServer(t,
 		engine.Config{Workers: 1, QueueDepth: 64, DisableSimplify: true},

@@ -17,18 +17,16 @@ import (
 )
 
 // TestInlineServeRaces drives two connections at one hot fingerprint
-// while the resident total under it is contested: a same-fingerprint
-// variant forces planned refreshes of its slots, a one-entry decision
-// cache evicts the entry under another pattern, and Shutdown cuts a
-// stream mid-flight. Every answer must be its own loop's, never the
-// variant's; every job must resolve exactly once (a duplicate RESULT
+// while the resident result under it is contested: a same-fingerprint
+// variant re-arms the entry whenever its content comes back, a one-entry
+// decision cache evicts the entry under another pattern, and Shutdown
+// cuts a stream mid-flight. Every answer must be its own loop's, never
+// the variant's; every job must resolve exactly once (a duplicate RESULT
 // kills the client's connection, a missing one times out); the server's
-// and the tenant's in-flight counts must return to zero; and the entry's
-// reader count must too, which a worker proves by serving the loop
-// resident afterwards — its exclusive claim needs no reader left. A
-// decision switch racing inline serves (a decGen bump) is driven in
-// engine.TestServeResidentRaces: it is engine state no client can flip.
-// Run under -race.
+// and the tenant's in-flight counts must return to zero; and the loop
+// must be served resident again afterwards. A decision switch racing
+// inline serves is driven in engine.TestServeResidentRaces: it is engine
+// state no client can flip. Run under -race.
 func TestInlineServeRaces(t *testing.T) {
 	ms := workloads.NewSharedSubrangeStream(2, 0, 0.125, 5).Members
 	a, b := ms[0], ms[1]
@@ -50,7 +48,7 @@ func TestInlineServeRaces(t *testing.T) {
 			}
 			return a
 		}},
-		{name: "evict", ecfg: engine.Config{MaxCacheEntries: 1, CacheShards: 1}, pick: func(conn, i int) *trace.Loop {
+		{name: "evict", ecfg: engine.Config{MaxCacheEntries: 1}, pick: func(conn, i int) *trace.Loop {
 			if conn == 1 && i%8 == 7 {
 				return other
 			}
@@ -81,7 +79,7 @@ func TestInlineServeRaces(t *testing.T) {
 				}
 			}()
 
-			// Arm a's resident total before the race starts.
+			// Arm a's resident result before the race starts.
 			for n := 0; ; n++ {
 				res, err := eng.Submit(a)
 				if err != nil {
@@ -170,7 +168,7 @@ func TestInlineServeRaces(t *testing.T) {
 					break
 				}
 				if n == 16 {
-					t.Fatal("a worker never served a resident again: a reader claim leaked")
+					t.Fatal("a was never served resident again")
 				}
 			}
 		})

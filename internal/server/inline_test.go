@@ -26,10 +26,10 @@ func assertBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestInlineAnswersAreEnginePathBits: once a pattern's resident total is
-// armed on a daemon, every RESULT the read loop serves inline is
+// TestInlineAnswersAreEnginePathBits: once a pattern's resident result
+// is armed on a daemon, every RESULT the read loop serves inline is
 // bit-identical to an in-process engine's resident answer for the same
-// loop (the segment cut), and every delta a session applies on the read
+// loop, and every delta a session applies on the read
 // loop reads bit-identical to RunSequential over the mirrored loop.
 // Both are answered with the daemon's only worker parked: a resident
 // SUBMIT_REF and a delta take no engine queue slot.

@@ -47,7 +47,6 @@ func main() {
 	recal := stats
 	recal.Recalibrations, recal.SchemeSwitches = 9, 4
 	simp := recal
-	simp.SimplifiedBatches, simp.SimplifyFallbacks = 12, 1
 	simp.SegsComputed, simp.SegsReused = 30, 18
 	hist := simp
 	hist.Stages = []obs.StageSummary{

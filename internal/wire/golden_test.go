@@ -58,7 +58,6 @@ func goldenStatsCases() []struct {
 	recal := none
 	recal.Recalibrations, recal.SchemeSwitches = 9, 4
 	simp := recal
-	simp.SimplifiedBatches, simp.SimplifyFallbacks = 12, 1
 	simp.SegsComputed, simp.SegsReused = 30, 18
 	hist := simp
 	hist.Stages = []obs.StageSummary{

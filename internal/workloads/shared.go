@@ -14,14 +14,17 @@ import (
 // traffic shape of a solver family iterating one mesh where each variant
 // perturbs a different boundary region: per-member direct execution
 // re-reduces the identical interior over and over, while a segment
-// decomposition (pattern.AnalyzeSegments) against cached segment sums
-// recomputes only the windows that differ from the last member run.
+// decomposition (pattern.AnalyzeSegments, reduction.SegPlan) computes
+// each shared window once.
 //
-// As in DriftStream, all members share one trace.Fingerprint — the
-// private-window rewrite preserves the subscripts at the fingerprint's
-// sampled stride positions — so every member lands on one decision-cache
-// entry, and a member submitted after another reuses the entry's
-// verified sums of the windows the two share.
+// No served workload has this shape, and the engine no longer reuses
+// partial sums across distinct loops: its reuse unit is the whole loop.
+// The stream stays for the tests and root benchmarks that measure what
+// that gives up (BenchmarkSimplifyOverlap, BenchmarkSegPlanWarm) and for
+// tests that need distinct same-fingerprint loops. As in DriftStream,
+// all members share one trace.Fingerprint — the private-window rewrite
+// preserves the subscripts at the fingerprint's sampled stride
+// positions — so every member lands on one decision-cache entry.
 type SharedSubrangeStream struct {
 	// Members are the distinct loops; Members[m]'s private window is
 	// window m % sharedWindows of the reference stream.
