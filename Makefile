@@ -14,12 +14,13 @@ test-short:
 race:
 	$(GO) test -short -race ./...
 
-# race-resident repeats the engine's resident-result tests (the server's
-# inline serve, the Submit family's caller path and the workers, all
-# reading one immutable resident that a worker may replace) twenty
-# times under the race detector — the CI build-test job's second step.
+# race-resident repeats the engine's caller-side tests twenty times
+# under the race detector — the CI build-test job's second step: the
+# resident-result serves (the server's inline serve and the Submit
+# family's caller path read one immutable resident that a worker's direct
+# run may replace) and session opens racing Close.
 race-resident:
-	$(GO) test -race -count=20 -run 'Resident|Inline|Caller' ./internal/engine/
+	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose' ./internal/engine/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

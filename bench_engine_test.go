@@ -343,9 +343,6 @@ func BenchmarkDriftRecovery(b *testing.B) {
 		// Recover fast enough to watch within a benchtime run: re-profile
 		// every 8 executions, default hysteresis of 2.
 		RecalEvery: 8,
-		// The drift detector measures direct executions only, and a
-		// repeated hot key would be answered from its resident.
-		DisableSimplify: true,
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
@@ -355,7 +352,7 @@ func BenchmarkDriftRecovery(b *testing.B) {
 	var dst []float64
 	for i := 0; i < 4*engine.RecalSeedExecs; i++ { // decide + anchor every key on the sparse phase
 		for _, l := range ds.Phases[0] {
-			res, err := e.SubmitInto(l, dst)
+			res, err := submitDirect(e, l, dst)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -375,7 +372,7 @@ func BenchmarkDriftRecovery(b *testing.B) {
 		}
 		for i := 0; i < 4*engine.RecalSeedExecs; i++ {
 			for _, l := range ds.Phases[1] {
-				if _, err := control.Submit(l); err != nil {
+				if _, err := submitDirect(control, l, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -385,7 +382,7 @@ func BenchmarkDriftRecovery(b *testing.B) {
 		var cdst []float64
 		for i := 0; i < controlJobs; i++ {
 			t0 := time.Now()
-			res, err := control.SubmitInto(stream[i%len(stream)], cdst)
+			res, err := submitDirect(control, stream[i%len(stream)], cdst)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -401,7 +398,7 @@ func BenchmarkDriftRecovery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		res, err := e.SubmitInto(stream[i%len(stream)], dst)
+		res, err := submitDirect(e, stream[i%len(stream)], dst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -553,6 +550,18 @@ func BenchmarkTenantIsolation(b *testing.B) {
 		b.Fatal("hot tenant made no progress — the flood never pressured the scheduler")
 	}
 	b.ReportMetric(100*float64(latP95(lat))/float64(solo), "isolation%")
+}
+
+// submitDirect runs l through SubmitFingerprinted, which always executes
+// the entry's cached scheme: the drift detector measures direct
+// executions only, and Submit would answer a repeated hot key from its
+// resident.
+func submitDirect(e *engine.Engine, l *trace.Loop, dst []float64) (engine.Result, error) {
+	h, err := e.SubmitFingerprinted(l, l.Fingerprint(), dst, 0)
+	if err != nil {
+		return engine.Result{}, err
+	}
+	return h.Wait(), nil
 }
 
 // latP95 returns the 95th-percentile latency of the (unsorted) sample.

@@ -20,11 +20,12 @@ import (
 // slot. If the connection dies, every later operation returns
 // ErrSessionGone and the caller re-opens and replays.
 //
-// Delta batches may be pipelined with SubmitDeltaAsync, but the server
-// applies concurrently in-flight batches in arrival order at its worker
-// queue, which pipelining does not fix across batches: pipeline only
-// batches that commute (touch distinct positions), or serialize with
-// SubmitDelta when order matters.
+// Delta batches may be pipelined with SubmitDeltaAsync: the server
+// applies a connection's batches on its read loop in arrival order, and
+// a CLOSE_SESSION after them answers once they are applied. Batches sent
+// from several goroutines at once arrive in whatever order their sends
+// interleave, so serialize with SubmitDelta when order matters across
+// goroutines.
 type Session struct {
 	s     *netSession
 	id    uint64

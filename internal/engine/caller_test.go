@@ -197,7 +197,7 @@ func TestCallerStatsCountOnce(t *testing.T) {
 // TestCallerRacesSchemeSwitch: eight submitters hammer one hot loop
 // through the Submit family while another goroutine keeps bumping the
 // entry's decision, as a recalibration scheme switch does (dropping the
-// resident). Hits, declines, re-arms and worker serves interleave; every
+// resident). Hits, declines, re-arms and direct runs interleave; every
 // answer must be RunSequential's bits.
 func TestCallerRacesSchemeSwitch(t *testing.T) {
 	l := simpLoop("caller-race", 512, 256, 16, 27)

@@ -32,26 +32,30 @@ const (
 )
 
 // repeatAnswers submits l 64 times to e, 32 per leg: one after another
-// through Submit, which answers a resident loop on the caller; then one
-// after another through SubmitFingerprinted, which always queues for a
-// worker. The answers come back per leg.
-func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) [legs][]Result {
+// through Submit, which answers a resident loop on the caller (through
+// submitDirect instead when direct is set); then one after another
+// through SubmitFingerprinted, which always executes on a worker. The
+// answers come back per leg.
+func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop, direct bool) [legs][]Result {
 	t.Helper()
 	var out [legs][]Result
+	submit := e.Submit
+	if direct {
+		submit = func(l *trace.Loop) (Result, error) { return submitDirect(e, l) }
+	}
 	for i := 0; i < 32; i++ {
-		res, err := e.Submit(l)
+		res, err := submit(l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[legCaller] = append(out[legCaller], res)
 	}
-	fp := l.Fingerprint()
 	for i := 0; i < 32; i++ {
-		h, err := e.SubmitFingerprinted(l, fp, nil, 0)
+		res, err := submitDirect(e, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[legWorker] = append(out[legWorker], h.Wait())
+		out[legWorker] = append(out[legWorker], res)
 	}
 	return out
 }
@@ -61,22 +65,22 @@ func repeatAnswers(t *testing.T, e *Engine, l *trace.Loop) [legs][]Result {
 // only — not on when it ran, what ran before it, or which scheme
 // answered. Every one of 64 submissions of a loop returns the first
 // answer's bits, and those are ll's (rep, ll, sel and hash fold in one
-// order) or, from lw, RunSequential's — with residency on too, since a
-// resident holds the bits of the direct execution that armed it, on the
-// caller and on a worker alike. On the exact grid the cuts cannot show,
-// so every answer to an add loop is also RunSequential's.
+// order) or, from lw, RunSequential's — whether every job runs direct or
+// the caller leg is answered from a resident, since a resident holds the
+// bits of the direct execution that armed it. On the exact grid the cuts
+// cannot show, so every answer to an add loop is also RunSequential's.
 func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 	loops := workloads.MixedSet(0.25)
 	for _, procs := range []int{2, 4, 8} {
 		for _, simplify := range []bool{false, true} {
-			e := mustNew(t, Config{Workers: 2, Platform: core.DefaultPlatform(procs), DisableSimplify: !simplify})
+			e := mustNew(t, Config{Workers: 2, Platform: core.DefaultPlatform(procs)})
 			var resident [legs]int
 			for _, l := range loops {
 				seq := l.RunSequential()
 				// first holds the first answer each executing scheme gave;
 				// "simplify" is a resident serve.
 				first := map[string][]float64{}
-				answers := repeatAnswers(t, e, l)
+				answers := repeatAnswers(t, e, l, !simplify)
 				// Whichever scheme answered first, its answer is the
 				// loop's one direct answer, and every resident holds it.
 				want, ref := reduction.LinkedList{}.Run(l, procs), "ll's answer"
@@ -99,9 +103,7 @@ func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 								procs, simplify, l.Name, leg, i, res.Scheme, ref, d, len(want))
 							break
 						}
-						// The caller leg counts only answers served on the
-						// caller, which never queued.
-						if res.Why == residentWhy && (leg != legCaller || res.QueueWait == 0) {
+						if res.Why == residentWhy {
 							resident[leg]++
 						}
 					}
@@ -110,11 +112,11 @@ func TestRepeatAnswersAreBitIdentical(t *testing.T) {
 					t.Errorf("procs=%d %s: %d schemes answered one unchanging loop", procs, l.Name, len(first))
 				}
 			}
-			if simplify && (resident[legCaller] == 0 || resident[legWorker] == 0) {
-				t.Errorf("procs=%d: resident answers per leg (caller, worker) = %v; a leg checked nothing", procs, resident)
+			if simplify && resident[legCaller] == 0 {
+				t.Errorf("procs=%d: no resident answer on the caller leg; it checked nothing", procs)
 			}
-			if !simplify && resident != [legs]int{} {
-				t.Errorf("procs=%d: resident answers %v with simplification off", procs, resident)
+			if (!simplify && resident[legCaller] != 0) || resident[legWorker] != 0 {
+				t.Errorf("procs=%d simplify=%v: resident answers per leg (caller, worker) = %v; a direct submission was answered resident", procs, simplify, resident)
 			}
 			e.Close()
 		}

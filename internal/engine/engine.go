@@ -15,10 +15,11 @@
 //     comes back unchanged is answered with one verified copy,
 //   - SubmitAsync returns a Handle so clients can pipeline submissions;
 //     Submit is SubmitAsync + Wait,
-//   - a verified resident hit never queues: a loop whose resident
-//     verifies is answered on the caller's goroutine (ServeResident; the
-//     Submit family tries it first), and a session delta always is
-//     (Session.Apply): no queue, worker or hand-off,
+//   - the worker pool only executes: a loop whose resident verifies is
+//     answered on the caller's goroutine (ServeResident; the Submit
+//     family tries it first), and a session open and every delta run
+//     on their caller (AdoptSessionTenant, Session.Apply), so a queued
+//     job is a miss, a first sight or cold or changed work,
 //   - privatization buffers are recycled through a shared
 //     reduction.BufferPool, so steady-state jobs allocate ~nothing,
 //   - a direct execution cuts its blocks with the schemes' static
@@ -93,10 +94,6 @@ type Config struct {
 	// engine decides once per fingerprint and trusts the entry until
 	// CLOCK eviction, the pre-recalibration behavior.
 	DisableRecal bool
-	// DisableSimplify turns off resident results: no entry is armed and
-	// no job is answered from one, so every job executes its full
-	// reference stream through the cached scheme.
-	DisableSimplify bool
 }
 
 // Result is the outcome of one reduction job.
@@ -169,7 +166,7 @@ type Engine struct {
 
 	// statShards holds one shard per worker plus a last one, caller, for
 	// the work callers run on their own goroutines (ServeResident,
-	// Session.Apply).
+	// session opens and Session.Apply).
 	statShards []statShard
 	caller     *statShard
 }
@@ -346,7 +343,10 @@ func checkLoop(l *trace.Loop) error {
 // l.Fingerprint() and has already tried ServeResident — the network
 // server computes the fingerprint once to intern the submission and
 // probes the resident itself — so neither is repeated here. fp
-// must be exactly l.Fingerprint(): it keys the decision cache.
+// must be exactly l.Fingerprint(): it keys the decision cache. The job
+// always executes the entry's cached scheme on a worker, even when the
+// entry's resident would answer it, so a test that needs direct
+// executions of a repeated loop submits through here.
 func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, tenant int) (*Handle, error) {
 	if err := checkLoop(l); err != nil {
 		return nil, err
@@ -369,9 +369,9 @@ func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, te
 // dequeues it waits. On a one-worker engine everything enqueued after
 // Hold returns therefore stays queued until release, which makes queue
 // residency deterministic for tests that otherwise race a plug job's
-// duration. A verified resident hit is not enqueued, so Hold does not
-// park it; a test that needs a resident loop queued submits through
-// SubmitFingerprinted.
+// duration. Only queued work waits: a verified resident hit, a session
+// open and a session delta run on their caller, so Hold parks none of
+// them.
 // release is idempotent and must be called before Close.
 func (e *Engine) Hold() (release func(), err error) {
 	e.closeMu.RLock()
@@ -407,22 +407,17 @@ type workerCtx struct {
 	stats  *statShard
 }
 
-// worker owns one reusable execution context and one stat shard, and
+// worker owns one reusable execution context — over the engine's buffer
+// pool, merge blocks sized for its platform — and one stat shard, and
 // serves jobs until the queue closes.
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
-	w := &workerCtx{ex: e.newExec(), stats: &e.statShards[id]}
-	for j := e.q.pop(); j != nil; j = e.q.pop() {
-		e.runJob(w, j)
-	}
-}
-
-// newExec returns an execution context over the engine's buffer pool,
-// merge blocks sized for its platform: one per worker and one per
-// session.
-func (e *Engine) newExec() *reduction.Exec {
-	return &reduction.Exec{
+	ex := &reduction.Exec{
 		Pool:            e.pool,
 		MergeBlockElems: reduction.MergeBlockForCache(e.cfg.Platform.Cfg.L2Bytes, e.cfg.Platform.Procs),
+	}
+	w := &workerCtx{ex: ex, stats: &e.statShards[id]}
+	for j := e.q.pop(); j != nil; j = e.q.pop() {
+		e.runJob(w, j)
 	}
 }

@@ -12,14 +12,32 @@ import (
 	"repro/internal/workloads"
 )
 
-// mustNew builds an engine or fails the test.
+// mustNew builds an engine or fails the test. A zero DriftRatio becomes
+// one no wall-clock noise reaches: a cost-drift stale mark makes
+// ServeResident decline, and the queued job then runs direct, so a test
+// that expects a resident serve would depend on the host's timing. The
+// drift detector's own tests set DriftRatio themselves.
 func mustNew(t *testing.T, cfg Config) *Engine {
 	t.Helper()
+	if cfg.DriftRatio == 0 {
+		cfg.DriftRatio = 1e9
+	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// submitDirect submits l through SubmitFingerprinted, which always
+// executes the entry's cached scheme on a worker: the direct path, even
+// once the entry's resident would answer l.
+func submitDirect(e *Engine, l *trace.Loop) (Result, error) {
+	h, err := e.SubmitFingerprinted(l, l.Fingerprint(), nil, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	return h.Wait(), nil
 }
 
 // mixedLoops returns the shared mixed workload stream (small scale, three
@@ -124,13 +142,13 @@ func TestEngineDecisionCacheHitsOnRepeatedPattern(t *testing.T) {
 	loops, _ := mixedLoops()
 	l := loops[0]
 	// The test pins the direct path's decision-cache accounting (one
-	// scheme, exact hit counts); residency would answer a repeated
-	// pattern from its resident partway through.
-	e := mustNew(t, Config{Workers: 2, DisableSimplify: true})
+	// scheme, exact hit counts); Submit would answer a repeated pattern
+	// from its resident partway through, so it submits direct.
+	e := mustNew(t, Config{Workers: 2})
 	defer e.Close()
 
 	for n := 0; n < 5; n++ {
-		res, err := e.Submit(l)
+		res, err := submitDirect(e, l)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -44,11 +47,11 @@ func stageCount(s Stats, name string) uint64 {
 }
 
 // TestServeResidentStatsParity: an inline serve moves the engine's
-// counters exactly as a worker's resident serve of the same loop does —
-// job, batch, cache hit, scheme, reused segments, the tenant's row and
-// one execute observation — and it lands in the caller shard, which
-// Stats sums. Its Values carry the worker's bits and alias the
-// resident's vector.
+// counters as one resident job — one job, batch and cache hit, one
+// "simplify" scheme, every segment reused, one job on its tenant's row
+// and one execute observation, no queue_wait — and it lands in the
+// caller shard, which Stats sums. Its Values carry the bits of a direct
+// execution of the same loop and alias the resident's vector.
 func TestServeResidentStatsParity(t *testing.T) {
 	l := simpLoop("parity", 512, 256, 16, 7)
 	want := l.RunSequential()
@@ -56,14 +59,9 @@ func TestServeResidentStatsParity(t *testing.T) {
 	defer e.Close()
 	seedResident(t, e, l, want)
 
-	before := e.Stats()
-	h, err := e.SubmitFingerprinted(l, l.Fingerprint(), nil, 1)
+	direct, err := submitDirect(e, l)
 	if err != nil {
 		t.Fatal(err)
-	}
-	worker := h.Wait()
-	if worker.Why != residentWhy {
-		t.Fatalf("worker path ran %s (%s), want the resident serve", worker.Scheme, worker.Why)
 	}
 	mid := e.Stats()
 	callerJobs := e.caller.c.Jobs
@@ -73,14 +71,11 @@ func TestServeResidentStatsParity(t *testing.T) {
 	}
 	after := e.Stats()
 
-	if inline.Scheme != worker.Scheme || inline.Why != worker.Why || inline.CacheHit != worker.CacheHit {
-		t.Errorf("inline %s/%q/%v, worker %s/%q/%v", inline.Scheme, inline.Why, inline.CacheHit,
-			worker.Scheme, worker.Why, worker.CacheHit)
+	if inline.Scheme != residentScheme || inline.Why != residentWhy || !inline.CacheHit {
+		t.Errorf("inline %s/%q/%v, want a resident cache hit", inline.Scheme, inline.Why, inline.CacheHit)
 	}
-	for i := range worker.Values {
-		if math.Float64bits(inline.Values[i]) != math.Float64bits(worker.Values[i]) {
-			t.Fatalf("element %d: inline %v, worker %v", i, inline.Values[i], worker.Values[i])
-		}
+	if d := bitDiffs(inline.Values, direct.Values); d > 0 {
+		t.Fatalf("inline serve differs from the direct execution in %d elements", d)
 	}
 	e.ServeResident(l, l.Fingerprint(), 1, func(res Result) {
 		if &res.Values[0] != &residentFor(e, l).values[0] {
@@ -92,27 +87,30 @@ func TestServeResidentStatsParity(t *testing.T) {
 		t.Errorf("caller shard counted %d jobs, want 2", e.caller.c.Jobs-callerJobs)
 	}
 
-	wd, id := mid.Sub(before), after.Sub(mid)
+	id := after.Sub(mid)
+	wantMoved := map[string]uint64{"engine_jobs": 1, "batches": 1, "cache_hits": 1,
+		"segments_reused": uint64(len(residentFor(e, l).hashes))}
 	for _, f := range StatsFields {
-		if f.Kind != obs.Counter {
-			continue
-		}
-		if w, i := f.Get(&wd), f.Get(&id); w != i {
-			t.Errorf("%s: worker serve moved it by %d, inline serve by %d", f.Series, w, i)
+		if f.Kind == obs.Counter && f.Get(&id) != wantMoved[f.Key] {
+			t.Errorf("%s: an inline serve moved it by %d, want %d", f.Series, f.Get(&id), wantMoved[f.Key])
 		}
 	}
-	if wd.Schemes[residentScheme] != 1 || id.Schemes[residentScheme] != 1 || len(id.Schemes) != 1 {
-		t.Errorf("scheme mix: worker %v, inline %v", wd.Schemes, id.Schemes)
+	if id.Schemes[residentScheme] != 1 || len(id.Schemes) != 1 {
+		t.Errorf("scheme mix moved by %v, want one simplify", id.Schemes)
 	}
-	for i := range wd.Tenants {
-		for _, f := range TenantFields {
-			if f.Kind == obs.Counter && f.Get(&wd.Tenants[i]) != f.Get(&id.Tenants[i]) {
-				t.Errorf("tenant %s %s: worker %d, inline %d", wd.Tenants[i].Name, f.Series, f.Get(&wd.Tenants[i]), f.Get(&id.Tenants[i]))
+	for i := range id.Tenants {
+		for k, f := range TenantFields {
+			if f.Kind != obs.Counter {
+				continue
+			}
+			var w uint64
+			if i == 1 && k == tenantJobs {
+				w = 1
+			}
+			if got := f.Get(&id.Tenants[i]); got != w {
+				t.Errorf("tenant %s %s moved by %d, want %d", id.Tenants[i].Name, f.Series, got, w)
 			}
 		}
-	}
-	if got := id.Tenants[1].Jobs; got != 1 {
-		t.Errorf("tenant t1 jobs moved by %d, want 1", got)
 	}
 	if got := stageCount(after2, "execute") - stageCount(mid, "execute"); got != 2 {
 		t.Errorf("execute stage observed %d times over two inline serves, want 2", got)
@@ -126,7 +124,7 @@ func TestServeResidentStatsParity(t *testing.T) {
 // create none and leave the CLOCK ring as it was), an unarmed entry, a
 // stale entry, a geometry mismatch, changed content, iteration bounds
 // moved under unchanged subscripts, a decision switch and a closed
-// engine. A decline moves no counter. A worker's resident serve gives
+// engine. A decline moves no counter. A queued repeat runs direct with
 // the caller's bits.
 func TestServeResidentDeclines(t *testing.T) {
 	l := simpLoop("decline", 512, 2048, 4, 9)
@@ -202,24 +200,23 @@ func TestServeResidentDeclines(t *testing.T) {
 		t.Fatalf("moved bounds: %s, %v; want a direct run with its own bits", res.Why, err)
 	}
 
-	// After the switch the next two runs re-arm; then the worker's
-	// resident serve and the caller's give the same bits.
+	// After the switch the next two runs re-arm; then a queued repeat
+	// runs direct and the caller's resident serve gives its bits.
 	for n := 0; n < 2; n++ {
 		if _, err := e.Submit(l); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h, err := e.SubmitFingerprinted(l, l.Fingerprint(), nil, 0)
+	res, err := submitDirect(e, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := h.Wait()
 	inline, err := e.Submit(l)
-	if err != nil || res.Why != residentWhy || inline.Why != residentWhy || inline.QueueWait != 0 {
-		t.Fatalf("worker %s, caller %s (queue wait %v), %v; want two resident serves", res.Why, inline.Why, inline.QueueWait, err)
+	if err != nil || res.Why == residentWhy || inline.Why != residentWhy || inline.QueueWait != 0 {
+		t.Fatalf("queued %s, caller %s (queue wait %v), %v; want a direct run and a resident serve", res.Why, inline.Why, inline.QueueWait, err)
 	}
 	if d := bitDiffs(inline.Values, res.Values); d > 0 {
-		t.Fatalf("inline serve differs from the worker's resident serve in %d of %d elements", d, len(res.Values))
+		t.Fatalf("inline serve differs from the direct run in %d of %d elements", d, len(res.Values))
 	}
 	e.Close()
 	if _, ok := serveResident(e, l, 0); ok {
@@ -248,9 +245,10 @@ func TestServeResidentNeedsNoWorker(t *testing.T) {
 // while workers re-arm it with a same-fingerprint variant, a decision
 // switch drops the resident and a one-entry cache evicts the entry under
 // another pattern. Every answer must be its own loop's RunSequential
-// bits, never the variant's. Then a reader that holds a resident while a
-// worker re-arms the entry with the variant must still read its own
-// loop's bits. Run under -race.
+// bits, never the variant's. Then a reader that holds a resident while
+// queued runs of the variant (SubmitFingerprinted, which always runs
+// direct) re-arm the entry must still read its own loop's bits, and the
+// queued runs theirs. Run under -race.
 func TestServeResidentRaces(t *testing.T) {
 	ms := workloads.NewSharedSubrangeStream(2, 0, 0.125, 5).Members
 	a, b := ms[0], ms[1]
@@ -400,6 +398,122 @@ func TestSessionApplyOnCaller(t *testing.T) {
 	}
 	if gen := s.Gen(); gen != 7 {
 		t.Fatalf("generation %d after six applies, want 7", gen)
+	}
+}
+
+// TestSessionOpenOnCaller: an open runs on the calling goroutine — it
+// completes with the only worker parked — reads RunSequential's bits,
+// and moves SessionOpens by 1 in the caller shard, with one job on its
+// tenant and no queue_wait observation; the one-shot counters stay put.
+func TestSessionOpenOnCaller(t *testing.T) {
+	e := mustNew(t, Config{Workers: 1, Tenants: []TenantConfig{{Name: "t1"}}})
+	defer e.Close()
+	release, err := e.Hold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	l := sessionLoop(80, 300, 22)
+	before := e.Stats()
+	callerOpens := e.caller.c.SessionOpens
+	type opened struct {
+		s   *Session
+		res Result
+		err error
+	}
+	got := make(chan opened, 1)
+	go func() {
+		s, res, err := e.OpenSessionTenant(l, nil, 1)
+		got <- opened{s, res, err}
+	}()
+	var o opened
+	select {
+	case o = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a session open waited for the parked worker")
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	defer o.s.Close()
+	if d := bitDiffs(o.res.Values, l.RunSequential()); d > 0 || o.res.SessionGen != 1 || o.res.QueueWait != 0 {
+		t.Fatalf("open: %d elements off RunSequential, generation %d, queue wait %v", d, o.res.SessionGen, o.res.QueueWait)
+	}
+	after := e.Stats()
+	d := after.Sub(before)
+	if d.SessionOpens != 1 || e.caller.c.SessionOpens != callerOpens+1 {
+		t.Fatalf("SessionOpens moved by %d, in the caller shard by %d; want 1 and 1", d.SessionOpens, e.caller.c.SessionOpens-callerOpens)
+	}
+	if d.Tenants[1].Jobs != 1 || d.Tenants[0].Jobs != 0 || d.Jobs != 0 || d.Batches != 0 {
+		t.Fatalf("open moved tenant rows %+v, jobs %d, batches %d", d.Tenants, d.Jobs, d.Batches)
+	}
+	if stageCount(after, "queue_wait") != stageCount(before, "queue_wait") {
+		t.Error("an open observed queue_wait")
+	}
+}
+
+// TestSessionOpenRacesClose: goroutines open sessions while Close runs.
+// Each open returns either a session whose Apply works until Close, or
+// ErrClosed; SessionOpens counts exactly the opens that returned a
+// session, and no goroutine outlives Close. Run under -race.
+func TestSessionOpenRacesClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := mustNew(t, Config{Workers: 2})
+	l := sessionLoop(64, 200, 23)
+	want := l.RunSequential()
+	const openers = 6
+	var opens atomic.Uint64
+	var closing atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < openers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				s, res, err := e.OpenSession(l, nil)
+				if errors.Is(err, ErrClosed) {
+					if !closing.Load() {
+						t.Error("open answered ErrClosed before Close")
+					}
+					return
+				}
+				if err != nil {
+					t.Errorf("open: %v", err)
+					return
+				}
+				opens.Add(1)
+				if d := bitDiffs(res.Values, want); d > 0 {
+					t.Errorf("open differs from RunSequential in %d elements", d)
+				}
+				res, err = s.Apply(nil, nil)
+				switch {
+				case errors.Is(err, ErrClosed):
+					if !closing.Load() {
+						t.Error("apply answered ErrClosed before Close")
+					}
+				case err != nil:
+					t.Errorf("apply: %v", err)
+				case bitDiffs(res.Values, want) > 0 || res.SessionGen != 2:
+					t.Errorf("apply: generation %d, %d elements off RunSequential", res.SessionGen, bitDiffs(res.Values, want))
+				}
+				s.Close()
+			}
+		}()
+	}
+	for opens.Load() < openers {
+		runtime.Gosched()
+	}
+	closing.Store(true)
+	e.Close()
+	wg.Wait()
+	if got, n := e.Stats().SessionOpens, opens.Load(); got != n {
+		t.Fatalf("SessionOpens %d, successful opens %d", got, n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, started with %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

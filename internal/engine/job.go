@@ -8,10 +8,8 @@ import (
 )
 
 // job is the engine's queue item and unit of execution: one submitted
-// reduction with its result channel, executed on its own. Two other
-// kinds of work ride the queue in the same item: a streaming-session
-// open (sess), routed to runSession before any of the adaptive
-// machinery runs, and a Hold marker (hold), which carries no work.
+// reduction with its result channel, executed on its own. A Hold marker
+// (hold) rides the queue in the same item and carries no work.
 type job struct {
 	loop *trace.Loop
 	fp   uint64
@@ -24,18 +22,15 @@ type job struct {
 	// worker reads it once to charge the queue_wait stage.
 	enq time.Time
 
-	// sess marks a streaming-session open: the job has no loop of its own.
-	sess *sessionWork
-
 	// hold marks a job that carries no work: the worker that dequeues it
 	// parks until the channel closes (Engine.Hold).
 	hold chan struct{}
 }
 
 // runJob executes one dequeued job through the cached adaptive path:
-// decision lookup, then the entry's resident when it answers the loop,
-// else one execution of the cached scheme whose cost feeds the drift
-// detector.
+// decision lookup, re-inspection of a stale entry, then one execution of
+// the cached scheme (runDirect). A worker never answers from a resident:
+// the Submit family and the server probe it before queueing.
 func (e *Engine) runJob(w *workerCtx, j *job) {
 	if j.hold != nil {
 		<-j.hold
@@ -56,10 +51,6 @@ func (e *Engine) runJob(w *workerCtx, j *job) {
 		t.queueWait.Observe(qw)
 	}
 	t.countJob()
-	if j.sess != nil {
-		e.runSession(w, j.sess, qw)
-		return
-	}
 	l := j.loop
 	lookupStart := time.Now()
 	entry, hit := e.lookup(l, j.fp)
@@ -82,9 +73,6 @@ func (e *Engine) runJob(w *workerCtx, j *job) {
 		}
 	}
 
-	if e.serveResidentJob(w, entry, j, hit, qw, insp) {
-		return
-	}
 	e.runDirect(w, entry, j, hit, qw, insp)
 }
 

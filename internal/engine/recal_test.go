@@ -12,16 +12,15 @@ import (
 // under: one worker (batches execute in submission order), a huge
 // DriftRatio so wall-clock noise cannot mark entries stale (only the
 // periodic re-profile can), a short re-profile period and the default
-// hysteresis depth of 2. Residency is off: a repeated loop would be
-// answered from its resident, and the drift detector only measures
-// direct executions.
+// hysteresis depth of 2. The tests submit through submitDirect: Submit
+// would answer a repeated loop from its resident, and the drift detector
+// only measures direct executions.
 func recalConfig() Config {
 	return Config{
-		Workers:         1,
-		Platform:        core.DefaultPlatform(8),
-		DriftRatio:      1e9,
-		RecalEvery:      4,
-		DisableSimplify: true,
+		Workers:    1,
+		Platform:   core.DefaultPlatform(8),
+		DriftRatio: 1e9,
+		RecalEvery: 4,
 	}
 }
 
@@ -40,7 +39,7 @@ func TestRecalSwitchesSchemeAfterDrift(t *testing.T) {
 
 	// Phase 0: the entry decides hash on the sparse pattern.
 	for i := 0; i < 3; i++ {
-		res, err := e.Submit(sparse)
+		res, err := submitDirect(e, sparse)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +56,7 @@ func TestRecalSwitchesSchemeAfterDrift(t *testing.T) {
 	// 2) and the second one switches. From then on the entry serves ll.
 	schemes := make([]string, 0, 12)
 	for i := 0; i < 12; i++ {
-		res, err := e.Submit(dense)
+		res, err := submitDirect(e, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +116,7 @@ func TestRecalHysteresisDepth(t *testing.T) {
 	defer e.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := e.Submit(sparse); err != nil {
+		if _, err := submitDirect(e, sparse); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +125,7 @@ func TestRecalHysteresisDepth(t *testing.T) {
 	// re-inspections run on submissions 2, 3 and 4, and only the third
 	// confirmation switches — submission 4 is the first on ll.
 	for i := 1; i <= 12; i++ {
-		res, err := e.Submit(dense)
+		res, err := submitDirect(e, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +156,7 @@ func TestRecalNoDriftNoSwitch(t *testing.T) {
 	defer e.Close()
 
 	for i := 0; i < 40; i++ {
-		res, err := e.Submit(l)
+		res, err := submitDirect(e, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,12 +187,12 @@ func TestRecalDisabled(t *testing.T) {
 	defer e.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := e.Submit(sparse); err != nil {
+		if _, err := submitDirect(e, sparse); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 16; i++ {
-		res, err := e.Submit(dense)
+		res, err := submitDirect(e, dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,18 +263,16 @@ func TestRecalConfigValidation(t *testing.T) {
 	}
 }
 
-// TestResidentAcrossDriftPhaseShift runs a DriftStream phase shift with
-// residency on (recalConfig turns it off). Every answer is
-// RunSequential's bits of its own phase's loop; the first submission of
-// a key in the new phase is never answered from the old phase's
-// resident; and each key's new content is answered resident once it has
-// come back, from the third submission of the phase on (one run records
-// its hashes, the next arms).
+// TestResidentAcrossDriftPhaseShift runs a DriftStream phase shift
+// through Submit, so residents answer (the other recalibration tests
+// submit direct). Every answer is RunSequential's bits of its own
+// phase's loop; the first submission of a key in the new phase is never
+// answered from the old phase's resident; and each key's new content is
+// answered resident once it has come back, from the third submission of
+// the phase on (one run records its hashes, the next arms).
 func TestResidentAcrossDriftPhaseShift(t *testing.T) {
 	ds := workloads.NewDriftStream(2, 2, 64, 1.4, 0.5, 3)
-	cfg := recalConfig()
-	cfg.DisableSimplify = false
-	e := mustNew(t, cfg)
+	e := mustNew(t, recalConfig())
 	defer e.Close()
 	type key struct{ phase, key int }
 	of := map[*trace.Loop]key{}

@@ -24,15 +24,18 @@ import (
 // hashes. A first sight never hashes, and a stream whose content changes
 // every job never arms.
 //
-// A resident never changes once published. Readers — ServeResident on a
-// caller, serveResidentJob on a worker — take its pointer under
-// entry.mu and verify it outside the lock: the fingerprint (the entry's
-// key), every segment's sampled hash, then the iteration bounds and the
-// subscripts against the retained ones (pattern.SameRefs). A re-arm
-// publishes a new resident, so a reader never waits for a worker and one
-// holding the old resident still reads its own loop's bits. A scheme
-// switch (decGen) drops the resident and the recorded hashes; a direct
-// run of another geometry drops the resident.
+// A resident never changes once published, and it answers only where it
+// is probed: ServeResident, on the Submit family's caller and on the
+// server's read loop. A worker only executes; a queued repeat of an
+// armed loop runs direct and leaves the resident as it is. The reader
+// takes the resident's pointer under entry.mu and verifies it outside
+// the lock: the fingerprint (the entry's key), every segment's sampled
+// hash, then the iteration bounds and the subscripts against the
+// retained ones (pattern.SameRefs). A re-arm publishes a new resident,
+// so a reader never waits for a worker and one holding the old resident
+// still reads its own loop's bits. A scheme switch (decGen) drops the
+// resident and the recorded hashes; a direct run of another geometry
+// drops the resident.
 //
 // Resident serves deliberately do not feed the drift detector's cost
 // EWMA: a copy's cost says nothing about the cached scheme's fit.
@@ -103,9 +106,11 @@ func (r *resident) answers(l *trace.Loop) bool {
 // under decision generation decSeen, produced out: when l's segment
 // hashes equal the entry's previous direct run's, it arms the entry's
 // resident with a copy of out, else it records the hashes for the next
-// run to compare. It must run before out is handed to the job's client.
+// run to compare. A resident whose hashes already equal l's stays as it
+// is, so a queued repeat of the armed loop copies nothing. It must run
+// before out is handed to the job's client.
 func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []float64, decSeen uint64) {
-	if e.cfg.DisableSimplify || l.NumIters() == 0 {
+	if l.NumIters() == 0 {
 		return
 	}
 	segIters := reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs)
@@ -120,8 +125,9 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 	if entry.res != nil && !entry.res.fits(l) {
 		entry.res = nil
 	}
+	held := entry.res != nil && slices.Equal(entry.res.hashes, w.hashes)
 	entry.mu.Unlock()
-	if !back {
+	if !back || held {
 		return
 	}
 	offs, refs := l.Flat()
@@ -141,33 +147,10 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 	}
 }
 
-// serveResidentJob answers a dequeued job from its entry's resident with
-// one copy into the job's destination; false means the resident does not
-// answer the loop and the caller runs it direct.
-func (e *Engine) serveResidentJob(w *workerCtx, entry *cacheEntry, j *job, hit bool, qw, insp time.Duration) bool {
-	entry.mu.Lock()
-	r := entry.res
-	entry.mu.Unlock()
-	start := time.Now()
-	if !r.answers(j.loop) {
-		return false
-	}
-	j.dst = sizeDst(j.dst, len(r.values))
-	copy(j.dst, r.values)
-	res := Result{Values: j.dst, Scheme: residentScheme, Why: residentWhy, CacheHit: hit,
-		Elapsed: time.Since(start), QueueWait: qw, Inspect: insp}
-	w.stats.stages.Observe(obs.StageExecute, res.Elapsed)
-	// Account the job before waking its client: a client that reads Stats
-	// right after its result must find its own job counted.
-	w.stats.record(res.Scheme, hit)
-	w.stats.recordSegs(0, len(r.hashes))
-	j.done <- res
-	return true
-}
-
 // ServeResident answers l on the calling goroutine when its decision-cache
-// entry's resident answers it, the one serve that needs no queue or
-// worker; false means nothing happened and the caller submits as usual.
+// entry's resident answers it — the engine's only resident serve, with
+// no queue or worker; false means nothing happened and the caller
+// submits as usual.
 // fp must be l.Fingerprint(); tenant is an index from TenantIndex. The
 // Submit family calls it before queueing, and the network server calls
 // it on its read loop before SubmitFingerprinted.
@@ -178,10 +161,11 @@ func (e *Engine) serveResidentJob(w *workerCtx, entry *cacheEntry, j *job, hit b
 // stale (re-inspection runs on a worker), when it holds no resident, and
 // when the resident does not answer l. Otherwise use is called with a
 // Result whose Values alias the resident's vector: valid only inside the
-// call, and never to be written. The job is counted exactly as a
-// worker's resident serve counts it (the caller shard of Stats).
+// call, and never to be written. The job is counted in the caller shard
+// of Stats: one job, cache hit and "simplify" scheme, and every segment
+// reused.
 func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int, use func(Result)) bool {
-	if e.cfg.DisableSimplify || l == nil {
+	if l == nil {
 		return false
 	}
 	e.closeMu.RLock()

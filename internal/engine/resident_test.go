@@ -115,30 +115,6 @@ func TestEngineSimplifyFallbackDisjoint(t *testing.T) {
 	}
 }
 
-// TestEngineSimplifyDisabled pins the opt-out: with DisableSimplify no
-// resident is armed and no job is answered from one, no matter how
-// often a loop repeats.
-func TestEngineSimplifyDisabled(t *testing.T) {
-	l := simpLoop("off", 512, 256, 16, 4)
-	want := l.RunSequential()
-	e := mustNew(t, Config{Workers: 1, DisableSimplify: true})
-	defer e.Close()
-	for n := 0; n < 6; n++ {
-		res, err := e.Submit(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Scheme == residentScheme {
-			t.Fatalf("submission %d answered resident with residency disabled", n)
-		}
-		assertMatches(t, "off", res.Values, want)
-	}
-	s := e.Stats()
-	if s.SegsComputed != 0 || s.SegsReused != 0 {
-		t.Fatalf("segment counters moved while disabled: %d/%d", s.SegsComputed, s.SegsReused)
-	}
-}
-
 // TestEngineSimplifyMissShutoff: a stream whose content changes on every
 // job never arms a resident — each run only records its hashes — so it
 // pays no copy and no job of it is answered resident.
@@ -170,7 +146,8 @@ func TestEngineSimplifyMissShutoff(t *testing.T) {
 
 // TestEngineSimplifyValuesMatchDirect cross-checks the two paths end to
 // end: the same stream of partly-changed loops, each repeated until it
-// is answered resident, returns the same bits with residency on and off.
+// is answered resident, returns the same bits through Submit as through
+// submitDirect, where every job executes.
 func TestEngineSimplifyValuesMatchDirect(t *testing.T) {
 	const dim, iters, rpi = 512, 256, 16
 	segIters := reduction.DefaultSegIters(iters, 8)
@@ -181,13 +158,20 @@ func TestEngineSimplifyValuesMatchDirect(t *testing.T) {
 		loops = append(loops, mutateKeepingFingerprint(t, l, segIters, int64(40+m), func(s int) bool { return s < keepUpTo }))
 	}
 	var answers [2][][]float64
-	for i, disable := range []bool{false, true} {
-		e := mustNew(t, Config{Workers: 1, DisableSimplify: disable})
+	for i, direct := range []bool{false, true} {
+		e := mustNew(t, Config{Workers: 1})
+		submit := e.Submit
+		if direct {
+			submit = func(l *trace.Loop) (Result, error) { return submitDirect(e, l) }
+		}
 		for _, m := range loops {
 			for n := 0; n < 4; n++ {
-				res, err := e.Submit(m)
+				res, err := submit(m)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if direct && res.Why == residentWhy {
+					t.Fatalf("loop %s submission %d: a direct submission was answered resident", m.Name, n)
 				}
 				answers[i] = append(answers[i], res.Values)
 			}
@@ -196,15 +180,16 @@ func TestEngineSimplifyValuesMatchDirect(t *testing.T) {
 	}
 	for k := range answers[0] {
 		if d := bitDiffs(answers[0][k], answers[1][k]); d > 0 {
-			t.Fatalf("answer %d: residency on and off differ in %d elements", k, d)
+			t.Fatalf("answer %d: Submit and direct differ in %d elements", k, d)
 		}
 	}
 }
 
 // TestResidentAnswersAreDirectBits: under every operator, a resident
-// answer — on the caller and on a worker — carries the bits of the
-// direct execution that armed it on the same engine, at several
-// processor counts (mul's bits depend on the scheme's cut).
+// answer on the caller carries the bits of the direct execution that
+// armed it on the same engine, and so does a queued repeat, which runs
+// direct, at several processor counts (mul's bits depend on the
+// scheme's cut).
 func TestResidentAnswersAreDirectBits(t *testing.T) {
 	for _, procs := range []int{1, 3, 8} {
 		for _, op := range []trace.Op{trace.OpAdd, trace.OpMax, trace.OpMin, trace.OpMul} {
@@ -227,17 +212,19 @@ func TestResidentAnswersAreDirectBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := e.SubmitFingerprinted(l, l.Fingerprint(), nil, 0)
+			if caller.Why != residentWhy {
+				t.Fatalf("procs=%d %v: %s (%s), want a resident serve", procs, op, caller.Scheme, caller.Why)
+			}
+			queued, err := submitDirect(e, l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			worker := h.Wait()
-			for _, res := range []Result{caller, worker} {
-				if res.Why != residentWhy {
-					t.Fatalf("procs=%d %v: %s (%s), want a resident serve", procs, op, res.Scheme, res.Why)
-				}
+			if queued.Why == residentWhy {
+				t.Fatalf("procs=%d %v: a queued repeat was answered resident", procs, op)
+			}
+			for _, res := range []Result{caller, queued} {
 				if d := bitDiffs(res.Values, first); d > 0 {
-					t.Fatalf("procs=%d %v: resident answer differs from the direct one in %d elements", procs, op, d)
+					t.Fatalf("procs=%d %v: %s answer differs from the first direct one in %d elements", procs, op, res.Scheme, d)
 				}
 			}
 			e.Close()
@@ -246,10 +233,9 @@ func TestResidentAnswersAreDirectBits(t *testing.T) {
 }
 
 // TestEngineResidentServe pins the warm exit: once the resident is
-// armed, a repeat of the unchanged loop is answered from it — reported
-// under the "simplify" scheme, with every segment counted reused and
-// none computed — on the caller and, for a queued job, on a worker, each
-// copy in the job's own destination.
+// armed, a repeat of the unchanged loop is answered from it on the
+// caller — reported under the "simplify" scheme, with every segment
+// counted reused and none computed.
 func TestEngineResidentServe(t *testing.T) {
 	const dim, iters, rpi, segments = 512, 256, 16, 8
 	l := simpLoop("resident", dim, iters, rpi, 7)
@@ -283,24 +269,59 @@ func TestEngineResidentServe(t *testing.T) {
 	if got := s.Schemes[residentScheme] - base.Schemes[residentScheme]; got != 1 {
 		t.Errorf("resident serves counted %d, want 1", got)
 	}
+	if s.Jobs != base.Jobs+1 || s.Batches != base.Batches+1 {
+		t.Errorf("jobs/batches = %d/%d after one serve", s.Jobs-base.Jobs, s.Batches-base.Batches)
+	}
+}
 
-	// A queued repeat is served the same way by the worker, into its
-	// own destination.
-	dst := make([]float64, dim)
-	h, err := e.SubmitFingerprinted(l, l.Fingerprint(), dst, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestQueuedRepeatRunsDirect: a worker only executes. A queued repeat of
+// an armed loop (SubmitFingerprinted) runs the entry's cached scheme,
+// not "simplify", into its own destination, with the resident's bits —
+// and it leaves the resident as it is: no re-arm, no segment computed,
+// the same resident object.
+func TestQueuedRepeatRunsDirect(t *testing.T) {
+	l := simpLoop("queued", 512, 256, 16, 17)
+	want := l.RunSequential()
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, want)
+	r := residentFor(e, l)
+	if !r.answers(l) {
+		t.Fatal("resident not armed")
 	}
-	res = h.Wait()
-	if res.Why != residentWhy {
-		t.Fatalf("queued repeat: Why %q", res.Why)
+	entry, _ := e.lookup(l, l.Fingerprint())
+	entry.mu.Lock()
+	cached := entry.rec.Scheme
+	entry.mu.Unlock()
+
+	base := e.Stats()
+	for n := 0; n < 3; n++ {
+		dst := make([]float64, l.NumElems)
+		h, err := e.SubmitFingerprinted(l, l.Fingerprint(), dst, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := h.Wait()
+		if res.Scheme != cached || res.Why == residentWhy || !res.CacheHit {
+			t.Fatalf("queued repeat %d ran %s (%s, hit %v), want the cached %s", n, res.Scheme, res.Why, res.CacheHit, cached)
+		}
+		if &res.Values[0] != &dst[0] {
+			t.Errorf("queued repeat %d: result does not alias its dst", n)
+		}
+		if d := bitDiffs(res.Values, r.values); d > 0 {
+			t.Fatalf("queued repeat %d differs from the resident in %d elements", n, d)
+		}
 	}
-	if &res.Values[0] != &dst[0] {
-		t.Error("queued repeat: result does not alias its dst")
+	s := e.Stats()
+	if s.SegsComputed != base.SegsComputed || s.SegsReused != base.SegsReused {
+		t.Errorf("queued repeats moved the segment counters: computed %d, reused %d",
+			s.SegsComputed-base.SegsComputed, s.SegsReused-base.SegsReused)
 	}
-	assertMatches(t, "queued", res.Values, want)
-	if s := e.Stats(); s.Jobs != base.Jobs+2 || s.Batches != base.Batches+2 {
-		t.Errorf("jobs/batches = %d/%d after two serves", s.Jobs-base.Jobs, s.Batches-base.Batches)
+	if got := s.Schemes[cached] - base.Schemes[cached]; got != 3 {
+		t.Errorf("%s counted %d executions, want 3", cached, got)
+	}
+	if residentFor(e, l) != r {
+		t.Error("a queued repeat replaced the armed resident")
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -19,12 +18,12 @@ var ErrSessionClosed = errors.New("engine: session closed")
 // Session is a server-resident streaming reduction: a loop registered
 // once, then updated by delta batches whose rolling results follow each
 // redirected reference with two exact updates (reduction.DeltaState).
-// The open rides the worker queue like a one-shot job; an Apply runs on
-// the caller's goroutine — a delta costs microseconds, less than the
-// queue hand-off it would pay. Sessions are deliberately kept out of the
-// adaptive machinery: no decision cache and — like
-// resident serves — no drift-detector cost samples, since an incremental
-// apply's cost says nothing about the full loop's scheme.
+// The open and every Apply run on the caller's goroutine: an open is one
+// sequential pass, a delta costs microseconds, and neither takes the
+// worker queue. Sessions are deliberately kept out of the adaptive
+// machinery: no decision cache and — like resident serves — no
+// drift-detector cost samples, since an incremental apply's cost says
+// nothing about the full loop's scheme.
 //
 // A Session serializes its own operations: concurrent Apply calls queue
 // on the session mutex, and Close waits for the in-flight one, so a
@@ -39,32 +38,18 @@ type Session struct {
 	closed bool
 }
 
-// sessionWork is a session open riding the worker queue inside a job
-// (job.sess). The worker computes and answers on done.
-type sessionWork struct {
-	s    *Session
-	loop *trace.Loop // the loop to register; the session adopts it
-	dst  []float64
-	done chan sessionOutcome
-}
-
-type sessionOutcome struct {
-	res Result
-	err error
-}
-
-// OpenSession registers a deep copy of l as a streaming session: a
-// worker reduces it sequentially into dst (reused when its capacity
-// suffices, like SubmitInto). The returned Result carries SessionGen 1.
+// OpenSession registers a deep copy of l as a streaming session, reduced
+// sequentially into dst (reused when its capacity suffices, like
+// SubmitInto). The returned Result carries SessionGen 1.
 func (e *Engine) OpenSession(l *trace.Loop, dst []float64) (*Session, Result, error) {
 	return e.OpenSessionTenant(l, dst, 0)
 }
 
 // OpenSessionTenant is OpenSession on behalf of a tenant (an index from
 // TenantIndex; out-of-range degrades to the default tenant). The open
-// queues on the tenant's FIFO, so it is scheduled under the same weights
-// as one-shot jobs; it and every later Apply count toward the tenant's
-// jobs.
+// runs on the calling goroutine, like Apply: it takes no queue slot and
+// no weighted turn, and it and every later Apply count toward the
+// tenant's jobs.
 func (e *Engine) OpenSessionTenant(l *trace.Loop, dst []float64, tenant int) (*Session, Result, error) {
 	if l == nil {
 		return nil, Result{}, errors.New("engine: nil loop")
@@ -74,32 +59,32 @@ func (e *Engine) OpenSessionTenant(l *trace.Loop, dst []float64, tenant int) (*S
 
 // AdoptSessionTenant is OpenSessionTenant without the copy: the session
 // takes l over, and the caller must not touch it again. The server hands
-// over the loop it decoded an OPEN_SESSION into.
+// over the loop it decoded an OPEN_SESSION into. The open holds off
+// Close until it is registered, so an open racing Close either returns a
+// live session or ErrClosed.
 func (e *Engine) AdoptSessionTenant(l *trace.Loop, dst []float64, tenant int) (*Session, Result, error) {
-	if l == nil {
-		return nil, Result{}, errors.New("engine: nil loop")
-	}
-	if l.NumElems <= 0 {
-		return nil, Result{}, fmt.Errorf("engine: loop %q has non-positive NumElems", l.Name)
+	if err := checkLoop(l); err != nil {
+		return nil, Result{}, err
 	}
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
 	}
-	s := &Session{e: e, tenant: tenant}
-	sw := &sessionWork{
-		s:    s,
-		loop: l,
-		dst:  sizeDst(dst, l.NumElems),
-		done: make(chan sessionOutcome, 1),
+	dst = sizeDst(dst, l.NumElems)
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if e.closed {
+		return nil, Result{}, ErrClosed
 	}
-	if err := e.enqueueSession(sw); err != nil {
+	start := time.Now()
+	st, err := reduction.AdoptDeltaState(l, nil, dst)
+	if err != nil {
 		return nil, Result{}, err
 	}
-	out := <-sw.done
-	if out.err != nil {
-		return nil, Result{}, out.err
-	}
-	return s, out.res, nil
+	elapsed := time.Since(start)
+	e.caller.stages.Observe(obs.StageExecute, elapsed)
+	e.caller.recordSession(true, st.Segments(), 0)
+	e.tenants[tenant].countJob()
+	return &Session{e: e, tenant: tenant, st: st, gen: 1}, sessionResult(dst, 1, elapsed), nil
 }
 
 // Apply streams one delta batch into the session and reads the rolling
@@ -130,7 +115,7 @@ func (s *Session) Apply(deltas []reduction.RefDelta, dst []float64) (Result, err
 	e.caller.recordSession(false, stats.Computed, stats.Reused)
 	e.tenants[s.tenant].countJob()
 	s.gen++
-	return sessionResult(dst, s.gen, elapsed, 0), nil
+	return sessionResult(dst, s.gen, elapsed), nil
 }
 
 // Close retires the session and frees its resident state. It waits for
@@ -164,46 +149,13 @@ func (s *Session) Bytes() int {
 	return s.st.Bytes()
 }
 
-// enqueueSession submits one session open to the worker queue, mirroring
-// SubmitAsyncInto's close handling.
-func (e *Engine) enqueueSession(sw *sessionWork) error {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.q.push(sw.s.tenant, &job{sess: sw, tenant: sw.s.tenant, enq: time.Now()})
-	return nil
-}
-
-// runSession executes one session open on a worker: it builds the
-// DeltaState (one sequential reduction), reads the initial reduction into the
-// caller's destination and sets the generation to 1. Session results
-// never feed lookup or recordCost — the drift-detector exclusion
-// resident serves also have, here by construction.
-func (e *Engine) runSession(w *workerCtx, sw *sessionWork, qw time.Duration) {
-	start := time.Now()
-	st, err := reduction.AdoptDeltaState(sw.loop, w.ex, sw.dst)
-	if err != nil {
-		sw.done <- sessionOutcome{err: err}
-		return
-	}
-	elapsed := time.Since(start)
-	w.stats.stages.Observe(obs.StageExecute, elapsed)
-	w.stats.recordSession(true, st.Segments(), 0)
-	// Nobody else holds the session before the open answers.
-	sw.s.st, sw.s.gen = st, 1
-	sw.done <- sessionOutcome{res: sessionResult(sw.dst, 1, elapsed, qw)}
-}
-
 // sessionResult is the Result of one session operation.
-func sessionResult(values []float64, gen uint64, elapsed, qw time.Duration) Result {
+func sessionResult(values []float64, gen uint64, elapsed time.Duration) Result {
 	return Result{
 		Values:     values,
 		Scheme:     "session",
 		Why:        "incremental delta over the resident result",
 		Elapsed:    elapsed,
-		QueueWait:  qw,
 		SessionGen: gen,
 	}
 }

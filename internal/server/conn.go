@@ -468,13 +468,12 @@ func (c *conn) admit(jobID uint64) (func(), bool) {
 }
 
 // encodeSessionResult encodes one session operation's RESULT and
-// recycles its destination array. The engine leg's stages (queue wait,
-// execute) ride the Result; encode is attributed here.
+// recycles its destination array. The engine's execute stage rides the
+// Result (a session operation never queues); encode is attributed here.
 func (c *conn) encodeSessionResult(jobID uint64, res *engine.Result, tl *obs.Timeline) *wire.Buffer {
 	buf := wire.GetBuffer()
 	encStart := time.Now()
 	buf.B = wire.AppendResult(buf.B, jobID, res)
-	tl.Add(obs.StageQueueWait, res.QueueWait)
 	tl.Add(obs.StageExecute, res.Elapsed)
 	tl.Add(obs.StageEncode, time.Since(encStart))
 	c.srv.putDst(res.Values) // before the send, as in handleSubmit's waiter
@@ -486,8 +485,8 @@ func (c *conn) encodeSessionResult(jobID uint64, res *engine.Result, tl *obs.Tim
 // store's residency and byte budgets, checked against the loop's
 // estimated resident footprint before any state is built, with CLOCK
 // eviction making room and BUSY(BusySession) when it cannot. The open
-// itself (one full reduction) runs on a waiter goroutine so the read
-// loop keeps pipelining.
+// itself (one sequential reduction, run by the engine on its caller)
+// runs on a waiter goroutine so the read loop keeps pipelining.
 func (c *conn) handleOpenSession(f wire.Frame) {
 	t0 := time.Now()
 	release, ok := c.admit(f.JobID)
@@ -613,36 +612,31 @@ func (c *conn) handleDelta(f wire.Frame) {
 	c.sendResult(buf, tl, t0)
 }
 
-// handleCloseSession retires one session, answering an empty RESULT that
-// carries the final generation. Teardown waits for an in-flight apply
-// (the engine session serializes its operations), so it runs on a waiter
-// goroutine like every other potentially blocking operation.
+// handleCloseSession retires one session on the read loop, answering an
+// empty RESULT that carries the final generation. A connection's deltas
+// are applied only on this same read loop (handleDelta), so the teardown
+// never waits on an apply of this connection: every delta pipelined
+// before the close has been answered.
 func (c *conn) handleCloseSession(f wire.Frame) {
 	release, ok := c.admit(f.JobID)
 	if !ok {
 		return
 	}
+	defer release()
 	sid, err := f.DecodeCloseSession()
 	if err != nil {
-		release()
 		c.sendError(f.JobID, err.Error())
 		return
 	}
-	c.jobWG.Add(1)
-	jobID := f.JobID
-	go func() {
-		defer c.jobWG.Done()
-		defer release()
-		ss, found := c.srv.sessions.close(sessKey{conn: c.id, sid: sid})
-		if !found {
-			c.sendError(jobID, fmt.Sprintf("%sno session %d on this connection", wire.SessionGonePrefix, sid))
-			return
-		}
-		res := engine.Result{Scheme: "session", SessionGen: ss.es.Gen()}
-		buf := wire.GetBuffer()
-		buf.B = wire.AppendResult(buf.B, jobID, &res)
-		c.send(buf)
-	}()
+	ss, found := c.srv.sessions.close(sessKey{conn: c.id, sid: sid})
+	if !found {
+		c.sendError(f.JobID, fmt.Sprintf("%sno session %d on this connection", wire.SessionGonePrefix, sid))
+		return
+	}
+	res := engine.Result{Scheme: "session", SessionGen: ss.es.Gen()}
+	buf := wire.GetBuffer()
+	buf.B = wire.AppendResult(buf.B, f.JobID, &res)
+	c.send(buf)
 }
 
 // closeTimelines is the write loop's after-write hook: a RESULT's

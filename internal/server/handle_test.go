@@ -256,12 +256,11 @@ func TestPatternHandleCollisionNeverAliases(t *testing.T) {
 // pattern: no handle exists until the first RESULT comes back, so the
 // whole burst goes out as full SUBMITs, which must still intern onto one
 // canonical loop; once the handle is learned the same burst goes out by
-// reference.
+// reference. By then the loop is armed, so the second burst is answered
+// on the read loop; the handle hits count whichever path answers.
 func TestPatternHandleBurstInterns(t *testing.T) {
-	// Residency off: after the first burst a resident result would
-	// answer the learned one on the read loop, and it would never queue.
 	eng, srv, addr, teardown := startServer(t,
-		engine.Config{Workers: 1, QueueDepth: 64, DisableSimplify: true},
+		engine.Config{Workers: 1, QueueDepth: 64},
 		server.Config{})
 	defer teardown()
 	cl, err := client.Dial(addr, client.Config{Conns: 1})
@@ -272,33 +271,37 @@ func TestPatternHandleBurstInterns(t *testing.T) {
 
 	l := workloads.MixedSet(0.3)[0]
 	want := l.RunSequential()
+	const jobs = 16
 
-	burst := func(name string) {
+	burst := func(name string, hold bool) {
 		t.Helper()
 		before := eng.Stats()
-		// The single worker stays parked until the server has admitted the
-		// whole burst, so every job of it is in flight at once, whatever
-		// the worker's speed.
-		release, err := eng.Hold()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release()
-		const jobs = 16
 		handles := make([]*client.Handle, jobs)
+		release := func() {}
+		if hold {
+			// The single worker stays parked until the server has
+			// admitted the whole burst, so every job of it is in flight at
+			// once, whatever the worker's speed.
+			if release, err = eng.Hold(); err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+		}
 		for i := range handles {
 			if handles[i], err = cl.SubmitAsync(l); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// The read loop dispatches inline, so once the last job is admitted
-		// every earlier one is queued too.
-		for deadline := time.Now().Add(10 * time.Second); srv.Inflight() < jobs; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: server admitted %d of %d burst jobs", name, srv.Inflight(), jobs)
+		if hold {
+			// The read loop dispatches inline, so once the last job is
+			// admitted every earlier one is queued too.
+			for deadline := time.Now().Add(10 * time.Second); srv.Inflight() < jobs; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: server admitted %d of %d burst jobs", name, srv.Inflight(), jobs)
+				}
 			}
+			release()
 		}
-		release()
 		for i, h := range handles {
 			res, err := h.Wait()
 			if err != nil {
@@ -308,20 +311,23 @@ func TestPatternHandleBurstInterns(t *testing.T) {
 		}
 		after := eng.Stats()
 		if got := after.Jobs - before.Jobs; got != jobs {
-			t.Fatalf("%s: engine ran %d jobs, want %d", name, got, jobs)
+			t.Fatalf("%s: engine answered %d jobs, want %d", name, got, jobs)
 		}
 		if got := after.Batches - before.Batches; got != jobs {
 			t.Fatalf("%s: %d executions for %d jobs, want one each", name, got, jobs)
 		}
 	}
 
-	burst("unlearned")
+	burst("unlearned", true)
 	if st := srv.Stats(); st.HandleHits != 0 || st.HandleGone != 0 {
 		t.Fatalf("a never-answered pattern went out by reference: %+v", st)
 	}
-	burst("learned")
+	if st := srv.Stats(); st.InternedLoops != 1 || st.InternHits != jobs-1 {
+		t.Fatalf("unlearned burst: %d interned loops, %d intern hits; want 1 and %d", st.InternedLoops, st.InternHits, jobs-1)
+	}
+	burst("learned", false)
 	// Only the 16 repeats can be references; all of them must be.
-	if st := srv.Stats(); st.HandleHits != 16 || st.HandleGone != 0 {
-		t.Fatalf("learned burst: handle hits %d gone %d, want 16 and 0", st.HandleHits, st.HandleGone)
+	if st := srv.Stats(); st.HandleHits != jobs || st.HandleGone != 0 {
+		t.Fatalf("learned burst: handle hits %d gone %d, want %d and 0", st.HandleHits, st.HandleGone, jobs)
 	}
 }

@@ -14,10 +14,11 @@
 //	write loop: pooled response buffers ←─────────────────────────┴───────────┘
 //
 // A submission whose loop the engine holds a verified resident total for,
-// and every session delta, runs to completion on the read loop: no engine
-// queue, worker or waiter goroutine. Everything else — misses, cold
-// loops, simplified-but-unverified jobs, session opens — takes the
-// engine queue.
+// every session delta and every session close runs to completion on the
+// read loop: no engine queue, worker or waiter goroutine. A session open
+// runs on a waiter goroutine but takes no engine queue either (the
+// engine opens it on its caller). Everything else — misses, cold loops,
+// changed content — takes the engine queue.
 //
 // Neither loop sits behind a buffered-I/O layer. The read loop's
 // wire.Reader reads the socket into one buffer and parses frames where

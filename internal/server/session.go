@@ -20,8 +20,8 @@ type SessionDispatcher interface {
 	// OpenSession registers l, which the session adopts (it mutates its
 	// loop; the caller hands l over), and returns the live session with
 	// its initial reduction. tenant is the owning connection's HELLO-bound tenant
-	// name: the open and every later apply are scheduled under that
-	// tenant's weighted queue.
+	// name: the open and every later apply count toward that tenant's
+	// jobs.
 	OpenSession(l *trace.Loop, dst []float64, tenant string) (*engine.Session, engine.Result, error)
 }
 

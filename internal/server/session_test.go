@@ -130,8 +130,50 @@ func TestSessionStreamsOverWire(t *testing.T) {
 		t.Fatalf("server SessionOpens %d, want %d", ss.SessionOpens, steps+1)
 	}
 
+	// Deltas pipelined ahead of the close are applied, in order, before
+	// it on the connection's read loop: each answers its own generation,
+	// the close RESULT carries the last one, and every admission slot
+	// comes back.
+	const pipelined = 3
+	handles := make([]*client.Handle, pipelined)
+	for i := range handles {
+		ds := mkDeltas(rng, mirror, 4)
+		applyToMirror(mirror, ds)
+		h, err := sess.SubmitDeltaAsync(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for i, h := range handles {
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatalf("pipelined delta %d: %v", i, err)
+		}
+		if want := uint64(steps + 2 + i); res.SessionGen != want {
+			t.Fatalf("pipelined delta %d: generation %d, want %d", i, res.SessionGen, want)
+		}
+		if i == pipelined-1 {
+			assertMatches(t, "last pipelined delta", res.Values, mirror.RunSequential())
+		}
+	}
+	if want := uint64(steps + 1 + pipelined); sess.Gen() != want {
+		t.Fatalf("close answered generation %d, want %d", sess.Gen(), want)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		idle := true
+		for _, n := range d.Srv.ConnInflight() {
+			idle = idle && n == 0
+		}
+		if idle {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("connection in-flight counts %v after the close, want all 0", d.Srv.ConnInflight())
+		}
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
