@@ -14,13 +14,16 @@ test-short:
 race:
 	$(GO) test -short -race ./...
 
-# race-resident repeats the engine's caller-side tests twenty times
-# under the race detector — the CI build-test job's second step: the
-# resident-result serves (the server's inline serve and the Submit
-# family's caller path read one immutable resident that a worker's direct
-# run may replace) and session opens racing Close.
+# race-resident repeats the caller-side tests under the race detector —
+# the CI build-test job's second step: the engine's resident-result
+# serves (the server's inline serve and the Submit family's caller path
+# read one immutable resident that a worker's direct run may replace, a
+# stale entry's included) and session opens racing Close, twenty times;
+# then the server's inline path, where the read loop encodes straight
+# from that resident against live connections, five times.
 race-resident:
 	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose' ./internal/engine/
+	$(GO) test -race -count=5 -run 'Inline' ./internal/server/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -132,8 +132,9 @@ func TestCallerClosedResident(t *testing.T) {
 }
 
 // TestCallerMutatedFallsThrough: a same-fingerprint loop whose content
-// moved fails verification on the caller and is run by a worker, with
-// RunSequential's bits and nothing counted in the caller shard.
+// moved fails verification on the caller and is run by a worker (one
+// queue_wait observation), with RunSequential's bits and no resident
+// serve counted.
 func TestCallerMutatedFallsThrough(t *testing.T) {
 	l := simpLoop("caller-mutated", 512, 256, 16, 25)
 	e := mustNew(t, Config{Workers: 1})
@@ -141,7 +142,7 @@ func TestCallerMutatedFallsThrough(t *testing.T) {
 	seedResident(t, e, l, l.RunSequential())
 	m := mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 5, func(s int) bool { return s != 1 })
 
-	callerJobs := e.caller.c.Jobs
+	before := e.Stats()
 	res, err := e.Submit(m)
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +153,18 @@ func TestCallerMutatedFallsThrough(t *testing.T) {
 	if d := bitDiffs(res.Values, m.RunSequential()); d > 0 {
 		t.Fatalf("mutated loop differs from RunSequential in %d of %d elements", d, len(res.Values))
 	}
-	if e.caller.c.Jobs != callerJobs {
-		t.Fatalf("caller shard counted %d jobs for a fall-through", e.caller.c.Jobs-callerJobs)
+	after := e.Stats()
+	if d := after.Sub(before); d.Jobs != 1 || d.Schemes[residentScheme] != 0 {
+		t.Fatalf("a fall-through counted %d jobs, %d resident serves; want 1 and 0", d.Jobs, d.Schemes[residentScheme])
+	}
+	if got := stageCount(after, "queue_wait") - stageCount(before, "queue_wait"); got != 1 {
+		t.Fatalf("a fall-through observed queue_wait %d times, want 1 (a worker ran it)", got)
 	}
 }
 
 // TestCallerStatsCountOnce: a resident hit through the Submit family is
-// one job, one batch and one cache hit, on its tenant's row and in the
-// caller shard; no worker shard moves.
+// one job, one batch and one cache hit, on its tenant's row, and no
+// worker runs it (queue_wait does not move).
 func TestCallerStatsCountOnce(t *testing.T) {
 	l := simpLoop("caller-stats", 512, 256, 16, 26)
 	e := mustNew(t, Config{Workers: 2, Tenants: []TenantConfig{{Name: "t1"}}})
@@ -167,11 +172,6 @@ func TestCallerStatsCountOnce(t *testing.T) {
 	seedResident(t, e, l, l.RunSequential())
 
 	before := e.Stats()
-	workerJobs := make([]uint64, e.cfg.Workers)
-	for i := range workerJobs {
-		workerJobs[i] = e.statShards[i].c.Jobs
-	}
-	callerJobs := e.caller.c.Jobs
 	h, err := e.SubmitAsyncIntoTenant(l, nil, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -179,18 +179,14 @@ func TestCallerStatsCountOnce(t *testing.T) {
 	if res := h.Wait(); res.Why != residentWhy {
 		t.Fatalf("not a resident hit: %s", res.Why)
 	}
-	d := e.Stats().Sub(before)
+	after := e.Stats()
+	d := after.Sub(before)
 	if d.Jobs != 1 || d.Batches != 1 || d.CacheHits != 1 || d.Schemes["simplify"] != 1 || d.Tenants[1].Jobs != 1 || d.Tenants[0].Jobs != 0 {
 		t.Fatalf("one hit moved jobs/batches/hits/simplify/t1/default by %d/%d/%d/%d/%d/%d, want 1/1/1/1/1/0",
 			d.Jobs, d.Batches, d.CacheHits, d.Schemes["simplify"], d.Tenants[1].Jobs, d.Tenants[0].Jobs)
 	}
-	if e.caller.c.Jobs != callerJobs+1 {
-		t.Fatalf("caller shard moved by %d, want 1", e.caller.c.Jobs-callerJobs)
-	}
-	for i, n := range workerJobs {
-		if e.statShards[i].c.Jobs != n {
-			t.Fatalf("worker %d's shard moved on a caller hit", i)
-		}
+	if stageCount(after, "queue_wait") != stageCount(before, "queue_wait") {
+		t.Fatal("a caller hit observed queue_wait: a worker ran it")
 	}
 }
 

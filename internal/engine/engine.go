@@ -29,8 +29,9 @@
 //     drift detector (cost EWMA + periodic sampled re-profile) marks
 //     entries whose workload shifted phase, and a hysteresis-gated
 //     re-inspection switches them to the scheme the new pattern wants,
-//   - counters are sharded per worker and aggregated by Stats(), so the
-//     hot path never takes a global statistics lock.
+//   - counters live in one set (statShard) that workers and callers
+//     record into alike, one short critical section per job; Stats()
+//     snapshots it.
 package engine
 
 import (
@@ -164,11 +165,9 @@ type Engine struct {
 	tenants   []*tenantRT
 	tenantIdx map[string]int
 
-	// statShards holds one shard per worker plus a last one, caller, for
-	// the work callers run on their own goroutines (ServeResident,
-	// session opens and Session.Apply).
-	statShards []statShard
-	caller     *statShard
+	// stats is the engine's one set of counters, recorded by workers and
+	// by callers serving work themselves alike.
+	stats statShard
 }
 
 // New starts an engine with cfg's worker pool running. It returns an
@@ -229,18 +228,17 @@ func New(cfg Config) (*Engine, error) {
 		weights[i] = t.weight
 	}
 	e := &Engine{
-		cfg:        cfg,
-		q:          newDRRQueue(weights, cfg.QueueDepth),
-		tenants:    tenants,
-		tenantIdx:  tenantIdx,
-		pool:       reduction.NewBufferPool(),
-		cache:      newDecisionCache(cfg.MaxCacheEntries),
-		statShards: newStatShards(cfg.Workers + 1),
+		cfg:       cfg,
+		q:         newDRRQueue(weights, cfg.QueueDepth),
+		tenants:   tenants,
+		tenantIdx: tenantIdx,
+		pool:      reduction.NewBufferPool(),
+		cache:     newDecisionCache(cfg.MaxCacheEntries),
+		stats:     statShard{schemes: make(map[string]uint64)},
 	}
-	e.caller = &e.statShards[cfg.Workers]
 	e.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go e.worker(w)
+	for range cfg.Workers {
+		go e.worker()
 	}
 	return e, nil
 }
@@ -315,14 +313,9 @@ func (e *Engine) SubmitAsyncIntoTenant(l *trace.Loop, dst []float64, tenant int)
 		return nil, err
 	}
 	fp := l.Fingerprint()
-	var h *Handle
-	if e.ServeResident(l, fp, tenant, func(res Result) {
-		total := res.Values
-		res.Values = sizeDst(dst, len(total))
-		copy(res.Values, total)
-		h = &Handle{res: res, received: true}
-	}) {
-		return h, nil
+	if res, ok := e.ServeResident(l, fp, tenant); ok {
+		res.Values = append(dst[:0], res.Values...)
+		return &Handle{res: res, received: true}, nil
 	}
 	return e.SubmitFingerprinted(l, fp, dst, tenant)
 }
@@ -399,24 +392,22 @@ func (e *Engine) Close() {
 }
 
 // workerCtx is one worker's reusable scratch: the pooled execution
-// context, the segment hashes maybeArm computes, and the worker's stat
-// shard.
+// context and the segment hashes maybeArm computes.
 type workerCtx struct {
 	ex     *reduction.Exec
 	hashes []uint64
-	stats  *statShard
 }
 
 // worker owns one reusable execution context — over the engine's buffer
-// pool, merge blocks sized for its platform — and one stat shard, and
-// serves jobs until the queue closes.
-func (e *Engine) worker(id int) {
+// pool, merge blocks sized for its platform — and serves jobs until the
+// queue closes.
+func (e *Engine) worker() {
 	defer e.wg.Done()
 	ex := &reduction.Exec{
 		Pool:            e.pool,
 		MergeBlockElems: reduction.MergeBlockForCache(e.cfg.Platform.Cfg.L2Bytes, e.cfg.Platform.Procs),
 	}
-	w := &workerCtx{ex: ex, stats: &e.statShards[id]}
+	w := &workerCtx{ex: ex}
 	for j := e.q.pop(); j != nil; j = e.q.pop() {
 		e.runJob(w, j)
 	}

@@ -12,16 +12,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// mustNew builds an engine or fails the test. A zero DriftRatio becomes
-// one no wall-clock noise reaches: a cost-drift stale mark makes
-// ServeResident decline, and the queued job then runs direct, so a test
-// that expects a resident serve would depend on the host's timing. The
-// drift detector's own tests set DriftRatio themselves.
+// mustNew builds an engine or fails the test.
 func mustNew(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	if cfg.DriftRatio == 0 {
-		cfg.DriftRatio = 1e9
-	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -73,19 +73,20 @@ func TestMutatedInPlaceResident(t *testing.T) {
 				t.Fatal("the mutation does not change the answer")
 			}
 
-			callerJobs := e.caller.c.Jobs
+			base := e.Stats()
 			res, err := e.Submit(l)
 			if err != nil {
 				t.Fatal(err)
 			}
+			served := e.Stats().Sub(base).Schemes[residentScheme]
 			if tc.stale {
-				if res.Why != residentWhy || bitDiffs(res.Values, before) != 0 || e.caller.c.Jobs != callerJobs+1 {
+				if res.Why != residentWhy || bitDiffs(res.Values, before) != 0 || served != 1 {
 					t.Fatalf("%s on the caller, %d elements off the previous total; want the previous total, served resident",
 						res.Why, bitDiffs(res.Values, before))
 				}
 				return
 			}
-			if res.Why == residentWhy || e.caller.c.Jobs != callerJobs {
+			if res.Why == residentWhy || served != 0 {
 				t.Fatalf("a mutation at sampled position %d was answered from the resident total", p)
 			}
 			if d := bitDiffs(res.Values, after); d > 0 {

@@ -18,14 +18,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// serveResident runs ServeResident and returns a copy of what use saw.
+// serveResident runs ServeResident under l's own fingerprint.
 func serveResident(e *Engine, l *trace.Loop, tenant int) (Result, bool) {
-	var got Result
-	ok := e.ServeResident(l, l.Fingerprint(), tenant, func(res Result) {
-		got = res
-		got.Values = append([]float64(nil), res.Values...)
-	})
-	return got, ok
+	return e.ServeResident(l, l.Fingerprint(), tenant)
 }
 
 // residentFor returns l's entry's resident.
@@ -49,9 +44,9 @@ func stageCount(s Stats, name string) uint64 {
 // TestServeResidentStatsParity: an inline serve moves the engine's
 // counters as one resident job — one job, batch and cache hit, one
 // "simplify" scheme, every segment reused, one job on its tenant's row
-// and one execute observation, no queue_wait — and it lands in the
-// caller shard, which Stats sums. Its Values carry the bits of a direct
-// execution of the same loop and alias the resident's vector.
+// and one execute observation, no queue_wait (no worker ran). Its
+// Values carry the bits of a direct execution of the same loop and
+// alias the resident's vector.
 func TestServeResidentStatsParity(t *testing.T) {
 	l := simpLoop("parity", 512, 256, 16, 7)
 	want := l.RunSequential()
@@ -64,7 +59,6 @@ func TestServeResidentStatsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := e.Stats()
-	callerJobs := e.caller.c.Jobs
 	inline, ok := serveResident(e, l, 1)
 	if !ok {
 		t.Fatal("ServeResident declined an armed, unchanged loop")
@@ -77,14 +71,13 @@ func TestServeResidentStatsParity(t *testing.T) {
 	if d := bitDiffs(inline.Values, direct.Values); d > 0 {
 		t.Fatalf("inline serve differs from the direct execution in %d elements", d)
 	}
-	e.ServeResident(l, l.Fingerprint(), 1, func(res Result) {
-		if &res.Values[0] != &residentFor(e, l).values[0] {
-			t.Error("inline Values do not alias the resident's vector")
-		}
-	})
+	if &inline.Values[0] != &residentFor(e, l).values[0] {
+		t.Error("inline Values do not alias the resident's vector")
+	}
+	serveResident(e, l, 1)
 	after2 := e.Stats()
-	if e.caller.c.Jobs != callerJobs+2 {
-		t.Errorf("caller shard counted %d jobs, want 2", e.caller.c.Jobs-callerJobs)
+	if got := after2.Sub(mid).Jobs; got != 2 {
+		t.Errorf("two inline serves counted %d jobs, want 2", got)
 	}
 
 	id := after.Sub(mid)
@@ -122,10 +115,11 @@ func TestServeResidentStatsParity(t *testing.T) {
 
 // TestServeResidentDeclines covers every decline: no entry (which must
 // create none and leave the CLOCK ring as it was), an unarmed entry, a
-// stale entry, a geometry mismatch, changed content, iteration bounds
-// moved under unchanged subscripts, a decision switch and a closed
-// engine. A decline moves no counter. A queued repeat runs direct with
-// the caller's bits.
+// geometry mismatch, changed content, iteration bounds moved under
+// unchanged subscripts, a decision switch and a closed engine. A
+// decline moves no counter. A queued repeat runs direct with the
+// caller's bits. A stale entry still serves
+// (TestServeResidentStaleEntryServes).
 func TestServeResidentDeclines(t *testing.T) {
 	l := simpLoop("decline", 512, 2048, 4, 9)
 	want := l.RunSequential()
@@ -178,20 +172,18 @@ func TestServeResidentDeclines(t *testing.T) {
 	base = e.Stats()
 	for _, c := range []struct {
 		name       string
-		on, off    func()
+		on         func()
 		submission *trace.Loop
 	}{
-		{"stale", func() { entry.stale = true }, func() { entry.stale = false }, l},
-		{"geometry", func() {}, func() {}, simpLoop("decline", 512, 200, 16, 9)},
-		{"content", func() {}, func() {}, mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 3, func(s int) bool { return s != 2 })},
-		{"bounds", func() {}, func() {}, bounds},
-		{"switch", entry.newDecision, func() {}, l},
+		{"geometry", func() {}, simpLoop("decline", 512, 200, 16, 9)},
+		{"content", func() {}, mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 3, func(s int) bool { return s != 2 })},
+		{"bounds", func() {}, bounds},
+		{"switch", entry.newDecision, l},
 	} {
 		set(c.on)
-		if e.ServeResident(c.submission, l.Fingerprint(), 0, func(Result) { t.Errorf("%s: use called", c.name) }) {
+		if res, ok := e.ServeResident(c.submission, l.Fingerprint(), 0); ok || res.Values != nil {
 			t.Errorf("%s: served", c.name)
 		}
-		set(c.off)
 	}
 	if s := e.Stats(); s.Jobs != base.Jobs || s.SegsReused != base.SegsReused {
 		t.Fatalf("declines moved counters: jobs %d→%d", base.Jobs, s.Jobs)
@@ -224,6 +216,62 @@ func TestServeResidentDeclines(t *testing.T) {
 	}
 }
 
+// TestServeResidentStaleEntryServes: a stale mark leaves an armed
+// resident answering. With the entry marked stale, the next
+// ServeResident and the next Submit answer on the caller with the armed
+// bits, and neither re-inspects: Recalibrations, the inspect stage and
+// queue_wait stay put. A same-fingerprint loop with changed content then
+// runs direct with its own bits, and the entry re-inspects first
+// (Recalibrations +1).
+func TestServeResidentStaleEntryServes(t *testing.T) {
+	l := simpLoop("stale", 512, 256, 16, 15)
+	want := l.RunSequential()
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, want)
+	entry, _ := e.lookup(l, l.Fingerprint())
+	entry.mu.Lock()
+	entry.stale = true
+	entry.mu.Unlock()
+
+	before := e.Stats()
+	inline, ok := serveResident(e, l, 0)
+	if !ok {
+		t.Fatal("a stale entry's resident declined")
+	}
+	res, err := e.Submit(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Why != residentWhy || res.QueueWait != 0 {
+		t.Fatalf("Submit of a stale entry's armed loop: %s, queue wait %v; want a resident serve on the caller", res.Why, res.QueueWait)
+	}
+	if d1, d2 := bitDiffs(inline.Values, want), bitDiffs(res.Values, want); d1+d2 > 0 {
+		t.Fatalf("stale serves differ from the armed bits in %d (ServeResident) and %d (Submit) elements", d1, d2)
+	}
+	after := e.Stats()
+	if d := after.Sub(before); d.Jobs != 2 || d.Schemes[residentScheme] != 2 || d.Recalibrations != 0 {
+		t.Fatalf("two stale serves moved jobs/simplify/recalibrations by %d/%d/%d, want 2/2/0", d.Jobs, d.Schemes[residentScheme], d.Recalibrations)
+	}
+	for _, st := range []string{"inspect", "queue_wait"} {
+		if stageCount(after, st) != stageCount(before, st) {
+			t.Errorf("a stale serve observed %s", st)
+		}
+	}
+
+	m := mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 16, func(s int) bool { return s != 1 })
+	res, err = e.Submit(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Why == residentWhy || bitDiffs(res.Values, m.RunSequential()) > 0 {
+		t.Fatalf("changed content: %s, %d elements off its RunSequential; want a direct run with its own bits", res.Why, bitDiffs(res.Values, m.RunSequential()))
+	}
+	if d := e.Stats().Sub(after); d.Recalibrations != 1 {
+		t.Fatalf("the direct run after a stale mark re-inspected %d times, want 1", d.Recalibrations)
+	}
+}
+
 // TestServeResidentNeedsNoWorker: with the only worker parked, an armed
 // loop is still answered — the serve runs on the caller, with no queue.
 func TestServeResidentNeedsNoWorker(t *testing.T) {
@@ -245,7 +293,7 @@ func TestServeResidentNeedsNoWorker(t *testing.T) {
 // while workers re-arm it with a same-fingerprint variant, a decision
 // switch drops the resident and a one-entry cache evicts the entry under
 // another pattern. Every answer must be its own loop's RunSequential
-// bits, never the variant's. Then a reader that holds a resident while
+// bits, never the variant's. Then an answer kept past its serve while
 // queued runs of the variant (SubmitFingerprinted, which always runs
 // direct) re-arm the entry must still read its own loop's bits, and the
 // queued runs theirs. Run under -race.
@@ -318,30 +366,28 @@ func TestServeResidentRaces(t *testing.T) {
 		}
 		check(a, res.Values)
 	}
-	held := e.ServeResident(a, a.Fingerprint(), 0, func(res Result) {
-		for n := 0; n < 2; n++ { // b records its hashes, then comes back and arms
-			h, err := e.SubmitFingerprinted(b, b.Fingerprint(), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(b, h.Wait().Values)
-		}
-		if !residentFor(e, b).answers(b) {
-			t.Fatal("b did not re-arm the entry")
-		}
-		check(a, res.Values)
-	})
-	if !held {
+	held, ok := serveResident(e, a, 0)
+	if !ok {
 		t.Fatal("the armed loop was declined")
 	}
+	for n := 0; n < 2; n++ { // b records its hashes, then comes back and arms
+		h, err := e.SubmitFingerprinted(b, b.Fingerprint(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(b, h.Wait().Values)
+	}
+	if !residentFor(e, b).answers(b) {
+		t.Fatal("b did not re-arm the entry")
+	}
+	check(a, held.Values)
 }
 
 // TestSessionApplyOnCaller: Apply runs on the calling goroutine — it
 // completes with the only worker parked — reads RunSequential's bits
 // over the mirrored loop, and moves the session counters by the
 // iterations the batch landed in (computed) and the rest (reused), plus
-// one job and batch on the session's tenant, in the caller shard; the
-// one-shot counters stay put.
+// one job on the session's tenant; the one-shot counters stay put.
 func TestSessionApplyOnCaller(t *testing.T) {
 	const procs = 4
 	e := mustNew(t, Config{Workers: 1, Platform: core.DefaultPlatform(procs), Tenants: []TenantConfig{{Name: "t1"}}})
@@ -363,7 +409,6 @@ func TestSessionApplyOnCaller(t *testing.T) {
 	for step := 0; step < 6; step++ {
 		ds := sessionDeltas(rng, l, 4)
 		before := e.Stats()
-		callerJobs := e.caller.c.SessionJobs
 		res, err := s.Apply(ds, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -392,9 +437,6 @@ func TestSessionApplyOnCaller(t *testing.T) {
 		if d.Tenants[1].Jobs != 1 || d.Tenants[0].Jobs != 0 {
 			t.Fatalf("step %d: tenant rows moved %+v", step, d.Tenants)
 		}
-		if e.caller.c.SessionJobs != callerJobs+1 {
-			t.Fatalf("step %d: apply not counted in the caller shard", step)
-		}
 	}
 	if gen := s.Gen(); gen != 7 {
 		t.Fatalf("generation %d after six applies, want 7", gen)
@@ -403,8 +445,8 @@ func TestSessionApplyOnCaller(t *testing.T) {
 
 // TestSessionOpenOnCaller: an open runs on the calling goroutine — it
 // completes with the only worker parked — reads RunSequential's bits,
-// and moves SessionOpens by 1 in the caller shard, with one job on its
-// tenant and no queue_wait observation; the one-shot counters stay put.
+// and moves SessionOpens by 1, with one job on its tenant and no
+// queue_wait observation; the one-shot counters stay put.
 func TestSessionOpenOnCaller(t *testing.T) {
 	e := mustNew(t, Config{Workers: 1, Tenants: []TenantConfig{{Name: "t1"}}})
 	defer e.Close()
@@ -415,7 +457,6 @@ func TestSessionOpenOnCaller(t *testing.T) {
 	defer release()
 	l := sessionLoop(80, 300, 22)
 	before := e.Stats()
-	callerOpens := e.caller.c.SessionOpens
 	type opened struct {
 		s   *Session
 		res Result
@@ -441,8 +482,8 @@ func TestSessionOpenOnCaller(t *testing.T) {
 	}
 	after := e.Stats()
 	d := after.Sub(before)
-	if d.SessionOpens != 1 || e.caller.c.SessionOpens != callerOpens+1 {
-		t.Fatalf("SessionOpens moved by %d, in the caller shard by %d; want 1 and 1", d.SessionOpens, e.caller.c.SessionOpens-callerOpens)
+	if d.SessionOpens != 1 {
+		t.Fatalf("SessionOpens moved by %d, want 1", d.SessionOpens)
 	}
 	if d.Tenants[1].Jobs != 1 || d.Tenants[0].Jobs != 0 || d.Jobs != 0 || d.Batches != 0 {
 		t.Fatalf("open moved tenant rows %+v, jobs %d, batches %d", d.Tenants, d.Jobs, d.Batches)
@@ -525,9 +566,8 @@ func TestServeResidentWarmAllocs(t *testing.T) {
 	defer e.Close()
 	seedResident(t, e, l, l.RunSequential())
 	fp := l.Fingerprint()
-	use := func(Result) {}
 	allocs := testing.AllocsPerRun(100, func() {
-		if !e.ServeResident(l, fp, 0, use) {
+		if _, ok := e.ServeResident(l, fp, 0); !ok {
 			t.Fatal("the armed loop was declined")
 		}
 	})

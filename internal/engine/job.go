@@ -47,7 +47,7 @@ func (e *Engine) runJob(w *workerCtx, j *job) {
 	var qw time.Duration
 	if !j.enq.IsZero() {
 		qw = time.Since(j.enq)
-		w.stats.stages.Observe(obs.StageQueueWait, qw)
+		e.stats.stages.Observe(obs.StageQueueWait, qw)
 		t.queueWait.Observe(qw)
 	}
 	t.countJob()
@@ -57,7 +57,7 @@ func (e *Engine) runJob(w *workerCtx, j *job) {
 	var insp time.Duration
 	if !hit {
 		insp = time.Since(lookupStart)
-		w.stats.stages.Observe(obs.StageInspect, insp)
+		e.stats.stages.Observe(obs.StageInspect, insp)
 	}
 
 	// A stale entry revalidates before executing, so this job already
@@ -65,7 +65,7 @@ func (e *Engine) runJob(w *workerCtx, j *job) {
 	// hysteresis holds, new scheme once confirmed).
 	if e.recalEnabled() {
 		if reinspected, switched := e.maybeReinspect(entry, l); reinspected {
-			w.stats.recordRecal(switched)
+			e.stats.recordRecal(switched)
 			t.n[tenantRecalibrations].Add(1)
 			if switched {
 				t.n[tenantSchemeSwitches].Add(1)
@@ -94,8 +94,8 @@ func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, j *job, hit bool, qw
 	if hit {
 		e.maybeArm(w, entry, l, out, decSeen)
 	}
-	w.stats.stages.Observe(obs.StageExecute, elapsed)
-	w.stats.record(name, hit)
+	e.stats.stages.Observe(obs.StageExecute, elapsed)
+	e.stats.record(name, hit, 0)
 	j.done <- Result{
 		Values:    out,
 		Scheme:    name,

@@ -73,10 +73,7 @@ func TestRunBatchAliasesAndMatches(t *testing.T) {
 	l, want := loops[0], refs[0]
 	e := mustNew(t, Config{Workers: 1})
 	defer e.Close()
-	w := &workerCtx{
-		ex:    &reduction.Exec{Pool: e.pool},
-		stats: &e.statShards[0],
-	}
+	w := &workerCtx{ex: &reduction.Exec{Pool: e.pool}}
 
 	dst := make([]float64, l.NumElems)
 	j := &job{loop: l, fp: l.Fingerprint(), dst: dst, done: make(chan Result, 1)}

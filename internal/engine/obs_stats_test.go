@@ -2,7 +2,9 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -68,8 +70,13 @@ func TestStatsMergeStageMismatch(t *testing.T) {
 
 // TestStatsConcurrentMergeLiveTraffic aggregates snapshots (the gateway's
 // Stats fan-in) while the engine is executing jobs — the -race proof that
-// Engine.Stats snapshots, per-shard stage histograms included, are safe
-// to read and merge concurrently with the workers that write them.
+// Engine.Stats snapshots, stage histograms included, are safe to read
+// and merge concurrently with the workers and callers that write them.
+// The traffic mixes resident serves on callers (Submit once a loop is
+// armed, and ServeResident itself) with worker runs (first sights and
+// SubmitFingerprinted), all recording into the one set of counters.
+// Once it stops the counters are exact: Jobs is every job answered,
+// each one a cache hit or a miss, and the scheme counts sum to Jobs.
 func TestStatsConcurrentMergeLiveTraffic(t *testing.T) {
 	loops, _ := mixedLoops()
 	e := mustNew(t, Config{Workers: 4})
@@ -83,7 +90,9 @@ func TestStatsConcurrentMergeLiveTraffic(t *testing.T) {
 
 	stop := make(chan struct{})
 	var traffic sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	var answered atomic.Uint64
+	answered.Add(1)
+	for g := 0; g < 5; g++ {
 		traffic.Add(1)
 		go func(g int) {
 			defer traffic.Done()
@@ -93,10 +102,23 @@ func TestStatsConcurrentMergeLiveTraffic(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.Submit(loops[(g+i)%len(loops)]); err != nil {
+				l := loops[(g+i)%len(loops)]
+				var err error
+				switch g {
+				case 3:
+					_, err = submitDirect(e, l)
+				case 4:
+					if _, ok := serveResident(e, l, 0); !ok {
+						continue
+					}
+				default:
+					_, err = e.Submit(l)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				answered.Add(1)
 			}
 		}(g)
 	}
@@ -121,6 +143,14 @@ func TestStatsConcurrentMergeLiveTraffic(t *testing.T) {
 		}()
 	}
 	mergers.Wait()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if s := e.Stats(); s.Schemes[residentScheme] > 0 && s.Schemes[residentScheme] < s.Jobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the traffic never mixed resident serves and worker runs")
+		}
+	}
 	close(stop)
 	traffic.Wait()
 
@@ -137,4 +167,13 @@ func TestStatsConcurrentMergeLiveTraffic(t *testing.T) {
 	if !hasExec {
 		t.Fatal("final stats carry no execute stage")
 	}
+	var schemes uint64
+	for _, n := range s.Schemes {
+		schemes += n
+	}
+	if n := answered.Load(); s.Jobs != n || s.CacheHits+s.CacheMisses != s.Jobs || schemes != s.Jobs {
+		t.Fatalf("jobs %d, hits+misses %d, scheme counts %d; want all three equal to the %d jobs answered",
+			s.Jobs, s.CacheHits+s.CacheMisses, schemes, n)
+	}
+	t.Logf("%d jobs, %d served resident", s.Jobs, s.Schemes[residentScheme])
 }

@@ -35,7 +35,8 @@ import (
 // so a reader never waits for a worker and one holding the old resident
 // still reads its own loop's bits. A scheme switch (decGen) drops the
 // resident and the recorded hashes; a direct run of another geometry
-// drops the resident.
+// drops the resident. A stale mark drops nothing: until a re-inspection
+// switches the scheme, the resident holds that scheme's own answer.
 //
 // Resident serves deliberately do not feed the drift detector's cost
 // EWMA: a copy's cost says nothing about the cached scheme's fit.
@@ -143,7 +144,7 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 	}
 	entry.mu.Unlock()
 	if armed {
-		w.stats.recordSegs(segments, 0)
+		e.stats.recordArm(segments)
 	}
 }
 
@@ -157,49 +158,47 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 //
 // The decision cache is only probed: a miss creates no entry and leaves
 // the CLOCK ring as it was, a hit marks the entry as a worker's lookup
-// would. The serve declines when the engine is closed, when the entry is
-// stale (re-inspection runs on a worker), when it holds no resident, and
-// when the resident does not answer l. Otherwise use is called with a
-// Result whose Values alias the resident's vector: valid only inside the
-// call, and never to be written. The job is counted in the caller shard
-// of Stats: one job, cache hit and "simplify" scheme, and every segment
-// reused.
-func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int, use func(Result)) bool {
+// would. The serve declines when the engine is closed, when the entry
+// holds no resident, and when the resident does not answer l. A stale
+// entry still serves (see the file comment); its re-inspection waits
+// for the entry's next direct run.
+//
+// The returned Values are a read-only alias of the resident's vector.
+// A resident never changes once published, so the alias stays valid
+// after the call and after a re-arm; it must never be written or
+// recycled into a pool. The job is counted once in Stats: one job,
+// cache hit and "simplify" scheme, and every segment reused.
+func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int) (Result, bool) {
 	if l == nil {
-		return false
+		return Result{}, false
 	}
 	e.closeMu.RLock()
 	closed := e.closed
 	e.closeMu.RUnlock()
 	if closed {
-		return false
+		return Result{}, false
 	}
 	sh := e.cache.Shard(fp)
 	sh.Lock()
 	entry, ok := sh.Get(fp)
 	sh.Unlock()
 	if !ok {
-		return false
+		return Result{}, false
 	}
 	entry.mu.Lock()
 	r := entry.res
-	if entry.stale {
-		r = nil
-	}
 	entry.mu.Unlock()
 
 	start := time.Now()
 	if !r.answers(l) {
-		return false
+		return Result{}, false
 	}
 	res := Result{Values: r.values, Scheme: residentScheme, Why: residentWhy, CacheHit: true, Elapsed: time.Since(start)}
 	if tenant < 0 || tenant >= len(e.tenants) {
 		tenant = 0
 	}
 	e.tenants[tenant].countJob()
-	e.caller.stages.Observe(obs.StageExecute, res.Elapsed)
-	e.caller.record(res.Scheme, true)
-	e.caller.recordSegs(0, len(r.hashes))
-	use(res)
-	return true
+	e.stats.stages.Observe(obs.StageExecute, res.Elapsed)
+	e.stats.record(res.Scheme, true, len(r.hashes))
+	return res, true
 }

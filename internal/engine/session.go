@@ -81,8 +81,8 @@ func (e *Engine) AdoptSessionTenant(l *trace.Loop, dst []float64, tenant int) (*
 		return nil, Result{}, err
 	}
 	elapsed := time.Since(start)
-	e.caller.stages.Observe(obs.StageExecute, elapsed)
-	e.caller.recordSession(true, st.Segments(), 0)
+	e.stats.stages.Observe(obs.StageExecute, elapsed)
+	e.stats.recordSession(true, st.Segments(), 0)
 	e.tenants[tenant].countJob()
 	return &Session{e: e, tenant: tenant, st: st, gen: 1}, sessionResult(dst, 1, elapsed), nil
 }
@@ -111,8 +111,8 @@ func (s *Session) Apply(deltas []reduction.RefDelta, dst []float64) (Result, err
 		return Result{}, err
 	}
 	elapsed := time.Since(start)
-	e.caller.stages.Observe(obs.StageExecute, elapsed)
-	e.caller.recordSession(false, stats.Computed, stats.Reused)
+	e.stats.stages.Observe(obs.StageExecute, elapsed)
+	e.stats.recordSession(false, stats.Computed, stats.Reused)
 	e.tenants[s.tenant].countJob()
 	s.gen++
 	return sessionResult(dst, s.gen, elapsed), nil

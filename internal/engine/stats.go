@@ -1,13 +1,13 @@
 package engine
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// Stats is a snapshot of the engine's counters, aggregated over the
-// per-worker shards.
+// Stats is a snapshot of the engine's counters.
 type Stats struct {
 	Jobs, CacheHits, CacheMisses uint64
 	// Batches is the number of executions, which equals Jobs: every job
@@ -42,9 +42,9 @@ type Stats struct {
 	// Schemes counts executed jobs per scheme name.
 	Schemes map[string]uint64
 	// Stages holds the engine's per-stage latency histograms (queue_wait,
-	// inspect, execute), merged across the worker shards; only stages
-	// with observations appear. Snapshots decoded off the wire may carry
-	// stage names this build does not know — Merge combines by name.
+	// inspect, execute); only stages with observations appear. Snapshots
+	// decoded off the wire may carry stage names this build does not
+	// know — Merge combines by name.
 	Stages []obs.StageSummary
 	// Tenants holds the per-tenant slices of the counters above, one row
 	// per configured tenant in scheduler order. Empty in single-tenant
@@ -198,38 +198,29 @@ func (s Stats) Sub(old Stats) Stats {
 	return d
 }
 
-// statShard is one worker's private counters. Every worker owns exactly
-// one shard and is its only writer, so the per-batch update never contends
-// with other workers — this replaces the global scheme-counter mutex the
-// single-queue engine serialized every job through. The one extra caller
-// shard (Engine.caller) is shared by the goroutines that serve work
-// themselves; its mutex and the lock-free stages serialize them. Stats()
-// takes each shard's mutex briefly to read a consistent snapshot.
+// statShard is the engine's counters: one instance (Engine.stats) that
+// workers and the callers serving work themselves (ServeResident,
+// session opens and Session.Apply) all record into. Every record is one
+// short critical section under mu; Stats() takes it once to read a
+// consistent snapshot.
 type statShard struct {
 	mu sync.Mutex
-	// c holds the shard's scalar counters in the snapshot's own fields
-	// (the two the cache owns stay zero here; the non-scalar fields are
-	// unused — schemes below are the shard's).
+	// c holds the scalar counters in the snapshot's own fields (the two
+	// the cache owns stay zero here; the non-scalar fields are unused —
+	// schemes below are the shard's).
 	c       Stats
 	schemes map[string]uint64
-	// stages holds the shard's stage-latency histograms. It lives outside
-	// the mutex: writers record through lock-free atomics and
-	// Stats() reads racy-but-consistent-enough snapshots, so instrumenting
-	// a stage never lengthens the critical section above.
+	// stages holds the stage-latency histograms. It lives outside the
+	// mutex: writers record through lock-free atomics and Stats() reads
+	// racy-but-consistent-enough snapshots, so instrumenting a stage
+	// never lengthens the critical section above.
 	stages obs.StageSet
 }
 
-func newStatShards(workers int) []statShard {
-	shards := make([]statShard, workers)
-	for i := range shards {
-		shards[i].schemes = make(map[string]uint64)
-	}
-	return shards
-}
-
 // record accounts one executed job under the given scheme; hit is its
-// decision-cache lookup outcome.
-func (s *statShard) record(scheme string, hit bool) {
+// decision-cache lookup outcome, and reused the segments it took from a
+// resident (every one of a resident serve's, none of a direct run's).
+func (s *statShard) record(scheme string, hit bool, reused int) {
 	s.mu.Lock()
 	s.c.Jobs++
 	s.c.Batches++
@@ -239,15 +230,14 @@ func (s *statShard) record(scheme string, hit bool) {
 		s.c.CacheMisses++
 	}
 	s.schemes[scheme]++
+	s.c.SegsReused += uint64(reused)
 	s.mu.Unlock()
 }
 
-// recordSegs accounts a resident's segments: computed when it was
-// armed, reused when it answered a job.
-func (s *statShard) recordSegs(computed, reused int) {
+// recordArm accounts the segments of one resident armed.
+func (s *statShard) recordArm(computed int) {
 	s.mu.Lock()
 	s.c.SegsComputed += uint64(computed)
-	s.c.SegsReused += uint64(reused)
 	s.mu.Unlock()
 }
 
@@ -279,19 +269,13 @@ func (s *statShard) recordRecal(switched bool) {
 	s.mu.Unlock()
 }
 
-// Stats snapshots the engine's counters, the caller shard's included.
+// Stats snapshots the engine's counters.
 func (e *Engine) Stats() Stats {
-	s := Stats{Schemes: make(map[string]uint64)}
-	for i := range e.statShards {
-		sh := &e.statShards[i]
-		sh.mu.Lock()
-		obs.MergeFields(StatsFields, &s, &sh.c)
-		for k, v := range sh.schemes {
-			s.Schemes[k] += v
-		}
-		sh.mu.Unlock()
-		s.Stages = obs.MergeStageSummaries(s.Stages, sh.stages.Snapshot())
-	}
+	e.stats.mu.Lock()
+	s := e.stats.c
+	s.Schemes = maps.Clone(e.stats.schemes)
+	e.stats.mu.Unlock()
+	s.Stages = e.stats.stages.Snapshot()
 	s.CacheEntries, s.CacheEvictions = e.cache.Len(), e.cache.Evictions()
 	// Tenant rows only exist in multi-tenant engines.
 	if len(e.tenants) > 1 {

@@ -66,37 +66,15 @@ type conn struct {
 	scratchOff   []int32
 	scratchRefs  []int32
 	scratchDelta []reduction.RefDelta
-
-	// inline is the job the read loop is serving from resident state, and
-	// encodeInline the callback that encodes its RESULT, bound once per
-	// connection so a serve allocates nothing. Read-loop-only.
-	inline       inlineJob
-	encodeInline func(engine.Result)
-}
-
-// inlineJob is what encodeInline needs of the job it answers.
-type inlineJob struct {
-	jobID, handle uint64
-	tl            *obs.Timeline
-	buf           *wire.Buffer
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{
+	return &conn{
 		srv:    s,
 		nc:     nc,
 		id:     s.connIDs.Add(1),
 		tenant: s.tenantList[0],
 	}
-	c.encodeInline = func(res engine.Result) {
-		j := &c.inline
-		j.buf = wire.GetBuffer()
-		encStart := time.Now()
-		j.buf.B = wire.AppendResultHandle(j.buf.B, j.jobID, &res, j.handle)
-		j.tl.Add(obs.StageExecute, res.Elapsed)
-		j.tl.Add(obs.StageEncode, time.Since(encStart))
-	}
-	return c
 }
 
 // beginDrain stops the read loop at its next frame boundary: the flag
@@ -396,19 +374,22 @@ func (c *conn) handleSubmit(f wire.Frame) {
 // when the dispatcher holds a verified resident total for it: the RESULT
 // is encoded straight from that total, admission is released and the
 // frame queued — no engine queue, worker, waiter goroutine or
-// destination array. False means nothing was sent and the job takes the
-// engine path.
+// destination array. The total is the resident's own vector, so it is
+// never handed to putDst. False means nothing was sent and the job takes
+// the engine path.
 func (c *conn) serveInline(l *trace.Loop, fp, jobID, handle uint64, tl *obs.Timeline, t0 time.Time, release func()) bool {
 	if c.srv.resident == nil {
 		return false
 	}
-	c.inline = inlineJob{jobID: jobID, handle: handle, tl: tl}
-	ok := c.srv.resident.ServeResident(l, fp, c.tenant.name, c.encodeInline)
-	buf := c.inline.buf
-	c.inline = inlineJob{}
+	res, ok := c.srv.resident.ServeResident(l, fp, c.tenant.name)
 	if !ok {
 		return false
 	}
+	buf := wire.GetBuffer()
+	encStart := time.Now()
+	buf.B = wire.AppendResultHandle(buf.B, jobID, &res, handle)
+	tl.Add(obs.StageExecute, res.Elapsed)
+	tl.Add(obs.StageEncode, time.Since(encStart))
 	c.srv.inlined.Add(1)
 	release()
 	c.sendResult(buf, tl, t0)

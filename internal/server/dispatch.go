@@ -79,11 +79,11 @@ func (d engineDispatcher) HelloFlags() uint64           { return 0 }
 // resident state.
 type residentDispatcher interface {
 	// ServeResident is engine.ServeResident with the tenant by name.
-	ServeResident(l *trace.Loop, fp uint64, tenant string, use func(engine.Result)) bool
+	ServeResident(l *trace.Loop, fp uint64, tenant string) (engine.Result, bool)
 }
 
-func (d engineDispatcher) ServeResident(l *trace.Loop, fp uint64, tenant string, use func(engine.Result)) bool {
-	return d.eng.ServeResident(l, fp, d.eng.TenantIndex(tenant), use)
+func (d engineDispatcher) ServeResident(l *trace.Loop, fp uint64, tenant string) (engine.Result, bool) {
+	return d.eng.ServeResident(l, fp, d.eng.TenantIndex(tenant))
 }
 
 // engineWaiter adapts engine.Handle (whose Wait cannot fail once the

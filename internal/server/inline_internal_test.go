@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
@@ -187,4 +189,83 @@ func firstMismatch(got, want []float64) int {
 		}
 	}
 	return -1
+}
+
+// inlineSubmitRefAllocs is the allocation ceiling of one warm SUBMIT_REF
+// answered inline, measured while ServeResident still took a callback:
+// one, admit's release closure.
+const inlineSubmitRefAllocs = 1
+
+// TestInlineSubmitRefWarmAllocs: a warm SUBMIT_REF of an armed loop,
+// answered inline through handleSubmit — admission, the handle probe,
+// the resident serve, the encode and the hand-off to the write loop —
+// allocates no more than inlineSubmitRefAllocs times per job. The
+// inline answer is the resident's own vector, so the destination pool
+// never receives it: arrays drawn from the pool and scribbled on after
+// the serves leave the resident's answer as it was.
+func TestInlineSubmitRefWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
+	}
+	eng, err := engine.New(engine.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := New(eng, Config{})
+	l := workloads.HotKeySet(1, 0.2)[0]
+	want := l.RunSequential()
+	fp := l.Fingerprint()
+	canon, handle, _ := srv.intern.canonical(fp, l)
+	for n := 0; ; n++ {
+		res, err := eng.Submit(canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(res.Why, "resident result") {
+			break
+		}
+		if n == 16 {
+			t.Fatal("the loop never armed")
+		}
+	}
+
+	nc, peer := net.Pipe()
+	defer peer.Close()
+	go io.Copy(io.Discard, peer)
+	c := newConn(srv, nc)
+	c.w = wire.NewWriter(nc, c.closeTimelines, nil)
+	defer c.w.Close()
+	f, _, err := wire.DecodeFrame(wire.AppendSubmitRef(nil, 1, fp, handle, 0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const runs = 1000
+	before := srv.Stats().Inline
+	allocs := testing.AllocsPerRun(runs, func() { c.handleSubmit(f) })
+	t.Logf("%v allocations per warm inline SUBMIT_REF", allocs)
+	if got := srv.Stats().Inline - before; got != runs+1 {
+		t.Fatalf("%d of %d submissions answered inline", got, runs+1)
+	}
+	if allocs > inlineSubmitRefAllocs {
+		t.Fatalf("%v allocations per warm inline SUBMIT_REF, want at most %d", allocs, inlineSubmitRefAllocs)
+	}
+
+	for range 8 {
+		d := srv.getDst(canon.NumElems)
+		for i := range d {
+			d[i] = 1e300
+		}
+	}
+	res, err := eng.Submit(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(res.Why, "resident result") {
+		t.Fatalf("not served resident after the inline serves: %s", res.Why)
+	}
+	if bad := firstMismatch(res.Values, want); bad >= 0 {
+		t.Fatalf("the resident answer changed after the inline serves: element %d = %g, want %g", bad, res.Values[bad], want[bad])
+	}
 }
