@@ -19,11 +19,15 @@ race:
 # serves (the server's inline serve and the Submit family's caller path
 # read one immutable resident that a worker's direct run may replace, a
 # stale entry's included) and session opens racing Close, twenty times;
-# then the server's inline path, where the read loop encodes straight
-# from that resident against live connections, five times.
+# then, five times each, the server's inline path, where a RESULT frame
+# lends that resident to the write loop against live connections, the
+# stalled-client drain, where lent frames wait on a full socket until
+# Shutdown cuts it, and the Writer's lent-vector lifetime (each vector
+# recycled once, after its write, its write error or Close).
 race-resident:
 	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose' ./internal/engine/
-	$(GO) test -race -count=5 -run 'Inline' ./internal/server/
+	$(GO) test -race -count=5 -run 'Inline|StalledClient' ./internal/server/
+	$(GO) test -race -count=5 -run 'WriterLentVector' ./internal/wire/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -152,7 +152,8 @@ type waiter struct {
 	p *Pool
 	l *trace.Loop
 	// dst is the preferred destination array, abandoned (set nil) if a
-	// timed-out leg might still write into it.
+	// timed-out leg might still write into it, so no RESULT frame ever
+	// lends an array a late decode can reach.
 	dst []float64
 	fp  uint64
 	// tried records backends whose leg failed, so failover moves on
@@ -280,7 +281,11 @@ func (w *waiter) Wait() (engine.Result, error) {
 			// unreachable without a TCP reset. Mark it down and re-place
 			// the job — but stop sharing the destination array, because the
 			// abandoned leg's response may still arrive and be decoded into
-			// it (later legs allocate fresh).
+			// it (later legs allocate fresh). That also keeps a late decode
+			// off every vector a RESULT frame references: the front end
+			// lends the returned array to its frame until the write loop
+			// frees it, and the abandoned array is never returned, so never
+			// lent or recycled.
 			w.p.markDown(w.cur)
 			w.p.timedOut.Add(1)
 			w.dst = nil

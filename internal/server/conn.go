@@ -225,19 +225,19 @@ func (c *conn) serve() {
 // same way a flood of SUBMITs does.
 func (c *conn) handleStatsReq(f wire.Frame) {
 	jobID := f.JobID
-	release, ok := c.admit(jobID)
+	ts, ok := c.admit(jobID)
 	if !ok {
 		return
 	}
 	if err := f.DecodeStatsReq(); err != nil {
-		release()
+		c.release(ts)
 		c.sendError(jobID, err.Error())
 		return
 	}
 	c.jobWG.Add(1)
 	go func() {
 		defer c.jobWG.Done()
-		defer release()
+		defer c.release(ts)
 		stats, err := c.srv.disp.Stats()
 		if err != nil {
 			// A stats failure (e.g. no healthy gateway backend) is
@@ -267,7 +267,7 @@ func (c *conn) handleStatsReq(f wire.Frame) {
 // entry this server itself filed under that key.
 func (c *conn) handleSubmit(f wire.Frame) {
 	t0 := time.Now()
-	release, ok := c.admit(f.JobID)
+	ts, ok := c.admit(f.JobID)
 	if !ok {
 		return
 	}
@@ -283,7 +283,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	if err != nil {
 		// The frame itself was well-delimited, so the stream stays in
 		// sync: reject the job, keep the connection.
-		release()
+		c.release(ts)
 		c.sendError(f.JobID, err.Error())
 		return
 	}
@@ -297,7 +297,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 			// restart. The submitter still has the loop and falls back to a
 			// full SUBMIT; a stale handle never runs another pattern.
 			c.srv.handleGone.Add(1)
-			release()
+			c.release(ts)
 			c.sendError(f.JobID, fmt.Sprintf("%sno handle %d under fingerprint %016x", wire.PatternGonePrefix, handle, fp))
 			return
 		}
@@ -323,13 +323,13 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	tl.Add(obs.StageDecode, decodeDone.Sub(t0))
 	tl.Add(obs.StageIntern, time.Since(decodeDone))
 
-	if c.serveInline(canon, fp, f.JobID, handle, tl, t0, release) {
+	if c.serveInline(canon, fp, f.JobID, handle, tl, t0, ts) {
 		return
 	}
-	w, err := c.srv.disp.Dispatch(canon, fp, c.srv.getDst(canon.NumElems), tl, c.tenant.name)
+	w, err := c.srv.disp.Dispatch(canon, fp, c.srv.getDst(canon.NumElems), tl, ts.name)
 	if err != nil {
 		tlPool.Put(tl)
-		release()
+		c.release(ts)
 		if errors.Is(err, ErrOverloaded) {
 			c.sendBusy(f.JobID, wire.BusyUpstream)
 		} else {
@@ -341,7 +341,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	jobID := f.JobID
 	go func() {
 		defer c.jobWG.Done()
-		defer release()
+		defer c.release(ts)
 		res, err := w.Wait()
 		if err != nil {
 			// Exhaustion becomes BUSY (back off and retry); anything else
@@ -355,45 +355,46 @@ func (c *conn) handleSubmit(f wire.Frame) {
 			}
 			return
 		}
-		buf := wire.GetBuffer()
-		encStart := time.Now()
-		buf.B = wire.AppendResultHandle(buf.B, jobID, &res, handle)
-		tl.Add(obs.StageEncode, time.Since(encStart))
-		// The result array is fully encoded into buf; recycle it for a
-		// later submission's destination. That goes before the send:
-		// putDst allocates, and a goroutine that parks in GC assist with
-		// its response already on the wire still holds its admission slot
-		// — a client refilling the window it was just handed would draw
-		// BUSY. After the send only the release may remain.
-		c.srv.putDst(res.Values)
-		c.sendResult(buf, tl, t0)
+		// The frame lends the result array; the write loop recycles it
+		// for a later submission's destination once the frame is freed.
+		c.sendResult(c.lendResult(jobID, &res, handle, c.srv.recycle, tl), tl, t0)
 	}()
 }
 
 // serveInline answers one admitted, interned submission on the read loop
 // when the dispatcher holds a verified resident total for it: the RESULT
-// is encoded straight from that total, admission is released and the
-// frame queued — no engine queue, worker, waiter goroutine or
-// destination array. The total is the resident's own vector, so it is
-// never handed to putDst. False means nothing was sent and the job takes
-// the engine path.
-func (c *conn) serveInline(l *trace.Loop, fp, jobID, handle uint64, tl *obs.Timeline, t0 time.Time, release func()) bool {
+// frame lends that total, admission is released and the frame queued —
+// no engine queue, worker, waiter goroutine or destination array. The
+// total is the resident's own immutable vector, so the frame carries no
+// recycler. False means nothing was sent and the job takes the engine
+// path.
+func (c *conn) serveInline(l *trace.Loop, fp, jobID, handle uint64, tl *obs.Timeline, t0 time.Time, ts *tenantState) bool {
 	if c.srv.resident == nil {
 		return false
 	}
-	res, ok := c.srv.resident.ServeResident(l, fp, c.tenant.name)
+	res, ok := c.srv.resident.ServeResident(l, fp, ts.name)
 	if !ok {
 		return false
 	}
-	buf := wire.GetBuffer()
-	encStart := time.Now()
-	buf.B = wire.AppendResultHandle(buf.B, jobID, &res, handle)
+	buf := c.lendResult(jobID, &res, handle, nil, tl)
 	tl.Add(obs.StageExecute, res.Elapsed)
-	tl.Add(obs.StageEncode, time.Since(encStart))
 	c.srv.inlined.Add(1)
-	release()
+	c.release(ts)
 	c.sendResult(buf, tl, t0)
 	return true
+}
+
+// lendResult encodes res into a pooled frame that lends res.Values to the
+// write loop (wire.Buffer.LendResult), which hands the array to recycle,
+// when non-nil, once the frame is freed. The encode it attributes covers
+// the frame's head and tail only: the array goes to the kernel in the
+// write stage.
+func (c *conn) lendResult(jobID uint64, res *engine.Result, handle uint64, recycle func([]float64), tl *obs.Timeline) *wire.Buffer {
+	buf := wire.GetBuffer()
+	encStart := time.Now()
+	buf.LendResult(jobID, res, handle, recycle)
+	tl.Add(obs.StageEncode, time.Since(encStart))
+	return buf
 }
 
 // admit charges one job against the admission budgets, checked from the
@@ -405,9 +406,9 @@ func (c *conn) serveInline(l *trace.Loop, fp, jobID, handle uint64, tl *obs.Time
 // charge, including refunding the rate token, so a rejected job leaves
 // no residue in any budget. This is the single admission path for every
 // frame type that holds a goroutine (SUBMIT, STATSREQ and the session
-// operations alike); on success the caller must invoke the returned
-// release exactly once.
-func (c *conn) admit(jobID uint64) (func(), bool) {
+// operations alike); on success it returns the tenant it charged, which
+// the caller must hand to release exactly once.
+func (c *conn) admit(jobID uint64) (*tenantState, bool) {
 	if c.inflight.Load() >= int64(c.srv.cfg.MaxInflightPerConn) {
 		c.sendBusy(jobID, wire.BusyConn)
 		return nil, false
@@ -439,26 +440,18 @@ func (c *conn) admit(jobID uint64) (func(), bool) {
 		return nil, false
 	}
 	c.inflight.Add(1)
-	return func() {
-		c.inflight.Add(-1)
-		if ts.maxInflight > 0 {
-			ts.inflight.Add(-1)
-		}
-		c.srv.inflight.Add(-1)
-	}, true
+	return ts, true
 }
 
-// encodeSessionResult encodes one session operation's RESULT and
-// recycles its destination array. The engine's execute stage rides the
-// Result (a session operation never queues); encode is attributed here.
-func (c *conn) encodeSessionResult(jobID uint64, res *engine.Result, tl *obs.Timeline) *wire.Buffer {
-	buf := wire.GetBuffer()
-	encStart := time.Now()
-	buf.B = wire.AppendResult(buf.B, jobID, res)
-	tl.Add(obs.StageExecute, res.Elapsed)
-	tl.Add(obs.StageEncode, time.Since(encStart))
-	c.srv.putDst(res.Values) // before the send, as in handleSubmit's waiter
-	return buf
+// release returns one admitted job's charges: the connection's, the
+// tenant's admit charged (a later HELLO may have rebound the
+// connection), and the global one.
+func (c *conn) release(ts *tenantState) {
+	c.inflight.Add(-1)
+	if ts.maxInflight > 0 {
+		ts.inflight.Add(-1)
+	}
+	c.srv.inflight.Add(-1)
 }
 
 // handleOpenSession admits, decodes and registers one streaming session.
@@ -470,7 +463,7 @@ func (c *conn) encodeSessionResult(jobID uint64, res *engine.Result, tl *obs.Tim
 // runs on a waiter goroutine so the read loop keeps pipelining.
 func (c *conn) handleOpenSession(f wire.Frame) {
 	t0 := time.Now()
-	release, ok := c.admit(f.JobID)
+	ts, ok := c.admit(f.JobID)
 	if !ok {
 		return
 	}
@@ -478,7 +471,7 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 	if !isSession {
 		// The gateway's routed dispatcher cannot pin resident state to
 		// one backend; job-scoped refusal, the connection lives.
-		release()
+		c.release(ts)
 		c.sendError(f.JobID, "sessions unsupported by this peer")
 		return
 	}
@@ -487,20 +480,20 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 	l := new(trace.Loop)
 	sid, _, _, err := f.DecodeOpenSessionInto(l, nil, nil, wire.DefaultMaxElems)
 	if err != nil {
-		release()
+		c.release(ts)
 		c.sendError(f.JobID, err.Error())
 		return
 	}
 	decodeDone := time.Now()
 	key := sessKey{conn: c.id, sid: sid}
 	if c.srv.sessions.get(key) != nil {
-		release()
+		c.release(ts)
 		c.sendError(f.JobID, fmt.Sprintf("session %d already open on this connection", sid))
 		return
 	}
 	est := int64(reduction.DeltaStateBytes(l))
 	if err := c.srv.sessions.reserve(est); err != nil {
-		release()
+		c.release(ts)
 		c.sendBusy(f.JobID, wire.BusySession)
 		return
 	}
@@ -511,12 +504,11 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 
 	c.jobWG.Add(1)
 	jobID := f.JobID
-	tenant := c.tenant.name // captured: a later HELLO must not race the waiter
 	go func() {
 		defer c.jobWG.Done()
-		defer release()
+		defer c.release(ts)
 		dst := c.srv.getDst(l.NumElems)
-		es, res, err := sd.OpenSession(l, dst, tenant)
+		es, res, err := sd.OpenSession(l, dst, ts.name)
 		if err != nil {
 			c.srv.sessions.abort(est)
 			c.srv.putDst(dst)
@@ -539,7 +531,8 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 			c.sendError(jobID, fmt.Sprintf("session %d already open on this connection", sid))
 			return
 		}
-		c.sendResult(c.encodeSessionResult(jobID, &res, tl), tl, t0)
+		tl.Add(obs.StageExecute, res.Elapsed)
+		c.sendResult(c.lendResult(jobID, &res, 0, c.srv.recycle, tl), tl, t0)
 	}()
 }
 
@@ -550,7 +543,7 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 // session draws the typed session-gone ERROR — never a stale sum.
 func (c *conn) handleDelta(f wire.Frame) {
 	t0 := time.Now()
-	release, ok := c.admit(f.JobID)
+	ts, ok := c.admit(f.JobID)
 	if !ok {
 		return
 	}
@@ -558,14 +551,14 @@ func (c *conn) handleDelta(f wire.Frame) {
 	var err error
 	sid, c.scratchDelta, err = f.DecodeDelta(c.scratchDelta)
 	if err != nil {
-		release()
+		c.release(ts)
 		c.sendError(f.JobID, err.Error())
 		return
 	}
 	decodeDone := time.Now()
 	ss := c.srv.sessions.get(sessKey{conn: c.id, sid: sid})
 	if ss == nil {
-		release()
+		c.release(ts)
 		c.sendError(f.JobID, fmt.Sprintf("%sno session %d on this connection", wire.SessionGonePrefix, sid))
 		return
 	}
@@ -573,7 +566,7 @@ func (c *conn) handleDelta(f wire.Frame) {
 	res, err := ss.es.Apply(c.scratchDelta, dst)
 	if err != nil {
 		c.srv.putDst(dst)
-		release()
+		c.release(ts)
 		if errors.Is(err, engine.ErrSessionClosed) {
 			// Evicted between the lookup above and the apply; the client
 			// re-opens rather than trusting stale state.
@@ -588,8 +581,9 @@ func (c *conn) handleDelta(f wire.Frame) {
 	tl.Reset()
 	tl.TraceID = obs.NewTraceID()
 	tl.Add(obs.StageDecode, decodeDone.Sub(t0))
-	buf := c.encodeSessionResult(f.JobID, &res, tl)
-	release()
+	tl.Add(obs.StageExecute, res.Elapsed)
+	buf := c.lendResult(f.JobID, &res, 0, c.srv.recycle, tl)
+	c.release(ts)
 	c.sendResult(buf, tl, t0)
 }
 
@@ -599,11 +593,11 @@ func (c *conn) handleDelta(f wire.Frame) {
 // never waits on an apply of this connection: every delta pipelined
 // before the close has been answered.
 func (c *conn) handleCloseSession(f wire.Frame) {
-	release, ok := c.admit(f.JobID)
+	ts, ok := c.admit(f.JobID)
 	if !ok {
 		return
 	}
-	defer release()
+	defer c.release(ts)
 	sid, err := f.DecodeCloseSession()
 	if err != nil {
 		c.sendError(f.JobID, err.Error())
@@ -616,7 +610,7 @@ func (c *conn) handleCloseSession(f wire.Frame) {
 	}
 	res := engine.Result{Scheme: "session", SessionGen: ss.es.Gen()}
 	buf := wire.GetBuffer()
-	buf.B = wire.AppendResult(buf.B, f.JobID, &res)
+	buf.LendResult(f.JobID, &res, 0, nil)
 	c.send(buf)
 }
 

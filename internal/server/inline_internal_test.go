@@ -192,17 +192,18 @@ func firstMismatch(got, want []float64) int {
 }
 
 // inlineSubmitRefAllocs is the allocation ceiling of one warm SUBMIT_REF
-// answered inline, measured while ServeResident still took a callback:
-// one, admit's release closure.
-const inlineSubmitRefAllocs = 1
+// answered inline: none. Admission hands back the tenant it charged, not
+// a release closure, and the frame lends the resident's vector.
+const inlineSubmitRefAllocs = 0
 
 // TestInlineSubmitRefWarmAllocs: a warm SUBMIT_REF of an armed loop,
 // answered inline through handleSubmit — admission, the handle probe,
 // the resident serve, the encode and the hand-off to the write loop —
 // allocates no more than inlineSubmitRefAllocs times per job. The
-// inline answer is the resident's own vector, so the destination pool
-// never receives it: arrays drawn from the pool and scribbled on after
-// the serves leave the resident's answer as it was.
+// inline answer lends the resident's own vector, and the frame carries
+// no recycler, so the destination pool never receives it: arrays drawn
+// from the pool and scribbled on after the serves (and after the write
+// loop freed their frames) leave the resident's answer as it was.
 func TestInlineSubmitRefWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
@@ -235,7 +236,6 @@ func TestInlineSubmitRefWarmAllocs(t *testing.T) {
 	go io.Copy(io.Discard, peer)
 	c := newConn(srv, nc)
 	c.w = wire.NewWriter(nc, c.closeTimelines, nil)
-	defer c.w.Close()
 	f, _, err := wire.DecodeFrame(wire.AppendSubmitRef(nil, 1, fp, handle, 0), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +252,7 @@ func TestInlineSubmitRefWarmAllocs(t *testing.T) {
 		t.Fatalf("%v allocations per warm inline SUBMIT_REF, want at most %d", allocs, inlineSubmitRefAllocs)
 	}
 
+	c.w.Close() // every frame written and freed
 	for range 8 {
 		d := srv.getDst(canon.NumElems)
 		for i := range d {

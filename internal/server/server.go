@@ -24,12 +24,15 @@
 // wire.Reader reads the socket into one buffer and parses frames where
 // they landed; the write loop takes every response queued at that moment
 // and hands the batch to the socket as one vectored write, straight from
-// the pooled buffers the encoders filled. A RESULT vector is therefore
-// touched once in user space on its way out when served inline (the
-// encode from the resident total), twice on the engine path (the
-// engine's copy into the job's array, the encode), and once on its way
-// in at the client (the decode) — docs/ARCHITECTURE.md "The byte path of
-// a RESULT".
+// the pooled buffers the encoders filled. A RESULT frame lends its vector
+// rather than holding a copy (wire.Buffer.LendResult): the write sends
+// the array from its own memory between the frame's head and tail, and
+// freeing the frame hands a pooled array back to the destination pool —
+// a resident total is immutable and is never pooled. A RESULT vector is
+// therefore not touched in user space on its way out when served inline,
+// once on the engine path (the engine's copy into the job's array), and
+// once on its way in at the client (the decode) — docs/ARCHITECTURE.md
+// "The byte path of a RESULT".
 //
 // Three properties carry the engine's performance across the network hop:
 //
@@ -150,6 +153,10 @@ type Server struct {
 
 	inflight atomic.Int64 // global in-flight jobs (admission control)
 	dstPool  sync.Pool    // recycled result destination arrays
+	// recycle is putDst as a func value, bound once: every frame that
+	// lends a pooled array carries it to the write loop, so no job pays
+	// for a closure.
+	recycle func([]float64)
 
 	// tenants is the admission table keyed by HELLO tenant name;
 	// tenantList preserves configuration order (default first) for
@@ -197,7 +204,7 @@ func NewWithDispatcher(d Dispatcher, cfg Config) *Server {
 	cfg.fill()
 	tenants, tenantList := buildTenantTable(cfg.Tenants, nil)
 	resident, _ := d.(residentDispatcher)
-	return &Server{
+	s := &Server{
 		disp:       d,
 		resident:   resident,
 		cfg:        cfg,
@@ -209,6 +216,8 @@ func NewWithDispatcher(d Dispatcher, cfg Config) *Server {
 		conns:      make(map[*conn]struct{}),
 		ring:       obs.NewTraceRing(cfg.TraceRingSize),
 	}
+	s.recycle = s.putDst
+	return s
 }
 
 // ErrServerClosed is returned by Serve after Shutdown.

@@ -5,10 +5,13 @@
 // are legal for a stream socket, and every frame parser and write loop
 // above it must be indifferent to them. ListenResetting adds resets: a
 // connection closes itself once a drawn number of bytes has crossed it,
-// mid-frame as often as not. The piece sizes and reset points are drawn
+// mid-frame as often as not. Stall wraps one connection whose reads
+// stop partway, for a while or until it is closed: its peer's writes
+// fill the socket buffers and then block, as against a client that
+// stopped reading. The piece sizes, reset points and stalls are drawn
 // from a seeded source, so a failing run replays from its seed.
 //
-// Stalls and half-open connections are not modelled yet.
+// Half-open connections are not modelled yet.
 package faultnet
 
 import (
@@ -17,6 +20,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Listen wraps ln: connection i it accepts draws its piece sizes from
@@ -131,4 +135,67 @@ func (c *conn) Write(b []byte) (int, error) {
 		b = b[n:]
 	}
 	return written, nil
+}
+
+// Stall wraps c so that its reads stop once a byte count drawn from seed
+// in [minBytes, maxBytes] has been read: the Read that reaches the count
+// returns the bytes up to it, and the next one blocks for a span drawn
+// from seed in [maxSpan/2, maxSpan] — until Close when maxSpan is 0 —
+// before reading on. Writes pass through. Only this end is wrapped: a
+// peer writing into the stall keeps its own socket, so a server behind a
+// plain listener still writes with writev. Reads must come from one
+// goroutine at a time.
+func Stall(c net.Conn, seed int64, minBytes, maxBytes int, maxSpan time.Duration) net.Conn {
+	rng := rand.New(rand.NewSource(seed))
+	sc := &stallConn{Conn: c, left: minBytes + rng.Intn(max(maxBytes-minBytes, 0)+1), closed: make(chan struct{})}
+	if maxSpan > 0 {
+		sc.span = maxSpan/2 + time.Duration(rng.Int63n(int64(maxSpan-maxSpan/2)+1))
+	}
+	return sc
+}
+
+type stallConn struct {
+	net.Conn
+	left      int           // bytes until the stall; -1 once it is over
+	span      time.Duration // 0: until Close
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+// Read reads up to the stall point, waits out the stall, then reads on.
+func (c *stallConn) Read(b []byte) (int, error) {
+	if c.left == 0 {
+		c.left = -1
+		c.wait()
+	}
+	if c.left > 0 && len(b) > c.left {
+		b = b[:c.left]
+	}
+	n, err := c.Conn.Read(b)
+	if c.left > 0 {
+		c.left -= n
+	}
+	return n, err
+}
+
+// wait blocks for the stall's span, or until Close.
+func (c *stallConn) wait() {
+	if c.span == 0 {
+		<-c.closed
+		return
+	}
+	t := time.NewTimer(c.span)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-c.closed:
+	}
+}
+
+// Close closes the connection, then ends a stall in progress, so the
+// stalled Read reads on from a closed connection.
+func (c *stallConn) Close() error {
+	err := c.Conn.Close()
+	c.closeOnce.Do(func() { close(c.closed) })
+	return err
 }

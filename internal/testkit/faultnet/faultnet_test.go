@@ -120,6 +120,65 @@ func TestResets(t *testing.T) {
 	}
 }
 
+// TestStall: a stalling connection reads exactly its drawn byte count —
+// inside the window, the same count for the same seed — then reads
+// nothing for at least half its maximum span, then reads the rest
+// intact. A stall until Close ends when the connection is closed.
+func TestStall(t *testing.T) {
+	const lo, hi, span = 100, 3000, 200 * time.Millisecond
+	msg := make([]byte, 4096)
+	for i := range msg {
+		msg[i] = byte(i * 7)
+	}
+	counts := map[int64]int{}
+	for _, seed := range []int64{3, 3, 4} {
+		a, b := net.Pipe()
+		go func() {
+			a.Write(msg)
+			a.Close()
+		}()
+		sc := faultnet.Stall(b, seed, lo, hi, span)
+		var got []byte
+		before, gap := -1, time.Duration(0)
+		buf := make([]byte, 512)
+		for {
+			start := time.Now()
+			n, err := sc.Read(buf)
+			if d := time.Since(start); d > gap {
+				before, gap = len(got), d
+			}
+			got = append(got, buf[:n]...)
+			if err != nil {
+				break
+			}
+		}
+		sc.Close()
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("seed %d: read %d bytes that are not the message", seed, len(got))
+		}
+		if before < lo || before > hi || gap < span/2 {
+			t.Fatalf("seed %d: the longest read (%v) came after %d bytes, want a stall of at least %v inside [%d, %d]", seed, gap, before, span/2, lo, hi)
+		}
+		if prev, ok := counts[seed]; ok && prev != before {
+			t.Fatalf("seed %d: stalled after %d bytes, then after %d", seed, prev, before)
+		}
+		counts[seed] = before
+	}
+
+	a, b := net.Pipe()
+	defer a.Close()
+	go a.Write(msg)
+	sc := faultnet.Stall(b, 1, 10, 10, 0)
+	if n, err := io.ReadFull(sc, make([]byte, 10)); n != 10 || err != nil {
+		t.Fatalf("read %d bytes before the stall: %v", n, err)
+	}
+	start := time.Now()
+	time.AfterFunc(30*time.Millisecond, func() { sc.Close() })
+	if _, err := sc.Read(make([]byte, 1)); err == nil || time.Since(start) < 30*time.Millisecond {
+		t.Fatalf("a stall until Close returned %v after %v", err, time.Since(start))
+	}
+}
+
 // TestRoundTripsOverFaults boots a daemon on a faulting listener — its
 // every write split into 1..k-byte pieces, its every read short — and
 // runs full SUBMITs, SUBMIT_REFs and a session through a client. Every

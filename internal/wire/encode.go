@@ -27,8 +27,12 @@ func beginFrame(dst []byte, t FrameType, jobID uint64) ([]byte, int) {
 }
 
 // endFrame patches the length prefix once the body is in place.
-func endFrame(dst []byte, lenPos int) []byte {
-	n := uint32(len(dst) - lenPos - 4)
+func endFrame(dst []byte, lenPos int) []byte { return endFrameAround(dst, lenPos, 0) }
+
+// endFrameAround is endFrame for a frame whose body also spans lent bytes
+// that dst does not hold.
+func endFrameAround(dst []byte, lenPos, lent int) []byte {
+	n := uint32(len(dst) - lenPos - 4 + lent)
 	dst[lenPos] = byte(n)
 	dst[lenPos+1] = byte(n >> 8)
 	dst[lenPos+2] = byte(n >> 16)
@@ -162,13 +166,38 @@ func AppendResult(dst []byte, jobID uint64, r *engine.Result) []byte {
 	return AppendResultHandle(dst, jobID, r, 0)
 }
 
-// AppendResultHandle encodes a completed job: execution metadata, the
-// reduction array as raw little-endian float64s, the session generation
-// (0 for a one-shot job) and the pattern handle the server interned the
-// submitted loop under (0 when the RESULT names none: a session answer,
-// or the answer to a SUBMIT_REF, whose sender holds the handle already).
+// AppendResultHandle appends LendResult's frame to dst with the vector's
+// bytes stored in place: the contiguous form of the one RESULT encoder,
+// for a caller that writes bytes rather than sending a Buffer.
 func AppendResultHandle(dst []byte, jobID uint64, r *engine.Result, handle uint64) []byte {
-	dst, p := beginFrame(dst, FrameResult, jobID)
+	b := Buffer{B: dst}
+	b.LendResult(jobID, r, handle, nil)
+	if len(b.vec) == 0 {
+		return b.B
+	}
+	n, end := 8*len(b.vec), len(b.B)
+	dst = slices.Grow(b.B, n)[:end+n]
+	copy(dst[b.at+n:], dst[b.at:end])
+	putF64s(dst[b.at:], b.vec)
+	return dst
+}
+
+// LendResult appends a completed job's RESULT frame to b: execution
+// metadata, the reduction array as raw little-endian float64s, the
+// session generation (0 for a one-shot job) and the pattern handle the
+// server interned the submitted loop under (0 when the RESULT names
+// none: a session answer, or the answer to a SUBMIT_REF, whose sender
+// holds the handle already).
+//
+// The frame references r.Values instead of copying it: B takes the bytes
+// before and after the array, and a Writer sends the array from its own
+// memory between them. r.Values must therefore stay as it is until b is
+// freed; Free then hands it to recycle, when non-nil. A Buffer lends at
+// most one vector. On a host whose float64s are not the wire's bytes
+// (lendVectors) the array is stored into B instead and goes to recycle
+// at once.
+func (b *Buffer) LendResult(jobID uint64, r *engine.Result, handle uint64, recycle func([]float64)) {
+	dst, p := beginFrame(b.B, FrameResult, jobID)
 	var flags byte
 	if r.CacheHit {
 		flags |= 1
@@ -178,14 +207,23 @@ func AppendResultHandle(dst []byte, jobID uint64, r *engine.Result, handle uint6
 	dst = appendString(dst, r.Scheme)
 	dst = appendString(dst, r.Why)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Values)))
-	// One grow for the vector and the two fields after it, then the bulk
-	// store.
-	vec := len(dst)
-	dst = slices.Grow(dst, 8*len(r.Values)+2*binary.MaxVarintLen64)[:vec+8*len(r.Values)]
-	putF64s(dst[vec:], r.Values)
+	lent := 0
+	if lendVectors {
+		b.vec, b.at, b.recycle = r.Values, len(dst), recycle
+		lent = 8 * len(r.Values)
+	} else {
+		// One grow for the vector and the two fields after it, then the
+		// bulk store.
+		vec := len(dst)
+		dst = slices.Grow(dst, 8*len(r.Values)+2*binary.MaxVarintLen64)[:vec+8*len(r.Values)]
+		putF64s(dst[vec:], r.Values)
+		if recycle != nil {
+			recycle(r.Values)
+		}
+	}
 	dst = binary.AppendUvarint(dst, r.SessionGen)
 	dst = binary.AppendUvarint(dst, handle)
-	return endFrame(dst, p)
+	b.B = endFrameAround(dst, p, lent)
 }
 
 // AppendError encodes a job failure (jobID != 0) or a fatal connection

@@ -10,7 +10,8 @@ import (
 // raw little-endian float64 bits, so encoding and decoding it is a copy.
 // On a little-endian host (hostLE, set per architecture in
 // floats_le.go/floats_be.go) it is exactly that: one copy between the
-// frame and a byte view of the vector. Elsewhere the portable loops
+// frame and a byte view of the vector — and a sender skips even that,
+// handing the byte view to the socket (Buffer.LendResult). Elsewhere the portable loops
 // below store and load element by element; they are compiled on every
 // host and the tests hold the two paths to the same bytes.
 //

@@ -2,6 +2,7 @@
 
 package wire
 
-// hostLE: float64 bits sit in memory in the wire's byte order, so the
-// RESULT vector crosses the codec as one copy.
+// hostLE: float64 bits sit in memory in the wire's byte order, so a
+// RESULT vector goes to the socket from its own memory and is decoded
+// with one copy.
 const hostLE = true

@@ -87,8 +87,9 @@ func TestFloatCodecPathsAgree(t *testing.T) {
 
 // BenchmarkResultCodec times the RESULT codec alone at the standing
 // workloads' vector sizes (session_remote's 1024, the Zipf streams' 3100):
-// encode into a reused buffer, decode into a sized destination — the warm
-// path of a connection. MB/s is over the frame.
+// encode into a reused buffer, lend (the server's encode: head and tail
+// only), decode into a sized destination — the warm path of a
+// connection. MB/s is over the frame.
 func BenchmarkResultCodec(b *testing.B) {
 	for _, n := range []int{1024, 3100} {
 		res := engine.Result{Values: make([]float64, n), Scheme: "rep", Why: "simplify: resident result", BatchSize: 3}
@@ -102,6 +103,15 @@ func BenchmarkResultCodec(b *testing.B) {
 			buf := make([]byte, 0, len(frame))
 			for i := 0; i < b.N; i++ {
 				buf = AppendResultHandle(buf[:0], 7, &res, 300)
+			}
+		})
+		b.Run("lend/"+strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			buf := &Buffer{}
+			for i := 0; i < b.N; i++ {
+				buf.B = buf.B[:0]
+				buf.LendResult(7, &res, 300, nil)
 			}
 		})
 		b.Run("decode/"+strconv.Itoa(n), func(b *testing.B) {

@@ -215,7 +215,8 @@ func goldenResultCases() []struct {
 
 // TestResultGoldenBytes pins the version-2 RESULT frame, whose values
 // the version-1 goldens had recorded from the per-element codec the bulk
-// one replaced. Each case is encoded eight
+// one replaced. A lent RESULT must gather to the same bytes. Each case
+// is encoded eight
 // times into one reused buffer that is dirty and non-empty on entry (the
 // encoders append), then the golden is decoded into a destination with
 // spare capacity, with exact capacity and with none, comparing
@@ -242,6 +243,12 @@ func TestResultGoldenBytes(t *testing.T) {
 				}
 			}
 		}
+		lent := GetBuffer()
+		lent.LendResult(jobID, &tc.r, tc.handle, nil)
+		if got := lent.appendTo(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the lent RESULT gathers to\n%x\nwant\n%x", tc.name, got, want)
+		}
+		lent.Free()
 		f, n, err := DecodeFrame(want, 0)
 		if err != nil || n != len(want) {
 			t.Fatalf("%s: golden does not frame: n=%d err=%v", tc.name, n, err)

@@ -15,12 +15,15 @@
 // with jobID 0 are connection-scoped (HELLO, fatal ERROR).
 //
 // The hot path is allocation-conscious end to end: encoders append into
-// pooled buffers (GetBuffer/Free), a Writer sends the buffers queued on a
-// connection in one vectored write and frees them, the Reader parses
+// pooled buffers (GetBuffer/Free), a RESULT frame lends its vector to the
+// buffer instead of copying it (Buffer.LendResult), a Writer sends the
+// buffers queued on a connection in one vectored write — a lent vector
+// straight from its own memory — and frees them, the Reader parses
 // frames in place from the one buffer it reads the connection into, loop
 // decoding can reuse caller scratch (Frame.DecodeSubmitInto) and result
 // decoding fills a caller-provided destination array in one bulk pass
-// (floats.go) — a RESULT vector is touched once per side of a hop.
+// (floats.go) — a RESULT vector is copied in user space only by the
+// receiving side of a hop.
 // Decoding is defensive: every read is bounds-checked, sizes are capped
 // before allocation, and corrupt or truncated input returns an error —
 // never a panic (see FuzzDecodeFrame).
@@ -245,12 +248,23 @@ type Frame struct {
 	Body []byte
 }
 
-// Buffer is a pooled byte buffer for frame encoding. Get one, append
-// frames to B with the Append* encoders, write B, then Free it.
+// Buffer is a pooled frame buffer. Get one, append frames to B with the
+// Append* encoders (or lend it one RESULT with LendResult), send it
+// through a Writer or write its bytes, then Free it.
 type Buffer struct {
-	// B is the accumulated frame bytes, ready to write to the peer.
+	// B is the accumulated frame bytes. Around a lent vector it holds
+	// every byte but the vector's, which belong at offset at.
 	B []byte
+
+	vec     []float64       // the lent RESULT vector, nil when B holds every byte
+	at      int             // where vec's bytes go in B
+	recycle func([]float64) // receives vec when the buffer is freed; nil keeps it
 }
+
+// lendVectors says whether a RESULT vector may go to the peer from its
+// own memory: its bytes are the wire's only on a little-endian host. It
+// is a variable so tests can take the copying path on any host.
+var lendVectors = hostLE
 
 var bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 4096)} }}
 
@@ -261,12 +275,38 @@ func GetBuffer() *Buffer {
 	return b
 }
 
-// Free returns the buffer to the pool. Oversized buffers are dropped so a
-// single huge frame does not pin memory forever.
+// Free hands a lent vector to its recycler, then returns the buffer to
+// the pool. Oversized buffers are dropped so a single huge frame does
+// not pin memory forever.
 func (b *Buffer) Free() {
+	if b.recycle != nil {
+		b.recycle(b.vec)
+	}
+	b.vec, b.at, b.recycle = nil, 0, nil
 	if cap(b.B) <= 4<<20 {
 		bufPool.Put(b)
 	}
+}
+
+// appendIovecs appends the buffer's bytes to iov as the pieces a
+// vectored write sends: B, or B[:at], the lent vector's memory and
+// B[at:].
+func (b *Buffer) appendIovecs(iov [][]byte) [][]byte {
+	if len(b.vec) == 0 {
+		return append(iov, b.B)
+	}
+	return append(iov, b.B[:b.at], f64Bytes(b.vec), b.B[b.at:])
+}
+
+// appendTo appends the buffer's bytes to dst as one contiguous run: the
+// pieces of appendIovecs gathered.
+func (b *Buffer) appendTo(dst []byte) []byte {
+	if len(b.vec) == 0 {
+		return append(dst, b.B...)
+	}
+	dst = append(dst, b.B[:b.at]...)
+	dst = append(dst, f64Bytes(b.vec)...)
+	return append(dst, b.B[b.at:]...)
 }
 
 // WritePreamble sends the connection opener: magic plus version byte.

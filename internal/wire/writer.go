@@ -22,10 +22,17 @@ const MaxBatch = 64
 // loop runnable, and it runs when the sender parks, carrying everything
 // queued since.
 //
+// A RESULT a Buffer lends (LendResult) leaves from the vector's own
+// memory: the write carries it as a third slice between the frame's head
+// and tail, or gathers it with them into the one Write. Either way the
+// bytes on the wire are the contiguous encoding's.
+//
 // Each frame carries a note of type N, which the loop hands back to the
 // owner after the write that carried it. After a write error the loop
 // writes nothing more but keeps taking and freeing frames, so no sender
-// blocks on a dead connection, until Close.
+// blocks on a dead connection, until Close. Every frame is freed exactly
+// once — after its write, after the error that dropped it, or by a Send
+// after Close — and only then is a lent vector recycled.
 type Writer[N any] struct {
 	dst      io.Writer
 	vectored bool
@@ -107,12 +114,13 @@ func (w *Writer[N]) Queued() int {
 func (w *Writer[N]) loop() {
 	defer close(w.done)
 	// The batch being written, swapped with the queue under the lock, and
-	// its notes, byte slices and the view over those that WriteTo
-	// consumes as it writes: allocated once per connection.
+	// its notes, byte slices (up to three a frame: a lent vector goes
+	// between the bytes before and after it) and the view over those that
+	// WriteTo consumes as it writes: allocated once per connection.
 	var (
 		batch  = make([]queued[N], 0, MaxBatch)
 		notes  [MaxBatch]N
-		iov    [MaxBatch][]byte
+		iov    = make([][]byte, 0, 3*MaxBatch)
 		vec    net.Buffers
 		gather []byte
 		err    error
@@ -131,17 +139,17 @@ func (w *Writer[N]) loop() {
 		w.mu.Unlock()
 
 		if err == nil {
-			for i, f := range batch {
-				notes[i], iov[i] = f.note, f.buf.B
-			}
 			start := time.Now()
 			if w.vectored {
-				vec = iov[:len(batch)]
+				for i, f := range batch {
+					notes[i], iov = f.note, f.buf.appendIovecs(iov)
+				}
+				vec = iov
 				_, err = vec.WriteTo(w.dst)
 			} else {
 				gather = gather[:0]
-				for _, b := range iov[:len(batch)] {
-					gather = append(gather, b...)
+				for i, f := range batch {
+					notes[i], gather = f.note, f.buf.appendTo(gather)
 				}
 				_, err = w.dst.Write(gather)
 			}
@@ -152,12 +160,16 @@ func (w *Writer[N]) loop() {
 				w.after(notes[:len(batch)], start, end)
 			}
 		}
+		// Freeing a frame recycles the vector it lent, so that waits for
+		// the write that carried it, or for the error that dropped it.
 		for _, f := range batch {
 			f.buf.Free()
 		}
-		// The pools own the buffers now; do not pin them from here.
+		// The pools own the buffers and vectors now; do not pin them from
+		// here.
 		clear(notes[:len(batch)])
-		clear(iov[:len(batch)])
+		clear(iov)
+		iov = iov[:0]
 		clear(batch)
 		batch = batch[:0]
 	}
