@@ -22,11 +22,14 @@ race:
 # then, five times each, the server's inline path, where a RESULT frame
 # lends that resident to the write loop against live connections, the
 # stalled-client drain, where lent frames wait on a full socket until
-# Shutdown cuts it, and the Writer's lent-vector lifetime (each vector
-# recycled once, after its write, its write error or Close).
+# Shutdown cuts it, the server's session tests, where opens, deltas and
+# closes run on each connection's read loop against evictions by other
+# connections and connection resets, and the Writer's lent-vector
+# lifetime (each vector recycled once, after its write, its write error
+# or Close).
 race-resident:
 	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose' ./internal/engine/
-	$(GO) test -race -count=5 -run 'Inline|StalledClient' ./internal/server/
+	$(GO) test -race -count=5 -run 'Inline|StalledClient|Session' ./internal/server/
 	$(GO) test -race -count=5 -run 'WriterLentVector' ./internal/wire/
 
 fmt:

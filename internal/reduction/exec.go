@@ -25,8 +25,8 @@ var defaultL2Bytes = core.DefaultPlatform(1).Cfg.L2Bytes
 // *BufferPool is valid and falls back to plain allocation, so scheme code
 // can call it unconditionally.
 type BufferPool struct {
-	f64 [maxSizeClass]sync.Pool
-	i32 [maxSizeClass]sync.Pool
+	f64 classPool[float64]
+	i32 classPool[int32]
 }
 
 // maxSizeClass bounds capacity classes at 2^40 elements, far beyond any
@@ -49,45 +49,68 @@ func sizeClass(n int) int {
 // the pool when a buffer of the right class is available. Callers must
 // initialize every element they read.
 func (bp *BufferPool) Float64(n int) []float64 {
-	if bp != nil {
-		c := sizeClass(n)
-		if v := bp.f64[c].Get(); v != nil {
-			return (*v.(*[]float64))[:n]
-		}
-		return make([]float64, n, 1<<c)
+	if bp == nil {
+		return make([]float64, n)
 	}
-	return make([]float64, n)
+	return bp.f64.get(n)
 }
 
 // PutFloat64 returns a buffer to the pool. The slice must not be used
 // after the call.
 func (bp *BufferPool) PutFloat64(s []float64) {
-	if bp == nil || cap(s) == 0 || cap(s) != 1<<sizeClass(cap(s)) {
-		return
+	if bp != nil {
+		bp.f64.put(s)
 	}
-	s = s[:cap(s)]
-	bp.f64[sizeClass(cap(s))].Put(&s)
 }
 
 // Int32 is Float64's counterpart for index/flag/link arrays.
 func (bp *BufferPool) Int32(n int) []int32 {
-	if bp != nil {
-		c := sizeClass(n)
-		if v := bp.i32[c].Get(); v != nil {
-			return (*v.(*[]int32))[:n]
-		}
-		return make([]int32, n, 1<<c)
+	if bp == nil {
+		return make([]int32, n)
 	}
-	return make([]int32, n)
+	return bp.i32.get(n)
 }
 
 // PutInt32 returns an index buffer to the pool.
 func (bp *BufferPool) PutInt32(s []int32) {
-	if bp == nil || cap(s) == 0 || cap(s) != 1<<sizeClass(cap(s)) {
+	if bp != nil {
+		bp.i32.put(s)
+	}
+}
+
+// classPool is one element type's bins. A sync.Pool holds interface
+// values, and a slice header does not fit in one without a heap box, so
+// a bin holds *[]T boxes and the emptied boxes wait in a pool of their
+// own: a warm get and put allocate nothing.
+type classPool[T float64 | int32] struct {
+	bins  [maxSizeClass]sync.Pool // *[]T of capacity 2^class
+	boxes sync.Pool               // emptied *[]T
+}
+
+func (p *classPool[T]) get(n int) []T {
+	c := sizeClass(n)
+	if v := p.bins[c].Get(); v != nil {
+		box := v.(*[]T)
+		s := *box
+		*box = nil
+		p.boxes.Put(box)
+		return s[:n]
+	}
+	return make([]T, n, 1<<c)
+}
+
+// put bins s by its capacity; a slice whose capacity is not a power of
+// two came from elsewhere and is dropped.
+func (p *classPool[T]) put(s []T) {
+	if cap(s) == 0 || cap(s) != 1<<sizeClass(cap(s)) {
 		return
 	}
-	s = s[:cap(s)]
-	bp.i32[sizeClass(cap(s))].Put(&s)
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:cap(s)]
+	p.bins[sizeClass(cap(s))].Put(box)
 }
 
 // Exec is a reusable execution context for running schemes without

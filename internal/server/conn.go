@@ -61,7 +61,7 @@ type conn struct {
 
 	// Decode scratch, reused frame after frame (only the read loop
 	// touches it; interning clones before anything escapes, and
-	// OPEN_SESSION decodes into a loop of its own instead).
+	// OPEN_SESSION decodes into the loop its session adopts instead).
 	scratch      trace.Loop
 	scratchOff   []int32
 	scratchRefs  []int32
@@ -405,8 +405,8 @@ func (c *conn) lendResult(jobID uint64, res *engine.Result, handle uint64, recyc
 // back off from. A later gate's rejection rolls back every earlier
 // charge, including refunding the rate token, so a rejected job leaves
 // no residue in any budget. This is the single admission path for every
-// frame type that holds a goroutine (SUBMIT, STATSREQ and the session
-// operations alike); on success it returns the tenant it charged, which
+// job-carrying frame type (SUBMIT, STATSREQ and the session operations
+// alike); on success it returns the tenant it charged, which
 // the caller must hand to release exactly once.
 func (c *conn) admit(jobID uint64) (*tenantState, bool) {
 	if c.inflight.Load() >= int64(c.srv.cfg.MaxInflightPerConn) {
@@ -454,24 +454,26 @@ func (c *conn) release(ts *tenantState) {
 	c.srv.inflight.Add(-1)
 }
 
-// handleOpenSession admits, decodes and registers one streaming session.
-// Admission has a third gate beyond the in-flight budgets: the session
-// store's residency and byte budgets, checked against the loop's
-// estimated resident footprint before any state is built, with CLOCK
-// eviction making room and BUSY(BusySession) when it cannot. The open
-// itself (one sequential reduction, run by the engine on its caller)
-// runs on a waiter goroutine so the read loop keeps pipelining.
+// handleOpenSession admits, decodes, opens and installs one streaming
+// session on the read loop, like the deltas and the close that may be
+// pipelined behind it: a connection's session frames are answered in
+// arrival order. Beyond the in-flight budgets, a loop whose resident
+// footprint alone exceeds the store's byte budget draws BUSY(BusySession)
+// before any state is built and evicts nobody; any other open fits once
+// the store has evicted to make room. The open is one sequential pass
+// over at most one frame's references, the bound a max or min apply
+// already puts on the read loop.
 func (c *conn) handleOpenSession(f wire.Frame) {
 	t0 := time.Now()
 	ts, ok := c.admit(f.JobID)
 	if !ok {
 		return
 	}
+	defer c.release(ts)
 	sd, isSession := c.srv.disp.(SessionDispatcher)
 	if !isSession {
 		// The gateway's routed dispatcher cannot pin resident state to
 		// one backend; job-scoped refusal, the connection lives.
-		c.release(ts)
 		c.sendError(f.JobID, "sessions unsupported by this peer")
 		return
 	}
@@ -480,60 +482,33 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 	l := new(trace.Loop)
 	sid, _, _, err := f.DecodeOpenSessionInto(l, nil, nil, wire.DefaultMaxElems)
 	if err != nil {
-		c.release(ts)
 		c.sendError(f.JobID, err.Error())
 		return
 	}
 	decodeDone := time.Now()
 	key := sessKey{conn: c.id, sid: sid}
 	if c.srv.sessions.get(key) != nil {
-		c.release(ts)
 		c.sendError(f.JobID, fmt.Sprintf("session %d already open on this connection", sid))
 		return
 	}
-	est := int64(reduction.DeltaStateBytes(l))
-	if err := c.srv.sessions.reserve(est); err != nil {
-		c.release(ts)
+	if int64(reduction.DeltaStateBytes(l)) > c.srv.sessions.maxBytes {
 		c.sendBusy(f.JobID, wire.BusySession)
 		return
 	}
+	dst := c.srv.getDst(l.NumElems)
+	es, res, err := sd.OpenSession(l, dst, ts.name)
+	if err != nil {
+		c.srv.dsts.PutFloat64(dst)
+		c.sendError(f.JobID, err.Error())
+		return
+	}
+	c.srv.sessions.install(&serverSession{key: key, es: es, elems: l.NumElems, bytes: int64(es.Bytes())})
 	tl := tlPool.Get().(*obs.Timeline)
 	tl.Reset()
 	tl.TraceID = obs.NewTraceID()
 	tl.Add(obs.StageDecode, decodeDone.Sub(t0))
-
-	c.jobWG.Add(1)
-	jobID := f.JobID
-	go func() {
-		defer c.jobWG.Done()
-		defer c.release(ts)
-		dst := c.srv.getDst(l.NumElems)
-		es, res, err := sd.OpenSession(l, dst, ts.name)
-		if err != nil {
-			c.srv.sessions.abort(est)
-			c.srv.putDst(dst)
-			tlPool.Put(tl)
-			c.sendError(jobID, err.Error())
-			return
-		}
-		ok := c.srv.sessions.commit(&serverSession{
-			key:   key,
-			es:    es,
-			elems: l.NumElems,
-			bytes: int64(es.Bytes()),
-		}, est)
-		if !ok {
-			// A pipelined duplicate open won the race to install this key;
-			// tear down the loser so the winner's session stays resident.
-			es.Close()
-			c.srv.putDst(res.Values)
-			tlPool.Put(tl)
-			c.sendError(jobID, fmt.Sprintf("session %d already open on this connection", sid))
-			return
-		}
-		tl.Add(obs.StageExecute, res.Elapsed)
-		c.sendResult(c.lendResult(jobID, &res, 0, c.srv.recycle, tl), tl, t0)
-	}()
+	tl.Add(obs.StageExecute, res.Elapsed)
+	c.sendResult(c.lendResult(f.JobID, &res, 0, c.srv.recycle, tl), tl, t0)
 }
 
 // handleDelta admits and decodes one delta batch, resolves its session
@@ -565,7 +540,7 @@ func (c *conn) handleDelta(f wire.Frame) {
 	dst := c.srv.getDst(ss.elems)
 	res, err := ss.es.Apply(c.scratchDelta, dst)
 	if err != nil {
-		c.srv.putDst(dst)
+		c.srv.dsts.PutFloat64(dst)
 		c.release(ts)
 		if errors.Is(err, engine.ErrSessionClosed) {
 			// Evicted between the lookup above and the apply; the client
@@ -630,24 +605,7 @@ func (c *conn) closeTimelines(notes []outNote, start, end time.Time) {
 	}
 }
 
-// getDst returns a recycled destination array with capacity for n
-// elements when one is available, else a fresh one. Destination recycling
-// plus pooled frame buffers is what keeps the per-job steady state of the
-// serving path allocation-free.
-func (s *Server) getDst(n int) []float64 {
-	if v := s.dstPool.Get(); v != nil {
-		d := *(v.(*[]float64))
-		if cap(d) >= n {
-			return d[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-// putDst recycles a destination array once its contents are encoded.
-func (s *Server) putDst(d []float64) {
-	if cap(d) == 0 {
-		return
-	}
-	s.dstPool.Put(&d)
-}
+// getDst returns a destination array of length n from the server's
+// pool. Destination recycling plus pooled frame buffers is what keeps
+// the per-job steady state of the serving path allocation-free.
+func (s *Server) getDst(n int) []float64 { return s.dsts.Float64(n) }

@@ -270,3 +270,17 @@ func TestInlineSubmitRefWarmAllocs(t *testing.T) {
 		t.Fatalf("the resident answer changed after the inline serves: element %d = %g, want %g", bad, res.Values[bad], want[bad])
 	}
 }
+
+// TestDestinationRoundTripAllocsNothing: a warm destination draw and its
+// recycle, the round trip of every engine-path answer and session
+// answer, allocate nothing.
+func TestDestinationRoundTripAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts")
+	}
+	srv := NewWithDispatcher(nil, Config{})
+	srv.recycle(srv.getDst(3100))
+	if a := testing.AllocsPerRun(100, func() { srv.recycle(srv.getDst(3100)) }); a != 0 {
+		t.Fatalf("a warm destination round trip allocates %v times, want 0", a)
+	}
+}

@@ -26,8 +26,8 @@ import (
 // connection, each submitted delta resolves exactly once, to
 // RunSequential's bits over the client's mirror or to ErrConnLost, and
 // no result follows a loss. After each reset the daemon drops the
-// connection's sessions: its session count and the store's resident and
-// reserved bytes return to 0. The sessions then re-open on a fresh
+// connection's sessions: its session count and the store's resident
+// bytes return to 0. The sessions then re-open on a fresh
 // connection from their last acknowledged step and must read
 // RunSequential's bits. After three resets the client and daemon drain,
 // and no goroutine outlives them.
@@ -126,13 +126,13 @@ func TestSessionsOverResets(t *testing.T) {
 
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			resident, reserved := d.Srv.SessionBytes()
+			resident := d.Srv.SessionBytes()
 			n := d.Srv.Stats().Sessions
-			if n == 0 && resident == 0 && reserved == 0 {
+			if n == 0 && resident == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("round %d: after the reset %d sessions, %d resident and %d reserved bytes remain", round, n, resident, reserved)
+				t.Fatalf("round %d: after the reset %d sessions and %d resident bytes remain", round, n, resident)
 			}
 			time.Sleep(time.Millisecond)
 		}

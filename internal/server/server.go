@@ -14,11 +14,10 @@
 //	write loop: pooled response buffers ←─────────────────────────┴───────────┘
 //
 // A submission whose loop the engine holds a verified resident total for,
-// every session delta and every session close runs to completion on the
-// read loop: no engine queue, worker or waiter goroutine. A session open
-// runs on a waiter goroutine but takes no engine queue either (the
-// engine opens it on its caller). Everything else — misses, cold loops,
-// changed content — takes the engine queue.
+// and every session frame — open, delta and close, answered in arrival
+// order — runs to completion on the read loop: no engine queue, worker
+// or waiter goroutine. Everything else — misses, cold loops, changed
+// content — takes the engine queue.
 //
 // Neither loop sits behind a buffered-I/O layer. The read loop's
 // wire.Reader reads the socket into one buffer and parses frames where
@@ -67,6 +66,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/reduction"
 )
 
 // Config parameterizes a Server. The request caps are not settings: a
@@ -151,11 +151,11 @@ type Server struct {
 	sessions *sessionStore
 	connIDs  atomic.Uint64 // distinguishes session owners across connections
 
-	inflight atomic.Int64 // global in-flight jobs (admission control)
-	dstPool  sync.Pool    // recycled result destination arrays
-	// recycle is putDst as a func value, bound once: every frame that
-	// lends a pooled array carries it to the write loop, so no job pays
-	// for a closure.
+	inflight atomic.Int64          // global in-flight jobs (admission control)
+	dsts     *reduction.BufferPool // recycled result destination arrays
+	// recycle is dsts.PutFloat64 as a func value, bound once: every frame
+	// that lends a pooled array carries it to the write loop, so no job
+	// pays for a closure.
 	recycle func([]float64)
 
 	// tenants is the admission table keyed by HELLO tenant name;
@@ -215,8 +215,9 @@ func NewWithDispatcher(d Dispatcher, cfg Config) *Server {
 		lns:        make(map[net.Listener]struct{}),
 		conns:      make(map[*conn]struct{}),
 		ring:       obs.NewTraceRing(cfg.TraceRingSize),
+		dsts:       reduction.NewBufferPool(),
 	}
-	s.recycle = s.putDst
+	s.recycle = s.dsts.PutFloat64
 	return s
 }
 

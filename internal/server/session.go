@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,19 +18,16 @@ import (
 type SessionDispatcher interface {
 	// OpenSession registers l, which the session adopts (it mutates its
 	// loop; the caller hands l over), and returns the live session with
-	// its initial reduction. tenant is the owning connection's HELLO-bound tenant
-	// name: the open and every later apply count toward that tenant's
-	// jobs.
+	// its initial reduction. It runs on the connection's read loop, so
+	// it must compute on its caller and never wait on a queue. tenant is
+	// the owning connection's HELLO-bound tenant name: the open and
+	// every later apply count toward that tenant's jobs.
 	OpenSession(l *trace.Loop, dst []float64, tenant string) (*engine.Session, engine.Result, error)
 }
 
 func (d engineDispatcher) OpenSession(l *trace.Loop, dst []float64, tenant string) (*engine.Session, engine.Result, error) {
 	return d.eng.AdoptSessionTenant(l, dst, d.eng.TenantIndex(tenant))
 }
-
-// errSessionBudget reports that admission could not make room for a new
-// session even after eviction — the connection answers BUSY(BusySession).
-var errSessionBudget = errors.New("server: session budget exhausted")
 
 // sessKey names one session: sessions are connection-scoped (ids are
 // client-assigned), so the owning connection's id disambiguates equal
@@ -46,24 +42,24 @@ type serverSession struct {
 	elems int
 	bytes int64
 
-	lastUsed atomic.Int64 // unix nanos of the last touch (TTL)
+	lastUsed int64 // unix nanos of the last touch (TTL); guarded by the store's mu
 }
 
 // sessionStore is the server's session table: a clock.Cache extended with
-// a TTL and a resident-byte budget, both enforced at OPEN_SESSION
-// admission. One mutex guards the table — session operations are orders
+// a TTL and a resident-byte budget, both enforced when a session is
+// installed. One mutex guards the table — session operations are orders
 // of magnitude heavier than the lookups the sharded intern table serves,
-// so sharding buys nothing here.
+// so sharding buys nothing here. A connection opens, applies and closes
+// its sessions on its own read loop, in arrival order, and keys are
+// connection-scoped, so no two operations on one key ever race.
 type sessionStore struct {
 	maxSessions int
 	ttl         time.Duration
 	maxBytes    int64
 
-	mu            sync.Mutex
-	c             *clock.Cache[sessKey, *serverSession]
-	bytes         int64 // resident sessions' footprints
-	reserved      int   // admissions between reserve and commit
-	reservedBytes int64 // their estimates
+	mu    sync.Mutex
+	c     *clock.Cache[sessKey, *serverSession]
+	bytes int64 // resident sessions' footprints
 
 	opens     atomic.Uint64
 	evictions atomic.Uint64
@@ -78,69 +74,29 @@ func newSessionStore(maxSessions int, ttl time.Duration, maxBytes int64) *sessio
 	}
 }
 
-// reserve admits one prospective session of estimated size est, evicting
-// expired then idle sessions until both the count and byte budgets have
-// room. The reservation holds the budget until commit or abort, so two
-// racing opens cannot both squeeze through the same headroom. The
-// estimate is checked before any state is built or torn down — a loop
-// whose resident footprint could never fit, or cannot fit beside the
-// reservations in flight (which eviction cannot reclaim), is rejected for
-// the price of a BUSY frame and evicts nobody.
-func (st *sessionStore) reserve(est int64) error {
+// install makes ss resident, evicting expired then idle sessions until
+// both the count and byte budgets have room for it. It cannot fail: the
+// caller refuses a session whose footprint alone exceeds maxBytes before
+// building it, and every other resident session can be evicted.
+func (st *sessionStore) install(ss *serverSession) {
+	now := time.Now().UnixNano()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.reserved >= st.maxSessions || st.reservedBytes+est > st.maxBytes {
-		return errSessionBudget
-	}
-	st.expireLocked(time.Now().UnixNano())
-	// Past the check above an empty table has room, so the sweep always
-	// gets there before it runs out of victims.
-	for st.c.Len()+st.reserved >= st.maxSessions || st.bytes+st.reservedBytes+est > st.maxBytes {
-		_, ss, ok := st.c.Evict()
+	ss.lastUsed = now
+	st.expireLocked(now)
+	for st.c.Len() >= st.maxSessions || st.bytes+ss.bytes > st.maxBytes {
+		_, victim, ok := st.c.Evict()
 		if !ok {
-			return errSessionBudget
+			break
 		}
-		st.bytes -= ss.bytes
-		st.evictedLocked(ss)
-	}
-	st.reserved++
-	st.reservedBytes += est
-	return nil
-}
-
-// release returns a reservation's budget (mu held).
-func (st *sessionStore) release(est int64) {
-	st.reserved--
-	st.reservedBytes -= est
-}
-
-// commit installs the opened session in place of its reservation: the
-// byte account trades the estimate for the session's actual footprint.
-// Uniqueness is enforced here, where installation is atomic: two
-// pipelined opens with the same sid both pass the read loop's lookup,
-// and the second to commit must fail rather than overwrite the first.
-// On failure the reservation is released and the caller owns teardown.
-func (st *sessionStore) commit(ss *serverSession, est int64) bool {
-	ss.lastUsed.Store(time.Now().UnixNano())
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.release(est)
-	if _, dup := st.c.Peek(ss.key); dup {
-		return false
+		st.bytes -= victim.bytes
+		st.evictedLocked(victim)
 	}
 	st.bytes += ss.bytes
 	// A session just opened starts with its second chance: Put, then mark.
 	st.c.Put(ss.key, ss)
 	st.c.Get(ss.key)
 	st.opens.Add(1)
-	return true
-}
-
-// abort releases a reservation whose open failed.
-func (st *sessionStore) abort(est int64) {
-	st.mu.Lock()
-	st.release(est)
-	st.mu.Unlock()
 }
 
 // get returns the live session for key, touching its TTL clock and
@@ -155,12 +111,12 @@ func (st *sessionStore) get(key sessKey) *serverSession {
 	if !ok {
 		return nil
 	}
-	if now-ss.lastUsed.Load() > int64(st.ttl) {
+	if now-ss.lastUsed > int64(st.ttl) {
 		st.removeLocked(ss)
 		st.evictedLocked(ss)
 		return nil
 	}
-	ss.lastUsed.Store(now)
+	ss.lastUsed = now
 	return ss
 }
 
@@ -207,7 +163,7 @@ func (st *sessionStore) len() int {
 // the typed session-gone error.
 func (st *sessionStore) expireLocked(now int64) {
 	for _, ss := range st.c.All() {
-		if now-ss.lastUsed.Load() > int64(st.ttl) {
+		if now-ss.lastUsed > int64(st.ttl) {
 			st.removeLocked(ss)
 			st.evictedLocked(ss)
 		}

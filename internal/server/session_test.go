@@ -186,6 +186,101 @@ func TestSessionStreamsOverWire(t *testing.T) {
 	}
 }
 
+// TestSessionPipelinedOpenDeltaCloseInOrder: OPEN_SESSION, SUBMIT_DELTA
+// and CLOSE_SESSION for one sid, written as one burst, are answered in
+// arrival order on the connection's read loop. The open answers
+// generation 1 with RunSequential's bits of the loop, the delta
+// generation 2 with the bits of the mirror after its batch, and the
+// close carries generation 2. No session is installed behind its own
+// close: the store holds no session and no byte afterwards.
+func TestSessionPipelinedOpenDeltaCloseInOrder(t *testing.T) {
+	d := testkit.StartDaemon(t, engine.Config{Workers: 1}, server.Config{})
+	rc := dialRaw(t, d.Addr)
+	l := mkSessLoop(64, 240, 21)
+	mirror := l.Clone()
+	ds := mkDeltas(rand.New(rand.NewSource(21)), mirror, 4)
+	var burst []byte
+	burst = wire.AppendOpenSession(burst, 1, 5, l)
+	burst = wire.AppendDelta(burst, 2, 5, ds)
+	burst = wire.AppendCloseSession(burst, 3, 5)
+	rc.write(burst)
+
+	want := [][]float64{l.RunSequential(), nil, nil}
+	applyToMirror(mirror, ds)
+	want[1] = mirror.RunSequential()
+	for i, gen := range []uint64{1, 2, 2} {
+		jobID := uint64(i + 1)
+		f := rc.next()
+		if f.Type != wire.FrameResult || f.JobID != jobID {
+			msg, _ := f.DecodeError()
+			t.Fatalf("answer %d: %v for job %d %q, want the RESULT of job %d", i, f.Type, f.JobID, msg, jobID)
+		}
+		res, err := f.DecodeResult(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SessionGen != gen {
+			t.Fatalf("job %d: generation %d, want %d", jobID, res.SessionGen, gen)
+		}
+		if want[i] != nil {
+			assertBits(t, fmt.Sprintf("job %d", jobID), res.Values, want[i])
+		}
+	}
+	if n, bytes := d.Srv.Stats().Sessions, d.Srv.SessionBytes(); n != 0 || bytes != 0 {
+		t.Fatalf("after the close %d sessions and %d bytes resident, want 0 and 0", n, bytes)
+	}
+}
+
+// TestSessionPipelinedDuplicateOpenRefused: two OPEN_SESSIONs with one sid,
+// pipelined in one write, are answered in order. The first opens; the
+// second draws "already open" and leaves the first resident, which then
+// serves a delta over its own loop.
+func TestSessionPipelinedDuplicateOpenRefused(t *testing.T) {
+	d := testkit.StartDaemon(t, engine.Config{Workers: 1}, server.Config{})
+	rc := dialRaw(t, d.Addr)
+	l, other := mkSessLoop(32, 96, 22), mkSessLoop(32, 96, 23)
+	var burst []byte
+	burst = wire.AppendOpenSession(burst, 1, 7, l)
+	burst = wire.AppendOpenSession(burst, 2, 7, other)
+	rc.write(burst)
+
+	f := rc.next()
+	if f.Type != wire.FrameResult || f.JobID != 1 {
+		t.Fatalf("first open answered %v for job %d", f.Type, f.JobID)
+	}
+	res, err := f.DecodeResult(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBits(t, "first open", res.Values, l.RunSequential())
+	f = rc.next()
+	if f.Type != wire.FrameError || f.JobID != 2 {
+		t.Fatalf("duplicate open answered %v for job %d", f.Type, f.JobID)
+	}
+	if msg, _ := f.DecodeError(); !strings.Contains(msg, "already open") {
+		t.Fatalf("duplicate open: %q, want already open", msg)
+	}
+
+	ds := mkDeltas(rand.New(rand.NewSource(22)), l, 3)
+	rc.write(wire.AppendDelta(nil, 3, 7, ds))
+	applyToMirror(l, ds)
+	f = rc.next()
+	if f.Type != wire.FrameResult || f.JobID != 3 {
+		msg, _ := f.DecodeError()
+		t.Fatalf("delta answered %v for job %d %q", f.Type, f.JobID, msg)
+	}
+	if res, err = f.DecodeResult(nil); err != nil {
+		t.Fatal(err)
+	}
+	if res.SessionGen != 2 {
+		t.Fatalf("delta generation %d, want 2", res.SessionGen)
+	}
+	assertBits(t, "delta", res.Values, l.RunSequential())
+	if ss := d.Srv.Stats(); ss.Sessions != 1 || ss.SessionOpens != 1 {
+		t.Fatalf("residency %d opens %d, want 1 and 1", ss.Sessions, ss.SessionOpens)
+	}
+}
+
 // TestSessionTTLExpiry pins the idle-expiry contract: a delta arriving
 // past the TTL draws the typed session-gone error — never a stale sum —
 // and the expiry counts as an eviction.
@@ -331,9 +426,10 @@ func TestSessionEvictionRace(t *testing.T) {
 		server.Config{MaxSessions: 1})
 	cl := testkit.DialPool(t, d.Addr, client.Config{Conns: 1})
 
-	// The streamer opens before the churner starts: with one resident
-	// slot, an initial open racing the churner can be refused busy, which
-	// is admission working, not the eviction path under test.
+	// The streamer opens before the churner starts, so its session is
+	// resident when the eviction pressure begins. An open is never
+	// refused for room — with one resident slot, each evicts whichever
+	// session holds it — so BUSY below is in-flight admission only.
 	rng := rand.New(rand.NewSource(9))
 	mirror := mkSessLoop(48, 160, 10)
 	sess, _, err := cl.OpenSession(mirror)
