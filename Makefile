@@ -24,13 +24,16 @@ race:
 # stalled-client drain, where lent frames wait on a full socket until
 # Shutdown cuts it, the server's session tests, where opens, deltas and
 # closes run on each connection's read loop against evictions by other
-# connections and connection resets, and the Writer's lent-vector
+# connections and connection resets, the Writer's lent-vector
 # lifetime (each vector recycled once, after its write, its write error
-# or Close).
+# or Close), and the seal contract: a sealed loop fingerprinted from
+# many goroutines, the server's interned loops sealed at intern and a
+# gateway's legs fingerprinting them concurrently.
 race-resident:
-	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose' ./internal/engine/
-	$(GO) test -race -count=5 -run 'Inline|StalledClient|Session' ./internal/server/
+	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose|Seal' ./internal/engine/
+	$(GO) test -race -count=5 -run 'Inline|StalledClient|Session|Seal' ./internal/server/
 	$(GO) test -race -count=5 -run 'WriterLentVector' ./internal/wire/
+	$(GO) test -race -count=5 -run 'Seal' ./internal/trace/ ./internal/cluster/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

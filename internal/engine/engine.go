@@ -268,6 +268,10 @@ var ErrClosed = errors.New("engine: closed")
 // sampled position is recomputed on a worker; one anywhere else is
 // answered with the previous content's resident result. A different loop
 // object is compared in full, so an edited copy is always recomputed.
+// A sealed loop (trace.Loop.Seal) whose own storage armed the resident
+// skips the segment hashes, so once armed it is answered from the
+// resident whatever was edited; only the network server seals, and only
+// its private interned copies, which nothing edits.
 func (e *Engine) Submit(l *trace.Loop) (Result, error) {
 	return e.SubmitInto(l, nil)
 }

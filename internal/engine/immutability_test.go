@@ -95,3 +95,67 @@ func TestMutatedInPlaceResident(t *testing.T) {
 		})
 	}
 }
+
+// TestSealedResident: a sealed loop (the network server's canonical
+// copies) whose own storage armed the resident is verified by identity,
+// without the segment hashes. An unsealed loop with equal content is
+// still verified in full, and so is an unsealed loop over the very same
+// storage. The price of skipping the hashes is pinned like the
+// "unsampled" case above: once the sealed loop is edited through Flat at
+// a segment-sampled position, it is still answered with the armed bits.
+func TestSealedResident(t *testing.T) {
+	l := simpLoop("sealed", 512, 256, 16, 37)
+	l.Seal()
+	before := l.RunSequential()
+	e := mustNew(t, Config{Workers: 1})
+	defer e.Close()
+	seedResident(t, e, l, before)
+
+	submit := func(name string, m *trace.Loop, want []float64, resident bool) {
+		t.Helper()
+		base := e.Stats()
+		res, err := e.Submit(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := e.Stats().Sub(base).Schemes[residentScheme]
+		if got := res.Why == residentWhy && served == 1; got != resident {
+			t.Fatalf("%s: served resident=%v (%s), want %v", name, got, res.Why, resident)
+		}
+		if d := bitDiffs(res.Values, want); d > 0 {
+			t.Fatalf("%s: %d of %d elements off the wanted bits", name, d, len(want))
+		}
+	}
+	submit("sealed", l, before, true)
+	submit("unsealed clone", l.Clone(), before, true)
+
+	fp, seg := sampledPositions(l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs))
+	p := -1
+	for i := len(fp) - 1; i >= 0 && p < 0; i-- {
+		if !fp[i] && seg[i] {
+			p = i
+		}
+	}
+	if p < 0 {
+		t.Fatal("no segment-sampled position outside the fingerprint's samples")
+	}
+	offs, refs := l.Flat()
+	refs[p] = (refs[p] + 1) % int32(l.NumElems)
+	// An unsealed loop over the sealed loop's own storage: identity holds
+	// for it too, so only its segment hashes can see the edit.
+	var shared trace.Loop
+	shared.NumElems, shared.ElemBytes, shared.Op = l.NumElems, l.ElemBytes, l.Op
+	shared.SetFlatUnchecked(offs, refs)
+	after := shared.RunSequential()
+	if bitDiffs(after, before) == 0 {
+		t.Fatal("the edit does not change the answer")
+	}
+	if shared.Fingerprint() != l.Fingerprint() {
+		t.Fatal("the edit moved the fingerprint; the unsealed loop would miss the entry")
+	}
+
+	submit("sealed, edited through Flat", l, before, true)
+	submit("unsealed over the same storage", &shared, after, false)
+	edited := l.Clone()
+	submit("unsealed copy of the edit", edited, after, false)
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/pattern"
@@ -31,12 +32,14 @@ import (
 // takes the resident's pointer under entry.mu and verifies it outside
 // the lock: the fingerprint (the entry's key), every segment's sampled
 // hash, then the iteration bounds and the subscripts against the
-// retained ones (pattern.SameRefs). A re-arm publishes a new resident,
-// so a reader never waits for a worker and one holding the old resident
-// still reads its own loop's bits. A scheme switch (decGen) drops the
-// resident and the recorded hashes; a direct run of another geometry
-// drops the resident. A stale mark drops nothing: until a re-inspection
-// switches the scheme, the resident holds that scheme's own answer.
+// retained ones (pattern.SameRefs); a sealed loop (trace.Loop.Seal)
+// that armed the resident itself skips the hashes. A re-arm publishes a
+// new resident, so a reader never waits for a worker and one holding
+// the old resident still reads its own loop's bits. A scheme switch
+// (decGen) drops the resident and the recorded hashes; a direct run of
+// another geometry drops the resident. A stale mark drops nothing:
+// until a re-inspection switches the scheme, the resident holds that
+// scheme's own answer.
 //
 // Resident serves deliberately do not feed the drift detector's cost
 // EWMA: a copy's cost says nothing about the cached scheme's fit.
@@ -87,20 +90,32 @@ func (r *resident) fits(l *trace.Loop) bool {
 
 // answers reports whether r is l's result: the geometry fits, every
 // segment's sampled hash equals the armed one, and the iteration bounds
-// and subscripts equal the retained ones. A nil r answers nothing.
+// and subscripts equal the retained ones. A sealed loop whose storage
+// is the retained storage skips the hashes: they could only catch an
+// edit through Flat, which the sealing owner never makes. A nil r
+// answers nothing.
 func (r *resident) answers(l *trace.Loop) bool {
 	if r == nil || !r.fits(l) {
 		return false
 	}
 	offs, refs := l.Flat()
-	n := l.NumIters()
-	for s, h := range r.hashes {
-		lo := s * r.segIters
-		if pattern.HashRefs(refs[offs[lo]:offs[min(lo+r.segIters, n)]]) != h {
-			return false
+	if !l.Sealed() || !r.retains(offs, refs) {
+		n := l.NumIters()
+		for s, h := range r.hashes {
+			lo := s * r.segIters
+			if pattern.HashRefs(refs[offs[lo]:offs[min(lo+r.segIters, n)]]) != h {
+				return false
+			}
 		}
 	}
 	return pattern.SameRefs(r.offs, offs) && pattern.SameRefs(r.refs, refs)
+}
+
+// retains reports whether offs and refs are r's retained storage, not
+// merely equal to it.
+func (r *resident) retains(offs, refs []int32) bool {
+	return len(offs) == len(r.offs) && len(refs) == len(r.refs) &&
+		unsafe.SliceData(offs) == unsafe.SliceData(r.offs) && unsafe.SliceData(refs) == unsafe.SliceData(r.refs)
 }
 
 // maybeArm runs after a direct execution of l on a decision-cache hit,
@@ -154,7 +169,8 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 // submits as usual.
 // fp must be l.Fingerprint(); tenant is an index from TenantIndex. The
 // Submit family calls it before queueing, and the network server calls
-// it on its read loop before SubmitFingerprinted.
+// it on its read loop before SubmitFingerprinted, with its sealed
+// canonical copies, which answers verifies by identity alone.
 //
 // The decision cache is only probed: a miss creates no entry and leaves
 // the CLOCK ring as it was, a hit marks the entry as a worker's lookup

@@ -17,6 +17,12 @@ import (
 // fingerprint-sharded clock.Sharded, the same structure as the engine's
 // decision cache.
 //
+// Every canonical loop is a private deep copy, sealed (trace.Loop.Seal)
+// before it is published, so the engine's resident serve skips its
+// segment hashes and a gateway's pool client, re-fingerprinting it per
+// leg, reads the memo. Nothing else in the server is sealed: not the
+// decode scratch, nor a session's loop, which its deltas edit.
+//
 // The table is also the pattern-handle store: every installed loop gets an
 // ID, the server hands (fingerprint, ID) back to the submitter, and a later
 // SUBMIT_REF resolves through lookup — one map probe instead of a decode
@@ -58,9 +64,9 @@ func (t *internTable) lookup(fp, id uint64) *trace.Loop {
 
 // canonical returns the canonical loop for l and its handle ID: the
 // resident loop when one with the same fingerprint and pattern exists
-// (hit=true), else a deep copy of l installed as the new canonical object
-// under a fresh ID. l itself is never retained, so callers may decode
-// into reused scratch storage.
+// (hit=true), else a sealed deep copy of l installed as the new
+// canonical object under a fresh ID. l itself is never retained or
+// sealed, so callers may decode into reused scratch storage.
 //
 // The O(refs) pattern comparison runs outside the shard mutex (canonical
 // loops are immutable once installed); the lock covers only the cache
@@ -80,6 +86,7 @@ func (t *internTable) canonical(fp uint64, l *trace.Loop) (canon *trace.Loop, id
 		return resident, id, true
 	}
 	clone := l.Clone()
+	clone.Seal()
 	id = t.lastID.Add(1)
 
 	s.Lock()

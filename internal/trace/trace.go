@@ -126,6 +126,24 @@ type Loop struct {
 
 	offsets []int32
 	refs    []int32
+	// seal is set once, by Seal, and never cleared: the fingerprint
+	// memo of a loop whose iteration structure no method may change.
+	seal *sealMemo
+}
+
+// sealMemo is a sealed loop's fingerprint and the geometry words it was
+// computed under.
+type sealMemo struct {
+	numElems, elemBytes, refs, offsets int
+	op                                 Op
+	fp                                 uint64
+}
+
+// matches reports whether l still has the geometry m's fingerprint was
+// computed under.
+func (m *sealMemo) matches(l *Loop) bool {
+	return m.numElems == l.NumElems && m.elemBytes == l.ElemBytes && m.op == l.Op &&
+		m.refs == len(l.refs) && m.offsets == len(l.offsets)
 }
 
 // NewLoop returns an empty loop over numElems reduction elements.
@@ -140,8 +158,9 @@ func NewLoop(name string, numElems int) *Loop {
 }
 
 // AddIter appends one iteration that references the given reduction
-// elements. Indices must be in [0, NumElems).
+// elements. Indices must be in [0, NumElems). It panics on a sealed loop.
 func (l *Loop) AddIter(refs ...int32) {
+	l.checkUnsealed("AddIter")
 	for _, r := range refs {
 		if int(r) < 0 || int(r) >= l.NumElems {
 			panic(fmt.Sprintf("trace: ref %d out of range [0,%d)", r, l.NumElems))
@@ -248,8 +267,19 @@ func (l *Loop) TouchedElems() int {
 // (NumIters/256)-th, each stride at least 1. Those positions are the
 // contract: changing any one of them changes the fingerprint, and a loop
 // that differs only elsewhere has the same one (see Flat). The samples
-// feed a four-lane SampleHash.
+// feed a four-lane SampleHash. A sealed loop returns the value Seal
+// computed while its geometry words (NumElems, ElemBytes, Op and the two
+// lengths) are the ones it was computed under, and recomputes it
+// otherwise, so the fingerprint stays a function of the loop's fields.
 func (l *Loop) Fingerprint() uint64 {
+	if m := l.seal; m != nil && m.matches(l) {
+		return m.fp
+	}
+	return l.fingerprint()
+}
+
+// fingerprint computes Fingerprint from the loop's content.
+func (l *Loop) fingerprint() uint64 {
 	const samples = 256
 	h := NewSampleHash(uint64(l.NumElems), uint64(l.ElemBytes), uint64(len(l.refs)), uint64(len(l.offsets)), uint64(l.Op))
 	h.Refs(l.refs, len(l.refs)/samples)
@@ -266,14 +296,48 @@ func (l *Loop) Fingerprint() uint64 {
 // after it was submitted is not detected: a service that holds the loop
 // re-checks it only at the positions Fingerprint and the segment hash
 // sample, and answers an edit anywhere else with the previous content's
-// result (engine.Engine.Submit states the contract).
+// result (engine.Engine.Submit states the contract). A sealed loop is
+// not re-checked even there: its fingerprint is the one Seal computed,
+// and the engine verifies it against the storage its resident retained
+// by identity alone, so once the loop has armed a resident an edit
+// through these slices at any position is answered with the armed
+// content's result.
 func (l *Loop) Flat() (offsets, refs []int32) { return l.offsets, l.refs }
+
+// Seal declares the loop's iteration structure final: it memoises the
+// fingerprint, and from then on AddIter, SetFlat and SetFlatUnchecked
+// panic. The exported fields stay assignable, and Fingerprint follows
+// them. Only the owner of a loop's only reference seals it, before
+// sharing it (the network server's interned copies); sealing twice is a
+// no-op.
+func (l *Loop) Seal() {
+	if l.seal != nil {
+		return
+	}
+	l.seal = &sealMemo{
+		numElems: l.NumElems, elemBytes: l.ElemBytes, op: l.Op,
+		refs: len(l.refs), offsets: len(l.offsets),
+		fp: l.fingerprint(),
+	}
+}
+
+// Sealed reports whether Seal has been called on the loop.
+func (l *Loop) Sealed() bool { return l.seal != nil }
+
+// checkUnsealed panics when a mutator is called on a sealed loop: a
+// contract violation by the caller, like a bad processor count.
+func (l *Loop) checkUnsealed(method string) {
+	if l.seal != nil {
+		panic(fmt.Sprintf("trace: %s on sealed loop %q", method, l.Name))
+	}
+}
 
 // SetFlat installs a flattened iteration structure built elsewhere (a
 // trace loader, a test), taking ownership of both slices. It validates
 // the same invariants AddIter maintains and leaves the loop unchanged on
-// error.
+// error. It panics on a sealed loop.
 func (l *Loop) SetFlat(offsets, refs []int32) error {
+	l.checkUnsealed("SetFlat")
 	saveOff, saveRefs := l.offsets, l.refs
 	l.offsets, l.refs = offsets, refs
 	if err := l.Validate(); err != nil {
@@ -289,8 +353,9 @@ func (l *Loop) SetFlat(offsets, refs []int32) error {
 // arrays, and re-walking multi-million-reference traces a second time
 // per network submission would double the decode cost for no added
 // safety. Anything installed here that violates Validate's invariants is
-// a bug in the caller.
+// a bug in the caller. It panics on a sealed loop.
 func (l *Loop) SetFlatUnchecked(offsets, refs []int32) {
+	l.checkUnsealed("SetFlatUnchecked")
 	l.offsets, l.refs = offsets, refs
 }
 
@@ -331,11 +396,12 @@ func (l *Loop) EqualPattern(m *Loop) bool {
 	return true
 }
 
-// Clone returns a deep copy of the loop.
+// Clone returns a deep copy of the loop, unsealed.
 func (l *Loop) Clone() *Loop {
 	c := *l
 	c.offsets = append([]int32(nil), l.offsets...)
 	c.refs = append([]int32(nil), l.refs...)
+	c.seal = nil
 	return &c
 }
 
