@@ -18,8 +18,9 @@ race:
 # the CI build-test job's second step: the engine's resident-result
 # serves (the server's inline serve and the Submit family's caller path
 # read one immutable resident that a worker's direct run may replace, a
-# stale entry's included) and session opens racing Close, twenty times;
-# then, five times each, the server's inline path, where a RESULT frame
+# stale entry's included), session opens racing Close, and interning
+# into the engine's table republishing a resident over a new canonical
+# loop (Canonical), twenty times; then, five times each, the server's inline path, where a RESULT frame
 # lends that resident to the write loop against live connections, the
 # stalled-client drain, where lent frames wait on a full socket until
 # Shutdown cuts it, the server's session tests, where opens, deltas and
@@ -30,7 +31,7 @@ race:
 # many goroutines, the server's interned loops sealed at intern and a
 # gateway's legs fingerprinting them concurrently.
 race-resident:
-	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose|Seal' ./internal/engine/
+	$(GO) test -race -count=20 -run 'Resident|Inline|Caller|RacesClose|Seal|Canonical' ./internal/engine/
 	$(GO) test -race -count=5 -run 'Inline|StalledClient|Session|Seal' ./internal/server/
 	$(GO) test -race -count=5 -run 'WriterLentVector' ./internal/wire/
 	$(GO) test -race -count=5 -run 'Seal' ./internal/trace/ ./internal/cluster/

@@ -7,8 +7,8 @@
 // it across invocations:
 //
 //   - pattern characterization (package pattern) runs once per distinct
-//     access-pattern signature; a sharded decision cache keyed by
-//     trace.Fingerprint (a clock.Sharded) lets repeated workloads skip
+//     access-pattern signature; a sharded table keyed by
+//     trace.Fingerprint (Table) lets repeated workloads skip
 //     re-inspection without a global lock,
 //   - a hot loop's resident result (resident.go) is armed by its own
 //     direct execution once its content comes back, so a loop that
@@ -67,9 +67,10 @@ type Config struct {
 	// Empty means single-tenant: one queue, and stats with no tenant
 	// rows.
 	Tenants []TenantConfig
-	// MaxCacheEntries bounds the decision cache across all its lock
-	// shards (default 1024); beyond it the owning shard evicts by CLOCK.
-	// The lock-shard count follows from it (newDecisionCache).
+	// MaxCacheEntries bounds the fingerprint table (Table) across all its
+	// lock shards (default 1024), and so a daemon's interned loops; beyond
+	// it the owning shard evicts by CLOCK. The lock-shard count follows
+	// from it (tableFor).
 	MaxCacheEntries int
 	// DriftRatio is the recalibration cost-drift trigger: when a cache
 	// entry's EWMA execution cost diverges from its decision-time anchor
@@ -160,7 +161,7 @@ type Engine struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	cache decisionCache
+	cache *Table
 
 	tenants   []*tenantRT
 	tenantIdx map[string]int
@@ -233,7 +234,7 @@ func New(cfg Config) (*Engine, error) {
 		tenants:   tenants,
 		tenantIdx: tenantIdx,
 		pool:      reduction.NewBufferPool(),
-		cache:     newDecisionCache(cfg.MaxCacheEntries),
+		cache:     tableFor(cfg.MaxCacheEntries),
 		stats:     statShard{schemes: make(map[string]uint64)},
 	}
 	e.wg.Add(cfg.Workers)
@@ -242,6 +243,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// Table returns the fingerprint table a network server interns into.
+func (e *Engine) Table() *Table { return e.cache }
 
 // Procs returns the per-job goroutine fan-out the engine executes with
 // (the serving platform's processor count). The network server reports it
@@ -271,7 +275,7 @@ var ErrClosed = errors.New("engine: closed")
 // A sealed loop (trace.Loop.Seal) whose own storage armed the resident
 // skips the segment hashes, so once armed it is answered from the
 // resident whatever was edited; only the network server seals, and only
-// its private interned copies, which nothing edits.
+// its private interned copies (Table.Canonical), which nothing edits.
 func (e *Engine) Submit(l *trace.Loop) (Result, error) {
 	return e.SubmitInto(l, nil)
 }

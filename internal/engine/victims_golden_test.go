@@ -6,12 +6,10 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/clock"
 )
 
 // decisionResident reports whether fp is resident without marking it.
-func decisionResident(c decisionCache, fp uint64) bool {
+func decisionResident(c *Table, fp uint64) bool {
 	_, ok := c.Shard(fp).Peek(fp)
 	return ok
 }
@@ -26,7 +24,7 @@ func decisionResident(c decisionCache, fp uint64) bool {
 // behaviour, not this one's.
 func TestDecisionCacheVictimOrderGolden(t *testing.T) {
 	const universe = 64
-	c := decisionCache{clock.NewSharded[*cacheEntry](4, 24)}
+	c := NewTable(4, 24)
 	rng := rand.New(rand.NewSource(19))
 	var b strings.Builder
 	for op := 0; op < 2000; op++ {

@@ -12,7 +12,7 @@ type Stage uint8
 const (
 	// StageDecode is wire-frame decode into the connection's scratch loop.
 	StageDecode Stage = iota
-	// StageIntern is canonicalization through the server's intern table.
+	// StageIntern is canonicalization through the server's engine.Table.
 	StageIntern
 	// StageQueueWait is the time a job's batch sat in the engine's
 	// submission queue before a worker picked it up.

@@ -257,7 +257,7 @@ func (c *conn) handleStatsReq(f wire.Frame) {
 // (serveInline), else hands the wait to a per-job goroutine so the read
 // loop can keep pipelining. Admission runs first, on nothing but the
 // already-parsed header: an over-budget client is rejected for the price
-// of a BUSY frame, before the server spends decode work or intern-table
+// of a BUSY frame, before the server spends decode work or table
 // mutations (and evictions) on a job it will not run.
 //
 // A SUBMIT_REF takes the same path with both expensive steps replaced:
@@ -292,7 +292,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	var canon *trace.Loop
 	hit := isRef
 	if isRef {
-		if canon = c.srv.intern.lookup(fp, handle); canon == nil {
+		if canon = c.srv.intern.Lookup(fp, handle); canon == nil {
 			// Evicted, displaced by a colliding pattern, or issued before a
 			// restart. The submitter still has the loop and falls back to a
 			// full SUBMIT; a stale handle never runs another pattern.
@@ -305,7 +305,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		handle = 0 // the submitter holds it already; the RESULT need not repeat it
 	} else {
 		fp = c.scratch.Fingerprint()
-		canon, handle, hit = c.srv.intern.canonical(fp, &c.scratch)
+		canon, handle, hit = c.srv.intern.Canonical(fp, &c.scratch)
 	}
 	if hit {
 		c.srv.interned.Add(1)

@@ -80,11 +80,15 @@ func (d engineDispatcher) HelloFlags() uint64           { return 0 }
 type residentDispatcher interface {
 	// ServeResident is engine.ServeResident with the tenant by name.
 	ServeResident(l *trace.Loop, fp uint64, tenant string) (engine.Result, bool)
+	// Table is the engine's fingerprint table, which the server interns into.
+	Table() *engine.Table
 }
 
 func (d engineDispatcher) ServeResident(l *trace.Loop, fp uint64, tenant string) (engine.Result, bool) {
 	return d.eng.ServeResident(l, fp, d.eng.TenantIndex(tenant))
 }
+
+func (d engineDispatcher) Table() *engine.Table { return d.eng.Table() }
 
 // engineWaiter adapts engine.Handle (whose Wait cannot fail once the
 // submission was accepted) to the Waiter interface, copying the

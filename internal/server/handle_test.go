@@ -66,9 +66,9 @@ func (rc *rawConn) next() wire.Frame {
 }
 
 // sameShardLoops returns n distinct small patterns whose fingerprints
-// land in one intern-table shard (the table has 16, keyed by the low
-// fingerprint bits), so a MaxInternedLoops small enough to give each
-// shard a single slot makes them evict one another.
+// share their low four bits, so they land in one shard of any table of
+// up to 16 shards (keyed by the low fingerprint bits) and a capacity of
+// one or two slots per shard makes them evict one another.
 func sameShardLoops(n int) []*trace.Loop {
 	var out []*trace.Loop
 	for seed := 0; len(out) < n; seed++ {
@@ -83,18 +83,19 @@ func sameShardLoops(n int) []*trace.Loop {
 	return out
 }
 
-// TestPatternHandleEvictionFallback thrashes a one-slot intern shard with
-// four alternating patterns pipelined 16 deep: handles go stale as fast
-// as they are learned, so a large share of the references is answered
-// "pattern gone" and resubmitted in full behind the caller's back. Every
-// job must still resolve exactly once with its own pattern's sums, and
-// the admission budget must come back to zero — a fallback that leaked
-// or double-resolved a job would show as a hang, a connection torn down
-// for an unknown job ID, or a stuck in-flight count.
+// TestPatternHandleEvictionFallback thrashes the engine's two-entry
+// table, which the server interns into, with four alternating patterns
+// pipelined 16 deep: handles go stale as fast as they are learned, so a
+// large share of the references is answered "pattern gone" and
+// resubmitted in full behind the caller's back. Every job must still
+// resolve exactly once with its own pattern's sums, and the admission
+// budget must come back to zero — a fallback that leaked or
+// double-resolved a job would show as a hang, a connection torn down for
+// an unknown job ID, or a stuck in-flight count.
 func TestPatternHandleEvictionFallback(t *testing.T) {
 	_, srv, addr, teardown := startServer(t,
-		engine.Config{Workers: 2},
-		server.Config{MaxInternedLoops: 2})
+		engine.Config{Workers: 2, MaxCacheEntries: 2},
+		server.Config{})
 	defer teardown()
 	cl, err := client.Dial(addr, client.Config{Conns: 1})
 	if err != nil {

@@ -12,11 +12,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestInternSealsCanonicalLoops: every loop the intern table publishes
-// is sealed — on a miss, on a hit, through lookup and after a colliding
+// TestInternSealsCanonicalLoops: every loop the server's table publishes
+// is sealed — on a miss, on a hit, through Lookup and after a colliding
 // pattern takes over the slot — and the loop handed in is never sealed.
 func TestInternSealsCanonicalLoops(t *testing.T) {
-	tab := newInternTable(4, 24)
+	tab := engine.NewTable(4, 24)
 	ls := workloads.HotKeySet(2, 0.2)
 	l, other := ls[0], ls[1]
 	if l.EqualPattern(other) {
@@ -25,7 +25,7 @@ func TestInternSealsCanonicalLoops(t *testing.T) {
 	fp := l.Fingerprint()
 
 	scratch := l.Clone()
-	canon, id, hit := tab.canonical(fp, scratch)
+	canon, id, hit := tab.Canonical(fp, scratch)
 	if hit || canon == scratch || !canon.Sealed() || scratch.Sealed() {
 		t.Fatalf("miss: hit=%v, canonical is the scratch=%v, sealed=%v, scratch sealed=%v",
 			hit, canon == scratch, canon.Sealed(), scratch.Sealed())
@@ -35,16 +35,16 @@ func TestInternSealsCanonicalLoops(t *testing.T) {
 	}
 
 	again := l.Clone()
-	got, gotID, hit := tab.canonical(fp, again)
+	got, gotID, hit := tab.Canonical(fp, again)
 	if !hit || got != canon || gotID != id || again.Sealed() {
 		t.Fatalf("hit: hit=%v, same canonical=%v, same id=%v, argument sealed=%v", hit, got == canon, gotID == id, again.Sealed())
 	}
-	if got := tab.lookup(fp, id); got != canon || !got.Sealed() {
+	if got := tab.Lookup(fp, id); got != canon || !got.Sealed() {
 		t.Fatal("lookup did not return the sealed canonical loop")
 	}
 
 	// A colliding pattern filed under the same key takes the slot over.
-	taken, takenID, hit := tab.canonical(fp, other)
+	taken, takenID, hit := tab.Canonical(fp, other)
 	if hit || taken == canon || !taken.Sealed() || other.Sealed() || takenID == id {
 		t.Fatalf("takeover: hit=%v, kept the old loop=%v, sealed=%v, argument sealed=%v",
 			hit, taken == canon, taken.Sealed(), other.Sealed())
@@ -52,10 +52,10 @@ func TestInternSealsCanonicalLoops(t *testing.T) {
 	if !taken.EqualPattern(other) || taken.Fingerprint() != other.Fingerprint() {
 		t.Fatal("the takeover's canonical loop is not a copy of the colliding pattern")
 	}
-	if tab.lookup(fp, id) != nil {
+	if tab.Lookup(fp, id) != nil {
 		t.Fatal("the displaced handle still resolves")
 	}
-	if got := tab.lookup(fp, takenID); got != taken || !got.Sealed() {
+	if got := tab.Lookup(fp, takenID); got != taken || !got.Sealed() {
 		t.Fatal("lookup of the takeover's handle did not return its sealed loop")
 	}
 }

@@ -39,7 +39,8 @@
 //     as jobs finish, out of order, so one connection can keep many jobs
 //     in flight.
 //   - Interning: the server interns decoded submissions by fingerprint +
-//     full pattern equality. Repeats of a hot pattern — the Zipf traffic
+//     full pattern equality, into the engine's table (engine.Table) beside
+//     each pattern's decision. Repeats of a hot pattern — the Zipf traffic
 //     a production service sees — collapse onto one canonical
 //     *trace.Loop, whose resident total verifies against its own storage
 //     exactly as if a single process had submitted them. An interned
@@ -83,9 +84,6 @@ type Config struct {
 	// MaxInflightGlobal bounds jobs in flight across all connections
 	// (default 1024). Submissions beyond it draw BUSY(BusyGlobal).
 	MaxInflightGlobal int
-	// MaxInternedLoops bounds the canonical-loop intern table (default
-	// 4096 across all shards); beyond it the owning shard evicts by CLOCK.
-	MaxInternedLoops int
 	// TraceSlow is the end-to-end latency threshold at which a job's
 	// stage timeline is recorded in the trace ring served at /tracez.
 	// 0 means the 10ms default; negative records every job (what tests
@@ -120,9 +118,6 @@ func (c *Config) fill() {
 	if c.MaxInflightGlobal <= 0 {
 		c.MaxInflightGlobal = 1024
 	}
-	if c.MaxInternedLoops <= 0 {
-		c.MaxInternedLoops = 4096
-	}
 	if c.TraceSlow == 0 {
 		c.TraceSlow = 10 * time.Millisecond
 	}
@@ -140,6 +135,9 @@ func (c *Config) fill() {
 	}
 }
 
+// gatewayInternedLoops bounds a gateway's table (a daemon uses its engine's).
+const gatewayInternedLoops = 4096
+
 // Server serves the wire protocol over one Dispatcher — the local shared
 // engine for reduxd (New), a routed backend pool for reduxgw
 // (NewWithDispatcher). Feed it listeners via Serve, stop with Shutdown.
@@ -147,7 +145,7 @@ type Server struct {
 	disp     Dispatcher
 	resident residentDispatcher // disp's inline serve; nil on a gateway
 	cfg      Config
-	intern   *internTable
+	intern   *engine.Table // the engine's own; a gateway's holds only loops
 	sessions *sessionStore
 	connIDs  atomic.Uint64 // distinguishes session owners across connections
 
@@ -175,8 +173,8 @@ type Server struct {
 	// counts submissions that mapped onto an already-canonical loop.
 	busy     atomic.Uint64
 	interned atomic.Uint64
-	// handleHits counts SUBMIT_REF frames resolved through the intern
-	// table (each also counts as interned); handleGone counts the ones
+	// handleHits counts SUBMIT_REF frames resolved through the table
+	// (each also counts as interned); handleGone counts the ones
 	// whose handle was no longer resident.
 	handleHits atomic.Uint64
 	handleGone atomic.Uint64
@@ -204,11 +202,15 @@ func NewWithDispatcher(d Dispatcher, cfg Config) *Server {
 	cfg.fill()
 	tenants, tenantList := buildTenantTable(cfg.Tenants, nil)
 	resident, _ := d.(residentDispatcher)
+	intern := engine.NewTable(16, gatewayInternedLoops)
+	if resident != nil {
+		intern = resident.Table()
+	}
 	s := &Server{
 		disp:       d,
 		resident:   resident,
 		cfg:        cfg,
-		intern:     newInternTable(16, cfg.MaxInternedLoops),
+		intern:     intern,
 		sessions:   newSessionStore(cfg.MaxSessions, cfg.SessionTTL, cfg.MaxSessionBytes),
 		tenants:    tenants,
 		tenantList: tenantList,
@@ -319,13 +321,13 @@ type Stats struct {
 	// InternHits is how many submissions mapped onto an already-interned
 	// canonical loop (so a resident hit verifies by identity).
 	InternHits uint64
-	// InternedLoops is the current canonical-loop residency.
+	// InternedLoops is the entry count of the table the server interns into.
 	InternedLoops int
-	// InternEvictions counts canonical loops (and with them their pattern
-	// handles) the intern table's CLOCK sweep dropped to make room.
+	// InternEvictions counts entries (and with them canonical loops and
+	// pattern handles) the table's CLOCK sweep dropped to make room.
 	InternEvictions uint64
 	// HandleHits is how many submissions arrived as a pattern handle
-	// (SUBMIT_REF) the intern table still held — no decode, no pattern
+	// (SUBMIT_REF) the table still held — no decode, no pattern
 	// walk. They are included in InternHits.
 	HandleHits uint64
 	// HandleGone is how many handles missed (evicted, displaced by a

@@ -48,7 +48,7 @@ type serverSession struct {
 // sessionStore is the server's session table: a clock.Cache extended with
 // a TTL and a resident-byte budget, both enforced when a session is
 // installed. One mutex guards the table — session operations are orders
-// of magnitude heavier than the lookups the sharded intern table serves,
+// of magnitude heavier than the lookups the sharded fingerprint table serves,
 // so sharding buys nothing here. A connection opens, applies and closes
 // its sessions on its own read loop, in arrival order, and keys are
 // connection-scoped, so no two operations on one key ever race.

@@ -7,23 +7,26 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
 // internResident reports whether fp is resident without marking it.
-func internResident(t *internTable, fp uint64) bool {
+func internResident(t *engine.Table, fp uint64) bool {
 	_, ok := t.Shard(fp).Peek(fp)
 	return ok
 }
 
 // TestInternVictimOrderGolden replays a fixed 2000-op reference string
-// against a 4-shard, 24-loop intern table — full submissions (canonical),
-// submissions by handle (lookup, with the last ID the key was issued, so
-// some are stale) and a sprinkle of colliding patterns under a resident
-// fingerprint — and compares every answer, every issued ID and every
-// victim with testdata/intern_victims.golden. The golden was recorded at
-// PR 18 (cda3942) by this same loop over the hand-rolled internShard ring;
-// there is deliberately no -update path.
+// against a 4-shard, 24-entry engine table — full submissions
+// (Canonical), submissions by handle (Lookup, with the last ID the key
+// was issued, so some are stale) and a sprinkle of colliding patterns
+// under a resident fingerprint — and compares every answer, every issued
+// ID and every victim with testdata/intern_victims.golden. The golden was
+// recorded at PR 18 (cda3942) by this same loop over the hand-rolled
+// internShard ring, and the server's own intern table replayed it until
+// interning moved into the engine's table; there is deliberately no
+// -update path.
 func TestInternVictimOrderGolden(t *testing.T) {
 	const universe = 64
 	mk := func(k, variant int) *trace.Loop {
@@ -31,7 +34,7 @@ func TestInternVictimOrderGolden(t *testing.T) {
 		l.AddIter(int32(k), int32(variant))
 		return l
 	}
-	tab := newInternTable(4, 24)
+	tab := engine.NewTable(4, 24)
 	rng := rand.New(rand.NewSource(23))
 	var lastID [universe]uint64
 	var b strings.Builder
@@ -47,14 +50,14 @@ func TestInternVictimOrderGolden(t *testing.T) {
 		}
 		switch r := rng.Intn(20); {
 		case r < 6:
-			found := tab.lookup(fp, lastID[k]) != nil
+			found := tab.Lookup(fp, lastID[k]) != nil
 			fmt.Fprintf(&b, "ref %d %d %t", k, lastID[k], found)
 		default:
 			variant := 0
 			if r == 19 {
 				variant = 1 + rng.Intn(2) // same fingerprint, different pattern
 			}
-			_, id, hit := tab.canonical(fp, mk(k, variant))
+			_, id, hit := tab.Canonical(fp, mk(k, variant))
 			lastID[k] = id
 			fmt.Fprintf(&b, "put %d/%d %d %t", k, variant, id, hit)
 		}

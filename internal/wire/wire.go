@@ -212,7 +212,7 @@ const SessionGonePrefix = "session gone: "
 
 // PatternGonePrefix opens every ERROR message answering a SUBMIT_REF
 // whose handle the server no longer holds — the pattern was evicted from
-// the intern table, displaced by a fingerprint collision, or learned from
+// the server's table, displaced by a fingerprint collision, or learned from
 // a server that has since restarted. Like SessionGonePrefix it is part of
 // the protocol: the submitter still has the loop, so it matches the
 // prefix, forgets the handle and resubmits a full SUBMIT. A stale handle
