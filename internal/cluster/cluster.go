@@ -14,7 +14,9 @@
 // the same traffic round-robin and each backend would see every pattern:
 // N× the cached decisions and resident totals, 1/N the hits on each.
 //
-// Placement is correctness-free, so failure handling can be aggressive:
+// Placement is correctness-free — every backend answers with the loop's
+// RunSequential bits whatever its procs (mul is refused) — so failure
+// handling can be aggressive:
 //
 //   - Rendezvous hashing re-homes only the dead backend's patterns on
 //     membership change; every other pattern keeps its engine (and its

@@ -11,11 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// cacheEntry is one fingerprint's record in the engine's Table. The
-// decision fields (profile, rec, scheme) are written under once.Do at
-// first sight and thereafter only by the recalibration subsystem under
-// mu; runDirect snapshots them under mu.
-type cacheEntry struct {
+// Entry is one fingerprint's record in a Table, which Table.Canonical and
+// Table.Lookup hand back for Engine.ServeEntry. The decision fields
+// (profile, rec, scheme) are written under once.Do at first sight and
+// thereafter only by the recalibration subsystem under mu; runDirect
+// snapshots them under mu.
+type Entry struct {
 	// loop and id are the canonical loop a network server interned and
 	// its handle (nil and 0 if none), guarded by the shard's mutex.
 	loop *trace.Loop
@@ -57,21 +58,20 @@ type cacheEntry struct {
 	// armed resident, nil until a direct execution arms it; lastHashes
 	// are the segment hashes of the entry's previous direct run on a
 	// hit, which the next one compares to tell its content came back.
+	// Neither depends on the decision, so a scheme switch keeps both.
 	res        *resident
 	lastHashes []uint64
 }
 
-// newDecision bumps the decision generation and drops what the old
-// decision produced: the resident, whose bits are the old scheme's, and
-// the recorded segment hashes. Callers hold mu.
-func (en *cacheEntry) newDecision() {
+// newDecision bumps the decision generation, which only the drift
+// detector reads. Callers hold mu.
+func (en *Entry) newDecision() {
 	en.decGen++
-	en.res, en.lastHashes = nil, en.lastHashes[:0]
 }
 
 // install records the decision for prof and points the entry at the
 // recommended scheme. Callers hold mu (or are inside the entry's once.Do).
-func (en *cacheEntry) install(prof *pattern.Profile, rec adapt.Recommendation) {
+func (en *Entry) install(prof *pattern.Profile, rec adapt.Recommendation) {
 	en.profile = prof
 	en.rec = rec
 	en.scheme = adapt.SchemeFor(rec)
@@ -83,7 +83,7 @@ func (en *cacheEntry) install(prof *pattern.Profile, rec adapt.Recommendation) {
 // drift state, resident and, on a daemon, interned loop and handle. An
 // evicted pattern is re-inspected at its next sight; its handle misses.
 type Table struct {
-	*clock.Sharded[*cacheEntry]
+	*clock.Sharded[*Entry]
 	// lastID issues handle IDs. They are table-wide and never reused, so a
 	// handle that outlived its loop (evicted, displaced by a colliding
 	// pattern, re-interned later) can only miss — never name another loop.
@@ -94,7 +94,7 @@ type Table struct {
 // splitting capacity. A network server without an engine (a gateway)
 // builds one whose entries only intern.
 func NewTable(shards, capacity int) *Table {
-	return &Table{Sharded: clock.NewSharded[*cacheEntry](shards, capacity)}
+	return &Table{Sharded: clock.NewSharded[*Entry](shards, capacity)}
 }
 
 // tableFor builds the engine's table holding at most maxEntries:
@@ -113,83 +113,85 @@ func tableFor(maxEntries int) *Table {
 // get returns the entry for fp, creating (and, at capacity, evicting) as
 // needed. The boolean reports whether the entry already existed. A new
 // entry enters unreferenced: it must be seen again to outlive a sweep.
-func (t *Table) get(fp uint64) (*cacheEntry, bool) {
+func (t *Table) get(fp uint64) (*Entry, bool) {
 	s := t.Shard(fp)
 	s.Lock()
 	defer s.Unlock()
 	e, ok := s.Get(fp)
 	if !ok {
-		e = &cacheEntry{}
+		e = &Entry{}
 		s.Put(fp, e)
 	}
 	return e, ok
 }
 
-// Lookup resolves a pattern handle: the canonical loop under fp when its
-// entry still carries id, nil when the handle is gone. A hit marks the
-// entry referenced exactly as Canonical does, so traffic by reference
-// keeps a hot pattern resident.
-func (t *Table) Lookup(fp, id uint64) *trace.Loop {
+// Lookup resolves a pattern handle: the canonical loop under fp and its
+// entry when the entry still carries id, nils when the handle is gone. A
+// hit marks the entry referenced exactly as Canonical does, so traffic
+// by reference keeps a hot pattern resident.
+func (t *Table) Lookup(fp, id uint64) (*trace.Loop, *Entry) {
 	s := t.Shard(fp)
 	s.Lock()
 	defer s.Unlock()
 	if e, ok := s.Peek(fp); ok && e.id == id {
 		s.Get(fp)
-		return e.loop
+		return e.loop, e
 	}
-	return nil
+	return nil, nil
 }
 
 // Canonical interns l under fp (l.Fingerprint()): it returns the entry's
 // loop and handle when that loop has l's pattern (hit), else installs a
-// sealed deep copy of l under a fresh handle. l itself is never retained
-// or sealed, so callers may decode into reused scratch storage. The
-// O(refs) pattern comparison runs outside the shard mutex (canonical
-// loops are immutable); otherwise every connection submitting one hot
-// pattern would serialize its read loop behind a full trace walk.
-func (t *Table) Canonical(fp uint64, l *trace.Loop) (canon *trace.Loop, id uint64, hit bool) {
+// sealed deep copy of l under a fresh handle, and either way the entry it
+// resolved. l itself is never retained or sealed, so callers may decode
+// into reused scratch storage. The O(refs) pattern comparison runs
+// outside the shard mutex (canonical loops are immutable); otherwise
+// every connection submitting one hot pattern would serialize its read
+// loop behind a full trace walk.
+func (t *Table) Canonical(fp uint64, l *trace.Loop) (canon *trace.Loop, id uint64, hit bool, en *Entry) {
 	s := t.Shard(fp)
 	s.Lock()
 	var held *trace.Loop
-	if e, ok := s.Get(fp); ok {
-		held, id = e.loop, e.id
+	en, ok := s.Get(fp)
+	if ok {
+		held, id = en.loop, en.id
 	}
 	s.Unlock()
 
 	if held != nil && held.EqualPattern(l) {
-		return held, id, true
+		return held, id, true, en
 	}
 	canon, id = l.Clone(), t.lastID.Add(1)
 	canon.Seal()
 
 	s.Lock()
-	e, ok := s.Get(fp)
+	en, ok = s.Get(fp)
 	switch {
 	case !ok:
 		// A loop shipped in full starts with a second chance: Put, then mark.
-		e = &cacheEntry{loop: canon, id: id}
-		s.Put(fp, e)
+		en = &Entry{loop: canon, id: id}
+		s.Put(fp, en)
 		s.Get(fp)
-	case e.loop != held && e.loop.EqualPattern(l):
+	case en.loop != held && en.loop.EqualPattern(l):
 		// A racing submission installed l's pattern meanwhile: share it.
-		canon, id, hit = e.loop, e.id, true
+		canon, id, hit = en.loop, en.id, true
 	default:
 		// No loop, or a colliding pattern's: take over (the displaced
 		// pattern loses sharing, not correctness).
-		e.loop, e.id = canon, id
+		en.loop, en.id = canon, id
 	}
 	s.Unlock()
 	if !hit {
-		e.rebase(canon)
+		en.rebase(canon)
 	}
-	return canon, id, hit
+	return canon, id, hit, en
 }
 
 // rebase republishes the entry's resident over canon's storage when it
 // answers canon in full, so later serves of canon verify by identity and
 // the storage retained before can be collected. It runs as Canonical
 // installs canon; a resident replaced meanwhile is left alone.
-func (en *cacheEntry) rebase(canon *trace.Loop) {
+func (en *Entry) rebase(canon *trace.Loop) {
 	en.mu.Lock()
 	r := en.res
 	en.mu.Unlock()
@@ -207,7 +209,7 @@ func (en *cacheEntry) rebase(canon *trace.Loop) {
 
 // lookup returns the decision-cache entry for the loop's fingerprint,
 // characterizing and deciding on first sight. The boolean reports a hit.
-func (e *Engine) lookup(l *trace.Loop, fp uint64) (*cacheEntry, bool) {
+func (e *Engine) lookup(l *trace.Loop, fp uint64) (*Entry, bool) {
 	entry, ok := e.cache.get(fp)
 	miss := false
 	entry.once.Do(func() {

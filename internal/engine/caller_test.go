@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/reduction"
 )
@@ -191,10 +192,12 @@ func TestCallerStatsCountOnce(t *testing.T) {
 }
 
 // TestCallerRacesSchemeSwitch: eight submitters hammer one hot loop
-// through the Submit family while another goroutine keeps bumping the
-// entry's decision, as a recalibration scheme switch does (dropping the
-// resident). Hits, declines, re-arms and direct runs interleave; every
-// answer must be RunSequential's bits.
+// through the Submit family while another goroutine keeps switching the
+// entry's scheme, as a recalibration does, and runs the loop direct
+// under each new one. Caller serves of the resident, which a switch
+// leaves in place, interleave with direct runs of alternating schemes;
+// every answer must be RunSequential's bits, and every submitter's a
+// caller serve.
 func TestCallerRacesSchemeSwitch(t *testing.T) {
 	l := simpLoop("caller-race", 512, 256, 16, 27)
 	want := l.RunSequential()
@@ -217,11 +220,21 @@ func TestCallerRacesSchemeSwitch(t *testing.T) {
 			default:
 			}
 			entry.mu.Lock()
+			next := "lw"
+			if entry.rec.Scheme == next {
+				next = "hash"
+			}
+			entry.install(entry.profile, adapt.Recommendation{Scheme: next, Why: "forced switch"})
 			entry.newDecision()
 			entry.mu.Unlock()
-			for i := 0; i < 50; i++ {
-				if _, err := e.Submit(l); err != nil {
+			for i := 0; i < 5; i++ {
+				res, err := submitDirect(e, l)
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if d := bitDiffs(res.Values, want); d > 0 {
+					t.Errorf("direct %s run: %d of %d elements differ from RunSequential", res.Scheme, d, len(want))
 					return
 				}
 			}
@@ -253,5 +266,9 @@ func TestCallerRacesSchemeSwitch(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	bumper.Wait()
-	t.Logf("caller resident hits per submitter: %v", resident)
+	for g, n := range resident {
+		if n != rounds {
+			t.Errorf("submitter %d: %d of %d answers were caller serves; a switch must leave the resident answering", g, n, rounds)
+		}
+	}
 }

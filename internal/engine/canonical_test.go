@@ -41,14 +41,14 @@ func collected(wp weak.Pointer[int32]) bool {
 	return false
 }
 
-// serveByIdentity requires c's resident serve to retain c's storage and
-// to answer want's bits.
-func serveByIdentity(t *testing.T, e *Engine, fp uint64, c *trace.Loop, want []float64) {
+// serveByIdentity requires c's resident serve, from the entry interning
+// resolved, to retain c's storage and to answer want's bits.
+func serveByIdentity(t *testing.T, e *Engine, fp uint64, entry *Entry, c *trace.Loop, want []float64) {
 	t.Helper()
 	if !retained(e.Table(), fp, c) {
 		t.Fatal("the resident does not retain the canonical loop's storage: every serve of it re-hashes")
 	}
-	res, ok := e.ServeResident(c, fp, 0)
+	res, ok := e.ServeEntry(entry, c, 0)
 	if !ok {
 		t.Fatal("the canonical loop is not served from the resident")
 	}
@@ -71,7 +71,7 @@ func TestCanonicalTakeoverRebasesResident(t *testing.T) {
 	fp := l.Fingerprint()
 	want := l.RunSequential()
 
-	first, _, hit := tab.Canonical(fp, l)
+	first, _, hit, _ := tab.Canonical(fp, l)
 	if hit {
 		t.Fatal("a first interning hit")
 	}
@@ -84,14 +84,14 @@ func TestCanonicalTakeoverRebasesResident(t *testing.T) {
 
 	// A colliding pattern under the same key takes the slot over; the
 	// resident does not answer it and stays as it was.
-	if _, _, hit := tab.Canonical(fp, other); hit {
+	if _, _, hit, _ := tab.Canonical(fp, other); hit {
 		t.Fatal("the colliding pattern hit")
 	}
-	again, _, hit := tab.Canonical(fp, l)
+	again, _, hit, entry := tab.Canonical(fp, l)
 	if hit {
 		t.Fatal("re-interning after the takeover hit the displaced copy")
 	}
-	serveByIdentity(t, e, fp, again, want)
+	serveByIdentity(t, e, fp, entry, again, want)
 	if !collected(firstRefs) {
 		t.Fatal("the first canonical copy is still reachable")
 	}
@@ -111,14 +111,14 @@ func TestCanonicalAfterEvictionRebasesResident(t *testing.T) {
 	fp := l.Fingerprint()
 	want := l.RunSequential()
 
-	first, id, _ := tab.Canonical(fp, l)
+	first, id, _, _ := tab.Canonical(fp, l)
 	seedResident(t, e, first, want)
 	firstRefs := weakRefs(first)
 	first = nil
 	if _, err := submitDirect(e, other); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Lookup(fp, id) != nil {
+	if got, _ := tab.Lookup(fp, id); got != nil {
 		t.Fatal("the one-entry table kept the first pattern past another's lookup")
 	}
 
@@ -127,11 +127,11 @@ func TestCanonicalAfterEvictionRebasesResident(t *testing.T) {
 	if !retained(tab, fp, own) {
 		t.Fatal("the re-created entry did not arm over the submitter's loop")
 	}
-	again, againID, hit := tab.Canonical(fp, l)
-	if hit || againID <= id || !again.Sealed() || tab.Lookup(fp, againID) != again {
+	again, againID, hit, entry := tab.Canonical(fp, l)
+	if got, gotEntry := tab.Lookup(fp, againID); hit || againID <= id || !again.Sealed() || got != again || gotEntry != entry {
 		t.Fatalf("interning into the loop-less entry: hit=%v id %d after %d, sealed=%v", hit, againID, id, again.Sealed())
 	}
-	serveByIdentity(t, e, fp, again, want)
+	serveByIdentity(t, e, fp, entry, again, want)
 	if res, err := submitDirect(e, again); err != nil || !res.CacheHit {
 		t.Fatalf("the install dropped the entry's decision (hit=%v, err %v)", res.CacheHit, err)
 	}

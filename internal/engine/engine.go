@@ -22,9 +22,9 @@
 //     job is a miss, a first sight or cold or changed work,
 //   - privatization buffers are recycled through a shared
 //     reduction.BufferPool, so steady-state jobs allocate ~nothing,
-//   - a direct execution cuts its blocks with the schemes' static
-//     partition and nothing measured at run time, so the bits it returns
-//     depend on the loop, the scheme and Platform.Procs only,
+//   - every served answer is l.RunSequential()'s bits (CheckLoop refuses
+//     mul; docs/ARCHITECTURE.md "Numerical contract"), whichever scheme,
+//     path or Platform.Procs produced it,
 //   - cached decisions are revalidated online (recal.go): a per-entry
 //     drift detector (cost EWMA + periodic sampled re-profile) marks
 //     entries whose workload shifted phase, and a hysteresis-gated
@@ -257,10 +257,10 @@ var ErrClosed = errors.New("engine: closed")
 
 // Submit runs one reduction job and blocks until its result is ready.
 // It is safe to call from many goroutines; the worker pool bounds how many
-// jobs execute at once. For add, max and min the answer is
-// l.RunSequential()'s bits whichever path computed it, provided the loop
-// has fewer than 2^26 references (trace.Value's exact grid; a loop
-// submitted over the wire always has).
+// jobs execute at once. Every served answer is l.RunSequential()'s bits
+// and a mul loop is refused (ErrMulUnserved); the 2^26-reference bound
+// only qualifies in-process add loops, which a resident never holds
+// under its 4 MiB cap.
 //
 // A submitted loop must not change afterwards; build a new one instead
 // (Clone, then edit the copy). A resubmission is checked against what
@@ -317,7 +317,7 @@ func (e *Engine) SubmitAsyncInto(l *trace.Loop, dst []float64) (*Handle, error) 
 // channel, so such a hit never blocks on QueueDepth.
 // Everything else goes through SubmitFingerprinted.
 func (e *Engine) SubmitAsyncIntoTenant(l *trace.Loop, dst []float64, tenant int) (*Handle, error) {
-	if err := checkLoop(l); err != nil {
+	if err := CheckLoop(l); err != nil {
 		return nil, err
 	}
 	fp := l.Fingerprint()
@@ -328,13 +328,22 @@ func (e *Engine) SubmitAsyncIntoTenant(l *trace.Loop, dst []float64, tenant int)
 	return e.SubmitFingerprinted(l, fp, dst, tenant)
 }
 
-// checkLoop rejects a loop no path can run.
-func checkLoop(l *trace.Loop) error {
-	if l == nil {
+// ErrMulUnserved is what CheckLoop wraps for a mul loop: mul rounds, so
+// its bits would depend on the scheme's cut and Platform.Procs.
+var ErrMulUnserved = errors.New("engine: mul is not served")
+
+// CheckLoop rejects a loop the service does not run: nil, not positive
+// in NumElems, or mul. Every entry point of a job calls it before
+// touching any table: the Submit family and the session opens here, the
+// network server right after it decodes a SUBMIT or an OPEN_SESSION.
+func CheckLoop(l *trace.Loop) error {
+	switch {
+	case l == nil:
 		return errors.New("engine: nil loop")
-	}
-	if l.NumElems <= 0 {
+	case l.NumElems <= 0:
 		return fmt.Errorf("engine: loop %q has non-positive NumElems", l.Name)
+	case l.Op == trace.OpMul:
+		return fmt.Errorf("%w: loop %q would answer with bits that depend on the scheme's cut", ErrMulUnserved, l.Name)
 	}
 	return nil
 }
@@ -349,7 +358,7 @@ func checkLoop(l *trace.Loop) error {
 // entry's resident would answer it, so a test that needs direct
 // executions of a repeated loop submits through here.
 func (e *Engine) SubmitFingerprinted(l *trace.Loop, fp uint64, dst []float64, tenant int) (*Handle, error) {
-	if err := checkLoop(l); err != nil {
+	if err := CheckLoop(l); err != nil {
 		return nil, err
 	}
 	if tenant < 0 || tenant >= len(e.tenants) {

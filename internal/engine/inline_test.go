@@ -116,10 +116,10 @@ func TestServeResidentStatsParity(t *testing.T) {
 // TestServeResidentDeclines covers every decline: no entry (which must
 // create none and leave the CLOCK ring as it was), an unarmed entry, a
 // geometry mismatch, changed content, iteration bounds moved under
-// unchanged subscripts, a decision switch and a closed engine. A
-// decline moves no counter. A queued repeat runs direct with the
-// caller's bits. A stale entry still serves
-// (TestServeResidentStaleEntryServes).
+// unchanged subscripts and a closed engine. A decline moves no counter.
+// A decision switch is no decline: the resident still answers, with
+// RunSequential's bits. A queued repeat runs direct with the caller's
+// bits. A stale entry still serves (TestServeResidentStaleEntryServes).
 func TestServeResidentDeclines(t *testing.T) {
 	l := simpLoop("decline", 512, 2048, 4, 9)
 	want := l.RunSequential()
@@ -163,24 +163,15 @@ func TestServeResidentDeclines(t *testing.T) {
 	if bounds.Fingerprint() != l.Fingerprint() || bitDiffs(bounds.RunSequential(), want) == 0 {
 		t.Fatal("the moved bound must keep the fingerprint and change the answer")
 	}
-	entry, _ := e.lookup(l, l.Fingerprint())
-	set := func(f func()) {
-		entry.mu.Lock()
-		f()
-		entry.mu.Unlock()
-	}
 	base = e.Stats()
 	for _, c := range []struct {
 		name       string
-		on         func()
 		submission *trace.Loop
 	}{
-		{"geometry", func() {}, simpLoop("decline", 512, 200, 16, 9)},
-		{"content", func() {}, mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 3, func(s int) bool { return s != 2 })},
-		{"bounds", func() {}, bounds},
-		{"switch", entry.newDecision, l},
+		{"geometry", simpLoop("decline", 512, 200, 16, 9)},
+		{"content", mutateKeepingFingerprint(t, l, reduction.DefaultSegIters(l.NumIters(), e.cfg.Platform.Procs), 3, func(s int) bool { return s != 2 })},
+		{"bounds", bounds},
 	} {
-		set(c.on)
 		if res, ok := e.ServeResident(c.submission, l.Fingerprint(), 0); ok || res.Values != nil {
 			t.Errorf("%s: served", c.name)
 		}
@@ -192,13 +183,16 @@ func TestServeResidentDeclines(t *testing.T) {
 		t.Fatalf("moved bounds: %s, %v; want a direct run with its own bits", res.Why, err)
 	}
 
-	// After the switch the next two runs re-arm; then a queued repeat
-	// runs direct and the caller's resident serve gives its bits.
-	for n := 0; n < 2; n++ {
-		if _, err := e.Submit(l); err != nil {
-			t.Fatal(err)
-		}
+	entry, _ := e.lookup(l, l.Fingerprint())
+	entry.mu.Lock()
+	entry.newDecision()
+	entry.mu.Unlock()
+	if res, ok := serveResident(e, l, 0); !ok || bitDiffs(res.Values, want) > 0 {
+		t.Fatalf("switch: served %v; want the resident with RunSequential's bits", ok)
 	}
+
+	// A queued repeat runs direct and the caller's resident serve gives
+	// its bits.
 	res, err := submitDirect(e, l)
 	if err != nil {
 		t.Fatal(err)
@@ -290,13 +284,13 @@ func TestServeResidentNeedsNoWorker(t *testing.T) {
 }
 
 // TestServeResidentRaces hammers one armed entry from inline readers
-// while workers re-arm it with a same-fingerprint variant, a decision
-// switch drops the resident and a one-entry cache evicts the entry under
-// another pattern. Every answer must be its own loop's RunSequential
-// bits, never the variant's. Then an answer kept past its serve while
-// queued runs of the variant (SubmitFingerprinted, which always runs
-// direct) re-arm the entry must still read its own loop's bits, and the
-// queued runs theirs. Run under -race.
+// while workers re-arm it with a same-fingerprint variant, decision
+// switches bump the entry under them and a one-entry cache evicts the
+// entry under another pattern. Every answer must be its own loop's
+// RunSequential bits, never the variant's. Then an answer kept past its
+// serve while queued runs of the variant (SubmitFingerprinted, which
+// always runs direct) re-arm the entry must still read its own loop's
+// bits, and the queued runs theirs. Run under -race.
 func TestServeResidentRaces(t *testing.T) {
 	ms := workloads.NewSharedSubrangeStream(2, 0, 0.125, 5).Members
 	a, b := ms[0], ms[1]

@@ -79,7 +79,7 @@ func (e *Engine) runJob(w *workerCtx, j *job) {
 // runDirect executes one job through the entry's cached scheme, arms the
 // entry's resident when the loop's content came back (maybeArm), and
 // feeds the measured cost to the drift detector.
-func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, j *job, hit bool, qw, insp time.Duration) {
+func (e *Engine) runDirect(w *workerCtx, entry *Entry, j *job, hit bool, qw, insp time.Duration) {
 	l := j.loop
 
 	// The decision is snapshotted whole under the entry lock: a
@@ -92,7 +92,7 @@ func (e *Engine) runDirect(w *workerCtx, entry *cacheEntry, j *job, hit bool, qw
 	out := scheme.RunInto(l, e.cfg.Platform.Procs, w.ex, j.dst)
 	elapsed := time.Since(start)
 	if hit {
-		e.maybeArm(w, entry, l, out, decSeen)
+		e.maybeArm(w, entry, l, out)
 	}
 	e.stats.stages.Observe(obs.StageExecute, elapsed)
 	e.stats.record(name, hit, 0)

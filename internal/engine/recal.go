@@ -74,7 +74,7 @@ func (e *Engine) characterize(l *trace.Loop) *pattern.Profile {
 // entry's execution count comes due. decSeen is the decision generation
 // the job executed under; a measurement taken under a decision that was
 // switched away mid-flight is dropped.
-func (e *Engine) recordCost(entry *cacheEntry, l *trace.Loop, elapsed time.Duration, decSeen uint64) {
+func (e *Engine) recordCost(entry *Entry, l *trace.Loop, elapsed time.Duration, decSeen uint64) {
 	ns := float64(elapsed.Nanoseconds())
 	entry.mu.Lock()
 	if entry.decGen != decSeen {
@@ -135,7 +135,7 @@ func (e *Engine) recordCost(entry *cacheEntry, l *trace.Loop, elapsed time.Durat
 // fresh characterization of the job's loop through the decision
 // algorithm, with hysteresis before a switch. It reports whether a
 // re-inspection ran and whether it switched the scheme.
-func (e *Engine) maybeReinspect(entry *cacheEntry, l *trace.Loop) (reinspected, switched bool) {
+func (e *Engine) maybeReinspect(entry *Entry, l *trace.Loop) (reinspected, switched bool) {
 	entry.mu.Lock()
 	if !entry.stale || entry.reinspecting {
 		entry.mu.Unlock()

@@ -242,7 +242,7 @@ func TestRecalCostDriftTriggersReinspection(t *testing.T) {
 	}
 }
 
-func entryStale(en *cacheEntry) bool {
+func entryStale(en *Entry) bool {
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	return en.stale

@@ -35,11 +35,9 @@ import (
 // retained ones (pattern.SameRefs); a sealed loop (trace.Loop.Seal)
 // that armed the resident itself skips the hashes. A re-arm publishes a
 // new resident, so a reader never waits for a worker and one holding
-// the old resident still reads its own loop's bits. A scheme switch
-// (decGen) drops the resident and the recorded hashes; a direct run of
-// another geometry drops the resident. A stale mark drops nothing:
-// until a re-inspection switches the scheme, the resident holds that
-// scheme's own answer.
+// the old resident still reads its own loop's bits. A direct run of
+// another geometry drops the resident; a stale mark or a scheme switch
+// drops nothing, since every scheme answers with RunSequential's bits.
 //
 // Resident serves deliberately do not feed the drift detector's cost
 // EWMA: a copy's cost says nothing about the cached scheme's fit.
@@ -118,14 +116,14 @@ func (r *resident) retains(offs, refs []int32) bool {
 		unsafe.SliceData(offs) == unsafe.SliceData(r.offs) && unsafe.SliceData(refs) == unsafe.SliceData(r.refs)
 }
 
-// maybeArm runs after a direct execution of l on a decision-cache hit,
-// under decision generation decSeen, produced out: when l's segment
-// hashes equal the entry's previous direct run's, it arms the entry's
-// resident with a copy of out, else it records the hashes for the next
-// run to compare. A resident whose hashes already equal l's stays as it
-// is, so a queued repeat of the armed loop copies nothing. It must run
-// before out is handed to the job's client.
-func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []float64, decSeen uint64) {
+// maybeArm runs after a direct execution of l on a decision-cache hit
+// produced out: when l's segment hashes equal the entry's previous
+// direct run's, it arms the entry's resident with a copy of out, else it
+// records the hashes for the next run to compare. A resident whose
+// hashes already equal l's stays as it is, so a queued repeat of the
+// armed loop copies nothing. It must run before out is handed to the
+// job's client.
+func (e *Engine) maybeArm(w *workerCtx, entry *Entry, l *trace.Loop, out []float64) {
 	if l.NumIters() == 0 {
 		return
 	}
@@ -136,7 +134,7 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 	}
 	w.hashes = segHashes(w.hashes, l, segIters)
 	entry.mu.Lock()
-	back := entry.decGen == decSeen && slices.Equal(entry.lastHashes, w.hashes)
+	back := slices.Equal(entry.lastHashes, w.hashes)
 	entry.lastHashes = append(entry.lastHashes[:0], w.hashes...)
 	if entry.res != nil && !entry.res.fits(l) {
 		entry.res = nil
@@ -153,14 +151,9 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 		hashes: slices.Clone(w.hashes), values: slices.Clone(out),
 	}
 	entry.mu.Lock()
-	armed := entry.decGen == decSeen
-	if armed {
-		entry.res = r
-	}
+	entry.res = r
 	entry.mu.Unlock()
-	if armed {
-		e.stats.recordArm(segments)
-	}
+	e.stats.recordArm(segments)
 }
 
 // ServeResident answers l on the calling goroutine when its decision-cache
@@ -168,9 +161,8 @@ func (e *Engine) maybeArm(w *workerCtx, entry *cacheEntry, l *trace.Loop, out []
 // no queue or worker; false means nothing happened and the caller
 // submits as usual.
 // fp must be l.Fingerprint(); tenant is an index from TenantIndex. The
-// Submit family calls it before queueing, and the network server calls
-// it on its read loop before SubmitFingerprinted, with its sealed
-// canonical copies, which answers verifies by identity alone.
+// Submit family calls it before queueing; the network server, which has
+// already resolved the entry while interning, calls ServeEntry.
 //
 // The decision cache is only probed: a miss creates no entry and leaves
 // the CLOCK ring as it was, a hit marks the entry as a worker's lookup
@@ -188,17 +180,24 @@ func (e *Engine) ServeResident(l *trace.Loop, fp uint64, tenant int) (Result, bo
 	if l == nil {
 		return Result{}, false
 	}
-	e.closeMu.RLock()
-	closed := e.closed
-	e.closeMu.RUnlock()
-	if closed {
-		return Result{}, false
-	}
 	sh := e.cache.Shard(fp)
 	sh.Lock()
 	entry, ok := sh.Get(fp)
 	sh.Unlock()
 	if !ok {
+		return Result{}, false
+	}
+	return e.ServeEntry(entry, l, tenant)
+}
+
+// ServeEntry is ServeResident on an entry of e.Table() that the caller
+// already resolved (Table.Canonical, Table.Lookup): the network server's
+// read loop, whose sealed canonical copies answers verifies by identity.
+func (e *Engine) ServeEntry(entry *Entry, l *trace.Loop, tenant int) (Result, bool) {
+	e.closeMu.RLock()
+	closed := e.closed
+	e.closeMu.RUnlock()
+	if closed {
 		return Result{}, false
 	}
 	entry.mu.Lock()

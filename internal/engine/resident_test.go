@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/reduction"
 	"repro/internal/trace"
@@ -185,28 +186,24 @@ func TestEngineSimplifyValuesMatchDirect(t *testing.T) {
 	}
 }
 
-// TestResidentAnswersAreDirectBits: under every operator, a resident
-// answer on the caller carries the bits of the direct execution that
-// armed it on the same engine, and so does a queued repeat, which runs
-// direct, at several processor counts (mul's bits depend on the
-// scheme's cut).
+// TestResidentAnswersAreDirectBits: under add, max and min, at several
+// processor counts, the direct runs that arm a resident, the resident
+// answer on the caller and a queued repeat, which runs direct, all carry
+// RunSequential's bits.
 func TestResidentAnswersAreDirectBits(t *testing.T) {
 	for _, procs := range []int{1, 3, 8} {
-		for _, op := range []trace.Op{trace.OpAdd, trace.OpMax, trace.OpMin, trace.OpMul} {
+		for _, op := range []trace.Op{trace.OpAdd, trace.OpMax, trace.OpMin} {
 			l := simpLoop("ops", 512, 256, 16, 13)
 			l.Op = op
+			want := l.RunSequential()
 			e := mustNew(t, Config{Workers: 1, Platform: core.DefaultPlatform(procs)})
-			var first []float64
+			var answers []Result
 			for n := 0; n < 3; n++ {
 				res, err := e.Submit(l)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n == 0 {
-					first = res.Values
-				} else if d := bitDiffs(res.Values, first); d > 0 {
-					t.Fatalf("procs=%d %v: direct run %d differs from the first in %d elements", procs, op, n, d)
-				}
+				answers = append(answers, res)
 			}
 			caller, err := e.Submit(l)
 			if err != nil {
@@ -222,9 +219,9 @@ func TestResidentAnswersAreDirectBits(t *testing.T) {
 			if queued.Why == residentWhy {
 				t.Fatalf("procs=%d %v: a queued repeat was answered resident", procs, op)
 			}
-			for _, res := range []Result{caller, queued} {
-				if d := bitDiffs(res.Values, first); d > 0 {
-					t.Fatalf("procs=%d %v: %s answer differs from the first direct one in %d elements", procs, op, res.Scheme, d)
+			for i, res := range append(answers, caller, queued) {
+				if d := bitDiffs(res.Values, want); d > 0 {
+					t.Fatalf("procs=%d %v: answer %d (%s) differs from RunSequential in %d elements", procs, op, i, res.Scheme, d)
 				}
 			}
 			e.Close()
@@ -325,36 +322,55 @@ func TestQueuedRepeatRunsDirect(t *testing.T) {
 	}
 }
 
-// TestEngineResidentDropsOnDecisionSwitch: a recalibration scheme switch
-// takes the resident and the recorded hashes down — the next two
-// submissions run direct (the first records, the second re-arms), never
-// answered from a result of the old decision.
-func TestEngineResidentDropsOnDecisionSwitch(t *testing.T) {
+// TestEngineResidentSurvivesDecisionSwitch: a recalibration scheme
+// switch leaves the resident as it is, because every scheme answers with
+// RunSequential's bits. The next submission is answered from the same
+// resident with those bits and computes no segment, and a direct run
+// under the new scheme gives the same bits and re-arms nothing.
+func TestEngineResidentSurvivesDecisionSwitch(t *testing.T) {
 	l := simpLoop("switch", 512, 256, 16, 8)
 	want := l.RunSequential()
 	e := mustNew(t, Config{Workers: 1})
 	defer e.Close()
 	seedResident(t, e, l, want)
+	r := residentFor(e, l)
 
 	entry, _ := e.lookup(l, l.Fingerprint())
 	entry.mu.Lock()
+	next := "lw"
+	if entry.rec.Scheme == next {
+		next = "hash"
+	}
+	entry.install(entry.profile, adapt.Recommendation{Scheme: next, Why: "forced switch"})
 	entry.newDecision()
 	entry.mu.Unlock()
 
 	base := e.Stats()
-	for n := 0; n < 3; n++ {
-		res, err := e.Submit(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resident := res.Why == residentWhy; resident != (n == 2) {
-			t.Fatalf("submission %d after the switch: resident = %v", n, resident)
-		}
-		assertMatches(t, "switch", res.Values, want)
+	res, err := e.Submit(l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := e.Stats()
-	if got := s.SegsComputed - base.SegsComputed; got != 8 {
-		t.Errorf("re-arming computed %d segments, want all 8", got)
+	if res.Why != residentWhy {
+		t.Fatalf("first submission after the switch ran %s (%s), want the resident serve", res.Scheme, res.Why)
+	}
+	if d := bitDiffs(res.Values, want); d > 0 {
+		t.Fatalf("resident serve after the switch differs from RunSequential in %d elements", d)
+	}
+	direct, err := submitDirect(e, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Scheme != next {
+		t.Fatalf("direct run after the switch ran %s, want %s", direct.Scheme, next)
+	}
+	if d := bitDiffs(direct.Values, want); d > 0 {
+		t.Fatalf("%s after the switch differs from RunSequential in %d elements", next, d)
+	}
+	if got := e.Stats().SegsComputed - base.SegsComputed; got != 0 {
+		t.Errorf("the switch cost %d segments re-armed, want 0", got)
+	}
+	if residentFor(e, l) != r {
+		t.Error("the switch replaced the armed resident")
 	}
 }
 

@@ -51,8 +51,8 @@ func (e *Engine) OpenSession(l *trace.Loop, dst []float64) (*Session, Result, er
 // no weighted turn, and it and every later Apply count toward the
 // tenant's jobs.
 func (e *Engine) OpenSessionTenant(l *trace.Loop, dst []float64, tenant int) (*Session, Result, error) {
-	if l == nil {
-		return nil, Result{}, errors.New("engine: nil loop")
+	if err := CheckLoop(l); err != nil {
+		return nil, Result{}, err
 	}
 	return e.AdoptSessionTenant(l.Clone(), dst, tenant)
 }
@@ -63,7 +63,7 @@ func (e *Engine) OpenSessionTenant(l *trace.Loop, dst []float64, tenant int) (*S
 // Close until it is registered, so an open racing Close either returns a
 // live session or ErrClosed.
 func (e *Engine) AdoptSessionTenant(l *trace.Loop, dst []float64, tenant int) (*Session, Result, error) {
-	if err := checkLoop(l); err != nil {
+	if err := CheckLoop(l); err != nil {
 		return nil, Result{}, err
 	}
 	if tenant < 0 || tenant >= len(e.tenants) {

@@ -279,6 +279,9 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		fp, handle, traceID, err = f.DecodeSubmitRef()
 	} else {
 		c.scratchOff, c.scratchRefs, traceID, err = f.DecodeSubmitInto(&c.scratch, c.scratchOff, c.scratchRefs, wire.DefaultMaxElems)
+		if err == nil { // only admitted loops are interned, so a handle needs no check
+			err = engine.CheckLoop(&c.scratch)
+		}
 	}
 	if err != nil {
 		// The frame itself was well-delimited, so the stream stays in
@@ -290,9 +293,10 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	decodeDone := time.Now()
 
 	var canon *trace.Loop
+	var entry *engine.Entry
 	hit := isRef
 	if isRef {
-		if canon = c.srv.intern.Lookup(fp, handle); canon == nil {
+		if canon, entry = c.srv.intern.Lookup(fp, handle); canon == nil {
 			// Evicted, displaced by a colliding pattern, or issued before a
 			// restart. The submitter still has the loop and falls back to a
 			// full SUBMIT; a stale handle never runs another pattern.
@@ -305,7 +309,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 		handle = 0 // the submitter holds it already; the RESULT need not repeat it
 	} else {
 		fp = c.scratch.Fingerprint()
-		canon, handle, hit = c.srv.intern.Canonical(fp, &c.scratch)
+		canon, handle, hit, entry = c.srv.intern.Canonical(fp, &c.scratch)
 	}
 	if hit {
 		c.srv.interned.Add(1)
@@ -323,7 +327,7 @@ func (c *conn) handleSubmit(f wire.Frame) {
 	tl.Add(obs.StageDecode, decodeDone.Sub(t0))
 	tl.Add(obs.StageIntern, time.Since(decodeDone))
 
-	if c.serveInline(canon, fp, f.JobID, handle, tl, t0, ts) {
+	if c.serveInline(entry, canon, f.JobID, handle, tl, t0, ts) {
 		return
 	}
 	w, err := c.srv.disp.Dispatch(canon, fp, c.srv.getDst(canon.NumElems), tl, ts.name)
@@ -362,17 +366,17 @@ func (c *conn) handleSubmit(f wire.Frame) {
 }
 
 // serveInline answers one admitted, interned submission on the read loop
-// when the dispatcher holds a verified resident total for it: the RESULT
-// frame lends that total, admission is released and the frame queued —
-// no engine queue, worker, waiter goroutine or destination array. The
-// total is the resident's own immutable vector, so the frame carries no
-// recycler. False means nothing was sent and the job takes the engine
-// path.
-func (c *conn) serveInline(l *trace.Loop, fp, jobID, handle uint64, tl *obs.Timeline, t0 time.Time, ts *tenantState) bool {
+// when entry, which interning resolved, holds a verified resident total
+// for it: the RESULT frame lends that total, admission is released and
+// the frame queued — no engine queue, worker, waiter goroutine or
+// destination array. The total is the resident's own immutable vector,
+// so the frame carries no recycler. False means nothing was sent and the
+// job takes the engine path.
+func (c *conn) serveInline(entry *engine.Entry, l *trace.Loop, jobID, handle uint64, tl *obs.Timeline, t0 time.Time, ts *tenantState) bool {
 	if c.srv.resident == nil {
 		return false
 	}
-	res, ok := c.srv.resident.ServeResident(l, fp, ts.name)
+	res, ok := c.srv.resident.ServeEntry(entry, l, ts.name)
 	if !ok {
 		return false
 	}
@@ -481,6 +485,9 @@ func (c *conn) handleOpenSession(f wire.Frame) {
 	// the pattern per open, sized exactly.
 	l := new(trace.Loop)
 	sid, _, _, err := f.DecodeOpenSessionInto(l, nil, nil, wire.DefaultMaxElems)
+	if err == nil {
+		err = engine.CheckLoop(l)
+	}
 	if err != nil {
 		c.sendError(f.JobID, err.Error())
 		return

@@ -78,14 +78,14 @@ func (d engineDispatcher) HelloFlags() uint64           { return 0 }
 // engine dispatcher has it; the gateway's routing dispatcher holds no
 // resident state.
 type residentDispatcher interface {
-	// ServeResident is engine.ServeResident with the tenant by name.
-	ServeResident(l *trace.Loop, fp uint64, tenant string) (engine.Result, bool)
+	// ServeEntry is engine.ServeEntry with the tenant by name.
+	ServeEntry(entry *engine.Entry, l *trace.Loop, tenant string) (engine.Result, bool)
 	// Table is the engine's fingerprint table, which the server interns into.
 	Table() *engine.Table
 }
 
-func (d engineDispatcher) ServeResident(l *trace.Loop, fp uint64, tenant string) (engine.Result, bool) {
-	return d.eng.ServeResident(l, fp, d.eng.TenantIndex(tenant))
+func (d engineDispatcher) ServeEntry(entry *engine.Entry, l *trace.Loop, tenant string) (engine.Result, bool) {
+	return d.eng.ServeEntry(entry, l, d.eng.TenantIndex(tenant))
 }
 
 func (d engineDispatcher) Table() *engine.Table { return d.eng.Table() }

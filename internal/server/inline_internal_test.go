@@ -217,7 +217,7 @@ func TestInlineSubmitRefWarmAllocs(t *testing.T) {
 	l := workloads.HotKeySet(1, 0.2)[0]
 	want := l.RunSequential()
 	fp := l.Fingerprint()
-	canon, handle, _ := srv.intern.Canonical(fp, l)
+	canon, handle, _, _ := srv.intern.Canonical(fp, l)
 	for n := 0; ; n++ {
 		res, err := eng.Submit(canon)
 		if err != nil {

@@ -25,7 +25,7 @@ func TestInternSealsCanonicalLoops(t *testing.T) {
 	fp := l.Fingerprint()
 
 	scratch := l.Clone()
-	canon, id, hit := tab.Canonical(fp, scratch)
+	canon, id, hit, entry := tab.Canonical(fp, scratch)
 	if hit || canon == scratch || !canon.Sealed() || scratch.Sealed() {
 		t.Fatalf("miss: hit=%v, canonical is the scratch=%v, sealed=%v, scratch sealed=%v",
 			hit, canon == scratch, canon.Sealed(), scratch.Sealed())
@@ -35,16 +35,16 @@ func TestInternSealsCanonicalLoops(t *testing.T) {
 	}
 
 	again := l.Clone()
-	got, gotID, hit := tab.Canonical(fp, again)
-	if !hit || got != canon || gotID != id || again.Sealed() {
-		t.Fatalf("hit: hit=%v, same canonical=%v, same id=%v, argument sealed=%v", hit, got == canon, gotID == id, again.Sealed())
+	got, gotID, hit, gotEntry := tab.Canonical(fp, again)
+	if !hit || got != canon || gotID != id || gotEntry != entry || again.Sealed() {
+		t.Fatalf("hit: hit=%v, same canonical=%v, same id=%v, same entry=%v, argument sealed=%v", hit, got == canon, gotID == id, gotEntry == entry, again.Sealed())
 	}
-	if got := tab.Lookup(fp, id); got != canon || !got.Sealed() {
-		t.Fatal("lookup did not return the sealed canonical loop")
+	if got, gotEntry := tab.Lookup(fp, id); got != canon || gotEntry != entry || !got.Sealed() {
+		t.Fatal("lookup did not return the sealed canonical loop and its entry")
 	}
 
 	// A colliding pattern filed under the same key takes the slot over.
-	taken, takenID, hit := tab.Canonical(fp, other)
+	taken, takenID, hit, _ := tab.Canonical(fp, other)
 	if hit || taken == canon || !taken.Sealed() || other.Sealed() || takenID == id {
 		t.Fatalf("takeover: hit=%v, kept the old loop=%v, sealed=%v, argument sealed=%v",
 			hit, taken == canon, taken.Sealed(), other.Sealed())
@@ -52,10 +52,10 @@ func TestInternSealsCanonicalLoops(t *testing.T) {
 	if !taken.EqualPattern(other) || taken.Fingerprint() != other.Fingerprint() {
 		t.Fatal("the takeover's canonical loop is not a copy of the colliding pattern")
 	}
-	if tab.Lookup(fp, id) != nil {
+	if got, gotEntry := tab.Lookup(fp, id); got != nil || gotEntry != nil {
 		t.Fatal("the displaced handle still resolves")
 	}
-	if got := tab.Lookup(fp, takenID); got != taken || !got.Sealed() {
+	if got, _ := tab.Lookup(fp, takenID); got != taken || !got.Sealed() {
 		t.Fatal("lookup of the takeover's handle did not return its sealed loop")
 	}
 }

@@ -6,7 +6,7 @@
 //
 // The dataflow per connection is two goroutines around the shared engine:
 //
-//	read loop:  frame → admission → decode → intern → engine.ServeResident ─┐
+//	read loop:  frame → admission → decode → check → intern → ServeEntry ───┐
 //	            (SUBMIT_REF: admission → handle lookup ─────┘)    │ miss      │ hit: encode
 //	                                                              ▼           │ from the
 //	                                          engine.SubmitAsync → per-job    │ resident
@@ -17,7 +17,8 @@
 // and every session frame — open, delta and close, answered in arrival
 // order — runs to completion on the read loop: no engine queue, worker
 // or waiter goroutine. Everything else — misses, cold loops, changed
-// content — takes the engine queue.
+// content — takes the engine queue. A loop engine.CheckLoop refuses
+// (mul) draws a job-scoped ERROR right after decode.
 //
 // Neither loop sits behind a buffered-I/O layer. The read loop's
 // wire.Reader reads the socket into one buffer and parses frames where
@@ -74,9 +75,9 @@ import (
 // frame is at most wire.DefaultMaxFrame (64 MiB) and a loop at most
 // wire.DefaultMaxElems wide. The frame cap is what holds the numerical
 // contract for the wire: a 64 MiB SUBMIT carries fewer than 2^26
-// references, so every add path answers with RunSequential's bits (see
-// engine.Submit). A knob that raised the cap would break that contract
-// without any error.
+// references, so every served answer is RunSequential's bits (see
+// engine.Submit; a mul loop draws an ERROR). A knob that raised the cap
+// would break that contract without any error.
 type Config struct {
 	// MaxInflightPerConn bounds jobs in flight per connection (default
 	// 64). Submissions beyond it draw BUSY(BusyConn).
@@ -355,15 +356,15 @@ var StatsFields = []obs.Field[Stats]{
 		Key: "busy", U64: func(s *Stats) *uint64 { return &s.Busy }},
 	{Series: "redux_server_intern_hits_total", Help: "Submissions that mapped onto an already-interned canonical loop.",
 		Key: "intern_hits", U64: func(s *Stats) *uint64 { return &s.InternHits }},
-	{Series: "redux_server_pattern_handle_hits_total", Help: "Submissions that arrived as a pattern handle the intern table still held (no decode; included in intern hits).",
+	{Series: "redux_server_pattern_handle_hits_total", Help: "Submissions that arrived as a pattern handle the fingerprint table still held (no decode; included in intern hits).",
 		Key: "handle_hits", U64: func(s *Stats) *uint64 { return &s.HandleHits }},
 	{Series: "redux_server_pattern_handle_gone_total", Help: "Pattern handles that missed and were answered pattern-gone (the client resubmits in full).",
 		Key: "handle_gone", U64: func(s *Stats) *uint64 { return &s.HandleGone }},
 	{Series: "redux_server_inline_total", Help: "Jobs the connection's read loop answered itself: submissions served from a verified resident total, and applied session deltas.",
 		Key: "inline", U64: func(s *Stats) *uint64 { return &s.Inline }},
-	{Kind: obs.Gauge, Series: "redux_server_interned_loops", Help: "Canonical loops currently interned.",
+	{Kind: obs.Gauge, Series: "redux_server_interned_loops", Help: "Entries in the fingerprint table the server interns into: the engine's on a daemon, its own on a gateway.",
 		Key: "interned_loops", Int: func(s *Stats) *int { return &s.InternedLoops }},
-	{Series: "redux_server_intern_evictions_total", Help: "Canonical loops, and with them their pattern handles, evicted by the intern table's CLOCK sweep.",
+	{Series: "redux_server_intern_evictions_total", Help: "Entries, and with them canonical loops and pattern handles, evicted by the CLOCK sweep of the fingerprint table the server interns into.",
 		Key: "intern_evictions", U64: func(s *Stats) *uint64 { return &s.InternEvictions }},
 	{Kind: obs.Gauge, Series: "redux_server_sessions", Help: "Streaming sessions currently resident.",
 		Key: "sessions_resident", Int: func(s *Stats) *int { return &s.Sessions }},

@@ -50,14 +50,15 @@ func TestInternVictimOrderGolden(t *testing.T) {
 		}
 		switch r := rng.Intn(20); {
 		case r < 6:
-			found := tab.Lookup(fp, lastID[k]) != nil
+			got, _ := tab.Lookup(fp, lastID[k])
+			found := got != nil
 			fmt.Fprintf(&b, "ref %d %d %t", k, lastID[k], found)
 		default:
 			variant := 0
 			if r == 19 {
 				variant = 1 + rng.Intn(2) // same fingerprint, different pattern
 			}
-			_, id, hit := tab.Canonical(fp, mk(k, variant))
+			_, id, hit, _ := tab.Canonical(fp, mk(k, variant))
 			lastID[k] = id
 			fmt.Fprintf(&b, "put %d/%d %d %t", k, variant, id, hit)
 		}
