@@ -207,6 +207,31 @@ func (en *Entry) rebase(canon *trace.Loop) {
 	en.mu.Unlock()
 }
 
+// decide is the engine's one decision function, run at a pattern's first
+// sight (lookup) and at every re-inspection (maybeReinspect): l's sampled
+// profile and the tree's recommendation for it, except that lw is served
+// by ll. The tree sends a loop to lw only at CHR >= RepMinCHR, above ll's
+// one-eighth density cut, where ll runs rep's replicated path, which
+// outran lw on every such loop measured (docs/ARCHITECTURE.md, "What
+// each mechanism buys"). Re-inspection compares the served names, so a
+// tree that flips between ll and lw revalidates an entry instead of
+// switching it.
+func (e *Engine) decide(l *trace.Loop) (*pattern.Profile, adapt.Recommendation) {
+	prof := e.characterize(l)
+	rec := adapt.Recommend(prof)
+	if rec.Scheme == "lw" {
+		rec = adapt.Recommendation{Scheme: "ll", Why: servedByLL(rec.Why)}
+	}
+	return prof, rec
+}
+
+// servedByLL is the rationale of a loop the tree sends to lw: the tree's
+// verdict, then what served it, well under the client's 256-byte intern
+// bound.
+func servedByLL(treeWhy string) string {
+	return "tree: lw, " + treeWhy + "; served by ll, whose replicated path outruns lw in this regime"
+}
+
 // lookup returns the decision-cache entry for the loop's fingerprint,
 // characterizing and deciding on first sight. The boolean reports a hit.
 func (e *Engine) lookup(l *trace.Loop, fp uint64) (*Entry, bool) {
@@ -214,8 +239,7 @@ func (e *Engine) lookup(l *trace.Loop, fp uint64) (*Entry, bool) {
 	miss := false
 	entry.once.Do(func() {
 		miss = true
-		prof := e.characterize(l)
-		entry.install(prof, adapt.Recommend(prof))
+		entry.install(e.decide(l))
 	})
 	return entry, ok && !miss
 }

@@ -220,7 +220,7 @@ func TestCallerRacesSchemeSwitch(t *testing.T) {
 			default:
 			}
 			entry.mu.Lock()
-			next := "lw"
+			next := "sel"
 			if entry.rec.Scheme == next {
 				next = "hash"
 			}

@@ -103,11 +103,14 @@ type Result struct {
 	// Values is the reduction array. When SubmitInto was given a dst with
 	// sufficient capacity, Values aliases it.
 	Values []float64
-	// Scheme is the executed implementation: a paper abbreviation (rep,
-	// ll, sel, lw or hash), or "simplify" when the job was answered from
-	// its entry's resident result.
+	// Scheme is the executed implementation: one of the served schemes
+	// (rep, ll, sel or hash; a loop the decision tree sends to lw is
+	// served by ll), or "simplify" when the job was answered from its
+	// entry's resident result.
 	Scheme string
 	// Why is the selection rationale recorded in the decision cache.
+	// When the tree's pick is not served (lw), it carries the tree's
+	// verdict and names the scheme that served it.
 	Why string
 	// CacheHit reports whether the job reused a cached decision instead
 	// of re-running pattern inspection.
@@ -172,20 +175,15 @@ type Engine struct {
 }
 
 // New starts an engine with cfg's worker pool running. It returns an
-// error when the configuration is invalid: a platform beyond the 64
-// processors the reduction schemes support, or negative Workers, QueueDepth
-// or MaxCacheEntries (zero always means "use the default").
+// error when the configuration is invalid: negative Workers,
+// Platform.Procs, QueueDepth or MaxCacheEntries (zero always means "use
+// the default"), or an out-of-range recalibration knob.
 func New(cfg Config) (*Engine, error) {
 	switch {
 	case cfg.Workers < 0:
 		return nil, fmt.Errorf("engine: negative Workers %d", cfg.Workers)
 	case cfg.Platform.Procs < 0:
 		return nil, fmt.Errorf("engine: negative Platform.Procs %d", cfg.Platform.Procs)
-	case cfg.Platform.Procs > 64:
-		// The limit is the schemes' own: lw's inspector tracks an
-		// iteration's owners in a [64]bool and LocalWrite.RunInto panics
-		// past it.
-		return nil, fmt.Errorf("engine: platform with %d processors exceeds the 64 the reduction schemes support (lw's owner set)", cfg.Platform.Procs)
 	case cfg.QueueDepth < 0:
 		return nil, fmt.Errorf("engine: negative QueueDepth %d", cfg.QueueDepth)
 	case cfg.MaxCacheEntries < 0:

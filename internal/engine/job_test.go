@@ -15,7 +15,6 @@ import (
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	bad := []Config{
 		{Workers: -1},
-		{Platform: core.Platform{Procs: 65}},
 		{Platform: core.Platform{Procs: -2}},
 		{QueueDepth: -3},
 		{MaxCacheEntries: -1},
@@ -24,6 +23,27 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		if e, err := New(cfg); err == nil {
 			e.Close()
 			t.Errorf("config %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestSixtyFiveProcessorsServe: the engine has no processor ceiling of
+// its own (the 64 was lw's owner set, and lw is not served), so a
+// 65-processor engine answers every loop of the mixed set with
+// RunSequential's bits, first sight and repeats alike.
+func TestSixtyFiveProcessorsServe(t *testing.T) {
+	e := mustNew(t, Config{Workers: 1, Platform: core.DefaultPlatform(65)})
+	defer e.Close()
+	for _, l := range workloads.MixedSet(0.2) {
+		want := l.RunSequential()
+		for n := 0; n < 4; n++ {
+			res, err := e.Submit(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := bitDiffs(res.Values, want); d > 0 {
+				t.Fatalf("%s submission %d (%s): %d of %d elements differ from RunSequential", l.Name, n, res.Scheme, d, len(want))
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/pattern"
 	"repro/internal/trace"
 )
@@ -28,9 +27,9 @@ import (
 //     exceeds recalDistance, the entry is marked stale even if the cost
 //     happens to look steady,
 //   - a stale entry is re-inspected before its next job executes:
-//     fresh characterization through internal/adapt. A recommendation
-//     matching the current scheme revalidates the entry (new profile and
-//     cost anchor, staleness cleared); a differing recommendation must
+//     fresh characterization through decide. A served scheme matching
+//     the current one revalidates the entry (new profile and cost
+//     anchor, staleness cleared); a differing recommendation must
 //     repeat — same replacement scheme — on Config.RecalConfirm
 //     consecutive re-inspections before the scheme actually switches;
 //     hysteresis, so measurement noise cannot thrash rep<->sel on
@@ -132,9 +131,9 @@ func (e *Engine) recordCost(entry *Entry, l *trace.Loop, elapsed time.Duration, 
 }
 
 // maybeReinspect revalidates a stale entry before its job executes:
-// fresh characterization of the job's loop through the decision
-// algorithm, with hysteresis before a switch. It reports whether a
-// re-inspection ran and whether it switched the scheme.
+// fresh characterization of the job's loop through the engine's decision
+// function (decide), with hysteresis before a switch. It reports whether
+// a re-inspection ran and whether it switched the scheme.
 func (e *Engine) maybeReinspect(entry *Entry, l *trace.Loop) (reinspected, switched bool) {
 	entry.mu.Lock()
 	if !entry.stale || entry.reinspecting {
@@ -153,8 +152,7 @@ func (e *Engine) maybeReinspect(entry *Entry, l *trace.Loop) (reinspected, switc
 	// re-profile: the stale entry's other jobs (snapshotting the
 	// decision, recording costs) must not serialize behind an
 	// O(refs/stride) inspector pass.
-	fresh := e.characterize(l)
-	rec := adapt.Recommend(fresh)
+	fresh, rec := e.decide(l)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	entry.reinspecting = false

@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -172,6 +173,57 @@ func TestRecalNoDriftNoSwitch(t *testing.T) {
 	if s.Recalibrations != 0 {
 		t.Fatalf("Recalibrations = %d on undrifted traffic, want 0 (re-profiles must revalidate silently)", s.Recalibrations)
 	}
+}
+
+// TestRecalLLReinspectedAsLWRevalidates: lw is served by ll, so a stale
+// ll entry whose re-inspection the tree answers lw revalidates instead of
+// switching, even at RecalConfirm 1, where one differing served scheme
+// would switch at once. The loop is Fig. 3's Irreg input 3 (seed 103),
+// which the tree sends to lw at 8 processors; the entry is forced to an
+// earlier ll decision, as a phase the tree read as ll would leave it.
+func TestRecalLLReinspectedAsLWRevalidates(t *testing.T) {
+	var l *trace.Loop
+	for _, r := range workloads.Fig3Rows() {
+		if r.Spec.Seed == 103 {
+			l = r.Generate(0.15)
+		}
+	}
+	want := l.RunSequential()
+	cfg := recalConfig()
+	cfg.RecalConfirm = 1
+	e := mustNew(t, cfg)
+	defer e.Close()
+	if tree := adapt.Recommend(e.characterize(l)); tree.Scheme != "lw" {
+		t.Fatalf("the tree picks %s (%s), want lw: the scenario needs lw's regime", tree.Scheme, tree.Why)
+	}
+	if _, err := submitDirect(e, l); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := e.lookup(l, l.Fingerprint())
+	entry.mu.Lock()
+	entry.install(entry.profile, adapt.Recommendation{Scheme: "ll", Why: "forced earlier ll decision"})
+	entry.stale = true
+	entry.mu.Unlock()
+
+	base := e.Stats()
+	res, err := submitDirect(e, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats()
+	if got := s.Recalibrations - base.Recalibrations; got != 1 {
+		t.Errorf("Recalibrations moved by %d, want 1", got)
+	}
+	if got := s.SchemeSwitches - base.SchemeSwitches; got != 0 {
+		t.Errorf("SchemeSwitches moved by %d, want 0: the tree's lw is served by the entry's ll", got)
+	}
+	if res.Scheme != "ll" {
+		t.Errorf("re-inspected job ran %s, want ll", res.Scheme)
+	}
+	if entryStale(entry) {
+		t.Error("the entry is still stale after a revalidating re-inspection")
+	}
+	assertMatches(t, l.Name, res.Values, want)
 }
 
 // TestRecalDisabled: with DisableRecal the engine is the

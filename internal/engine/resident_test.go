@@ -337,7 +337,7 @@ func TestEngineResidentSurvivesDecisionSwitch(t *testing.T) {
 
 	entry, _ := e.lookup(l, l.Fingerprint())
 	entry.mu.Lock()
-	next := "lw"
+	next := "sel"
 	if entry.rec.Scheme == next {
 		next = "hash"
 	}

@@ -2,11 +2,14 @@ package reduction
 
 import "repro/internal/trace"
 
-// This file holds the scalar-optimized hot kernels behind every scheme's
-// RunInto fast path. The paper's applications reduce with floating-point
-// addition exclusively (trace.Op documents this), so the specialized
-// kernels cover trace.OpAdd; the other operators run the retained scalar
-// references in naive.go. Each kernel applies contributions in exactly
+// This file holds the scalar-optimized hot kernels behind the RunInto
+// fast paths of rep, ll and hash (sel's conflicting-set merge shares
+// rep's ordered fold; sel's and lw's accumulations run their references
+// in naive.go, where unrolling measured within noise). The paper's
+// applications reduce with floating-point addition exclusively (trace.Op
+// documents this), so the specialized kernels cover trace.OpAdd; the
+// other operators run the retained scalar references in naive.go. Each
+// kernel applies contributions in exactly
 // the order its naive counterpart does, so fast and naive executions of
 // the same loop are bit-for-bit identical (kernels_test.go proves it
 // across unroll remainders) — unrolling only widens the independent work
@@ -174,92 +177,6 @@ func mergeOrderedAdd(dst []float64, priv [][]float64, off int) {
 			copy(dst, src)
 		} else {
 			combineAdd(dst, src)
-		}
-	}
-}
-
-// accumSelAdd is sel's accumulation kernel: conflicting elements
-// (remap[idx] >= 0) fold into the compact private array, exclusive
-// elements update the shared out in place.
-func accumSelAdd(out, compact []float64, remap, offsets, refs []int32, iterLo, iterHi int) {
-	if iterLo >= iterHi {
-		return
-	}
-	offs := offsets[iterLo : iterHi+1] //bce:slice
-	for ii := 1; ii < len(offs); ii++ {
-		o0, o1 := offs[ii-1], offs[ii]
-		rs := refs[o0:o1] //bce:slice
-		i := iterLo + ii - 1
-		k := 0
-		for ; len(rs) >= 4; k += 4 {
-			i0, i1, i2, i3 := rs[0], rs[1], rs[2], rs[3]
-			v0 := trace.Value(i, k, i0)
-			v1 := trace.Value(i, k+1, i1)
-			v2 := trace.Value(i, k+2, i2)
-			v3 := trace.Value(i, k+3, i3)
-			if c := remap[i0]; c >= 0 { //bce:gather
-				compact[c] += v0 //bce:gather
-			} else {
-				out[i0] += v0 //bce:gather
-			}
-			if c := remap[i1]; c >= 0 { //bce:gather
-				compact[c] += v1 //bce:gather
-			} else {
-				out[i1] += v1 //bce:gather
-			}
-			if c := remap[i2]; c >= 0 { //bce:gather
-				compact[c] += v2 //bce:gather
-			} else {
-				out[i2] += v2 //bce:gather
-			}
-			if c := remap[i3]; c >= 0 { //bce:gather
-				compact[c] += v3 //bce:gather
-			} else {
-				out[i3] += v3 //bce:gather
-			}
-			rs = rs[4:]
-		}
-		for j, idx := range rs {
-			val := trace.Value(i, k+j, idx)
-			if c := remap[idx]; c >= 0 { //bce:gather
-				compact[c] += val //bce:gather
-			} else {
-				out[idx] += val //bce:gather
-			}
-		}
-	}
-}
-
-// accumOwnedAdd is lw's accumulation kernel: it executes the processor's
-// replicated iteration list and applies only the updates whose element
-// falls inside the owned block [elemLo, elemHi).
-func accumOwnedAdd(out []float64, elemLo, elemHi int32, iters, offsets, refs []int32) {
-	for _, it := range iters {
-		i := int(it)
-		o0 := offsets[i]   //bce:gather
-		o1 := offsets[i+1] //bce:gather
-		rs := refs[o0:o1]  //bce:slice
-		k := 0
-		for ; len(rs) >= 4; k += 4 {
-			i0, i1, i2, i3 := rs[0], rs[1], rs[2], rs[3]
-			if i0 >= elemLo && i0 < elemHi {
-				out[i0] += trace.Value(i, k, i0) //bce:gather
-			}
-			if i1 >= elemLo && i1 < elemHi {
-				out[i1] += trace.Value(i, k+1, i1) //bce:gather
-			}
-			if i2 >= elemLo && i2 < elemHi {
-				out[i2] += trace.Value(i, k+2, i2) //bce:gather
-			}
-			if i3 >= elemLo && i3 < elemHi {
-				out[i3] += trace.Value(i, k+3, i3) //bce:gather
-			}
-			rs = rs[4:]
-		}
-		for j, idx := range rs {
-			if idx >= elemLo && idx < elemHi {
-				out[idx] += trace.Value(i, k+j, idx) //bce:gather
-			}
 		}
 	}
 }

@@ -30,7 +30,7 @@ var kernelWorkloads = []struct {
 // records these into BENCH_engine.json, so the normalized regression gate
 // covers each kernel individually.
 func BenchmarkKernel(b *testing.B) {
-	for _, s := range kernelSchemes {
+	for _, s := range All() {
 		for _, w := range kernelWorkloads {
 			l := w.loop()
 			b.Run(s.Name()+"/pooled-"+w.name, func(b *testing.B) {
@@ -55,7 +55,9 @@ func BenchmarkKernel(b *testing.B) {
 
 // BenchmarkKernelNaive runs the retained scalar reference on the
 // dense-large shape, pooled — the direct before/after comparison for the
-// optimized kernels (same orchestration, scalar inner loops).
+// optimized kernels (same orchestration, scalar inner loops). sel and lw
+// have no unrolled body, so BenchmarkKernel already times their
+// reference.
 func BenchmarkKernelNaive(b *testing.B) {
 	for _, s := range kernelSchemes {
 		l := kernelWorkloads[0].loop()

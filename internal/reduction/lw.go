@@ -35,7 +35,7 @@ func (LocalWrite) inspect(l *trace.Loop, procs int, ex *Exec) [][]int32 {
 		// replicated to every owner) so appends never reallocate; the
 		// storage is recycled, so the width is paid once. Without a pool
 		// the lists grow on demand, allocating only the actual
-		// replicated count (IterLists and ReplicationFactor callers).
+		// replicated count (IterLists callers).
 		for p := range iterLists {
 			iterLists[p] = pool.Int32(l.NumIters())[:0]
 		}
@@ -63,7 +63,8 @@ func (lw LocalWrite) Run(l *trace.Loop, procs int) []float64 {
 
 // RunInto executes the loop under owner-computes with iteration
 // replication; the inspector's per-owner iteration lists come from the
-// context's pool. The element partition fixes who executes what.
+// context's pool. The element partition fixes who executes what. The
+// accumulation is the scalar body (naiveAccumOwned) for every operator.
 func (lw LocalWrite) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	checkProcs(procs)
 	if procs > 64 {
@@ -75,34 +76,12 @@ func (lw LocalWrite) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) 
 
 	out, fresh := ensureOut(out, l.NumElems)
 	initNeutral(out, neutral, fresh)
-	fast := ex.fastAdd(l)
-	offsets, refs := l.Flat()
 	parallelFor(procs, func(p int) {
 		elemLo, elemHi := blockBounds(l.NumElems, procs, p)
-		if fast {
-			accumOwnedAdd(out, int32(elemLo), int32(elemHi), iterLists[p], offsets, refs)
-		} else {
-			naiveAccumOwned(out, elemLo, elemHi, iterLists[p], l)
-		}
+		naiveAccumOwned(out, elemLo, elemHi, iterLists[p], l)
 	})
 	for p := range iterLists {
 		pool.PutInt32(iterLists[p])
 	}
 	return out
-}
-
-// ReplicationFactor reports the average number of processors that execute
-// each iteration under lw's inspector — the effective iteration
-// replication the paper attributes to mobility. Exposed for the adaptive
-// model and for tests.
-func (lw LocalWrite) ReplicationFactor(l *trace.Loop, procs int) float64 {
-	if l.NumIters() == 0 {
-		return 0
-	}
-	lists := lw.inspect(l, procs, nil)
-	total := 0
-	for _, lst := range lists {
-		total += len(lst)
-	}
-	return float64(total) / float64(l.NumIters())
 }

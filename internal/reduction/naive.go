@@ -4,10 +4,12 @@ import "repro/internal/trace"
 
 // This file retains the scalar element-at-a-time reference kernels the
 // optimized loops in kernels.go replaced on the hot path. They serve
-// three roles:
+// four roles:
 //
 //   - the execution path for the non-add operators (mul/max/min), which
 //     the paper's applications never use in anger,
+//   - the only accumulation bodies of sel and lw, for every operator
+//     (naiveAccumSel, naiveAccumOwned),
 //   - the semantic oracle for the property tests in kernels_test.go:
 //     a fast kernel and its naive counterpart apply contributions in the
 //     same element-local order with the same operations, so their results
@@ -15,7 +17,7 @@ import "repro/internal/trace"
 //   - readable documentation of what each scheme's hot loop computes.
 //
 // Any change to a kernel in kernels.go that is not mirrored here (or vice
-// versa) fails TestKernelsMatchNaive.
+// versa) fails TestFastKernelsBitIdenticalToNaive.
 
 // naiveAccumFlat is accumFlatAdd's reference: fold iterations [lo, hi)
 // into the private array w under op.
@@ -62,9 +64,9 @@ func naiveMergeOrdered(dst []float64, priv [][]float64, off int, op trace.Op) {
 	}
 }
 
-// naiveAccumSel is accumSelAdd's reference: conflicting elements fold
-// into the compact array through the remap table, exclusive elements
-// update out in place.
+// naiveAccumSel is sel's accumulation: conflicting elements fold into
+// the compact array through the remap table, exclusive elements update
+// out in place.
 func naiveAccumSel(out, compact []float64, remap []int32, l *trace.Loop, lo, hi int) {
 	op := l.Op
 	for i := lo; i < hi; i++ {
@@ -79,7 +81,7 @@ func naiveAccumSel(out, compact []float64, remap []int32, l *trace.Loop, lo, hi 
 	}
 }
 
-// naiveAccumOwned is accumOwnedAdd's reference: execute the replicated
+// naiveAccumOwned is lw's accumulation: execute the replicated
 // iteration list, applying only updates to owned elements.
 func naiveAccumOwned(out []float64, elemLo, elemHi int, iters []int32, l *trace.Loop) {
 	op := l.Op

@@ -265,15 +265,27 @@ func TestOwnerConsistentWithBlockBounds(t *testing.T) {
 	}
 }
 
+// TestLocalWriteReplicationFactor pins lw's inspector through the lab's
+// IterLists: the replication factor (owner lists per iteration, the
+// paper's effective mobility) of aligned, spread and empty loops.
 func TestLocalWriteReplicationFactor(t *testing.T) {
+	replication := func(l *trace.Loop, procs int) float64 {
+		if l.NumIters() == 0 {
+			return 0
+		}
+		total := 0
+		for _, lst := range (LocalWrite{}).IterLists(l, procs) {
+			total += len(lst)
+		}
+		return float64(total) / float64(l.NumIters())
+	}
 	// A loop where every iteration touches one element owned by one
 	// processor has replication factor exactly 1.
 	l := trace.NewLoop("aligned", 64)
 	for i := 0; i < 64; i++ {
 		l.AddIter(int32(i))
 	}
-	var lw LocalWrite
-	if rf := lw.ReplicationFactor(l, 8); rf != 1 {
+	if rf := replication(l, 8); rf != 1 {
 		t.Errorf("aligned replication factor = %g, want 1", rf)
 	}
 	// A loop where every iteration touches the first element of every
@@ -282,10 +294,10 @@ func TestLocalWriteReplicationFactor(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l2.AddIter(0, 8, 16, 24, 32, 40, 48, 56)
 	}
-	if rf := lw.ReplicationFactor(l2, 8); rf != 8 {
+	if rf := replication(l2, 8); rf != 8 {
 		t.Errorf("spread replication factor = %g, want 8", rf)
 	}
-	if rf := lw.ReplicationFactor(trace.NewLoop("e", 4), 2); rf != 0 {
+	if rf := replication(trace.NewLoop("e", 4), 2); rf != 0 {
 		t.Errorf("empty loop replication factor = %g, want 0", rf)
 	}
 }

@@ -20,8 +20,11 @@
 // iteration order and returns trace.Loop.RunSequential's bits. Around the
 // schemes the package holds what the serving stack executes them through:
 // the Exec context and BufferPool, the optimized kernels and their naive
-// twins, SegPlan/SegCache (shared segment partial sums, kept for the
-// claims benchmark's probes) and DeltaState (incremental sessions). inspect.go is the
+// twins (add loops of rep, ll and hash, and the ordered merge rep, dense
+// ll and sel share, run unrolled bodies; sel's and lw's accumulations
+// and every other operator run the scalar references), SegPlan/SegCache
+// (shared segment partial sums, kept for the claims benchmark's probes)
+// and DeltaState (incremental sessions). inspect.go is the
 // read-only surface through which the paper-track simulators (the lab's
 // simred) replay the schemes' inspectors; nothing here depends on a
 // machine model.

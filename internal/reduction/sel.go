@@ -61,15 +61,15 @@ func (s Selective) Run(l *trace.Loop, procs int) []float64 {
 // RunInto executes the loop with selective privatization; the inspector's
 // remap table and the compact conflicting-set arrays come from the
 // context's pool. The inspector classifies against the static block
-// partition the accumulation then executes.
+// partition the accumulation then executes. The accumulation is the
+// scalar body (naiveAccumSel) for every operator; the conflicting-set
+// merge is rep's ordered fold.
 func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []float64 {
 	checkProcs(procs)
 	neutral := l.Op.Neutral()
 	pool := ex.pool()
 	remap, numConflict := s.classify(l, procs, pool)
 	defer pool.PutInt32(remap)
-	fast := ex.fastAdd(l)
-	offsets, refs := l.Flat()
 
 	out, fresh := ensureOut(out, l.NumElems)
 	initNeutral(out, neutral, fresh)
@@ -79,11 +79,7 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 		compact := pool.Float64(numConflict)
 		initNeutral(compact, neutral, pool == nil)
 		lo, hi := blockBounds(l.NumIters(), procs, p)
-		if fast {
-			accumSelAdd(out, compact, remap, offsets, refs, lo, hi)
-		} else {
-			naiveAccumSel(out, compact, remap, l, lo, hi)
-		}
+		naiveAccumSel(out, compact, remap, l, lo, hi)
 		priv[p] = compact
 	})
 
@@ -100,7 +96,7 @@ func (s Selective) RunInto(l *trace.Loop, procs int, ex *Exec, out []float64) []
 				conflictElems[c] = int32(e)
 			}
 		}
-		block := ex.mergeBlock(procs)
+		block, fast := ex.mergeBlock(procs), ex.fastAdd(l)
 		parallelFor(procs, func(p int) {
 			lo, hi := blockBounds(numConflict, procs, p)
 			for blo := lo; blo < hi; blo += block {
